@@ -32,7 +32,7 @@ from .calculus import (
 )
 from .dimension import image_dimension, is_nondegenerate
 from .modular import DEFAULT_PRIMES, rng_for
-from .oracle import annihilating_poly
+from .oracle import annihilating_poly, composition_relation
 from .poly import Poly
 from .ratfun import (
     DegenerateSpecializationError,
@@ -178,10 +178,12 @@ def dependence_certificate(
 
     P and s are dependent iff their gradients are parallel, so provably
     non-parallel gradients end the search immediately.  Otherwise the
-    lowest-degree relation up to dmax is located by modular linear algebra
-    and verified by exact expansion before being returned; when dmax is
-    defaulted (deg P + deg s) a failed search is retried once at twice the
-    bound.
+    lowest-degree relation of total degree at most dmax (by default
+    2 * (deg P + deg s)) is returned, verified by exact expansion.  Every
+    fitter builds s with P = q(s) for a univariate rational q, so the
+    relation a(q)*p - b(q) is fitted first by rational interpolation; the
+    dense search over all monomials of each degree runs only when that fit
+    fails.
     """
     if P.arity != s.arity:
         raise ValueError("P and s must share one ambient variable list")
@@ -191,13 +193,13 @@ def dependence_certificate(
         raise ValueError("P must be nonconstant")
     if _gradients_not_parallel(P, s, primes, seed):
         return None
-    bound = dmax if dmax is not None else max(1, P.total_degree() + s.total_degree())
-    ann = annihilating_poly([P, s], bound, primes=primes, seed=seed)
-    if ann is None and dmax is None:
-        ann = annihilating_poly([P, s], 2 * bound, primes=primes, seed=seed)
+    bound = dmax if dmax is not None else 2 * max(1, P.total_degree() + s.total_degree())
+    ann = composition_relation(P, s, bound, primes=primes, seed=seed)
+    if ann is None:
+        ann = annihilating_poly([P, s], bound, primes=primes, seed=seed)
     if ann is None:
         return None
-    # annihilating_poly only returns relations whose exact composition with
+    # Both searches only return relations whose exact composition with
     # (P, s) vanished identically, so the certificate is born verified.
     return DependenceCertificate(ann, ann.total_degree(), True)
 
@@ -981,10 +983,10 @@ def fit_polynomial_composition(
 ) -> Poly | None:
     """Experimental probe: univariate polynomial u with P = u(s), or None.
 
-    Interpolates u from exact rational samples with distinct s-values and
-    accepts only if P - u(s) expands to the exact zero function.  Used to
-    probe the conjectured polynomial-composition shape of 2-decomposed
-    polynomials; a None carries no claim in either direction.
+    The case of composition_relation where the relation a(q)*p - b(q) has
+    a constant a = a0, so u = b / a0; deg u is capped at deg P // deg s by
+    default.  Used to probe the conjectured polynomial-composition shape of
+    2-decomposed polynomials; a None carries no claim in either direction.
     """
     if P.arity != s.arity:
         raise ValueError("P and s must share one ambient variable list")
@@ -992,47 +994,12 @@ def fit_polynomial_composition(
         return None
     sd = max(1, s.total_degree())
     cap = degree_cap if degree_cap is not None else max(1, P.total_degree() // sd)
-    rng = rng_for(0, "conjecture-probe")
-    pts: list[tuple[Fraction, Fraction]] = []
-    seen: set[Fraction] = set()
-    tries = 0
-    while len(pts) < cap + 1 and tries < _RETRIES * (cap + 1):
-        tries += 1
-        w = tuple(Fraction(rng.randrange(2, 10 ** 4)) for _ in range(P.arity))
-        try:
-            sv = s.eval_q(w)
-            pv = P.eval_q(w)
-        except PoleError:
-            continue
-        if sv in seen:
-            continue
-        seen.add(sv)
-        pts.append((sv, pv))
-    if len(pts) < cap + 1:
+    rel = composition_relation(P, s, cap)
+    if rel is None or any(e[0] == 1 and e[1] for e in rel.terms):
         return None
-    # Newton divided differences, then expansion to monomial coefficients.
-    xs = [a for a, _ in pts]
-    dd = [b for _, b in pts]
-    for k in range(1, len(pts)):
-        for i in range(len(pts) - 1, k - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - k])
-    coeffs = [Fraction(0)] * len(pts)
-    for k in range(len(pts) - 1, -1, -1):
-        for i in range(len(pts) - 1, 0, -1):
-            coeffs[i] = coeffs[i - 1] - xs[k] * coeffs[i]
-        coeffs[0] = dd[k] - xs[k] * coeffs[0]
-    u_terms = {(k,): c for k, c in enumerate(coeffs) if c != 0}
-    if not u_terms:
-        return None
-    u = Poly(u_terms, 1)
-    relation = {(1, 0): Fraction(1)}
-    for k, c in enumerate(coeffs):
-        if c != 0:
-            relation[(0, k)] = relation.get((0, k), Fraction(0)) - c
-    A = Poly({e: c for e, c in relation.items() if c != 0}, 2)
-    if not compose_numerator(A, [P, s]).is_zero:
-        return None
-    return u
+    a0 = rel.terms[(1, 0)]
+    u_terms = {(e[1],): -c / a0 for e, c in rel.terms.items() if e[0] == 0}
+    return Poly(u_terms, 1) if u_terms else None
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         dest="max_degree",
-        help="total-degree bound for the annihilator search (default: auto)",
+        help="total-degree bound for the certificate (default: 2*(deg f + deg s))",
     )
     ap.add_argument(
         "--probe-conjecture",

@@ -1,17 +1,19 @@
-"""Independent cross-checks: symbolic rank and annihilating polynomials.
+"""Exact oracles: symbolic rank and polynomial relations.
 
-These deliberately avoid the evaluation strategy of the main pipeline.
 symbolic_rank eliminates the *symbolic* Jacobian with fraction-free
 Bareiss steps, so its answer is exact and shares no randomness with
 generic_rank.  annihilating_poly searches for an exact polynomial
-relation among given functions; every returned relation is verified by
-exact composition, never by sampling alone.
+relation among given functions; composition_relation finds the relation
+a(q)*p - b(q) of P = (b/a)(s) far faster, and the certificate search
+tries it first.  Every returned relation is verified by exact
+composition, never by sampling alone.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import partial
 
 from .modular import (
     DEFAULT_PRIMES,
@@ -21,12 +23,11 @@ from .modular import (
     rational_reconstruct,
     rng_for,
 )
-from .poly import Poly, divexact, grlex_key
-from .ratfun import PoleError, RatFun, compose_numerator
+from .poly import Poly, _conv_mod, divexact, grlex_key
+from .ratfun import RatFun, compose_numerator, pole_free_values
 from .dimension import DoublingMap
 
 MAX_ORACLE_DEGREE = 6
-_POINT_RETRIES = 64
 
 
 class OracleGuardError(ValueError):
@@ -104,27 +105,24 @@ def _monomials(k: int, d: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _sample_rows(fs, monos, d, count, p, rng):
-    """Evaluation matrix of the monomials f^a at `count` pole-free points."""
+def _kernel_vector(fs, monos, d, seed, p):
+    """Kernel vector mod p of the monomials f^a evaluated at random points.
+
+    Returns None when a point cannot be drawn or the matrix has full rank;
+    full rank is an exact proof that no degree-d relation exists.
+    """
+    pts = pole_free_values(fs, len(monos) + 8, p, rng_for(seed, f"ann:d{d}:p{p}"))
+    if pts is None:
+        return None
     k = len(fs)
-    arity = fs[0].arity
     rows = []
-    for _ in range(count):
-        for _try in range(_POINT_RETRIES):
-            w = tuple(rng.randrange(1, p) for _ in range(arity))
-            try:
-                vals = [f.eval_mod(w, p) for f in fs]
-            except PoleError:
-                continue
-            break
-        else:
-            return None
+    for vals in pts:
         pows = [[1] * (d + 1) for _ in range(k)]
         for i in range(k):
             for e in range(1, d + 1):
                 pows[i][e] = pows[i][e - 1] * vals[i] % p
         rows.append([_prod_mod(pows, a, p) for a in monos])
-    return rows
+    return nullspace_vector_mod(rows, p)
 
 
 def _prod_mod(pows, a, p):
@@ -176,68 +174,212 @@ def annihilating_poly(
     arity = fs[0].arity
     if any(f.arity != arity for f in fs):
         raise ValueError("functions must share one ambient variable list")
+    pool = _prime_pool(primes)
+    for d in range(1, dmax + 1):
+        monos = _monomials(k, d)
+        solve = partial(_kernel_vector, fs, monos, d, seed)
+        cand = _lift_and_verify(fs, monos, len(primes), pool, solve)
+        if cand is not None:
+            return cand
+    return None
+
+
+def _prime_pool(primes: tuple[int, ...]) -> list[int]:
+    """The given primes, then the largest primes below them, six in all."""
     pool = list(primes)
     for q in primes_below(min(pool), 6):
         if q not in pool:
             pool.append(q)
         if len(pool) >= 6:
             break
-
-    for d in range(1, dmax + 1):
-        monos = _monomials(k, d)
-        count = len(monos) + 8
-        vecs = []
-        dead = False
-        for p in pool[: len(primes)]:
-            rng = rng_for(seed, f"ann:d{d}:p{p}")
-            rows = _sample_rows(fs, monos, d, count, p, rng)
-            if rows is None:
-                dead = True
-                break
-            v = nullspace_vector_mod(rows, p)
-            if v is None:
-                dead = True  # full rank: no degree-d relation, proven
-                break
-            vecs.append((p, v))
-        if dead:
-            continue
-        cand = _lift_and_verify(fs, monos, d, vecs, pool, seed, count)
-        if cand is not None:
-            return cand
-    return None
+    return pool
 
 
-def _lift_and_verify(fs, monos, d, vecs, pool, seed, count):
-    """CRT-combine per-prime kernel vectors, reconstruct over Q, verify.
+def _lift_and_verify(fs, monos, nprimes, pool, solve):
+    """Relation with coefficients on monos from per-prime vectors, or None.
 
+    solve(p) returns the coefficient vector mod p, scaled the same way at
+    every prime, or None.  From the first nprimes primes of the pool on,
+    the vectors are CRT-combined, reconstructed over Q and normalized, and
+    the candidate counts only if its exact composition with fs vanishes.
     A failed reconstruction or a nonzero composition only ever means an
-    unlucky prime; more primes are drawn until the pool runs dry, after
-    which the degree is abandoned (soundness never depends on this path).
+    unlucky prime; more primes are drawn until the pool runs dry
+    (soundness never depends on this path).
     """
-    k = len(fs)
-    used = list(vecs)
-    while True:
+    used = []
+    for p in pool:
+        v = solve(p)
+        if v is None:
+            return None
+        used.append((p, v))
+        if len(used) < nprimes:
+            continue
         acc = list(used[0][1])
         m = used[0][0]
-        for p, v in used[1:]:
-            acc = [crt_pair(a, m, b, p) for a, b in zip(acc, v)]
-            m *= p
+        for q, w in used[1:]:
+            acc = [crt_pair(a, m, b, q) for a, b in zip(acc, w)]
+            m *= q
         rat = [rational_reconstruct(a % m, m) for a in acc]
         if all(r is not None for r in rat):
             coeffs = _normalize_coeffs(rat, monos)
             if coeffs:
-                cand = Poly({a: Fraction(c) for a, c in coeffs.items()}, k)
+                cand = Poly({a: Fraction(c) for a, c in coeffs.items()}, len(fs))
                 if compose_numerator(cand, fs).is_zero:
                     return cand
-        nxt = len(used)
-        if nxt >= len(pool):
+    return None
+
+
+# ---------------------------------------------------------------------------
+# composition relations by Cauchy interpolation
+# ---------------------------------------------------------------------------
+
+#: Sample points beyond the 2m + 1 interpolation nodes that a fitted
+#: relation must also satisfy before it is lifted.
+_CONFIRM_POINTS = 3
+
+
+def _trim(f: list[int]) -> list[int]:
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _sub_mod(f: list[int], g: list[int], p: int) -> list[int]:
+    n = max(len(f), len(g))
+    f, g = f + [0] * (n - len(f)), g + [0] * (n - len(g))
+    return _trim([(a - b) % p for a, b in zip(f, g)])
+
+
+def _divmod_mod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of f by the nonzero g over GF(p)."""
+    r = list(f)
+    dg = len(g) - 1
+    inv = pow(g[-1], -1, p)
+    q = [0] * max(0, len(r) - dg)
+    for k in range(len(r) - 1, dg - 1, -1):
+        c = r[k] * inv % p
+        if c:
+            q[k - dg] = c
+            for j in range(dg + 1):
+                r[k - dg + j] = (r[k - dg + j] - c * g[j]) % p
+    return _trim(q), _trim(r[:dg])
+
+
+def _eval_uni_mod(f: list[int], t: int, p: int) -> int:
+    v = 0
+    for c in reversed(f):
+        v = (v * t + c) % p
+    return v
+
+
+def _interpolate_mod(ts: list[int], vs: list[int], p: int) -> list[int]:
+    """The polynomial of degree < len(ts) through the points (t_i, v_i)."""
+    n = len(ts)
+    dd = list(vs)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) * pow(ts[i] - ts[i - k], -1, p) % p
+    out: list[int] = []
+    for k in range(n - 1, -1, -1):
+        # Horner on the Newton form: out <- out * (t - t_k) + dd[k]
+        nxt = [0] + out
+        for i, c in enumerate(out):
+            nxt[i] = (nxt[i] - ts[k] * c) % p
+        nxt[0] = (nxt[0] + dd[k]) % p
+        out = nxt
+    return _trim(out)
+
+
+def _cauchy_mod(pts: list[list[int]], m: int, p: int) -> dict | None:
+    """Relation a(q)*p - b(q) mod p with deg a, deg b <= m, or None.
+
+    pts holds (t_i, v_i) = (s, P) values with distinct t_i.  The first
+    2m + 1 points fix b/a: the half-extended Euclidean algorithm on
+    (prod (t - t_i), U), with U interpolating them, stops at the first
+    remainder of degree <= m, which is b, with its cofactor a (von zur
+    Gathen & Gerhard, Modern Computer Algebra, 5.7-5.9).  The remaining
+    points must satisfy the relation too.  The result maps exponents in
+    (p, q) to residues, scaled so that the grlex-leading one is 1.
+    """
+    n = 2 * m + 1
+    ts = [t for t, _ in pts[:n]]
+    r0: list[int] = [1]
+    for t in ts:
+        r0 = _conv_mod(r0, [-t % p, 1], p)
+    r1 = _interpolate_mod(ts, [v for _, v in pts[:n]], p)
+    c0: list[int] = []
+    c1: list[int] = [1]
+    while len(r1) > m + 1:
+        quo, rem = _divmod_mod(r0, r1, p)
+        r0, r1 = r1, rem
+        c0, c1 = c1, _sub_mod(c0, _conv_mod(quo, c1, p), p)
+    a, b = c1, r1
+    for t, v in pts[n:]:
+        if (_eval_uni_mod(a, t, p) * v - _eval_uni_mod(b, t, p)) % p:
             return None
-        p = pool[nxt]
-        rng = rng_for(seed, f"ann:d{d}:p{p}")
-        rows = _sample_rows(fs, monos, d, count, p, rng)
-        if rows is None:
+    rel = {(1, i): c for i, c in enumerate(a) if c}
+    rel.update({(0, j): -c % p for j, c in enumerate(b) if c})
+    inv = pow(rel[max(rel, key=grlex_key)], -1, p)
+    return {e: c * inv % p for e, c in rel.items()}
+
+
+def composition_relation(
+    P: RatFun,
+    s: RatFun,
+    dmax: int,
+    primes: tuple[int, ...] = DEFAULT_PRIMES,
+    seed: int = 0,
+) -> Poly | None:
+    """Relation a(q)*p - b(q) with a(s)*P = b(s) exactly, or None.
+
+    Finds P = (b/a)(s) for univariate a, b by rational (Cauchy)
+    interpolation of sampled pairs (s(w), P(w)) modulo the first prime,
+    with the degree bound m = 1, 2, 4, ... capped at dmax.  Once a fit
+    holds there, each prime of the pool of annihilating_poly refits at the
+    degree it found, and the fits are lifted and normalized as there: the
+    relation is returned only if its total degree is at most dmax and its
+    exact composition with (P, s) vanishes.  Since s is nonconstant, every
+    relation between P and s is then a multiple of this one (Gauss's
+    lemma), so it is also the relation annihilating_poly([P, s], dmax)
+    returns.  None carries no claim: P may lie outside Q(s), or the
+    samples were unlucky.
+    """
+    pool = _prime_pool(primes)
+    fs = [s, P]
+    samples = {}
+
+    def fit(m, p):
+        if p not in samples:
+            samples[p] = (rng_for(seed, f"cauchy:p{p}"), set(), [])
+        rng, seen, pts = samples[p]
+        need = 2 * m + 1 + _CONFIRM_POINTS - len(pts)
+        if need > 0:
+            more = pole_free_values(fs, need, p, rng, distinct=seen)
+            if more is None:
+                return None
+            pts.extend(more)
+        return _cauchy_mod(pts, m, p)
+
+    bound = 1
+    while True:
+        bound = min(bound, dmax)
+        rel = fit(bound, primes[0])
+        if rel is not None and max(map(sum, rel)) <= dmax:
+            # every prime refits with the degree the first one found
+            m = max(e[1] for e in rel)
+            support = {(1, i) for i in range(min(m, dmax - 1) + 1)}
+            support |= {(0, j) for j in range(m + 1)}
+            monos = sorted(support, key=grlex_key)
+
+            def solve(p):
+                fitted = fit(m, p)
+                if fitted is None or not fitted.keys() <= support:
+                    return None
+                return [fitted.get(e, 0) for e in monos]
+
+            cand = _lift_and_verify([P, s], monos, len(primes), pool, solve)
+            if cand is not None:
+                return cand
+        if bound >= dmax:
             return None
-        v = nullspace_vector_mod(rows, p)
-        if v is None:
-            return None
-        used.append((p, v))
+        bound *= 2

@@ -20,6 +20,8 @@ from .modular import PrimeCtx, inv_mod
 from .poly import Poly, divexact, poly_gcd
 
 EXPONENT_CAP = 1 << 20
+#: Draws per point before pole_free_values gives up.
+POINT_RETRIES = 64
 
 
 class PoleError(ArithmeticError):
@@ -412,6 +414,38 @@ def compose_numerator(coeffs: Poly, fs: list[RatFun]) -> Poly:
             piece = piece * npow[i][e[i]] * dpow[i][emax[i] - e[i]]
         acc = acc + piece
     return acc
+
+
+def pole_free_values(
+    fs: list[RatFun], count: int, p: int, rng, distinct: set[int] | None = None
+) -> list[list[int]] | None:
+    """Values mod p of the functions fs at `count` random pole-free points.
+
+    Each point gets POINT_RETRIES draws; a draw that hits a pole of any
+    function is redrawn.  When `distinct` is a set, a draw whose value of
+    fs[0] is already in it is redrawn too, and accepted values are added to
+    it, so successive calls sharing one set keep extending a sample with
+    pairwise distinct first values.  Returns None when a point runs out of
+    draws.
+    """
+    arity = fs[0].arity
+    out = []
+    for _ in range(count):
+        for _try in range(POINT_RETRIES):
+            w = tuple(rng.randrange(1, p) for _ in range(arity))
+            try:
+                vals = [f.eval_mod(w, p) for f in fs]
+            except PoleError:
+                continue
+            if distinct is None:
+                break
+            if vals[0] not in distinct:
+                distinct.add(vals[0])
+                break
+        else:
+            return None
+        out.append(vals)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,28 @@ def test_certificate_substitutes_to_zero():
     assert compose_numerator(cert.annihilator, [P, s]).is_zero
 
 
+def test_certificate_falls_back_when_p_not_in_q_of_s():
+    cert = dependence_certificate(parse("x*y", BI), parse("x^2*y^2", BI))
+    assert cert is not None and cert.verified
+    assert cert.annihilator.to_str(("p", "q")) == "p^2 - q"
+
+
+def test_certificate_respects_max_degree():
+    assert dependence_certificate(parse("(x+y)^3", BI), parse("x+y", BI), dmax=2) is None
+
+
+def test_certificate_found_without_dense_search(monkeypatch):
+    import ratforms.oracle
+
+    def no_dense_search(rows, p):
+        raise AssertionError("dense relation search ran")
+
+    monkeypatch.setattr(ratforms.oracle, "nullspace_vector_mod", no_dense_search)
+    cert = dependence_certificate(parse("(x+y+z)^24", TRI), parse("x+y+z", TRI))
+    assert cert is not None
+    assert cert.annihilator.terms == {(1, 0): Fraction(1), (0, 24): Fraction(-1)}
+
+
 def test_certificate_rejects_constant_s():
     with pytest.raises(ValueError):
         dependence_certificate(parse("x+y", BI), parse("3", BI), dmax=2)

@@ -11,6 +11,7 @@ from ratforms.oracle import (
     MAX_ORACLE_DEGREE,
     OracleGuardError,
     annihilating_poly,
+    composition_relation,
     symbolic_rank,
 )
 from ratforms.ratfun import compose_numerator, parse
@@ -106,3 +107,42 @@ def test_annihilating_poly_is_deterministic():
     a = annihilating_poly([P, s], 2)
     b = annihilating_poly([P, s], 2)
     assert a is not None and a.terms == b.terms
+
+
+# -- composition relations by Cauchy interpolation ------------------------------
+
+# (P, s, names) with P = q(s) for a univariate rational q
+_COMPOSITIONS = (
+    # s a Mobius map of the twisted quotient T = (x^2+y)/(y+z^3), P = T
+    ("(x^2+y)/(y+z^3)", "(2*(x^2+y) + y+z^3)/(x^2+y - 3*(y+z^3))", TRI),
+    ("(x+y+z)^12", "x+y+z", TRI),
+    ("1/((x+y+z)^9+1)", "x+y+z", TRI),
+    # binomial coefficients up to 924 exercise the CRT lift
+    ("(x*y*z+1)^12", "x*y*z", TRI),
+    ("(x+y^2)^3 + 2*(x+y^2)", "x+y^2", BI),
+    ("(x*y^2+2)/(3*x*y^2-1)", "x*y^2", BI),
+)
+
+
+@pytest.mark.parametrize("P, s, names", _COMPOSITIONS)
+def test_composition_relation_matches_dense_search(P, s, names):
+    fs = [parse(P, names), parse(s, names)]
+    cap = 2 * (fs[0].total_degree() + fs[1].total_degree())
+    fast = composition_relation(fs[0], fs[1], cap)
+    dense = annihilating_poly(fs, cap)
+    assert fast is not None and dense is not None
+    assert fast.terms == dense.terms
+
+
+def test_composition_relation_none_outside_q_of_s():
+    # x*y is algebraic over Q(x^2*y^2) but not in it
+    P, s = parse("x*y", BI), parse("x^2*y^2", BI)
+    assert composition_relation(P, s, 8) is None
+    assert annihilating_poly([P, s], 8).terms == {(2, 0): Fraction(1), (0, 1): Fraction(-1)}
+
+
+def test_composition_relation_respects_degree_cap():
+    P, s = parse("(x+y)^3", BI), parse("x+y", BI)
+    assert composition_relation(P, s, 2) is None
+    rel = composition_relation(P, s, 3)
+    assert rel is not None and rel.terms == {(1, 0): Fraction(1), (0, 3): Fraction(-1)}
