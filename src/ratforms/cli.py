@@ -8,7 +8,9 @@ produce byte-identical output.
 
 Exit status: 0 when every verdict is decisive (including no-constraint and
 degenerate), 2 when any function is unresolved or the rank sampling is
-inconclusive, 1 on usage or parse errors.
+inconclusive, 1 on usage or parse errors.  An input whose analysis raises
+is reported unresolved with an ``error`` diagnostic naming the exception,
+and the other inputs are still analyzed.
 """
 
 from __future__ import annotations
@@ -110,6 +112,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _empty_report(expr: str, names: tuple[str, ...], seed: int, primes) -> dict:
+    return {
+        "function": expr,
+        "vars": list(names),
+        "nondegenerate": None,
+        "image_dimension": None,
+        "has_constraint": None,
+        "verdict": None,
+        "fitted": None,
+        "certificate": None,
+        "diagnostics": {},
+        "timing": None,
+        "seed": seed,
+        "primes": list(primes),
+    }
+
+
 def analyze_function(
     expr: str,
     names: tuple[str, ...],
@@ -124,22 +143,8 @@ def analyze_function(
     May raise ParseError; every other outcome is encoded in the report.
     """
     f = parse(expr, names)
-    f = f if f.canonical else f.reduce()
     n = len(names)
-    report: dict = {
-        "function": expr,
-        "vars": list(names),
-        "nondegenerate": None,
-        "image_dimension": None,
-        "has_constraint": None,
-        "verdict": None,
-        "fitted": None,
-        "certificate": None,
-        "diagnostics": {},
-        "timing": None,
-        "seed": seed,
-        "primes": list(primes),
-    }
+    report = _empty_report(expr, names, seed, primes)
     if not is_nondegenerate(f):
         report["nondegenerate"] = False
         report["verdict"] = "degenerate"
@@ -223,7 +228,7 @@ def _format_text(report: dict) -> str:
     if cert is not None:
         lines.append(f"certificate:     {cert['annihilator']} = 0 at (p, q) = (P, s)")
         lines.append(f"degree bound:    {cert['degree_bound']}")
-    diag = ", ".join(f"{k}={str(v).lower()}" for k, v in report["diagnostics"].items())
+    diag = ", ".join(f"{k}={_disp(v)}" for k, v in report["diagnostics"].items())
     lines.append(f"diagnostics:     {diag if diag else '(none)'}")
     lines.append(f"seed:            {report['seed']}")
     lines.append(f"primes:          {', '.join(str(p) for p in report['primes'])}")
@@ -285,6 +290,17 @@ def main(argv: list[str] | None = None) -> int:
         except ParseError as exc:
             print(f"{ap.prog}: error: cannot parse {expr!r}: {exc}", file=sys.stderr)
             return 1
+        except Exception as exc:
+            # one failing input must not lose the reports of the others;
+            # traceback is imported only here, off the start-up path
+            import traceback
+
+            print(f"{ap.prog}: error: analysis of {expr!r} failed:", file=sys.stderr)
+            traceback.print_exc(file=sys.stderr)
+            report = _empty_report(expr, names, args.seed, primes)
+            report["verdict"] = "unresolved"
+            report["diagnostics"] = {"error": type(exc).__name__}
+            code = 2
         reports.append(report)
         status = max(status, code)
 

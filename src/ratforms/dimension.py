@@ -69,60 +69,106 @@ def doubling_map(f: RatFun) -> DoublingMap:
     return DoublingMap(f=f, n=n, components=tuple(comps))
 
 
+def _nest(terms: list[tuple[tuple[int, ...], int]], level: int, n: int) -> list:
+    """Terms grouped by their exponent of x_level, then of x_level+1, ...
+
+    The last level holds (exponent, coefficient) pairs; every other level
+    holds (exponent, nested subpolynomial) pairs.
+    """
+    if level == n - 1:
+        return [(e[level], c) for e, c in terms]
+    groups: dict[int, list] = {}
+    for e, c in terms:
+        groups.setdefault(e[level], []).append((e, c))
+    return [(k, _nest(sub, level + 1, n)) for k, sub in groups.items()]
+
+
+def _value_and_gradient(node: list, level: int, tables, n: int) -> list[list[int]]:
+    """[value, d/dx_level, ..., d/dx_(n-1)] of a nested polynomial, unreduced.
+
+    One entry per choice of copies for x_level..x_(n-1): bit k of the index
+    picks the 1-copy of x_(level+k).  tables[i][copy] holds the powers x^e
+    and the derivatives e*x^(e-1) of that copy's coordinate, so a zero
+    coordinate needs no special case.  A subpolynomial is walked once for
+    both copies of its variable and shared by every choice of the ones above.
+    """
+    if level == n - 1:
+        (a0, d0), (a1, d1) = tables[level]
+        v0 = g0 = v1 = g1 = 0
+        for e, c in node:
+            v0 += c * a0[e]
+            g0 += c * d0[e]
+            v1 += c * a1[e]
+            g1 += c * d1[e]
+        return [[v0, g0], [v1, g1]]
+    out = [[0] * (n - level + 1) for _ in range(2 << (n - level - 1))]
+    for e, child in node:
+        sub = _value_and_gradient(child, level + 1, tables, n)
+        for copy, (a, d) in enumerate(tables[level]):
+            ae, de = a[e], d[e]
+            for k, (cv, *cg) in enumerate(sub):
+                acc = out[copy | k << 1]
+                acc[0] += ae * cv
+                acc[1] += de * cv
+                for j, x in enumerate(cg, 2):
+                    acc[j] += ae * x
+    return out
+
+
 class _JacobianEvaluator:
     """Evaluates the doubling-map Jacobian at points mod p.
 
     Row b of the Jacobian is supported on columns i + n*bit_i(b) only, and
-    the entry there is (dr/dx_i) at the b-renamed sub-point, so one set of
-    partials of r serves all 2^n rows; power tables for the 2n coordinate
-    values are shared by every sub-point evaluation.
+    the entry there is (dr/dx_i) at the b-renamed sub-point, so the value
+    and partials of num and den at the 2^n sub-points give every row.  Per
+    prime, num and den are compiled once into nested coefficient lists
+    (see _nest); one walk of each then yields all 2^n values and gradients.
     """
 
     def __init__(self, dm: DoublingMap):
         f = dm.f
         self.n = dm.n
-        self.polys = [f.num, f.den]
-        for i in range(dm.n):
-            self.polys.append(f.num.derivative(i))
-            self.polys.append(f.den.derivative(i))
-        self.maxdeg = [
-            max(q.degree_in(i) for q in self.polys) for i in range(dm.n)
-        ]
+        self.polys = (f.num, f.den)
+        self.maxdeg = [max(f.num.degree_in(i), f.den.degree_in(i)) for i in range(dm.n)]
+        self.compiled: dict[int, tuple[list, list]] = {}
 
-    def _eval(self, terms, slots, pows, p):
-        acc = 0
-        for e, c in terms.items():
-            v = c
-            for i, ei in enumerate(e):
-                if ei:
-                    v = v * pows[slots[i]][ei]
-            acc += v
-        return acc % p
+    def _compile(self, p: int) -> tuple[list, list]:
+        nested = self.compiled.get(p)
+        if nested is None:
+            nested = tuple(
+                _nest(list(q.mod_terms(p).items()), 0, self.n) for q in self.polys
+            )
+            self.compiled[p] = nested
+        return nested
 
     def rows_at(self, w: list[int], p: int) -> list[list[int]] | None:
         n = self.n
-        pows = []
-        for slot in range(2 * n):
-            deg = self.maxdeg[slot % n]
-            row = [1] * (deg + 1)
-            x = w[slot] % p
-            for e in range(1, deg + 1):
-                row[e] = row[e - 1] * x % p
-            pows.append(row)
-        mods = [q.mod_terms(p) for q in self.polys]
+        num, den = self._compile(p)
+        tables = []
+        for i in range(n):
+            deg = self.maxdeg[i]
+            copies = []
+            for slot in (i, i + n):
+                x = w[slot] % p
+                pw = [1] * (deg + 1)
+                dpw = [0] * (deg + 1)
+                for e in range(1, deg + 1):
+                    dpw[e] = e * pw[e - 1] % p
+                    pw[e] = pw[e - 1] * x % p
+                copies.append((pw, dpw))
+            tables.append(copies)
+        dens = _value_and_gradient(den, 0, tables, n)
+        if any(d[0] % p == 0 for d in dens):
+            return None
+        nums = _value_and_gradient(num, 0, tables, n)
         rows: list[list[int]] = []
         for b in range(1 << n):
-            slots = [i + n * ((b >> i) & 1) for i in range(n)]
-            dv = self._eval(mods[1], slots, pows, p)
-            if dv == 0:
-                return None
-            nv = self._eval(mods[0], slots, pows, p)
-            inv2 = inv_mod(dv * dv % p, p)
+            dv, *dg = (v % p for v in dens[b])
+            nv, *ng = (v % p for v in nums[b])
+            inv2 = inv_mod(dv * dv, p)
             row = [0] * (2 * n)
             for i in range(n):
-                niv = self._eval(mods[2 + 2 * i], slots, pows, p)
-                div = self._eval(mods[3 + 2 * i], slots, pows, p)
-                row[slots[i]] = (niv * dv - nv * div) * inv2 % p
+                row[i + n * ((b >> i) & 1)] = (ng[i] * dv - nv * dg[i]) * inv2 % p
             rows.append(row)
         return rows
 
@@ -220,12 +266,11 @@ def has_algebraic_constraint(
 
 
 def is_nondegenerate(f: RatFun) -> bool:
-    """True iff f genuinely depends on every one of its variables (exact)."""
+    """True iff f genuinely depends on every one of its variables (exact).
+
+    O(terms) on a reduced input, which involves x_i exactly when num or den
+    has positive degree in x_i; see RatFun.independent_of.
+    """
     if f.arity not in (2, 3):
         raise ValueError("nondegeneracy is defined for 2 or 3 variables")
-    n, d = f.num, f.den
-    for i in range(f.arity):
-        t = n.derivative(i) * d - n * d.derivative(i)
-        if t.is_zero:
-            return False
-    return True
+    return not any(f.independent_of(i) for i in range(f.arity))

@@ -74,10 +74,10 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def inv_mod(a: int, p: int) -> int:
-    g, s, _ = xgcd(a % p, p)
-    if g != 1:
-        raise ZeroDivisionError(f"{a} not invertible mod {p}")
-    return s % p
+    try:
+        return pow(a, -1, p)
+    except ValueError:
+        raise ZeroDivisionError(f"{a} not invertible mod {p}") from None
 
 
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:

@@ -88,7 +88,7 @@ class RatFun:
 
     @classmethod
     def from_poly(cls, p: Poly) -> "RatFun":
-        return cls(p, Poly.const(1, p.arity))
+        return cls(p, Poly.const(1, p.arity), reduce=False)._mark()
 
     def _mark(self) -> "RatFun":
         object.__setattr__(self, "canonical", True)
@@ -472,7 +472,21 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
+def _fraction(f: Poly | RatFun) -> tuple[Poly, Poly]:
+    """(numerator, denominator) of a parse node."""
+    if isinstance(f, Poly):
+        return f, Poly.const(1, f.arity)
+    return f.num, f.den
+
+
 class _Parser:
+    """Recursive descent over the token list.
+
+    Polynomial subtrees stay plain Polys; only a genuine quotient becomes a
+    RatFun, kept raw (unreduced), so no node pays for a gcd.  parse reduces
+    the result once at the end.
+    """
+
     def __init__(self, text: str, names: tuple[str, ...]):
         self.tokens = _tokenize(text)
         self.idx = 0
@@ -498,20 +512,26 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected token {val!r}", pos)
-        return f
+        return RatFun.from_poly(f) if isinstance(f, Poly) else f.reduce()
 
-    def expr(self) -> RatFun:
+    def expr(self) -> Poly | RatFun:
         f = self.term()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.advance()
                 g = self.term()
-                f = f + g if val == "+" else f - g
+                if isinstance(f, Poly) and isinstance(g, Poly):
+                    f = f + g if val == "+" else f - g
+                    continue
+                (fn, fd), (gn, gd) = _fraction(f), _fraction(g)
+                if fd != gd:
+                    fn, gn, fd = fn * gd, gn * fd, fd * gd
+                f = RatFun.raw(fn + gn if val == "+" else fn - gn, fd)
             else:
                 return f
 
-    def term(self) -> RatFun:
+    def term(self) -> Poly | RatFun:
         f = self.factor()
         while True:
             kind, val, pos = self.peek()
@@ -519,22 +539,33 @@ class _Parser:
                 self.advance()
                 g = self.factor()
                 if val == "*":
-                    f = f * g
+                    if isinstance(f, Poly) and isinstance(g, Poly):
+                        f = f * g
+                    else:
+                        (fn, fd), (gn, gd) = _fraction(f), _fraction(g)
+                        f = RatFun.raw(fn * gn, fd * gd)
+                elif g.is_zero:
+                    raise ParseError("division by the zero polynomial", pos)
+                elif isinstance(g, Poly) and g.is_constant:
+                    inv = 1 / g.constant_value()
+                    if isinstance(f, Poly):
+                        f = f.scale(inv)
+                    else:
+                        f = RatFun.raw(f.num.scale(inv), f.den)
                 else:
-                    if g.is_zero:
-                        raise ParseError("division by the zero polynomial", pos)
-                    f = f / g
+                    (fn, fd), (gn, gd) = _fraction(f), _fraction(g)
+                    f = RatFun.raw(fn * gd, fd * gn)
             else:
                 return f
 
-    def factor(self) -> RatFun:
+    def factor(self) -> Poly | RatFun:
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.advance()
             return -self.factor()
         return self.power()
 
-    def power(self) -> RatFun:
+    def power(self) -> Poly | RatFun:
         base = self.atom()
         kind, val, pos = self.peek()
         if kind == "op" and val == "^":
@@ -546,18 +577,20 @@ class _Parser:
             n = int(ival)
             if n > EXPONENT_CAP:
                 raise ParseError(f"exponent {n} too large", ipos)
-            return base**n
+            if isinstance(base, Poly):
+                return base**n
+            return RatFun.raw(base.num**n, base.den**n)
         return base
 
-    def atom(self) -> RatFun:
+    def atom(self) -> Poly | RatFun:
         kind, val, pos = self.advance()
         if kind == "int":
-            return RatFun.const(int(val), self.arity)
+            return Poly.const(int(val), self.arity)
         if kind == "name":
             i = self.names.get(val)
             if i is None:
                 raise ParseError(f"unknown identifier {val!r}", pos)
-            return RatFun.variable(i, self.arity)
+            return Poly.variable(i, self.arity)
         if kind == "op" and val == "(":
             f = self.expr()
             self.expect_op(")")

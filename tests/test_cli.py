@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+from ratforms import cli
 from ratforms.cli import main
+from ratforms.ratfun import parse
 
 SCHEMA_KEYS = [
     "function",
@@ -233,3 +235,32 @@ def test_text_mode_contains_decision_fields(capsys):
         "primes:",
     ):
         assert needle in out
+
+
+def test_failing_input_does_not_abort_the_batch(monkeypatch, capsys):
+    real = cli.classify_trivariate
+
+    def flaky(f, **kwargs):
+        if f == parse("x*y*z", ("x", "y", "z")):
+            raise ZeroDivisionError("injected failure")
+        return real(f, **kwargs)
+
+    monkeypatch.setattr(cli, "classify_trivariate", flaky)
+    code = main(
+        [
+            "--vars", "x,y,z",
+            "--function", "(x+y)/(y+z)",
+            "--function", "x*y*z",
+            "--function", "x*(y+z)^2",
+            "--format", "json",
+        ]
+    )
+    captured = capsys.readouterr()
+    reports = json.loads(captured.out)
+    assert code == 2
+    assert [r["function"] for r in reports] == ["(x+y)/(y+z)", "x*y*z", "x*(y+z)^2"]
+    assert [r["verdict"] for r in reports] == ["twisted", "unresolved", "field"]
+    failed = reports[1]
+    assert list(failed.keys()) == SCHEMA_KEYS
+    assert failed["diagnostics"] == {"error": "ZeroDivisionError"}
+    assert "injected failure" in captured.err

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from ratforms.dimension import (
     AllPolesError,
+    _JacobianEvaluator,
     doubling_map,
     generic_rank,
     has_algebraic_constraint,
     image_dimension,
     is_nondegenerate,
 )
+from ratforms.modular import DEFAULT_PRIMES
 from ratforms.ratfun import RatFun, parse
 
 BI = ("x", "y")
@@ -70,6 +74,49 @@ def test_generic_rank_all_poles_is_surfaced():
     f = parse("y + 1/((x^5 - x)*(x^11 - x))", BI)
     with pytest.raises(AllPolesError):
         generic_rank(doubling_map(f), primes=(5, 11), samples=4)
+
+
+def _exact_rows(f: RatFun, w: list[int], p: int) -> list[list[int]] | None:
+    """Doubling-map Jacobian rows from the exact partials of f, mod p."""
+    n = f.arity
+    partials = [f.partial(i) for i in range(n)]
+    rows = []
+    for b in range(1 << n):
+        cols = [i + n * ((b >> i) & 1) for i in range(n)]
+        sub = [w[c] for c in cols]
+        if f.den.eval_mod(sub, p) == 0:
+            return None
+        row = [0] * (2 * n)
+        for i, c in enumerate(cols):
+            row[c] = partials[i].eval_mod(sub, p)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "expr,names",
+    (
+        ("x + y + x^2*y^3", BI),
+        ("(x^2*y + 3)/(x - y^2 + 5)", BI),
+        ("(x+y)/(y+z)", TRI),
+        ("x*(y+z)^3/(x^2 + z + 7)", TRI),
+        ("(x^2+1)*(y^2+1)*z - 4/3*x*y", TRI),
+    ),
+)
+@pytest.mark.parametrize("p", DEFAULT_PRIMES)
+def test_compiled_jacobian_matches_exact_partials(expr, names, p):
+    f = parse(expr, names)
+    ev = _JacobianEvaluator(doubling_map(f))
+    rng = random.Random(f"{expr}:{p}")
+    arity = 2 * f.arity
+    points = [[rng.randrange(1, p) for _ in range(arity)] for _ in range(6)]
+    for slot in range(arity):  # a zero coordinate in every slot
+        w = [rng.randrange(1, p) for _ in range(arity)]
+        w[slot] = 0
+        points.append(w)
+    points.append([0] * arity)
+    for w in points:
+        assert ev.rows_at(w, p) == _exact_rows(f, w, p)
 
 
 # -- image dimension ------------------------------------------------------------
@@ -134,3 +181,18 @@ def test_is_nondegenerate_examples():
     assert is_nondegenerate(parse("(x+y)/(y+z)", TRI))
     assert not is_nondegenerate(parse("x+y", TRI))
     assert not is_nondegenerate(RatFun.const(5, 2))
+
+
+def test_is_nondegenerate_on_unreduced_inputs():
+    # raw fractions may carry a variable in a cancelling common factor, so
+    # they keep the exact quotient-rule test
+    x, y, z = (parse(v, TRI).num for v in TRI)
+    cases = (
+        (RatFun.raw(x * (y + 1) * z, y + 1), False),
+        (RatFun.raw(x * y * z + x * z, (y + 1) * z), False),
+        (RatFun.raw((x + y) * z, y + z), True),
+    )
+    for f, want in cases:
+        assert not f.canonical
+        assert is_nondegenerate(f) is want
+        assert is_nondegenerate(f.reduce()) is want

@@ -67,6 +67,55 @@ def test_parse_errors_are_position_annotated():
         parse("x ^ y", BI)
 
 
+def _tri_vars():
+    return tuple(RatFun.variable(i, 3) for i in range(3))
+
+
+# Each expression beside the same function built with RatFun operators,
+# which reduce at every node.  The parser keeps polynomial subtrees as Polys
+# and quotients unreduced, and reduces once at the end: the result must be
+# the same reduced num/den.
+PER_NODE_REDUCED = (
+    ("1/(x+1) - 1/(x+1)", lambda x, y, z: 1 / (x + 1) - 1 / (x + 1)),
+    ("(x^2-1)/(x-1)", lambda x, y, z: (x**2 - 1) / (x - 1)),
+    (
+        "((x+y)/(y+z))^3/((x+y)/(y+z))",
+        lambda x, y, z: ((x + y) / (y + z)) ** 3 / ((x + y) / (y + z)),
+    ),
+    ("0/x", lambda x, y, z: RatFun.const(0, 3) / x),
+    ("5/6*y^2", lambda x, y, z: RatFun.const(5, 3) / 6 * y**2),
+    ("-(-x)", lambda x, y, z: -(-x)),
+    ("2^0", lambda x, y, z: RatFun.const(2, 3) ** 0),
+    ("x/(2/3) - 3/2*x", lambda x, y, z: x / (RatFun.const(2, 3) / 3) - RatFun.const(3, 3) / 2 * x),
+    ("(1/x + 1/y)^2*x^2*y", lambda x, y, z: (1 / x + 1 / y) ** 2 * x**2 * y),
+    ("(x-y)/(y-x) + z/(y*z)", lambda x, y, z: (x - y) / (y - x) + z / (y * z)),
+)
+
+
+@pytest.mark.parametrize("expr,build", PER_NODE_REDUCED)
+def test_parse_matches_per_node_reduction(expr, build):
+    f = parse(expr, TRI)
+    want = build(*_tri_vars())
+    assert f.canonical and want.canonical
+    assert f.num == want.num
+    assert f.den == want.den
+
+
+@pytest.mark.parametrize(
+    "expr,message",
+    (
+        ("x/(y-y)", "division by the zero polynomial (at position 1)"),
+        ("(x+1)/((1/y)-(1/y))", "division by the zero polynomial (at position 5)"),
+        ("2*x/(0/y)", "division by the zero polynomial (at position 3)"),
+        ("x^1048577", "exponent 1048577 too large (at position 2)"),
+    ),
+)
+def test_parse_error_messages_and_positions(expr, message):
+    with pytest.raises(ParseError) as err:
+        parse(expr, TRI)
+    assert str(err.value) == message
+
+
 # -- arithmetic -------------------------------------------------------------
 
 
