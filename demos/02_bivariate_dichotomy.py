@@ -26,8 +26,8 @@ def main() -> None:
         print(f"{expr}")
         print(f"    verdict: {rep.verdict}")
         if rep.fitted is not None:
-            print(f"    F = {rep.fitted['F'].to_str(BI)}")
-            print(f"    G = {rep.fitted['G'].to_str(BI)}")
+            print(f"    F = {rep.fitted['r1'].to_str(BI)}")
+            print(f"    G = {rep.fitted['r2'].to_str(BI)}")
             print(f"    s = {rep.fitted['s'].to_str(BI)}")
         if rep.certificate is not None:
             ann = rep.certificate.annihilator.to_str(("p", "q"))

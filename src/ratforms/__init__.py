@@ -5,7 +5,6 @@ from .calculus import (
     logderiv_integrate,
     residue_profile,
     separability_identity,
-    separable_product,
 )
 from .classify import (
     DependenceCertificate,
@@ -68,7 +67,6 @@ __all__ = [
     "logderiv_integrate",
     "residue_profile",
     "separability_identity",
-    "separable_product",
     "DependenceCertificate",
     "FormReport",
     "dependence_certificate",

@@ -2,9 +2,10 @@
 
 Everything here treats a RatFun as univariate in a chosen variable with
 coefficients in the exact field generated by the remaining variables:
-separability splits H into u(X)/v(Y), Hermite reduction finds rational
-antiderivatives, and residue arithmetic recognizes logarithmic
-derivatives r'/r so that r can be rebuilt from its pole multiplicities.
+Hermite reduction finds rational antiderivatives, and residue arithmetic
+recognizes logarithmic derivatives r'/r so that r can be rebuilt from its
+pole multiplicities.  The exact separability test of H across two
+variable blocks lives here too.
 """
 
 from __future__ import annotations
@@ -13,12 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .modular import rng_for
 from .poly import Poly
-from .ratfun import DegenerateSpecializationError, RatFun
-
-SPECIALIZE_LOW, SPECIALIZE_HIGH = 2, 97
-_SPECIALIZE_RETRIES = 64
+from .ratfun import RatFun
 
 
 # ---------------------------------------------------------------------------
@@ -464,26 +461,41 @@ def residue_profile(f: RatFun, var: int) -> ResidueProfile:
     return ResidueProfile(var, sq, tuple(residues), poly_part)
 
 
-def logderiv_integrate(f: RatFun, var: int) -> tuple[RatFun | None, str | None]:
-    """Solve g'/g = f for rational g, or say exactly why there is none.
+def logderiv_obstruction(prof: ResidueProfile) -> str | None:
+    """Why no multiple of the profiled f is a log-derivative g'/g, or None.
 
-    Succeeds when f has zero polynomial part, only simple poles, integer
-    residues, and every pole factor splits over Q; then g is the monic
-    product of (var - root)^residue.  The reason codes are
-    nonzero-poly-part, multiple-pole, non-splitting-factor, and
-    non-integer-residue.
+    The reason codes are nonzero-poly-part, multiple-pole and
+    non-splitting-factor; None leaves only the residues to be integers.
     """
-    prof = residue_profile(f, var)
     if not prof.polynomial_part.is_zero:
-        return None, "nonzero-poly-part"
+        return "nonzero-poly-part"
     if any(m > 1 for _, m in prof.squarefree_poles):
-        return None, "multiple-pole"
+        return "multiple-pole"
     if any(not splits for _, _, splits in prof.residues):
-        return None, "non-splitting-factor"
-    if any(res.denominator != 1 for _, res, _ in prof.residues):
+        return "non-splitting-factor"
+    return None
+
+
+def logderiv_integrate(
+    prof: ResidueProfile, scale: Fraction | int
+) -> tuple[RatFun | None, str | None]:
+    """Solve g'/g = scale * f for rational g, f the profiled function.
+
+    Scaling f by a nonzero constant scales its residues and leaves its
+    poles and their order alone, so the profile of f serves for scale * f.
+    Succeeds when logderiv_obstruction finds nothing and every scaled
+    residue is an integer; then g is the monic product of
+    (var - root)^residue.  Otherwise returns (None, reason): a code of
+    logderiv_obstruction or non-integer-residue.
+    """
+    reason = logderiv_obstruction(prof)
+    if reason is not None:
+        return None, reason
+    residues = [(factor, scale * res) for factor, res, _ in prof.residues]
+    if any(res.denominator != 1 for _, res in residues):
         return None, "non-integer-residue"
-    g = RatFun.const(1, f.arity)
-    for factor, res, _ in prof.residues:
+    g = RatFun.const(1, prof.polynomial_part.arity)
+    for factor, res in residues:
         e = int(res)
         if e:
             g = g * RatFun.from_poly(factor) ** e
@@ -493,11 +505,6 @@ def logderiv_integrate(f: RatFun, var: int) -> tuple[RatFun | None, str | None]:
 # ---------------------------------------------------------------------------
 # separability
 # ---------------------------------------------------------------------------
-
-
-def independent_of(f: RatFun, var: int) -> bool:
-    """True iff partial(f, var) is identically zero (exact)."""
-    return f.independent_of(var)
 
 
 def separability_identity(
@@ -529,40 +536,3 @@ def separability_identity(
     h0y = H.embed(big, sub_x)  # X replaced: H(X0, Y)
     t = hxy.num * h00.num * hx0.den * h0y.den - hx0.num * h0y.num * hxy.den * h00.den
     return t.is_zero
-
-
-def separable_product(
-    H: RatFun, X: frozenset | set | tuple, Y: frozenset | set | tuple
-) -> tuple[RatFun, RatFun] | None:
-    """Split H into u(X, params) / v(Y, params) when possible, else None.
-
-    Separability is decided by the exact doubled-variable identity of
-    separability_identity; the returned pair comes from a random
-    small-integer specialization and is re-verified exactly, so H = u/v
-    always holds on success.
-    """
-    X = sorted(set(X))
-    Y = sorted(set(Y))
-    if not separability_identity(H, X, Y):
-        return None
-
-    rng = rng_for(0, "separable-specialize")
-    for _ in range(_SPECIALIZE_RETRIES):
-        vy = {i: Fraction(rng.randrange(SPECIALIZE_LOW, SPECIALIZE_HIGH + 1)) for i in Y}
-        vx = {i: Fraction(rng.randrange(SPECIALIZE_LOW, SPECIALIZE_HIGH + 1)) for i in X}
-        try:
-            u = H.subs_scalars(vy)
-            hx = H.subs_scalars(vx)
-            h0 = u.subs_scalars(vx)
-        except DegenerateSpecializationError:
-            continue
-        if h0.is_zero or hx.is_zero:
-            continue
-        v = h0 / hx  # H(X0,Y0) / H(X0,Y): exactly v0(Y)/v0(Y0)
-        lhs = u.num * v.den * H.den
-        rhs = v.num * u.den * H.num
-        if lhs == rhs:
-            return u, v
-    raise DegenerateSpecializationError(
-        "no usable specialization point found for the separable split"
-    )

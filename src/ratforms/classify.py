@@ -27,11 +27,12 @@ from typing import NamedTuple
 from .calculus import (
     hermite_antiderivative,
     logderiv_integrate,
+    logderiv_obstruction,
     residue_profile,
     separability_identity,
 )
 from .dimension import image_dimension, is_nondegenerate
-from .modular import DEFAULT_PRIMES, rng_for
+from .modular import DEFAULT_PRIMES, RETRIES, rng_for
 from .oracle import annihilating_poly, composition_relation
 from .poly import Poly
 from .ratfun import (
@@ -40,11 +41,17 @@ from .ratfun import (
     RatFun,
     compose_numerator,
     partial_ratio,
+    pole_free_values,
 )
 
 _VN = ("x", "y", "z")
-_RETRIES = 64
 _GATE_PRIME = DEFAULT_PRIMES[0]
+#: fit_field's diagnostic suffix for each logderiv_obstruction code.
+_FIELD_OBSTRUCTION = {
+    "nonzero-poly-part": "proper",
+    "multiple-pole": "simple_poles",
+    "non-splitting-factor": "residues_split",
+}
 
 #: Mobius pre-normalizations tried by fit_twisted, as (label, (a, b, c, d))
 #: with m(t) = (a*t + b) / (c*t + d).  The first six form the core schedule;
@@ -84,7 +91,10 @@ class FormReport:
 
     verdict is one of GroupAdditive, GroupMultiplicative, Field, Twisted,
     NoConstraint, Degenerate, Unresolved.  Positive verdicts always carry
-    fitted parts and a verified certificate.  diagnostics maps named probe
+    fitted parts and a verified certificate.  fitted maps "r1", "r2" and
+    "s" (and "r3" for a trivariate input) to the parts of the canonical
+    form: r_i is the part in the i-th variable and s the inner function
+    the certificate relates to the input.  diagnostics maps named probe
     steps to booleans; for Field, pivot is the 1-based index of the variable
     outside the inner sum and exponent is the outer power n.
     """
@@ -147,7 +157,7 @@ def _gradients_not_parallel(P: RatFun, s: RatFun, primes, seed: int) -> bool:
         rng = rng_for(seed, f"minors:p{p}")
         done = 0
         tries = 0
-        while done < 4 and tries < _RETRIES:
+        while done < 4 and tries < RETRIES:
             tries += 1
             w = [rng.randrange(1, p) for _ in range(n)]
             pdv = pd.eval_mod(w, p)
@@ -217,24 +227,15 @@ def verify_certificate(
     in microseconds; agreement at every sample falls through to the exact
     symbolic expansion, which is the final word.
     """
+    if P.arity != s.arity:
+        raise ValueError("P and s must share one ambient variable list")
     ann = cert.annihilator
     if ann.arity != 2 or ann.is_zero:
         return False
     for p in primes:
-        rng = rng_for(seed, f"certcheck:p{p}")
-        done = 0
-        tries = 0
-        while done < 4 and tries < _RETRIES:
-            tries += 1
-            w = [rng.randrange(1, p) for _ in range(P.arity)]
-            try:
-                pv = P.eval_mod(w, p)
-                sv = s.eval_mod(w, p)
-            except PoleError:
-                continue
-            if ann.eval_mod((pv, sv), p) != 0:
-                return False
-            done += 1
+        pts = pole_free_values([P, s], 4, p, rng_for(seed, f"certcheck:p{p}"))
+        if pts is not None and any(ann.eval_mod(pt, p) for pt in pts):
+            return False
     return compose_numerator(ann, [P, s]).is_zero
 
 
@@ -325,7 +326,7 @@ def _split_partial_ratio(fn: _Fn, a: int, b: int, X: int, Y: int, rng):
     (integration, identity checks, certificates) reject those fits.
     """
     arity = fn.num.arity
-    for _ in range(_RETRIES):
+    for _ in range(RETRIES):
         vals = {i: Fraction(rng.randrange(2, 98)) for i in range(arity)}
         try:
             u = fn.specialized_ratio(a, b, {i: c for i, c in vals.items() if i != X})
@@ -350,7 +351,7 @@ def _gate_ratio_separable(fn: _Fn, a: int, b: int, X: int, Y: int, rng, rounds: 
     arity = fn.num.arity
     ok = 0
     tries = 0
-    while ok < rounds and tries < _RETRIES:
+    while ok < rounds and tries < RETRIES:
         tries += 1
         w = [rng.randrange(1, p) for _ in range(arity)]
         x0 = rng.randrange(1, p)
@@ -379,7 +380,7 @@ def _gate_value_indep(valfn, arity: int, var: int, rng, rounds: int = 2) -> bool
     p = _GATE_PRIME
     ok = 0
     tries = 0
-    while ok < rounds and tries < _RETRIES:
+    while ok < rounds and tries < RETRIES:
         tries += 1
         w = [rng.randrange(1, p) for _ in range(arity)]
         w2 = list(w)
@@ -421,24 +422,23 @@ def _joint_logderiv(parts):
     vector primitive; each rescaled part must then be a genuine logarithmic
     derivative.  Returns (functions, None) or (None, reason).
     """
+    profs = []
     pool = []
     for f, var in parts:
         if f.is_zero:
             return None, "zero-part"
         prof = residue_profile(f, var)
-        if not prof.polynomial_part.is_zero:
-            return None, "nonzero-poly-part"
-        if any(m > 1 for _, m in prof.squarefree_poles):
-            return None, "multiple-pole"
-        if any(not sp for _, _, sp in prof.residues):
-            return None, "non-splitting-factor"
+        reason = logderiv_obstruction(prof)
+        if reason is not None:
+            return None, reason
+        profs.append(prof)
         pool.extend(r for _, r, _ in prof.residues if r != 0)
     if not pool:
         return None, "no-poles"
-    scale = _fraction_gcd(pool)
+    scale = 1 / _fraction_gcd(pool)
     out = []
-    for f, var in parts:
-        g, reason = logderiv_integrate(f.scale(1 / scale), var)
+    for prof in profs:
+        g, reason = logderiv_integrate(prof, scale)
         if g is None:
             return None, reason
         out.append(g)
@@ -479,7 +479,7 @@ def fit_bivariate(
     hits = 0
     tries = 0
     separable = True
-    while hits < 3 and tries < _RETRIES:
+    while hits < 3 and tries < RETRIES:
         tries += 1
         w = [Fraction(rng.randrange(3, 1 << 20)) for _ in range(2)]
         x0 = Fraction(rng.randrange(3, 1 << 20))
@@ -524,7 +524,7 @@ def fit_bivariate(
         cert = dependence_certificate(P, s, dmax=dmax, primes=primes, seed=seed)
         if cert is not None:
             diag["additive"] = True
-            return FormReport("GroupAdditive", {"F": F, "G": G, "s": s}, cert, diag)
+            return FormReport("GroupAdditive", {"r1": F, "r2": G, "s": s}, cert, diag)
         diag["additive_certificate"] = False
     else:
         diag["additive_integrable"] = False
@@ -536,7 +536,7 @@ def fit_bivariate(
         cert = dependence_certificate(P, s, dmax=dmax, primes=primes, seed=seed)
         if cert is not None:
             diag["multiplicative"] = True
-            return FormReport("GroupMultiplicative", {"F": F, "G": G, "s": s}, cert, diag)
+            return FormReport("GroupMultiplicative", {"r1": F, "r2": G, "s": s}, cert, diag)
         diag["multiplicative_certificate"] = False
     else:
         diag[f"multiplicative_{reason}"] = False
@@ -560,7 +560,7 @@ def test_2decomposed(P: RatFun) -> tuple[bool, dict[str, bool]]:
     detail: dict[str, bool] = {}
     out = True
     for a, b in ((0, 1), (0, 2), (1, 2)):
-        H = partial_ratio(P, a, b, reduce=False)
+        H = partial_ratio(P, a, b)
         ok = separability_identity(H, (a,), (b,))
         detail[f"2dec_{_VN[a]}{_VN[b]}"] = ok
         out = out and ok
@@ -663,7 +663,7 @@ def _solve_beta(fn: _Fn, i: int, j: int, uj: RatFun, B0: RatFun, rng) -> Fractio
     """
     found = []
     tries = 0
-    while len(found) < 2 and tries < _RETRIES:
+    while len(found) < 2 and tries < RETRIES:
         tries += 1
         w = tuple(Fraction(rng.randrange(3, 1 << 20)) for _ in range(3))
         w2 = list(w)
@@ -743,7 +743,7 @@ def fit_field(
             diag[f"{tag}_pivot_ratio_independent"] = False
             continue
         khat = None
-        for _ in range(_RETRIES):
+        for _ in range(RETRIES):
             cj = Fraction(rng.randrange(2, 98))
             cl = Fraction(rng.randrange(2, 98))
             point = [Fraction(1)] * 3
@@ -766,14 +766,9 @@ def fit_field(
         except (ValueError, ZeroDivisionError):
             diag[f"{tag}_pivot_ratio"] = False
             continue
-        if not prof.polynomial_part.is_zero:
-            diag[f"{tag}_proper"] = False
-            continue
-        if any(m > 1 for _, m in prof.squarefree_poles):
-            diag[f"{tag}_simple_poles"] = False
-            continue
-        if any(not sp for _, _, sp in prof.residues):
-            diag[f"{tag}_residues_split"] = False
+        obstruction = logderiv_obstruction(prof)
+        if obstruction is not None:
+            diag[f"{tag}_{_FIELD_OBSTRUCTION[obstruction]}"] = False
             continue
         res = [r for _, r, _ in prof.residues if r != 0]
         if not res:
@@ -785,7 +780,7 @@ def fit_field(
         if n > deg_cap:
             diag[f"{tag}_exponent_bound"] = False
             continue
-        ri, reason = logderiv_integrate(khat.scale(n), i)
+        ri, reason = logderiv_integrate(prof, n)
         if ri is None:
             diag[f"{tag}_{reason}"] = False
             continue
@@ -915,7 +910,6 @@ def fit_twisted(
 
 
 def verify_twisted_identities(
-    P: RatFun,
     r1: RatFun,
     r2: RatFun,
     r3: RatFun,
@@ -925,11 +919,8 @@ def verify_twisted_identities(
     """Spot-check the three value-cube identities of the fitted twisted form.
 
     Builds s = (r1+r2)/(r2+r3) and requires all three cube identities of
-    cube_identities to hold at `trials` exact random integer cubes.  P is
-    accepted alongside the parts for signature symmetry with the fitters
-    but the identities are properties of s alone.
+    cube_identities to hold at `trials` exact random integer cubes.
     """
-    del P
     s = (r1 + r2) / (r2 + r3)
     return all(cube_identities(s, trials=trials, seed=seed))
 
@@ -949,7 +940,7 @@ def cube_identities(f: RatFun, trials: int = 20, seed: int = 0) -> tuple[bool, b
     flags = [True, True, True]
     done = 0
     tries = 0
-    while done < trials and tries < _RETRIES * max(1, trials):
+    while done < trials and tries < RETRIES * max(1, trials):
         tries += 1
         us = [Fraction(rng.randrange(1, 10 ** 6 + 1)) for _ in range(2)]
         vs = [Fraction(rng.randrange(1, 10 ** 6 + 1)) for _ in range(2)]
@@ -1042,7 +1033,7 @@ def classify_trivariate(
     tf = fit_twisted(P, dmax=dmax, primes=primes, seed=seed, diagnostics=diag)
     if tf is not None:
         diag["twisted_cube_identities"] = verify_twisted_identities(
-            P, tf.r1, tf.r2, tf.r3, trials=8, seed=seed
+            tf.r1, tf.r2, tf.r3, trials=8, seed=seed
         )
         fitted = {"r1": tf.r1, "r2": tf.r2, "r3": tf.r3, "s": tf.s}
         return FormReport("Twisted", fitted, tf.certificate, diag)

@@ -168,20 +168,10 @@ def analyze_function(
     report["verdict"] = _VERDICT[fr.verdict]
     diagnostics = dict(fr.diagnostics)
     if fr.fitted is not None:
-        parts = fr.fitted
-        if n == 2:
-            fitted = {
-                "r1": parts["F"].to_str(names),
-                "r2": parts["G"].to_str(names),
-                "r3": None,
-            }
-        else:
-            fitted = {
-                "r1": parts["r1"].to_str(names),
-                "r2": parts["r2"].to_str(names),
-                "r3": parts["r3"].to_str(names),
-            }
-        fitted["s"] = parts["s"].to_str(names)
+        fitted = {
+            key: fr.fitted[key].to_str(names) if key in fr.fitted else None
+            for key in ("r1", "r2", "r3", "s")
+        }
         fitted["pivot"] = fr.pivot
         fitted["n"] = fr.exponent
         report["fitted"] = fitted

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .modular import DEFAULT_PRIMES, inv_mod, rank_mod, rng_for
+from .modular import DEFAULT_PRIMES, RETRIES, inv_mod, rank_mod, rng_for
 from .ratfun import RatFun
 
 MAX_DOUBLING_VARS = 6
-_RESAMPLE_LIMIT = 64
 
 
 class InconclusiveRankError(RuntimeError):
@@ -175,7 +174,7 @@ class _JacobianEvaluator:
 
 def _rank_at_random(ev: _JacobianEvaluator, p: int, rng) -> int | None:
     arity = 2 * ev.n
-    for _ in range(_RESAMPLE_LIMIT):
+    for _ in range(RETRIES):
         w = [rng.randrange(1, p) for _ in range(arity)]
         rows = ev.rows_at(w, p)
         if rows is not None:
@@ -245,24 +244,12 @@ def image_dimension(
     samples: int = 16,
     seed: int = 0,
 ) -> int:
-    """dim of the closure of the image of the doubling map of f."""
-    return generic_rank(doubling_map(f), primes=primes, samples=samples, seed=seed).rank
+    """dim of the closure of the image of the doubling map of f.
 
-
-def has_algebraic_constraint(
-    f: RatFun,
-    primes: tuple[int, ...] = DEFAULT_PRIMES,
-    samples: int = 16,
-    seed: int = 0,
-) -> bool:
-    """True iff the doubled values satisfy a nontrivial algebraic relation.
-
-    Defined for 2 or 3 variables; the image is constrained exactly when
-    its dimension falls below the ambient 2n.
+    f satisfies a nontrivial algebraic constraint exactly when this is
+    below 2n, n the number of variables.
     """
-    if f.arity not in (2, 3):
-        raise ValueError("constraint detection is defined for 2 or 3 variables")
-    return image_dimension(f, primes=primes, samples=samples, seed=seed) < 2 * f.arity
+    return generic_rank(doubling_map(f), primes=primes, samples=samples, seed=seed).rank
 
 
 def is_nondegenerate(f: RatFun) -> bool:

@@ -186,13 +186,7 @@ def annihilating_poly(
 
 def _prime_pool(primes: tuple[int, ...]) -> list[int]:
     """The given primes, then the largest primes below them, six in all."""
-    pool = list(primes)
-    for q in primes_below(min(pool), 6):
-        if q not in pool:
-            pool.append(q)
-        if len(pool) >= 6:
-            break
-    return pool
+    return list(primes) + list(primes_below(min(primes), 6 - len(primes)))
 
 
 def _lift_and_verify(fs, monos, nprimes, pool, solve):

@@ -33,10 +33,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-class ExponentOverflowError(ValueError):
-    pass
-
-
 def grlex_key(exps: Term):
     return (sum(exps), exps)
 
@@ -564,14 +560,6 @@ class Poly:
 
     def degree_in(self, i: int) -> int:
         return max((e[i] for e in self.terms), default=0)
-
-    def active_vars(self) -> tuple[int, ...]:
-        mx = [0] * self.arity
-        for e in self.terms:
-            for i, v in enumerate(e):
-                if v:
-                    mx[i] = 1
-        return tuple(i for i, v in enumerate(mx) if v)
 
     def leading(self) -> tuple[Term, Fraction]:
         if not self.terms:

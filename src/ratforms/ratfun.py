@@ -16,12 +16,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .modular import PrimeCtx, inv_mod
+from .modular import RETRIES, inv_mod
 from .poly import Poly, divexact, poly_gcd
 
 EXPONENT_CAP = 1 << 20
-#: Draws per point before pole_free_values gives up.
-POINT_RETRIES = 64
 
 
 class PoleError(ArithmeticError):
@@ -232,11 +230,6 @@ class RatFun:
             return RatFun(t, d * dg)
         return RatFun(dn * d - n * dd, d * d)
 
-    def partial_raw(self, var: int) -> tuple[Poly, Poly]:
-        """(numerator, denominator) of the derivative, unreduced."""
-        n, d = self.num, self.den
-        return (n.derivative(var) * d - n * d.derivative(var), d * d)
-
     # -- evaluation ----------------------------------------------------------------
 
     def eval_q(self, point) -> Fraction:
@@ -274,52 +267,6 @@ class RatFun:
             )
         return RatFun(self.num.subs_scalars(values), d)
 
-    def substitute(self, assignment: dict) -> "RatFun":
-        """Compose with rational functions or scalars per variable."""
-        if not assignment:
-            return self
-        if all(not isinstance(v, RatFun) for v in assignment.values()):
-            return self.subs_scalars({i: Fraction(v) for i, v in assignment.items()})
-        arity = self.arity
-        vals: dict[int, RatFun] = {}
-        for i, v in assignment.items():
-            rf = v if isinstance(v, RatFun) else RatFun.const(v, arity)
-            if rf.arity != arity:
-                raise ValueError("substituted value has mismatched ambient arity")
-            vals[i] = rf
-        emax = {
-            i: max(self.num.degree_in(i), self.den.degree_in(i)) for i in vals
-        }
-        npow: dict[int, list[Poly]] = {}
-        dpow: dict[int, list[Poly]] = {}
-        for i, rf in vals.items():
-            nrow = [Poly.const(1, arity)]
-            drow = [Poly.const(1, arity)]
-            for _ in range(emax[i]):
-                nrow.append(nrow[-1] * rf.num)
-                drow.append(drow[-1] * rf.den)
-            npow[i] = nrow
-            dpow[i] = drow
-
-        def comp(p: Poly) -> Poly:
-            acc = Poly.zero(arity)
-            for e, c in p.terms.items():
-                k = list(e)
-                for i in vals:
-                    k[i] = 0
-                piece = Poly({tuple(k): c}, arity, _clean=True)
-                for i in vals:
-                    piece = piece * npow[i][e[i]] * dpow[i][emax[i] - e[i]]
-                acc = acc + piece
-            return acc
-
-        dnew = comp(self.den)
-        if dnew.is_zero:
-            raise DegenerateSpecializationError(
-                "substitution lands identically on a pole"
-            )
-        return RatFun(comp(self.num), dnew)
-
     # -- formatting ----------------------------------------------------------------
 
     def to_str(self, names: tuple[str, ...] | None = None) -> str:
@@ -338,50 +285,14 @@ class RatFun:
         return f"RatFun({self.to_str()})"
 
 
-# ---------------------------------------------------------------------------
-# named operation wrappers
-# ---------------------------------------------------------------------------
-
-
-def arith(op: str, a: RatFun, b: RatFun) -> RatFun:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def partial(f: RatFun, var: int) -> RatFun:
-    return f.partial(var)
-
-
-def is_zero(f: RatFun) -> bool:
-    return f.is_zero
-
-
-def substitute(f: RatFun, assignment: dict) -> RatFun:
-    return f.substitute(assignment)
-
-
-def evaluate(f: RatFun, point, field: PrimeCtx | None = None):
-    """Value of f at a point, over Q (field=None) or GF(ctx.p)."""
-    if field is None:
-        return f.eval_q(point)
-    return f.eval_mod(point, field.p)
-
-
-def partial_ratio(f: RatFun, a: int, b: int, reduce: bool = False) -> RatFun:
-    """The ratio f_a / f_b with the common denominator cancelled upfront."""
+def partial_ratio(f: RatFun, a: int, b: int) -> RatFun:
+    """The ratio f_a / f_b, raw, with the common denominator cancelled upfront."""
     n, d = f.num, f.den
     na = n.derivative(a) * d - n * d.derivative(a)
     nb = n.derivative(b) * d - n * d.derivative(b)
     if nb.is_zero:
         raise ZeroDivisionError("denominator partial is identically zero")
-    return RatFun(na, nb, reduce=reduce)
+    return RatFun.raw(na, nb)
 
 
 def compose_numerator(coeffs: Poly, fs: list[RatFun]) -> Poly:
@@ -421,7 +332,7 @@ def pole_free_values(
 ) -> list[list[int]] | None:
     """Values mod p of the functions fs at `count` random pole-free points.
 
-    Each point gets POINT_RETRIES draws; a draw that hits a pole of any
+    Each point gets RETRIES draws; a draw that hits a pole of any
     function is redrawn.  When `distinct` is a set, a draw whose value of
     fs[0] is already in it is redrawn too, and accepted values are added to
     it, so successive calls sharing one set keep extending a sample with
@@ -431,7 +342,7 @@ def pole_free_values(
     arity = fs[0].arity
     out = []
     for _ in range(count):
-        for _try in range(POINT_RETRIES):
+        for _try in range(RETRIES):
             w = tuple(rng.randrange(1, p) for _ in range(arity))
             try:
                 vals = [f.eval_mod(w, p) for f in fs]

@@ -10,53 +10,44 @@ import pytest
 
 from ratforms.calculus import (
     hermite_antiderivative,
-    independent_of,
     logderiv_integrate,
+    logderiv_obstruction,
     residue_profile,
     separability_identity,
-    separable_product,
 )
-from ratforms.ratfun import parse, partial
+from ratforms.classify import _Fn, _split_partial_ratio
+from ratforms.modular import rng_for
+from ratforms.ratfun import partial_ratio, parse
 
 BI = ("x", "y")
 TRI = ("x", "y", "z")
 
 
+def _logderiv(f, var=0):
+    return logderiv_integrate(residue_profile(f, var), 1)
+
+
 # -- separability --------------------------------------------------------------
 
 
-def test_separable_product_simple_quotient():
-    h = parse("x/y", BI)
-    got = separable_product(h, [0], [1])
+def _split(f):
+    """The one separable split, of f_x/f_y; u/v must equal that ratio exactly."""
+    got = _split_partial_ratio(_Fn(f), 0, 1, 0, 1, rng_for(0, "test-split"))
     assert got is not None
     u, v = got
-    assert u / v == h
+    assert u / v == partial_ratio(f, 0, 1)
     assert u.independent_of(1) and v.independent_of(0)
+    return u, v
+
+
+def test_separable_product_simple_quotient():
+    # f_x/f_y = x/y
+    _split(parse("x^2 + y^2", BI))
 
 
 def test_separable_product_with_negative_powers():
-    h = parse("x^2*y^3", BI)
-    got = separable_product(h, [0], [1])
-    assert got is not None
-    u, v = got
-    assert u / v == h
-
-
-def test_separable_product_rejects_additive_coupling():
-    assert separable_product(parse("x+y", BI), [0], [1]) is None
-
-
-def test_separable_product_carries_parameters():
-    h = parse("(y+z)/(3*x)", TRI)
-    got = separable_product(h, [0], [1])
-    assert got is not None
-    u, v = got
-    assert u / v == h
-    assert u.independent_of(1)
-    # the y-side factor carries the parameter z: v is 1/(y+z) up to the
-    # pair normalization, never a function of x
-    assert v.independent_of(0)
-    assert not v.independent_of(2)
+    # f_x/f_y = x^2*y^3
+    _split(parse("x^3/3 - 1/(2*y^2)", BI))
 
 
 def test_separability_identity_is_exact():
@@ -67,23 +58,19 @@ def test_separability_identity_is_exact():
 
 def test_separable_product_soundness_and_completeness_on_corpus():
     rng = random.Random(17)
-    for _ in range(15):
-        # random separable h = u0/v0 of degree <= 4 per block
-        cu = [rng.randint(-5, 5) for _ in range(5)]
-        cv = [rng.randint(-5, 5) for _ in range(5)]
-        if not any(cu[1:]):
-            cu[rng.randrange(1, 5)] = 1
-        if not any(cv[1:]):
-            cv[rng.randrange(1, 5)] = 1
-        u0 = parse("+".join(f"{c}*x^{k}" for k, c in enumerate(cu) if c), BI)
-        v0 = parse("+".join(f"{c}*y^{k}" for k, c in enumerate(cv) if c), BI)
-        if u0.is_zero or v0.is_zero or u0.is_constant or v0.is_constant:
-            continue
-        h = u0 / v0
-        got = separable_product(h, [0], [1])
-        assert got is not None
-        u, v = got
-        assert u / v == h
+    for k in range(15):
+        # f = a(x) + b(y) or a(x) * b(y), a and b of degree <= 4, so that
+        # f_x/f_y is separable
+        ca = [rng.randint(-5, 5) for _ in range(5)]
+        cb = [rng.randint(-5, 5) for _ in range(5)]
+        ca[rng.randrange(1, 5)] = rng.choice((-1, 1))
+        cb[rng.randrange(1, 5)] = rng.choice((-1, 1))
+        a = "+".join(f"{c}*x^{e}" for e, c in enumerate(ca) if c)
+        b = "+".join(f"{c}*y^{e}" for e, c in enumerate(cb) if c)
+        op = "+" if k % 2 else "*"
+        f = parse(f"({a}){op}({b})", BI)
+        assert separability_identity(partial_ratio(f, 0, 1), [0], [1])
+        _split(f)
 
 
 # -- independence ----------------------------------------------------------------
@@ -91,10 +78,10 @@ def test_separable_product_soundness_and_completeness_on_corpus():
 
 def test_independent_of_examples():
     p = parse("x+y+z", TRI)
-    h = partial(p, 0) / partial(p, 1)
-    assert independent_of(h, 2)
-    assert not independent_of(parse("(y+z)/(3*x)", TRI), 2)
-    assert independent_of(parse("5", TRI), 0)
+    h = p.partial(0) / p.partial(1)
+    assert h.independent_of(2)
+    assert not parse("(y+z)/(3*x)", TRI).independent_of(2)
+    assert parse("5", TRI).independent_of(0)
 
 
 # -- Hermite antiderivatives -------------------------------------------------------
@@ -109,7 +96,7 @@ def test_hermite_inverse_square():
 def test_hermite_polynomial():
     g = hermite_antiderivative(parse("2*x+3", ("x",)), 0)
     assert g is not None
-    assert partial(g, 0) == parse("2*x+3", ("x",))
+    assert g.partial(0) == parse("2*x+3", ("x",))
     assert g == parse("x^2 + 3*x", ("x",))
 
 
@@ -126,7 +113,7 @@ def test_hermite_roundtrip_with_parameters():
     )
     for expr in corpus:
         g = parse(expr, BI)
-        f = partial(g, 0)
+        f = g.partial(0)
         back = hermite_antiderivative(f, 0)
         assert back is not None
         # equal up to an additive function of the parameters only
@@ -178,28 +165,57 @@ def test_residue_scaling_and_minimal_integer_multiplier():
 
 
 def test_logderiv_integrate_power():
-    g, reason = logderiv_integrate(parse("2/x", ("x",)), 0)
+    g, reason = _logderiv(parse("2/x", ("x",)))
     assert reason is None
     assert g == parse("x^2", ("x",))
 
 
 def test_logderiv_integrate_quotient():
-    g, reason = logderiv_integrate(parse("1/(x-1) - 3/x", ("x",)), 0)
+    g, reason = _logderiv(parse("1/(x-1) - 3/x", ("x",)))
     assert reason is None
     assert g == parse("(x-1)/x^3", ("x",))
 
 
 def test_logderiv_integrate_non_integer_residue():
-    g, reason = logderiv_integrate(parse("3/(2*x)", ("x",)), 0)
+    g, reason = _logderiv(parse("3/(2*x)", ("x",)))
     assert g is None
     assert reason == "non-integer-residue"
-    # the caller's retry with the scaled residue lcm then succeeds
-    g2, reason2 = logderiv_integrate(parse("3/x", ("x",)), 0)
+    # the caller's retry with the residue lcm as scale then succeeds
+    g2, reason2 = logderiv_integrate(residue_profile(parse("3/(2*x)", ("x",)), 0), 2)
     assert reason2 is None and g2 == parse("x^3", ("x",))
 
 
+def test_logderiv_integrate_scale_matches_scaled_profile():
+    # the profile of f serves for c*f: same poles, residues scaled by c
+    cases = (
+        ("3/(2*x) + 5/(3*(x - 1))", Fraction(6)),
+        ("1/(x-1) - 3/x", Fraction(-2, 1)),
+        ("4/(x+2) + 8/(x-5)", Fraction(1, 4)),
+        ("1/(3*x)", Fraction(1, 2)),
+    )
+    for expr, c in cases:
+        f = parse(expr, ("x",))
+        got = logderiv_integrate(residue_profile(f, 0), c)
+        want = logderiv_integrate(residue_profile(f.scale(c), 0), 1)
+        assert got[1] == want[1]
+        assert got[0] == want[0]
+        if got[0] is not None:
+            assert got[0].to_str(("x",)) == want[0].to_str(("x",))
+
+
+def test_logderiv_obstruction_reason_codes():
+    cases = (
+        ("1/x^2", "multiple-pole"),
+        ("x + 1/x", "nonzero-poly-part"),
+        ("x/(x^2+1)", "non-splitting-factor"),
+        ("3/(2*x)", None),
+    )
+    for expr, want in cases:
+        assert logderiv_obstruction(residue_profile(parse(expr, ("x",)), 0)) == want
+
+
 def test_logderiv_integrate_non_splitting_factor():
-    g, reason = logderiv_integrate(parse("x/(x^2+1)", ("x",)), 0)
+    g, reason = _logderiv(parse("x/(x^2+1)", ("x",)))
     assert g is None
     assert reason == "non-splitting-factor"
 
@@ -208,8 +224,8 @@ def test_logderiv_roundtrip():
     corpus = ("x^2*(x - 1)", "(x + 2)/(x - 5)^3", "x*(x + 1)*(x + 2)")
     for expr in corpus:
         g = parse(expr, ("x",))
-        f = partial(g, 0) / g
-        back, reason = logderiv_integrate(f, 0)
+        f = g.partial(0) / g
+        back, reason = _logderiv(f)
         assert reason is None and back is not None
         # equal up to a multiplicative constant
         ratio = back / g
@@ -218,4 +234,4 @@ def test_logderiv_roundtrip():
 
 def test_logderiv_rejects_zero_input():
     with pytest.raises(ValueError):
-        logderiv_integrate(parse("x - x", ("x",)), 0)
+        _logderiv(parse("x - x", ("x",)))

@@ -120,6 +120,17 @@ def test_verify_certificate_rejects_wrong_pair():
     assert not verify_certificate(cert, P, parse("x*y", BI))
 
 
+def test_verify_certificate_rejects_mismatched_arity():
+    cert = dependence_certificate(parse("(x+y)^2", BI), parse("x+y", BI), dmax=2)
+    # s in more variables than P, and in fewer
+    for P, s in ((parse("(x+y)^2", BI), parse("x+y+z", TRI)),
+                 (parse("(x+y+z)^2", TRI), parse("x+y", BI))):
+        with pytest.raises(ValueError):
+            dependence_certificate(P, s, dmax=2)
+        with pytest.raises(ValueError):
+            verify_certificate(cert, P, s)
+
+
 # -- bivariate dichotomy ---------------------------------------------------------
 
 
@@ -141,7 +152,7 @@ def test_bivariate_multiplicative_square():
         (1, 0): Fraction(1),
         (0, 2): Fraction(-1),
     }
-    assert rep.fitted["F"] * rep.fitted["G"] == rep.fitted["s"]
+    assert rep.fitted["r1"] * rep.fitted["r2"] == rep.fitted["s"]
 
 
 def test_bivariate_no_constraint():
@@ -326,7 +337,7 @@ def test_cube_identities_hold_for_twisted_forms():
 def test_verify_twisted_identities_for_fitted_parts():
     P = parse("(x+y)/(y+z)", TRI)
     fit = fit_twisted(P)
-    assert verify_twisted_identities(P, fit.r1, fit.r2, fit.r3, trials=25, seed=0)
+    assert verify_twisted_identities(fit.r1, fit.r2, fit.r3, trials=25, seed=0)
 
 
 # -- full trivariate pipeline -------------------------------------------------------

@@ -195,6 +195,23 @@ def test_prime_bits_flag_changes_sampling_primes(capsys):
     assert reports[0]["verdict"] == "group-multiplicative"
 
 
+def test_smallest_prime_bits_certify(capsys):
+    # the certificate search pads the two 4-bit primes 13, 11 with the only
+    # four primes below them, 7, 5, 3 and 2
+    for names, expr, fitted in (("x,y", "x*y", ["x", "y", None]),
+                                ("x,y,z", "x*y*z", ["x", "y", "z"])):
+        code, reports = _run_json(
+            capsys, ["--vars", names, "--function", expr, "--prime-bits", "4"]
+        )
+        (rep,) = reports
+        assert code == 0
+        assert rep["primes"] == [13, 11]
+        assert rep["verdict"] == "group-multiplicative"
+        assert [rep["fitted"][k] for k in ("r1", "r2", "r3")] == fitted
+        assert rep["certificate"]["annihilator"] == "p - q"
+        assert "error" not in rep["diagnostics"]
+
+
 def test_probe_conjecture_flag(capsys):
     code, reports = _run_json(
         capsys,

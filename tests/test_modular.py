@@ -5,10 +5,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from ratforms.modular import (
     DEFAULT_PRIMES,
     crt_pair,
-    frac_mod,
     inv_mod,
     is_probable_prime,
     nullspace_vector_mod,
@@ -16,7 +17,6 @@ from ratforms.modular import (
     rank_mod,
     rational_reconstruct,
     rng_for,
-    xgcd,
 )
 
 
@@ -46,15 +46,14 @@ def test_is_probable_prime_on_known_values():
     assert not is_probable_prime(carmichael)
 
 
-def test_xgcd_and_inverse():
+def test_inv_mod_inverts_units():
     rng = random.Random(7)
     p = 2147483647
     for _ in range(50):
         a = rng.randrange(1, p)
-        g, s, _ = xgcd(a, p)
-        assert g == 1
-        assert (a * s) % p == 1
         assert (a * inv_mod(a, p)) % p == 1
+    with pytest.raises(ZeroDivisionError):
+        inv_mod(6, 9)
 
 
 def test_crt_pair_agrees_with_both_moduli():
@@ -64,6 +63,8 @@ def test_crt_pair_agrees_with_both_moduli():
         x = rng.randrange(p * q)
         r = crt_pair(x % p, p, x % q, q)
         assert r == x
+    with pytest.raises(ValueError):
+        crt_pair(1, 6, 2, 9)
 
 
 def test_rational_reconstruction_roundtrip():
@@ -74,12 +75,6 @@ def test_rational_reconstruction_roundtrip():
         val = Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**4))
         residue = (val.numerator * inv_mod(val.denominator % m, m)) % m
         assert rational_reconstruct(residue, m) == val
-
-
-def test_frac_mod_matches_definition():
-    p = 101
-    assert frac_mod(Fraction(3, 4), p) == (3 * inv_mod(4, p)) % p
-    assert frac_mod(Fraction(-1, 2), p) == (p - inv_mod(2, p)) % p
 
 
 def test_rng_for_is_deterministic_and_label_separated():
@@ -108,3 +103,33 @@ def test_nullspace_vector_is_in_the_kernel():
     for row in rows:
         assert sum(r * x for r, x in zip(row, v)) % p == 0
     assert nullspace_vector_mod([[1, 0], [0, 1]], p) is None
+
+
+@pytest.mark.parametrize("p", (7, 101))
+def test_rank_and_nullspace_share_one_reduction(p):
+    """Random tall, wide, square and zero matrices mod a small prime.
+
+    nullspace_vector_mod returns None exactly when rank_mod equals the
+    number of columns, and any vector it returns is a nonzero kernel vector.
+    """
+    rng = random.Random(p)
+    for nrows, ncols in ((6, 3), (3, 6), (4, 4), (5, 1), (1, 5)):
+        # density: the share of entries that are not multiples of p; 0 gives
+        # matrices that are zero mod p, low densities give rank deficiency
+        for density in (0.0, 0.3, 1.0):
+            for _ in range(6):
+                rows = [
+                    [rng.randrange(-3 * p, 3 * p) if rng.random() < density
+                     else p * rng.randrange(-2, 3) for _ in range(ncols)]
+                    for _ in range(nrows)
+                ]
+                rank = rank_mod(rows, p)
+                assert 0 <= rank <= min(nrows, ncols)
+                vec = nullspace_vector_mod(rows, p)
+                assert (vec is None) == (rank == ncols)
+                if vec is not None:
+                    assert len(vec) == ncols and any(vec)
+                    for row in rows:
+                        assert sum(r * x for r, x in zip(row, vec)) % p == 0
+    assert rank_mod([], p) == 0
+    assert nullspace_vector_mod([], p) is None
