@@ -29,7 +29,7 @@ from .dimension import (
 )
 from .modular import DEFAULT_PRIMES, primes_below, rng_for
 from .oracle import annihilating_poly, symbolic_rank
-from .poly import Poly, divexact, poly_gcd
+from .poly import BadPrimeError, Poly, divexact, poly_gcd
 from .ratfun import (
     DegenerateSpecializationError,
     ParseError,
@@ -42,6 +42,7 @@ from .ratfun import (
 
 __all__ = [
     "Poly",
+    "BadPrimeError",
     "poly_gcd",
     "divexact",
     "RatFun",

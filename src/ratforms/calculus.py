@@ -47,14 +47,14 @@ class UPoly:
     @classmethod
     def from_poly(cls, p: Poly, var: int) -> "UPoly":
         rows: dict[int, dict] = {}
-        for e, c in p.terms.items():
+        for e, c in p.ints.items():
             k = list(e)
             d = k[var]
             k[var] = 0
             rows.setdefault(d, {})[tuple(k)] = c
         deg = max(rows) if rows else -1
         coeffs = [
-            RatFun.from_poly(Poly(rows.get(i, {}), p.arity, _clean=True))
+            RatFun.from_poly(Poly.from_ints(rows.get(i, {}), p.arity, p.content))
             for i in range(deg + 1)
         ]
         return cls(coeffs, var, p.arity)

@@ -569,7 +569,7 @@ def test_2decomposed(P: RatFun) -> tuple[bool, dict[str, bool]]:
 
 def _decomposed_detail(P: RatFun, seed: int) -> tuple[bool, dict[str, bool]]:
     """test_2decomposed, or its sampled analogue when P is too large."""
-    if len(P.num.terms) + len(P.den.terms) <= 60:
+    if len(P.num.ints) + len(P.den.ints) <= 60:
         return test_2decomposed(P)
     fn = _Fn(P)
     detail: dict[str, bool] = {}
@@ -986,10 +986,10 @@ def fit_polynomial_composition(
     sd = max(1, s.total_degree())
     cap = degree_cap if degree_cap is not None else max(1, P.total_degree() // sd)
     rel = composition_relation(P, s, cap)
-    if rel is None or any(e[0] == 1 and e[1] for e in rel.terms):
+    if rel is None or any(e[0] == 1 and e[1] for e in rel.ints):
         return None
-    a0 = rel.terms[(1, 0)]
-    u_terms = {(e[1],): -c / a0 for e, c in rel.terms.items() if e[0] == 0}
+    a0 = rel.ints[(1, 0)]
+    u_terms = {(e[1],): Fraction(-c, a0) for e, c in rel.ints.items() if e[0] == 0}
     return Poly(u_terms, 1) if u_terms else None
 
 

@@ -8,9 +8,11 @@ produce byte-identical output.
 
 Exit status: 0 when every verdict is decisive (including no-constraint and
 degenerate), 2 when any function is unresolved or the rank sampling is
-inconclusive, 1 on usage or parse errors.  An input whose analysis raises
-is reported unresolved with an ``error`` diagnostic naming the exception,
-and the other inputs are still analyzed.
+inconclusive, 1 on usage or parse errors.  An input with a coefficient
+whose denominator a sampling prime divides has no image modulo that prime;
+it is reported unresolved with a ``bad_prime`` diagnostic naming the prime.
+An input whose analysis raises is reported unresolved with an ``error``
+diagnostic naming the exception, and the other inputs are still analyzed.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .dimension import (
     is_nondegenerate,
 )
 from .modular import primes_below
+from .poly import BadPrimeError
 from .ratfun import ParseError, parse
 
 _VERDICT = {
@@ -153,18 +156,22 @@ def analyze_function(
     report["nondegenerate"] = True
     try:
         dim = image_dimension(f, primes=primes, samples=samples, seed=seed)
+        if n == 2:
+            fr = fit_bivariate(f, dmax=dmax, primes=primes, seed=seed)
+        else:
+            fr = classify_trivariate(
+                f, dmax=dmax, primes=primes, samples=samples, seed=seed, dim=dim
+            )
     except (InconclusiveRankError, AllPolesError):
         report["verdict"] = "unresolved"
         report["diagnostics"] = {"rank_inconclusive": True}
         return report, 2
+    except BadPrimeError as exc:
+        report["verdict"] = "unresolved"
+        report["diagnostics"] = {"bad_prime": exc.prime}
+        return report, 2
     report["image_dimension"] = dim
     report["has_constraint"] = dim < 2 * n
-    if n == 2:
-        fr = fit_bivariate(f, dmax=dmax, primes=primes, seed=seed)
-    else:
-        fr = classify_trivariate(
-            f, dmax=dmax, primes=primes, samples=samples, seed=seed, dim=dim
-        )
     report["verdict"] = _VERDICT[fr.verdict]
     diagnostics = dict(fr.diagnostics)
     if fr.fitted is not None:

@@ -72,7 +72,7 @@ def symbolic_rank(dm: DoublingMap) -> int:
             for j in range(k, ncols):
                 e = rows[i][j]
                 if not e.is_zero:
-                    if pivot is None or len(e.terms) < len(rows[pivot[0]][pivot[1]].terms):
+                    if pivot is None or len(e.ints) < len(rows[pivot[0]][pivot[1]].ints):
                         pivot = (i, j)
         if pivot is None:
             break
@@ -217,7 +217,7 @@ def _lift_and_verify(fs, monos, nprimes, pool, solve):
         if all(r is not None for r in rat):
             coeffs = _normalize_coeffs(rat, monos)
             if coeffs:
-                cand = Poly({a: Fraction(c) for a, c in coeffs.items()}, len(fs))
+                cand = Poly.from_ints(coeffs, len(fs))
                 if compose_numerator(cand, fs).is_zero:
                     return cand
     return None

@@ -1,9 +1,12 @@
 """Sparse multivariate polynomials over the rationals.
 
-Terms are stored as a map from exponent tuples to nonzero Fraction
-coefficients; the canonical term order is graded lexicographic.  The gcd
-stack used for rational-function reduction works on integer-primitive
-images and combines three layers:
+A polynomial is stored as a positive rational content times a primitive
+integer polynomial: a map from exponent tuples to nonzero ints with gcd 1.
+Products of primitive polynomials are primitive (Gauss's lemma), so
+multiplication is integer work plus one Fraction product, and sums need
+one gcd pass; no per-term Fraction is built.  The canonical term order is
+graded lexicographic.  The gcd stack used for rational-function reduction
+works on the primitive integer parts and combines three layers:
 
 * a sound coprimality fast path (random line specialization over GF(p)
   with a degree-preservation check, which makes the "gcd = 1" conclusion
@@ -20,6 +23,7 @@ import random
 from fractions import Fraction
 from math import gcd as igcd
 from operator import add as _add
+from types import MappingProxyType
 
 Term = tuple[int, ...]
 
@@ -493,25 +497,49 @@ def gcd_int(f: dict, g: dict, arity: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
+class BadPrimeError(ArithmeticError):
+    """A coefficient's denominator is divisible by the prime: no image mod it."""
+
+    def __init__(self, prime: int):
+        super().__init__(f"a coefficient denominator vanishes mod {prime}")
+        self.prime = prime
+
+
+def _check_coeff(c) -> None:
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+
+
 class Poly:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients.
 
-    __slots__ = ("terms", "arity", "_mods", "_intcache")
+    The value is ``content * ints``: ``ints`` maps exponent tuples to
+    nonzero integers whose gcd is 1 (the sign lives there) and ``content``
+    is a positive Fraction; zero is ``({}, 1)``.  The pair is unique, so
+    equality compares it directly, and the arithmetic runs on integers.
+    ``terms`` is a read-only ``{exponent: Fraction}`` view built on first use.
+    """
 
-    def __init__(self, terms: dict[Term, Fraction], arity: int, _clean: bool = False):
-        if not _clean:
-            terms = {
-                e: Fraction(c)
-                for e, c in terms.items()
-                if c
-            }
-            for e in terms:
-                if len(e) != arity or any(x < 0 for x in e):
-                    raise ValueError(f"bad exponent tuple {e} for arity {arity}")
-        object.__setattr__(self, "terms", terms)
+    __slots__ = ("ints", "content", "arity", "_mods", "_terms")
+
+    def __init__(self, terms: dict[Term, int | Fraction], arity: int):
+        denlcm = 1
+        for e, c in terms.items():
+            _check_coeff(c)
+            if len(e) != arity or any(x < 0 for x in e):
+                raise ValueError(f"bad exponent tuple {e} for arity {arity}")
+            d = c.denominator
+            denlcm = denlcm // igcd(denlcm, d) * d
+        ints = {e: c.numerator * (denlcm // c.denominator) for e, c in terms.items() if c}
+        self._init(*_primitive(ints, Fraction(1, denlcm)), arity)
+
+    def _init(self, ints: dict[Term, int], content: Fraction, arity: int) -> None:
+        object.__setattr__(self, "ints", ints)
+        # a content of 1 is always the shared _ONE, so products can test identity
+        object.__setattr__(self, "content", _ONE if content == 1 else content)
         object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "_mods", {})
-        object.__setattr__(self, "_intcache", None)
+        object.__setattr__(self, "_mods", None)
+        object.__setattr__(self, "_terms", None)
 
     def __setattr__(self, *a):  # pragma: no cover - guard rail
         raise AttributeError("Poly is immutable")
@@ -519,53 +547,75 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _make(cls, ints: dict[Term, int], content: Fraction, arity: int) -> "Poly":
+        """Trusted constructor: ints primitive, content > 0 (1 when ints is empty)."""
+        p = object.__new__(cls)
+        p._init(ints, content, arity)
+        return p
+
+    @classmethod
+    def from_ints(cls, ints: dict[Term, int], arity: int, content: Fraction = _ONE) -> "Poly":
+        """content * ints for nonzero integer ints and a positive content."""
+        return cls._make(*_primitive(ints, content), arity)
+
+    @classmethod
     def zero(cls, arity: int) -> "Poly":
-        return cls({}, arity, _clean=True)
+        return cls._make({}, _ONE, arity)
 
     @classmethod
     def const(cls, c, arity: int) -> "Poly":
-        c = Fraction(c)
+        _check_coeff(c)
         if not c:
             return cls.zero(arity)
-        return cls({tuple([0] * arity): c}, arity, _clean=True)
+        return cls._make({(0,) * arity: 1 if c > 0 else -1}, Fraction(abs(c)), arity)
 
     @classmethod
     def variable(cls, i: int, arity: int) -> "Poly":
         e = [0] * arity
         e[i] = 1
-        return cls({tuple(e): _ONE}, arity, _clean=True)
+        return cls._make({tuple(e): 1}, _ONE, arity)
 
     # -- basic queries ------------------------------------------------------
 
     @property
+    def terms(self) -> MappingProxyType:
+        """Read-only ``{exponent: Fraction}`` view of the coefficients."""
+        view = self._terms
+        if view is None:
+            c = self.content
+            view = MappingProxyType({e: c * v for e, v in self.ints.items()})
+            object.__setattr__(self, "_terms", view)
+        return view
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     @property
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return all(not any(e) for e in self.ints)
 
     def constant_value(self) -> Fraction:
-        if not self.terms:
+        if not self.ints:
             return _ZERO
-        if len(self.terms) > 1:
+        if len(self.ints) > 1:
             raise ValueError("not a constant polynomial")
-        ((e, c),) = self.terms.items()
+        ((e, c),) = self.ints.items()
         if any(e):
             raise ValueError("not a constant polynomial")
-        return c
+        return self.content * c
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return _total_deg(self.ints)
 
     def degree_in(self, i: int) -> int:
-        return max((e[i] for e in self.terms), default=0)
+        return _deg_in(self.ints, i)
 
     def leading(self) -> tuple[Term, Fraction]:
-        if not self.terms:
+        if not self.ints:
             raise ValueError("zero polynomial has no leading term")
-        k = max(self.terms, key=grlex_key)
-        return k, self.terms[k]
+        k = _lead_key(self.ints)
+        return k, self.content * self.ints[k]
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -576,18 +626,38 @@ class Poly:
             return Poly.const(other, self.arity)
         return None
 
+    def _add(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other over the common content gcd(ca, cb)."""
+        if not other.ints:
+            return self
+        if not self.ints:
+            return other if sign > 0 else -other
+        ca, cb = self.content, other.content
+        if ca == cb:
+            common, ma, mb = ca, 1, sign
+        else:
+            na, da = ca.numerator, ca.denominator
+            nb, db = cb.numerator, cb.denominator
+            g = igcd(na, nb)
+            den = da // igcd(da, db) * db
+            common = Fraction(g, den)
+            ma = na // g * (den // da)
+            mb = sign * (nb // g) * (den // db)
+        out = dict(self.ints) if ma == 1 else {e: c * ma for e, c in self.ints.items()}
+        get = out.get
+        for e, c in other.ints.items():
+            v = get(e, 0) + mb * c
+            if v:
+                out[e] = v
+            else:
+                del out[e]
+        return Poly.from_ints(out, self.arity, common)
+
     def __add__(self, other) -> "Poly":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, _ZERO) + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return Poly(out, self.arity, _clean=True)
+        return self._add(other, 1)
 
     def __radd__(self, other) -> "Poly":
         return self.__add__(other)
@@ -596,42 +666,36 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, _ZERO) - c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return Poly(out, self.arity, _clean=True)
+        return self._add(other, -1)
 
     def __rsub__(self, other) -> "Poly":
         return (-self).__add__(other)
 
     def __neg__(self) -> "Poly":
-        return Poly({e: -c for e, c in self.terms.items()}, self.arity, _clean=True)
+        return Poly._make({e: -c for e, c in self.ints.items()}, self.content, self.arity)
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        if not self.ints or not other.ints:
             return Poly.zero(self.arity)
-        fa, ca = self.int_parts()
-        fb, cb = other.int_parts()
-        prod = _imul(fa, fb)
-        scale = ca * cb
-        return Poly({e: scale * c for e, c in prod.items()}, self.arity, _clean=True)
+        # Gauss's lemma: a product of primitive polynomials is primitive
+        ca, cb = self.content, other.content
+        content = cb if ca is _ONE else ca if cb is _ONE else ca * cb
+        return Poly._make(_imul(self.ints, other.ints), content, self.arity)
 
     def __rmul__(self, other) -> "Poly":
         return self.__mul__(other)
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        if not c:
+        _check_coeff(c)
+        if not c or not self.ints:
             return Poly.zero(self.arity)
-        return Poly({e: c * v for e, v in self.terms.items()}, self.arity, _clean=True)
+        if c > 0:
+            return Poly._make(self.ints, self.content * c, self.arity)
+        return Poly._make({e: -v for e, v in self.ints.items()}, self.content * -c, self.arity)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -651,7 +715,8 @@ class Poly:
         return (
             isinstance(other, Poly)
             and self.arity == other.arity
-            and self.terms == other.terms
+            and self.content == other.content
+            and self.ints == other.ints
         )
 
     __hash__ = None  # mutable-dict backed; identity hashing would mislead
@@ -660,118 +725,87 @@ class Poly:
 
     def derivative(self, i: int) -> "Poly":
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self.ints.items():
             if e[i]:
                 k = list(e)
                 k[i] -= 1
                 out[tuple(k)] = c * e[i]
-        return Poly(out, self.arity, _clean=True)
+        return Poly.from_ints(out, self.arity, self.content)
 
     def embed(self, new_arity: int, mapping: tuple[int, ...]) -> "Poly":
-        """Rename variables: old index i becomes mapping[i]."""
+        """Rename variables: old index i becomes mapping[i] (an injective map)."""
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self.ints.items():
             k = [0] * new_arity
             for i, v in enumerate(e):
                 if v:
                     k[mapping[i]] += v
             out[tuple(k)] = c
-        return Poly(out, new_arity, _clean=True)
+        return Poly._make(out, self.content, new_arity)
 
     def subs_scalars(self, values: dict[int, Fraction]) -> "Poly":
-        """Substitute exact scalars for some variables (arity preserved)."""
+        """Substitute exact scalars for some variables (arity preserved).
+
+        Each value n/d of x_i enters term by term as n^e * d^(D - e), with D
+        the degree in x_i, so the sum stays integral; the common d^D moves
+        into the content.
+        """
         if not values:
             return self
-        pw: dict[tuple[int, int], Fraction] = {}
-        out: dict[Term, Fraction] = {}
-        for e, c in self.terms.items():
+        fr = {i: Fraction(v) for i, v in values.items()}
+        top = {i: self.degree_in(i) for i in fr}
+        pw: dict[tuple[int, int], int] = {}
+        out: dict[Term, int] = {}
+        for e, c in self.ints.items():
             k = list(e)
-            for i, val in values.items():
+            for i, val in fr.items():
                 ei = e[i]
-                if ei:
-                    f = pw.get((i, ei))
-                    if f is None:
-                        f = Fraction(val) ** ei
-                        pw[(i, ei)] = f
-                    c = c * f
-                    k[i] = 0
+                f = pw.get((i, ei))
+                if f is None:
+                    f = val.numerator ** ei * val.denominator ** (top[i] - ei)
+                    pw[(i, ei)] = f
+                c *= f
+                k[i] = 0
             if c:
                 kk = tuple(k)
-                v = out.get(kk, _ZERO) + c
+                v = out.get(kk, 0) + c
                 if v:
                     out[kk] = v
                 else:
                     del out[kk]
-        return Poly(out, self.arity, _clean=True)
+        den = 1
+        for i, val in fr.items():
+            den *= val.denominator ** top[i]
+        return Poly.from_ints(out, self.arity, self.content / den)
 
     # -- evaluation ----------------------------------------------------------
 
     def eval_q(self, point) -> Fraction:
-        mx = [0] * self.arity
-        for e in self.terms:
-            for i, v in enumerate(e):
-                if v > mx[i]:
-                    mx[i] = v
-        pows = []
-        for i in range(self.arity):
-            row = [_ONE]
-            x = Fraction(point[i])
-            for _ in range(mx[i]):
-                row.append(row[-1] * x)
-            pows.append(row)
-        acc = _ZERO
-        for e, c in self.terms.items():
-            v = c
-            for i, ei in enumerate(e):
-                if ei:
-                    v = v * pows[i][ei]
-            acc += v
-        return acc
-
-    def int_parts(self) -> tuple[dict, Fraction]:
-        """(primitive integer term dict, rational content) with dict * content == self."""
-        cached = self._intcache
-        if cached is not None:
-            return cached
-        if not self.terms:
-            res = ({}, _ONE)
-        else:
-            denlcm = 1
-            for c in self.terms.values():
-                d = c.denominator
-                denlcm = denlcm // igcd(denlcm, d) * d
-            ints = {e: int(c * denlcm) for e, c in self.terms.items()}
-            g = _int_content(ints)
-            if g > 1:
-                ints = {e: c // g for e, c in ints.items()}
-            res = (ints, Fraction(g, denlcm))
-        object.__setattr__(self, "_intcache", res)
-        return res
+        return self.subs_scalars(dict(enumerate(point))).constant_value()
 
     def mod_terms(self, p: int) -> dict[Term, int]:
-        cached = self._mods.get(p)
+        mods = self._mods
+        if mods is None:
+            mods = {}
+            object.__setattr__(self, "_mods", mods)
+        cached = mods.get(p)
         if cached is None:
-            ints, cont = self.int_parts()
-            num = cont.numerator % p
+            cont = self.content
             den = cont.denominator % p
             if den == 0:
-                raise ZeroDivisionError(f"content denominator vanishes mod {p}")
-            scale = num * pow(den, p - 2, p) % p
+                raise BadPrimeError(p)
+            scale = cont.numerator * pow(den, p - 2, p) % p
             cached = {}
-            for e, c in ints.items():
+            for e, c in self.ints.items():
                 v = c * scale % p
                 if v:
                     cached[e] = v
-            self._mods[p] = cached
+            mods[p] = cached
         return cached
 
     def eval_mod(self, point, p: int) -> int:
         terms = self.mod_terms(p)
-        mx = [0] * self.arity
-        for e in terms:
-            for i, v in enumerate(e):
-                if v > mx[i]:
-                    mx[i] = v
+        mx = _max_exps(terms, self.arity)
         pows = []
         for i in range(self.arity):
             row = [1]
@@ -791,13 +825,14 @@ class Poly:
     # -- formatting -----------------------------------------------------------
 
     def to_str(self, names: tuple[str, ...] | None = None) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         if names is None:
             names = tuple(f"x{i}" for i in range(self.arity))
         parts = []
-        for e in sorted(self.terms, key=grlex_key, reverse=True):
-            c = self.terms[e]
+        for e in sorted(terms, key=grlex_key, reverse=True):
+            c = terms[e]
             mono = "*".join(
                 names[i] if v == 1 else f"{names[i]}^{v}"
                 for i, v in enumerate(e)
@@ -821,14 +856,22 @@ class Poly:
         return f"Poly({self.to_str()})"
 
 
+def _primitive(ints: dict[Term, int], content: Fraction) -> tuple[dict[Term, int], Fraction]:
+    """Move the integer content of ints into content; zero becomes ({}, 1)."""
+    if not ints:
+        return ints, _ONE
+    g = _int_content(ints)
+    if g > 1:
+        ints = {e: c // g for e, c in ints.items()}
+        content = content * g
+    return ints, content
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Primitive gcd (positive leading coefficient) of the integer images."""
     if a.arity != b.arity:
         raise ValueError("arity mismatch")
-    fa, _ = a.int_parts()
-    fb, _ = b.int_parts()
-    g = gcd_int(fa, fb, a.arity)
-    return Poly({e: Fraction(c) for e, c in g.items()}, a.arity, _clean=True)
+    return Poly._make(gcd_int(a.ints, b.ints, a.arity), _ONE, a.arity)
 
 
 def divexact(a: Poly, b: Poly) -> Poly:
@@ -837,10 +880,8 @@ def divexact(a: Poly, b: Poly) -> Poly:
         raise ZeroDivisionError("division by zero polynomial")
     if a.is_zero:
         return Poly.zero(a.arity)
-    fa, ca = a.int_parts()
-    fb, cb = b.int_parts()
-    q = _idivexact(fa, fb)
+    # the quotient of primitive polynomials is primitive (Gauss's lemma)
+    q = _idivexact(a.ints, b.ints)
     if q is None:
         raise ValueError("inexact polynomial division")
-    scale = ca / cb
-    return Poly({e: scale * c for e, c in q.items()}, a.arity, _clean=True)
+    return Poly._make(q, a.content / b.content, a.arity)

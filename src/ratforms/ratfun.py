@@ -275,9 +275,9 @@ class RatFun:
         if f.den.is_constant:
             return ns
         ds = f.den.to_str(names)
-        if len(f.num.terms) > 1:
+        if len(f.num.ints) > 1:
             ns = f"({ns})"
-        if len(f.den.terms) > 1 or "*" in ds or "^" in ds:
+        if len(f.den.ints) > 1 or "*" in ds or "^" in ds:
             ds = f"({ds})"
         return f"{ns}/{ds}"
 
@@ -319,12 +319,12 @@ def compose_numerator(coeffs: Poly, fs: list[RatFun]) -> Poly:
         npow.append(nrow)
         dpow.append(drow)
     acc = Poly.zero(arity)
-    for e, c in coeffs.terms.items():
+    for e, c in coeffs.ints.items():
         piece = Poly.const(c, arity)
         for i in range(k):
             piece = piece * npow[i][e[i]] * dpow[i][emax[i] - e[i]]
         acc = acc + piece
-    return acc
+    return acc.scale(coeffs.content)
 
 
 def pole_free_values(

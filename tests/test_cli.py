@@ -281,3 +281,33 @@ def test_failing_input_does_not_abort_the_batch(monkeypatch, capsys):
     assert list(failed.keys()) == SCHEMA_KEYS
     assert failed["diagnostics"] == {"error": "ZeroDivisionError"}
     assert "injected failure" in captured.err
+
+
+@pytest.mark.parametrize(
+    "names, expr, extra, prime",
+    [
+        ("x,y,z", "x/2147483647 + y + z", [], 2147483647),
+        ("x,y", "x/251 + y", ["--prime-bits", "8"], 251),
+    ],
+)
+def test_coefficient_denominator_divisible_by_a_prime_is_unresolved(
+    capsys, names, expr, extra, prime
+):
+    code = main(["--vars", names, "--function", expr, "--format", "json"] + extra)
+    captured = capsys.readouterr()
+    (rep,) = json.loads(captured.out)
+    assert code == 2
+    assert prime in rep["primes"]
+    assert rep["verdict"] == "unresolved"
+    assert rep["diagnostics"] == {"bad_prime": prime}
+    assert list(rep.keys()) == SCHEMA_KEYS
+    assert captured.err == ""
+
+
+def test_coefficient_denominator_coprime_to_the_primes_classifies(capsys):
+    code, reports = _run_json(
+        capsys, ["--vars", "x,y", "--function", "x/250 + y", "--prime-bits", "8"]
+    )
+    assert code == 0
+    assert reports[0]["primes"] == [251, 241]
+    assert reports[0]["verdict"] == "group-additive"

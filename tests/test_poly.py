@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
-from ratforms.poly import Poly, divexact, grlex_key, poly_gcd
+import pytest
+
+from ratforms.poly import BadPrimeError, Poly, divexact, grlex_key, poly_gcd
 
 
 def _p(expr: str, names: tuple[str, ...]) -> Poly:
@@ -122,3 +126,209 @@ def test_eval_mod_matches_rational_eval():
         want = q.eval_q(tuple(Fraction(v) for v in pt))
         got = q.eval_mod(pt, p)
         assert got == (want.numerator % p)
+
+
+# ---------------------------------------------------------------------------
+# content x primitive-integer core against a plain {exponent: Fraction} model
+# ---------------------------------------------------------------------------
+
+
+def _ref_add(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            k = tuple(x + y for x, y in zip(ea, eb))
+            out[k] = out.get(k, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_eval(a: dict, point) -> Fraction:
+    acc = Fraction(0)
+    for e, c in a.items():
+        for x, k in zip(point, e):
+            c *= Fraction(x) ** k
+        acc += c
+    return acc
+
+
+def _ref_subs(a: dict, values: dict) -> dict:
+    out: dict = {}
+    for e, c in a.items():
+        k = list(e)
+        for i, v in values.items():
+            c *= Fraction(v) ** e[i]
+            k[i] = 0
+        out[tuple(k)] = out.get(tuple(k), 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _random_terms(rng: random.Random, arity: int, nterms: int = 5) -> dict:
+    terms = {}
+    for _ in range(rng.randint(0, nterms)):
+        e = tuple(rng.randint(0, 3) for _ in range(arity))
+        terms[e] = Fraction(rng.randint(-30, 30), rng.choice([1, 1, 2, 3, 4, 9, 10]))
+    return terms
+
+
+def _assert_canonical(p: Poly) -> None:
+    assert isinstance(p.content, Fraction) and p.content > 0
+    if not p.ints:
+        assert p.content == 1
+    else:
+        assert all(type(c) is int and c for c in p.ints.values())
+        assert reduce(gcd, p.ints.values(), 0) == 1
+    assert dict(p.terms) == {e: p.content * c for e, c in p.ints.items()}
+
+
+def _cases(seed: int, count: int = 60):
+    rng = random.Random(seed)
+    for _ in range(count):
+        arity = rng.randint(1, 3)
+        yield rng, arity, _random_terms(rng, arity), _random_terms(rng, arity)
+
+
+def test_arithmetic_matches_the_fraction_model():
+    for rng, arity, ta, tb in _cases(11):
+        a, b = Poly(ta, arity), Poly(tb, arity)
+        clean_a = {e: c for e, c in ta.items() if c}
+        for got, want in (
+            (a + b, _ref_add(ta, tb)),
+            (a - b, _ref_add(ta, tb, -1)),
+            (-a, {e: -c for e, c in clean_a.items()}),
+            (a * b, _ref_mul(ta, tb)),
+            (a ** 2, _ref_mul(ta, ta)),
+            (a ** 3, _ref_mul(_ref_mul(ta, ta), ta)),
+            (a ** 0, {(0,) * arity: Fraction(1)}),
+        ):
+            _assert_canonical(got)
+            assert dict(got.terms) == want
+            assert got == Poly(want, arity)
+
+
+@pytest.mark.parametrize("factor", [Fraction(-3, 7), -2, 0, Fraction(5, 6), 4, 1])
+def test_scale_matches_the_fraction_model(factor):
+    for _rng, arity, ta, _tb in _cases(12, 20):
+        got = Poly(ta, arity).scale(factor)
+        _assert_canonical(got)
+        assert dict(got.terms) == {e: c * factor for e, c in ta.items() if c * factor}
+
+
+def test_derivative_and_embed_match_the_fraction_model():
+    for _rng, arity, ta, _tb in _cases(13):
+        a = Poly(ta, arity)
+        for i in range(arity):
+            got = a.derivative(i)
+            _assert_canonical(got)
+            want = {}
+            for e, c in ta.items():
+                if e[i] and c:
+                    k = list(e)
+                    k[i] -= 1
+                    want[tuple(k)] = c * e[i]
+            assert dict(got.terms) == want
+        mapping = tuple(range(arity, 2 * arity))[::-1]
+        got = a.embed(2 * arity, mapping)
+        _assert_canonical(got)
+        want = {}
+        for e, c in ta.items():
+            if c:
+                k = [0] * (2 * arity)
+                for i, v in enumerate(e):
+                    k[mapping[i]] = v
+                want[tuple(k)] = c
+        assert dict(got.terms) == want
+
+
+def test_subs_scalars_matches_the_fraction_model():
+    values = [0, 1, -1, 3, Fraction(-2, 3), Fraction(7, 4)]
+    for rng, arity, ta, _tb in _cases(14):
+        chosen = {i: rng.choice(values) for i in range(arity) if rng.random() < 0.7}
+        got = Poly(ta, arity).subs_scalars(chosen)
+        _assert_canonical(got)
+        assert dict(got.terms) == _ref_subs(ta, chosen)
+
+
+def test_evaluation_matches_the_fraction_model():
+    p = 1000003
+    for rng, arity, ta, _tb in _cases(15):
+        a = Poly(ta, arity)
+        qpoint = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(arity)]
+        assert a.eval_q(qpoint) == _ref_eval(ta, qpoint)
+        ipoint = [rng.randrange(p) for _ in range(arity)]
+        want = _ref_eval(ta, ipoint)
+        assert a.eval_mod(ipoint, p) == want.numerator * pow(want.denominator, -1, p) % p
+
+
+def test_gcd_and_exact_division_match_the_fraction_model():
+    for rng, arity, ta, tb in _cases(16, 40):
+        a, b = Poly(ta, arity), Poly(tb, arity)
+        common = Poly(_random_terms(rng, arity, 3), arity) + Poly.variable(0, arity)
+        fa, fb = a * common, b * common
+        g = poly_gcd(fa, fb)
+        _assert_canonical(g)
+        assert g.content == 1
+        if not g.is_zero:
+            assert g.leading()[1] > 0
+            for f in (fa, fb):
+                q = divexact(f, g)
+                _assert_canonical(q)
+                assert dict((q * g).terms) == dict(f.terms)
+            if not (fa.is_zero and fb.is_zero):
+                assert divexact(g, poly_gcd(common, common)).ints
+        if not b.is_zero:
+            q = divexact(a * b, b)
+            _assert_canonical(q)
+            assert dict(q.terms) == {e: c for e, c in ta.items() if c}
+
+
+def test_equal_values_have_one_representation():
+    x = Poly.variable(0, 1)
+    half = Poly({(1,): Fraction(1, 2), (0,): Fraction(1, 2)}, 1)
+    assert (x + 1).scale(Fraction(1, 2)) == half
+    assert half.ints == {(1,): 1, (0,): 1} and half.content == Fraction(1, 2)
+    assert (x + 1) * Fraction(1, 2) == half == Poly.const(Fraction(1, 2), 1) * (x + 1)
+    assert Poly({(1,): 6, (0,): -4}, 1) == (x.scale(3) - 2).scale(2)
+    assert Poly({(1,): 6, (0,): -4}, 1).ints == {(1,): 3, (0,): -2}
+    assert -Poly.const(5, 1) == Poly.const(-5, 1)
+    assert Poly.const(-5, 1).ints == {(0,): -1} and Poly.const(-5, 1).content == 5
+    zero = x - x
+    assert zero == Poly.zero(1) == Poly({(1,): 0}, 1) == half.scale(0)
+    assert (zero.ints, zero.content) == ({}, 1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Poly({(1, 0): 0.1}, 2),
+        lambda: Poly.const(0.5, 2),
+        lambda: Poly.variable(0, 2).scale(0.5),
+        lambda: Poly.variable(0, 2) * 0.5,
+        lambda: Poly({(1, 0): "1/2"}, 2),
+    ],
+)
+def test_float_and_other_coefficients_are_rejected(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_terms_view_is_read_only():
+    q = Poly({(1,): Fraction(2, 3)}, 1)
+    with pytest.raises(TypeError):
+        q.terms[(0,)] = Fraction(1)
+    assert q.terms == {(1,): Fraction(2, 3)}
+
+
+def test_mod_terms_rejects_a_prime_dividing_a_denominator():
+    q = Poly({(1, 0): Fraction(1, 14), (0, 1): Fraction(1)}, 2)
+    assert q.mod_terms(5) == {(1, 0): pow(14, -1, 5), (0, 1): 1}
+    with pytest.raises(BadPrimeError) as info:
+        q.mod_terms(7)
+    assert info.value.prime == 7
+    assert isinstance(info.value, ArithmeticError)
