@@ -1,7 +1,7 @@
 """Classify constrained trivariate functions into canonical forms.
 
-The four positive verdicts and their shapes (q ranges over a fixed schedule
-of Mobius maps, r1, r2, r3 over univariate rational parts):
+The four positive verdicts and their shapes (q is any nonconstant univariate
+rational function, r1, r2, r3 are univariate rational parts):
 
     GroupAdditive          q(r1(x) + r2(y) + r3(z))
     GroupMultiplicative    q(r1(x) * r2(y) * r3(z))

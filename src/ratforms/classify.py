@@ -3,18 +3,20 @@
 A bivariate function whose doubling map has a constrained image decomposes
 through F(x) + G(y) or F(x) * G(y); a trivariate one decomposes through
 r1 + r2 + r3, r1 * r2 * r3, r_i * (r_j + r_l)^n, or the twisted quotient
-(r1(x) + r2(y)) / (r2(y) + r3(z)), each up to an outer Mobius change of the
-value.  The fitters below recover the inner parts exactly and back every
-positive verdict with a machine-checkable dependence certificate: a bivariate
-polynomial A(p, q) with A(P, s) = 0 verified by exact expansion.
+(r1(x) + r2(y)) / (r2(y) + r3(z)), each inside an outer map q that is any
+nonconstant univariate rational function: every fitter reads the inner
+parts off partial ratios or log-derivatives from which q cancels.  The
+fitters recover the inner parts exactly and back every positive verdict
+with a machine-checkable dependence certificate: the relation
+a(q)*p - b(q) stating P = (b/a)(s), verified by exact expansion.
 
 Fitting runs in two phases.  Cheap modular value probes ("gates") reject
 wrong shapes fast -- an unequal pair of residues is an exact disproof of the
 identity being probed, so gates never eliminate a true match except with
 negligible probability, and a fluke pass is harmless because every positive
-path ends in an exact identity check plus a verified certificate.  Recovery
-then works on exact univariate specializations, so no step ever multiplies
-two large multivariate polynomials except the single certificate expansion.
+path ends in a verified certificate.  Recovery then works on exact
+univariate specializations, so no step ever multiplies two large
+multivariate polynomials except the single certificate expansion.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .calculus import (
 )
 from .dimension import image_dimension, is_nondegenerate
 from .modular import DEFAULT_PRIMES, RETRIES, rng_for
-from .oracle import annihilating_poly, composition_relation
+from .oracle import composition_relation
 from .poly import Poly
 from .ratfun import (
     DegenerateSpecializationError,
@@ -53,30 +55,13 @@ _FIELD_OBSTRUCTION = {
     "non-splitting-factor": "residues_split",
 }
 
-#: Mobius pre-normalizations tried by fit_twisted, as (label, (a, b, c, d))
-#: with m(t) = (a*t + b) / (c*t + d).  The first six form the core schedule;
-#: the last four close it under inversion, so that m(P) is re-normalizable
-#: for every P that any scheduled map sends to the twisted shape.
-MOBIUS_SCHEDULE: tuple[tuple[str, tuple[int, int, int, int]], ...] = (
-    ("t", (1, 0, 0, 1)),
-    ("1/t", (0, 1, 1, 0)),
-    ("t-1", (1, -1, 0, 1)),
-    ("1/(t-1)", (0, 1, 1, -1)),
-    ("t/(t-1)", (1, 0, 1, -1)),
-    ("(t-1)/t", (1, -1, 1, 0)),
-    ("t+1", (1, 1, 0, 1)),
-    ("1-t", (-1, 1, 0, 1)),
-    ("1/(1-t)", (0, 1, -1, 1)),
-    ("(t+1)/t", (1, 1, 1, 0)),
-)
-
-
 @dataclass
 class DependenceCertificate:
     """Exact witness that P and the fitted s are algebraically dependent.
 
     annihilator is a nonzero bivariate polynomial in slots (p, q) with
-    annihilator(P, s) = 0 as a function; verified records that the exact
+    annihilator(P, s) = 0 as a function; the fitters' certificates are
+    a(q)*p - b(q), that is P = (b/a)(s).  verified records that the exact
     expansion of that composition was checked to vanish.
     """
 
@@ -132,7 +117,6 @@ class TwistedFit(NamedTuple):
     r3: RatFun
     s: RatFun
     certificate: DependenceCertificate
-    normalization: str
 
 
 # ---------------------------------------------------------------------------
@@ -184,16 +168,15 @@ def dependence_certificate(
     primes: tuple[int, ...] = DEFAULT_PRIMES,
     seed: int = 0,
 ) -> DependenceCertificate | None:
-    """Annihilating polynomial A(p, q) with A(P, s) = 0, or None.
+    """Relation a(q)*p - b(q) stating P = (b/a)(s), or None.
 
-    P and s are dependent iff their gradients are parallel, so provably
-    non-parallel gradients end the search immediately.  Otherwise the
-    lowest-degree relation of total degree at most dmax (by default
-    2 * (deg P + deg s)) is returned, verified by exact expansion.  Every
-    fitter builds s with P = q(s) for a univariate rational q, so the
-    relation a(q)*p - b(q) is fitted first by rational interpolation; the
-    dense search over all monomials of each degree runs only when that fit
-    fails.
+    Every fitter builds s with P = q(s) for a univariate rational q, so the
+    certificate is that relation, of total degree at most dmax (by default
+    2 * (deg P + deg s)), fitted by rational interpolation and verified by
+    exact expansion.  It is linear in p: a dependence of higher degree in p
+    means P lies outside Q(s), so s does not explain P and no certificate
+    is returned.  P and s are dependent iff their gradients are parallel,
+    so provably non-parallel gradients end the search immediately.
     """
     if P.arity != s.arity:
         raise ValueError("P and s must share one ambient variable list")
@@ -206,11 +189,9 @@ def dependence_certificate(
     bound = dmax if dmax is not None else 2 * max(1, P.total_degree() + s.total_degree())
     ann = composition_relation(P, s, bound, primes=primes, seed=seed)
     if ann is None:
-        ann = annihilating_poly([P, s], bound, primes=primes, seed=seed)
-    if ann is None:
         return None
-    # Both searches only return relations whose exact composition with
-    # (P, s) vanished identically, so the certificate is born verified.
+    # composition_relation only returns a relation whose exact composition
+    # with (P, s) vanished identically, so the certificate is born verified.
     return DependenceCertificate(ann, ann.total_degree(), True)
 
 
@@ -257,18 +238,20 @@ class _Fn:
     def __init__(self, f: RatFun):
         self.num = f.num
         self.den = f.den
-        self._dn: dict[int, Poly] = {}
-        self._dd: dict[int, Poly] = {}
+        self._dn: dict[tuple[int, ...], Poly] = {}
+        self._dd: dict[tuple[int, ...], Poly] = {}
 
-    def dnum(self, i: int) -> Poly:
-        if i not in self._dn:
-            self._dn[i] = self.num.derivative(i)
-        return self._dn[i]
+    def dnum(self, *vs: int) -> Poly:
+        """N differentiated in the variables vs, in order."""
+        if vs not in self._dn:
+            self._dn[vs] = (self.dnum(*vs[:-1]) if len(vs) > 1 else self.num).derivative(vs[-1])
+        return self._dn[vs]
 
-    def dden(self, i: int) -> Poly:
-        if i not in self._dd:
-            self._dd[i] = self.den.derivative(i)
-        return self._dd[i]
+    def dden(self, *vs: int) -> Poly:
+        """D differentiated in the variables vs, in order."""
+        if vs not in self._dd:
+            self._dd[vs] = (self.dden(*vs[:-1]) if len(vs) > 1 else self.den).derivative(vs[-1])
+        return self._dd[vs]
 
     def ratio_mod(self, a: int, b: int, w, p: int) -> int:
         """(f_a / f_b)(w) mod p; PoleError on any vanishing denominator."""
@@ -281,15 +264,6 @@ class _Fn:
             raise PoleError("vanishing partial at sample point")
         pa = (self.dnum(a).eval_mod(w, p) * dv - nv * self.dden(a).eval_mod(w, p)) % p
         return pa * pow(pb, p - 2, p) % p
-
-    def logpartial_mod(self, i: int, w, p: int) -> int:
-        """(f_i / f)(w) mod p."""
-        dv = self.den.eval_mod(w, p)
-        nv = self.num.eval_mod(w, p)
-        if dv == 0 or nv == 0:
-            raise PoleError("degenerate sample point")
-        t = (self.dnum(i).eval_mod(w, p) * dv - nv * self.dden(i).eval_mod(w, p)) % p
-        return t * pow(dv * nv % p, p - 2, p) % p
 
     def ratio_value(self, a: int, b: int, w) -> Fraction:
         """(f_a / f_b)(w) over Q."""
@@ -796,79 +770,102 @@ def fit_field(
     return None
 
 
-def _twisted_recover(P, TN, TD, fnT, rng, name, dmax, primes, seed):
-    """Recover (r1, r2, r3) from T = (r1+r2)/(r2+r3) and certify, or None.
+def _twisted_g(fn: _Fn, ev):
+    """(g, delta) of f = N/D with every polynomial read through ev.
 
-    Writing W = T/T_x = (r1+r2)/r1', the y-derivative of W is r2'/r1' with
-    the variables separated; specializations of W then yield r1' and r2' at
-    one shared scale, and the z-side quotient of 1/G2 = -(r2+r3)/r3' yields
-    r3' at that same scale.  The additive constants are fixed by evaluating
-    W and 1/G2 on specialized lines, and T = (r1+r2)/(r2+r3) is re-checked
-    as an exact polynomial identity before certification.
+    g[i] = N_i D - N D_i is the numerator of f_i and delta = (g_x)_y g_z -
+    g_x (g_z)_y the numerator of the y-derivative of log(f_x/f_z).  ev maps
+    a polynomial to a value (a residue, an exact restriction to a line, or
+    a first-order expansion in y) and the arithmetic runs in that ring.
     """
-    TNx, TDx = TN.derivative(0), TD.derivative(0)
-    TNz, TDz = TN.derivative(2), TD.derivative(2)
+    n, d = ev(fn.num), ev(fn.den)
+    g = [ev(fn.dnum(i)) * d - n * ev(fn.dden(i)) for i in range(3)]
+    ny, dy = ev(fn.dnum(1)), ev(fn.dden(1))
+    gx_y, gz_y = (
+        ev(fn.dnum(i, 1)) * d + ev(fn.dnum(i)) * dy - ny * ev(fn.dden(i)) - n * ev(fn.dden(i, 1))
+        for i in (0, 2)
+    )
+    return g, gx_y * g[2] - g[0] * gz_y
+
+
+def _twisted_logpartial_mod(fn: _Fn, i: int):
+    """Mod-p value function of (log T)_i, i in {x, z}, for P = q(T).
+
+    A = P_x/P_z = T_x/T_z does not see q, and (log T)_y = -(log A)_y, so
+    (log T)_x = -delta/(g_y g_z) and (log T)_z = -delta/(g_y g_x).
+    """
+    def val(w, p):
+        g, delta = _twisted_g(fn, lambda f: f.eval_mod(w, p))
+        den = g[1] * g[2 - i] % p
+        if den == 0:
+            raise PoleError("vanishing partial at sample point")
+        return -delta * pow(den, p - 2, p) % p
+
+    return val
+
+
+def _value_and_slope(num: Poly, den: Poly) -> tuple[RatFun, RatFun]:
+    """(h, h_y) at y = 0 for h = num/den expanded to first order in y."""
+    at0 = {1: 0}
+    n0, d0 = num.subs_scalars(at0), den.subs_scalars(at0)
+    n1, d1 = num.derivative(1).subs_scalars(at0), den.derivative(1).subs_scalars(at0)
+    return RatFun(n0, d0), RatFun(n1 * d0 - n0 * d1, d0 * d0)
+
+
+def _twisted_recover(P, fn, rng, dmax, primes, seed):
+    """Recover (r1, r2, r3) of P = q((r1+r2)/(r2+r3)) and certify, or None.
+
+    W = T/T_x = (r1+r2)/r1' = -g_y g_z/delta and V = T/T_z = -(r2+r3)/r3' =
+    -g_y g_x/delta are read off P on univariate lines only.  On the y-line
+    u = W_y = r2'/r1' yields r2; on the x-line and the z-line, W and V are
+    expanded to first order in y at y = cy (the y slot then holds y - cy),
+    which gives r1' = u(cy)/W_y and r3' = -u(cy)/V_y at the scale of r2.
+    The additive constants come from W and V at y = cy.  The parts are
+    univariate by construction, and the certificate P = q(s) is the exact
+    check.
+    """
+    eps = Poly.variable(1, 3)
+
+    def jet(vals):
+        return lambda f: f.subs_scalars(vals) + eps * f.derivative(1).subs_scalars(vals)
+
     for _ in range(8):
         cx, cy, cz = (Fraction(rng.randrange(2, 98)) for _ in range(3))
         try:
-            # u(y) = d/dy [T/T_x] on the line x=cx, z=cz.
             vxz = {0: cx, 2: cz}
-            n_, d_ = TN.subs_scalars(vxz), TD.subs_scalars(vxz)
-            wden = TNx.subs_scalars(vxz) * d_ - n_ * TDx.subs_scalars(vxz)
-            if wden.is_zero:
+            g, delta = _twisted_g(fn, lambda f: f.subs_scalars(vxz))
+            if delta.is_zero:
                 continue
-            u = RatFun(n_ * d_, wden).partial(1)
+            u = RatFun(-(g[1] * g[2]), delta).partial(1)
             if u.is_zero:
                 continue
-            # v(x) = u(cy) / (d/dy [T/T_x])|y=cy on the plane z=cz.
-            vz = {2: cz}
-            nb, db = TN.subs_scalars(vz), TD.subs_scalars(vz)
-            wdb = TNx.subs_scalars(vz) * db - nb * TDx.subs_scalars(vz)
-            if wdb.is_zero:
-                continue
-            wyb = RatFun(nb * db, wdb).partial(1)
             u0 = u.subs_scalars({1: cy}).constant_value()
-            vline = wyb.subs_scalars({1: cy})
-            if u0 == 0 or vline.is_zero:
+            if u0 == 0:
                 continue
-            v = u0 / vline
             r2 = hermite_antiderivative(u, 1)
             if r2 is None:
                 return None
             r2cy = r2.subs_scalars({1: cy}).constant_value()
-            # r1(x) = W|y=cy,z=cz * v - r2(cy).
-            vyz = {1: cy, 2: cz}
-            n2, d2 = TN.subs_scalars(vyz), TD.subs_scalars(vyz)
-            wd2 = TNx.subs_scalars(vyz) * d2 - n2 * TDx.subs_scalars(vyz)
-            if wd2.is_zero:
+            g, delta = _twisted_g(fn, jet({1: cy, 2: cz}))
+            W, Wy = _value_and_slope(-(g[1] * g[2]), delta)
+            g, delta = _twisted_g(fn, jet({0: cx, 1: cy}))
+            V, Vy = _value_and_slope(-(g[1] * g[0]), delta)
+            if Wy.is_zero or Vy.is_zero:
                 continue
-            r1 = RatFun(n2 * d2, wd2) * v - r2cy
-            # z side: V = (T/T_z)|x=cx = -(r2+r3)/r3', r3' = -u / dV/dy.
-            vx = {0: cx}
-            n3, d3 = TN.subs_scalars(vx), TD.subs_scalars(vx)
-            vd3 = TNz.subs_scalars(vx) * d3 - n3 * TDz.subs_scalars(vx)
-            if vd3.is_zero:
-                continue
-            V = RatFun(n3 * d3, vd3)
-            dy = V.partial(1)
-            if dy.is_zero:
-                continue
-            r3p = -(u / dy)
-            if not r3p.independent_of(1):
-                continue
-            r3 = -(V.subs_scalars({1: cy}) * r3p) - r2cy
+            r1 = W * (u0 / Wy) - r2cy
+            r3 = V * (u0 / Vy) - r2cy
         except (DegenerateSpecializationError, PoleError, ZeroDivisionError, ValueError):
             continue
         s1, s2 = r1 + r2, r2 + r3
         if s2.is_zero:
             continue
-        if not (TN * (s1.den * s2.num) - TD * (s1.num * s2.den)).is_zero:
-            continue
         shat = s1 / s2
+        if shat.is_constant:
+            continue
         cert = dependence_certificate(P, shat, dmax=dmax, primes=primes, seed=seed)
         if cert is None:
             return None
-        return TwistedFit(r1, r2, r3, shat, cert, name)
+        return TwistedFit(r1, r2, r3, shat, cert)
     return None
 
 
@@ -879,34 +876,27 @@ def fit_twisted(
     seed: int = 0,
     diagnostics: dict[str, bool] | None = None,
 ) -> TwistedFit | None:
-    """Fit m(P) = (r1(x) + r2(y)) / (r2(y) + r3(z)) over the Mobius schedule.
+    """Fit P = q((r1(x) + r2(y)) / (r2(y) + r3(z))) for any outer map q.
 
-    For each normalization T = m(P) the gates check that T_x/T is free of z
-    and T_z/T is free of x (both exact properties of the twisted shape);
-    passing normalizations go to the full recovery, whose result must
-    reproduce T exactly and certify against P.
+    q is any nonconstant univariate rational function: it cancels from
+    P_x/P_z, so (log T)_x and (log T)_z are read off P directly.  The gates
+    check that (log T)_x is free of z and (log T)_z is free of x (both exact
+    properties of the twisted shape); the recovery then rebuilds T on
+    univariate lines and certifies P = q(T).
     """
     diag = diagnostics if diagnostics is not None else {}
-    N, D = P.num, P.den
-    gates_passed = False
-    for name, (a, b, c, d) in MOBIUS_SCHEDULE:
-        TN = N * a + D * b
-        TD = N * c + D * d
-        if TN.is_zero or TD.is_zero:
-            continue
-        fnT = _Fn(RatFun.raw(TN, TD))
-        rng = rng_for(seed, f"fit-twisted:{name}")
-        if not _gate_value_indep(lambda w, p: fnT.logpartial_mod(0, w, p), 3, 2, rng):
-            continue
-        if not _gate_value_indep(lambda w, p: fnT.logpartial_mod(2, w, p), 3, 0, rng):
-            continue
-        gates_passed = True
-        fit = _twisted_recover(P, TN, TD, fnT, rng, name, dmax, primes, seed)
-        if fit is not None:
-            diag["twisted"] = True
-            return fit
-    diag["twisted_gates"] = gates_passed
-    return None
+    fn = _Fn(P)
+    rng = rng_for(seed, "fit-twisted:t")
+    if not (_gate_value_indep(_twisted_logpartial_mod(fn, 0), 3, 2, rng)
+            and _gate_value_indep(_twisted_logpartial_mod(fn, 2), 3, 0, rng)):
+        diag["twisted_gates"] = False
+        return None
+    fit = _twisted_recover(P, fn, rng, dmax, primes, seed)
+    if fit is None:
+        diag["twisted_gates"] = True
+        return None
+    diag["twisted"] = True
+    return fit
 
 
 def verify_twisted_identities(

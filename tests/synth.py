@@ -2,9 +2,10 @@
 
 Every generator takes a seeded random.Random so corpora are reproducible.
 Trivariate instances are built exactly as the canonical forms prescribe: a
-form s0 in splitting univariate parts, wrapped in a Mobius map from the
-fitter's schedule.  Frozen handwritten lists cover the cases that must not
-depend on generator luck.
+form s0 in splitting univariate parts, wrapped in an outer Mobius map q
+drawn from MOBIUS_SCHEDULE.  The fitters accept any nonconstant univariate
+rational q; the fixed list only keeps the corpora reproducible.  Frozen
+handwritten lists cover the cases that must not depend on generator luck.
 """
 
 from __future__ import annotations
@@ -12,11 +13,26 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from ratforms.classify import MOBIUS_SCHEDULE
 from ratforms.ratfun import RatFun
 
 TRI = ("x", "y", "z")
 BI = ("x", "y")
+
+#: Outer Mobius maps of the generated instances, as (label, (a, b, c, d))
+#: with m(t) = (a*t + b) / (c*t + d): shifts, inversions and their
+#: compositions.
+MOBIUS_SCHEDULE: tuple[tuple[str, tuple[int, int, int, int]], ...] = (
+    ("t", (1, 0, 0, 1)),
+    ("1/t", (0, 1, 1, 0)),
+    ("t-1", (1, -1, 0, 1)),
+    ("1/(t-1)", (0, 1, 1, -1)),
+    ("t/(t-1)", (1, 0, 1, -1)),
+    ("(t-1)/t", (1, -1, 1, 0)),
+    ("t+1", (1, 1, 0, 1)),
+    ("1-t", (-1, 1, 0, 1)),
+    ("1/(1-t)", (0, 1, -1, 1)),
+    ("(t+1)/t", (1, 1, 1, 0)),
+)
 
 
 def apply_mobius(s0: RatFun, coeffs: tuple[int, int, int, int]) -> RatFun:
@@ -67,26 +83,26 @@ def dense_poly_part(
 
 
 def make_additive(rng: random.Random) -> RatFun:
-    """q(r1(x) + r2(y) + r3(z)) with q in the Mobius schedule."""
+    """q(r1(x) + r2(y) + r3(z)) with q drawn from MOBIUS_SCHEDULE."""
     s0 = sum((splitting_part(rng, i) for i in range(1, 3)), splitting_part(rng, 0))
     return apply_mobius(s0, pick_mobius(rng)[1])
 
 
 def make_multiplicative(rng: random.Random) -> RatFun:
-    """q(r1(x) * r2(y) * r3(z)) with q in the Mobius schedule."""
+    """q(r1(x) * r2(y) * r3(z)) with q drawn from MOBIUS_SCHEDULE."""
     s0 = splitting_part(rng, 0) * splitting_part(rng, 1) * splitting_part(rng, 2)
     return apply_mobius(s0, pick_mobius(rng)[1])
 
 
 def make_field(rng: random.Random) -> tuple[RatFun, int]:
-    """q(r1(x) * (r2(y) + r3(z))^n) with n <= 5 and q in the schedule."""
+    """q(r1(x) * (r2(y) + r3(z))^n) with n <= 5 and q from MOBIUS_SCHEDULE."""
     n = rng.randint(1, 5)
     s0 = splitting_part(rng, 0) * (splitting_part(rng, 1) + splitting_part(rng, 2)) ** n
     return apply_mobius(s0, pick_mobius(rng)[1]), n
 
 
 def make_twisted(rng: random.Random) -> RatFun:
-    """q((r1(x) + r2(y)) / (r2(y) + r3(z))) with q in the schedule."""
+    """q((r1(x) + r2(y)) / (r2(y) + r3(z))) with q from MOBIUS_SCHEDULE."""
     r1 = splitting_part(rng, 0)
     r2 = splitting_part(rng, 1)
     r3 = splitting_part(rng, 2)
@@ -105,13 +121,13 @@ def make_twisted_form(rng: random.Random) -> RatFun:
 
 
 def make_bivariate_additive(rng: random.Random) -> RatFun:
-    """q(F(x) + G(y)) with splitting F, G and q in the schedule."""
+    """q(F(x) + G(y)) with splitting F, G and q from MOBIUS_SCHEDULE."""
     s0 = splitting_part(rng, 0, arity=2) + splitting_part(rng, 1, arity=2)
     return apply_mobius(s0, pick_mobius(rng)[1])
 
 
 def make_bivariate_multiplicative(rng: random.Random) -> RatFun:
-    """q(F(x) * G(y)) with splitting F, G and q in the schedule."""
+    """q(F(x) * G(y)) with splitting F, G and q from MOBIUS_SCHEDULE."""
     s0 = splitting_part(rng, 0, arity=2) * splitting_part(rng, 1, arity=2)
     return apply_mobius(s0, pick_mobius(rng)[1])
 

@@ -9,8 +9,10 @@ line (visible even under pytest's output capture):
 2. the three value-cube identities hold exactly on random integer cubes
    for twisted-form functions and fail for non-twisted ones;
 3. synthetic canonical-form instances (50 per class) are classified back
-   to their generating class, and precondition violations surface as
-   Unresolved with a named diagnostic, never as a wrong positive;
+   to their generating class, an input under an outer map that no
+   generator draws is classified with a verified certificate, and
+   precondition violations surface as Unresolved with a named diagnostic,
+   never as a wrong positive;
 4. every positive certificate substitutes to the exact zero function and
    corrupted certificates are rejected;
 5. trichotomy: no function whose measured image dimension is 4 is ever
@@ -72,8 +74,13 @@ VIOLATORS = (
     ("(x*(y^2+1)*z)^2", "group_multiplicative_non-splitting-factor"),
     # pivot residues fail to split for the same reason
     ("(x^2+1)*(y+z)^2", "field_pivot_x_residues_split"),
-    # outer map t + 2 is not in the Mobius schedule
-    ("(x+y)/(y+z) + 2", "twisted_gates"),
+)
+
+# Instances under an outer map that no generator draws.  The fitters take
+# any nonconstant univariate rational outer map, so each must come back
+# with its class and a verified certificate.
+OUTER_MAP_INSTANCES = (
+    ("(x+y)/(y+z) + 2", "Twisted"),
 )
 
 _CACHE: dict[str, object] = {}
@@ -218,6 +225,13 @@ def test_canonical_form_recovery(capsys):
                 failures.append(
                     f"violator {expr}: diagnostic {diag_key} not reported False"
                 )
+        for expr, want in OUTER_MAP_INSTANCES:
+            fn = parse(expr, TRI)
+            rep = classify_trivariate(fn)
+            if rep.verdict != want:
+                failures.append(f"{expr}: {rep.verdict} != {want}")
+            elif not verify_certificate(rep.certificate, fn, rep.fitted["s"]):
+                failures.append(f"{expr}: certificate fails verification")
         ok = not failures
     finally:
         _report(capsys, 3, "canonical-form recovery on 50 synthetic instances per class", ok)
@@ -335,7 +349,7 @@ def test_cli_determinism(capsys, tmp_path):
         tri_exprs += [expr for expr, _ in synth.HANDWRITTEN_2DEC]
         tri_exprs += list(synth.NON_TWISTED)
         tri_exprs += list(synth.RANK_CORPUS_TRI)
-        tri_exprs += [expr for expr, _ in VIOLATORS]
+        tri_exprs += [expr for expr, _ in VIOLATORS + OUTER_MAP_INSTANCES]
         tri_path = tmp_path / "corpus_tri.txt"
         tri_path.write_text("\n".join(tri_exprs) + "\n")
 

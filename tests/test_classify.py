@@ -9,7 +9,6 @@ import pytest
 
 import synth
 from ratforms.classify import (
-    MOBIUS_SCHEDULE,
     DependenceCertificate,
     classify_trivariate,
     cube_identities,
@@ -67,10 +66,10 @@ def test_certificate_substitutes_to_zero():
     assert compose_numerator(cert.annihilator, [P, s]).is_zero
 
 
-def test_certificate_falls_back_when_p_not_in_q_of_s():
-    cert = dependence_certificate(parse("x*y", BI), parse("x^2*y^2", BI))
-    assert cert is not None and cert.verified
-    assert cert.annihilator.to_str(("p", "q")) == "p^2 - q"
+def test_certificate_none_when_p_not_in_q_of_s():
+    # x*y and x^2*y^2 are dependent (p^2 - q), but x*y is not a rational
+    # function of x^2*y^2, so no relation a(q)*p - b(q) exists
+    assert dependence_certificate(parse("x*y", BI), parse("x^2*y^2", BI)) is None
 
 
 def test_certificate_respects_max_degree():
@@ -297,6 +296,37 @@ def test_fit_twisted_rejects_additive():
     assert fit_twisted(parse("x+y+z", TRI)) is None
 
 
+def test_twisted_gates_reject_non_twisted_input():
+    diag = {}
+    assert fit_twisted(parse("x*y*z + x + 1", TRI), diagnostics=diag) is None
+    assert diag == {"twisted_gates": False}
+
+
+#: Outer maps q outside the generators' Mobius list, as text in the slot T.
+OUTER_MAPS = ("3*T", "T/(T+1)", "T^2", "T^2+1", "T+2", "(2*T+1)/(T-1)")
+
+
+@pytest.mark.parametrize("inner", ("(x+y)/(y+z)", "(x^2+y)/(y+z^3)"))
+@pytest.mark.parametrize("outer", OUTER_MAPS)
+def test_twisted_under_any_outer_map(inner, outer):
+    _assert_twisted_with_inner(outer.replace("T", f"({inner})"), inner)
+
+
+def test_twisted_high_power():
+    _assert_twisted_with_inner("(x+y)^30/(y+z)^30", "(x+y)/(y+z)")
+
+
+def _assert_twisted_with_inner(expr: str, inner: str) -> None:
+    P = parse(expr, TRI)
+    T = parse(inner, TRI)
+    rep = classify_trivariate(P)
+    assert rep.verdict == "Twisted", (expr, rep.diagnostics)
+    f = rep.fitted
+    assert f["s"] == T
+    assert (f["r1"] + f["r2"]) / (f["r2"] + f["r3"]) == f["s"]
+    assert verify_certificate(rep.certificate, P, f["s"])
+
+
 # -- twisted cube identities -------------------------------------------------------
 
 
@@ -417,7 +447,7 @@ def test_mobius_closure_of_positive_verdicts():
     )
     for expr, want in cases:
         P = parse(expr, TRI)
-        for _, (a, b, c, d) in MOBIUS_SCHEDULE:
+        for _, (a, b, c, d) in synth.MOBIUS_SCHEDULE:
             num = P * a + b
             den = P * c + d
             if den.is_zero:
@@ -464,7 +494,7 @@ def test_fitted_s_is_dependent_with_generating_s():
     r2 = synth.splitting_part(rng, 1, max_deg=2)
     r3 = synth.splitting_part(rng, 2, max_deg=2)
     s0 = r1 + r2 + r3
-    P = synth.apply_mobius(s0, MOBIUS_SCHEDULE[4][1])
+    P = synth.apply_mobius(s0, synth.MOBIUS_SCHEDULE[4][1])
     rep = classify_trivariate(P)
     assert rep.verdict == "GroupAdditive"
     cross = dependence_certificate(rep.fitted["s"], s0, dmax=4)
