@@ -894,8 +894,8 @@ def fit_twisted(
     fit = _twisted_recover(P, fn, rng, dmax, primes, seed)
     if fit is None:
         diag["twisted_gates"] = True
-        return None
-    diag["twisted"] = True
+    else:
+        diag["twisted"] = True
     return fit
 
 
