@@ -302,6 +302,17 @@ def test_twisted_gates_reject_non_twisted_input():
     assert diag == {"twisted_gates": False}
 
 
+def _assert_twisted_with_inner(expr: str, inner: str) -> None:
+    P = parse(expr, TRI)
+    T = parse(inner, TRI)
+    rep = classify_trivariate(P)
+    assert rep.verdict == "Twisted", (expr, rep.diagnostics)
+    f = rep.fitted
+    assert f["s"] == T
+    assert (f["r1"] + f["r2"]) / (f["r2"] + f["r3"]) == f["s"]
+    assert verify_certificate(rep.certificate, P, f["s"])
+
+
 #: Outer maps q outside the generators' Mobius list, as text in the slot T.
 OUTER_MAPS = ("3*T", "T/(T+1)", "T^2", "T^2+1", "T+2", "(2*T+1)/(T-1)")
 
@@ -314,17 +325,6 @@ def test_twisted_under_any_outer_map(inner, outer):
 
 def test_twisted_high_power():
     _assert_twisted_with_inner("(x+y)^30/(y+z)^30", "(x+y)/(y+z)")
-
-
-def _assert_twisted_with_inner(expr: str, inner: str) -> None:
-    P = parse(expr, TRI)
-    T = parse(inner, TRI)
-    rep = classify_trivariate(P)
-    assert rep.verdict == "Twisted", (expr, rep.diagnostics)
-    f = rep.fitted
-    assert f["s"] == T
-    assert (f["r1"] + f["r2"]) / (f["r2"] + f["r3"]) == f["s"]
-    assert verify_certificate(rep.certificate, P, f["s"])
 
 
 # -- twisted cube identities -------------------------------------------------------
