@@ -47,7 +47,6 @@ from .ratfun import (
 )
 
 _VN = ("x", "y", "z")
-_GATE_PRIME = DEFAULT_PRIMES[0]
 #: fit_field's diagnostic suffix for each logderiv_obstruction code.
 _FIELD_OBSTRUCTION = {
     "nonzero-poly-part": "proper",
@@ -133,9 +132,6 @@ def _gradients_not_parallel(P: RatFun, s: RatFun, primes, seed: int) -> bool:
     minor vanished.
     """
     n = P.arity
-    pn, pd, sn, sd = P.num, P.den, s.num, s.den
-    dp = [(pn.derivative(i), pd.derivative(i)) for i in range(n)]
-    ds = [(sn.derivative(i), sd.derivative(i)) for i in range(n)]
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     for p in primes:
         rng = rng_for(seed, f"minors:p{p}")
@@ -143,17 +139,15 @@ def _gradients_not_parallel(P: RatFun, s: RatFun, primes, seed: int) -> bool:
         tries = 0
         while done < 4 and tries < RETRIES:
             tries += 1
-            w = [rng.randrange(1, p) for _ in range(n)]
-            pdv = pd.eval_mod(w, p)
-            sdv = sd.eval_mod(w, p)
+            w = ([rng.randrange(1, p) for _ in range(n)],)
+            (pdv, *pdg), = P.den.eval_grad_mod(w, p)
+            (sdv, *sdg), = s.den.eval_grad_mod(w, p)
             if pdv == 0 or sdv == 0:
                 continue
-            pnv = pn.eval_mod(w, p)
-            snv = sn.eval_mod(w, p)
-            gp = [(dp[i][0].eval_mod(w, p) * pdv - pnv * dp[i][1].eval_mod(w, p)) % p
-                  for i in range(n)]
-            gs = [(ds[i][0].eval_mod(w, p) * sdv - snv * ds[i][1].eval_mod(w, p)) % p
-                  for i in range(n)]
+            (pnv, *png), = P.num.eval_grad_mod(w, p)
+            (snv, *sng), = s.num.eval_grad_mod(w, p)
+            gp = [png[i] * pdv - pnv * pdg[i] for i in range(n)]
+            gs = [sng[i] * sdv - snv * sdg[i] for i in range(n)]
             for a, b in pairs:
                 if (gp[a] * gs[b] - gp[b] * gs[a]) % p:
                     return True
@@ -255,15 +249,14 @@ class _Fn:
 
     def ratio_mod(self, a: int, b: int, w, p: int) -> int:
         """(f_a / f_b)(w) mod p; PoleError on any vanishing denominator."""
-        dv = self.den.eval_mod(w, p)
+        (dv, *dg), = self.den.eval_grad_mod((w,), p)
         if dv == 0:
             raise PoleError("pole at sample point")
-        nv = self.num.eval_mod(w, p)
-        pb = (self.dnum(b).eval_mod(w, p) * dv - nv * self.dden(b).eval_mod(w, p)) % p
+        (nv, *ng), = self.num.eval_grad_mod((w,), p)
+        pb = (ng[b] * dv - nv * dg[b]) % p
         if pb == 0:
             raise PoleError("vanishing partial at sample point")
-        pa = (self.dnum(a).eval_mod(w, p) * dv - nv * self.dden(a).eval_mod(w, p)) % p
-        return pa * pow(pb, p - 2, p) % p
+        return (ng[a] * dv - nv * dg[a]) * pow(pb, p - 2, p) % p
 
     def ratio_value(self, a: int, b: int, w) -> Fraction:
         """(f_a / f_b)(w) over Q."""
@@ -315,13 +308,12 @@ def _split_partial_ratio(fn: _Fn, a: int, b: int, X: int, Y: int, rng):
     return None
 
 
-def _gate_ratio_separable(fn: _Fn, a: int, b: int, X: int, Y: int, rng, rounds: int = 2) -> bool:
+def _gate_ratio_separable(fn: _Fn, a: int, b: int, X: int, Y: int, rng, p: int, rounds: int = 2) -> bool:
     """Probe H(X,Y) H(X0,Y0) = H(X,Y0) H(X0,Y) for H = f_a/f_b mod p.
 
     An unequal residue pair is an exact disproof of separability; `rounds`
     agreeing probes are strong (not absolute) evidence for it.
     """
-    p = _GATE_PRIME
     arity = fn.num.arity
     ok = 0
     tries = 0
@@ -349,9 +341,8 @@ def _gate_ratio_separable(fn: _Fn, a: int, b: int, X: int, Y: int, rng, rounds: 
     return ok == rounds
 
 
-def _gate_value_indep(valfn, arity: int, var: int, rng, rounds: int = 2) -> bool:
+def _gate_value_indep(valfn, arity: int, var: int, rng, p: int, rounds: int = 2) -> bool:
     """Probe that a mod-p value function does not depend on one variable."""
-    p = _GATE_PRIME
     ok = 0
     tries = 0
     while ok < rounds and tries < RETRIES:
@@ -370,9 +361,9 @@ def _gate_value_indep(valfn, arity: int, var: int, rng, rounds: int = 2) -> bool
     return ok == rounds
 
 
-def _gate_ratio_indep(fn: _Fn, a: int, b: int, var: int, rng, rounds: int = 2) -> bool:
+def _gate_ratio_indep(fn: _Fn, a: int, b: int, var: int, rng, p: int, rounds: int = 2) -> bool:
     return _gate_value_indep(
-        lambda w, p: fn.ratio_mod(a, b, w, p), fn.num.arity, var, rng, rounds
+        lambda w, p: fn.ratio_mod(a, b, w, p), fn.num.arity, var, rng, p, rounds
     )
 
 
@@ -541,7 +532,7 @@ def test_2decomposed(P: RatFun) -> tuple[bool, dict[str, bool]]:
     return out, detail
 
 
-def _decomposed_detail(P: RatFun, seed: int) -> tuple[bool, dict[str, bool]]:
+def _decomposed_detail(P: RatFun, p: int, seed: int) -> tuple[bool, dict[str, bool]]:
     """test_2decomposed, or its sampled analogue when P is too large."""
     if len(P.num.ints) + len(P.den.ints) <= 60:
         return test_2decomposed(P)
@@ -550,7 +541,7 @@ def _decomposed_detail(P: RatFun, seed: int) -> tuple[bool, dict[str, bool]]:
     out = True
     for a, b in ((0, 1), (0, 2), (1, 2)):
         rng = rng_for(seed, f"2dec:{a}{b}")
-        ok = _gate_ratio_separable(fn, a, b, a, b, rng)
+        ok = _gate_ratio_separable(fn, a, b, a, b, rng, p)
         detail[f"2dec_{_VN[a]}{_VN[b]}"] = ok
         out = out and ok
     return out, detail
@@ -575,10 +566,10 @@ def fit_group(
     fn = _Fn(P)
     rng = rng_for(seed, "fit-group")
     for a, b, c in ((0, 1, 2), (1, 2, 0), (0, 2, 1)):
-        if not _gate_ratio_separable(fn, a, b, a, b, rng):
+        if not _gate_ratio_separable(fn, a, b, a, b, rng, primes[0]):
             diag[f"group_sep_{_VN[a]}{_VN[b]}"] = False
             return None
-        if not _gate_ratio_indep(fn, a, b, c, rng):
+        if not _gate_ratio_indep(fn, a, b, c, rng, primes[0]):
             diag[f"group_indep_{_VN[a]}{_VN[b]}"] = False
             return None
     pair1 = _split_partial_ratio(fn, 0, 1, 0, 1, rng)
@@ -682,8 +673,8 @@ def fit_field(
         j, l = (t for t in range(3) if t != i)
         tag = f"field_pivot_{_VN[i]}"
         rng = rng_for(seed, f"fit-field:{i}")
-        if not (_gate_ratio_separable(fn, j, l, j, l, rng)
-                and _gate_ratio_indep(fn, j, l, i, rng)):
+        if not (_gate_ratio_separable(fn, j, l, j, l, rng, primes[0])
+                and _gate_ratio_indep(fn, j, l, i, rng, primes[0])):
             diag[f"{tag}_gates"] = False
             continue
         pair = _split_partial_ratio(fn, j, l, j, l, rng)
@@ -713,7 +704,8 @@ def fit_field(
                 raise PoleError("inner sum vanishes at sample point")
             return t * pow(bv, p - 2, p) % p
 
-        if not (_gate_value_indep(kval, 3, j, rng) and _gate_value_indep(kval, 3, l, rng)):
+        if not (_gate_value_indep(kval, 3, j, rng, primes[0])
+                and _gate_value_indep(kval, 3, l, rng, primes[0])):
             diag[f"{tag}_pivot_ratio_independent"] = False
             continue
         khat = None
@@ -770,21 +762,20 @@ def fit_field(
     return None
 
 
-def _twisted_g(fn: _Fn, ev):
-    """(g, delta) of f = N/D with every polynomial read through ev.
+def _twisted_g(fn: _Fn, grad):
+    """(g, delta) of f = N/D with every polynomial read through grad.
 
     g[i] = N_i D - N D_i is the numerator of f_i and delta = (g_x)_y g_z -
-    g_x (g_z)_y the numerator of the y-derivative of log(f_x/f_z).  ev maps
-    a polynomial to a value (a residue, an exact restriction to a line, or
-    a first-order expansion in y) and the arithmetic runs in that ring.
+    g_x (g_z)_y the numerator of the y-derivative of log(f_x/f_z).  grad
+    maps a polynomial to its value and x, y and z partials in one ring (a
+    residue, an exact restriction to a line, or a first-order expansion in
+    y) and the arithmetic runs in that ring.
     """
-    n, d = ev(fn.num), ev(fn.den)
-    g = [ev(fn.dnum(i)) * d - n * ev(fn.dden(i)) for i in range(3)]
-    ny, dy = ev(fn.dnum(1)), ev(fn.dden(1))
-    gx_y, gz_y = (
-        ev(fn.dnum(i, 1)) * d + ev(fn.dnum(i)) * dy - ny * ev(fn.dden(i)) - n * ev(fn.dden(i, 1))
-        for i in (0, 2)
-    )
+    (n, *nd), (d, *dd) = grad(fn.num), grad(fn.den)
+    (_, nyx, _, nyz), (_, dyx, _, dyz) = grad(fn.dnum(1)), grad(fn.dden(1))
+    g = [nd[i] * d - n * dd[i] for i in range(3)]
+    gx_y = nyx * d + nd[0] * dd[1] - nd[1] * dd[0] - n * dyx
+    gz_y = nyz * d + nd[2] * dd[1] - nd[1] * dd[2] - n * dyz
     return g, gx_y * g[2] - g[0] * gz_y
 
 
@@ -795,7 +786,7 @@ def _twisted_logpartial_mod(fn: _Fn, i: int):
     (log T)_x = -delta/(g_y g_z) and (log T)_z = -delta/(g_y g_x).
     """
     def val(w, p):
-        g, delta = _twisted_g(fn, lambda f: f.eval_mod(w, p))
+        g, delta = _twisted_g(fn, lambda f: f.eval_grad_mod((w,), p)[0])
         den = g[1] * g[2 - i] % p
         if den == 0:
             raise PoleError("vanishing partial at sample point")
@@ -826,14 +817,17 @@ def _twisted_recover(P, fn, rng, dmax, primes, seed):
     """
     eps = Poly.variable(1, 3)
 
+    def exact(ev):
+        return lambda f: [ev(f)] + [ev(f.derivative(i)) for i in range(3)]
+
     def jet(vals):
-        return lambda f: f.subs_scalars(vals) + eps * f.derivative(1).subs_scalars(vals)
+        return exact(lambda f: f.subs_scalars(vals) + eps * f.derivative(1).subs_scalars(vals))
 
     for _ in range(8):
         cx, cy, cz = (Fraction(rng.randrange(2, 98)) for _ in range(3))
         try:
             vxz = {0: cx, 2: cz}
-            g, delta = _twisted_g(fn, lambda f: f.subs_scalars(vxz))
+            g, delta = _twisted_g(fn, exact(lambda f: f.subs_scalars(vxz)))
             if delta.is_zero:
                 continue
             u = RatFun(-(g[1] * g[2]), delta).partial(1)
@@ -887,8 +881,8 @@ def fit_twisted(
     diag = diagnostics if diagnostics is not None else {}
     fn = _Fn(P)
     rng = rng_for(seed, "fit-twisted:t")
-    if not (_gate_value_indep(_twisted_logpartial_mod(fn, 0), 3, 2, rng)
-            and _gate_value_indep(_twisted_logpartial_mod(fn, 2), 3, 0, rng)):
+    if not (_gate_value_indep(_twisted_logpartial_mod(fn, 0), 3, 2, rng, primes[0])
+            and _gate_value_indep(_twisted_logpartial_mod(fn, 2), 3, 0, rng, primes[0])):
         diag["twisted_gates"] = False
         return None
     fit = _twisted_recover(P, fn, rng, dmax, primes, seed)
@@ -1035,7 +1029,7 @@ def classify_trivariate(
     if d == 5:
         diag["partial_constraint_dim5"] = True
         return FormReport("Unresolved", None, None, diag)
-    two, detail = _decomposed_detail(P, seed)
+    two, detail = _decomposed_detail(P, primes[0], seed)
     diag.update(detail)
     diag["2decomposed"] = two
     return FormReport("Unresolved", None, None, diag)

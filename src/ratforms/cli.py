@@ -9,8 +9,11 @@ produce byte-identical output.
 Exit status: 0 when every verdict is decisive (including no-constraint and
 degenerate), 2 when any function is unresolved or the rank sampling is
 inconclusive, 1 on usage or parse errors.  An input with a coefficient
-whose denominator a sampling prime divides has no image modulo that prime;
-it is reported unresolved with a ``bad_prime`` diagnostic naming the prime.
+whose denominator a sampling prime divides has no image modulo that prime,
+so that prime is replaced by the next lower prime that divides no
+coefficient denominator; the report lists the primes used.  A fitted
+function with such a coefficient is reported unresolved with a
+``bad_prime`` diagnostic naming the prime.
 An input whose analysis raises is reported unresolved with an ``error``
 diagnostic naming the exception, and the other inputs are still analyzed.
 """
@@ -132,6 +135,18 @@ def _empty_report(expr: str, names: tuple[str, ...], seed: int, primes) -> dict:
     }
 
 
+def _sampling_primes(primes: tuple[int, ...], den: int) -> tuple[int, ...]:
+    """primes without the divisors of den, topped up with the next lower
+    primes that do not divide it; descending, like primes."""
+    kept = [p for p in primes if den % p]
+    q = min(primes)
+    while len(kept) < len(primes):
+        (q,) = primes_below(q, 1)
+        if den % q:
+            kept.append(q)
+    return tuple(kept)
+
+
 def analyze_function(
     expr: str,
     names: tuple[str, ...],
@@ -147,6 +162,7 @@ def analyze_function(
     """
     f = parse(expr, names)
     n = len(names)
+    primes = _sampling_primes(primes, f.num.content.denominator * f.den.content.denominator)
     report = _empty_report(expr, names, seed, primes)
     if not is_nondegenerate(f):
         report["nondegenerate"] = False

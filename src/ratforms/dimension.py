@@ -68,115 +68,37 @@ def doubling_map(f: RatFun) -> DoublingMap:
     return DoublingMap(f=f, n=n, components=tuple(comps))
 
 
-def _nest(terms: list[tuple[tuple[int, ...], int]], level: int, n: int) -> list:
-    """Terms grouped by their exponent of x_level, then of x_level+1, ...
-
-    The last level holds (exponent, coefficient) pairs; every other level
-    holds (exponent, nested subpolynomial) pairs.
-    """
-    if level == n - 1:
-        return [(e[level], c) for e, c in terms]
-    groups: dict[int, list] = {}
-    for e, c in terms:
-        groups.setdefault(e[level], []).append((e, c))
-    return [(k, _nest(sub, level + 1, n)) for k, sub in groups.items()]
-
-
-def _value_and_gradient(node: list, level: int, tables, n: int) -> list[list[int]]:
-    """[value, d/dx_level, ..., d/dx_(n-1)] of a nested polynomial, unreduced.
-
-    One entry per choice of copies for x_level..x_(n-1): bit k of the index
-    picks the 1-copy of x_(level+k).  tables[i][copy] holds the powers x^e
-    and the derivatives e*x^(e-1) of that copy's coordinate, so a zero
-    coordinate needs no special case.  A subpolynomial is walked once for
-    both copies of its variable and shared by every choice of the ones above.
-    """
-    if level == n - 1:
-        (a0, d0), (a1, d1) = tables[level]
-        v0 = g0 = v1 = g1 = 0
-        for e, c in node:
-            v0 += c * a0[e]
-            g0 += c * d0[e]
-            v1 += c * a1[e]
-            g1 += c * d1[e]
-        return [[v0, g0], [v1, g1]]
-    out = [[0] * (n - level + 1) for _ in range(2 << (n - level - 1))]
-    for e, child in node:
-        sub = _value_and_gradient(child, level + 1, tables, n)
-        for copy, (a, d) in enumerate(tables[level]):
-            ae, de = a[e], d[e]
-            for k, (cv, *cg) in enumerate(sub):
-                acc = out[copy | k << 1]
-                acc[0] += ae * cv
-                acc[1] += de * cv
-                for j, x in enumerate(cg, 2):
-                    acc[j] += ae * x
-    return out
-
-
-class _JacobianEvaluator:
-    """Evaluates the doubling-map Jacobian at points mod p.
+def _jacobian_rows(f: RatFun, w: list[int], p: int) -> list[list[int]] | None:
+    """The doubling-map Jacobian of f at w mod p, or None at a pole.
 
     Row b of the Jacobian is supported on columns i + n*bit_i(b) only, and
-    the entry there is (dr/dx_i) at the b-renamed sub-point, so the value
-    and partials of num and den at the 2^n sub-points give every row.  Per
-    prime, num and den are compiled once into nested coefficient lists
-    (see _nest); one walk of each then yields all 2^n values and gradients.
+    the entry there is (df/dx_i) at the b-renamed sub-point, so the value
+    and partials of num and den at the 2^n sub-points give every row: one
+    walk of each compiled form (Poly.eval_grad_mod) over the two copies.
     """
-
-    def __init__(self, dm: DoublingMap):
-        f = dm.f
-        self.n = dm.n
-        self.polys = (f.num, f.den)
-        self.maxdeg = [max(f.num.degree_in(i), f.den.degree_in(i)) for i in range(dm.n)]
-        self.compiled: dict[int, tuple[list, list]] = {}
-
-    def _compile(self, p: int) -> tuple[list, list]:
-        nested = self.compiled.get(p)
-        if nested is None:
-            nested = tuple(
-                _nest(list(q.mod_terms(p).items()), 0, self.n) for q in self.polys
-            )
-            self.compiled[p] = nested
-        return nested
-
-    def rows_at(self, w: list[int], p: int) -> list[list[int]] | None:
-        n = self.n
-        num, den = self._compile(p)
-        tables = []
+    n = f.arity
+    copies = (w[:n], w[n:])
+    dens = f.den.eval_grad_mod(copies, p)
+    if any(d[0] == 0 for d in dens):
+        return None
+    nums = f.num.eval_grad_mod(copies, p)
+    rows: list[list[int]] = []
+    for b in range(1 << n):
+        dv, *dg = dens[b]
+        nv, *ng = nums[b]
+        inv2 = inv_mod(dv * dv, p)
+        row = [0] * (2 * n)
         for i in range(n):
-            deg = self.maxdeg[i]
-            copies = []
-            for slot in (i, i + n):
-                x = w[slot] % p
-                pw = [1] * (deg + 1)
-                dpw = [0] * (deg + 1)
-                for e in range(1, deg + 1):
-                    dpw[e] = e * pw[e - 1] % p
-                    pw[e] = pw[e - 1] * x % p
-                copies.append((pw, dpw))
-            tables.append(copies)
-        dens = _value_and_gradient(den, 0, tables, n)
-        if any(d[0] % p == 0 for d in dens):
-            return None
-        nums = _value_and_gradient(num, 0, tables, n)
-        rows: list[list[int]] = []
-        for b in range(1 << n):
-            dv, *dg = (v % p for v in dens[b])
-            nv, *ng = (v % p for v in nums[b])
-            inv2 = inv_mod(dv * dv, p)
-            row = [0] * (2 * n)
-            for i in range(n):
-                row[i + n * ((b >> i) & 1)] = (ng[i] * dv - nv * dg[i]) * inv2 % p
-            rows.append(row)
-        return rows
+            row[i + n * ((b >> i) & 1)] = (ng[i] * dv - nv * dg[i]) * inv2 % p
+        rows.append(row)
+    return rows
 
 
-def _rank_at_random(ev: _JacobianEvaluator, p: int, rng) -> int | None:
-    arity = 2 * ev.n
+def _rank_at_random(f: RatFun, p: int, rng) -> int | None:
+    arity = 2 * f.arity
     for _ in range(RETRIES):
         w = [rng.randrange(1, p) for _ in range(arity)]
-        rows = ev.rows_at(w, p)
+        rows = _jacobian_rows(f, w, p)
         if rows is not None:
             return rank_mod(rows, p)
     return None
@@ -196,7 +118,6 @@ def generic_rank(
     so full rank is already proof.
     """
     full = dm.ambient_arity
-    ev = _JacobianEvaluator(dm)
     for attempt in range(2):
         ns = samples << attempt
         best = 0
@@ -204,7 +125,7 @@ def generic_rank(
         for p in primes:
             rng = rng_for(seed, f"rank:a{attempt}:p{p}")
             for _ in range(ns):
-                r = _rank_at_random(ev, p, rng)
+                r = _rank_at_random(dm.f, p, rng)
                 if r is None:
                     continue
                 saw_point = True
@@ -222,7 +143,7 @@ def generic_rank(
         for p in primes:
             rng = rng_for(seed, f"rank-confirm:a{attempt}:p{p}")
             for _ in range(confirm):
-                r = _rank_at_random(ev, p, rng)
+                r = _rank_at_random(dm.f, p, rng)
                 if r is None:
                     continue
                 checked += 1

@@ -1,5 +1,6 @@
 """Modular-arithmetic utilities: primality, prime selection, CRT and
-rational reconstruction, plus deterministic seed derivation.
+rational reconstruction, univariate interpolation and division and row
+reduction over GF(p), plus deterministic seed derivation.
 
 Everything here is deterministic.  Randomized callers derive their RNG
 from (seed, label) pairs via :func:`derive_seed` so that identical
@@ -108,6 +109,52 @@ def derive_seed(seed: int, label: str) -> int:
 def rng_for(seed: int, label: str) -> random.Random:
     """Deterministic per-purpose RNG; independent labels give independent streams."""
     return random.Random(derive_seed(seed, label))
+
+
+def _trim(f: list[int]) -> list[int]:
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _eval_uni_mod(f: list[int], t: int, p: int) -> int:
+    v = 0
+    for c in reversed(f):
+        v = (v * t + c) % p
+    return v
+
+
+def _interpolate_mod(ts: list[int], vs: list[int], p: int) -> list[int]:
+    """The polynomial of degree < len(ts) through the points (t_i, v_i)."""
+    n = len(ts)
+    dd = list(vs)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) * pow(ts[i] - ts[i - k], -1, p) % p
+    out: list[int] = []
+    for k in range(n - 1, -1, -1):
+        # Horner on the Newton form: out <- out * (t - t_k) + dd[k]
+        nxt = [0] + out
+        for i, c in enumerate(out):
+            nxt[i] = (nxt[i] - ts[k] * c) % p
+        nxt[0] = (nxt[0] + dd[k]) % p
+        out = nxt
+    return _trim(out)
+
+
+def _divmod_mod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of f by the nonzero g over GF(p)."""
+    r = list(f)
+    dg = len(g) - 1
+    inv = pow(g[-1], -1, p)
+    q = [0] * max(0, len(r) - dg)
+    for k in range(len(r) - 1, dg - 1, -1):
+        c = r[k] * inv % p
+        if c:
+            q[k - dg] = c
+            for j in range(dg + 1):
+                r[k - dg + j] = (r[k - dg + j] - c * g[j]) % p
+    return _trim(q), _trim(r[:dg])
 
 
 def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:

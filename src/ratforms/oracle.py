@@ -17,13 +17,17 @@ from functools import partial
 
 from .modular import (
     DEFAULT_PRIMES,
+    _divmod_mod,
+    _eval_uni_mod,
+    _interpolate_mod,
+    _trim,
     crt_pair,
     nullspace_vector_mod,
     primes_below,
     rational_reconstruct,
     rng_for,
 )
-from .poly import Poly, _conv_mod, divexact, grlex_key
+from .poly import Poly, divexact, grlex_key
 from .ratfun import RatFun, compose_numerator, pole_free_values
 from .dimension import DoublingMap
 
@@ -232,56 +236,20 @@ def _lift_and_verify(fs, monos, nprimes, pool, solve):
 _CONFIRM_POINTS = 3
 
 
-def _trim(f: list[int]) -> list[int]:
-    while f and not f[-1]:
-        f.pop()
-    return f
+def _conv_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = (out[i + j] + x * y) % p
+    return out
 
 
 def _sub_mod(f: list[int], g: list[int], p: int) -> list[int]:
     n = max(len(f), len(g))
     f, g = f + [0] * (n - len(f)), g + [0] * (n - len(g))
     return _trim([(a - b) % p for a, b in zip(f, g)])
-
-
-def _divmod_mod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of f by the nonzero g over GF(p)."""
-    r = list(f)
-    dg = len(g) - 1
-    inv = pow(g[-1], -1, p)
-    q = [0] * max(0, len(r) - dg)
-    for k in range(len(r) - 1, dg - 1, -1):
-        c = r[k] * inv % p
-        if c:
-            q[k - dg] = c
-            for j in range(dg + 1):
-                r[k - dg + j] = (r[k - dg + j] - c * g[j]) % p
-    return _trim(q), _trim(r[:dg])
-
-
-def _eval_uni_mod(f: list[int], t: int, p: int) -> int:
-    v = 0
-    for c in reversed(f):
-        v = (v * t + c) % p
-    return v
-
-
-def _interpolate_mod(ts: list[int], vs: list[int], p: int) -> list[int]:
-    """The polynomial of degree < len(ts) through the points (t_i, v_i)."""
-    n = len(ts)
-    dd = list(vs)
-    for k in range(1, n):
-        for i in range(n - 1, k - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) * pow(ts[i] - ts[i - k], -1, p) % p
-    out: list[int] = []
-    for k in range(n - 1, -1, -1):
-        # Horner on the Newton form: out <- out * (t - t_k) + dd[k]
-        nxt = [0] + out
-        for i, c in enumerate(out):
-            nxt[i] = (nxt[i] - ts[k] * c) % p
-        nxt[0] = (nxt[0] + dd[k]) % p
-        out = nxt
-    return _trim(out)
 
 
 def _cauchy_mod(pts: list[list[int]], m: int, p: int) -> dict | None:

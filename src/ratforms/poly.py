@@ -25,6 +25,8 @@ from math import gcd as igcd
 from operator import add as _add
 from types import MappingProxyType
 
+from .modular import _divmod_mod, _interpolate_mod
+
 Term = tuple[int, ...]
 
 # RNG for the gcd fast paths.  Fixed seed: the *result* of every gcd is
@@ -99,15 +101,6 @@ def _int_content(a: dict) -> int:
     return g or 1
 
 
-def _max_exps(a: dict, arity: int) -> list[int]:
-    mx = [0] * arity
-    for e in a:
-        for i, v in enumerate(e):
-            if v > mx[i]:
-                mx[i] = v
-    return mx
-
-
 def _deg_in(a: dict, i: int) -> int:
     d = 0
     for e in a:
@@ -173,59 +166,112 @@ def _idivexact(f: dict, h: dict, step_cap: int = 200000) -> dict | None:
 
 
 # ---------------------------------------------------------------------------
+# the compiled modular form: values and first partials mod p
+# ---------------------------------------------------------------------------
+
+
+def _nest(terms: list[tuple[Term, int]], level: int, n: int) -> list:
+    """Terms grouped by their exponent of x_level, then of x_level+1, ...
+
+    The last level holds (exponent, coefficient) pairs; every other level
+    holds (exponent, nested subpolynomial) pairs.
+    """
+    if level == n - 1:
+        return [(e[level], c) for e, c in terms]
+    groups: dict[int, list] = {}
+    for e, c in terms:
+        groups.setdefault(e[level], []).append((e, c))
+    return [(k, _nest(sub, level + 1, n)) for k, sub in groups.items()]
+
+
+def _tables(degs: list[int], points, p: int) -> list[list[tuple[list[int], list[int]]]]:
+    """Per variable, one entry per point: the powers x^e and the derivatives
+    e*x^(e-1) mod p of its coordinate x, for e up to the variable's degree."""
+    tables = []
+    for i, deg in enumerate(degs):
+        copies = []
+        for point in points:
+            x = point[i] % p
+            pw = [1] * (deg + 1)
+            dpw = [0] * (deg + 1)
+            for e in range(1, deg + 1):
+                dpw[e] = e * pw[e - 1] % p
+                pw[e] = pw[e - 1] * x % p
+            copies.append((pw, dpw))
+        tables.append(copies)
+    return tables
+
+
+def _value(node: list, level: int, tables) -> int:
+    """Value of a nested polynomial at the first point of tables, unreduced."""
+    row = tables[level][0][0]
+    acc = 0
+    if level == len(tables) - 1:
+        for e, c in node:
+            acc += c * row[e]
+    else:
+        for e, child in node:
+            acc += row[e] * _value(child, level + 1, tables)
+    return acc
+
+
+def _value_and_gradient(node: list, level: int, tables, n: int) -> list[list[int]]:
+    """[value, d/dx_level, ..., d/dx_(n-1)] of a nested polynomial, unreduced.
+
+    tables[i] holds one entry per copy of x_i (one or two, the same count m
+    at every level): the powers x^e and the derivatives e*x^(e-1) of that
+    copy's coordinate, so a zero coordinate needs no special case.  There is
+    one result per choice of copies for x_level..x_(n-1); in index
+    sum_k c_k * m^k, c_k picks the copy of x_(level+k).  A subpolynomial is
+    walked once for every copy of its variable and shared by every choice
+    of the ones above.
+    """
+    copies = tables[level]
+    if level == n - 1:
+        out = []
+        for a, d in copies:
+            v = g = 0
+            for e, c in node:
+                v += c * a[e]
+                g += c * d[e]
+            out.append([v, g])
+        return out
+    m = len(copies)
+    width = n - level + 1
+    out = [[0] * width for _ in range(m ** (n - level))]
+    for e, child in node:
+        sub = _value_and_gradient(child, level + 1, tables, n)
+        for copy, (a, d) in enumerate(copies):
+            ae, de = a[e], d[e]
+            for k, sv in enumerate(sub):
+                acc = out[copy + m * k]
+                cv = sv[0]
+                acc[0] += ae * cv
+                acc[1] += de * cv
+                for j in range(2, width):
+                    acc[j] += ae * sv[j - 1]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # gcd: line-test fast path, heuristic gcd, subresultant PRS fallback
 # ---------------------------------------------------------------------------
 
 
-def _conv_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = (out[i + j] + x * y) % p
-    return out
+def _line_image(f: "Poly", avec, bvec, p: int) -> list[int]:
+    """f restricted to the line x_i = a_i t + b_i, as a coeff list mod p.
 
-
-def _line_image(f: dict, avec, bvec, p: int, arity: int) -> list[int] | None:
-    """f restricted to the line x_i = a_i t + b_i, as a coeff list mod p."""
-    mx = _max_exps(f, arity)
-    pows: list[list[list[int]]] = []
-    for i in range(arity):
-        base = [bvec[i] % p, avec[i] % p]
-        cur = [[1]]
-        for _ in range(mx[i]):
-            cur.append(_conv_mod(cur[-1], base, p))
-        pows.append(cur)
-    acc = [0] * (_total_deg(f) + 1)
-    for e, c in f.items():
-        conv = [c % p]
-        for i, ei in enumerate(e):
-            if ei:
-                conv = _conv_mod(conv, pows[i][ei], p)
-        for j, v in enumerate(conv):
-            if v:
-                acc[j] = (acc[j] + v) % p
-    while acc and acc[-1] == 0:
-        acc.pop()
-    return acc
+    The restriction has degree at most deg f, so its values at t = 0..deg f
+    determine it.
+    """
+    ts = list(range(f.total_degree() + 1))
+    return _interpolate_mod(ts, [f.eval_mod([a * t + b for a, b in zip(avec, bvec)], p) for t in ts], p)
 
 
 def _uni_gcd_mod(a: list[int], b: list[int], p: int) -> int:
     """Degree of gcd of two univariate coeff lists over GF(p)."""
-    a, b = a[:], b[:]
     while b:
-        inv = pow(b[-1], p - 2, p)
-        while len(a) >= len(b):
-            f = a[-1] * inv % p
-            off = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[off + i] = (a[off + i] - f * c) % p
-            while a and a[-1] == 0:
-                a.pop()
-            if not a:
-                break
-        a, b = b, a
+        a, b = b, _divmod_mod(a, b, p)[1]
     return len(a) - 1
 
 
@@ -241,13 +287,14 @@ def _line_coprime(f: dict, g: dict, arity: int) -> bool:
     if df == 0 or dg == 0:
         return True
     p = _LINE_P
+    fp, gp = Poly._make(f, _ONE, arity), Poly._make(g, _ONE, arity)
     for _ in range(2):
         avec = [_GCD_RNG.randrange(1, p) for _ in range(arity)]
         bvec = [_GCD_RNG.randrange(0, p) for _ in range(arity)]
-        fu = _line_image(f, avec, bvec, p, arity)
+        fu = _line_image(fp, avec, bvec, p)
         if len(fu) - 1 != df:
             continue
-        gu = _line_image(g, avec, bvec, p, arity)
+        gu = _line_image(gp, avec, bvec, p)
         if len(gu) - 1 != dg:
             continue
         if _uni_gcd_mod(fu, gu, p) == 0:
@@ -783,44 +830,42 @@ class Poly:
     def eval_q(self, point) -> Fraction:
         return self.subs_scalars(dict(enumerate(point))).constant_value()
 
-    def mod_terms(self, p: int) -> dict[Term, int]:
+    def _compiled(self, p: int) -> tuple[list, list[int]]:
+        """The residues mod p nested by variable (see _nest), and the degree
+        in each variable; built once per prime."""
         mods = self._mods
         if mods is None:
             mods = {}
             object.__setattr__(self, "_mods", mods)
-        cached = mods.get(p)
-        if cached is None:
-            cont = self.content
-            den = cont.denominator % p
+        compiled = mods.get(p)
+        if compiled is None:
+            den = self.content.denominator % p
             if den == 0:
                 raise BadPrimeError(p)
-            scale = cont.numerator * pow(den, p - 2, p) % p
-            cached = {}
+            scale = self.content.numerator * pow(den, -1, p) % p
+            terms = []
             for e, c in self.ints.items():
                 v = c * scale % p
                 if v:
-                    cached[e] = v
-            mods[p] = cached
-        return cached
+                    terms.append((e, v))
+            degs = [_deg_in(self.ints, i) for i in range(self.arity)]
+            compiled = mods[p] = (_nest(terms, 0, self.arity), degs)
+        return compiled
 
     def eval_mod(self, point, p: int) -> int:
-        terms = self.mod_terms(p)
-        mx = _max_exps(terms, self.arity)
-        pows = []
-        for i in range(self.arity):
-            row = [1]
-            x = point[i] % p
-            for _ in range(mx[i]):
-                row.append(row[-1] * x % p)
-            pows.append(row)
-        acc = 0
-        for e, c in terms.items():
-            v = c
-            for i, ei in enumerate(e):
-                if ei:
-                    v = v * pows[i][ei] % p
-            acc = (acc + v) % p
-        return acc
+        """Value mod p at an integer point; BadPrimeError when p divides the content's denominator."""
+        nested, degs = self._compiled(p)
+        return _value(nested, 0, _tables(degs, (point,), p)) % p
+
+    def eval_grad_mod(self, points, p: int) -> list[list[int]]:
+        """[value, d/dx_0, ..., d/dx_(n-1)] mod p at each mixture of one or two points.
+
+        Entry k takes x_i from points[bit i of k]; with one point there is
+        one entry.  One walk of the compiled form gives them all.
+        """
+        nested, degs = self._compiled(p)
+        rows = _value_and_gradient(nested, 0, _tables(degs, points, p), self.arity)
+        return [[v % p for v in row] for row in rows]
 
     # -- formatting -----------------------------------------------------------
 

@@ -284,24 +284,50 @@ def test_failing_input_does_not_abort_the_batch(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "names, expr, extra, prime",
+    "names, expr, extra, primes",
     [
-        ("x,y,z", "x/2147483647 + y + z", [], 2147483647),
-        ("x,y", "x/251 + y", ["--prime-bits", "8"], 251),
+        ("x,y,z", "x/2147483647 + y + z", [], [2147483629, 2147483587]),
+        ("x,y", "x/251 + y", ["--prime-bits", "8"], [241, 239]),
     ],
+    ids=["trivariate-31-bit", "bivariate-8-bit"],
 )
-def test_coefficient_denominator_divisible_by_a_prime_is_unresolved(
-    capsys, names, expr, extra, prime
+def test_a_prime_dividing_a_coefficient_denominator_is_replaced(
+    capsys, names, expr, extra, primes
 ):
     code = main(["--vars", names, "--function", expr, "--format", "json"] + extra)
     captured = capsys.readouterr()
     (rep,) = json.loads(captured.out)
-    assert code == 2
-    assert prime in rep["primes"]
-    assert rep["verdict"] == "unresolved"
-    assert rep["diagnostics"] == {"bad_prime": prime}
-    assert list(rep.keys()) == SCHEMA_KEYS
+    assert code == 0
+    assert rep["primes"] == primes
+    assert rep["verdict"] == "group-additive"
+    assert rep["certificate"]["annihilator"] == "p - q"
     assert captured.err == ""
+
+
+def test_gates_sample_modulo_the_first_sampling_prime(capsys):
+    # 2147483647 divides a coefficient denominator but is no 30-bit prime,
+    # so no gate may sample modulo it
+    code, (rep,) = _run_json(
+        capsys,
+        ["--vars", "x,y,z", "--function", "x/2147483647 + y + z", "--prime-bits", "30"],
+    )
+    assert code == 0
+    assert rep["primes"] == [1073741789, 1073741783]
+    assert rep["verdict"] == "group-additive"
+
+
+def test_bad_prime_in_a_fitted_function_is_unresolved(capsys):
+    # the input has no denominator, but at 4 bits the certificate search
+    # also samples modulo 7, 5, 3 and 2, and a fitted part has a 5 in a
+    # coefficient denominator
+    code, (rep,) = _run_json(
+        capsys, ["--vars", "x,y", "--function", "x^2 + y^2", "--prime-bits", "4"]
+    )
+    assert code == 2
+    assert rep["primes"] == [13, 11]
+    assert rep["verdict"] == "unresolved"
+    assert rep["diagnostics"] == {"bad_prime": 5}
+    assert list(rep.keys()) == SCHEMA_KEYS
 
 
 def test_coefficient_denominator_coprime_to_the_primes_classifies(capsys):

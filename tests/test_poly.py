@@ -9,7 +9,15 @@ from math import gcd
 
 import pytest
 
-from ratforms.poly import BadPrimeError, Poly, divexact, grlex_key, poly_gcd
+from ratforms.poly import (
+    BadPrimeError,
+    Poly,
+    _line_coprime,
+    _line_image,
+    divexact,
+    grlex_key,
+    poly_gcd,
+)
 
 
 def _p(expr: str, names: tuple[str, ...]) -> Poly:
@@ -325,10 +333,84 @@ def test_terms_view_is_read_only():
     assert q.terms == {(1,): Fraction(2, 3)}
 
 
-def test_mod_terms_rejects_a_prime_dividing_a_denominator():
+def test_compiled_form_rejects_a_prime_dividing_a_denominator():
     q = Poly({(1, 0): Fraction(1, 14), (0, 1): Fraction(1)}, 2)
-    assert q.mod_terms(5) == {(1, 0): pow(14, -1, 5), (0, 1): 1}
-    with pytest.raises(BadPrimeError) as info:
-        q.mod_terms(7)
-    assert info.value.prime == 7
-    assert isinstance(info.value, ArithmeticError)
+    assert q.eval_mod((3, 2), 5) == (3 * pow(14, -1, 5) + 2) % 5
+    for evaluate in (q.eval_mod, lambda w, p: q.eval_grad_mod((w,), p)):
+        with pytest.raises(BadPrimeError) as info:
+            evaluate((3, 2), 7)
+        assert info.value.prime == 7
+        assert isinstance(info.value, ArithmeticError)
+
+
+# ---------------------------------------------------------------------------
+# the compiled modular form and the gcd line test
+# ---------------------------------------------------------------------------
+
+
+def _residue(v: Fraction, p: int) -> int:
+    return v.numerator * pow(v.denominator, -1, p) % p
+
+
+def _exact_jet(q: Poly, point, p: int) -> list[int]:
+    qpoint = [Fraction(x) for x in point]
+    return [_residue(f.eval_q(qpoint), p) for f in [q] + [q.derivative(i) for i in range(q.arity)]]
+
+
+def test_compiled_values_and_partials_match_exact_derivatives():
+    rng = random.Random(21)
+    p = 1000003
+    for arity in range(1, 7):
+        for _ in range(10):
+            content = Fraction(rng.randint(1, 40), rng.choice([1, 3, 7, 10]))
+            q = Poly(_random_terms(rng, arity), arity).scale(content)
+            points = [[rng.randrange(p) for _ in range(arity)] for _ in range(2)]
+            points[0][rng.randrange(arity)] = 0
+            for point in points:
+                want = _exact_jet(q, point, p)
+                assert q.eval_mod(point, p) == want[0]
+                assert q.eval_grad_mod((point,), p) == [want]
+            # with two points, entry k takes x_i from points[bit i of k]
+            rows = q.eval_grad_mod(points, p)
+            assert len(rows) == 1 << arity
+            for k, row in enumerate(rows):
+                mixed = [points[(k >> i) & 1][i] for i in range(arity)]
+                assert row == _exact_jet(q, mixed, p)
+
+
+def test_line_image_is_the_exact_restriction_to_the_line():
+    rng = random.Random(22)
+    p = 1000003
+    t = Poly.variable(0, 1)
+    for arity in range(1, 4):
+        for _ in range(20):
+            q = Poly(_random_terms(rng, arity), arity)
+            avec = [rng.randrange(1, p) for _ in range(arity)]
+            bvec = [rng.randrange(p) for _ in range(arity)]
+            line = [t.scale(a) + b for a, b in zip(avec, bvec)]
+            restriction = Poly.zero(1)
+            for e, c in q.terms.items():
+                term = Poly.const(c, 1)
+                for x, k in zip(line, e):
+                    term = term * x ** k
+                restriction = restriction + term
+            want = [_residue(restriction.terms.get((j,), Fraction(0)), p)
+                    for j in range(q.total_degree() + 1)]
+            while want and not want[-1]:
+                want.pop()
+            assert _line_image(q, avec, bvec, p) == want
+
+
+def test_line_coprime_never_claims_coprime_for_a_shared_factor():
+    rng = random.Random(23)
+    shared = 0
+    for _ in range(60):
+        arity = rng.randint(1, 3)
+        g, a, b = (Poly(_random_terms(rng, arity), arity) for _ in range(3))
+        if g.total_degree() == 0 or a.is_zero or b.is_zero:
+            continue
+        shared += 1
+        assert not _line_coprime((g * a).ints, (g * b).ints, arity)
+    assert shared >= 20
+    names = ("x", "y")
+    assert _line_coprime(_p("x + y", names).ints, _p("x*y + 1", names).ints, 2)
