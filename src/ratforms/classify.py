@@ -308,7 +308,9 @@ def _split_partial_ratio(fn: _Fn, a: int, b: int, X: int, Y: int, rng):
     return None
 
 
-def _gate_ratio_separable(fn: _Fn, a: int, b: int, X: int, Y: int, rng, p: int, rounds: int = 2) -> bool:
+def _gate_ratio_separable(
+    fn: _Fn, a: int, b: int, X: int, Y: int, rng, p: int, rounds: int = 2
+) -> bool:
     """Probe H(X,Y) H(X0,Y0) = H(X,Y0) H(X0,Y) for H = f_a/f_b mod p.
 
     An unequal residue pair is an exact disproof of separability; `rounds`

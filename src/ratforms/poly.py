@@ -265,7 +265,8 @@ def _line_image(f: "Poly", avec, bvec, p: int) -> list[int]:
     determine it.
     """
     ts = list(range(f.total_degree() + 1))
-    return _interpolate_mod(ts, [f.eval_mod([a * t + b for a, b in zip(avec, bvec)], p) for t in ts], p)
+    vs = [f.eval_mod([a * t + b for a, b in zip(avec, bvec)], p) for t in ts]
+    return _interpolate_mod(ts, vs, p)
 
 
 def _uni_gcd_mod(a: list[int], b: list[int], p: int) -> int:
@@ -853,7 +854,10 @@ class Poly:
         return compiled
 
     def eval_mod(self, point, p: int) -> int:
-        """Value mod p at an integer point; BadPrimeError when p divides the content's denominator."""
+        """Value mod p at an integer point.
+
+        Raises BadPrimeError when p divides the content's denominator.
+        """
         nested, degs = self._compiled(p)
         return _value(nested, 0, _tables(degs, (point,), p)) % p
 
