@@ -6,6 +6,14 @@ Hermite reduction finds rational antiderivatives, and residue arithmetic
 recognizes logarithmic derivatives r'/r so that r can be rebuilt from its
 pole multiplicities.  The exact separability test of H across two
 variable blocks lives here too.
+
+The univariate core (Euclid, Yun, Hermite, residues) works on dense
+coefficient lists in the chosen variable, lowest degree first, with no
+trailing zeros.  A coefficient free of the other variables is a Fraction
+and any other is a RatFun; the two mix in arithmetic, so each algorithm is
+written once.  A function univariate over Q, which is every function the
+fitters integrate, is thus handled in Fraction arithmetic throughout.
+RatFun and Poly values are built only for the results.
 """
 
 from __future__ import annotations
@@ -17,198 +25,181 @@ from math import gcd
 from .poly import Poly
 from .ratfun import RatFun
 
+_ONE = Fraction(1)
+
 
 # ---------------------------------------------------------------------------
-# univariate view
+# dense coefficient lists
 # ---------------------------------------------------------------------------
 
 
-class UPoly:
-    """Dense polynomial in one ambient variable, RatFun coefficients.
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
 
-    Coefficients must not involve the main variable.  Used for the
-    field-arithmetic steps (Euclid, Yun, Hermite) where sparse
-    multivariate representation is the wrong shape.
+
+def _add(a: list, b: list) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = out[i] + c
+    return _trim(out)
+
+
+def _sub(a: list, b: list) -> list:
+    out = a + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = out[i] - c
+    return _trim(out)
+
+
+def _mul(a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _scale(a: list, c) -> list:
+    """c * a for a nonzero scalar c."""
+    return [x * c for x in a]
+
+
+def _monic(a: list) -> list:
+    return _scale(a, _ONE / a[-1])
+
+
+def _deriv(a: list) -> list:
+    return [i * a[i] for i in range(1, len(a))]
+
+
+def _eval(a: list, x):
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _divmod(a: list, b: list) -> tuple[list, list]:
+    if not b:
+        raise ZeroDivisionError("division by zero polynomial")
+    n = len(b) - 1
+    inv = _ONE / b[-1]
+    rem = list(a)
+    q = [0] * max(0, len(a) - n)
+    while len(rem) > n:
+        k = len(rem) - 1 - n
+        c = rem.pop() * inv
+        q[k] = c
+        for j in range(n):
+            rem[k + j] -= c * b[j]
+        _trim(rem)
+    return q, rem
+
+
+def _rem(a: list, b: list) -> list:
+    return _divmod(a, b)[1]
+
+
+def _divexact(a: list, b: list) -> list:
+    q, r = _divmod(a, b)
+    if r:
+        raise ValueError("inexact univariate division")
+    return q
+
+
+def _gcd(a: list, b: list) -> list:
+    """Monic gcd of a and b, not both zero."""
+    while b:
+        a, b = b, _rem(a, b)
+    return _monic(a)
+
+
+def _inverse_mod(a: list, modulus: list) -> list:
+    """Inverse of a in K[x]/(modulus); requires gcd(a, modulus) = 1."""
+    r0, r1 = modulus, _rem(a, modulus)
+    t0, t1 = [], [_ONE]
+    while r1:
+        q, r = _divmod(r0, r1)
+        r0, r1 = r1, r
+        t0, t1 = t1, _sub(t0, _mul(q, t1))
+    if len(r0) != 1:
+        raise ZeroDivisionError("element not invertible modulo the factor")
+    return _rem(_scale(t0, _ONE / r0[0]), modulus)
+
+
+# ---------------------------------------------------------------------------
+# conversion at the boundary
+# ---------------------------------------------------------------------------
+
+
+def _coeffs(p: Poly, var: int) -> list:
+    """Coefficients of p in var: a Fraction where a coefficient is free of
+    the other variables, a RatFun in them otherwise."""
+    rows: dict[int, dict] = {}
+    for e, c in p.ints.items():
+        rows.setdefault(e[var], {})[e[:var] + (0,) + e[var + 1 :]] = c
+    zero = (0,) * p.arity
+    out = [0] * (max(rows, default=-1) + 1)
+    for i, row in rows.items():
+        if row.keys() == {zero}:
+            out[i] = p.content * row[zero]
+        else:
+            out[i] = RatFun.from_poly(Poly.from_ints(row, p.arity, p.content))
+    return out
+
+
+def _poly(a: list, var: int, arity: int) -> Poly:
+    """The polynomial with the rational coefficient list a in var."""
+    pad = (0,) * (arity - var - 1)
+    return Poly({(0,) * var + (i,) + pad: c for i, c in enumerate(a)}, arity)
+
+
+def _ratfun(num: list, den: list, var: int, arity: int) -> RatFun:
+    """The RatFun num/den in var, for a monic den."""
+    if any(isinstance(c, RatFun) for c in num + den):
+        x = RatFun.variable(var, arity)
+        return _eval(num, x) / _eval(den, x)
+    if len(den) == 1:
+        return RatFun.from_poly(_poly(num, var, arity))
+    return RatFun(_poly(num, var, arity), _poly(den, var, arity))
+
+
+def _proper_parts(f: RatFun, var: int) -> tuple[list, list, list]:
+    """f = q + r/d with d monic in var, deg r < deg d, gcd(r, d) = 1."""
+    f = f.reduce()
+    d = _coeffs(f.den, var)
+    inv = _ONE / d[-1]
+    d = _scale(d, inv)
+    q, r = _divmod(_scale(_coeffs(f.num, var), inv), d)
+    return q, r, d
+
+
+def yun_squarefree(d: list) -> list[tuple[list, int]]:
+    """Squarefree factorization of monic d: list of (factor, multiplicity).
+
+    The factors are monic and pairwise coprime, by ascending multiplicity.
     """
-
-    __slots__ = ("coeffs", "var", "arity")
-
-    def __init__(self, coeffs: list[RatFun], var: int, arity: int):
-        while coeffs and coeffs[-1].is_zero:
-            coeffs.pop()
-        self.coeffs = coeffs
-        self.var = var
-        self.arity = arity
-
-    @classmethod
-    def zero(cls, var: int, arity: int) -> "UPoly":
-        return cls([], var, arity)
-
-    @classmethod
-    def from_poly(cls, p: Poly, var: int) -> "UPoly":
-        rows: dict[int, dict] = {}
-        for e, c in p.ints.items():
-            k = list(e)
-            d = k[var]
-            k[var] = 0
-            rows.setdefault(d, {})[tuple(k)] = c
-        deg = max(rows) if rows else -1
-        coeffs = [
-            RatFun.from_poly(Poly.from_ints(rows.get(i, {}), p.arity, p.content))
-            for i in range(deg + 1)
-        ]
-        return cls(coeffs, var, p.arity)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def lc(self) -> RatFun:
-        return self.coeffs[-1]
-
-    def coeff(self, i: int) -> RatFun:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return RatFun.const(0, self.arity)
-
-    def __add__(self, other: "UPoly") -> "UPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UPoly(
-            [self.coeff(i) + other.coeff(i) for i in range(n)], self.var, self.arity
-        )
-
-    def __sub__(self, other: "UPoly") -> "UPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UPoly(
-            [self.coeff(i) - other.coeff(i) for i in range(n)], self.var, self.arity
-        )
-
-    def __neg__(self) -> "UPoly":
-        return UPoly([-c for c in self.coeffs], self.var, self.arity)
-
-    def __mul__(self, other: "UPoly") -> "UPoly":
-        if self.is_zero or other.is_zero:
-            return UPoly.zero(self.var, self.arity)
-        out = [RatFun.const(0, self.arity)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UPoly(out, self.var, self.arity)
-
-    def scale(self, c: RatFun) -> "UPoly":
-        return UPoly([a * c for a in self.coeffs], self.var, self.arity)
-
-    def monic(self) -> "UPoly":
-        if self.is_zero or self.lc().is_constant and self.lc().constant_value() == 1:
-            return self
-        return self.scale(RatFun.const(1, self.arity) / self.lc())
-
-    def divmod(self, other: "UPoly") -> tuple["UPoly", "UPoly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
-        q = [RatFun.const(0, self.arity)] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        inv = RatFun.const(1, self.arity) / other.lc()
-        while len(rem) - 1 >= other.degree and rem:
-            k = len(rem) - 1 - other.degree
-            f = rem[-1] * inv
-            q[k] = f
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] = rem[k + j] - f * b
-            while rem and rem[-1].is_zero:
-                rem.pop()
-        return UPoly(q, self.var, self.arity), UPoly(rem, self.var, self.arity)
-
-    def mod(self, other: "UPoly") -> "UPoly":
-        return self.divmod(other)[1]
-
-    def divexact(self, other: "UPoly") -> "UPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero:
-            raise ValueError("inexact univariate division")
-        return q
-
-    def pow(self, n: int) -> "UPoly":
-        out = UPoly([RatFun.const(1, self.arity)], self.var, self.arity)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def derivative(self) -> "UPoly":
-        return UPoly(
-            [c * Fraction(i) for i, c in enumerate(self.coeffs)][1:],
-            self.var,
-            self.arity,
-        )
-
-    def gcd(self, other: "UPoly") -> "UPoly":
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a.mod(b)
-        return a.monic()
-
-    def inverse_mod(self, modulus: "UPoly") -> "UPoly":
-        """Inverse in K[x]/(modulus); requires gcd(self, modulus) = 1."""
-        r0, r1 = modulus, self.mod(modulus)
-        t0 = UPoly.zero(self.var, self.arity)
-        t1 = UPoly([RatFun.const(1, self.arity)], self.var, self.arity)
-        while not r1.is_zero:
-            q, r = r0.divmod(r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, t0 - q * t1
-        if r0.degree != 0:
-            raise ZeroDivisionError("element not invertible modulo the factor")
-        return t0.scale(RatFun.const(1, self.arity) / r0.coeffs[0]).mod(modulus)
-
-    def eval(self, c) -> RatFun:
-        if not isinstance(c, RatFun):
-            c = RatFun.const(c, self.arity)
-        acc = RatFun.const(0, self.arity)
-        for a in reversed(self.coeffs):
-            acc = acc * c + a
-        return acc
-
-    def to_ratfun(self) -> RatFun:
-        x = RatFun.variable(self.var, self.arity)
-        acc = RatFun.const(0, self.arity)
-        for a in reversed(self.coeffs):
-            acc = acc * x + a
-        return acc
-
-    def to_poly(self) -> Poly:
-        """Only valid when every coefficient is a polynomial."""
-        acc = Poly.zero(self.arity)
-        for i, c in enumerate(self.coeffs):
-            cf = c.reduce()
-            if not cf.den.is_constant:
-                raise ValueError("coefficient is not polynomial")
-            num = cf.num.scale(1 / cf.den.constant_value())
-            acc = acc + num * Poly.variable(self.var, self.arity) ** i
-        return acc
-
-
-def yun_squarefree(d: UPoly) -> list[tuple[UPoly, int]]:
-    """Squarefree factorization of monic d: list of (factor, multiplicity)."""
-    out: list[tuple[UPoly, int]] = []
-    dp = d.derivative()
-    g = d.gcd(dp)
-    if g.degree == 0:
-        return [(d, 1)] if d.degree > 0 else []
-    c = d.divexact(g)
-    w = dp.divexact(g) - c.derivative()
+    out: list[tuple[list, int]] = []
+    dp = _deriv(d)
+    g = _gcd(d, dp)
+    if len(g) == 1:
+        return [(d, 1)] if len(d) > 1 else []
+    c = _divexact(d, g)
+    w = _sub(_divexact(dp, g), _deriv(c))
     i = 1
-    while c.degree > 0:
-        p = c.gcd(w)
-        if p.degree > 0:
+    while len(c) > 1:
+        p = _gcd(c, w)
+        if len(p) > 1:
             out.append((p, i))
-        c = c.divexact(p)
-        w = w.divexact(p) - c.derivative()
+        c = _divexact(c, p)
+        w = _sub(_divexact(w, p), _deriv(c))
         i += 1
     return out
 
@@ -218,56 +209,40 @@ def yun_squarefree(d: UPoly) -> list[tuple[UPoly, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _hermite_core(a: UPoly, d: UPoly) -> tuple[RatFun, UPoly, UPoly]:
+def _hermite_core(a: list, d: list, factors) -> tuple[list, list, list, list]:
     """Reduce proper a/d to g' + s/d* with d* squarefree.
 
-    Returns (g, s, d*).  One multiplicity is peeled per pass: with
-    d = u*v^m, choose b = -a * ((m-1) u v')^{-1} mod v, so that
-    a/d - (b/v^{m-1})' has denominator u*v^{m-1}.
+    d is monic, coprime to a, with squarefree factorization factors.
+    Returns (gn, gd, s, d*), where g = gn/gd is proper, gd is monic and
+    coprime to gn, and d* is the product of the factors.  For a factor v of
+    multiplicity m, d = u*v^m, each j = m-1, ..., 1 solves
+    b*u*v' + c*v = -a/j with deg b < deg v; then
+    a/(u*v^(j+1)) - (b/v^j)' = (-j*c - u*b')/(u*v^j)
+    (Bronstein, Symbolic Integration I, section 2.2).
     """
-    arity = a.arity
-    g = RatFun.const(0, arity)
-    fac = yun_squarefree(d)
-    while True:
-        m = max((mult for _, mult in fac), default=1)
-        if m <= 1:
-            break
-        idx = next(i for i, (_, mult) in enumerate(fac) if mult == m)
-        v = fac[idx][0]
+    gn, gd, dstar = [], [_ONE], [_ONE]
+    for v, m in factors:
+        dstar = _mul(dstar, v)
+        if m == 1:
+            continue
         u = d
         for _ in range(m):
-            u = u.divexact(v)
-        vp = v.derivative()
-        w = (u * vp).scale(RatFun.const(m - 1, arity)).mod(v)
-        b = ((-a).mod(v) * w.inverse_mod(v)).mod(v)
-        num = a + (u * vp * b).scale(RatFun.const(m - 1, arity)) - b.derivative() * u * v
-        a = num.divexact(v)
-        g = g + b.to_ratfun() / v.to_ratfun() ** (m - 1)
-        d = u * v.pow(m - 1)
-        fac[idx] = (v, m - 1)
-    return g, a, d
-
-
-def _proper_parts(f: RatFun, var: int) -> tuple[UPoly, UPoly, UPoly]:
-    """f = q + r/d with d monic in var, deg r < deg d, gcd(r, d) = 1."""
-    f = f.reduce()
-    n = UPoly.from_poly(f.num, var)
-    d = UPoly.from_poly(f.den, var)
-    inv = RatFun.const(1, f.arity) / d.lc()
-    n = n.scale(inv)
-    d = d.scale(inv)
-    q, r = n.divmod(d)
-    return q, r, d
-
-
-def _integrate_poly_part(q: UPoly) -> RatFun:
-    out = UPoly(
-        [RatFun.const(0, q.arity)]
-        + [c * Fraction(1, i + 1) for i, c in enumerate(q.coeffs)],
-        q.var,
-        q.arity,
-    )
-    return out.to_ratfun()
+            u = _divexact(u, v)
+        uvp = _mul(u, _deriv(v))
+        inv = _inverse_mod(uvp, v)
+        num, vpow = [], [_ONE]  # sum of b_j * v^(m-1-j), and v^(m-1-j)
+        for j in range(m - 1, 0, -1):
+            t = _scale(a, Fraction(-1, j))
+            b = _rem(_mul(_rem(t, v), inv), v)
+            c = _divexact(_sub(t, _mul(b, uvp)), v)
+            a = _sub(_scale(c, -j), _mul(u, _deriv(b)))
+            num = _add(num, _mul(b, vpow))
+            vpow = _mul(vpow, v)
+        # the parts of g at distinct factors have coprime denominators
+        gn = _add(_mul(gn, vpow), _mul(num, gd))
+        gd = _mul(gd, vpow)
+        d = _mul(u, v)
+    return gn, gd, a, dstar
 
 
 def hermite_antiderivative(f: RatFun, var: int) -> RatFun | None:
@@ -278,13 +253,13 @@ def hermite_antiderivative(f: RatFun, var: int) -> RatFun | None:
     normalized to zero (no constant term is ever introduced).
     """
     q, r, d = _proper_parts(f, var)
-    acc = _integrate_poly_part(q)
-    if r.is_zero:
-        return acc
-    g, s, _ = _hermite_core(r, d)
-    if not s.is_zero:
+    acc = _trim([0] + [c * Fraction(1, i + 1) for i, c in enumerate(q)])
+    if not r:
+        return _ratfun(acc, [_ONE], var, f.arity)
+    gn, gd, s, _ = _hermite_core(r, d, yun_squarefree(d))
+    if s:
         return None
-    return acc + g
+    return _ratfun(_add(_mul(acc, gd), gn), gd, var, f.arity)
 
 
 # ---------------------------------------------------------------------------
@@ -307,16 +282,6 @@ class ResidueProfile:
     squarefree_poles: tuple[tuple[Poly, int], ...]
     residues: tuple[tuple[Poly, Fraction, bool], ...]
     polynomial_part: Poly
-
-
-def _upoly_fractions(p: UPoly) -> list[Fraction]:
-    out = []
-    for c in p.coeffs:
-        cf = c.reduce()
-        if not (cf.num.is_constant or cf.num.is_zero) or not cf.den.is_constant:
-            raise ValueError("profile requires a function univariate over Q")
-        out.append(cf.constant_value() if not cf.num.is_zero else Fraction(0))
-    return out
 
 
 def _divisors(n: int, budget: int = 1 << 20) -> list[int] | None:
@@ -343,15 +308,14 @@ def _divisors(n: int, budget: int = 1 << 20) -> list[int] | None:
     return divs
 
 
-def _rational_roots(p: UPoly) -> tuple[list[Fraction], UPoly, bool]:
+def _rational_roots(p: list) -> tuple[list[Fraction], list, bool]:
     """(roots with multiplicity ignored: p squarefree, deflated cofactor, complete).
 
     complete=False means the divisor search ran out of budget, so the
     cofactor may still have rational roots we could not certify.
     """
-    coeffs = _upoly_fractions(p)
     roots: list[Fraction] = []
-    cur = list(coeffs)
+    cur = list(p)
 
     def deflate(cs: list[Fraction], a: Fraction) -> list[Fraction]:
         # synthetic division by (x - a); remainder is known to be zero
@@ -387,10 +351,7 @@ def _rational_roots(p: UPoly) -> tuple[list[Fraction], UPoly, bool]:
             for r in d0:
                 for num in (r, -r):
                     cand = Fraction(num, q)
-                    acc = Fraction(0)
-                    for c in reversed(cur):
-                        acc = acc * cand + c
-                    if acc == 0:
+                    if _eval(cur, cand) == 0:
                         found = cand
                         break
                 if found is not None:
@@ -401,19 +362,15 @@ def _rational_roots(p: UPoly) -> tuple[list[Fraction], UPoly, bool]:
             break
         roots.append(found)
         cur = deflate(cur, found)
-
-    arity = p.arity
-    cof = UPoly([RatFun.const(c, arity) for c in cur], p.var, arity)
-    return roots, cof.monic(), complete
+    return roots, _monic(cur), complete
 
 
-def _power_sums(f: UPoly, upto: int) -> list[Fraction]:
+def _power_sums(f: list, upto: int) -> list[Fraction]:
     """Newton power sums p_0..p_upto of the roots of monic f over Q."""
-    cs = _upoly_fractions(f.monic())
-    d = len(cs) - 1
+    d = len(f) - 1
     e = [Fraction(0)] * (d + 1)  # e[k] = elementary symmetric with sign fix
     for k in range(1, d + 1):
-        e[k] = (-1) ** k * cs[d - k]
+        e[k] = (-1) ** k * f[d - k]
     ps = [Fraction(d)]
     for k in range(1, upto + 1):
         if k <= d:
@@ -435,29 +392,27 @@ def residue_profile(f: RatFun, var: int) -> ResidueProfile:
     if f.is_zero:
         raise ValueError("residue profile of the zero function")
     q, r, d = _proper_parts(f, var)
-    poly_part = q.to_poly()
-    factors = yun_squarefree(d)
-    sq = tuple((v.to_poly(), m) for v, m in factors)
-    if r.is_zero:
-        return ResidueProfile(var, sq, (), poly_part)
-    _, s, dstar = _hermite_core(r, d)
-    dsp = dstar.derivative()
-    residues: list[tuple[Poly, Fraction, bool]] = []
+    if any(isinstance(c, RatFun) for c in q + r + d):
+        raise ValueError("profile requires a function univariate over Q")
     arity = f.arity
+    factors = yun_squarefree(d)
+    sq = tuple((_poly(v, var, arity), m) for v, m in factors)
+    poly_part = _poly(q, var, arity)
+    if not r:
+        return ResidueProfile(var, sq, (), poly_part)
+    _, _, s, dstar = _hermite_core(r, d, factors)
+    dsp = _deriv(dstar)
+    residues: list[tuple[Poly, Fraction, bool]] = []
     for v, _m in factors:
         roots, cof, _complete = _rational_roots(v)
         for a in roots:
-            num = s.eval(a).constant_value()
-            den = dsp.eval(a).constant_value()
             factor = Poly.variable(var, arity) - Poly.const(a, arity)
-            residues.append((factor, num / den, True))
-        if cof.degree >= 1:
-            w = (s.mod(cof) * dsp.inverse_mod(cof)).mod(cof)
-            ps = _power_sums(cof, max(0, w.degree))
-            trace = Fraction(0)
-            for j, c in enumerate(w.coeffs):
-                trace += c.constant_value() * ps[j]
-            residues.append((cof.to_poly(), trace, False))
+            residues.append((factor, _eval(s, a) / _eval(dsp, a), True))
+        if len(cof) > 1:
+            w = _rem(_mul(_rem(s, cof), _inverse_mod(dsp, cof)), cof)
+            ps = _power_sums(cof, max(0, len(w) - 1))
+            trace = sum((c * p for c, p in zip(w, ps)), Fraction(0))
+            residues.append((_poly(cof, var, arity), trace, False))
     return ResidueProfile(var, sq, tuple(residues), poly_part)
 
 

@@ -101,6 +101,9 @@ class RatFun:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
+    def __bool__(self) -> bool:
+        return not self.num.is_zero
+
     @property
     def is_constant(self) -> bool:
         f = self.reduce()

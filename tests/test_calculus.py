@@ -9,15 +9,24 @@ from math import lcm
 import pytest
 
 from ratforms.calculus import (
+    _coeffs,
+    _divexact,
+    _gcd,
+    _hermite_core,
+    _inverse_mod,
+    _monic,
+    _poly,
+    _trim,
     hermite_antiderivative,
     logderiv_integrate,
     logderiv_obstruction,
     residue_profile,
     separability_identity,
+    yun_squarefree,
 )
 from ratforms.classify import _Fn, _split_partial_ratio
 from ratforms.modular import rng_for
-from ratforms.ratfun import partial_ratio, parse
+from ratforms.ratfun import RatFun, partial_ratio, parse
 
 BI = ("x", "y")
 TRI = ("x", "y", "z")
@@ -235,3 +244,114 @@ def test_logderiv_roundtrip():
 def test_logderiv_rejects_zero_input():
     with pytest.raises(ValueError):
         _logderiv(parse("x - x", ("x",)))
+
+
+# -- the dense univariate core ------------------------------------------------------
+
+X = ("x",)
+
+
+def _rand_linear_roots(rng, k):
+    return rng.sample(sorted({Fraction(n, d) for n in range(-9, 10) for d in (1, 2, 3)}), k)
+
+
+def _product(factors):
+    out = parse("1", X)
+    for text, m in factors:
+        out = out * parse(text, X) ** m
+    return out
+
+
+def test_hermite_inverts_the_derivative_on_random_repeated_factors():
+    rng = random.Random(41)
+    for _ in range(25):
+        # g = a polynomial without constant term plus a proper fraction whose
+        # denominator has repeated linear and quadratic factors
+        a, b = _rand_linear_roots(rng, 2)
+        den = _product([(f"x - {a}", rng.randint(1, 3)), (f"x - {b}", rng.randint(2, 3)),
+                        (f"x^2 + {rng.randint(1, 5)}", rng.randint(1, 2))]).num
+        num = "+".join(f"{rng.randint(-6, 6)}*x^{e}" for e in range(den.degree_in(0)))
+        poly = "+".join(f"{rng.randint(-4, 4)}*x^{e}" for e in range(1, 4))
+        g = parse(poly, X) + RatFun(parse(num, X).num, den)
+        assert hermite_antiderivative(g.partial(0), 0) == g
+
+
+def test_hermite_rejects_a_logarithmic_part_on_random_inputs():
+    rng = random.Random(43)
+    for _ in range(10):
+        (a,) = _rand_linear_roots(rng, 1)
+        g = parse(f"1/(x - {a})^2", X)
+        f = g.partial(0) + parse(f"{rng.randint(1, 9)}/(x - {a})", X)
+        assert hermite_antiderivative(f, 0) is None
+
+
+def test_yun_squarefree_recovers_known_multiplicities():
+    rng = random.Random(47)
+    for _ in range(20):
+        roots = _rand_linear_roots(rng, 3)
+        mults = rng.sample(range(1, 5), 3)
+        c = rng.randint(1, 7)
+        parts = [(f"x - {r}", m) for r, m in zip(roots, mults)]
+        qm = rng.choice([m for m in range(1, 5) if m not in mults] + mults)
+        parts.append((f"x^2 + {c}", qm))
+        d = _coeffs(_product(parts).num, 0)
+        got = [(_poly(v, 0, 1), m) for v, m in yun_squarefree(_monic(d))]
+        want = {}
+        for text, m in parts:
+            want[m] = want.get(m, parse("1", X)) * parse(text, X)
+        assert [m for _, m in got] == sorted(want)
+        for v, m in got:
+            assert v == want[m].num.scale(1 / want[m].num.leading()[1])
+
+
+def test_residue_profile_exact_residues_and_trace():
+    rng = random.Random(53)
+    for _ in range(20):
+        roots = _rand_linear_roots(rng, 3)
+        cs = [Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4)) for _ in roots]
+        k, b, e = rng.randint(1, 6), Fraction(rng.randint(1, 5), rng.randint(1, 3)), rng.randint(-4, 4)
+        f = parse(f"({b.numerator}/{b.denominator}*x + {e})/(x^2 + {k})", X)
+        for r, c in zip(roots, cs):
+            f = f + parse(f"({c.numerator}/{c.denominator})/(x - {r})", X)
+        prof = residue_profile(f, 0)
+        assert prof.polynomial_part.is_zero
+        assert all(m == 1 for _, m in prof.squarefree_poles)
+        split = {fac.to_str(X): res for fac, res, ok in prof.residues if ok}
+        assert split == {parse(f"x - {r}", X).to_str(X): c for r, c in zip(roots, cs)}
+        (traced,) = [(fac, res) for fac, res, ok in prof.residues if not ok]
+        assert traced == (parse(f"x^2 + {k}", X).num, b)
+
+
+def test_fraction_and_ratfun_coefficients_agree():
+    # the same univariate input, once as Fraction lists and once with every
+    # coefficient a constant RatFun, gives equal factors and reductions
+    rng = random.Random(59)
+
+    def as_ratfun(a):
+        return [RatFun.const(c, 2) for c in a]
+
+    def value(a):
+        return [c.constant_value() if isinstance(c, RatFun) else Fraction(c) for c in a]
+
+    for _ in range(8):
+        a, b = _rand_linear_roots(rng, 2)
+        d = _monic(_coeffs(_product([(f"x - {a}", 3), (f"x - {b}", 1),
+                                     (f"x^2 + {rng.randint(1, 5)}", 2)]).num, 0))
+        r = _trim([Fraction(rng.randint(-5, 5)) for _ in range(len(d) - 1)])
+        fq = yun_squarefree(d)
+        fr = yun_squarefree(as_ratfun(d))
+        assert [(v, m) for v, m in fq] == [(value(v), m) for v, m in fr]
+        if _gcd(r, d) != [1]:
+            continue
+        for got_q, got_r in zip(_hermite_core(r, d, fq), _hermite_core(as_ratfun(r), as_ratfun(d), fr)):
+            assert value(got_q) == value(got_r)
+
+
+def test_dense_core_exceptions():
+    with pytest.raises(ValueError, match="inexact"):
+        _divexact([Fraction(1), Fraction(0), Fraction(1)], [Fraction(1), Fraction(1)])
+    with pytest.raises(ZeroDivisionError):
+        # x + 1 is not invertible modulo (x + 1)(x - 1)
+        _inverse_mod([Fraction(1), Fraction(1)], [Fraction(-1), Fraction(0), Fraction(1)])
+    with pytest.raises(ValueError, match="univariate over Q"):
+        residue_profile(parse("y/x + x", BI), 0)
