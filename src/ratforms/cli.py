@@ -15,7 +15,8 @@ coefficient denominator; the report lists the primes used.  A fitted
 function with such a coefficient is reported unresolved with a
 ``bad_prime`` diagnostic naming the prime.
 An input whose analysis raises is reported unresolved with an ``error``
-diagnostic naming the exception, and the other inputs are still analyzed.
+diagnostic naming the exception and the primes it sampled modulo, and the
+other inputs are still analyzed.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from .dimension import (
     image_dimension,
     is_nondegenerate,
 )
-from .modular import primes_below
+from .modular import coprime_primes, primes_below
 from .poly import BadPrimeError
-from .ratfun import ParseError, parse
+from .ratfun import ParseError, RatFun, parse
 
 _VERDICT = {
     "GroupAdditive": "group-additive",
@@ -135,16 +136,11 @@ def _empty_report(expr: str, names: tuple[str, ...], seed: int, primes) -> dict:
     }
 
 
-def _sampling_primes(primes: tuple[int, ...], den: int) -> tuple[int, ...]:
-    """primes without the divisors of den, topped up with the next lower
-    primes that do not divide it; descending, like primes."""
-    kept = [p for p in primes if den % p]
-    q = min(primes)
-    while len(kept) < len(primes):
-        (q,) = primes_below(q, 1)
-        if den % q:
-            kept.append(q)
-    return tuple(kept)
+def _input_primes(f: RatFun, primes: tuple[int, ...]) -> tuple[int, ...]:
+    """primes, each one that divides a coefficient denominator of f replaced
+    by the next lower prime that divides none (higher once those run out)."""
+    den = f.num.content.denominator * f.den.content.denominator
+    return coprime_primes(primes, den, len(primes))
 
 
 def analyze_function(
@@ -161,8 +157,21 @@ def analyze_function(
     May raise ParseError; every other outcome is encoded in the report.
     """
     f = parse(expr, names)
+    return _analyze(expr, f, names, _input_primes(f, primes), samples, seed, dmax, probe)
+
+
+def _analyze(
+    expr: str,
+    f: RatFun,
+    names: tuple[str, ...],
+    primes: tuple[int, ...],
+    samples: int,
+    seed: int,
+    dmax: int | None,
+    probe: bool,
+) -> tuple[dict, int]:
+    """analyze_function on the parsed input f, sampling modulo primes."""
     n = len(names)
-    primes = _sampling_primes(primes, f.num.content.denominator * f.den.content.denominator)
     report = _empty_report(expr, names, seed, primes)
     if not is_nondegenerate(f):
         report["nondegenerate"] = False
@@ -290,11 +299,15 @@ def main(argv: list[str] | None = None) -> int:
     reports = []
     status = 0
     for expr in exprs:
+        used = primes
         try:
-            report, code = analyze_function(
+            f = parse(expr, names)
+            used = _input_primes(f, primes)
+            report, code = _analyze(
                 expr,
+                f,
                 names,
-                primes=primes,
+                primes=used,
                 samples=args.samples,
                 seed=args.seed,
                 dmax=args.max_degree,
@@ -310,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
 
             print(f"{ap.prog}: error: analysis of {expr!r} failed:", file=sys.stderr)
             traceback.print_exc(file=sys.stderr)
-            report = _empty_report(expr, names, args.seed, primes)
+            report = _empty_report(expr, names, args.seed, used)
             report["verdict"] = "unresolved"
             report["diagnostics"] = {"error": type(exc).__name__}
             code = 2

@@ -62,6 +62,24 @@ def primes_below(bound: int, count: int = 2) -> tuple[int, ...]:
     return tuple(found)
 
 
+def coprime_primes(primes: tuple[int, ...], den: int, count: int) -> tuple[int, ...]:
+    """`count` primes that do not divide den: those of `primes`, then the
+    largest primes below all of them, then, once those run out, the
+    smallest primes above all of them."""
+    kept = [p for p in primes if den % p]
+    q = min(primes)
+    while len(kept) < count and q > 2:
+        q -= 1
+        if den % q and is_probable_prime(q):
+            kept.append(q)
+    q = max(primes)
+    while len(kept) < count:
+        q += 1
+        if den % q and is_probable_prime(q):
+            kept.append(q)
+    return tuple(kept)
+
+
 def inv_mod(a: int, p: int) -> int:
     try:
         return pow(a, -1, p)

@@ -21,9 +21,9 @@ from .modular import (
     _eval_uni_mod,
     _interpolate_mod,
     _trim,
+    coprime_primes,
     crt_pair,
     nullspace_vector_mod,
-    primes_below,
     rational_reconstruct,
     rng_for,
 )
@@ -178,7 +178,7 @@ def annihilating_poly(
     arity = fs[0].arity
     if any(f.arity != arity for f in fs):
         raise ValueError("functions must share one ambient variable list")
-    pool = _prime_pool(primes)
+    pool = _prime_pool(primes, fs)
     for d in range(1, dmax + 1):
         monos = _monomials(k, d)
         solve = partial(_kernel_vector, fs, monos, d, seed)
@@ -188,19 +188,25 @@ def annihilating_poly(
     return None
 
 
-def _prime_pool(primes: tuple[int, ...]) -> list[int]:
-    """The given primes, then the largest primes below them, six in all."""
-    return list(primes) + list(primes_below(min(primes), 6 - len(primes)))
+def _prime_pool(primes: tuple[int, ...], fs: list[RatFun]) -> tuple[int, ...]:
+    """Six primes modulo which every function of fs has an image: the
+    given primes, then the largest below them (see coprime_primes)."""
+    den = 1
+    for f in fs:
+        den *= f.num.content.denominator * f.den.content.denominator
+    return coprime_primes(primes, den, 6)
 
 
 def _lift_and_verify(fs, monos, nprimes, pool, solve):
     """Relation with coefficients on monos from per-prime vectors, or None.
 
     solve(p) returns the coefficient vector mod p, scaled the same way at
-    every prime, or None.  From the first nprimes primes of the pool on,
-    the vectors are CRT-combined, reconstructed over Q and normalized, and
-    the candidate counts only if its exact composition with fs vanishes.
-    A failed reconstruction or a nonzero composition only ever means an
+    every prime, or None.  None at the first prime ends the search; at a
+    later one it skips that prime (one too small to give enough distinct
+    sample values, or an unlucky one).  From the first nprimes vectors on,
+    they are CRT-combined, reconstructed over Q and normalized, and the
+    candidate counts only if its exact composition with fs vanishes.  A
+    failed reconstruction or a nonzero composition only ever means an
     unlucky prime; more primes are drawn until the pool runs dry
     (soundness never depends on this path).
     """
@@ -208,7 +214,9 @@ def _lift_and_verify(fs, monos, nprimes, pool, solve):
     for p in pool:
         v = solve(p)
         if v is None:
-            return None
+            if p == pool[0]:
+                return None
+            continue
         used.append((p, v))
         if len(used) < nprimes:
             continue
@@ -306,8 +314,8 @@ def composition_relation(
     returns.  None carries no claim: P may lie outside Q(s), or the
     samples were unlucky.
     """
-    pool = _prime_pool(primes)
     fs = [s, P]
+    pool = _prime_pool(primes, fs)
     samples = {}
 
     def fit(m, p):
@@ -325,7 +333,7 @@ def composition_relation(
     bound = 1
     while True:
         bound = min(bound, dmax)
-        rel = fit(bound, primes[0])
+        rel = fit(bound, pool[0])
         if rel is not None and max(map(sum, rel)) <= dmax:
             # every prime refits with the degree the first one found
             m = max(e[1] for e in rel)

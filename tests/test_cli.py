@@ -8,6 +8,7 @@ import pytest
 
 from ratforms import cli
 from ratforms.cli import main
+from ratforms.poly import BadPrimeError
 from ratforms.ratfun import parse
 
 SCHEMA_KEYS = [
@@ -316,10 +317,26 @@ def test_gates_sample_modulo_the_first_sampling_prime(capsys):
     assert rep["verdict"] == "group-additive"
 
 
-def test_bad_prime_in_a_fitted_function_is_unresolved(capsys):
-    # the input has no denominator, but at 4 bits the certificate search
-    # also samples modulo 7, 5, 3 and 2, and a fitted part has a 5 in a
-    # coefficient denominator
+def test_certificate_pool_skips_a_prime_dividing_a_fitted_denominator(capsys):
+    # the input has no denominator, but the fitted parts have a 40; the
+    # certificate pool at 4 bits is then 13, 11, 7, 3, 17, 19: 5 and 2 divide
+    # 40, 3 admits too few distinct sample values, and 13*11*7 is too small
+    # to reconstruct the coefficient 40
+    code, (rep,) = _run_json(
+        capsys, ["--vars", "x,y", "--function", "x^2 + y^2", "--prime-bits", "4"]
+    )
+    assert code == 0
+    assert rep["primes"] == [13, 11]
+    assert rep["verdict"] == "group-additive"
+    assert rep["fitted"]["s"] == "1/40*x^2 + 1/40*y^2"
+    assert rep["certificate"]["annihilator"] == "p - 40*q"
+
+
+def test_bad_prime_in_a_fitted_function_is_unresolved(monkeypatch, capsys):
+    def bad_prime(f, **kwargs):
+        raise BadPrimeError(5)
+
+    monkeypatch.setattr(cli, "fit_bivariate", bad_prime)
     code, (rep,) = _run_json(
         capsys, ["--vars", "x,y", "--function", "x^2 + y^2", "--prime-bits", "4"]
     )
@@ -328,6 +345,19 @@ def test_bad_prime_in_a_fitted_function_is_unresolved(capsys):
     assert rep["verdict"] == "unresolved"
     assert rep["diagnostics"] == {"bad_prime": 5}
     assert list(rep.keys()) == SCHEMA_KEYS
+
+
+def test_error_report_lists_the_primes_used(monkeypatch, capsys):
+    def failing(f, **kwargs):
+        raise ZeroDivisionError("injected failure")
+
+    monkeypatch.setattr(cli, "classify_trivariate", failing)
+    code, (rep,) = _run_json(
+        capsys, ["--vars", "x,y,z", "--function", "x/2147483647 + y + z"]
+    )
+    assert code == 2
+    assert rep["diagnostics"] == {"error": "ZeroDivisionError"}
+    assert rep["primes"] == [2147483629, 2147483587]
 
 
 def test_coefficient_denominator_coprime_to_the_primes_classifies(capsys):
