@@ -301,7 +301,7 @@ def test_yun_squarefree_recovers_known_multiplicities():
             want[m] = want.get(m, parse("1", X)) * parse(text, X)
         assert [m for _, m in got] == sorted(want)
         for v, m in got:
-            assert v == want[m].num.scale(1 / want[m].num.leading()[1])
+            assert v == want[m].num
 
 
 def test_residue_profile_exact_residues_and_trace():
@@ -309,7 +309,8 @@ def test_residue_profile_exact_residues_and_trace():
     for _ in range(20):
         roots = _rand_linear_roots(rng, 3)
         cs = [Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4)) for _ in roots]
-        k, b, e = rng.randint(1, 6), Fraction(rng.randint(1, 5), rng.randint(1, 3)), rng.randint(-4, 4)
+        k, e = rng.randint(1, 6), rng.randint(-4, 4)
+        b = Fraction(rng.randint(1, 5), rng.randint(1, 3))
         f = parse(f"({b.numerator}/{b.denominator}*x + {e})/(x^2 + {k})", X)
         for r, c in zip(roots, cs):
             f = f + parse(f"({c.numerator}/{c.denominator})/(x - {r})", X)
@@ -340,11 +341,12 @@ def test_fraction_and_ratfun_coefficients_agree():
         r = _trim([Fraction(rng.randint(-5, 5)) for _ in range(len(d) - 1)])
         fq = yun_squarefree(d)
         fr = yun_squarefree(as_ratfun(d))
-        assert [(v, m) for v, m in fq] == [(value(v), m) for v, m in fr]
+        assert fq == [(value(v), m) for v, m in fr]
         if _gcd(r, d) != [1]:
             continue
-        for got_q, got_r in zip(_hermite_core(r, d, fq), _hermite_core(as_ratfun(r), as_ratfun(d), fr)):
-            assert value(got_q) == value(got_r)
+        got_q = _hermite_core(r, d, fq)
+        got_r = _hermite_core(as_ratfun(r), as_ratfun(d), fr)
+        assert [value(a) for a in got_q] == [value(a) for a in got_r]
 
 
 def test_dense_core_exceptions():

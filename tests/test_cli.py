@@ -289,8 +289,10 @@ def test_failing_input_does_not_abort_the_batch(monkeypatch, capsys):
     [
         ("x,y,z", "x/2147483647 + y + z", [], [2147483629, 2147483587]),
         ("x,y", "x/251 + y", ["--prime-bits", "8"], [241, 239]),
+        # every prime below 16 divides 30030, so the primes above 13 serve
+        ("x,y", "x/30030 + y", ["--prime-bits", "4"], [17, 19]),
     ],
-    ids=["trivariate-31-bit", "bivariate-8-bit"],
+    ids=["trivariate-31-bit", "bivariate-8-bit", "bivariate-4-bit-exhausted"],
 )
 def test_a_prime_dividing_a_coefficient_denominator_is_replaced(
     capsys, names, expr, extra, primes
