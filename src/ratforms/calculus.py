@@ -449,12 +449,14 @@ def logderiv_integrate(
     residues = [(factor, scale * res) for factor, res, _ in prof.residues]
     if any(res.denominator != 1 for _, res in residues):
         return None, "non-integer-residue"
-    g = RatFun.const(1, prof.polynomial_part.arity)
+    # distinct monic linear factors: the two products are coprime
+    num = den = Poly.const(1, prof.polynomial_part.arity)
     for factor, res in residues:
-        e = int(res)
-        if e:
-            g = g * RatFun.from_poly(factor) ** e
-    return g, None
+        if res > 0:
+            num = num * factor ** int(res)
+        elif res < 0:
+            den = den * factor ** int(-res)
+    return RatFun.coprime(num, den), None
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,7 @@ class FormReport:
     the certificate relates to the input.  diagnostics maps named probe
     steps to booleans; for Field, pivot is the 1-based index of the variable
     outside the inner sum and exponent is the outer power n.
+    image_dimension is set by classify_trivariate when no form certifies.
     """
 
     verdict: str
@@ -89,6 +90,7 @@ class FormReport:
     diagnostics: dict[str, bool]
     pivot: int | None = None
     exponent: int | None = None
+    image_dimension: int | None = None
 
 
 class GroupFit(NamedTuple):
@@ -304,7 +306,7 @@ def _split_partial_ratio(fn: _Fn, a: int, b: int, X: int, Y: int, rng):
             continue
         if h0 == 0 or u.is_zero or hy.is_zero:
             continue
-        return u, h0 / hy
+        return u, RatFun.coprime(hy.den.scale(h0), hy.num)
     return None
 
 
@@ -524,14 +526,13 @@ def test_2decomposed(P: RatFun) -> tuple[bool, dict[str, bool]]:
     """
     if P.arity != 3:
         raise ValueError("test_2decomposed expects a trivariate function")
-    detail: dict[str, bool] = {}
-    out = True
-    for a, b in ((0, 1), (0, 2), (1, 2)):
-        H = partial_ratio(P, a, b)
-        ok = separability_identity(H, (a,), (b,))
-        detail[f"2dec_{_VN[a]}{_VN[b]}"] = ok
-        out = out and ok
-    return out, detail
+    return _every_pair(lambda a, b: separability_identity(partial_ratio(P, a, b), (a,), (b,)))
+
+
+def _every_pair(check) -> tuple[bool, dict[str, bool]]:
+    """check(a, b) for every variable pair a < b: all of them, and each one."""
+    detail = {f"2dec_{_VN[a]}{_VN[b]}": check(a, b) for a, b in ((0, 1), (0, 2), (1, 2))}
+    return all(detail.values()), detail
 
 
 def _decomposed_detail(P: RatFun, p: int, seed: int) -> tuple[bool, dict[str, bool]]:
@@ -539,14 +540,9 @@ def _decomposed_detail(P: RatFun, p: int, seed: int) -> tuple[bool, dict[str, bo
     if len(P.num.ints) + len(P.den.ints) <= 60:
         return test_2decomposed(P)
     fn = _Fn(P)
-    detail: dict[str, bool] = {}
-    out = True
-    for a, b in ((0, 1), (0, 2), (1, 2)):
-        rng = rng_for(seed, f"2dec:{a}{b}")
-        ok = _gate_ratio_separable(fn, a, b, a, b, rng, p)
-        detail[f"2dec_{_VN[a]}{_VN[b]}"] = ok
-        out = out and ok
-    return out, detail
+    return _every_pair(
+        lambda a, b: _gate_ratio_separable(fn, a, b, a, b, rng_for(seed, f"2dec:{a}{b}"), p)
+    )
 
 
 def fit_group(
@@ -990,15 +986,16 @@ def classify_trivariate(
     primes: tuple[int, ...] = DEFAULT_PRIMES,
     samples: int = 16,
     seed: int = 0,
-    dim: int | None = None,
 ) -> FormReport:
     """Full trivariate pipeline: degeneracy, canonical fits, dimension.
 
     The fitters run first (group, then field, then twisted); any certified
-    fit already proves the constraint, so the image dimension is only
-    measured when no form certifies, to separate NoConstraint (dimension 6)
-    from a partial constraint (5) or an unrecognized full constraint (4).
-    Pass dim to reuse an already-measured image dimension.
+    fit already proves the constraint, and its certificate bounds the image
+    dimension by 4, so the dimension is only measured here when no form
+    certifies, to separate NoConstraint (6, proven by a full-rank sample)
+    from a partial constraint (5) or an unrecognized full constraint (4),
+    which rest on the unanimity of the rank samples.  That measurement is
+    returned in the report's image_dimension.
     """
     if P.arity != 3:
         raise ValueError("classify_trivariate expects a trivariate function")
@@ -1024,14 +1021,13 @@ def classify_trivariate(
         fitted = {"r1": tf.r1, "r2": tf.r2, "r3": tf.r3, "s": tf.s}
         return FormReport("Twisted", fitted, tf.certificate, diag)
 
-    d = dim if dim is not None else image_dimension(P, primes=primes, samples=samples, seed=seed)
+    d = image_dimension(P, primes=primes, samples=samples, seed=seed)
     diag["constraint"] = d < 6
-    if d >= 6:
-        return FormReport("NoConstraint", None, None, diag)
     if d == 5:
         diag["partial_constraint_dim5"] = True
-        return FormReport("Unresolved", None, None, diag)
-    two, detail = _decomposed_detail(P, primes[0], seed)
-    diag.update(detail)
-    diag["2decomposed"] = two
-    return FormReport("Unresolved", None, None, diag)
+    elif d < 5:
+        two, detail = _decomposed_detail(P, primes[0], seed)
+        diag.update(detail)
+        diag["2decomposed"] = two
+    verdict = "NoConstraint" if d >= 6 else "Unresolved"
+    return FormReport(verdict, None, None, diag, image_dimension=d)

@@ -1,10 +1,11 @@
 """Command-line front end: classify rational functions and emit reports.
 
 Each input function gets one report carrying the degeneracy check, the
-measured image dimension of its doubling map, the fitted canonical form
-(when one certifies), the dependence certificate, and the probe
-diagnostics.  Reports are deterministic: the same seed, flags, and input
-produce byte-identical output.
+image dimension of its doubling map (proven for every decisive verdict,
+see dimension), the fitted canonical form (when one certifies), the
+dependence certificate, and the probe diagnostics.  Reports are
+deterministic: the same seed, flags, and input produce byte-identical
+output.
 
 Exit status: 0 when every verdict is decisive (including no-constraint and
 degenerate), 2 when any function is unresolved or the rank sampling is
@@ -97,7 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--samples",
         type=int,
         default=16,
-        help="random points per prime for rank sampling (default 16)",
+        help="most rank samples per prime (default 16); a sample that reaches "
+        "a proven bound on the image dimension ends them early",
     )
     ap.add_argument(
         "--max-degree",
@@ -180,20 +182,19 @@ def _analyze(
         return report, 0
     report["nondegenerate"] = True
     try:
-        dim = image_dimension(f, primes=primes, samples=samples, seed=seed)
         if n == 2:
             fr = fit_bivariate(f, dmax=dmax, primes=primes, seed=seed)
         else:
-            fr = classify_trivariate(
-                f, dmax=dmax, primes=primes, samples=samples, seed=seed, dim=dim
-            )
-    except (InconclusiveRankError, AllPolesError):
+            fr = classify_trivariate(f, dmax=dmax, primes=primes, samples=samples, seed=seed)
+        dim = fr.image_dimension
+        if dim is None:
+            # a verified certificate P = q(s) proves dim <= n + 1
+            ceiling = n + 1 if fr.certificate is not None else None
+            dim = image_dimension(f, primes=primes, samples=samples, seed=seed, ceiling=ceiling)
+    except (InconclusiveRankError, AllPolesError, BadPrimeError) as exc:
+        bad = isinstance(exc, BadPrimeError)
         report["verdict"] = "unresolved"
-        report["diagnostics"] = {"rank_inconclusive": True}
-        return report, 2
-    except BadPrimeError as exc:
-        report["verdict"] = "unresolved"
-        report["diagnostics"] = {"bad_prime": exc.prime}
+        report["diagnostics"] = {"bad_prime": exc.prime} if bad else {"rank_inconclusive": True}
         return report, 2
     report["image_dimension"] = dim
     report["has_constraint"] = dim < 2 * n

@@ -4,13 +4,18 @@ For r in n variables, the doubling map L_r sends a 2n-tuple
 (v_1^0..v_n^0, v_1^1..v_n^1) to the 2^n values of r obtained by choosing,
 for every variable independently, either the 0-copy or the 1-copy.  The
 dimension of the closure of its image equals the generic rank of its
-Jacobian, which we measure exactly-with-high-confidence by evaluating the
-Jacobian at random points modulo large primes.
+Jacobian, sampled at random points modulo primes.
 
-Modular evaluation only ever *underestimates* the characteristic-zero
-rank (a vanishing minor stays zero under reduction), so the maximum
-observed rank is a certified lower bound; unanimity of fresh confirmation
-samples is the evidence that it is also the generic rank.
+A modular rank never exceeds the rank over Q (a vanishing minor stays zero
+under reduction), so every sample is a proven lower bound, and a sample
+that reaches a proven upper bound settles the dimension.  The full rank 2n
+is one such bound, which proves a no-constraint verdict.  A verified
+certificate P = q(s) is another: s depends on the copies only through the
+2n values of its parts, by a map invariant under an (n-1)-parameter group
+(shifts, scalings, or a scale and a shift), so the dimension is at most
+n + 1, which one sample then reaches for every positive verdict.  Only
+without such a bound does the dimension rest on an estimate: the maximum
+over `samples` points per prime, confirmed by unanimous fresh samples.
 """
 
 from __future__ import annotations
@@ -46,10 +51,6 @@ class DoublingMap:
     f: RatFun
     n: int
     components: tuple[RatFun, ...]
-
-    @property
-    def ambient_arity(self) -> int:
-        return 2 * self.n
 
 
 def doubling_map(f: RatFun) -> DoublingMap:
@@ -94,14 +95,18 @@ def _jacobian_rows(f: RatFun, w: list[int], p: int) -> list[list[int]] | None:
     return rows
 
 
-def _rank_at_random(f: RatFun, p: int, rng) -> int | None:
+def _ranks(f: RatFun, primes: tuple[int, ...], seed: int, label: str, count: int):
+    """Jacobian ranks at count random points modulo each prime in turn; a
+    point whose redraws all hit a pole gives none."""
     arity = 2 * f.arity
-    for _ in range(RETRIES):
-        w = [rng.randrange(1, p) for _ in range(arity)]
-        rows = _jacobian_rows(f, w, p)
-        if rows is not None:
-            return rank_mod(rows, p)
-    return None
+    for p in primes:
+        rng = rng_for(seed, f"{label}:p{p}")
+        for _ in range(count):
+            for _ in range(RETRIES):
+                rows = _jacobian_rows(f, [rng.randrange(1, p) for _ in range(arity)], p)
+                if rows is not None:
+                    yield rank_mod(rows, p)
+                    break
 
 
 def generic_rank(
@@ -109,51 +114,36 @@ def generic_rank(
     primes: tuple[int, ...] = DEFAULT_PRIMES,
     samples: int = 16,
     seed: int = 0,
+    ceiling: int | None = None,
 ) -> RankEstimate:
     """Generic Jacobian rank of the doubling map (= dim of the image closure).
 
     Takes the max rank over `samples` random points for each prime, then
-    re-checks the value on a fresh confirmation round.  Full rank 2n ends
-    the search immediately: observed ranks never exceed the generic rank,
-    so full rank is already proof.
+    re-checks the value on a fresh confirmation round, doubling the budget
+    once if they disagree.  A sample reaching `ceiling`, a proven upper
+    bound on the rank (default the full rank 2n), ends the search at once:
+    observed ranks never exceed the generic rank, so it is already proof.
     """
-    full = dm.ambient_arity
+    top = 2 * dm.n if ceiling is None else ceiling
     for attempt in range(2):
         ns = samples << attempt
-        best = 0
-        saw_point = False
-        for p in primes:
-            rng = rng_for(seed, f"rank:a{attempt}:p{p}")
-            for _ in range(ns):
-                r = _rank_at_random(dm.f, p, rng)
-                if r is None:
-                    continue
-                saw_point = True
-                if r > best:
-                    best = r
-                if best == full:
-                    return RankEstimate(best, ns, tuple(primes), True)
-        if not saw_point:
+        best = -1
+        for r in _ranks(dm.f, primes, seed, f"rank:a{attempt}", ns):
+            best = max(best, r)
+            if best == top:
+                return RankEstimate(best, ns, tuple(primes), True)
+        if best < 0:
             raise AllPolesError(
                 "all sampled points hit poles; function too degenerate to sample"
             )
-        confirm = max(4, ns // 4)
-        unanimous = True
         checked = 0
-        for p in primes:
-            rng = rng_for(seed, f"rank-confirm:a{attempt}:p{p}")
-            for _ in range(confirm):
-                r = _rank_at_random(dm.f, p, rng)
-                if r is None:
-                    continue
-                checked += 1
-                if r != best:
-                    unanimous = False
-                    break
-            if not unanimous:
+        for r in _ranks(dm.f, primes, seed, f"rank-confirm:a{attempt}", max(4, ns // 4)):
+            if r != best:
                 break
-        if unanimous and checked > 0:
-            return RankEstimate(best, ns, tuple(primes), True)
+            checked += 1
+        else:
+            if checked:
+                return RankEstimate(best, ns, tuple(primes), True)
     raise InconclusiveRankError(
         "generic rank did not stabilize after doubling the sample budget"
     )
@@ -164,13 +154,15 @@ def image_dimension(
     primes: tuple[int, ...] = DEFAULT_PRIMES,
     samples: int = 16,
     seed: int = 0,
+    ceiling: int | None = None,
 ) -> int:
     """dim of the closure of the image of the doubling map of f.
 
     f satisfies a nontrivial algebraic constraint exactly when this is
-    below 2n, n the number of variables.
+    below 2n, n the number of variables.  ceiling is a proven upper bound
+    on it, passed to generic_rank (default 2n).
     """
-    return generic_rank(doubling_map(f), primes=primes, samples=samples, seed=seed).rank
+    return generic_rank(doubling_map(f), primes, samples, seed, ceiling).rank
 
 
 def is_nondegenerate(f: RatFun) -> bool:

@@ -36,6 +36,12 @@ class ParseError(ValueError):
         self.pos = pos
 
 
+def _unit_lead(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """num and den scaled so that den's leading coefficient is 1."""
+    lc = den.leading()[1]
+    return (num, den) if lc == 1 else (num.scale(1 / lc), den.scale(1 / lc))
+
+
 class RatFun:
     """Rational function num/den with exact rational coefficients."""
 
@@ -55,11 +61,7 @@ class RatFun:
                 if g.total_degree() > 0:
                     num = divexact(num, g)
                     den = divexact(den, g)
-                lc = den.leading()[1]
-                if lc != 1:
-                    inv = 1 / lc
-                    num = num.scale(inv)
-                    den = den.scale(inv)
+                num, den = _unit_lead(num, den)
             canonical = True
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -87,6 +89,11 @@ class RatFun:
     @classmethod
     def from_poly(cls, p: Poly) -> "RatFun":
         return cls(p, Poly.const(1, p.arity), reduce=False)._mark()
+
+    @classmethod
+    def coprime(cls, num: Poly, den: Poly) -> "RatFun":
+        """num/den for coprime num and den: canonical without a gcd."""
+        return cls(*_unit_lead(num, den), reduce=False)._mark()
 
     def _mark(self) -> "RatFun":
         object.__setattr__(self, "canonical", True)

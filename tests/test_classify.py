@@ -23,7 +23,7 @@ from ratforms.classify import (
 )
 from ratforms.classify import test_2decomposed as is_2decomposed
 from ratforms.oracle import symbolic_rank
-from ratforms.dimension import doubling_map, image_dimension
+from ratforms.dimension import doubling_map, generic_rank, image_dimension
 from ratforms.poly import Poly
 from ratforms.ratfun import compose_numerator, parse
 
@@ -389,6 +389,49 @@ def test_classify_field_cube():
 def test_classify_degenerate():
     rep = classify_trivariate(parse("x+y", TRI))
     assert rep.verdict == "Degenerate"
+
+
+def _classify(f):
+    return fit_bivariate(f) if f.arity == 2 else classify_trivariate(f)
+
+
+def test_a_certified_verdict_bounds_the_rank_by_n_plus_1():
+    # the rank corpora, plus two seeded instances of every canonical form;
+    # the exact oracle's cost grows fast with degree, the twisted form's most
+    caps = {synth.make_twisted: 1}
+    makers = (
+        synth.make_additive,
+        synth.make_multiplicative,
+        lambda rng: synth.make_field(rng)[0],
+        synth.make_twisted,
+        synth.make_bivariate_additive,
+        synth.make_bivariate_multiplicative,
+    )
+    fs = [parse(e, BI) for e in synth.RANK_CORPUS_BI]
+    fs += [parse(e, TRI) for e in synth.RANK_CORPUS_TRI]
+    rng = random.Random(20261)
+    for make in makers:
+        cap = caps.get(make, 3)
+        drawn = [f for f in (make(rng) for _ in range(60)) if f.total_degree() <= cap]
+        assert len(drawn) >= 2
+        fs += drawn[:2]
+    verdicts = set()
+    for f in fs:
+        rep = _classify(f)
+        if rep.certificate is None:
+            continue
+        verdicts.add((f.arity, rep.verdict))
+        dm = doubling_map(f)
+        ceiled = generic_rank(dm, ceiling=f.arity + 1).rank
+        assert ceiled == generic_rank(dm).rank == symbolic_rank(dm) == f.arity + 1
+    assert verdicts == {
+        (2, "GroupAdditive"),
+        (2, "GroupMultiplicative"),
+        (3, "GroupAdditive"),
+        (3, "GroupMultiplicative"),
+        (3, "Field"),
+        (3, "Twisted"),
+    }
 
 
 def test_classify_verdict_agrees_with_oracle_dimension():

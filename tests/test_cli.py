@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from ratforms import cli
+from ratforms import cli, dimension
 from ratforms.cli import main
+from ratforms.modular import primes_below
 from ratforms.poly import BadPrimeError
 from ratforms.ratfun import parse
 
@@ -101,6 +102,88 @@ def test_no_constraint_is_decisive(capsys):
     assert rep["verdict"] == "no-constraint"
     assert rep["image_dimension"] == 6
     assert rep["has_constraint"] is False
+
+
+@pytest.mark.parametrize("expr", ["x*y + z", "x^2*y + z"])
+def test_dimension_5_is_unresolved(capsys, expr):
+    # Q(F(x,y) + G(z)) has image dimension 5; no canonical form covers it
+    code, (rep,) = _run_json(capsys, ["--vars", "x,y,z", "--function", expr])
+    assert code == 2
+    assert rep["verdict"] == "unresolved"
+    assert rep["image_dimension"] == 5
+    assert rep["has_constraint"] is True
+    assert rep["diagnostics"]["partial_constraint_dim5"] is True
+
+
+def _rank_samples(monkeypatch) -> list[int]:
+    """Every rank the doubling-map sampler computes from now on, in order."""
+    ranks: list[int] = []
+    real = dimension.rank_mod
+
+    def counted(rows, p):
+        ranks.append(real(rows, p))
+        return ranks[-1]
+
+    monkeypatch.setattr(dimension, "rank_mod", counted)
+    return ranks
+
+
+def _analyze(expr: str, names: tuple[str, ...]) -> dict:
+    primes = primes_below(1 << 31, 2)
+    report, _ = cli.analyze_function(expr, names, primes, 16, 0, None, False)
+    return report
+
+
+@pytest.mark.parametrize(
+    "expr, names",
+    [
+        ("x + y + z", ("x", "y", "z")),
+        ("(x+y)/(y+z)", ("x", "y", "z")),
+        ("x*(y+z)^2", ("x", "y", "z")),
+        ("x*y + 1", ("x", "y")),
+    ],
+)
+def test_a_certified_verdict_stops_at_its_first_sample_of_rank_n_plus_1(
+    monkeypatch, expr, names
+):
+    ranks = _rank_samples(monkeypatch)
+    rep = _analyze(expr, names)
+    ceiling = len(names) + 1
+    assert rep["certificate"] is not None
+    assert rep["image_dimension"] == ceiling
+    used = list(ranks)
+    ranks.clear()
+    primes = tuple(rep["primes"])
+    dm = dimension.doubling_map(parse(expr, names))
+    assert dimension.generic_rank(dm, primes, 16, 0).rank == ceiling
+    # the unceilinged schedule draws the same samples, then keeps going
+    assert used == ranks[: ranks.index(ceiling) + 1]
+    assert len(used) < len(ranks)
+
+
+@pytest.mark.parametrize(
+    "expr, names, calls",
+    [
+        # dimension 5: 16 samples and 4 confirmations per prime
+        ("x*y + z", ("x", "y", "z"), 2 * (16 + 4)),
+        ("x + y + z + x^2*y^2*z^2", ("x", "y", "z"), None),
+        ("x + y + x^2*y^3", ("x", "y"), None),
+    ],
+)
+def test_an_uncertified_verdict_keeps_the_full_rank_schedule(monkeypatch, expr, names, calls):
+    ranks = _rank_samples(monkeypatch)
+    rep = _analyze(expr, names)
+    assert rep["certificate"] is None
+    used = list(ranks)
+    ranks.clear()
+    dm = dimension.doubling_map(parse(expr, names))
+    est = dimension.generic_rank(dm, tuple(rep["primes"]), 16, 0)
+    assert rep["image_dimension"] == est.rank
+    assert used == ranks
+    if calls is not None:
+        assert len(used) == calls
+    else:  # no constraint: the first full-rank sample ends the search
+        assert used[-1] == 2 * len(names) and max(used[:-1], default=0) < used[-1]
 
 
 def test_parse_error_exits_1(capsys):
@@ -317,6 +400,21 @@ def test_gates_sample_modulo_the_first_sampling_prime(capsys):
     assert code == 0
     assert rep["primes"] == [1073741789, 1073741783]
     assert rep["verdict"] == "group-additive"
+
+
+def test_a_certificate_settles_the_dimension_at_4_bits(capsys):
+    # modulo 13 and 11 the rank samples of x*(y+z)^2 do not agree within the
+    # sample budget, but the certificate bounds the dimension by 4 and one
+    # sample reaches it
+    code, (rep,) = _run_json(
+        capsys, ["--vars", "x,y,z", "--function", "x*(y+z)^2", "--prime-bits", "4"]
+    )
+    assert code == 0
+    assert rep["primes"] == [13, 11]
+    assert rep["verdict"] == "field"
+    assert rep["image_dimension"] == 4
+    assert rep["certificate"] is not None
+    assert "rank_inconclusive" not in rep["diagnostics"]
 
 
 def test_certificate_pool_skips_a_prime_dividing_a_fitted_denominator(capsys):
