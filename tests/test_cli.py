@@ -128,7 +128,7 @@ def _rank_samples(monkeypatch) -> list[int]:
     return ranks
 
 
-def _analyze(expr: str, names: tuple[str, ...]) -> dict:
+def _default_report(expr: str, names: tuple[str, ...]) -> dict:
     primes = primes_below(1 << 31, 2)
     report, _ = cli.analyze_function(expr, names, primes, 16, 0, None, False)
     return report
@@ -147,7 +147,7 @@ def test_a_certified_verdict_stops_at_its_first_sample_of_rank_n_plus_1(
     monkeypatch, expr, names
 ):
     ranks = _rank_samples(monkeypatch)
-    rep = _analyze(expr, names)
+    rep = _default_report(expr, names)
     ceiling = len(names) + 1
     assert rep["certificate"] is not None
     assert rep["image_dimension"] == ceiling
@@ -172,7 +172,7 @@ def test_a_certified_verdict_stops_at_its_first_sample_of_rank_n_plus_1(
 )
 def test_an_uncertified_verdict_keeps_the_full_rank_schedule(monkeypatch, expr, names, calls):
     ranks = _rank_samples(monkeypatch)
-    rep = _analyze(expr, names)
+    rep = _default_report(expr, names)
     assert rep["certificate"] is None
     used = list(ranks)
     ranks.clear()
