@@ -3,8 +3,8 @@
 A bivariate P is constrained iff the ratio P_x / P_y is separable, i.e.
 factors as u(x) * v(y).  On the separable side the split integrates to
 either a sum F(x) + G(y) or a product F(x) * G(y), and the verdict is
-backed by an exact dependence certificate; an exact four-point failure of
-the separability identity already certifies NoConstraint.
+backed by an exact dependence certificate.  NoConstraint means the image
+of the doubling map has full dimension 4, and a full-rank sample proves it.
 """
 
 from ratforms import fit_bivariate, parse

@@ -1,14 +1,20 @@
 """Canonical-form classification of constrained rational functions.
 
 A bivariate function whose doubling map has a constrained image decomposes
-through F(x) + G(y) or F(x) * G(y); a trivariate one decomposes through
-r1 + r2 + r3, r1 * r2 * r3, r_i * (r_j + r_l)^n, or the twisted quotient
+through F(x) + G(y) or F(x) * G(y), the group template for two variables;
+a trivariate one decomposes through r1 + r2 + r3, r1 * r2 * r3,
+r_i * (r_j + r_l)^n, or the twisted quotient
 (r1(x) + r2(y)) / (r2(y) + r3(z)), each inside an outer map q that is any
 nonconstant univariate rational function: every fitter reads the inner
 parts off partial ratios or log-derivatives from which q cancels.  The
 fitters recover the inner parts exactly and back every positive verdict
 with a machine-checkable dependence certificate: the relation
 a(q)*p - b(q) stating P = (b/a)(s), verified by exact expansion.
+
+fit_bivariate and classify_trivariate share one pipeline: the
+nondegeneracy check, the fitters (group; then field and twisted for three
+variables), and one measurement of the image dimension, which decides
+NoConstraint when no form certifies.
 
 Fitting runs in two phases.  Cheap modular value probes ("gates") reject
 wrong shapes fast -- an unequal pair of residues is an exact disproof of the
@@ -23,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from .calculus import (
@@ -35,7 +41,7 @@ from .calculus import (
 )
 from .dimension import image_dimension, is_nondegenerate
 from .modular import DEFAULT_PRIMES, RETRIES, rng_for
-from .oracle import composition_relation
+from .oracle import composition_relation, prime_pool
 from .poly import Poly
 from .ratfun import (
     DegenerateSpecializationError,
@@ -81,7 +87,7 @@ class FormReport:
     the certificate relates to the input.  diagnostics maps named probe
     steps to booleans; for Field, pivot is the 1-based index of the variable
     outside the inner sum and exponent is the outer power n.
-    image_dimension is set by classify_trivariate when no form certifies.
+    image_dimension is set for every nondegenerate input.
     """
 
     verdict: str
@@ -97,7 +103,7 @@ class GroupFit(NamedTuple):
     verdict: str
     r1: RatFun
     r2: RatFun
-    r3: RatFun
+    r3: RatFun | None
     s: RatFun
     certificate: DependenceCertificate
 
@@ -172,7 +178,9 @@ def dependence_certificate(
     exact expansion.  It is linear in p: a dependence of higher degree in p
     means P lies outside Q(s), so s does not explain P and no certificate
     is returned.  P and s are dependent iff their gradients are parallel,
-    so provably non-parallel gradients end the search immediately.
+    so provably non-parallel gradients end the search immediately; their
+    minors are sampled modulo primes that divide no coefficient denominator
+    of P or s (see prime_pool).
     """
     if P.arity != s.arity:
         raise ValueError("P and s must share one ambient variable list")
@@ -180,7 +188,7 @@ def dependence_certificate(
         raise ValueError("the fitted function s must be nonconstant")
     if P.is_constant:
         raise ValueError("P must be nonconstant")
-    if _gradients_not_parallel(P, s, primes, seed):
+    if _gradients_not_parallel(P, s, prime_pool(primes, [P, s], len(primes)), seed):
         return None
     bound = dmax if dmax is not None else 2 * max(1, P.total_degree() + s.total_degree())
     ann = composition_relation(P, s, bound, primes=primes, seed=seed)
@@ -202,14 +210,15 @@ def verify_certificate(
 
     Modular spot evaluations run first so that a corrupted certificate fails
     in microseconds; agreement at every sample falls through to the exact
-    symbolic expansion, which is the final word.
+    symbolic expansion, which is the final word.  The spot checks skip a
+    prime that divides a coefficient denominator of P or s (see prime_pool).
     """
     if P.arity != s.arity:
         raise ValueError("P and s must share one ambient variable list")
     ann = cert.annihilator
     if ann.arity != 2 or ann.is_zero:
         return False
-    for p in primes:
+    for p in prime_pool(primes, [P, s], len(primes)):
         pts = pole_free_values([P, s], 4, p, rng_for(seed, f"certcheck:p{p}"))
         if pts is not None and any(ann.eval_mod(pt, p) for pt in pts):
             return False
@@ -415,105 +424,7 @@ def _joint_logderiv(parts):
 
 
 # ---------------------------------------------------------------------------
-# bivariate classification
-# ---------------------------------------------------------------------------
-
-
-def fit_bivariate(
-    P: RatFun,
-    dmax: int | None = None,
-    primes: tuple[int, ...] = DEFAULT_PRIMES,
-    seed: int = 0,
-) -> FormReport:
-    """Classify a bivariate function: Q(F+G), Q(F*G), or no constraint.
-
-    A bivariate function has a constrained doubling image iff P_x/P_y is
-    separable, so an exact four-point failure already certifies
-    NoConstraint.  On the separable side the split u = cF', v = cG' (or
-    cF'/F, cG'/G) is integrated per branch and the verdict is backed by a
-    dependence certificate; a separable function where neither branch
-    integrates rationally is reported Unresolved.
-    """
-    if P.arity != 2:
-        raise ValueError("fit_bivariate expects a bivariate function")
-    P = P if P.canonical else P.reduce()
-    if not is_nondegenerate(P):
-        return FormReport("Degenerate", None, None, {"nondegenerate": False})
-    diag: dict[str, bool] = {"nondegenerate": True}
-    fn = _Fn(P)
-    rng = rng_for(seed, "fit-bivariate")
-
-    # Exact four-point separability test at rational points: any failed
-    # identity proves H is not separable, hence no algebraic constraint.
-    hits = 0
-    tries = 0
-    separable = True
-    while hits < 3 and tries < RETRIES:
-        tries += 1
-        w = [Fraction(rng.randrange(3, 1 << 20)) for _ in range(2)]
-        x0 = Fraction(rng.randrange(3, 1 << 20))
-        y0 = Fraction(rng.randrange(3, 1 << 20))
-        try:
-            v = fn.ratio_value(0, 1, w)
-            v00 = fn.ratio_value(0, 1, (x0, y0))
-            vx = fn.ratio_value(0, 1, (x0, w[1]))
-            vy = fn.ratio_value(0, 1, (w[0], y0))
-        except PoleError:
-            continue
-        if v * v00 != vy * vx:
-            separable = False
-            break
-        hits += 1
-    if not separable:
-        diag["separable"] = False
-        return FormReport("NoConstraint", None, None, diag)
-
-    # Recover the split and verify H = u/v exactly before integrating.
-    pair = None
-    hn = fn.dnum(0) * fn.den - fn.num * fn.dden(0)
-    hd = fn.dnum(1) * fn.den - fn.num * fn.dden(1)
-    for _ in range(8):
-        got = _split_partial_ratio(fn, 0, 1, 0, 1, rng)
-        if got is None:
-            break
-        u, v = got
-        if (hn * (u.den * v.num) - hd * (u.num * v.den)).is_zero:
-            pair = got
-            break
-    if pair is None:
-        diag["separability_verified"] = False
-        return FormReport("Unresolved", None, None, diag)
-    diag["separable"] = True
-    u, v = pair
-
-    F = hermite_antiderivative(u, 0)
-    G = hermite_antiderivative(v, 1)
-    if F is not None and G is not None:
-        s = F + G
-        cert = dependence_certificate(P, s, dmax=dmax, primes=primes, seed=seed)
-        if cert is not None:
-            diag["additive"] = True
-            return FormReport("GroupAdditive", {"r1": F, "r2": G, "s": s}, cert, diag)
-        diag["additive_certificate"] = False
-    else:
-        diag["additive_integrable"] = False
-
-    parts, reason = _joint_logderiv([(u, 0), (v, 1)])
-    if parts is not None:
-        F, G = parts
-        s = F * G
-        cert = dependence_certificate(P, s, dmax=dmax, primes=primes, seed=seed)
-        if cert is not None:
-            diag["multiplicative"] = True
-            return FormReport("GroupMultiplicative", {"r1": F, "r2": G, "s": s}, cert, diag)
-        diag["multiplicative_certificate"] = False
-    else:
-        diag[f"multiplicative_{reason}"] = False
-    return FormReport("Unresolved", None, None, diag)
-
-
-# ---------------------------------------------------------------------------
-# trivariate fitters
+# canonical-form fitters
 # ---------------------------------------------------------------------------
 
 
@@ -552,65 +463,69 @@ def fit_group(
     seed: int = 0,
     diagnostics: dict[str, bool] | None = None,
 ) -> GroupFit | None:
-    """Fit P = Q(r1 + r2 + r3) or Q(r1 * r2 * r3), certificate included.
+    """Fit P = Q(r1 + ... + rn) or Q(r1 * ... * rn), n = 2 or 3, certified.
 
-    Every partial ratio of such a P is separable and free of the third
-    variable; the splits of P_x/P_y and P_y/P_z share the middle part r2',
-    which pins all three derivative parts to one common scale.  The additive
-    branch integrates them directly, the multiplicative branch integrates
-    them as log-derivatives after the shared residue rescaling.
+    P_x/P_y of such a P is separable, and for n = 3 every partial ratio is
+    separable and free of the third variable; the splits of P_x/P_y and
+    P_y/P_z then share the middle part r2', which pins all three derivative
+    parts to one common scale.  The additive branch integrates the parts
+    directly, the multiplicative branch integrates them as log-derivatives
+    after the shared residue rescaling.  A bivariate fit has r3 None.
     """
     diag = diagnostics if diagnostics is not None else {}
+    n = P.arity
     fn = _Fn(P)
     rng = rng_for(seed, "fit-group")
-    for a, b, c in ((0, 1, 2), (1, 2, 0), (0, 2, 1)):
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (0, 2, 1))[: 1 if n == 2 else 3]:
         if not _gate_ratio_separable(fn, a, b, a, b, rng, primes[0]):
             diag[f"group_sep_{_VN[a]}{_VN[b]}"] = False
             return None
-        if not _gate_ratio_indep(fn, a, b, c, rng, primes[0]):
+        if n == 3 and not _gate_ratio_indep(fn, a, b, c, rng, primes[0]):
             diag[f"group_indep_{_VN[a]}{_VN[b]}"] = False
             return None
-    pair1 = _split_partial_ratio(fn, 0, 1, 0, 1, rng)
-    pair2 = _split_partial_ratio(fn, 1, 2, 1, 2, rng)
-    if pair1 is None or pair2 is None:
+    # the split of P_a/P_(a+1) is (c_a * r_a', c_a * r_(a+1)')
+    pairs = [_split_partial_ratio(fn, a, a + 1, a, a + 1, rng) for a in range(n - 1)]
+    if any(pair is None for pair in pairs):
         diag["group_split"] = False
         return None
-    u1, v1 = pair1  # c1*r1'(x), c1*r2'(y)
-    u2, v2 = pair2  # c2*r2'(y), c2*r3'(z)
-    try:
-        mu = u2 / v1
-    except ZeroDivisionError:
-        diag["group_split"] = False
-        return None
-    if not mu.is_constant or mu.constant_value() == 0:
-        diag["group_scale_consistent"] = False
-        return None
-    parts = (u1, v1, v2.scale(1 / mu.constant_value()))
+    parts = list(pairs[0])
+    if n == 3:
+        u2, v2 = pairs[1]
+        try:
+            mu = u2 / parts[1]
+        except ZeroDivisionError:
+            diag["group_split"] = False
+            return None
+        if not mu.is_constant or mu.constant_value() == 0:
+            diag["group_scale_consistent"] = False
+            return None
+        parts.append(v2.scale(1 / mu.constant_value()))
+    pad = [None] * (3 - n)
 
     try:
-        rs = [hermite_antiderivative(parts[k], k) for k in range(3)]
+        rs = [hermite_antiderivative(parts[k], k) for k in range(n)]
     except (ValueError, ZeroDivisionError):
         rs = [None]
     if all(r is not None for r in rs):
-        s = rs[0] + rs[1] + rs[2]
+        s = sum(rs[1:], rs[0])
         cert = dependence_certificate(P, s, dmax=dmax, primes=primes, seed=seed)
         if cert is not None:
             diag["group_additive"] = True
-            return GroupFit("GroupAdditive", rs[0], rs[1], rs[2], s, cert)
+            return GroupFit("GroupAdditive", *rs, *pad, s, cert)
         diag["group_additive_certificate"] = False
     else:
         diag["group_additive_integrable"] = False
 
     try:
-        rs, reason = _joint_logderiv([(parts[k], k) for k in range(3)])
+        rs, reason = _joint_logderiv([(parts[k], k) for k in range(n)])
     except (ValueError, ZeroDivisionError):
         rs, reason = None, "profile-error"
     if rs is not None:
-        s = rs[0] * rs[1] * rs[2]
+        s = prod(rs[1:], start=rs[0])
         cert = dependence_certificate(P, s, dmax=dmax, primes=primes, seed=seed)
         if cert is not None:
             diag["group_multiplicative"] = True
-            return GroupFit("GroupMultiplicative", rs[0], rs[1], rs[2], s, cert)
+            return GroupFit("GroupMultiplicative", *rs, *pad, s, cert)
         diag["group_multiplicative_certificate"] = False
     else:
         diag[f"group_multiplicative_{reason}"] = False
@@ -976,8 +891,25 @@ def fit_polynomial_composition(
 
 
 # ---------------------------------------------------------------------------
-# trivariate pipeline
+# classification pipeline
 # ---------------------------------------------------------------------------
+
+
+def fit_bivariate(
+    P: RatFun,
+    dmax: int | None = None,
+    primes: tuple[int, ...] = DEFAULT_PRIMES,
+    seed: int = 0,
+    samples: int = 16,
+) -> FormReport:
+    """Classify a bivariate function: Q(F+G), Q(F*G), or no constraint.
+
+    The group template for two variables (see fit_group), then the image
+    dimension; see _classify.
+    """
+    if P.arity != 2:
+        raise ValueError("fit_bivariate expects a bivariate function")
+    return _classify(P, dmax, primes, samples, seed)
 
 
 def classify_trivariate(
@@ -987,47 +919,64 @@ def classify_trivariate(
     samples: int = 16,
     seed: int = 0,
 ) -> FormReport:
-    """Full trivariate pipeline: degeneracy, canonical fits, dimension.
-
-    The fitters run first (group, then field, then twisted); any certified
-    fit already proves the constraint, and its certificate bounds the image
-    dimension by 4, so the dimension is only measured here when no form
-    certifies, to separate NoConstraint (6, proven by a full-rank sample)
-    from a partial constraint (5) or an unrecognized full constraint (4),
-    which rest on the unanimity of the rank samples.  That measurement is
-    returned in the report's image_dimension.
-    """
+    """Classify a trivariate function into the group, field and twisted
+    forms, tried in that order, or no constraint; see _classify."""
     if P.arity != 3:
         raise ValueError("classify_trivariate expects a trivariate function")
+    return _classify(P, dmax, primes, samples, seed)
+
+
+def _classify(P: RatFun, dmax, primes, samples: int, seed: int) -> FormReport:
+    """The pipeline for n = 2 or 3 variables: degeneracy, fits, dimension.
+
+    The fitters run first; a certified fit proves the constraint, and its
+    certificate P = q(s) bounds the image dimension by n + 1, which one
+    rank sample then reaches.  Without one, the dimension separates
+    NoConstraint (2n, proven by a full-rank sample) from Unresolved, a
+    constraint no form explains (for n = 3 a partial one at 5 or a full one
+    at 4 or less), which rests on the unanimity of the rank samples.
+    """
+    n = P.arity
     P = P if P.canonical else P.reduce()
     if not is_nondegenerate(P):
         return FormReport("Degenerate", None, None, {"nondegenerate": False})
     diag: dict[str, bool] = {"nondegenerate": True}
+    report = _fit(P, dmax, primes, seed, diag)
+    ceiling = n + 1 if report is not None else None
+    d = image_dimension(P, primes=primes, samples=samples, seed=seed, ceiling=ceiling)
+    if report is None:
+        diag["constraint"] = d < 2 * n
+        if n == 3 and d == 5:
+            diag["partial_constraint_dim5"] = True
+        elif n == 3 and d < 5:
+            two, detail = _decomposed_detail(P, primes[0], seed)
+            diag.update(detail)
+            diag["2decomposed"] = two
+        report = FormReport("NoConstraint" if d == 2 * n else "Unresolved", None, None, diag)
+    report.image_dimension = d
+    return report
 
+
+def _fit(P: RatFun, dmax, primes, seed: int, diag: dict[str, bool]) -> FormReport | None:
+    """The first certified fit among group, field and twisted, or None."""
     gf = fit_group(P, dmax=dmax, primes=primes, seed=seed, diagnostics=diag)
     if gf is not None:
-        fitted = {"r1": gf.r1, "r2": gf.r2, "r3": gf.r3, "s": gf.s}
-        return FormReport(gf.verdict, fitted, gf.certificate, diag)
+        return FormReport(gf.verdict, _fitted(gf), gf.certificate, diag)
+    if P.arity == 2:
+        return None
     ff = fit_field(P, dmax=dmax, primes=primes, seed=seed, diagnostics=diag)
     if ff is not None:
-        fitted = {"r1": ff.r1, "r2": ff.r2, "r3": ff.r3, "s": ff.s}
-        return FormReport("Field", fitted, ff.certificate, diag,
+        return FormReport("Field", _fitted(ff), ff.certificate, diag,
                           pivot=ff.pivot, exponent=ff.exponent)
     tf = fit_twisted(P, dmax=dmax, primes=primes, seed=seed, diagnostics=diag)
     if tf is not None:
         diag["twisted_cube_identities"] = verify_twisted_identities(
             tf.r1, tf.r2, tf.r3, trials=8, seed=seed
         )
-        fitted = {"r1": tf.r1, "r2": tf.r2, "r3": tf.r3, "s": tf.s}
-        return FormReport("Twisted", fitted, tf.certificate, diag)
+        return FormReport("Twisted", _fitted(tf), tf.certificate, diag)
+    return None
 
-    d = image_dimension(P, primes=primes, samples=samples, seed=seed)
-    diag["constraint"] = d < 6
-    if d == 5:
-        diag["partial_constraint_dim5"] = True
-    elif d < 5:
-        two, detail = _decomposed_detail(P, primes[0], seed)
-        diag.update(detail)
-        diag["2decomposed"] = two
-    verdict = "NoConstraint" if d >= 6 else "Unresolved"
-    return FormReport(verdict, None, None, diag, image_dimension=d)
+
+def _fitted(fit) -> dict[str, RatFun]:
+    """The parts and s of a fit, by report key; a bivariate fit has no r3."""
+    return {k: getattr(fit, k) for k in ("r1", "r2", "r3", "s") if getattr(fit, k) is not None}

@@ -3,9 +3,10 @@
 Each input function gets one report carrying the degeneracy check, the
 image dimension of its doubling map (proven for every decisive verdict,
 see dimension), the fitted canonical form (when one certifies), the
-dependence certificate, and the probe diagnostics.  Reports are
-deterministic: the same seed, flags, and input produce byte-identical
-output.
+dependence certificate, and the probe diagnostics.  All of these come from
+one call of fit_bivariate or classify_trivariate; this module only maps
+its FormReport to the report.  Reports are deterministic: the same seed,
+flags, and input produce byte-identical output.
 
 Exit status: 0 when every verdict is decisive (including no-constraint and
 degenerate), 2 when any function is unresolved or the rank sampling is
@@ -27,13 +28,9 @@ import json
 import sys
 
 from .classify import classify_trivariate, fit_bivariate, fit_polynomial_composition
-from .dimension import (
-    AllPolesError,
-    InconclusiveRankError,
-    image_dimension,
-    is_nondegenerate,
-)
-from .modular import coprime_primes, primes_below
+from .dimension import AllPolesError, InconclusiveRankError
+from .modular import primes_below
+from .oracle import prime_pool
 from .poly import BadPrimeError
 from .ratfun import ParseError, RatFun, parse
 
@@ -138,13 +135,6 @@ def _empty_report(expr: str, names: tuple[str, ...], seed: int, primes) -> dict:
     }
 
 
-def _input_primes(f: RatFun, primes: tuple[int, ...]) -> tuple[int, ...]:
-    """primes, each one that divides a coefficient denominator of f replaced
-    by the next lower prime that divides none (higher once those run out)."""
-    den = f.num.content.denominator * f.den.content.denominator
-    return coprime_primes(primes, den, len(primes))
-
-
 def analyze_function(
     expr: str,
     names: tuple[str, ...],
@@ -159,7 +149,7 @@ def analyze_function(
     May raise ParseError; every other outcome is encoded in the report.
     """
     f = parse(expr, names)
-    return _analyze(expr, f, names, _input_primes(f, primes), samples, seed, dmax, probe)
+    return _analyze(expr, f, names, prime_pool(primes, [f], len(primes)), samples, seed, dmax, probe)
 
 
 def _analyze(
@@ -175,30 +165,23 @@ def _analyze(
     """analyze_function on the parsed input f, sampling modulo primes."""
     n = len(names)
     report = _empty_report(expr, names, seed, primes)
-    if not is_nondegenerate(f):
-        report["nondegenerate"] = False
-        report["verdict"] = "degenerate"
-        report["diagnostics"] = {"nondegenerate": False}
-        return report, 0
-    report["nondegenerate"] = True
+    classify = fit_bivariate if n == 2 else classify_trivariate
     try:
-        if n == 2:
-            fr = fit_bivariate(f, dmax=dmax, primes=primes, seed=seed)
-        else:
-            fr = classify_trivariate(f, dmax=dmax, primes=primes, samples=samples, seed=seed)
-        dim = fr.image_dimension
-        if dim is None:
-            # a verified certificate P = q(s) proves dim <= n + 1
-            ceiling = n + 1 if fr.certificate is not None else None
-            dim = image_dimension(f, primes=primes, samples=samples, seed=seed, ceiling=ceiling)
+        fr = classify(f, dmax=dmax, primes=primes, samples=samples, seed=seed)
     except (InconclusiveRankError, AllPolesError, BadPrimeError) as exc:
+        # raised only once the input has passed the nondegeneracy check
         bad = isinstance(exc, BadPrimeError)
+        report["nondegenerate"] = True
         report["verdict"] = "unresolved"
         report["diagnostics"] = {"bad_prime": exc.prime} if bad else {"rank_inconclusive": True}
         return report, 2
-    report["image_dimension"] = dim
-    report["has_constraint"] = dim < 2 * n
+    report["nondegenerate"] = fr.verdict != "Degenerate"
     report["verdict"] = _VERDICT[fr.verdict]
+    if not report["nondegenerate"]:
+        report["diagnostics"] = dict(fr.diagnostics)
+        return report, 0
+    report["image_dimension"] = fr.image_dimension
+    report["has_constraint"] = fr.image_dimension < 2 * n
     diagnostics = dict(fr.diagnostics)
     if fr.fitted is not None:
         fitted = {
@@ -303,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
         used = primes
         try:
             f = parse(expr, names)
-            used = _input_primes(f, primes)
+            used = prime_pool(primes, [f], len(primes))
             report, code = _analyze(
                 expr,
                 f,

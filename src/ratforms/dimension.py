@@ -41,7 +41,6 @@ class RankEstimate:
     rank: int
     samples: int
     primes: tuple[int, ...]
-    unanimous: bool
 
 
 @dataclass(frozen=True)
@@ -131,7 +130,7 @@ def generic_rank(
         for r in _ranks(dm.f, primes, seed, f"rank:a{attempt}", ns):
             best = max(best, r)
             if best == top:
-                return RankEstimate(best, ns, tuple(primes), True)
+                return RankEstimate(best, ns, tuple(primes))
         if best < 0:
             raise AllPolesError(
                 "all sampled points hit poles; function too degenerate to sample"
@@ -143,7 +142,7 @@ def generic_rank(
             checked += 1
         else:
             if checked:
-                return RankEstimate(best, ns, tuple(primes), True)
+                return RankEstimate(best, ns, tuple(primes))
     raise InconclusiveRankError(
         "generic rank did not stabilize after doubling the sample budget"
     )

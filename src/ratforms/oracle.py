@@ -178,7 +178,7 @@ def annihilating_poly(
     arity = fs[0].arity
     if any(f.arity != arity for f in fs):
         raise ValueError("functions must share one ambient variable list")
-    pool = _prime_pool(primes, fs)
+    pool = prime_pool(primes, fs)
     for d in range(1, dmax + 1):
         monos = _monomials(k, d)
         solve = partial(_kernel_vector, fs, monos, d, seed)
@@ -188,13 +188,14 @@ def annihilating_poly(
     return None
 
 
-def _prime_pool(primes: tuple[int, ...], fs: list[RatFun]) -> tuple[int, ...]:
-    """Six primes modulo which every function of fs has an image: the
-    given primes, then the largest below them (see coprime_primes)."""
+def prime_pool(primes: tuple[int, ...], fs: list[RatFun], count: int = 6) -> tuple[int, ...]:
+    """`count` primes modulo which every function of fs has an image: the
+    given primes that divide no coefficient denominator of fs, then the
+    largest such primes below them (see coprime_primes)."""
     den = 1
     for f in fs:
         den *= f.num.content.denominator * f.den.content.denominator
-    return coprime_primes(primes, den, 6)
+    return coprime_primes(primes, den, count)
 
 
 def _lift_and_verify(fs, monos, nprimes, pool, solve):
@@ -315,7 +316,7 @@ def composition_relation(
     samples were unlucky.
     """
     fs = [s, P]
-    pool = _prime_pool(primes, fs)
+    pool = prime_pool(primes, fs)
     samples = {}
 
     def fit(m, p):

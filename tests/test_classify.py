@@ -119,6 +119,17 @@ def test_verify_certificate_rejects_wrong_pair():
     assert not verify_certificate(cert, P, parse("x*y", BI))
 
 
+def test_certificate_samples_modulo_primes_coprime_to_the_denominators_of_s():
+    # s has no image modulo 11, which divides its coefficient denominator 44,
+    # so the gradient minors and the spot checks sample modulo another prime
+    P = parse("x^2 + y^2", BI)
+    s = parse("1/44*x^2 + 1/44*y^2", BI)
+    cert = dependence_certificate(P, s, primes=(13, 11))
+    assert cert is not None and cert.verified
+    assert cert.annihilator.terms == {(1, 0): Fraction(1), (0, 1): Fraction(-44)}
+    assert verify_certificate(cert, P, s, primes=(13, 11))
+
+
 def test_verify_certificate_rejects_mismatched_arity():
     cert = dependence_certificate(parse("(x+y)^2", BI), parse("x+y", BI), dmax=2)
     # s in more variables than P, and in fewer
@@ -158,7 +169,7 @@ def test_bivariate_no_constraint():
     rep = fit_bivariate(parse("x + y + x^2*y^3", BI))
     assert rep.verdict == "NoConstraint"
     assert rep.certificate is None and rep.fitted is None
-    assert rep.diagnostics["separable"] is False
+    assert rep.diagnostics["group_sep_xy"] is False
 
 
 def test_bivariate_degenerate():
@@ -173,7 +184,29 @@ def test_bivariate_separable_but_not_rationally_integrable():
     # must be Unresolved with the splitting reason, never NoConstraint.
     rep = fit_bivariate(parse("(x^2+1)*(y^2+1)", BI))
     assert rep.verdict == "Unresolved"
-    assert rep.diagnostics.get("multiplicative_non-splitting-factor") is False
+    assert rep.diagnostics.get("group_multiplicative_non-splitting-factor") is False
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "x + y + x^2*y^3",
+        "(x + y)/(1 + x*y^2) + x",
+        "(x+y)^2",
+        "(1/(x+1) + y^2)^2 + 3",
+        "x^2*y^2",
+        "(x*y - 1)/(x*y + 1)",
+        "(x^2+1)*(y^2+1)",
+    ],
+)
+def test_bivariate_verdict_agrees_with_the_exact_rank(expr):
+    # NoConstraint exactly when the symbolic Jacobian rank of the doubling
+    # map is full, and the reported dimension is that rank
+    f = parse(expr, BI)
+    rank = symbolic_rank(doubling_map(f))
+    rep = fit_bivariate(f)
+    assert rep.image_dimension == rank
+    assert (rep.verdict == "NoConstraint") == (rank == 4)
 
 
 def test_bivariate_additive_with_rational_parts():

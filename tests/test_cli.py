@@ -418,18 +418,18 @@ def test_a_certificate_settles_the_dimension_at_4_bits(capsys):
 
 
 def test_certificate_pool_skips_a_prime_dividing_a_fitted_denominator(capsys):
-    # the input has no denominator, but the fitted parts have a 40; the
-    # certificate pool at 4 bits is then 13, 11, 7, 3, 17, 19: 5 and 2 divide
-    # 40, 3 admits too few distinct sample values, and 13*11*7 is too small
-    # to reconstruct the coefficient 40
+    # the input has no denominator, but the fitted parts have a 44 = 4*11,
+    # so s has no image modulo the sampling prime 11: the gradient minors
+    # sample modulo 13 and 7 instead, and the certificate pool at 4 bits is
+    # 13, 7, 5, 3, 17, 19, without 11 and 2
     code, (rep,) = _run_json(
         capsys, ["--vars", "x,y", "--function", "x^2 + y^2", "--prime-bits", "4"]
     )
     assert code == 0
     assert rep["primes"] == [13, 11]
     assert rep["verdict"] == "group-additive"
-    assert rep["fitted"]["s"] == "1/40*x^2 + 1/40*y^2"
-    assert rep["certificate"]["annihilator"] == "p - 40*q"
+    assert rep["fitted"]["s"] == "1/44*x^2 + 1/44*y^2"
+    assert rep["certificate"]["annihilator"] == "p - 44*q"
 
 
 def test_bad_prime_in_a_fitted_function_is_unresolved(monkeypatch, capsys):
