@@ -926,7 +926,9 @@ def classify_trivariate(
     return _classify(P, dmax, primes, samples, seed)
 
 
-def _classify(P: RatFun, dmax, primes, samples: int, seed: int) -> FormReport:
+def _classify(
+    P: RatFun, dmax: int | None, primes: tuple[int, ...], samples: int, seed: int
+) -> FormReport:
     """The pipeline for n = 2 or 3 variables: degeneracy, fits, dimension.
 
     The fitters run first; a certified fit proves the constraint, and its
@@ -957,7 +959,9 @@ def _classify(P: RatFun, dmax, primes, samples: int, seed: int) -> FormReport:
     return report
 
 
-def _fit(P: RatFun, dmax, primes, seed: int, diag: dict[str, bool]) -> FormReport | None:
+def _fit(
+    P: RatFun, dmax: int | None, primes: tuple[int, ...], seed: int, diag: dict[str, bool]
+) -> FormReport | None:
     """The first certified fit among group, field and twisted, or None."""
     gf = fit_group(P, dmax=dmax, primes=primes, seed=seed, diagnostics=diag)
     if gf is not None:
