@@ -13,7 +13,6 @@ from .classify import (
     cube_identities,
     dependence_certificate,
     fit_bivariate,
-    fit_polynomial_composition,
     test_2decomposed,
     verify_certificate,
     verify_twisted_identities,
@@ -73,7 +72,6 @@ __all__ = [
     "dependence_certificate",
     "verify_certificate",
     "fit_bivariate",
-    "fit_polynomial_composition",
     "test_2decomposed",
     "classify_trivariate",
     "cube_identities",

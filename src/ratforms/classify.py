@@ -21,8 +21,10 @@ wrong shapes fast -- an unequal pair of residues is an exact disproof of the
 identity being probed, so gates never eliminate a true match except with
 negligible probability, and a fluke pass is harmless because every positive
 path ends in a verified certificate.  Recovery then works on exact
-univariate specializations, so no step ever multiplies two large
-multivariate polynomials except the single certificate expansion.
+univariate specializations (lines on which every other variable is pinned
+to a small integer): no fitter evaluates P at an exact multivariate point,
+and no step multiplies two large multivariate polynomials except the
+single certificate expansion.
 """
 
 from __future__ import annotations
@@ -231,11 +233,12 @@ def verify_certificate(
 
 
 class _Fn:
-    """Point-evaluation and exact-specialization views of one function.
+    """Partial ratios of one function: values mod p, exact on lines.
 
     Wraps the raw numerator/denominator pair (which need not be reduced)
-    and caches the partial-derivative polynomials; all partial values use
-    (N_i D - N D_i) / D^2 so no symbolic quotient is ever formed.
+    and caches the partial-derivative polynomials; every partial uses
+    (N_i D - N D_i) / D^2, so the only exact quotient formed is one of
+    polynomials restricted to a line.
     """
 
     __slots__ = ("num", "den", "_dn", "_dd")
@@ -268,18 +271,6 @@ class _Fn:
         if pb == 0:
             raise PoleError("vanishing partial at sample point")
         return (ng[a] * dv - nv * dg[a]) * pow(pb, p - 2, p) % p
-
-    def ratio_value(self, a: int, b: int, w) -> Fraction:
-        """(f_a / f_b)(w) over Q."""
-        dv = self.den.eval_q(w)
-        if dv == 0:
-            raise PoleError("pole at sample point")
-        nv = self.num.eval_q(w)
-        pb = self.dnum(b).eval_q(w) * dv - nv * self.dden(b).eval_q(w)
-        if pb == 0:
-            raise PoleError("vanishing partial at sample point")
-        pa = self.dnum(a).eval_q(w) * dv - nv * self.dden(a).eval_q(w)
-        return pa / pb
 
     def specialized_ratio(self, a: int, b: int, vals: dict[int, Fraction]) -> RatFun:
         """(f_a / f_b) with the variables in vals pinned, exact and reduced."""
@@ -535,33 +526,26 @@ def fit_group(
 def _solve_beta(fn: _Fn, i: int, j: int, uj: RatFun, B0: RatFun, rng) -> Fraction | None:
     """Constant beta making M/(B0 + beta) free of x_j, M = P_i * r_j' / P_j.
 
-    Two points on an x_j-line give one linear equation for beta; a second
-    independent line must reproduce the same value, otherwise no constant
-    works and the pivot is rejected.
+    On an exact x_j-line, with x_i and x_l pinned to small integers, a field
+    form gives M = K * (b + beta) with b = B0 on the line and K constant, so
+    K = M'/b' and beta = M/K - b.  M = 0 (x_i pinned where r_i' vanishes)
+    draws another line; a K that is not a nonzero constant rejects the pivot.
     """
-    found = []
-    tries = 0
-    while len(found) < 2 and tries < RETRIES:
-        tries += 1
-        w = tuple(Fraction(rng.randrange(3, 1 << 20)) for _ in range(3))
-        w2 = list(w)
-        w2[j] = Fraction(rng.randrange(3, 1 << 20))
-        w2 = tuple(w2)
-        if w2[j] == w[j]:
-            continue
+    for _ in range(RETRIES):
+        vals = {t: Fraction(rng.randrange(2, 98)) for t in range(3) if t != j}
         try:
-            m1 = fn.ratio_value(i, j, w) * uj.eval_q(w)
-            m2 = fn.ratio_value(i, j, w2) * uj.eval_q(w2)
-            b1 = B0.eval_q(w)
-            b2 = B0.eval_q(w2)
-        except (PoleError, ZeroDivisionError):
+            M = fn.specialized_ratio(i, j, vals) * uj.subs_scalars(vals)
+            b = B0.subs_scalars(vals)
+            K = M.partial(j) / b.partial(j)
+        except (DegenerateSpecializationError, PoleError, ZeroDivisionError):
             continue
-        if m1 == m2:
+        if M.is_zero:
             continue
-        found.append((m1 * b2 - m2 * b1) / (m2 - m1))
-    if len(found) < 2 or found[0] != found[1]:
-        return None
-    return found[0]
+        if not K.is_constant or K.is_zero:
+            return None
+        # (M/K - b)' = M'/K - b' = 0, so M/K - b is the constant beta
+        return (M.scale(1 / K.constant_value()) - b).constant_value()
+    return None
 
 
 def fit_field(
@@ -574,10 +558,11 @@ def fit_field(
     """Fit P = Q(r_i * (r_j + r_l)^n) over the three pivot choices.
 
     For the correct pivot x_i, the ratio P_j/P_l = r_j'/r_l' recovers the
-    inner sum B = r_j + r_l up to scale and shift; the shift comes from the
-    constancy of M * r_j'/M_j - B0 with M = P_i * r_j' / P_j, the exponent n
-    from the denominators of the residues of K = M/(B0+beta) = r_i'/(n r_i),
-    and r_i from integrating n*K as a log-derivative.
+    inner sum B = r_j + r_l up to scale and shift.  With M = P_i * r_j'/P_j,
+    the shift beta is the constant M * r_j'/M_j - B0 on one exact x_j-line
+    (see _solve_beta); the exponent n comes from the denominators of the
+    residues of K = M/(B0+beta) = r_i'/(n r_i), and r_i from integrating
+    n*K as a log-derivative.
     """
     diag = diagnostics if diagnostics is not None else {}
     fn = _Fn(P)
@@ -864,30 +849,6 @@ def cube_identities(f: RatFun, trials: int = 20, seed: int = 0) -> tuple[bool, b
     if done == 0:
         raise DegenerateSpecializationError("no usable cube found for identity checks")
     return flags[0], flags[1], flags[2]
-
-
-def fit_polynomial_composition(
-    P: RatFun, s: RatFun, degree_cap: int | None = None
-) -> Poly | None:
-    """Experimental probe: univariate polynomial u with P = u(s), or None.
-
-    The case of composition_relation where the relation a(q)*p - b(q) has
-    a constant a = a0, so u = b / a0; deg u is capped at deg P // deg s by
-    default.  Used to probe the conjectured polynomial-composition shape of
-    2-decomposed polynomials; a None carries no claim in either direction.
-    """
-    if P.arity != s.arity:
-        raise ValueError("P and s must share one ambient variable list")
-    if s.is_constant:
-        return None
-    sd = max(1, s.total_degree())
-    cap = degree_cap if degree_cap is not None else max(1, P.total_degree() // sd)
-    rel = composition_relation(P, s, cap)
-    if rel is None or any(e[0] == 1 and e[1] for e in rel.ints):
-        return None
-    a0 = rel.ints[(1, 0)]
-    u_terms = {(e[1],): Fraction(-c, a0) for e, c in rel.ints.items() if e[0] == 0}
-    return Poly(u_terms, 1) if u_terms else None
 
 
 # ---------------------------------------------------------------------------

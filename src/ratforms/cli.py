@@ -27,11 +27,11 @@ import argparse
 import json
 import sys
 
-from .classify import classify_trivariate, fit_bivariate, fit_polynomial_composition
+from .classify import classify_trivariate, fit_bivariate
 from .dimension import AllPolesError, InconclusiveRankError
 from .modular import primes_below
 from .oracle import prime_pool
-from .poly import BadPrimeError
+from .poly import BadPrimeError, Poly
 from .ratfun import ParseError, RatFun, parse
 
 _VERDICT = {
@@ -197,11 +197,15 @@ def _analyze(
             "degree_bound": fr.certificate.degree_bound,
         }
     if probe:
-        s_fit = fr.fitted.get("s") if fr.fitted else None
-        if s_fit is not None and f.is_polynomial:
-            u = fit_polynomial_composition(f, s_fit)
-            diagnostics["conjecture_composition"] = u is not None
-            if u is not None:
+        if fr.certificate is not None and f.is_polynomial:
+            # a(q)*p - b(q) is unique up to scale, so f = u(s) for a
+            # polynomial u exactly when a is a constant a0, and u = -b/a0
+            ann = fr.certificate.annihilator.terms
+            composed = all(e[1] == 0 for e in ann if e[0] == 1)
+            diagnostics["conjecture_composition"] = composed
+            if composed:
+                a0 = ann[(1, 0)]
+                u = Poly({(e[1],): -c / a0 for e, c in ann.items() if e[0] == 0}, 1)
                 diagnostics["conjecture_u"] = u.to_str(("t",))
         else:
             diagnostics["conjecture_applicable"] = False

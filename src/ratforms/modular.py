@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 # The two largest 31-bit primes; defaults for every sampling backend.
 DEFAULT_PRIMES = (2147483647, 2147483629)
@@ -103,7 +103,7 @@ def rational_reconstruct(a: int, m: int) -> Fraction | None:
     a %= m
     if a == 0:
         return Fraction(0)
-    bound = int((m // 2) ** 0.5)
+    bound = isqrt(m // 2)
     old_r, r = m, a
     old_t, t = 0, 1
     while r > bound:

@@ -2,11 +2,12 @@
 
 symbolic_rank eliminates the *symbolic* Jacobian with fraction-free
 Bareiss steps, so its answer is exact and shares no randomness with
-generic_rank.  annihilating_poly searches for an exact polynomial
-relation among given functions; composition_relation finds the relation
-a(q)*p - b(q) of P = (b/a)(s) far faster, and the certificate search
-tries it first.  Every returned relation is verified by exact
-composition, never by sampling alone.
+generic_rank.  composition_relation finds the relation a(q)*p - b(q) of
+P = (b/a)(s) by rational interpolation; it is the only search behind the
+dependence certificates.  annihilating_poly is a standalone search for a
+polynomial relation among any given functions, over all monomials of
+each degree.  Every returned relation is verified by exact composition,
+never by sampling alone.
 """
 
 from __future__ import annotations
@@ -306,14 +307,15 @@ def composition_relation(
     Finds P = (b/a)(s) for univariate a, b by rational (Cauchy)
     interpolation of sampled pairs (s(w), P(w)) modulo the first prime,
     with the degree bound m = 1, 2, 4, ... capped at dmax.  Once a fit
-    holds there, each prime of the pool of annihilating_poly refits at the
-    degree it found, and the fits are lifted and normalized as there: the
-    relation is returned only if its total degree is at most dmax and its
-    exact composition with (P, s) vanishes.  Since s is nonconstant, every
-    relation between P and s is then a multiple of this one (Gauss's
-    lemma), so it is also the relation annihilating_poly([P, s], dmax)
-    returns.  None carries no claim: P may lie outside Q(s), or the
-    samples were unlucky.
+    holds there, each prime of prime_pool(primes, [s, P]) (six primes that
+    divide no coefficient denominator of P or s) refits at the degree it
+    found, and the fits are lifted and normalized as annihilating_poly's
+    are (_lift_and_verify): the relation is returned only if its total
+    degree is at most dmax and its exact composition with (P, s) vanishes.
+    Since s is nonconstant, every relation between P and s is then a
+    multiple of this one (Gauss's lemma), so it is also the relation
+    annihilating_poly([P, s], dmax) returns.  None carries no claim: P
+    may lie outside Q(s), or the samples were unlucky.
     """
     fs = [s, P]
     pool = prime_pool(primes, fs)

@@ -16,7 +16,6 @@ from ratforms.classify import (
     fit_bivariate,
     fit_field,
     fit_group,
-    fit_polynomial_composition,
     fit_twisted,
     verify_certificate,
     verify_twisted_identities,
@@ -293,6 +292,32 @@ def test_fit_field_high_exponent():
 
 def test_fit_field_rejects_twisted():
     assert fit_field(parse("(x+y)/(y+z)", TRI)) is None
+
+
+@pytest.mark.parametrize(
+    "expr, n", [("x*(y^2+z+5)^3", 3), ("(x+1)/(x-2)*(1/(y+1)+z-2)^2", 2)]
+)
+def test_field_shift_puts_the_constant_back_inside_s(expr, n):
+    # the inner sum is integrated only up to a constant; the shift step
+    # recovers it (the +5, the -2) on one exact y-line
+    P = parse(expr, TRI)
+    rep = classify_trivariate(P)
+    assert rep.verdict == "Field" and rep.pivot == 1 and rep.exponent == n
+    assert rep.fitted["r3"] == parse("z", TRI)
+    assert rep.fitted["s"] == P
+
+
+def test_field_shift_redraws_a_line_through_a_critical_point_of_r1():
+    # at seed 45 the shift step first pins x = 5, where r1' = 2*x - 10
+    # vanishes, so M = 0 on that line and says nothing about the shift
+    rep = classify_trivariate(parse("x*(x-10)*(y+z)^2", TRI), seed=45)
+    assert rep.verdict == "Field" and rep.pivot == 1 and rep.exponent == 2
+
+
+def test_field_pivot_without_a_constant_shift_is_rejected():
+    rep = classify_trivariate(parse("x*(y+z)^2 + x", TRI))
+    assert rep.verdict == "Unresolved"
+    assert rep.diagnostics["field_pivot_x_shift"] is False
 
 
 # -- twisted fitter ---------------------------------------------------------------
@@ -575,30 +600,3 @@ def test_fitted_s_is_dependent_with_generating_s():
     assert rep.verdict == "GroupAdditive"
     cross = dependence_certificate(rep.fitted["s"], s0, dmax=4)
     assert cross is not None and cross.verified
-
-
-# -- experimental polynomial-composition probe ---------------------------------------
-
-
-def test_probe_recovers_outer_polynomial():
-    P = parse("(x+y+z)^3 - 2*(x+y+z) + 5", TRI)
-    s = parse("x+y+z", TRI)
-    u = fit_polynomial_composition(P, s)
-    assert u is not None
-    assert u.terms == {
-        (3,): Fraction(1),
-        (1,): Fraction(-2),
-        (0,): Fraction(5),
-    }
-
-
-def test_probe_returns_none_without_composition():
-    P = parse("x^2*y^2 + x*y^3", BI)
-    assert fit_polynomial_composition(P, parse("x*y", BI)) is None
-
-
-def test_probe_handles_rational_inner_function():
-    P = parse("((x+y)/(y+z))^2", TRI)
-    s = parse("(x+y)/(y+z)", TRI)
-    u = fit_polynomial_composition(P, s)
-    assert u is not None and u.terms == {(2,): Fraction(1)}

@@ -10,7 +10,7 @@ from ratforms import cli, dimension
 from ratforms.cli import main
 from ratforms.modular import primes_below
 from ratforms.poly import BadPrimeError
-from ratforms.ratfun import parse
+from ratforms.ratfun import RatFun, parse
 
 SCHEMA_KEYS = [
     "function",
@@ -309,6 +309,29 @@ def test_probe_conjecture_flag(capsys):
     diag = reports[0]["diagnostics"]
     assert diag["conjecture_composition"] is True
     assert diag["conjecture_u"] == "t^3 - 2*t + 5"
+
+
+@pytest.mark.parametrize(
+    "names, expr",
+    [
+        ("x,y,z", "(x+y+z)^3 - 2*(x+y+z) + 5"),
+        ("x,y,z", "(x*y*z)^2 + 1"),
+        ("x,y", "(x+y)^4"),
+    ],
+)
+def test_probe_conjecture_u_of_s_is_the_input(capsys, names, expr):
+    code, reports = _run_json(
+        capsys, ["--vars", names, "--function", expr, "--probe-conjecture"]
+    )
+    assert code == 0
+    rep = reports[0]
+    assert rep["diagnostics"]["conjecture_composition"] is True
+    vs = tuple(names.split(","))
+    s = parse(rep["fitted"]["s"], vs)
+    u = parse(rep["diagnostics"]["conjecture_u"], ("t",))
+    assert u.is_polynomial
+    u_of_s = sum((s ** e * c for (e,), c in u.num.terms.items()), RatFun.const(0, len(vs)))
+    assert u_of_s == parse(expr, vs)
 
 
 def test_probe_conjecture_not_applicable_for_rational_input(capsys):

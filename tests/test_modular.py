@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import isqrt, prod
 
 import pytest
 
@@ -75,6 +76,16 @@ def test_rational_reconstruction_roundtrip():
         val = Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**4))
         residue = (val.numerator * inv_mod(val.denominator % m, m)) % m
         assert rational_reconstruct(residue, m) == val
+
+
+def test_rational_reconstruction_reaches_its_exact_bound():
+    # the modulus of a six-prime certificate lift, and one past 2^1024
+    m = prod(primes_below(1 << 31, 6))
+    n = isqrt(m // 2) - 1
+    assert rational_reconstruct(n % m, m) == n
+    m = prod(primes_below(1 << 31, 40))
+    assert m > 1 << 1024
+    assert rational_reconstruct(3 * inv_mod(7, m) % m, m) == Fraction(3, 7)
 
 
 def test_rng_for_is_deterministic_and_label_separated():
