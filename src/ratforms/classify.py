@@ -9,7 +9,10 @@ nonconstant univariate rational function: every fitter reads the inner
 parts off partial ratios or log-derivatives from which q cancels.  The
 fitters recover the inner parts exactly and back every positive verdict
 with a machine-checkable dependence certificate: the relation
-a(q)*p - b(q) stating P = (b/a)(s), verified by exact expansion.
+a(q)*p - b(q) stating P = (b/a)(s), checked exactly when it is found (its
+homogenized parts in (N_s, D_s) are proportional to D_P and -N_P, see
+oracle._vanishes) and re-checked from scratch by verify_certificate's
+full expansion.
 
 fit_bivariate and classify_trivariate share one pipeline: the
 nondegeneracy check, the fitters (group; then field and twisted for three
@@ -24,7 +27,7 @@ path ends in a verified certificate.  Recovery then works on exact
 univariate specializations (lines on which every other variable is pinned
 to a small integer): no fitter evaluates P at an exact multivariate point,
 and no step multiplies two large multivariate polynomials except the
-single certificate expansion.
+certificate check.
 """
 
 from __future__ import annotations
@@ -68,8 +71,10 @@ class DependenceCertificate:
 
     annihilator is a nonzero bivariate polynomial in slots (p, q) with
     annihilator(P, s) = 0 as a function; the fitters' certificates are
-    a(q)*p - b(q), that is P = (b/a)(s).  verified records that the exact
-    expansion of that composition was checked to vanish.
+    a(q)*p - b(q), that is P = (b/a)(s).  verified records that
+    annihilator(P, s) = 0 was checked exactly when the relation was found:
+    by homogenized proportionality, or by the exact expansion where that
+    test does not apply (see oracle._vanishes).
     """
 
     annihilator: Poly
@@ -176,13 +181,13 @@ def dependence_certificate(
 
     Every fitter builds s with P = q(s) for a univariate rational q, so the
     certificate is that relation, of total degree at most dmax (by default
-    2 * (deg P + deg s)), fitted by rational interpolation and verified by
-    exact expansion.  It is linear in p: a dependence of higher degree in p
-    means P lies outside Q(s), so s does not explain P and no certificate
-    is returned.  P and s are dependent iff their gradients are parallel,
-    so provably non-parallel gradients end the search immediately; their
-    minors are sampled modulo primes that divide no coefficient denominator
-    of P or s (see prime_pool).
+    2 * (deg P + deg s)), fitted by rational interpolation and checked
+    exactly by composition_relation.  It is linear in p: a dependence of
+    higher degree in p means P lies outside Q(s), so s does not explain P
+    and no certificate is returned.  P and s are dependent iff their
+    gradients are parallel, so provably non-parallel gradients end the
+    search immediately; their minors are sampled modulo primes that divide
+    no coefficient denominator of P or s (see prime_pool).
     """
     if P.arity != s.arity:
         raise ValueError("P and s must share one ambient variable list")
@@ -196,8 +201,8 @@ def dependence_certificate(
     ann = composition_relation(P, s, bound, primes=primes, seed=seed)
     if ann is None:
         return None
-    # composition_relation only returns a relation whose exact composition
-    # with (P, s) vanished identically, so the certificate is born verified.
+    # composition_relation only returns a relation that was proven to vanish
+    # identically on (P, s), so the certificate is born verified.
     return DependenceCertificate(ann, ann.total_degree(), True)
 
 
@@ -210,10 +215,12 @@ def verify_certificate(
 ) -> bool:
     """Re-check a certificate from scratch: is annihilator(P, s) = 0 exactly?
 
-    Modular spot evaluations run first so that a corrupted certificate fails
-    in microseconds; agreement at every sample falls through to the exact
-    symbolic expansion, which is the final word.  The spot checks skip a
-    prime that divides a coefficient denominator of P or s (see prime_pool).
+    This is the independent check: it shares nothing with the proportionality
+    test that accepted the certificate.  Modular spot evaluations run first
+    so that a corrupted certificate fails in microseconds; agreement at every
+    sample falls through to the full exact expansion (compose_numerator),
+    which is the final word.  The spot checks skip a prime that divides a
+    coefficient denominator of P or s (see prime_pool).
     """
     if P.arity != s.arity:
         raise ValueError("P and s must share one ambient variable list")
@@ -273,13 +280,20 @@ class _Fn:
         return (ng[a] * dv - nv * dg[a]) * pow(pb, p - 2, p) % p
 
     def specialized_ratio(self, a: int, b: int, vals: dict[int, Fraction]) -> RatFun:
-        """(f_a / f_b) with the variables in vals pinned, exact and reduced."""
+        """(f_a / f_b) with the variables in vals pinned, exact and reduced.
+
+        A partial in a variable that stays free is taken after the
+        substitution, on the restricted N and D, since the two commute.
+        """
         n = self.num.subs_scalars(vals)
         d = self.den.subs_scalars(vals)
-        na = self.dnum(a).subs_scalars(vals)
-        da = self.dden(a).subs_scalars(vals)
-        nb = self.dnum(b).subs_scalars(vals)
-        db = self.dden(b).subs_scalars(vals)
+
+        def partials(v):
+            if v in vals:
+                return self.dnum(v).subs_scalars(vals), self.dden(v).subs_scalars(vals)
+            return n.derivative(v), d.derivative(v)
+
+        (na, da), (nb, db) = partials(a), partials(b)
         den = nb * d - n * db
         if den.is_zero:
             raise DegenerateSpecializationError("partial ratio degenerates")

@@ -6,8 +6,8 @@ generic_rank.  composition_relation finds the relation a(q)*p - b(q) of
 P = (b/a)(s) by rational interpolation; it is the only search behind the
 dependence certificates.  annihilating_poly is a standalone search for a
 polynomial relation among any given functions, over all monomials of
-each degree.  Every returned relation is verified by exact composition,
-never by sampling alone.
+each degree.  Every returned relation is proven to vanish exactly, never
+by sampling alone (see _vanishes).
 """
 
 from __future__ import annotations
@@ -183,7 +183,7 @@ def annihilating_poly(
     for d in range(1, dmax + 1):
         monos = _monomials(k, d)
         solve = partial(_kernel_vector, fs, monos, d, seed)
-        cand = _lift_and_verify(fs, monos, len(primes), pool, solve)
+        cand = _lift_and_verify(fs, monos, len(primes), pool, solve, seed)
         if cand is not None:
             return cand
     return None
@@ -199,7 +199,7 @@ def prime_pool(primes: tuple[int, ...], fs: list[RatFun], count: int = 6) -> tup
     return coprime_primes(primes, den, count)
 
 
-def _lift_and_verify(fs, monos, nprimes, pool, solve):
+def _lift_and_verify(fs, monos, nprimes, pool, solve, seed):
     """Relation with coefficients on monos from per-prime vectors, or None.
 
     solve(p) returns the coefficient vector mod p, scaled the same way at
@@ -207,10 +207,11 @@ def _lift_and_verify(fs, monos, nprimes, pool, solve):
     later one it skips that prime (one too small to give enough distinct
     sample values, or an unlucky one).  From the first nprimes vectors on,
     they are CRT-combined, reconstructed over Q and normalized, and the
-    candidate counts only if its exact composition with fs vanishes.  A
-    failed reconstruction or a nonzero composition only ever means an
-    unlucky prime; more primes are drawn until the pool runs dry
-    (soundness never depends on this path).
+    candidate counts only if it vanishes exactly on fs (_vanishes, with
+    the pool primes the lift did not combine as spares).  A failed
+    reconstruction or a nonzero composition only ever means an unlucky
+    prime; more primes are drawn until the pool runs dry (soundness never
+    depends on this path).
     """
     used = []
     for p in pool:
@@ -232,9 +233,68 @@ def _lift_and_verify(fs, monos, nprimes, pool, solve):
             coeffs = _normalize_coeffs(rat, monos)
             if coeffs:
                 cand = Poly.from_ints(coeffs, len(fs))
-                if compose_numerator(cand, fs).is_zero:
+                lifted = {q for q, _ in used}
+                spare = [q for q in pool if q not in lifted]
+                if _vanishes(cand, fs, spare, seed):
                     return cand
     return None
+
+
+def _vanishes(A: Poly, fs: list[RatFun], spare, seed: int) -> bool:
+    """Is A(f_1, ..., f_k) the zero function?  Exact, in three steps.
+
+    A relation linear in its first slot, between two functions, holds when
+    its homogenized parts are proportional to f_1 (_proportional); that
+    settles every true certificate of a reduced s without a large product.
+    Otherwise a nonzero value of A at one random pole-free point modulo the
+    first spare prime is an exact disproof.  The spares must be primes the
+    lift did not combine: a CRT candidate vanishes modulo its own lift
+    primes whether or not it is true.  When neither step decides, the
+    exact expansion of compose_numerator does.
+    """
+    if len(fs) == 2 and A.degree_in(0) == 1 and _proportional(A, *fs):
+        return True
+    for p in spare:
+        pts = pole_free_values(fs, 1, p, rng_for(seed, f"spot:p{p}"))
+        if pts is not None:
+            if A.eval_mod(pts[0], p):
+                return False
+            break
+    return compose_numerator(A, fs).is_zero
+
+
+def _proportional(A: Poly, P: RatFun, s: RatFun) -> bool:
+    """Sufficient test for A(P, s) = 0 with A linear in its first slot p.
+
+    Write A = sum_k a_k p q^k + sum_k c_k q^k with E = deg_q A, and build
+    alpha = sum_k a_k N_s^k D_s^(E-k) and gamma = sum_k c_k N_s^k D_s^(E-k)
+    by Horner's rule.  compose_numerator(A, [P, s]) is N_P alpha + D_P gamma,
+    which vanishes when alpha = lam D_P and gamma = -lam N_P for one
+    rational lam.  For reduced P and s and a relation a(q) p - b(q) with
+    coprime a and b that is also necessary (a common factor of alpha and
+    gamma would divide a power of N_s and of D_s), so a False here only
+    sends the caller to its other checks.
+    """
+    E = A.degree_in(1)
+    # A's content scales alpha and gamma alike, so its integer part suffices
+    a, c = [0] * (E + 1), [0] * (E + 1)
+    for (i, k), v in A.ints.items():
+        (a if i else c)[k] = v
+    dpow = [Poly.const(1, s.arity)]
+    for _ in range(E):
+        dpow.append(dpow[-1] * s.den)
+
+    def horner(co):
+        h = Poly.const(co[E], s.arity)
+        for k in range(E - 1, -1, -1):
+            h = h * s.num + dpow[E - k].scale(co[k])
+        return h
+
+    alpha = horner(a)
+    if alpha.is_zero:  # alpha = D_s^E a(s) vanishes only for a constant s
+        return False
+    lam = alpha.leading()[1] / P.den.leading()[1]
+    return alpha == P.den.scale(lam) and horner(c) == P.num.scale(-lam)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +371,9 @@ def composition_relation(
     divide no coefficient denominator of P or s) refits at the degree it
     found, and the fits are lifted and normalized as annihilating_poly's
     are (_lift_and_verify): the relation is returned only if its total
-    degree is at most dmax and its exact composition with (P, s) vanishes.
+    degree is at most dmax and it is proven to vanish on (P, s), by
+    homogenized proportionality or, where that does not apply, by the
+    exact expansion (_vanishes).
     Since s is nonconstant, every relation between P and s is then a
     multiple of this one (Gauss's lemma), so it is also the relation
     annihilating_poly([P, s], dmax) returns.  None carries no claim: P
@@ -350,7 +412,7 @@ def composition_relation(
                     return None
                 return [fitted.get(e, 0) for e in monos]
 
-            cand = _lift_and_verify([P, s], monos, len(primes), pool, solve)
+            cand = _lift_and_verify([P, s], monos, len(primes), pool, solve, seed)
             if cand is not None:
                 return cand
         if bound >= dmax:

@@ -312,6 +312,9 @@ def compose_numerator(coeffs: Poly, fs: list[RatFun]) -> Poly:
     sum_a c_a * prod_i N_i^{a_i} D_i^{E_i - a_i} with E_i the slot-i degree
     of A.  It vanishes identically iff A(f_1, ..., f_k) is the zero
     function, so callers get an exact zero test without any gcd work.
+    The full expansion is classify.verify_certificate's independent
+    re-check; the certificate search reaches it only where the cheaper
+    exact tests of oracle._vanishes do not decide.
     """
     k = coeffs.arity
     if len(fs) != k:

@@ -20,11 +20,12 @@ from ratforms.classify import (
     verify_certificate,
     verify_twisted_identities,
 )
+from ratforms.classify import _Fn
 from ratforms.classify import test_2decomposed as is_2decomposed
 from ratforms.oracle import symbolic_rank
 from ratforms.dimension import doubling_map, generic_rank, image_dimension
 from ratforms.poly import Poly
-from ratforms.ratfun import compose_numerator, parse
+from ratforms.ratfun import RatFun, compose_numerator, parse
 
 BI = ("x", "y")
 TRI = ("x", "y", "z")
@@ -318,6 +319,29 @@ def test_field_pivot_without_a_constant_shift_is_rejected():
     rep = classify_trivariate(parse("x*(y+z)^2 + x", TRI))
     assert rep.verdict == "Unresolved"
     assert rep.diagnostics["field_pivot_x_shift"] is False
+
+
+@pytest.mark.parametrize(
+    "a, b, vals",
+    [
+        (0, 1, {1: Fraction(3, 2), 2: Fraction(-5)}),  # x = x_a is free
+        (2, 0, {1: Fraction(7), 2: Fraction(2, 3)}),  # x = x_b is free
+        (0, 1, {0: Fraction(4), 1: Fraction(-1, 3)}),  # z is free
+    ],
+)
+def test_specialized_ratio_matches_six_substitutions(a, b, vals):
+    fn = _Fn(parse("(x^2*y + z^3 + 1)/(x*y*z + 2) + x*z^2", TRI))
+
+    def sub(poly):
+        return poly.subs_scalars(vals)
+
+    n, d = sub(fn.num), sub(fn.den)
+    want = RatFun(
+        sub(fn.dnum(a)) * d - n * sub(fn.dden(a)),
+        sub(fn.dnum(b)) * d - n * sub(fn.dden(b)),
+    )
+    got = fn.specialized_ratio(a, b, vals)
+    assert (got.num, got.den) == (want.num, want.den)
 
 
 # -- twisted fitter ---------------------------------------------------------------

@@ -2,19 +2,25 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from ratforms import oracle
+from ratforms.classify import classify_trivariate, fit_bivariate, verify_certificate
 from ratforms.dimension import doubling_map, generic_rank
+from ratforms.modular import DEFAULT_PRIMES
 from ratforms.oracle import (
     MAX_ORACLE_DEGREE,
     OracleGuardError,
     annihilating_poly,
     composition_relation,
+    prime_pool,
     symbolic_rank,
 )
-from ratforms.ratfun import compose_numerator, parse
+from ratforms.poly import Poly
+from ratforms.ratfun import RatFun, compose_numerator, parse, pole_free_values
 
 BI = ("x", "y")
 TRI = ("x", "y", "z")
@@ -146,3 +152,111 @@ def test_composition_relation_respects_degree_cap():
     assert composition_relation(P, s, 2) is None
     rel = composition_relation(P, s, 3)
     assert rel is not None and rel.terms == {(1, 0): Fraction(1), (0, 3): Fraction(-1)}
+
+
+# -- exact acceptance of a lifted relation -------------------------------------
+
+
+def _forbid_expansion(monkeypatch):
+    def expand(coeffs, fs):
+        raise AssertionError("compose_numerator ran")
+
+    monkeypatch.setattr(oracle, "compose_numerator", expand)
+
+
+def _count_expansions(monkeypatch) -> list:
+    calls = []
+
+    def expand(coeffs, fs):
+        calls.append(coeffs)
+        return compose_numerator(coeffs, fs)
+
+    monkeypatch.setattr(oracle, "compose_numerator", expand)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "expr, names, verdict",
+    [
+        ("(x + y^2 + 1/(z+1))^2 + 3", TRI, "GroupAdditive"),
+        ("(x*z^2/(y+1))^2 - 1", TRI, "GroupMultiplicative"),
+        ("x*(y^2+z+5)^3", TRI, "Field"),
+        ("((x^2+y)/(y+z^3))^2 + 1", TRI, "Twisted"),
+        ("(1/(x+1) + y^2)^2 + 3", BI, "GroupAdditive"),
+    ],
+)
+def test_true_certificates_are_accepted_without_expansion(monkeypatch, expr, names, verdict):
+    # alpha and gamma, the homogenized parts of a(q)*p - b(q) in (N_s, D_s),
+    # are proportional to D_P and -N_P, so no composition is expanded
+    _forbid_expansion(monkeypatch)
+    f = parse(expr, names)
+    rep = classify_trivariate(f) if len(names) == 3 else fit_bivariate(f)
+    assert rep.verdict == verdict
+    assert verify_certificate(rep.certificate, f, rep.fitted["s"])
+
+
+def test_a_candidate_equal_modulo_the_lift_primes_is_rejected_without_expansion(monkeypatch):
+    P, s = parse("(x*y+5)^6", BI), parse("x*y", BI)
+    true = composition_relation(P, s, 12)
+    m1, m2 = DEFAULT_PRIMES
+    ints = dict(true.ints)
+    ints[(0, 1)] += m1 * m2
+    false = Poly.from_ints(ints, 2)
+    pool = prime_pool(DEFAULT_PRIMES, [P, s])
+    assert pool[:2] == (m1, m2)
+    # modulo either lift prime the false candidate vanishes on (P, s) too
+    for m in (m1, m2):
+        (pt,) = pole_free_values([P, s], 1, m, random.Random(0))
+        assert false.eval_mod(pt, m) == 0
+    _forbid_expansion(monkeypatch)
+    assert not oracle._vanishes(false, [P, s], pool[2:], 0)
+    assert oracle._vanishes(true, [P, s], pool[2:], 0)
+
+
+def test_false_lifts_are_rejected_by_a_spot_value_at_a_spare_prime(monkeypatch):
+    # modulo 251 * 257, and then times 241, coefficients of (q + 5)^6 such as
+    # 9375 reconstruct to wrong rationals; each wrong candidate vanishes
+    # modulo the primes it was lifted from, so only a spare prime refutes it
+    _forbid_expansion(monkeypatch)
+    seen = []
+    vanishes = oracle._vanishes
+
+    def spy(A, fs, spare, seed):
+        seen.append(vanishes(A, fs, spare, seed))
+        return seen[-1]
+
+    monkeypatch.setattr(oracle, "_vanishes", spy)
+    P, s = parse("(x*y+5)^6", BI), parse("x*y", BI)
+    rel = composition_relation(P, s, 12, primes=(251, 257))
+    assert rel == parse("p - (q+5)^6", ("p", "q")).num
+    assert seen == [False, False, True]
+
+
+def test_an_unreduced_s_falls_back_to_the_expansion(monkeypatch):
+    # the common factor x + 1 of s enters alpha and gamma, so they are not
+    # constant multiples of D_P and N_P; the spot value is 0 and the exact
+    # expansion decides
+    calls = _count_expansions(monkeypatch)
+    x, y = (parse(v, BI).num for v in BI)
+    s = RatFun.raw((x + y) * (x + 1), (x - y) * (x + 1))
+    P = parse("((x+y)/(x-y))^2", BI)
+    rel = composition_relation(P, s, 4)
+    assert rel == parse("p - q^2", ("p", "q")).num
+    assert len(calls) == 1
+
+
+def test_a_relation_quadratic_in_p_falls_back_to_the_expansion(monkeypatch):
+    calls = _count_expansions(monkeypatch)
+    P, s = parse("x+y", BI), parse("(x+y)^2", BI)
+    pq = ("p", "q")
+    pool = prime_pool(DEFAULT_PRIMES, [P, s])
+    true, false = parse("p^2 - q", pq).num, parse("p^2 - 2*q", pq).num
+    assert oracle._vanishes(true, [P, s], pool[2:], 0)
+    assert len(calls) == 1
+    # no spare prime left: the expansion alone decides
+    assert oracle._vanishes(true, [P, s], (), 0)
+    assert not oracle._vanishes(false, [P, s], (), 0)
+    assert len(calls) == 3
+    # a spare prime refutes the false one before any expansion
+    assert not oracle._vanishes(false, [P, s], pool[2:], 0)
+    assert len(calls) == 3
