@@ -138,35 +138,32 @@ class TwistedFit(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _gradients_not_parallel(P: RatFun, s: RatFun, primes, seed: int) -> bool:
+def _gradients_not_parallel(P: RatFun, s: RatFun, p: int, seed: int) -> bool:
     """True when some 2x2 minor of [grad P; grad s] is provably nonzero.
 
-    Minors are evaluated mod p at random points with the pole factors
-    cleared; a nonzero residue is an exact disproof of parallelism, so a
-    True return is certain while a False return only means every sampled
-    minor vanished.
+    The minors are evaluated mod p at one random pole-free point with the
+    pole factors cleared: one walk of each of the four polynomials.  A
+    nonzero residue is an exact disproof of parallelism, so a True return
+    is certain.  A False return only means the sampled minors vanished; by
+    Schwartz-Zippel a non-parallel pair does so with probability at most
+    deg/p, and it then costs only the certificate search, which returns a
+    relation only after exact proof.
     """
     n = P.arity
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    for p in primes:
-        rng = rng_for(seed, f"minors:p{p}")
-        done = 0
-        tries = 0
-        while done < 4 and tries < RETRIES:
-            tries += 1
-            w = ([rng.randrange(1, p) for _ in range(n)],)
-            (pdv, *pdg), = P.den.eval_grad_mod(w, p)
-            (sdv, *sdg), = s.den.eval_grad_mod(w, p)
-            if pdv == 0 or sdv == 0:
-                continue
-            (pnv, *png), = P.num.eval_grad_mod(w, p)
-            (snv, *sng), = s.num.eval_grad_mod(w, p)
-            gp = [png[i] * pdv - pnv * pdg[i] for i in range(n)]
-            gs = [sng[i] * sdv - snv * sdg[i] for i in range(n)]
-            for a, b in pairs:
-                if (gp[a] * gs[b] - gp[b] * gs[a]) % p:
-                    return True
-            done += 1
+    rng = rng_for(seed, f"minors:p{p}")
+    for _ in range(RETRIES):
+        w = ([rng.randrange(1, p) for _ in range(n)],)
+        (pdv, *pdg), = P.den.eval_grad_mod(w, p)
+        (sdv, *sdg), = s.den.eval_grad_mod(w, p)
+        if pdv == 0 or sdv == 0:
+            continue
+        (pnv, *png), = P.num.eval_grad_mod(w, p)
+        (snv, *sng), = s.num.eval_grad_mod(w, p)
+        gp = [png[i] * pdv - pnv * pdg[i] for i in range(n)]
+        gs = [sng[i] * sdv - snv * sdg[i] for i in range(n)]
+        return any(
+            (gp[a] * gs[b] - gp[b] * gs[a]) % p for a in range(n) for b in range(a + 1, n)
+        )
     return False
 
 
@@ -186,8 +183,9 @@ def dependence_certificate(
     higher degree in p means P lies outside Q(s), so s does not explain P
     and no certificate is returned.  P and s are dependent iff their
     gradients are parallel, so provably non-parallel gradients end the
-    search immediately; their minors are sampled modulo primes that divide
-    no coefficient denominator of P or s (see prime_pool).
+    search immediately; their minors are sampled at one point modulo the
+    first prime that divides no coefficient denominator of P or s (see
+    prime_pool).
     """
     if P.arity != s.arity:
         raise ValueError("P and s must share one ambient variable list")
@@ -195,7 +193,7 @@ def dependence_certificate(
         raise ValueError("the fitted function s must be nonconstant")
     if P.is_constant:
         raise ValueError("P must be nonconstant")
-    if _gradients_not_parallel(P, s, prime_pool(primes, [P, s], len(primes)), seed):
+    if _gradients_not_parallel(P, s, prime_pool(primes, [P, s], 1)[0], seed):
         return None
     bound = dmax if dmax is not None else 2 * max(1, P.total_degree() + s.total_degree())
     ann = composition_relation(P, s, bound, primes=primes, seed=seed)
@@ -245,7 +243,9 @@ class _Fn:
     Wraps the raw numerator/denominator pair (which need not be reduced)
     and caches the partial-derivative polynomials; every partial uses
     (N_i D - N D_i) / D^2, so the only exact quotient formed is one of
-    polynomials restricted to a line.
+    polynomials restricted to a line.  Values mod p come from one two-copy
+    walk of N and one of D, which gives the ratio at every mixture of two
+    points (see ratios_mod).
     """
 
     __slots__ = ("num", "den", "_dn", "_dd")
@@ -268,16 +268,24 @@ class _Fn:
             self._dd[vs] = (self.dden(*vs[:-1]) if len(vs) > 1 else self.den).derivative(vs[-1])
         return self._dd[vs]
 
-    def ratio_mod(self, a: int, b: int, w, p: int) -> int:
-        """(f_a / f_b)(w) mod p; PoleError on any vanishing denominator."""
-        (dv, *dg), = self.den.eval_grad_mod((w,), p)
-        if dv == 0:
-            raise PoleError("pole at sample point")
-        (nv, *ng), = self.num.eval_grad_mod((w,), p)
-        pb = (ng[b] * dv - nv * dg[b]) % p
-        if pb == 0:
-            raise PoleError("vanishing partial at sample point")
-        return (ng[a] * dv - nv * dg[a]) * pow(pb, p - 2, p) % p
+    def ratios_mod(self, a: int, b: int, points, p: int, ks) -> list[int | None]:
+        """(f_a / f_b) mod p at the mixtures ks of two points.
+
+        Mixture k takes x_i from points[bit i of k] (see Poly.eval_grad_mod);
+        an entry is None where D or f_b vanishes.
+        """
+        dens = self.den.eval_grad_mod(points, p)
+        nums = self.num.eval_grad_mod(points, p)
+        out = []
+        for k in ks:
+            dv, *dg = dens[k]
+            nv, *ng = nums[k]
+            pb = (ng[b] * dv - nv * dg[b]) % p
+            if dv == 0 or pb == 0:
+                out.append(None)
+            else:
+                out.append((ng[a] * dv - nv * dg[a]) * pow(pb, p - 2, p) % p)
+        return out
 
     def specialized_ratio(self, a: int, b: int, vals: dict[int, Fraction]) -> RatFun:
         """(f_a / f_b) with the variables in vals pinned, exact and reduced.
@@ -329,29 +337,23 @@ def _gate_ratio_separable(
 ) -> bool:
     """Probe H(X,Y) H(X0,Y0) = H(X,Y0) H(X0,Y) for H = f_a/f_b mod p.
 
-    An unequal residue pair is an exact disproof of separability; `rounds`
-    agreeing probes are strong (not absolute) evidence for it.
+    The four corners are mixtures of w and w with (X, Y) := (X0, Y0), read
+    off one two-copy walk of N and one of D.  An unequal residue pair is an
+    exact disproof of separability; `rounds` agreeing probes are strong (not
+    absolute) evidence for it.
     """
     arity = fn.num.arity
+    corners = (0, 1 << X, 1 << Y, (1 << X) | (1 << Y))
     ok = 0
     tries = 0
     while ok < rounds and tries < RETRIES:
         tries += 1
         w = [rng.randrange(1, p) for _ in range(arity)]
-        x0 = rng.randrange(1, p)
-        y0 = rng.randrange(1, p)
-        wx = list(w)
-        wx[X] = x0
-        wy = list(w)
-        wy[Y] = y0
-        wxy = list(wx)
-        wxy[Y] = y0
-        try:
-            v = fn.ratio_mod(a, b, w, p)
-            v00 = fn.ratio_mod(a, b, wxy, p)
-            vx = fn.ratio_mod(a, b, wx, p)
-            vy = fn.ratio_mod(a, b, wy, p)
-        except PoleError:
+        wxy = list(w)
+        wxy[X] = rng.randrange(1, p)
+        wxy[Y] = rng.randrange(1, p)
+        v, vx, vy, v00 = fn.ratios_mod(a, b, (w, wxy), p, corners)
+        if None in (v, vx, vy, v00):
             continue
         if v * v00 % p != vy * vx % p:
             return False
@@ -359,8 +361,14 @@ def _gate_ratio_separable(
     return ok == rounds
 
 
-def _gate_value_indep(valfn, arity: int, var: int, rng, p: int, rounds: int = 2) -> bool:
-    """Probe that a mod-p value function does not depend on one variable."""
+def _gate_value_indep(pair, arity: int, var: int, rng, p: int, rounds: int = 2) -> bool:
+    """Probe that a mod-p value function does not depend on one variable.
+
+    pair(w, w2, var, p) returns the function's values at two points that
+    differ only in x_var, or raises PoleError; each value function reads
+    both off one two-copy walk per polynomial, at the mixture indices 0
+    and 1 << var (see Poly.eval_grad_mod).
+    """
     ok = 0
     tries = 0
     while ok < rounds and tries < RETRIES:
@@ -371,18 +379,23 @@ def _gate_value_indep(valfn, arity: int, var: int, rng, p: int, rounds: int = 2)
         if w2[var] == w[var]:
             continue
         try:
-            if valfn(w, p) != valfn(w2, p):
-                return False
+            v, v2 = pair(w, w2, var, p)
         except PoleError:
             continue
+        if v != v2:
+            return False
         ok += 1
     return ok == rounds
 
 
 def _gate_ratio_indep(fn: _Fn, a: int, b: int, var: int, rng, p: int, rounds: int = 2) -> bool:
-    return _gate_value_indep(
-        lambda w, p: fn.ratio_mod(a, b, w, p), fn.num.arity, var, rng, p, rounds
-    )
+    def pair(w, w2, var, p):
+        v, v2 = fn.ratios_mod(a, b, (w, w2), p, (0, 1 << var))
+        if v is None or v2 is None:
+            raise PoleError("pole or vanishing partial at sample point")
+        return v, v2
+
+    return _gate_value_indep(pair, fn.num.arity, var, rng, p, rounds)
 
 
 def _fraction_gcd(vals) -> Fraction:
@@ -609,12 +622,17 @@ def fit_field(
             continue
         Bc = B0 + beta
 
-        def kval(w, p, _bc=Bc, _uj=uj, _i=i, _j=j):
-            t = fn.ratio_mod(_i, _j, w, p) * _uj.eval_mod(w, p) % p
-            bv = _bc.eval_mod(w, p)
-            if bv == 0:
-                raise PoleError("inner sum vanishes at sample point")
-            return t * pow(bv, p - 2, p) % p
+        def kval(w, w2, var, p, _bc=Bc, _uj=uj, _i=i, _j=j):
+            out = []
+            for r, pt in zip(fn.ratios_mod(_i, _j, (w, w2), p, (0, 1 << var)), (w, w2)):
+                if r is None:
+                    raise PoleError("pole or vanishing partial at sample point")
+                t = r * _uj.eval_mod(pt, p) % p
+                bv = _bc.eval_mod(pt, p)
+                if bv == 0:
+                    raise PoleError("inner sum vanishes at sample point")
+                out.append(t * pow(bv, p - 2, p) % p)
+            return out
 
         if not (_gate_value_indep(kval, 3, j, rng, primes[0])
                 and _gate_value_indep(kval, 3, l, rng, primes[0])):
@@ -692,19 +710,26 @@ def _twisted_g(fn: _Fn, grad):
 
 
 def _twisted_logpartial_mod(fn: _Fn, i: int):
-    """Mod-p value function of (log T)_i, i in {x, z}, for P = q(T).
+    """Mod-p pair function (see _gate_value_indep) of (log T)_i, i in {x, z},
+    for P = q(T).
 
     A = P_x/P_z = T_x/T_z does not see q, and (log T)_y = -(log A)_y, so
-    (log T)_x = -delta/(g_y g_z) and (log T)_z = -delta/(g_y g_x).
+    (log T)_x = -delta/(g_y g_z) and (log T)_z = -delta/(g_y g_x).  Each of
+    the four polynomials _twisted_g reads is walked once for both points.
     """
-    def val(w, p):
-        g, delta = _twisted_g(fn, lambda f: f.eval_grad_mod((w,), p)[0])
-        den = g[1] * g[2 - i] % p
-        if den == 0:
-            raise PoleError("vanishing partial at sample point")
-        return -delta * pow(den, p - 2, p) % p
+    def pair(w, w2, var, p):
+        walks = {id(f): f.eval_grad_mod((w, w2), p)
+                 for f in (fn.num, fn.den, fn.dnum(1), fn.dden(1))}
+        out = []
+        for k in (0, 1 << var):
+            g, delta = _twisted_g(fn, lambda f: walks[id(f)][k])
+            den = g[1] * g[2 - i] % p
+            if den == 0:
+                raise PoleError("vanishing partial at sample point")
+            out.append(-delta * pow(den, p - 2, p) % p)
+        return out
 
-    return val
+    return pair
 
 
 def _value_and_slope(num: Poly, den: Poly) -> tuple[RatFun, RatFun]:

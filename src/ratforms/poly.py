@@ -710,6 +710,30 @@ class Poly:
     def __radd__(self, other) -> "Poly":
         return self.__add__(other)
 
+    @classmethod
+    def sum(cls, polys, arity: int) -> "Poly":
+        """The sum of an iterable of polynomials of the given arity.
+
+        One integer accumulator over the lcm of the contents' denominators
+        (rescaled when a new denominator raises it) and one content pass at
+        the end, where repeated + would re-take the content of every partial
+        sum.
+        """
+        den = 1
+        acc: dict[Term, int] = {}
+        get = acc.get
+        for f in polys:
+            cd = f.content.denominator
+            if den % cd:
+                grow = cd // igcd(den, cd)
+                for e in acc:
+                    acc[e] *= grow
+                den *= grow
+            m = f.content.numerator * (den // cd)
+            for e, c in f.ints.items():
+                acc[e] = get(e, 0) + m * c
+        return cls.from_ints({e: c for e, c in acc.items() if c}, arity, Fraction(1, den))
+
     def __sub__(self, other) -> "Poly":
         other = self._coerce(other)
         if other is None:
@@ -748,6 +772,10 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        if len(self.ints) == 1:
+            # a single term: (c*x^e)^n = c^n * x^(n*e), still primitive
+            ((e, c),) = self.ints.items()
+            return Poly._make({tuple(n * k for k in e): c**n}, self.content**n, self.arity)
         result = Poly.const(1, self.arity)
         base = self
         while n:

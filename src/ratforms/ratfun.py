@@ -331,13 +331,15 @@ def compose_numerator(coeffs: Poly, fs: list[RatFun]) -> Poly:
             drow.append(drow[-1] * f.den)
         npow.append(nrow)
         dpow.append(drow)
-    acc = Poly.zero(arity)
-    for e, c in coeffs.ints.items():
-        piece = Poly.const(c, arity)
-        for i in range(k):
-            piece = piece * npow[i][e[i]] * dpow[i][emax[i] - e[i]]
-        acc = acc + piece
-    return acc.scale(coeffs.content)
+
+    def pieces():
+        for e, c in coeffs.ints.items():
+            piece = Poly.const(c, arity)
+            for i in range(k):
+                piece = piece * npow[i][e[i]] * dpow[i][emax[i] - e[i]]
+            yield piece
+
+    return Poly.sum(pieces(), arity).scale(coeffs.content)
 
 
 def pole_free_values(
@@ -403,6 +405,14 @@ def _fraction(f: Poly | RatFun) -> tuple[Poly, Poly]:
     return f.num, f.den
 
 
+def _raw_sum(f: RatFun, g: Poly | RatFun) -> RatFun:
+    """f + g as a raw (unreduced) fraction."""
+    (fn, fd), (gn, gd) = _fraction(f), _fraction(g)
+    if fd != gd:
+        fn, gn, fd = fn * gd, gn * fd, fd * gd
+    return RatFun.raw(fn + gn, fd)
+
+
 class _Parser:
     """Recursive descent over the token list.
 
@@ -439,21 +449,27 @@ class _Parser:
         return RatFun.from_poly(f) if isinstance(f, Poly) else f.reduce()
 
     def expr(self) -> Poly | RatFun:
-        f = self.term()
+        """A sum of terms: the polynomial ones are added in one Poly.sum, the
+        quotients pairwise over a common denominator, then the two sums."""
+        polys: list[Poly] = []
+        quot: RatFun | None = None
+        val = "+"
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                g = self.term()
-                if isinstance(f, Poly) and isinstance(g, Poly):
-                    f = f + g if val == "+" else f - g
-                    continue
-                (fn, fd), (gn, gd) = _fraction(f), _fraction(g)
-                if fd != gd:
-                    fn, gn, fd = fn * gd, gn * fd, fd * gd
-                f = RatFun.raw(fn + gn if val == "+" else fn - gn, fd)
+            g = self.term()
+            if val == "-":
+                g = -g
+            if isinstance(g, Poly):
+                polys.append(g)
             else:
-                return f
+                quot = g if quot is None else _raw_sum(quot, g)
+            kind, val, _ = self.peek()
+            if kind != "op" or val not in "+-":
+                break
+            self.advance()
+        if not polys:
+            return quot
+        total = polys[0] if len(polys) == 1 else Poly.sum(polys, self.arity)
+        return total if quot is None else _raw_sum(quot, total)
 
     def term(self) -> Poly | RatFun:
         f = self.factor()

@@ -20,12 +20,20 @@ from ratforms.classify import (
     verify_certificate,
     verify_twisted_identities,
 )
-from ratforms.classify import _Fn
+from ratforms.classify import (
+    _Fn,
+    _gate_ratio_indep,
+    _gate_ratio_separable,
+    _gate_value_indep,
+    _gradients_not_parallel,
+    _twisted_logpartial_mod,
+)
 from ratforms.classify import test_2decomposed as is_2decomposed
 from ratforms.oracle import symbolic_rank
 from ratforms.dimension import doubling_map, generic_rank, image_dimension
+from ratforms.modular import DEFAULT_PRIMES
 from ratforms.poly import Poly
-from ratforms.ratfun import RatFun, compose_numerator, parse
+from ratforms.ratfun import RatFun, compose_numerator, parse, partial_ratio
 
 BI = ("x", "y")
 TRI = ("x", "y", "z")
@@ -342,6 +350,95 @@ def test_specialized_ratio_matches_six_substitutions(a, b, vals):
     )
     got = fn.specialized_ratio(a, b, vals)
     assert (got.num, got.den) == (want.num, want.den)
+
+
+# -- modular probes ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "names, expr, a, b",
+    [
+        (BI, "(x^3*y + 2*y^2 - x)/(x*y + 3)", 0, 1),
+        (BI, "(x^3*y + 2*y^2 - x)/(x*y + 3)", 1, 0),
+        (TRI, "(x^2*y + z^3 + 1)/(x*y*z + 2) + x*z^2", 0, 2),
+        (TRI, "(x^2*y + z^3 + 1)/(x*y*z + 2) + x*z^2", 2, 1),
+    ],
+)
+def test_two_copy_ratios_match_per_point_reference(names, expr, a, b):
+    P = parse(expr, names)
+    ref = partial_ratio(P, a, b)
+    fn = _Fn(P)
+    n = P.arity
+    p = DEFAULT_PRIMES[0]
+    rng = random.Random(17)
+    for _ in range(10):
+        w = ([rng.randrange(1, p) for _ in range(n)], [rng.randrange(1, p) for _ in range(n)])
+        got = fn.ratios_mod(a, b, w, p, range(1 << n))
+        for k in range(1 << n):
+            point = [w[(k >> i) & 1][i] for i in range(n)]
+            assert got[k] == ref.eval_mod(point, p)
+
+
+def test_two_copy_ratios_mark_poles():
+    # f = x*y/(x + y): f_x/f_y = y^2/x^2, with D = x + y and g_y = x^2
+    fn = _Fn(parse("x*y/(x + y)", BI))
+    got = fn.ratios_mod(0, 1, ([3, -3], [0, 5]), 101, range(4))
+    # (3, -3) is a pole, (0, -3) and (0, 5) have f_y = 0, (3, 5) is regular
+    assert got == [None, None, 25 * pow(9, -1, 101) % 101, None]
+
+
+def test_probes_walk_each_polynomial_once(monkeypatch):
+    walks = []
+    walk = Poly.eval_grad_mod
+
+    def counted(self, points, p):
+        walks.append(len(points))
+        return walk(self, points, p)
+
+    monkeypatch.setattr(Poly, "eval_grad_mod", counted)
+    p = DEFAULT_PRIMES[0]
+
+    def copies(probe):
+        walks.clear()
+        assert probe()
+        return list(walks)
+
+    group = _Fn(parse("(x + y^2 + z)^3 + 1", TRI))
+    twisted = _Fn(parse("(x + y^2)/(y^2 + z^3)", TRI))
+    rng = random.Random(4)
+    # one probe: one two-copy walk of N and one of D, or of the four
+    # polynomials the twisted value reads
+    assert copies(lambda: _gate_ratio_separable(group, 0, 1, 0, 1, rng, p, rounds=1)) == [2, 2]
+    assert copies(lambda: _gate_ratio_indep(group, 0, 1, 2, rng, p, rounds=1)) == [2, 2]
+    assert copies(
+        lambda: _gate_value_indep(_twisted_logpartial_mod(twisted, 0), 3, 2, rng, p, rounds=1)
+    ) == [2, 2, 2, 2]
+    # a dependent pair costs the pre-check one walk of each of the four
+    # polynomials at one point
+    P, s = parse("(x*y + 5)^6", BI), parse("x*y", BI)
+    assert copies(lambda: not _gradients_not_parallel(P, s, p, 0)) == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("primes", [(13, 11), DEFAULT_PRIMES])
+def test_one_sample_disproves_an_independent_pair(primes):
+    assert dependence_certificate(parse("x + y", BI), parse("x*y", BI), primes=primes) is None
+
+
+def test_independent_pair_never_reaches_the_certificate_search(monkeypatch):
+    def search(*args, **kwargs):
+        raise AssertionError("the gradient pre-check should have disproved the pair")
+
+    monkeypatch.setattr("ratforms.classify.composition_relation", search)
+    assert dependence_certificate(parse("x + y", BI), parse("x*y", BI)) is None
+
+
+def test_dependent_pair_certifies_at_small_primes():
+    # the lift reconstructs from the products of six small primes, so the
+    # relation's coefficients must stay small (those of (x*y + 5)^6 do not)
+    P, s = parse("(x*y + 1)^3", BI), parse("x*y", BI)
+    cert = dependence_certificate(P, s, primes=(13, 11))
+    assert cert is not None and cert.verified
+    assert verify_certificate(cert, P, s)
 
 
 # -- twisted fitter ---------------------------------------------------------------

@@ -220,6 +220,21 @@ def test_arithmetic_matches_the_fraction_model():
             assert got == Poly(want, arity)
 
 
+def test_sum_matches_repeated_addition():
+    rng = random.Random(13)
+    for count in (0, 1, 2, 7, 40):
+        for arity in (1, 3):
+            polys = [Poly(_random_terms(rng, arity), arity) for _ in range(count)]
+            want = Poly.zero(arity)
+            for f in polys:
+                want = want + f
+            got = Poly.sum(iter(polys), arity)
+            _assert_canonical(got)
+            assert got == want
+    x = Poly.variable(0, 2)
+    assert Poly.sum([x.scale(Fraction(1, 3)), x.scale(Fraction(-1, 3))], 2).is_zero
+
+
 @pytest.mark.parametrize("factor", [Fraction(-3, 7), -2, 0, Fraction(5, 6), 4, 1])
 def test_scale_matches_the_fraction_model(factor):
     for _rng, arity, ta, _tb in _cases(12, 20):

@@ -113,6 +113,39 @@ def test_parse_error_messages_and_positions(expr, message):
     assert str(err.value) == message
 
 
+def test_parse_long_sum_matches_term_by_term_arithmetic():
+    rng = random.Random(23)
+    text = "0"
+    want = Poly.zero(3)
+    for _ in range(520):
+        c = Fraction(rng.randint(0, 40), rng.choice([1, 1, 2, 3, 7, 12]))
+        e = tuple(rng.randint(0, 4) for _ in range(3))
+        sign = rng.choice("+-")
+        text += f" {sign} {c}*x^{e[0]}*y^{e[1]}*z^{e[2]}"
+        term = Poly({e: c}, 3)
+        want = want + term if sign == "+" else want - term
+    f = parse(text, TRI)
+    assert len(want.ints) > 100
+    assert f.num == want and f.den == Poly.const(1, 3)
+    # a quotient among the terms keeps the same function
+    g = parse(text + " + 1/(x + y)", TRI)
+    assert g == RatFun.from_poly(want) + 1 / (RatFun.variable(0, 3) + RatFun.variable(1, 3))
+
+
+@pytest.mark.parametrize(
+    "base, n",
+    [("-2/3*x^2*y", 3), ("-x", 4), ("7/5*z^3", 1), ("3/5*z", 0), ("-1/2", 5), ("0", 0), ("0", 3)],
+)
+def test_parse_single_term_powers_match_repeated_products(base, n):
+    b = parse(base, TRI).num
+    want = Poly.const(1, 3)
+    for _ in range(n):
+        want = want * b
+    got = parse(f"({base})^{n}", TRI)
+    assert got.num == want and got.den == Poly.const(1, 3)
+    assert b**n == want
+
+
 # -- arithmetic -------------------------------------------------------------
 
 
