@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd as igcd
+from math import gcd as igcd, prod
 from operator import add as _add
 from types import MappingProxyType
 
@@ -185,13 +185,18 @@ def _nest(terms: list[tuple[Term, int]], level: int, n: int) -> list:
 
 
 def _tables(degs: list[int], points, p: int) -> list[list[tuple[list[int], list[int]]]]:
-    """Per variable, one entry per point: the powers x^e and the derivatives
-    e*x^(e-1) mod p of its coordinate x, for e up to the variable's degree."""
+    """Per variable, one entry per distinct coordinate x of the points, in
+    point order: the powers x^e and the derivatives e*x^(e-1) mod p, for e up
+    to the variable's degree."""
     tables = []
     for i, deg in enumerate(degs):
         copies = []
+        xs: list[int] = []
         for point in points:
             x = point[i] % p
+            if x in xs:
+                continue
+            xs.append(x)
             pw = [1] * (deg + 1)
             dpw = [0] * (deg + 1)
             for e in range(1, deg + 1):
@@ -218,13 +223,13 @@ def _value(node: list, level: int, tables) -> int:
 def _value_and_gradient(node: list, level: int, tables, n: int) -> list[list[int]]:
     """[value, d/dx_level, ..., d/dx_(n-1)] of a nested polynomial, unreduced.
 
-    tables[i] holds one entry per copy of x_i (one or two, the same count m
-    at every level): the powers x^e and the derivatives e*x^(e-1) of that
-    copy's coordinate, so a zero coordinate needs no special case.  There is
-    one result per choice of copies for x_level..x_(n-1); in index
-    sum_k c_k * m^k, c_k picks the copy of x_(level+k).  A subpolynomial is
-    walked once for every copy of its variable and shared by every choice
-    of the ones above.
+    tables[i] holds one entry per copy of x_i (one or two, m_i of them):
+    the powers x^e and the derivatives e*x^(e-1) of that copy's coordinate,
+    so a zero coordinate needs no special case.  There is one result per
+    choice of copies for x_level..x_(n-1); in the mixed-radix index
+    c_0 + m_0 * (c_1 + m_1 * (c_2 + ...)), c_k picks the copy of
+    x_(level+k).  A subpolynomial is walked once for every copy of its
+    variable and shared by every choice of the ones above.
     """
     copies = tables[level]
     if level == n - 1:
@@ -238,9 +243,11 @@ def _value_and_gradient(node: list, level: int, tables, n: int) -> list[list[int
         return out
     m = len(copies)
     width = n - level + 1
-    out = [[0] * width for _ in range(m ** (n - level))]
+    out = None
     for e, child in node:
         sub = _value_and_gradient(child, level + 1, tables, n)
+        if out is None:
+            out = [[0] * width for _ in range(m * len(sub))]
         for copy, (a, d) in enumerate(copies):
             ae, de = a[e], d[e]
             for k, sv in enumerate(sub):
@@ -250,6 +257,8 @@ def _value_and_gradient(node: list, level: int, tables, n: int) -> list[list[int
                 acc[1] += de * cv
                 for j in range(2, width):
                     acc[j] += ae * sv[j - 1]
+    if out is None:  # only the zero polynomial has an empty node
+        out = [[0] * width for _ in range(prod(len(t) for t in tables[level:]))]
     return out
 
 
@@ -893,11 +902,24 @@ class Poly:
         """[value, d/dx_0, ..., d/dx_(n-1)] mod p at each mixture of one or two points.
 
         Entry k takes x_i from points[bit i of k]; with one point there is
-        one entry.  One walk of the compiled form gives them all.
+        one entry.  One walk of the compiled form gives them all, and a
+        coordinate the two points share is walked once: the mixtures that
+        coincide then share one row.
         """
         nested, degs = self._compiled(p)
-        rows = _value_and_gradient(nested, 0, _tables(degs, points, p), self.arity)
-        return [[v % p for v in row] for row in rows]
+        tables = _tables(degs, points, p)
+        rows = _value_and_gradient(nested, 0, tables, self.arity)
+        rows = [[v % p for v in row] for row in rows]
+        if len(points) == 1 or len(rows) == 1 << self.arity:
+            return rows
+        # mixture k -> the walk's mixed-radix index of its copies
+        index = [0]
+        radix = 1
+        for copies in tables:
+            step = radix if len(copies) == 2 else 0
+            index += [j + step for j in index]
+            radix *= len(copies)
+        return [rows[j] for j in index]
 
     # -- formatting -----------------------------------------------------------
 

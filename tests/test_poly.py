@@ -386,11 +386,15 @@ def test_compiled_values_and_partials_match_exact_derivatives():
                 assert q.eval_mod(point, p) == want[0]
                 assert q.eval_grad_mod((point,), p) == [want]
             # with two points, entry k takes x_i from points[bit i of k]
-            rows = q.eval_grad_mod(points, p)
-            assert len(rows) == 1 << arity
-            for k, row in enumerate(rows):
-                mixed = [points[(k >> i) & 1][i] for i in range(arity)]
-                assert row == _exact_jet(q, mixed, p)
+            # and a coordinate the points share (also as a different
+            # representative mod p) is walked once, with the same rows
+            shared = [x + p if rng.random() < 0.5 else y for x, y in zip(*points)]
+            for pair in (points, [points[0], shared], [points[0], points[0]]):
+                rows = q.eval_grad_mod(pair, p)
+                assert len(rows) == 1 << arity
+                for k, row in enumerate(rows):
+                    mixed = [pair[(k >> i) & 1][i] for i in range(arity)]
+                    assert row == _exact_jet(q, mixed, p)
 
 
 def test_line_image_is_the_exact_restriction_to_the_line():
