@@ -16,8 +16,8 @@ full expansion.
 
 fit_bivariate and classify_trivariate share one pipeline: the
 nondegeneracy check, the fitters (group; then field and twisted for three
-variables), and one measurement of the image dimension, which decides
-NoConstraint when no form certifies.
+variables), and, when no form certifies, one measurement of the image
+dimension, which decides NoConstraint.
 
 Fitting runs in two phases.  Cheap modular value probes ("gates") reject
 wrong shapes fast -- an unequal pair of residues is an exact disproof of the
@@ -138,35 +138,6 @@ class TwistedFit(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _gradients_not_parallel(P: RatFun, s: RatFun, p: int, seed: int) -> bool:
-    """True when some 2x2 minor of [grad P; grad s] is provably nonzero.
-
-    The minors are evaluated mod p at one random pole-free point with the
-    pole factors cleared: one walk of each of the four polynomials.  A
-    nonzero residue is an exact disproof of parallelism, so a True return
-    is certain.  A False return only means the sampled minors vanished; by
-    Schwartz-Zippel a non-parallel pair does so with probability at most
-    deg/p, and it then costs only the certificate search, which returns a
-    relation only after exact proof.
-    """
-    n = P.arity
-    rng = rng_for(seed, f"minors:p{p}")
-    for _ in range(RETRIES):
-        w = ([rng.randrange(1, p) for _ in range(n)],)
-        (pdv, *pdg), = P.den.eval_grad_mod(w, p)
-        (sdv, *sdg), = s.den.eval_grad_mod(w, p)
-        if pdv == 0 or sdv == 0:
-            continue
-        (pnv, *png), = P.num.eval_grad_mod(w, p)
-        (snv, *sng), = s.num.eval_grad_mod(w, p)
-        gp = [png[i] * pdv - pnv * pdg[i] for i in range(n)]
-        gs = [sng[i] * sdv - snv * sdg[i] for i in range(n)]
-        return any(
-            (gp[a] * gs[b] - gp[b] * gs[a]) % p for a in range(n) for b in range(a + 1, n)
-        )
-    return False
-
-
 def dependence_certificate(
     P: RatFun,
     s: RatFun,
@@ -181,11 +152,8 @@ def dependence_certificate(
     2 * (deg P + deg s)), fitted by rational interpolation and checked
     exactly by composition_relation.  It is linear in p: a dependence of
     higher degree in p means P lies outside Q(s), so s does not explain P
-    and no certificate is returned.  P and s are dependent iff their
-    gradients are parallel, so provably non-parallel gradients end the
-    search immediately; their minors are sampled at one point modulo the
-    first prime that divides no coefficient denominator of P or s (see
-    prime_pool).
+    and no certificate is returned.  An independent pair has no relation to
+    find, so it is rejected by the same search, bounded by dmax.
     """
     if P.arity != s.arity:
         raise ValueError("P and s must share one ambient variable list")
@@ -193,8 +161,6 @@ def dependence_certificate(
         raise ValueError("the fitted function s must be nonconstant")
     if P.is_constant:
         raise ValueError("P must be nonconstant")
-    if _gradients_not_parallel(P, s, prime_pool(primes, [P, s], 1)[0], seed):
-        return None
     bound = dmax if dmax is not None else 2 * max(1, P.total_degree() + s.total_degree())
     ann = composition_relation(P, s, bound, primes=primes, seed=seed)
     if ann is None:
@@ -308,20 +274,21 @@ class _Fn:
         return RatFun(na * d - n * da, den)
 
 
-def _split_partial_ratio(fn: _Fn, a: int, b: int, X: int, Y: int, rng):
-    """Split f_a/f_b into (u(X), v(Y)) by specialization, scale shared.
+def _split_partial_ratio(fn: _Fn, a: int, b: int, rng):
+    """Split f_a/f_b into (u(x_a), v(x_b)) by specialization, scale shared.
 
-    u is the ratio on a random X-line and v = H(point)/H on a random Y-line,
-    so u/v equals the ratio exactly whenever it is separable; validity for
-    a non-separable ratio is *not* checked here -- downstream exact anchors
-    (integration, identity checks, certificates) reject those fits.
+    u is the ratio on a random x_a-line and v = H(point)/H on a random
+    x_b-line, so u/v equals the ratio exactly whenever it is separable;
+    validity for a non-separable ratio is *not* checked here -- downstream
+    exact anchors (integration, identity checks, certificates) reject those
+    fits.
     """
     arity = fn.num.arity
     for _ in range(RETRIES):
         vals = {i: Fraction(rng.randrange(2, 98)) for i in range(arity)}
         try:
-            u = fn.specialized_ratio(a, b, {i: c for i, c in vals.items() if i != X})
-            hy = fn.specialized_ratio(a, b, {i: c for i, c in vals.items() if i != Y})
+            u = fn.specialized_ratio(a, b, {i: c for i, c in vals.items() if i != a})
+            hy = fn.specialized_ratio(a, b, {i: c for i, c in vals.items() if i != b})
             point = tuple(vals[i] for i in range(arity))
             h0 = u.eval_q(point)
         except (DegenerateSpecializationError, PoleError, ZeroDivisionError):
@@ -332,46 +299,45 @@ def _split_partial_ratio(fn: _Fn, a: int, b: int, X: int, Y: int, rng):
     return None
 
 
-def _gate_ratio_separable(
-    fn: _Fn, a: int, b: int, X: int, Y: int, rng, p: int, rounds: int = 2
-) -> bool:
+def _gate_ratio_separable(fn: _Fn, a: int, b: int, rng, p: int) -> bool:
     """Probe H(X,Y) H(X0,Y0) = H(X,Y0) H(X0,Y) for H = f_a/f_b mod p.
 
-    The four corners are mixtures of w and w with (X, Y) := (X0, Y0), read
+    X and Y are x_a and x_b.  The four corners are mixtures of w and w with
+    (X, Y) := (X0, Y0), read
     off one two-copy walk of N and one of D.  An unequal residue pair is an
-    exact disproof of separability; `rounds` agreeing probes are strong (not
+    exact disproof of separability; two agreeing probes are strong (not
     absolute) evidence for it.
     """
     arity = fn.num.arity
-    corners = (0, 1 << X, 1 << Y, (1 << X) | (1 << Y))
+    corners = (0, 1 << a, 1 << b, (1 << a) | (1 << b))
     ok = 0
     tries = 0
-    while ok < rounds and tries < RETRIES:
+    while ok < 2 and tries < RETRIES:
         tries += 1
         w = [rng.randrange(1, p) for _ in range(arity)]
         wxy = list(w)
-        wxy[X] = rng.randrange(1, p)
-        wxy[Y] = rng.randrange(1, p)
+        wxy[a] = rng.randrange(1, p)
+        wxy[b] = rng.randrange(1, p)
         v, vx, vy, v00 = fn.ratios_mod(a, b, (w, wxy), p, corners)
         if None in (v, vx, vy, v00):
             continue
         if v * v00 % p != vy * vx % p:
             return False
         ok += 1
-    return ok == rounds
+    return ok == 2
 
 
-def _gate_value_indep(pair, arity: int, var: int, rng, p: int, rounds: int = 2) -> bool:
+def _gate_value_indep(pair, arity: int, var: int, rng, p: int) -> bool:
     """Probe that a mod-p value function does not depend on one variable.
 
     pair(w, w2, var, p) returns the function's values at two points that
     differ only in x_var, or raises PoleError; each value function reads
     both off one two-copy walk per polynomial, at the mixture indices 0
-    and 1 << var (see Poly.eval_grad_mod).
+    and 1 << var (see Poly.eval_grad_mod).  Two agreeing probes pass.
     """
     ok = 0
     tries = 0
-    while ok < rounds and tries < RETRIES:
+    while ok < 2 and tries < RETRIES:
         tries += 1
         w = [rng.randrange(1, p) for _ in range(arity)]
         w2 = list(w)
@@ -385,17 +351,17 @@ def _gate_value_indep(pair, arity: int, var: int, rng, p: int, rounds: int = 2) 
         if v != v2:
             return False
         ok += 1
-    return ok == rounds
+    return ok == 2
 
 
-def _gate_ratio_indep(fn: _Fn, a: int, b: int, var: int, rng, p: int, rounds: int = 2) -> bool:
+def _gate_ratio_indep(fn: _Fn, a: int, b: int, var: int, rng, p: int) -> bool:
     def pair(w, w2, var, p):
         v, v2 = fn.ratios_mod(a, b, (w, w2), p, (0, 1 << var))
         if v is None or v2 is None:
             raise PoleError("pole or vanishing partial at sample point")
         return v, v2
 
-    return _gate_value_indep(pair, fn.num.arity, var, rng, p, rounds)
+    return _gate_value_indep(pair, fn.num.arity, var, rng, p)
 
 
 def _fraction_gcd(vals) -> Fraction:
@@ -470,7 +436,7 @@ def _decomposed_detail(P: RatFun, p: int, seed: int) -> tuple[bool, dict[str, bo
         return test_2decomposed(P)
     fn = _Fn(P)
     return _every_pair(
-        lambda a, b: _gate_ratio_separable(fn, a, b, a, b, rng_for(seed, f"2dec:{a}{b}"), p)
+        lambda a, b: _gate_ratio_separable(fn, a, b, rng_for(seed, f"2dec:{a}{b}"), p)
     )
 
 
@@ -495,14 +461,14 @@ def fit_group(
     fn = _Fn(P)
     rng = rng_for(seed, "fit-group")
     for a, b, c in ((0, 1, 2), (1, 2, 0), (0, 2, 1))[: 1 if n == 2 else 3]:
-        if not _gate_ratio_separable(fn, a, b, a, b, rng, primes[0]):
+        if not _gate_ratio_separable(fn, a, b, rng, primes[0]):
             diag[f"group_sep_{_VN[a]}{_VN[b]}"] = False
             return None
         if n == 3 and not _gate_ratio_indep(fn, a, b, c, rng, primes[0]):
             diag[f"group_indep_{_VN[a]}{_VN[b]}"] = False
             return None
     # the split of P_a/P_(a+1) is (c_a * r_a', c_a * r_(a+1)')
-    pairs = [_split_partial_ratio(fn, a, a + 1, a, a + 1, rng) for a in range(n - 1)]
+    pairs = [_split_partial_ratio(fn, a, a + 1, rng) for a in range(n - 1)]
     if any(pair is None for pair in pairs):
         diag["group_split"] = False
         return None
@@ -598,11 +564,11 @@ def fit_field(
         j, l = (t for t in range(3) if t != i)
         tag = f"field_pivot_{_VN[i]}"
         rng = rng_for(seed, f"fit-field:{i}")
-        if not (_gate_ratio_separable(fn, j, l, j, l, rng, primes[0])
+        if not (_gate_ratio_separable(fn, j, l, rng, primes[0])
                 and _gate_ratio_indep(fn, j, l, i, rng, primes[0])):
             diag[f"{tag}_gates"] = False
             continue
-        pair = _split_partial_ratio(fn, j, l, j, l, rng)
+        pair = _split_partial_ratio(fn, j, l, rng)
         if pair is None:
             diag[f"{tag}_split"] = False
             continue
@@ -931,12 +897,13 @@ def _classify(
 ) -> FormReport:
     """The pipeline for n = 2 or 3 variables: degeneracy, fits, dimension.
 
-    The fitters run first; a certified fit proves the constraint, and its
-    certificate P = q(s) bounds the image dimension by n + 1, which one
-    rank sample then reaches.  Without one, the dimension separates
-    NoConstraint (2n, proven by a full-rank sample) from Unresolved, a
-    constraint no form explains (for n = 3 a partial one at 5 or a full one
-    at 4 or less), which rests on the unanimity of the rank samples.
+    The fitters run first; a certified fit proves the constraint, and with
+    P nondegenerate its certificate P = q(s) proves the image dimension is
+    n + 1 (see the dimension module), so no rank is sampled.  Without one,
+    the sampled dimension separates NoConstraint (2n, proven by a full-rank
+    sample) from Unresolved, a constraint no form explains (for n = 3 a
+    partial one at 5 or a full one at 4 or less), which rests on the
+    unanimity of the rank samples.
     """
     n = P.arity
     P = P if P.canonical else P.reduce()
@@ -944,19 +911,19 @@ def _classify(
         return FormReport("Degenerate", None, None, {"nondegenerate": False})
     diag: dict[str, bool] = {"nondegenerate": True}
     report = _fit(P, dmax, primes, seed, diag)
-    ceiling = n + 1 if report is not None else None
-    d = image_dimension(P, primes=primes, samples=samples, seed=seed, ceiling=ceiling)
-    if report is None:
-        diag["constraint"] = d < 2 * n
-        if n == 3 and d == 5:
-            diag["partial_constraint_dim5"] = True
-        elif n == 3 and d < 5:
-            two, detail = _decomposed_detail(P, primes[0], seed)
-            diag.update(detail)
-            diag["2decomposed"] = two
-        report = FormReport("NoConstraint" if d == 2 * n else "Unresolved", None, None, diag)
-    report.image_dimension = d
-    return report
+    if report is not None:
+        report.image_dimension = n + 1
+        return report
+    d = image_dimension(P, primes=primes, samples=samples, seed=seed)
+    diag["constraint"] = d < 2 * n
+    if n == 3 and d == 5:
+        diag["partial_constraint_dim5"] = True
+    elif n == 3 and d < 5:
+        two, detail = _decomposed_detail(P, primes[0], seed)
+        diag.update(detail)
+        diag["2decomposed"] = two
+    verdict = "NoConstraint" if d == 2 * n else "Unresolved"
+    return FormReport(verdict, None, None, diag, image_dimension=d)
 
 
 def _fit(
@@ -974,9 +941,9 @@ def _fit(
                           pivot=ff.pivot, exponent=ff.exponent)
     tf = fit_twisted(P, dmax=dmax, primes=primes, seed=seed, diagnostics=diag)
     if tf is not None:
-        diag["twisted_cube_identities"] = verify_twisted_identities(
-            tf.r1, tf.r2, tf.r3, trials=8, seed=seed
-        )
+        # r1, r2 and r3 are univariate in x, y and z by construction, so all
+        # three cube identities of (r1 + r2)/(r2 + r3) hold identically
+        diag["twisted_cube_identities"] = True
         return FormReport("Twisted", _fitted(tf), tf.certificate, diag)
     return None
 

@@ -95,8 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--samples",
         type=int,
         default=16,
-        help="most rank samples per prime (default 16); a sample that reaches "
-        "a proven bound on the image dimension ends them early",
+        help="most rank samples per prime (default 16), taken only when no "
+        "form certifies; a sample of full rank ends them early",
     )
     ap.add_argument(
         "--max-degree",

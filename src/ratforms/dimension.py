@@ -8,14 +8,23 @@ Jacobian, sampled at random points modulo primes.
 
 A modular rank never exceeds the rank over Q (a vanishing minor stays zero
 under reduction), so every sample is a proven lower bound, and a sample
-that reaches a proven upper bound settles the dimension.  The full rank 2n
-is one such bound, which proves a no-constraint verdict.  A verified
-certificate P = q(s) is another: s depends on the copies only through the
-2n values of its parts, by a map invariant under an (n-1)-parameter group
-(shifts, scalings, or a scale and a shift), so the dimension is at most
-n + 1, which one sample then reaches for every positive verdict.  Only
-without such a bound does the dimension rest on an estimate: the maximum
-over `samples` points per prime, confirmed by unanimous fresh samples.
+that reaches the full rank 2n proves a no-constraint verdict.
+
+A verified certificate P = q(s) settles the dimension at n + 1 with no
+sample.  Upper bound: s depends on the copies only through the 2n values of
+its parts, by a map invariant under an (n-1)-parameter group (shifts,
+scalings, or a scale and a shift), so the dimension is at most n + 1.
+Lower bound, for a nondegenerate r: let b_k be the row whose first k
+variables take the 1-copy, k = 0..n, and restrict rows b_0..b_n to the
+columns x_1^0, x_1^1, .., x_n^1.  Row b_k meets those columns only at
+x_1^1..x_k^1 (and b_0 only at x_1^0), so the minor is lower-triangular, and
+its diagonal entry in row b_k is r_k, the partial in x_k, at a renamed
+point (r_1 for b_0).  r depends on every variable, so each is a nonzero
+function, and the minor is nonzero: the dimension is at least n + 1.
+
+Only without a certificate or a full-rank sample does the dimension rest on
+an estimate: the maximum over `samples` points per prime, confirmed by
+unanimous fresh samples.
 """
 
 from __future__ import annotations
@@ -113,23 +122,21 @@ def generic_rank(
     primes: tuple[int, ...] = DEFAULT_PRIMES,
     samples: int = 16,
     seed: int = 0,
-    ceiling: int | None = None,
 ) -> RankEstimate:
     """Generic Jacobian rank of the doubling map (= dim of the image closure).
 
     Takes the max rank over `samples` random points for each prime, then
     re-checks the value on a fresh confirmation round, doubling the budget
-    once if they disagree.  A sample reaching `ceiling`, a proven upper
-    bound on the rank (default the full rank 2n), ends the search at once:
-    observed ranks never exceed the generic rank, so it is already proof.
+    once if they disagree.  A sample reaching the full rank 2n ends the
+    search at once: observed ranks never exceed the generic rank, so it is
+    already proof.
     """
-    top = 2 * dm.n if ceiling is None else ceiling
     for attempt in range(2):
         ns = samples << attempt
         best = -1
         for r in _ranks(dm.f, primes, seed, f"rank:a{attempt}", ns):
             best = max(best, r)
-            if best == top:
+            if best == 2 * dm.n:
                 return RankEstimate(best, ns, tuple(primes))
         if best < 0:
             raise AllPolesError(
@@ -153,15 +160,14 @@ def image_dimension(
     primes: tuple[int, ...] = DEFAULT_PRIMES,
     samples: int = 16,
     seed: int = 0,
-    ceiling: int | None = None,
 ) -> int:
-    """dim of the closure of the image of the doubling map of f.
+    """dim of the closure of the image of the doubling map of f, sampled.
 
     f satisfies a nontrivial algebraic constraint exactly when this is
-    below 2n, n the number of variables.  ceiling is a proven upper bound
-    on it, passed to generic_rank (default 2n).
+    below 2n, n the number of variables.  The classifier calls it only
+    when no certificate settles the dimension at n + 1.
     """
-    return generic_rank(doubling_map(f), primes, samples, seed, ceiling).rank
+    return generic_rank(doubling_map(f), primes, samples, seed).rank
 
 
 def is_nondegenerate(f: RatFun) -> bool:

@@ -41,7 +41,7 @@ def _logderiv(f, var=0):
 
 def _split(f):
     """The one separable split, of f_x/f_y; u/v must equal that ratio exactly."""
-    got = _split_partial_ratio(_Fn(f), 0, 1, 0, 1, rng_for(0, "test-split"))
+    got = _split_partial_ratio(_Fn(f), 0, 1, rng_for(0, "test-split"))
     assert got is not None
     u, v = got
     assert u / v == partial_ratio(f, 0, 1)

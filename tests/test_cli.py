@@ -135,30 +135,23 @@ def _default_report(expr: str, names: tuple[str, ...]) -> dict:
 
 
 @pytest.mark.parametrize(
-    "expr, names",
+    "expr, names, verdict",
     [
-        ("x + y + z", ("x", "y", "z")),
-        ("(x+y)/(y+z)", ("x", "y", "z")),
-        ("x*(y+z)^2", ("x", "y", "z")),
-        ("x*y + 1", ("x", "y")),
+        ("x + y + z", ("x", "y", "z"), "group-additive"),
+        ("(x+y)/(y+z)", ("x", "y", "z"), "twisted"),
+        ("x*(y+z)^2", ("x", "y", "z"), "field"),
+        ("x*y + 1", ("x", "y"), "group-multiplicative"),
     ],
 )
-def test_a_certified_verdict_stops_at_its_first_sample_of_rank_n_plus_1(
-    monkeypatch, expr, names
-):
-    ranks = _rank_samples(monkeypatch)
+def test_a_certified_verdict_takes_no_rank_sample(monkeypatch, expr, names, verdict):
+    def no_sample(rows, p):
+        raise AssertionError("the certificate settles the dimension at n + 1")
+
+    monkeypatch.setattr(dimension, "rank_mod", no_sample)
     rep = _default_report(expr, names)
-    ceiling = len(names) + 1
+    assert rep["verdict"] == verdict
     assert rep["certificate"] is not None
-    assert rep["image_dimension"] == ceiling
-    used = list(ranks)
-    ranks.clear()
-    primes = tuple(rep["primes"])
-    dm = dimension.doubling_map(parse(expr, names))
-    assert dimension.generic_rank(dm, primes, 16, 0).rank == ceiling
-    # the unceilinged schedule draws the same samples, then keeps going
-    assert used == ranks[: ranks.index(ceiling) + 1]
-    assert len(used) < len(ranks)
+    assert rep["image_dimension"] == len(names) + 1
 
 
 @pytest.mark.parametrize(
@@ -427,8 +420,7 @@ def test_gates_sample_modulo_the_first_sampling_prime(capsys):
 
 def test_a_certificate_settles_the_dimension_at_4_bits(capsys):
     # modulo 13 and 11 the rank samples of x*(y+z)^2 do not agree within the
-    # sample budget, but the certificate bounds the dimension by 4 and one
-    # sample reaches it
+    # sample budget, but the certificate settles the dimension at 4
     code, (rep,) = _run_json(
         capsys, ["--vars", "x,y,z", "--function", "x*(y+z)^2", "--prime-bits", "4"]
     )
@@ -442,9 +434,8 @@ def test_a_certificate_settles_the_dimension_at_4_bits(capsys):
 
 def test_certificate_pool_skips_a_prime_dividing_a_fitted_denominator(capsys):
     # the input has no denominator, but the fitted parts have a 44 = 4*11,
-    # so s has no image modulo the sampling prime 11: the gradient minors
-    # sample modulo 13 and 7 instead, and the certificate pool at 4 bits is
-    # 13, 7, 5, 3, 17, 19, without 11 and 2
+    # so s has no image modulo the sampling prime 11: the certificate pool
+    # at 4 bits is 13, 7, 5, 3, 17, 19, without 11 and 2
     code, (rep,) = _run_json(
         capsys, ["--vars", "x,y", "--function", "x^2 + y^2", "--prime-bits", "4"]
     )
