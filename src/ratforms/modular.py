@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 # The two largest 31-bit primes; defaults for every sampling backend.
@@ -22,8 +23,14 @@ RETRIES = 64
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@lru_cache(maxsize=4096)
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin; deterministic for n < 3.3e24 with the fixed bases."""
+    """Miller-Rabin; deterministic for n < 3.3e24 with the fixed bases.
+
+    Memoised: every certificate search walks the same integers below its
+    sampling primes (see coprime_primes), so the walk tests each one once
+    per process; the bound keeps the cache small under any walk.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -65,7 +72,11 @@ def primes_below(bound: int, count: int = 2) -> tuple[int, ...]:
 def coprime_primes(primes: tuple[int, ...], den: int, count: int) -> tuple[int, ...]:
     """`count` primes that do not divide den: those of `primes`, then the
     largest primes below all of them, then, once those run out, the
-    smallest primes above all of them."""
+    smallest primes above all of them.
+
+    Repeated calls walk the same integers, so after the first walk their
+    primality comes from is_probable_prime's cache.
+    """
     kept = [p for p in primes if den % p]
     q = min(primes)
     while len(kept) < count and q > 2:

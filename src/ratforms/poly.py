@@ -8,12 +8,14 @@ one gcd pass; no per-term Fraction is built.  The canonical term order is
 graded lexicographic.  The gcd stack used for rational-function reduction
 works on the primitive integer parts and combines three layers:
 
-* a sound coprimality fast path (random line specialization over GF(p)
-  with a degree-preservation check, which makes the "gcd = 1" conclusion
-  exact, not heuristic);
+* a sound bound on the gcd's degree (the gcd over GF(p) of the inputs
+  restricted to a line on which both keep their degree; for inputs in one
+  variable the images are their coefficient lists), whose value 0 proves
+  the inputs coprime;
 * a heuristic evaluation gcd (single large-integer substitution per
-  variable, candidate verified by exact trial division and closed up by
-  a cofactor-coprimality pass, so the result is always the true gcd);
+  variable, candidate verified by exact trial division; a candidate whose
+  degree reaches the bound is the gcd, any other is closed up by a
+  cofactor-coprimality pass, so the result is always the true gcd);
 * a subresultant PRS fallback that is unconditionally correct.
 """
 
@@ -25,7 +27,7 @@ from math import gcd as igcd, prod
 from operator import add as _add
 from types import MappingProxyType
 
-from .modular import _divmod_mod, _interpolate_mod
+from .modular import _divmod_mod, _interpolate_mod, _trim
 
 Term = tuple[int, ...]
 
@@ -278,6 +280,15 @@ def _line_image(f: "Poly", avec, bvec, p: int) -> list[int]:
     return _interpolate_mod(ts, vs, p)
 
 
+def _coeff_image(f: dict, v: int, p: int) -> list[int]:
+    """f, which involves x_v alone, as a coeff list mod p in x_v: its
+    restriction to the line x_v = t, read off without any evaluation."""
+    out = [0] * (_deg_in(f, v) + 1)
+    for e, c in f.items():
+        out[e[v]] = c % p
+    return _trim(out)
+
+
 def _uni_gcd_mod(a: list[int], b: list[int], p: int) -> int:
     """Degree of gcd of two univariate coeff lists over GF(p)."""
     while b:
@@ -285,18 +296,26 @@ def _uni_gcd_mod(a: list[int], b: list[int], p: int) -> int:
     return len(a) - 1
 
 
-def _line_coprime(f: dict, g: dict, arity: int) -> bool:
-    """Sound one-sided test: True means gcd(f, g) is constant, exactly.
+def _gcd_degree_bound(f: dict, g: dict, arity: int) -> int | None:
+    """An upper bound on the total degree of gcd(f, g), or None.
 
-    If the specialized degree equals the total degree for both inputs,
-    the top forms did not vanish, so any nonconstant common factor would
-    survive with positive degree on the line; a constant line gcd then
-    certifies coprimality.  A False return is merely inconclusive.
+    The bound is the degree of the gcd over GF(p) of the restrictions of f
+    and g to a line on which both keep their total degree: the top form of
+    the true gcd h divides theirs, so h keeps its degree there too, and its
+    restriction divides both restrictions (von zur Gathen & Gerhard,
+    *Modern Computer Algebra*, ch. 6).  A pair in one variable x_v uses the
+    line x_v = t, whose images are the coefficient lists mod p; any other
+    pair tries two random lines.  None when no line kept both degrees, as
+    when p divides a leading coefficient.
     """
     df, dg = _total_deg(f), _total_deg(g)
-    if df == 0 or dg == 0:
-        return True
     p = _LINE_P
+    used = [i for i in range(arity) if _deg_in(f, i) or _deg_in(g, i)]
+    if len(used) == 1:
+        fu, gu = _coeff_image(f, used[0], p), _coeff_image(g, used[0], p)
+        if len(fu) - 1 == df and len(gu) - 1 == dg:
+            return _uni_gcd_mod(fu, gu, p)
+        return None
     fp, gp = Poly._make(f, _ONE, arity), Poly._make(g, _ONE, arity)
     for _ in range(2):
         avec = [_GCD_RNG.randrange(1, p) for _ in range(arity)]
@@ -305,11 +324,9 @@ def _line_coprime(f: dict, g: dict, arity: int) -> bool:
         if len(fu) - 1 != df:
             continue
         gu = _line_image(gp, avec, bvec, p)
-        if len(gu) - 1 != dg:
-            continue
-        if _uni_gcd_mod(fu, gu, p) == 0:
-            return True
-    return False
+        if len(gu) - 1 == dg:
+            return _uni_gcd_mod(fu, gu, p)
+    return None
 
 
 def _smod(c: int, m: int) -> int:
@@ -485,7 +502,14 @@ def _prs_gcd(f: dict, g: dict, var: int, arity: int) -> dict:
 
 
 def gcd_int(f: dict, g: dict, arity: int) -> dict:
-    """Exact gcd of integer term dicts, primitive with positive lead."""
+    """Exact gcd of integer term dicts, primitive with positive lead.
+
+    After the monomial and integer contents come out, _gcd_degree_bound
+    bounds the degree of the gcd: 0 settles coprimality.  A heuristic
+    common divisor of exactly the bounded degree is the gcd, since it
+    divides the true gcd, whose degree is at most the bound; a smaller one
+    is closed up through its cofactors, and subresultants settle the rest.
+    """
     zero_key = tuple([0] * arity)
     if not f and not g:
         return {}
@@ -514,14 +538,16 @@ def gcd_int(f: dict, g: dict, arity: int) -> dict:
                 for i in range(arity)
                 if _deg_in(f1, i) > 0 and _deg_in(g1, i) > 0
             ]
-            if not shared or _line_coprime(f1, g1, arity):
+            bound = _gcd_degree_bound(f1, g1, arity) if shared else 0
+            if bound == 0:
                 core = {zero_key: 1}
             else:
                 core = _heu_gcd(f1, g1, arity)
                 if core is not None and _total_deg(core) > 0:
-                    # close the heuristic divisor up to the true gcd; each
-                    # pass strictly shrinks the cofactors, so it terminates
-                    while True:
+                    # a common divisor as large as the bound is the gcd;
+                    # otherwise close it up to the true gcd: each pass
+                    # strictly shrinks the cofactors, so it terminates
+                    while _total_deg(core) != bound:
                         c1 = _idivexact(f1, core)
                         c2 = _idivexact(g1, core)
                         extra = gcd_int(c1, c2, arity)

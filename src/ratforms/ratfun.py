@@ -386,14 +386,15 @@ _TOKEN = re.compile(
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     out = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ParseError(f"unrecognized character {text[pos]!r}", pos)
-        if not m.group("ws"):
-            kind = m.lastgroup
+    for m in _TOKEN.finditer(text):
+        if m.start() != pos:
+            break
+        kind = m.lastgroup
+        if kind != "ws":
             out.append((kind, m.group(kind), pos))
         pos = m.end()
+    if pos < len(text):
+        raise ParseError(f"unrecognized character {text[pos]!r}", pos)
     out.append(("end", "", len(text)))
     return out
 
@@ -413,12 +414,34 @@ def _raw_sum(f: RatFun, g: Poly | RatFun) -> RatFun:
     return RatFun.raw(fn + gn, fd)
 
 
+def _product(f: Poly | RatFun | None, g: Poly | RatFun) -> Poly | RatFun:
+    """f * g, raw when either is a fraction; None stands for 1."""
+    if f is None:
+        return g
+    if isinstance(f, Poly) and isinstance(g, Poly):
+        return f * g
+    (fn, fd), (gn, gd) = _fraction(f), _fraction(g)
+    return RatFun.raw(fn * gn, fd * gd)
+
+
+def _quotient(f: Poly | RatFun | None, g: Poly | RatFun) -> RatFun:
+    """f / g as a raw fraction for a nonconstant g; None stands for 1."""
+    gn, gd = _fraction(g)
+    if f is None:
+        return RatFun.raw(gd, gn)
+    fn, fd = _fraction(f)
+    return RatFun.raw(fn * gd, fd * gn)
+
+
 class _Parser:
     """Recursive descent over the token list.
 
     Polynomial subtrees stay plain Polys; only a genuine quotient becomes a
     RatFun, kept raw (unreduced), so no node pays for a gcd.  parse reduces
-    the result once at the end.
+    the result once at the end.  Within a product, integer and variable
+    factors (each maybe negated and raised to a power) fold into one
+    coefficient and one exponent vector, so a monomial costs one Poly;
+    only parenthesised factors and divisions by a variable become nodes.
     """
 
     def __init__(self, text: str, names: tuple[str, ...]):
@@ -472,70 +495,96 @@ class _Parser:
         return total if quot is None else _raw_sum(quot, total)
 
     def term(self) -> Poly | RatFun:
-        f = self.factor()
+        """A product: coef * x^exps times the node of the other factors."""
+        coef: int | Fraction = 1
+        exps = [0] * self.arity
+        node: Poly | RatFun | None = None
+        op, pos = "*", -1
         while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
+            leaf = self.leaf()
+            if leaf is None:
                 g = self.factor()
-                if val == "*":
-                    if isinstance(f, Poly) and isinstance(g, Poly):
-                        f = f * g
-                    else:
-                        (fn, fd), (gn, gd) = _fraction(f), _fraction(g)
-                        f = RatFun.raw(fn * gn, fd * gd)
+                if op == "*":
+                    node = _product(node, g)
                 elif g.is_zero:
                     raise ParseError("division by the zero polynomial", pos)
                 elif isinstance(g, Poly) and g.is_constant:
-                    inv = 1 / g.constant_value()
-                    if isinstance(f, Poly):
-                        f = f.scale(inv)
-                    else:
-                        f = RatFun.raw(f.num.scale(inv), f.den)
+                    coef /= g.constant_value()
                 else:
-                    (fn, fd), (gn, gd) = _fraction(f), _fraction(g)
-                    f = RatFun.raw(fn * gd, fd * gn)
+                    node = _quotient(node, g)
             else:
-                return f
-
-    def factor(self) -> Poly | RatFun:
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
+                c, i, n = leaf
+                if op == "*":
+                    coef *= c
+                    if i is not None:
+                        exps[i] += n
+                elif not c:
+                    raise ParseError("division by the zero polynomial", pos)
+                else:
+                    coef = Fraction(coef, c)
+                    if i is not None and n:
+                        node = _quotient(node, Poly.variable(i, self.arity) ** n)
+            kind, op, pos = self.peek()
+            if kind != "op" or op not in "*/":
+                break
             self.advance()
-            return -self.factor()
-        return self.power()
+        if coef:
+            sign = 1 if coef > 0 else -1
+            mono = Poly._make({tuple(exps): sign}, Fraction(abs(coef)), self.arity)
+        else:
+            mono = Poly.zero(self.arity)
+        return mono if node is None else _product(node, mono)
 
-    def power(self) -> Poly | RatFun:
-        base = self.atom()
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "^":
-            self.advance()
-            ikind, ival, ipos = self.peek()
-            if ikind != "int":
-                raise ParseError("exponent must be a nonnegative integer", ipos)
-            self.advance()
-            n = int(ival)
-            if n > EXPONENT_CAP:
-                raise ParseError(f"exponent {n} too large", ipos)
-            if isinstance(base, Poly):
-                return base**n
-            return RatFun.raw(base.num**n, base.den**n)
-        return base
-
-    def atom(self) -> Poly | RatFun:
+    def leaf(self) -> tuple[int, int | None, int] | None:
+        """An integer or variable factor, maybe negated and raised to a
+        power, as (c, i, n) for c * x_i^n, or (c, None, 0) for the integer
+        c; None, with nothing consumed, for any other factor."""
+        start = self.idx
+        sign = 1
         kind, val, pos = self.advance()
+        while kind == "op" and val == "-":
+            sign = -sign
+            kind, val, pos = self.advance()
         if kind == "int":
-            return Poly.const(int(val), self.arity)
+            return sign * int(val) ** self.exponent(), None, 0
         if kind == "name":
             i = self.names.get(val)
             if i is None:
                 raise ParseError(f"unknown identifier {val!r}", pos)
-            return Poly.variable(i, self.arity)
-        if kind == "op" and val == "(":
-            f = self.expr()
-            self.expect_op(")")
+            return sign, i, self.exponent()
+        self.idx = start
+        return None
+
+    def factor(self) -> Poly | RatFun:
+        """A negated or parenthesised factor, maybe raised to a power."""
+        kind, val, pos = self.advance()
+        if kind == "op" and val == "-":
+            return -self.factor()
+        if kind != "op" or val != "(":
+            raise ParseError(f"unexpected token {val or 'end of input'!r}", pos)
+        f = self.expr()
+        self.expect_op(")")
+        n = self.exponent()
+        if n == 1:
             return f
-        raise ParseError(f"unexpected token {val or 'end of input'!r}", pos)
+        if isinstance(f, Poly):
+            return f**n
+        return RatFun.raw(f.num**n, f.den**n)
+
+    def exponent(self) -> int:
+        """The exponent after a base: 1 when no ^ follows."""
+        kind, val, _ = self.peek()
+        if kind != "op" or val != "^":
+            return 1
+        self.advance()
+        kind, val, pos = self.peek()
+        if kind != "int":
+            raise ParseError("exponent must be a nonnegative integer", pos)
+        self.advance()
+        n = int(val)
+        if n > EXPONENT_CAP:
+            raise ParseError(f"exponent {n} too large", pos)
+        return n
 
 
 def parse(expr: str, vars: tuple[str, ...] | list[str]) -> RatFun:

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain, count
 from math import isqrt, prod
 
 import pytest
 
 from ratforms.modular import (
     DEFAULT_PRIMES,
+    coprime_primes,
     crt_pair,
     inv_mod,
     is_probable_prime,
@@ -45,6 +47,50 @@ def test_is_probable_prime_on_known_values():
     assert not is_probable_prime(2147483647 * 2147483629)
     carmichael = 561
     assert not is_probable_prime(carmichael)
+
+
+def _reference_pool(primes, den, want):
+    """coprime_primes by a plain walk with the uncached primality test."""
+    prime = is_probable_prime.__wrapped__
+    pool = [p for p in primes if den % p]
+    for q in chain(range(min(primes) - 1, 1, -1), count(max(primes) + 1)):
+        if len(pool) >= want:
+            return tuple(pool)
+        if den % q and prime(q):
+            pool.append(q)
+
+
+@pytest.mark.parametrize(
+    "primes, den, want, pool",
+    (
+        # the default primes and the six-prime certificate pool
+        (DEFAULT_PRIMES, 1, 6, None),
+        # the 4-bit pool walks every prime below the given ones
+        ((13, 11), 1, 6, (13, 11, 7, 5, 3, 2)),
+        # a pool prime dividing den is skipped, the walk goes on below
+        (DEFAULT_PRIMES, 5 * 2147483629 * 2147483587, 6, None),
+        ((13, 11), 5 * 11, 6, (13, 7, 3, 2, 17, 19)),
+        # every prime below divides den: the top-up is above the given ones
+        ((13, 11), 30030, 2, (17, 19)),
+    ),
+    ids=("default", "4-bit", "default-divisor", "4-bit-divisor", "above"),
+)
+def test_coprime_primes_matches_an_uncached_walk(primes, den, want, pool):
+    got = coprime_primes(primes, den, want)
+    assert got == _reference_pool(primes, den, want)
+    assert pool is None or got == pool
+
+
+def test_a_repeated_prime_pool_runs_no_primality_test():
+    from ratforms.oracle import prime_pool
+    from ratforms.ratfun import parse
+
+    fs = [parse("x/3 + y^2", ("x", "y")), parse("x*y", ("x", "y"))]
+    assert is_probable_prime.cache_info().maxsize is not None
+    first = prime_pool(DEFAULT_PRIMES, fs)
+    misses = is_probable_prime.cache_info().misses
+    assert prime_pool(DEFAULT_PRIMES, fs) == first
+    assert is_probable_prime.cache_info().misses == misses
 
 
 def test_inv_mod_inverts_units():

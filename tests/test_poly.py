@@ -11,10 +11,14 @@ import pytest
 
 from ratforms.poly import (
     BadPrimeError,
+    _LINE_P,
     Poly,
-    _line_coprime,
+    _gcd_degree_bound,
     _line_image,
+    _prs_gcd,
+    _total_deg,
     divexact,
+    gcd_int,
     grlex_key,
     poly_gcd,
 )
@@ -420,16 +424,74 @@ def test_line_image_is_the_exact_restriction_to_the_line():
             assert _line_image(q, avec, bvec, p) == want
 
 
-def test_line_coprime_never_claims_coprime_for_a_shared_factor():
+def test_gcd_degree_bound_is_at_least_the_shared_degree():
     rng = random.Random(23)
-    shared = 0
+    shared = bounded = 0
     for _ in range(60):
         arity = rng.randint(1, 3)
         g, a, b = (Poly(_random_terms(rng, arity), arity) for _ in range(3))
         if g.total_degree() == 0 or a.is_zero or b.is_zero:
             continue
         shared += 1
-        assert not _line_coprime((g * a).ints, (g * b).ints, arity)
-    assert shared >= 20
+        bound = _gcd_degree_bound((g * a).ints, (g * b).ints, arity)
+        if bound is not None:
+            bounded += 1
+            assert bound >= g.total_degree()
+    assert shared >= 20 and bounded >= 20
     names = ("x", "y")
-    assert _line_coprime(_p("x + y", names).ints, _p("x*y + 1", names).ints, 2)
+    assert _gcd_degree_bound(_p("x + y", names).ints, _p("x*y + 1", names).ints, 2) == 0
+    # one variable: the coefficient lists are the images
+    assert _gcd_degree_bound(_p("x^2 - 1", names).ints, _p("x^2 + 2*x + 1", names).ints, 2) == 1
+    assert _gcd_degree_bound(_p("y^3 - 1", names).ints, _p("y^2 + 1", names).ints, 2) == 0
+
+
+def _uni(rng: random.Random, v: int, arity: int, lo: int, hi: int) -> Poly:
+    """A random polynomial in x_v alone, of degree lo..hi."""
+    deg = rng.randint(lo, hi)
+    terms = {}
+    for k in range(deg + 1):
+        e = [0] * arity
+        e[v] = k
+        terms[tuple(e)] = rng.randint(-9, 9) or 1
+    return Poly(terms, arity)
+
+
+def _reference_gcd(f: dict, g: dict, v: int, arity: int) -> dict:
+    """The subresultant gcd, made primitive with a positive leading term."""
+    h = Poly.from_ints(_prs_gcd(f, g, v, arity), arity)
+    return (h if h.leading()[1] > 0 else -h).ints
+
+
+def test_gcd_of_one_variable_pairs_matches_subresultants():
+    rng = random.Random(1501)
+    for arity in (1, 2, 3):
+        for _ in range(40):
+            v = rng.randrange(arity)
+            g = _uni(rng, v, arity, 1, 4)
+            a, b = _uni(rng, v, arity, 0, 4), _uni(rng, v, arity, 0, 4)
+            f, h = (g * a).ints, (g * b).ints
+            got = gcd_int(f, h, arity)
+            assert got == _reference_gcd(f, h, v, arity)
+            assert _total_deg(got) >= g.total_degree()
+    # a leading coefficient divisible by the line prime drops the degree
+    # of the image, so there is no bound and the closure path decides
+    x = Poly.variable(0, 1)
+    g = x * x * _LINE_P + x * 3 + 1
+    f, h = (g * (x + 2)).ints, (g * (x - 5)).ints
+    assert _gcd_degree_bound(f, h, 1) is None
+    assert gcd_int(f, h, 1) == g.ints == _reference_gcd(f, h, 0, 1)
+
+
+def test_one_variable_gcd_takes_no_line_evaluation(monkeypatch):
+    def no_walk(*_):
+        raise AssertionError("eval_mod called")
+
+    monkeypatch.setattr(Poly, "eval_mod", no_walk)
+    names = ("x", "y", "z")
+    for f, g, want in (
+        ("z^2 - 1", "z^2 + 2*z + 1", "z + 1"),
+        ("(x^3 + 2)*(x - 4)^2", "(x - 4)*(x + 9)", "x - 4"),
+        ("y^5 + y + 1", "y^4 - 3", "1"),
+        ("6*z^3 - 6*z", "4*z^2 + 4*z", "z^2 + z"),
+    ):
+        assert poly_gcd(_p(f, names), _p(g, names)) == _p(want, names)

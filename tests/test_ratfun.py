@@ -105,12 +105,60 @@ def test_parse_matches_per_node_reduction(expr, build):
         ("(x+1)/((1/y)-(1/y))", "division by the zero polynomial (at position 5)"),
         ("2*x/(0/y)", "division by the zero polynomial (at position 3)"),
         ("x^1048577", "exponent 1048577 too large (at position 2)"),
+        # the messages and positions of the recursive-descent parser that
+        # built one node per factor
+        ("x/0", "division by the zero polynomial (at position 1)"),
+        ("x/-0^1", "division by the zero polynomial (at position 1)"),
+        ("2*x/0*w", "division by the zero polynomial (at position 3)"),
+        ("x^y", "exponent must be a nonnegative integer (at position 2)"),
+        ("x/y^w", "exponent must be a nonnegative integer (at position 4)"),
+        ("y*x^1048577", "exponent 1048577 too large (at position 4)"),
+        ("x/2^1048577", "exponent 1048577 too large (at position 4)"),
+        ("x*", "unexpected token 'end of input' (at position 2)"),
+        ("x*-", "unexpected token 'end of input' (at position 3)"),
+        ("x*/y", "unexpected token '/' (at position 2)"),
+        ("2x", "unexpected token 'x' (at position 1)"),
+        ("x^2^3", "unexpected token '^' (at position 3)"),
+        ("3 $ x", "unrecognized character '$' (at position 2)"),
+        ("x/0*$", "unrecognized character '$' (at position 4)"),
+        ("x/w", "unknown identifier 'w' (at position 2)"),
+        ("x/2*w", "unknown identifier 'w' (at position 4)"),
     ),
 )
 def test_parse_error_messages_and_positions(expr, message):
     with pytest.raises(ParseError) as err:
         parse(expr, TRI)
     assert str(err.value) == message
+
+
+def _c(n) -> Poly:
+    return Poly.const(n, 3)
+
+
+# Products of integer and variable factors, each beside the same product
+# built factor by factor with Poly (or, for a quotient, RatFun) arithmetic.
+PRODUCTS = (
+    ("2*x*3", lambda x, y, z: _c(2) * x * _c(3)),
+    ("x/2/3*y", lambda x, y, z: x.scale(Fraction(1, 2)).scale(Fraction(1, 3)) * y),
+    ("x/y*2", lambda x, y, z: RatFun.from_poly(x) / RatFun.from_poly(y) * 2),
+    ("2^3*x", lambda x, y, z: _c(2) ** 3 * x),
+    ("x/2^3", lambda x, y, z: x.scale(1 / (_c(2) ** 3).constant_value())),
+    ("0*x", lambda x, y, z: _c(0) * x),
+    ("x^0*y", lambda x, y, z: x**0 * y),
+    ("x*-y", lambda x, y, z: x * -y),
+    ("(x+1)/2*y^2/3", lambda x, y, z: (x + 1).scale(Fraction(1, 2)) * y**2 * Fraction(1, 3)),
+    ("-2^2*x/-z^3*z", lambda x, y, z: RatFun.from_poly(-(_c(2) ** 2) * x) / -(z**3) * z),
+    ("x/y^0*--3", lambda x, y, z: x * _c(3)),
+)
+
+
+@pytest.mark.parametrize("expr,build", PRODUCTS)
+def test_parse_products_match_factor_by_factor_arithmetic(expr, build):
+    want = build(*(Poly.variable(i, 3) for i in range(3)))
+    if isinstance(want, Poly):
+        want = RatFun.from_poly(want)
+    got = parse(expr, TRI)
+    assert got.num == want.num and got.den == want.den
 
 
 def test_parse_long_sum_matches_term_by_term_arithmetic():
