@@ -105,8 +105,8 @@ def test_parse_matches_per_node_reduction(expr, build):
         ("(x+1)/((1/y)-(1/y))", "division by the zero polynomial (at position 5)"),
         ("2*x/(0/y)", "division by the zero polynomial (at position 3)"),
         ("x^1048577", "exponent 1048577 too large (at position 2)"),
-        # the messages and positions of the recursive-descent parser that
-        # built one node per factor
+        # errors inside products: a zero or unknown divisor, a bad exponent,
+        # a missing or stray factor, a character outside the grammar
         ("x/0", "division by the zero polynomial (at position 1)"),
         ("x/-0^1", "division by the zero polynomial (at position 1)"),
         ("2*x/0*w", "division by the zero polynomial (at position 3)"),
