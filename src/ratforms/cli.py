@@ -149,7 +149,7 @@ def analyze_function(
     May raise ParseError; every other outcome is encoded in the report.
     """
     f = parse(expr, names)
-    return _analyze(expr, f, names, prime_pool(primes, [f], len(primes)), samples, seed, dmax, probe)
+    return _analyze(expr, f, names, tuple(prime_pool(primes, [f], len(primes))), samples, seed, dmax, probe)
 
 
 def _analyze(
@@ -290,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
         used = primes
         try:
             f = parse(expr, names)
-            used = prime_pool(primes, [f], len(primes))
+            used = tuple(prime_pool(primes, [f], len(primes)))
             report, code = _analyze(
                 expr,
                 f,

@@ -10,7 +10,9 @@ inputs always replay the same sample sequence.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -69,26 +71,18 @@ def primes_below(bound: int, count: int = 2) -> tuple[int, ...]:
     return tuple(found)
 
 
-def coprime_primes(primes: tuple[int, ...], den: int, count: int) -> tuple[int, ...]:
-    """`count` primes that do not divide den: those of `primes`, then the
-    largest primes below all of them, then, once those run out, the
-    smallest primes above all of them.
+def coprime_primes(primes: tuple[int, ...], den: int, count: int) -> Iterator[int]:
+    """Up to `count` primes that do not divide den, lazily: those of
+    `primes`, then the largest primes below all of them, then, once those
+    run out, the smallest primes above all of them.
 
-    Repeated calls walk the same integers, so after the first walk their
+    Repeated walks test the same integers, so after the first walk their
     primality comes from is_probable_prime's cache.
     """
-    kept = [p for p in primes if den % p]
-    q = min(primes)
-    while len(kept) < count and q > 2:
-        q -= 1
-        if den % q and is_probable_prime(q):
-            kept.append(q)
-    q = max(primes)
-    while len(kept) < count:
-        q += 1
-        if den % q and is_probable_prime(q):
-            kept.append(q)
-    return tuple(kept)
+    below = range(min(primes) - 1, 1, -1)
+    above = itertools.count(max(primes) + 1)
+    walk = itertools.chain(primes, filter(is_probable_prime, itertools.chain(below, above)))
+    return itertools.islice((q for q in walk if den % q), count)
 
 
 def inv_mod(a: int, p: int) -> int:

@@ -6,15 +6,19 @@ generic_rank.  composition_relation finds the relation a(q)*p - b(q) of
 P = (b/a)(s) by rational interpolation; it is the only search behind the
 dependence certificates.  annihilating_poly is a standalone search for a
 polynomial relation among any given functions, over all monomials of
-each degree.  Every returned relation is proven to vanish exactly, never
-by sampling alone (see _vanishes).
+each degree.  Both lift per-prime fits one prime at a time, reconstruct a
+candidate after every prime and refute a false one by its value modulo a
+prime not yet combined, within MAX_LIFT_PRIMES primes (_lift_and_verify).
+Every returned relation is proven to vanish exactly, never by sampling
+alone (see _vanishes).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from .modular import (
     DEFAULT_PRIMES,
@@ -33,6 +37,9 @@ from .ratfun import RatFun, compose_numerator, pole_free_values
 from .dimension import DoublingMap
 
 MAX_ORACLE_DEGREE = 6
+#: Primes a certificate lift may combine.  Its pool holds one more, so a
+#: prime the lift has not combined is always left for the spot value.
+MAX_LIFT_PRIMES = 24
 
 
 class OracleGuardError(ValueError):
@@ -179,87 +186,87 @@ def annihilating_poly(
     arity = fs[0].arity
     if any(f.arity != arity for f in fs):
         raise ValueError("functions must share one ambient variable list")
-    pool = prime_pool(primes, fs)
     for d in range(1, dmax + 1):
         monos = _monomials(k, d)
         solve = partial(_kernel_vector, fs, monos, d, seed)
-        cand = _lift_and_verify(fs, monos, len(primes), pool, solve, seed)
+        pool = prime_pool(primes, fs, MAX_LIFT_PRIMES + 1)
+        cand = _lift_and_verify(fs, monos, pool, solve, seed)
         if cand is not None:
             return cand
     return None
 
 
-def prime_pool(primes: tuple[int, ...], fs: list[RatFun], count: int = 6) -> tuple[int, ...]:
-    """`count` primes modulo which every function of fs has an image: the
-    given primes that divide no coefficient denominator of fs, then the
-    largest such primes below them (see coprime_primes)."""
+def prime_pool(primes: tuple[int, ...], fs: list[RatFun], count: int) -> Iterator[int]:
+    """Up to `count` primes modulo which every function of fs has an image,
+    lazily: the given primes that divide no coefficient denominator of fs,
+    then the largest such primes below them, then the smallest above them
+    (see coprime_primes)."""
     den = 1
     for f in fs:
         den *= f.num.content.denominator * f.den.content.denominator
     return coprime_primes(primes, den, count)
 
 
-def _lift_and_verify(fs, monos, nprimes, pool, solve, seed):
+def _lift_and_verify(fs, monos, pool, solve, seed):
     """Relation with coefficients on monos from per-prime vectors, or None.
 
     solve(p) returns the coefficient vector mod p, scaled the same way at
-    every prime, or None.  None at the first prime ends the search; at a
-    later one it skips that prime (one too small to give enough distinct
-    sample values, or an unlucky one).  From the first nprimes vectors on,
-    they are CRT-combined, reconstructed over Q and normalized, and the
-    candidate counts only if it vanishes exactly on fs (_vanishes, with
-    the pool primes the lift did not combine as spares).  A failed
-    reconstruction or a nonzero composition only ever means an unlucky
-    prime; more primes are drawn until the pool runs dry (soundness never
-    depends on this path).
+    every prime, or None.  None at the first pool prime ends the search; at
+    a later one it skips that prime (one too small to give enough distinct
+    sample values, or an unlucky one).  Each vector is CRT-combined with
+    those before it, and after every prime, the first included, the
+    residues are reconstructed over Q and normalized.  Each new candidate
+    is tested once by _vanishes, with the next pool prime, which the lift
+    has not combined, as the spare for its spot value.  The lift stops at
+    the first candidate that vanishes exactly, or returns None when only
+    the last pool prime is left: a candidate refuted or not yet
+    reconstructed only ever means too small a modulus or an unlucky prime
+    (soundness never depends on this path).
     """
-    used = []
-    for p in pool:
+    acc = [0] * len(monos)
+    mod = 1
+    refuted = set()
+    for p, spare in itertools.pairwise(pool):
         v = solve(p)
         if v is None:
-            if p == pool[0]:
+            if mod == 1:
                 return None
             continue
-        used.append((p, v))
-        if len(used) < nprimes:
+        acc = [crt_pair(a, mod, b, p) for a, b in zip(acc, v)]
+        mod *= p
+        rat = [rational_reconstruct(a, mod) for a in acc]
+        if any(r is None for r in rat):
             continue
-        acc = list(used[0][1])
-        m = used[0][0]
-        for q, w in used[1:]:
-            acc = [crt_pair(a, m, b, q) for a, b in zip(acc, w)]
-            m *= q
-        rat = [rational_reconstruct(a % m, m) for a in acc]
-        if all(r is not None for r in rat):
-            coeffs = _normalize_coeffs(rat, monos)
-            if coeffs:
-                cand = Poly.from_ints(coeffs, len(fs))
-                lifted = {q for q, _ in used}
-                spare = [q for q in pool if q not in lifted]
-                if _vanishes(cand, fs, spare, seed):
-                    return cand
+        coeffs = _normalize_coeffs(rat, monos)
+        if not coeffs or frozenset(coeffs.items()) in refuted:
+            continue
+        cand = Poly.from_ints(coeffs, len(fs))
+        if _vanishes(cand, fs, (spare,), seed):
+            return cand
+        refuted.add(frozenset(coeffs.items()))
     return None
 
 
 def _vanishes(A: Poly, fs: list[RatFun], spare, seed: int) -> bool:
     """Is A(f_1, ..., f_k) the zero function?  Exact, in three steps.
 
-    A relation linear in its first slot, between two functions, holds when
-    its homogenized parts are proportional to f_1 (_proportional); that
-    settles every true certificate of a reduced s without a large product.
-    Otherwise a nonzero value of A at one random pole-free point modulo the
-    first spare prime is an exact disproof.  The spares must be primes the
-    lift did not combine: a CRT candidate vanishes modulo its own lift
-    primes whether or not it is true.  When neither step decides, the
-    exact expansion of compose_numerator does.
+    A nonzero value of A at one random pole-free point modulo the first
+    spare prime that yields a point is an exact disproof.  The spares must
+    be primes the lift did not combine: a CRT candidate vanishes modulo its
+    own lift primes whether or not it is true.  A relation linear in its
+    first slot, between two functions, then holds when its homogenized
+    parts are proportional to f_1 (_proportional); that settles every true
+    certificate of a reduced s without a large product.  When neither step
+    decides, the exact expansion of compose_numerator does.
     """
-    if len(fs) == 2 and A.degree_in(0) == 1 and _proportional(A, *fs):
-        return True
     for p in spare:
         pts = pole_free_values(fs, 1, p, rng_for(seed, f"spot:p{p}"))
         if pts is not None:
             if A.eval_mod(pts[0], p):
                 return False
             break
+    if len(fs) == 2 and A.degree_in(0) == 1 and _proportional(A, *fs):
+        return True
     return compose_numerator(A, fs).is_zero
 
 
@@ -365,22 +372,25 @@ def composition_relation(
     """Relation a(q)*p - b(q) with a(s)*P = b(s) exactly, or None.
 
     Finds P = (b/a)(s) for univariate a, b by rational (Cauchy)
-    interpolation of sampled pairs (s(w), P(w)) modulo the first prime,
-    with the degree bound m = 1, 2, 4, ... capped at dmax.  Once a fit
-    holds there, each prime of prime_pool(primes, [s, P]) (six primes that
-    divide no coefficient denominator of P or s) refits at the degree it
-    found, and the fits are lifted and normalized as annihilating_poly's
-    are (_lift_and_verify): the relation is returned only if its total
-    degree is at most dmax and it is proven to vanish on (P, s), by
-    homogenized proportionality or, where that does not apply, by the
-    exact expansion (_vanishes).
+    interpolation of sampled pairs (s(w), P(w)) modulo the first pool prime.
+    The first degree bound is m = deg P / deg s, which is exact when P =
+    q(s) is reduced; when no fit holds there, the bound doubles from the
+    next power of two, capped at dmax.  Once a fit holds, the primes of
+    prime_pool(primes, [s, P]) (at most MAX_LIFT_PRIMES, plus one spare,
+    that divide no coefficient denominator of P or s) refit one at a time
+    at the degree it found, and _lift_and_verify reconstructs a candidate
+    after each: the relation is returned only if its total degree is at
+    most dmax and it is proven to vanish on (P, s), by homogenized
+    proportionality or, where that does not apply, by the exact expansion
+    (_vanishes).
     Since s is nonconstant, every relation between P and s is then a
     multiple of this one (Gauss's lemma), so it is also the relation
     annihilating_poly([P, s], dmax) returns.  None carries no claim: P
-    may lie outside Q(s), or the samples were unlucky.
+    may lie outside Q(s), the samples were unlucky, or the relation's
+    coefficients need more than MAX_LIFT_PRIMES primes.
     """
     fs = [s, P]
-    pool = prime_pool(primes, fs)
+    first = next(prime_pool(primes, fs, 1))
     samples = {}
 
     def fit(m, p):
@@ -395,26 +405,31 @@ def composition_relation(
             pts.extend(more)
         return _cauchy_mod(pts, m, p)
 
-    bound = 1
+    @cache
+    def lift(m):
+        # every prime refits with the degree m the first one found
+        support = {(1, i) for i in range(min(m, dmax - 1) + 1)}
+        support |= {(0, j) for j in range(m + 1)}
+        monos = sorted(support, key=grlex_key)
+
+        def solve(p):
+            fitted = fit(m, p)
+            if fitted is None or not fitted.keys() <= support:
+                return None
+            return [fitted.get(e, 0) for e in monos]
+
+        pool = prime_pool(primes, fs, MAX_LIFT_PRIMES + 1)
+        return _lift_and_verify([P, s], monos, pool, solve, seed)
+
+    bound = min(max(1, P.total_degree() // s.total_degree()), dmax)
     while True:
-        bound = min(bound, dmax)
-        rel = fit(bound, pool[0])
+        rel = fit(bound, first)
         if rel is not None and max(map(sum, rel)) <= dmax:
-            # every prime refits with the degree the first one found
-            m = max(e[1] for e in rel)
-            support = {(1, i) for i in range(min(m, dmax - 1) + 1)}
-            support |= {(0, j) for j in range(m + 1)}
-            monos = sorted(support, key=grlex_key)
-
-            def solve(p):
-                fitted = fit(m, p)
-                if fitted is None or not fitted.keys() <= support:
-                    return None
-                return [fitted.get(e, 0) for e in monos]
-
-            cand = _lift_and_verify([P, s], monos, len(primes), pool, solve, seed)
+            # a larger bound refits the same relation at the first prime,
+            # so each degree is lifted once (lift is cached)
+            cand = lift(max(e[1] for e in rel))
             if cand is not None:
                 return cand
         if bound >= dmax:
             return None
-        bound *= 2
+        bound = min(1 << bound.bit_length(), dmax)

@@ -400,11 +400,15 @@ def _heu_gcd(f: dict, g: dict, arity: int, depth: int = 0) -> dict | None:
                         ok = False
                         break
                 if ok:
-                    # no primitive-part here: at inner levels the integer
-                    # content still encodes the outer evaluation digits
                     cand: dict = {}
                     for i, dig in enumerate(digits):
                         _iadd_into(cand, _ishift(dig, var, i))
+                    if cand and depth == 0:
+                        # the caller's inputs are primitive, so is every
+                        # common divisor; at inner levels the integer
+                        # content still encodes the outer evaluation digits
+                        cc = _int_content(cand)
+                        cand = {k: v // cc for k, v in cand.items()}
                     if cand:
                         if _idivexact(f, cand) is not None and _idivexact(g, cand) is not None:
                             return cand

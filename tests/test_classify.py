@@ -424,8 +424,9 @@ def test_an_independent_pair_has_no_certificate(primes):
 
 
 def test_dependent_pair_certifies_at_small_primes():
-    # the lift reconstructs from the products of six small primes, so the
-    # relation's coefficients must stay small (those of (x*y + 5)^6 do not)
+    # the lift reconstructs the coefficients, at most 3, from 13 * 11 and
+    # spot-checks the candidate modulo 7; larger coefficients draw primes
+    # above 13, since those below 11 give too few distinct values of s
     P, s = parse("(x*y + 1)^3", BI), parse("x*y", BI)
     cert = dependence_certificate(P, s, primes=(13, 11))
     assert cert is not None and cert.verified

@@ -63,10 +63,12 @@ def _reference_pool(primes, den, want):
 @pytest.mark.parametrize(
     "primes, den, want, pool",
     (
-        # the default primes and the six-prime certificate pool
-        (DEFAULT_PRIMES, 1, 6, None),
-        # the 4-bit pool walks every prime below the given ones
-        ((13, 11), 1, 6, (13, 11, 7, 5, 3, 2)),
+        # the default primes and a full certificate pool (24 lift primes and
+        # a spare)
+        (DEFAULT_PRIMES, 1, 25, None),
+        # the 4-bit pool walks every prime below the given ones, then goes on
+        # above them
+        ((13, 11), 1, 8, (13, 11, 7, 5, 3, 2, 17, 19)),
         # a pool prime dividing den is skipped, the walk goes on below
         (DEFAULT_PRIMES, 5 * 2147483629 * 2147483587, 6, None),
         ((13, 11), 5 * 11, 6, (13, 7, 3, 2, 17, 19)),
@@ -76,20 +78,20 @@ def _reference_pool(primes, den, want):
     ids=("default", "4-bit", "default-divisor", "4-bit-divisor", "above"),
 )
 def test_coprime_primes_matches_an_uncached_walk(primes, den, want, pool):
-    got = coprime_primes(primes, den, want)
+    got = tuple(coprime_primes(primes, den, want))
     assert got == _reference_pool(primes, den, want)
     assert pool is None or got == pool
 
 
 def test_a_repeated_prime_pool_runs_no_primality_test():
-    from ratforms.oracle import prime_pool
+    from ratforms.oracle import MAX_LIFT_PRIMES, prime_pool
     from ratforms.ratfun import parse
 
     fs = [parse("x/3 + y^2", ("x", "y")), parse("x*y", ("x", "y"))]
     assert is_probable_prime.cache_info().maxsize is not None
-    first = prime_pool(DEFAULT_PRIMES, fs)
+    first = tuple(prime_pool(DEFAULT_PRIMES, fs, MAX_LIFT_PRIMES + 1))
     misses = is_probable_prime.cache_info().misses
-    assert prime_pool(DEFAULT_PRIMES, fs) == first
+    assert tuple(prime_pool(DEFAULT_PRIMES, fs, MAX_LIFT_PRIMES + 1)) == first
     assert is_probable_prime.cache_info().misses == misses
 
 
@@ -125,8 +127,8 @@ def test_rational_reconstruction_roundtrip():
 
 
 def test_rational_reconstruction_reaches_its_exact_bound():
-    # the modulus of a six-prime certificate lift, and one past 2^1024
-    m = prod(primes_below(1 << 31, 6))
+    # the modulus of a full 24-prime certificate lift, and one past 2^1024
+    m = prod(primes_below(1 << 31, 24))
     n = isqrt(m // 2) - 1
     assert rational_reconstruct(n % m, m) == n
     m = prod(primes_below(1 << 31, 40))

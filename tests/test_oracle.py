@@ -175,22 +175,33 @@ def _count_expansions(monkeypatch) -> list:
     return calls
 
 
+_S = "((x^5+3*x+1)/(x^2+7) + (y^7-y)/(y^3+2) + (z^4+z)/(z^2+5))"
+
+
 @pytest.mark.parametrize(
-    "expr, names, verdict",
+    "expr, names, verdict, primes",
     [
-        ("(x + y^2 + 1/(z+1))^2 + 3", TRI, "GroupAdditive"),
-        ("(x*z^2/(y+1))^2 - 1", TRI, "GroupMultiplicative"),
-        ("x*(y^2+z+5)^3", TRI, "Field"),
-        ("((x^2+y)/(y+z^3))^2 + 1", TRI, "Twisted"),
-        ("(1/(x+1) + y^2)^2 + 3", BI, "GroupAdditive"),
+        ("(x + y^2 + 1/(z+1))^2 + 3", TRI, "GroupAdditive", DEFAULT_PRIMES),
+        ("(x*z^2/(y+1))^2 - 1", TRI, "GroupMultiplicative", DEFAULT_PRIMES),
+        ("x*(y^2+z+5)^3", TRI, "Field", DEFAULT_PRIMES),
+        ("((x^2+y)/(y+z^3))^2 + 1", TRI, "Twisted", DEFAULT_PRIMES),
+        ("(1/(x+1) + y^2)^2 + 3", BI, "GroupAdditive", DEFAULT_PRIMES),
+        # coefficients that need more lift primes than the six of a fixed
+        # pool, and a pool topped up above the 4-bit primes
+        (_S + "^2", TRI, "GroupAdditive", DEFAULT_PRIMES),
+        (_S + "^3", TRI, "GroupAdditive", DEFAULT_PRIMES),
+        ("(x+y+z+10000000000/7)^4", TRI, "GroupAdditive", DEFAULT_PRIMES),
+        ("(x*y*z + 123456789/1000)^5", TRI, "GroupMultiplicative", DEFAULT_PRIMES),
+        ("(x*y+5)^2", BI, "GroupMultiplicative", (13, 11)),
     ],
 )
-def test_true_certificates_are_accepted_without_expansion(monkeypatch, expr, names, verdict):
+def test_true_certificates_are_accepted_without_expansion(monkeypatch, expr, names, verdict, primes):
     # alpha and gamma, the homogenized parts of a(q)*p - b(q) in (N_s, D_s),
     # are proportional to D_P and -N_P, so no composition is expanded
     _forbid_expansion(monkeypatch)
     f = parse(expr, names)
-    rep = classify_trivariate(f) if len(names) == 3 else fit_bivariate(f)
+    fit = classify_trivariate if len(names) == 3 else fit_bivariate
+    rep = fit(f, primes=primes)
     assert rep.verdict == verdict
     assert verify_certificate(rep.certificate, f, rep.fitted["s"])
 
@@ -202,7 +213,7 @@ def test_a_candidate_equal_modulo_the_lift_primes_is_rejected_without_expansion(
     ints = dict(true.ints)
     ints[(0, 1)] += m1 * m2
     false = Poly.from_ints(ints, 2)
-    pool = prime_pool(DEFAULT_PRIMES, [P, s])
+    pool = tuple(prime_pool(DEFAULT_PRIMES, [P, s], 3))
     assert pool[:2] == (m1, m2)
     # modulo either lift prime the false candidate vanishes on (P, s) too
     for m in (m1, m2):
@@ -249,7 +260,7 @@ def test_a_relation_quadratic_in_p_falls_back_to_the_expansion(monkeypatch):
     calls = _count_expansions(monkeypatch)
     P, s = parse("x+y", BI), parse("(x+y)^2", BI)
     pq = ("p", "q")
-    pool = prime_pool(DEFAULT_PRIMES, [P, s])
+    pool = tuple(prime_pool(DEFAULT_PRIMES, [P, s], 3))
     true, false = parse("p^2 - q", pq).num, parse("p^2 - 2*q", pq).num
     assert oracle._vanishes(true, [P, s], pool[2:], 0)
     assert len(calls) == 1
@@ -260,3 +271,68 @@ def test_a_relation_quadratic_in_p_falls_back_to_the_expansion(monkeypatch):
     # a spare prime refutes the false one before any expansion
     assert not oracle._vanishes(false, [P, s], pool[2:], 0)
     assert len(calls) == 3
+
+
+# -- the lift: one prime at a time, a candidate after each ---------------------
+
+
+def _spy_vanishes(monkeypatch) -> list:
+    seen = []
+    vanishes = oracle._vanishes
+
+    def spy(A, fs, spare, seed):
+        seen.append((A, tuple(spare), vanishes(A, fs, spare, seed)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(oracle, "_vanishes", spy)
+    return seen
+
+
+def _counted_points(monkeypatch) -> list:
+    points = []
+
+    def counted(fs, count, p, rng, distinct=None):
+        pts = pole_free_values(fs, count, p, rng, distinct)
+        points.append((p, len(pts or ())))
+        return pts
+
+    monkeypatch.setattr(oracle, "pole_free_values", counted)
+    return points
+
+
+def test_a_one_prime_relation_samples_one_fit_and_one_spot_value(monkeypatch):
+    # the fit starts at m = deg P / deg s = 12; its 2m + 1 + _CONFIRM_POINTS
+    # points at the first prime reconstruct p - q^12, and one spot value at
+    # the second prime precedes the proportionality test
+    points = _counted_points(monkeypatch)
+    P, s = parse("(x+y+z)^12", TRI), parse("x+y+z", TRI)
+    assert composition_relation(P, s, 26) == parse("p - q^12", ("p", "q")).num
+    p1, p2 = DEFAULT_PRIMES
+    assert points == [(p1, 2 * 12 + 1 + oracle._CONFIRM_POINTS), (p2, 1)]
+
+
+# the constant p1 + 5 reads 5 modulo the first default prime p1
+_WRONG_MOD_P1 = f"x*y + {DEFAULT_PRIMES[0] + 5}"
+
+
+def test_a_wrong_one_prime_candidate_is_refuted_at_an_uncombined_prime(monkeypatch):
+    _forbid_expansion(monkeypatch)
+    seen = _spy_vanishes(monkeypatch)
+    P, s = parse(_WRONG_MOD_P1, BI), parse("x*y", BI)
+    rel = composition_relation(P, s, 4)
+    pq = ("p", "q")
+    assert rel == parse(f"p - q - {DEFAULT_PRIMES[0] + 5}", pq).num
+    p1, p2 = DEFAULT_PRIMES
+    (wrong, spare, held), *rest = seen
+    assert (wrong, spare, held) == (parse("p - q - 5", pq).num, (p2,), False)
+    # p1 * p2 is still too small for p1 + 5, so the third prime settles it
+    assert [(A, held) for A, _, held in rest] == [(rel, True)]
+    assert rest[0][1] not in {(p1,), (p2,)}
+
+
+def test_the_lift_gives_up_when_its_primes_run_out(monkeypatch):
+    P, s = parse(_WRONG_MOD_P1, BI), parse("x*y", BI)
+    monkeypatch.setattr(oracle, "MAX_LIFT_PRIMES", 2)
+    assert composition_relation(P, s, 4) is None
+    monkeypatch.setattr(oracle, "MAX_LIFT_PRIMES", 3)
+    assert composition_relation(P, s, 4) is not None

@@ -14,6 +14,7 @@ from ratforms.poly import (
     _LINE_P,
     Poly,
     _gcd_degree_bound,
+    _heu_gcd,
     _line_image,
     _prs_gcd,
     _total_deg,
@@ -495,3 +496,12 @@ def test_one_variable_gcd_takes_no_line_evaluation(monkeypatch):
         ("6*z^3 - 6*z", "4*z^2 + 4*z", "z^2 + z"),
     ):
         assert poly_gcd(_p(f, names), _p(g, names)) == _p(want, names)
+
+
+def test_heuristic_gcd_divides_out_the_content_of_its_candidate():
+    # the digits of the evaluated gcd read 2*x + 2 here; only its primitive
+    # part divides both inputs, so without it the heuristic gives up and
+    # subresultants decide
+    f, g = _p("(x+1)*(x^3+2*x+5)", ("x",)).ints, _p("(x+1)*(x^2-3)", ("x",)).ints
+    assert _heu_gcd(f, g, 1) == _p("x + 1", ("x",)).ints
+    assert gcd_int(f, g, 1) == _reference_gcd(f, g, 0, 1)
