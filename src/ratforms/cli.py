@@ -149,7 +149,8 @@ def analyze_function(
     May raise ParseError; every other outcome is encoded in the report.
     """
     f = parse(expr, names)
-    return _analyze(expr, f, names, tuple(prime_pool(primes, [f], len(primes))), samples, seed, dmax, probe)
+    used = tuple(prime_pool(primes, [f], len(primes)))
+    return _analyze(expr, f, names, used, samples, seed, dmax, probe)
 
 
 def _analyze(

@@ -238,12 +238,15 @@ def _lift_and_verify(fs, monos, pool, solve, seed):
         if any(r is None for r in rat):
             continue
         coeffs = _normalize_coeffs(rat, monos)
-        if not coeffs or frozenset(coeffs.items()) in refuted:
+        if not coeffs:
+            continue
+        key = frozenset(coeffs.items())
+        if key in refuted:
             continue
         cand = Poly.from_ints(coeffs, len(fs))
         if _vanishes(cand, fs, (spare,), seed):
             return cand
-        refuted.add(frozenset(coeffs.items()))
+        refuted.add(key)
     return None
 
 

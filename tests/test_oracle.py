@@ -175,29 +175,45 @@ def _count_expansions(monkeypatch) -> list:
     return calls
 
 
+@pytest.mark.parametrize(
+    "expr, names, verdict",
+    [
+        ("(x + y^2 + 1/(z+1))^2 + 3", TRI, "GroupAdditive"),
+        ("(x*z^2/(y+1))^2 - 1", TRI, "GroupMultiplicative"),
+        ("x*(y^2+z+5)^3", TRI, "Field"),
+        ("((x^2+y)/(y+z^3))^2 + 1", TRI, "Twisted"),
+        ("(1/(x+1) + y^2)^2 + 3", BI, "GroupAdditive"),
+    ],
+)
+def test_true_certificates_are_accepted_without_expansion(monkeypatch, expr, names, verdict):
+    # alpha and gamma, the homogenized parts of a(q)*p - b(q) in (N_s, D_s),
+    # are proportional to D_P and -N_P, so no composition is expanded
+    _assert_certified_without_expansion(monkeypatch, expr, names, verdict, DEFAULT_PRIMES)
+
+
 _S = "((x^5+3*x+1)/(x^2+7) + (y^7-y)/(y^3+2) + (z^4+z)/(z^2+5))"
 
 
 @pytest.mark.parametrize(
     "expr, names, verdict, primes",
     [
-        ("(x + y^2 + 1/(z+1))^2 + 3", TRI, "GroupAdditive", DEFAULT_PRIMES),
-        ("(x*z^2/(y+1))^2 - 1", TRI, "GroupMultiplicative", DEFAULT_PRIMES),
-        ("x*(y^2+z+5)^3", TRI, "Field", DEFAULT_PRIMES),
-        ("((x^2+y)/(y+z^3))^2 + 1", TRI, "Twisted", DEFAULT_PRIMES),
-        ("(1/(x+1) + y^2)^2 + 3", BI, "GroupAdditive", DEFAULT_PRIMES),
-        # coefficients that need more lift primes than the six of a fixed
-        # pool, and a pool topped up above the 4-bit primes
         (_S + "^2", TRI, "GroupAdditive", DEFAULT_PRIMES),
         (_S + "^3", TRI, "GroupAdditive", DEFAULT_PRIMES),
         ("(x+y+z+10000000000/7)^4", TRI, "GroupAdditive", DEFAULT_PRIMES),
         ("(x*y*z + 123456789/1000)^5", TRI, "GroupMultiplicative", DEFAULT_PRIMES),
+        # the primes below 11 give too few distinct values of s; the pool
+        # goes on above 13
         ("(x*y+5)^2", BI, "GroupMultiplicative", (13, 11)),
     ],
 )
-def test_true_certificates_are_accepted_without_expansion(monkeypatch, expr, names, verdict, primes):
-    # alpha and gamma, the homogenized parts of a(q)*p - b(q) in (N_s, D_s),
-    # are proportional to D_P and -N_P, so no composition is expanded
+def test_certificates_needing_many_lift_primes_are_accepted_without_expansion(
+    monkeypatch, expr, names, verdict, primes
+):
+    # a fixed pool of six primes certified none of these
+    _assert_certified_without_expansion(monkeypatch, expr, names, verdict, primes)
+
+
+def _assert_certified_without_expansion(monkeypatch, expr, names, verdict, primes):
     _forbid_expansion(monkeypatch)
     f = parse(expr, names)
     fit = classify_trivariate if len(names) == 3 else fit_bivariate
