@@ -204,35 +204,53 @@ def verify_certificate(
 
 
 class _Fn:
-    """Partial ratios of one function: values mod p, exact on lines.
+    """Partials of one function f = N/D: values mod p, exact on lines.
 
     Wraps the raw numerator/denominator pair (which need not be reduced)
-    and caches the partial-derivative polynomials; every partial uses
+    and caches the partial-derivative pairs (N_vs, D_vs); every partial uses
     (N_i D - N D_i) / D^2, so the only exact quotient formed is one of
-    polynomials restricted to a line.  Values mod p come from one two-copy
-    walk of N and one of D, which gives the ratio at every mixture of two
-    points (see ratios_mod).
+    polynomials restricted to a line (see on_line).  Values mod p come from
+    one two-copy walk of N and one of D, which gives the ratio at every
+    mixture of two points (see ratios_mod).
     """
 
-    __slots__ = ("num", "den", "_dn", "_dd")
+    __slots__ = ("num", "den", "_parts")
 
     def __init__(self, f: RatFun):
-        self.num = f.num
-        self.den = f.den
-        self._dn: dict[tuple[int, ...], Poly] = {}
-        self._dd: dict[tuple[int, ...], Poly] = {}
+        self.num, self.den = f.num, f.den
+        self._parts: dict[tuple[int, ...], tuple[Poly, Poly]] = {(): (f.num, f.den)}
 
-    def dnum(self, *vs: int) -> Poly:
-        """N differentiated in the variables vs, in order."""
-        if vs not in self._dn:
-            self._dn[vs] = (self.dnum(*vs[:-1]) if len(vs) > 1 else self.num).derivative(vs[-1])
-        return self._dn[vs]
+    def partials(self, *vs: int) -> tuple[Poly, Poly]:
+        """(N, D) differentiated in the variables vs, in order; cached."""
+        if vs not in self._parts:
+            n, d = self.partials(*vs[:-1])
+            self._parts[vs] = n.derivative(vs[-1]), d.derivative(vs[-1])
+        return self._parts[vs]
 
-    def dden(self, *vs: int) -> Poly:
-        """D differentiated in the variables vs, in order."""
-        if vs not in self._dd:
-            self._dd[vs] = (self.dden(*vs[:-1]) if len(vs) > 1 else self.den).derivative(vs[-1])
-        return self._dd[vs]
+    def on_line(self, vals: dict[int, Fraction]):
+        """part(*vs) -> (N_vs, D_vs) with the variables in vals pinned, exact.
+
+        A partial in a variable that stays free is taken after the
+        substitution, on the restricted pair, since the two commute; a
+        partial in pinned variables comes from the cache and is substituted
+        once per line.
+        """
+        memo: dict[tuple[int, ...], tuple[Poly, Poly]] = {}
+
+        # part never calls itself: a self-referring closure is a cycle, and
+        # the restrictions it holds would wait for the cyclic collector
+        def part(*vs: int) -> tuple[Poly, Poly]:
+            if vs not in memo:
+                pinned = tuple(v for v in vs if v in vals)
+                if pinned not in memo:
+                    memo[pinned] = tuple(f.subs_scalars(vals) for f in self.partials(*pinned))
+                n, d = memo[pinned]
+                for v in (v for v in vs if v not in vals):
+                    n, d = n.derivative(v), d.derivative(v)
+                memo[vs] = n, d
+            return memo[vs]
+
+        return part
 
     def ratios_mod(self, a: int, b: int, points, p: int, ks) -> list[int | None]:
         """(f_a / f_b) mod p at the mixtures ks of two points.
@@ -254,20 +272,9 @@ class _Fn:
         return out
 
     def specialized_ratio(self, a: int, b: int, vals: dict[int, Fraction]) -> RatFun:
-        """(f_a / f_b) with the variables in vals pinned, exact and reduced.
-
-        A partial in a variable that stays free is taken after the
-        substitution, on the restricted N and D, since the two commute.
-        """
-        n = self.num.subs_scalars(vals)
-        d = self.den.subs_scalars(vals)
-
-        def partials(v):
-            if v in vals:
-                return self.dnum(v).subs_scalars(vals), self.dden(v).subs_scalars(vals)
-            return n.derivative(v), d.derivative(v)
-
-        (na, da), (nb, db) = partials(a), partials(b)
+        """(f_a / f_b) with the variables in vals pinned, exact and reduced."""
+        part = self.on_line(vals)
+        (n, d), (na, da), (nb, db) = part(), part(a), part(b)
         den = nb * d - n * db
         if den.is_zero:
             raise DegenerateSpecializationError("partial ratio degenerates")
@@ -658,17 +665,17 @@ def fit_field(
     return None
 
 
-def _twisted_g(fn: _Fn, grad):
-    """(g, delta) of f = N/D with every polynomial read through grad.
+def _twisted_g(part):
+    """(g, delta) of f = N/D, with part(*vs) -> (N_vs, D_vs) reading partials.
 
     g[i] = N_i D - N D_i is the numerator of f_i and delta = (g_x)_y g_z -
-    g_x (g_z)_y the numerator of the y-derivative of log(f_x/f_z).  grad
-    maps a polynomial to its value and x, y and z partials in one ring (a
-    residue, an exact restriction to a line, or a first-order expansion in
-    y) and the arithmetic runs in that ring.
+    g_x (g_z)_y the numerator of the y-derivative of log(f_x/f_z).  part
+    reads the partials in one ring, residues mod p at a sample point (see
+    _twisted_logpartial_mod) or polynomials on an exact line (see
+    _Fn.on_line), and the arithmetic runs in that ring.
     """
-    (n, *nd), (d, *dd) = grad(fn.num), grad(fn.den)
-    (_, nyx, _, nyz), (_, dyx, _, dyz) = grad(fn.dnum(1)), grad(fn.dden(1))
+    (n, d), (nyx, dyx), (nyz, dyz) = part(), part(1, 0), part(1, 2)
+    nd, dd = zip(*(part(i) for i in range(3)))
     g = [nd[i] * d - n * dd[i] for i in range(3)]
     gx_y = nyx * d + nd[0] * dd[1] - nd[1] * dd[0] - n * dyx
     gz_y = nyz * d + nd[2] * dd[1] - nd[1] * dd[2] - n * dyz
@@ -680,15 +687,20 @@ def _twisted_logpartial_mod(fn: _Fn, i: int):
     for P = q(T).
 
     A = P_x/P_z = T_x/T_z does not see q, and (log T)_y = -(log A)_y, so
-    (log T)_x = -delta/(g_y g_z) and (log T)_z = -delta/(g_y g_x).  Each of
-    the four polynomials _twisted_g reads is walked once for both points.
+    (log T)_x = -delta/(g_y g_z) and (log T)_z = -delta/(g_y g_x), read off
+    one two-copy walk each of (N, D) and (N_y, D_y) for both points.
     """
     def pair(w, w2, var, p):
-        walks = {id(f): f.eval_grad_mod((w, w2), p)
-                 for f in (fn.num, fn.den, fn.dnum(1), fn.dden(1))}
+        walks = {vs: [f.eval_grad_mod((w, w2), p) for f in fn.partials(*vs)]
+                 for vs in ((), (1,))}
         out = []
         for k in (0, 1 << var):
-            g, delta = _twisted_g(fn, lambda f: walks[id(f)][k])
+            def part(*vs, k=k):
+                nw, dw = walks[vs[:-1]]
+                j = 1 + vs[-1] if vs else 0
+                return nw[k][j], dw[k][j]
+
+            g, delta = _twisted_g(part)
             den = g[1] * g[2 - i] % p
             if den == 0:
                 raise PoleError("vanishing partial at sample point")
@@ -698,59 +710,36 @@ def _twisted_logpartial_mod(fn: _Fn, i: int):
     return pair
 
 
-def _value_and_slope(num: Poly, den: Poly) -> tuple[RatFun, RatFun]:
-    """(h, h_y) at y = 0 for h = num/den expanded to first order in y."""
-    at0 = {1: 0}
-    n0, d0 = num.subs_scalars(at0), den.subs_scalars(at0)
-    n1, d1 = num.derivative(1).subs_scalars(at0), den.derivative(1).subs_scalars(at0)
-    return RatFun(n0, d0), RatFun(n1 * d0 - n0 * d1, d0 * d0)
-
-
 def _twisted_recover(P, fn, rng, dmax, primes, seed):
     """Recover (r1, r2, r3) of P = q((r1+r2)/(r2+r3)) and certify, or None.
 
     W = T/T_x = (r1+r2)/r1' = -g_y g_z/delta and V = T/T_z = -(r2+r3)/r3' =
-    -g_y g_x/delta are read off P on univariate lines only.  On the y-line
-    u = W_y = r2'/r1' yields r2; on the x-line and the z-line, W and V are
-    expanded to first order in y at y = cy (the y slot then holds y - cy),
-    which gives r1' = u(cy)/W_y and r3' = -u(cy)/V_y at the scale of r2.
-    The additive constants come from W and V at y = cy.  The parts are
-    univariate by construction, and the certificate P = q(s) is the exact
-    check.
+    -g_y g_x/delta are read off P on exact univariate lines only (see
+    _Fn.on_line).  On the y-line u = W_y = r2'/r1' yields r2.  W and V are
+    affine in r2(y), so two x-lines at y = cy and cy + 1 give
+    r1'/r1'(cx) = (r2(cy+1) - r2(cy))/(W|cy+1 - W|cy), at the scale of r2,
+    and two z-lines give r3' from V likewise; the additive constants come
+    from W and V at y = cy.  The parts are univariate by construction, and
+    the certificate P = q(s) is the exact check.
     """
-    eps = Poly.variable(1, 3)
-
-    def exact(ev):
-        return lambda f: [ev(f)] + [ev(f.derivative(i)) for i in range(3)]
-
-    def jet(vals):
-        return exact(lambda f: f.subs_scalars(vals) + eps * f.derivative(1).subs_scalars(vals))
+    def ratio(vals, k):
+        g, delta = _twisted_g(fn.on_line(vals))
+        return RatFun(-(g[1] * g[k]), delta)
 
     for _ in range(8):
         cx, cy, cz = (Fraction(rng.randrange(2, 98)) for _ in range(3))
         try:
-            vxz = {0: cx, 2: cz}
-            g, delta = _twisted_g(fn, exact(lambda f: f.subs_scalars(vxz)))
-            if delta.is_zero:
-                continue
-            u = RatFun(-(g[1] * g[2]), delta).partial(1)
+            u = ratio({0: cx, 2: cz}, 2).partial(1)
             if u.is_zero:
-                continue
-            u0 = u.subs_scalars({1: cy}).constant_value()
-            if u0 == 0:
                 continue
             r2 = hermite_antiderivative(u, 1)
             if r2 is None:
                 return None
-            r2cy = r2.subs_scalars({1: cy}).constant_value()
-            g, delta = _twisted_g(fn, jet({1: cy, 2: cz}))
-            W, Wy = _value_and_slope(-(g[1] * g[2]), delta)
-            g, delta = _twisted_g(fn, jet({0: cx, 1: cy}))
-            V, Vy = _value_and_slope(-(g[1] * g[0]), delta)
-            if Wy.is_zero or Vy.is_zero:
-                continue
-            r1 = W * (u0 / Wy) - r2cy
-            r3 = V * (u0 / Vy) - r2cy
+            r2cy, r2cy1 = (r2.subs_scalars({1: c}).constant_value() for c in (cy, cy + 1))
+            W, W1 = (ratio({1: c, 2: cz}, 2) for c in (cy, cy + 1))
+            V, V1 = (ratio({0: cx, 1: c}, 0) for c in (cy, cy + 1))
+            r1 = W * ((r2cy1 - r2cy) / (W1 - W)) - r2cy
+            r3 = V * ((r2cy1 - r2cy) / (V1 - V)) - r2cy
         except (DegenerateSpecializationError, PoleError, ZeroDivisionError, ValueError):
             continue
         s1, s2 = r1 + r2, r2 + r3

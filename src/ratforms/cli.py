@@ -32,7 +32,7 @@ from .dimension import AllPolesError, InconclusiveRankError
 from .modular import primes_below
 from .oracle import prime_pool
 from .poly import BadPrimeError, Poly
-from .ratfun import ParseError, RatFun, parse
+from .ratfun import ParseError, RatFun, check_names, parse
 
 _VERDICT = {
     "GroupAdditive": "group-additive",
@@ -260,11 +260,12 @@ def main(argv: list[str] | None = None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
 
-    names = tuple(v.strip() for v in args.vars.split(",") if v.strip())
+    try:
+        names = check_names(v.strip() for v in args.vars.split(",") if v.strip())
+    except ValueError as e:
+        ap.error(f"--vars: {e}")
     if len(names) not in (2, 3):
         ap.error(f"--vars needs two or three names, got {len(names)}")
-    if len(set(names)) != len(names):
-        ap.error("--vars names must be distinct")
     if not (0 <= args.seed < 1 << 64):
         ap.error("--seed must fit an unsigned 64-bit integer")
     if not (4 <= args.prime_bits <= 62):

@@ -587,9 +587,18 @@ class _Parser:
         return n
 
 
-def parse(expr: str, vars: tuple[str, ...] | list[str]) -> RatFun:
-    """Parse an expression into a canonical RatFun over the given variables."""
+def check_names(vars) -> tuple[str, ...]:
+    """The names as a tuple; ValueError unless they are distinct identifiers."""
     names = tuple(vars)
+    for v in names:
+        m = _TOKEN.fullmatch(v)
+        if m is None or m.lastgroup != "name":
+            raise ValueError(f"variable name {v!r} is not an identifier")
     if len(set(names)) != len(names):
         raise ValueError("duplicate variable names")
-    return _Parser(expr, names).parse()
+    return names
+
+
+def parse(expr: str, vars: tuple[str, ...] | list[str]) -> RatFun:
+    """Parse an expression into a canonical RatFun over the given variables."""
+    return _Parser(expr, check_names(vars)).parse()

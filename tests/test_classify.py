@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from ratforms.classify import (
     _gate_ratio_indep,
     _gate_ratio_separable,
     _gate_value_indep,
+    _twisted_g,
     _twisted_logpartial_mod,
 )
 from ratforms.classify import test_2decomposed as is_2decomposed
@@ -343,12 +345,70 @@ def test_specialized_ratio_matches_six_substitutions(a, b, vals):
         return poly.subs_scalars(vals)
 
     n, d = sub(fn.num), sub(fn.den)
-    want = RatFun(
-        sub(fn.dnum(a)) * d - n * sub(fn.dden(a)),
-        sub(fn.dnum(b)) * d - n * sub(fn.dden(b)),
-    )
+    (na, da), (nb, db) = fn.partials(a), fn.partials(b)
+    want = RatFun(sub(na) * d - n * sub(da), sub(nb) * d - n * sub(db))
     got = fn.specialized_ratio(a, b, vals)
     assert (got.num, got.den) == (want.num, want.den)
+
+
+@pytest.mark.parametrize(
+    "vals",
+    [
+        {1: Fraction(3, 2), 2: Fraction(-5)},  # x-line: N_yx free, N_yz pinned
+        {0: Fraction(7), 2: Fraction(2, 3)},  # y-line: both free
+        {0: Fraction(4), 1: Fraction(-1, 3)},  # z-line: N_yx pinned, N_yz free
+    ],
+)
+def test_twisted_g_on_a_line_matches_the_substituted_definition(vals):
+    f = parse("(x^2*y + z^3 + 1)/(x*y*z + 2) + x*z^2*y^2", TRI)
+    N, D = f.num, f.den
+
+    def sub(poly):
+        return poly.subs_scalars(vals)
+
+    part = _Fn(f).on_line(vals)
+    for vs in ((), (0,), (1,), (2,), (1, 0), (1, 2)):
+        n, d = N, D
+        for v in vs:
+            n, d = n.derivative(v), d.derivative(v)
+        assert part(*vs) == (sub(n), sub(d))
+    # g_i = N_i D - N D_i and delta = (g_x)_y g_z - g_x (g_z)_y, built on the
+    # full polynomials and then restricted to the line
+    g = [N.derivative(i) * D - N * D.derivative(i) for i in range(3)]
+    delta = g[0].derivative(1) * g[2] - g[0] * g[2].derivative(1)
+    got_g, got_delta = _twisted_g(part)
+    assert list(got_g) == [sub(gi) for gi in g]
+    assert got_delta == sub(delta)
+
+
+def test_twisted_recovery_restricts_each_partial_once(monkeypatch):
+    # (x+y+z)^11 has delta = 0, so both gates pass vacuously and all eight
+    # recovery attempts run.  A pinned partial of N or D is differentiated
+    # once per fitter and substituted once per line: three nonconstant
+    # substitutions on each attempt's y-line.  Re-deriving the partials on
+    # every attempt repeats 43 multivariate derivatives here, and
+    # substituting every partial of N and N_y makes 64 substitutions.
+    derivs = Counter()
+    subs = []
+    derivative, subs_scalars = Poly.derivative, Poly.subs_scalars
+
+    def counted_derivative(self, i):
+        if sum(any(e[v] for e in self.ints) for v in range(self.arity)) >= 2:
+            derivs[(self.content, frozenset(self.ints.items()), i)] += 1
+        return derivative(self, i)
+
+    def counted_subs(self, vals):
+        if len(vals) == 2 and not self.is_constant:
+            subs.append(vals)
+        return subs_scalars(self, vals)
+
+    monkeypatch.setattr(Poly, "derivative", counted_derivative)
+    monkeypatch.setattr(Poly, "subs_scalars", counted_subs)
+    diag = {}
+    assert fit_twisted(parse("(x+y+z)^11", TRI), diagnostics=diag) is None
+    assert diag == {"twisted_gates": True}
+    assert derivs and max(derivs.values()) == 1
+    assert 0 < len(subs) <= 24
 
 
 # -- modular probes ---------------------------------------------------------------

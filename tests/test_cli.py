@@ -191,6 +191,8 @@ def test_usage_errors_exit_1(capsys):
         ["--vars", "x", "--function", "x"],
         ["--vars", "x,y,z,w", "--function", "x"],
         ["--vars", "x,x", "--function", "x"],
+        ["--vars", "x,2", "--function", "x*2"],
+        ["--vars", "x,y z", "--function", "x"],
         ["--vars", "x,y"],
         ["--vars", "x,y", "--function", "x*y", "--format", "yaml"],
         ["--vars", "x,y", "--function", "x*y", "--samples", "0"],

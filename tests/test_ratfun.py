@@ -58,6 +58,20 @@ def test_parse_errors_are_position_annotated():
     assert err.value.pos == 6
     with pytest.raises(ParseError):
         parse("x + w", BI)
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        (("x", "2"), "'2' is not an identifier"),
+        (("x", "y z"), "'y z' is not an identifier"),
+        (("x", ""), "'' is not an identifier"),
+        (("x", "x"), "duplicate variable names"),
+    ],
+)
+def test_parse_rejects_names_it_cannot_read(names, message):
+    with pytest.raises(ValueError, match=message):
+        parse("x", names)
     with pytest.raises(ParseError):
         parse("x / (y - y)", BI)
     with pytest.raises(ParseError):
