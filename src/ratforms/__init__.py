@@ -13,7 +13,6 @@ from .classify import (
     cube_identities,
     dependence_certificate,
     fit_bivariate,
-    test_2decomposed,
     verify_certificate,
     verify_twisted_identities,
 )
@@ -22,7 +21,6 @@ from .dimension import (
     DoublingMap,
     InconclusiveRankError,
     doubling_map,
-    generic_rank,
     image_dimension,
     is_nondegenerate,
 )
@@ -36,7 +34,6 @@ from .ratfun import (
     RatFun,
     compose_numerator,
     parse,
-    partial_ratio,
 )
 
 __all__ = [
@@ -50,13 +47,11 @@ __all__ = [
     "PoleError",
     "DegenerateSpecializationError",
     "compose_numerator",
-    "partial_ratio",
     "DEFAULT_PRIMES",
     "primes_below",
     "rng_for",
     "DoublingMap",
     "doubling_map",
-    "generic_rank",
     "image_dimension",
     "is_nondegenerate",
     "InconclusiveRankError",
@@ -72,7 +67,6 @@ __all__ = [
     "dependence_certificate",
     "verify_certificate",
     "fit_bivariate",
-    "test_2decomposed",
     "classify_trivariate",
     "cube_identities",
     "verify_twisted_identities",

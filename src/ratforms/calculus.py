@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .modular import _trim
 from .poly import Poly
 from .ratfun import RatFun
 
@@ -31,12 +32,6 @@ _ONE = Fraction(1)
 # ---------------------------------------------------------------------------
 # dense coefficient lists
 # ---------------------------------------------------------------------------
-
-
-def _trim(a: list) -> list:
-    while a and not a[-1]:
-        a.pop()
-    return a
 
 
 def _add(a: list, b: list) -> list:
@@ -308,11 +303,13 @@ def _divisors(n: int, budget: int = 1 << 20) -> list[int] | None:
     return divs
 
 
-def _rational_roots(p: list) -> tuple[list[Fraction], list, bool]:
-    """(roots with multiplicity ignored: p squarefree, deflated cofactor, complete).
+def _rational_roots(p: list) -> tuple[list[Fraction], list]:
+    """(rational roots of squarefree p, monic deflated cofactor).
 
-    complete=False means the divisor search ran out of budget, so the
-    cofactor may still have rational roots we could not certify.
+    A linear cofactor's root is read off as -c0/c1; a larger one is tried
+    at the candidates p/q of the rational root theorem, and the search
+    stops where the divisors of its end coefficients are too hard to find,
+    leaving a cofactor that may still have rational roots.
     """
     roots: list[Fraction] = []
     cur = list(p)
@@ -326,13 +323,16 @@ def _rational_roots(p: list) -> tuple[list[Fraction], list, bool]:
             carry = cs[i] + carry * a
         return q
 
-    complete = True
     while len(cur) > 1:
         # strip root at zero
         if cur[0] == 0:
             roots.append(Fraction(0))
             cur = cur[1:]
             continue
+        if len(cur) == 2:
+            roots.append(-cur[0] / cur[1])
+            cur = [cur[1]]
+            break
         den_l = 1
         for c in cur:
             den_l = den_l * c.denominator // gcd(den_l, c.denominator)
@@ -344,7 +344,6 @@ def _rational_roots(p: list) -> tuple[list[Fraction], list, bool]:
         d0 = _divisors(ints[0])
         dl = _divisors(ints[-1])
         if d0 is None or dl is None:
-            complete = False
             break
         found = None
         for q in dl:
@@ -362,7 +361,7 @@ def _rational_roots(p: list) -> tuple[list[Fraction], list, bool]:
             break
         roots.append(found)
         cur = deflate(cur, found)
-    return roots, _monic(cur), complete
+    return roots, _monic(cur)
 
 
 def _power_sums(f: list, upto: int) -> list[Fraction]:
@@ -404,7 +403,7 @@ def residue_profile(f: RatFun, var: int) -> ResidueProfile:
     dsp = _deriv(dstar)
     residues: list[tuple[Poly, Fraction, bool]] = []
     for v, _m in factors:
-        roots, cof, _complete = _rational_roots(v)
+        roots, cof = _rational_roots(v)
         for a in roots:
             factor = Poly.variable(var, arity) - Poly.const(a, arity)
             residues.append((factor, _eval(s, a) / _eval(dsp, a), True))

@@ -42,7 +42,6 @@ from .calculus import (
     logderiv_integrate,
     logderiv_obstruction,
     residue_profile,
-    separability_identity,
 )
 from .dimension import image_dimension, is_nondegenerate
 from .modular import DEFAULT_PRIMES, RETRIES, rng_for
@@ -53,7 +52,6 @@ from .ratfun import (
     PoleError,
     RatFun,
     compose_numerator,
-    partial_ratio,
     pole_free_values,
 )
 
@@ -106,31 +104,21 @@ class FormReport:
     image_dimension: int | None = None
 
 
-class GroupFit(NamedTuple):
+class Fit(NamedTuple):
+    """One certified fit: its verdict, parts, s and certificate.
+
+    r3 is None for a bivariate fit; pivot (1-based) and exponent are set
+    for Field only, as in FormReport.
+    """
+
     verdict: str
     r1: RatFun
     r2: RatFun
     r3: RatFun | None
     s: RatFun
     certificate: DependenceCertificate
-
-
-class FieldFit(NamedTuple):
-    pivot: int
-    exponent: int
-    r1: RatFun
-    r2: RatFun
-    r3: RatFun
-    s: RatFun
-    certificate: DependenceCertificate
-
-
-class TwistedFit(NamedTuple):
-    r1: RatFun
-    r2: RatFun
-    r3: RatFun
-    s: RatFun
-    certificate: DependenceCertificate
+    pivot: int | None = None
+    exponent: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -419,32 +407,19 @@ def _joint_logderiv(parts):
 # ---------------------------------------------------------------------------
 
 
-def test_2decomposed(P: RatFun) -> tuple[bool, dict[str, bool]]:
-    """Exact separability of every partial ratio P_a/P_b, with detail.
-
-    For each variable pair the doubled-variable identity is checked as an
-    exact polynomial identity in five variables; the function is
-    2-decomposed iff all three hold.
-    """
-    if P.arity != 3:
-        raise ValueError("test_2decomposed expects a trivariate function")
-    return _every_pair(lambda a, b: separability_identity(partial_ratio(P, a, b), (a,), (b,)))
-
-
-def _every_pair(check) -> tuple[bool, dict[str, bool]]:
-    """check(a, b) for every variable pair a < b: all of them, and each one."""
-    detail = {f"2dec_{_VN[a]}{_VN[b]}": check(a, b) for a, b in ((0, 1), (0, 2), (1, 2))}
-    return all(detail.values()), detail
-
-
 def _decomposed_detail(P: RatFun, p: int, seed: int) -> tuple[bool, dict[str, bool]]:
-    """test_2decomposed, or its sampled analogue when P is too large."""
-    if len(P.num.ints) + len(P.den.ints) <= 60:
-        return test_2decomposed(P)
+    """Is every partial ratio P_a/P_b separable mod p: all of them, and each one.
+
+    P is 2-decomposed iff all three are; each pair is probed by
+    _gate_ratio_separable on its own stream.  A False is an exact disproof;
+    a fluke True has probability at most deg/p per probe (Schwartz-Zippel).
+    """
     fn = _Fn(P)
-    return _every_pair(
-        lambda a, b: _gate_ratio_separable(fn, a, b, rng_for(seed, f"2dec:{a}{b}"), p)
-    )
+    detail = {
+        f"2dec_{_VN[a]}{_VN[b]}": _gate_ratio_separable(fn, a, b, rng_for(seed, f"2dec:{a}{b}"), p)
+        for a, b in ((0, 1), (0, 2), (1, 2))
+    }
+    return all(detail.values()), detail
 
 
 def fit_group(
@@ -453,7 +428,7 @@ def fit_group(
     primes: tuple[int, ...] = DEFAULT_PRIMES,
     seed: int = 0,
     diagnostics: dict[str, bool] | None = None,
-) -> GroupFit | None:
+) -> Fit | None:
     """Fit P = Q(r1 + ... + rn) or Q(r1 * ... * rn), n = 2 or 3, certified.
 
     P_x/P_y of such a P is separable, and for n = 3 every partial ratio is
@@ -502,7 +477,7 @@ def fit_group(
         cert = dependence_certificate(P, s, dmax=dmax, primes=primes, seed=seed)
         if cert is not None:
             diag["group_additive"] = True
-            return GroupFit("GroupAdditive", *rs, *pad, s, cert)
+            return Fit("GroupAdditive", *rs, *pad, s, cert)
         diag["group_additive_certificate"] = False
     else:
         diag["group_additive_integrable"] = False
@@ -516,7 +491,7 @@ def fit_group(
         cert = dependence_certificate(P, s, dmax=dmax, primes=primes, seed=seed)
         if cert is not None:
             diag["group_multiplicative"] = True
-            return GroupFit("GroupMultiplicative", *rs, *pad, s, cert)
+            return Fit("GroupMultiplicative", *rs, *pad, s, cert)
         diag["group_multiplicative_certificate"] = False
     else:
         diag[f"group_multiplicative_{reason}"] = False
@@ -554,7 +529,7 @@ def fit_field(
     primes: tuple[int, ...] = DEFAULT_PRIMES,
     seed: int = 0,
     diagnostics: dict[str, bool] | None = None,
-) -> FieldFit | None:
+) -> Fit | None:
     """Fit P = Q(r_i * (r_j + r_l)^n) over the three pivot choices.
 
     For the correct pivot x_i, the ratio P_j/P_l = r_j'/r_l' recovers the
@@ -661,7 +636,7 @@ def fit_field(
         diag[tag] = True
         rr: list[RatFun] = [None, None, None]  # type: ignore[list-item]
         rr[i], rr[j], rr[l] = ri, rj, rl
-        return FieldFit(i + 1, n, rr[0], rr[1], rr[2], s, cert)
+        return Fit("Field", *rr, s, cert, pivot=i + 1, exponent=n)
     return None
 
 
@@ -751,7 +726,7 @@ def _twisted_recover(P, fn, rng, dmax, primes, seed):
         cert = dependence_certificate(P, shat, dmax=dmax, primes=primes, seed=seed)
         if cert is None:
             return None
-        return TwistedFit(r1, r2, r3, shat, cert)
+        return Fit("Twisted", r1, r2, r3, shat, cert)
     return None
 
 
@@ -761,7 +736,7 @@ def fit_twisted(
     primes: tuple[int, ...] = DEFAULT_PRIMES,
     seed: int = 0,
     diagnostics: dict[str, bool] | None = None,
-) -> TwistedFit | None:
+) -> Fit | None:
     """Fit P = q((r1(x) + r2(y)) / (r2(y) + r3(z))) for any outer map q.
 
     q is any nonconstant univariate rational function: it cancels from
@@ -782,6 +757,9 @@ def fit_twisted(
         diag["twisted_gates"] = True
     else:
         diag["twisted"] = True
+        # r1, r2 and r3 are univariate in x, y and z by construction, so all
+        # three cube identities of (r1 + r2)/(r2 + r3) hold identically
+        diag["twisted_cube_identities"] = True
     return fit
 
 
@@ -919,24 +897,12 @@ def _fit(
     P: RatFun, dmax: int | None, primes: tuple[int, ...], seed: int, diag: dict[str, bool]
 ) -> FormReport | None:
     """The first certified fit among group, field and twisted, or None."""
-    gf = fit_group(P, dmax=dmax, primes=primes, seed=seed, diagnostics=diag)
-    if gf is not None:
-        return FormReport(gf.verdict, _fitted(gf), gf.certificate, diag)
-    if P.arity == 2:
-        return None
-    ff = fit_field(P, dmax=dmax, primes=primes, seed=seed, diagnostics=diag)
-    if ff is not None:
-        return FormReport("Field", _fitted(ff), ff.certificate, diag,
-                          pivot=ff.pivot, exponent=ff.exponent)
-    tf = fit_twisted(P, dmax=dmax, primes=primes, seed=seed, diagnostics=diag)
-    if tf is not None:
-        # r1, r2 and r3 are univariate in x, y and z by construction, so all
-        # three cube identities of (r1 + r2)/(r2 + r3) hold identically
-        diag["twisted_cube_identities"] = True
-        return FormReport("Twisted", _fitted(tf), tf.certificate, diag)
+    fitters = (fit_group,) if P.arity == 2 else (fit_group, fit_field, fit_twisted)
+    for fitter in fitters:
+        fit = fitter(P, dmax=dmax, primes=primes, seed=seed, diagnostics=diag)
+        if fit is not None:
+            parts = zip(("r1", "r2", "r3", "s"), (fit.r1, fit.r2, fit.r3, fit.s))
+            fitted = {k: v for k, v in parts if v is not None}  # a bivariate fit has no r3
+            return FormReport(fit.verdict, fitted, fit.certificate, diag,
+                              pivot=fit.pivot, exponent=fit.exponent)
     return None
-
-
-def _fitted(fit) -> dict[str, RatFun]:
-    """The parts and s of a fit, by report key; a bivariate fit has no r3."""
-    return {k: getattr(fit, k) for k in ("r1", "r2", "r3", "s") if getattr(fit, k) is not None}

@@ -25,6 +25,11 @@ function, and the minor is nonzero: the dimension is at least n + 1.
 Only without a certificate or a full-rank sample does the dimension rest on
 an estimate: the maximum over `samples` points per prime, confirmed by
 unanimous fresh samples.
+
+image_dimension reads every Jacobian row straight off f's numerator and
+denominator at the two copies of a point (see _jacobian_rows), so it
+builds no components; doubling_map builds them, and carries f and n for
+the exact oracle (oracle.symbolic_rank).
 """
 
 from __future__ import annotations
@@ -43,13 +48,6 @@ class InconclusiveRankError(RuntimeError):
 
 class AllPolesError(RuntimeError):
     """Every sampled point hit a pole of the function."""
-
-
-@dataclass(frozen=True)
-class RankEstimate:
-    rank: int
-    samples: int
-    primes: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -117,44 +115,6 @@ def _ranks(f: RatFun, primes: tuple[int, ...], seed: int, label: str, count: int
                     break
 
 
-def generic_rank(
-    dm: DoublingMap,
-    primes: tuple[int, ...] = DEFAULT_PRIMES,
-    samples: int = 16,
-    seed: int = 0,
-) -> RankEstimate:
-    """Generic Jacobian rank of the doubling map (= dim of the image closure).
-
-    Takes the max rank over `samples` random points for each prime, then
-    re-checks the value on a fresh confirmation round, doubling the budget
-    once if they disagree.  A sample reaching the full rank 2n ends the
-    search at once: observed ranks never exceed the generic rank, so it is
-    already proof.
-    """
-    for attempt in range(2):
-        ns = samples << attempt
-        best = -1
-        for r in _ranks(dm.f, primes, seed, f"rank:a{attempt}", ns):
-            best = max(best, r)
-            if best == 2 * dm.n:
-                return RankEstimate(best, ns, tuple(primes))
-        if best < 0:
-            raise AllPolesError(
-                "all sampled points hit poles; function too degenerate to sample"
-            )
-        checked = 0
-        for r in _ranks(dm.f, primes, seed, f"rank-confirm:a{attempt}", max(4, ns // 4)):
-            if r != best:
-                break
-            checked += 1
-        else:
-            if checked:
-                return RankEstimate(best, ns, tuple(primes))
-    raise InconclusiveRankError(
-        "generic rank did not stabilize after doubling the sample budget"
-    )
-
-
 def image_dimension(
     f: RatFun,
     primes: tuple[int, ...] = DEFAULT_PRIMES,
@@ -164,10 +124,37 @@ def image_dimension(
     """dim of the closure of the image of the doubling map of f, sampled.
 
     f satisfies a nontrivial algebraic constraint exactly when this is
-    below 2n, n the number of variables.  The classifier calls it only
-    when no certificate settles the dimension at n + 1.
+    below 2n, n the number of variables; the classifier calls it only when
+    no certificate settles the dimension at n + 1.  The estimate is the
+    generic Jacobian rank: the max rank over `samples` random points for
+    each prime, re-checked on a fresh confirmation round, with the budget
+    doubled once if they disagree.  A sample reaching the full rank 2n
+    ends the search at once: observed ranks never exceed the generic rank,
+    so it is already proof.
     """
-    return generic_rank(doubling_map(f), primes, samples, seed).rank
+    full = 2 * f.arity
+    for attempt in range(2):
+        ns = samples << attempt
+        best = -1
+        for r in _ranks(f, primes, seed, f"rank:a{attempt}", ns):
+            best = max(best, r)
+            if best == full:
+                return best
+        if best < 0:
+            raise AllPolesError(
+                "all sampled points hit poles; function too degenerate to sample"
+            )
+        checked = 0
+        for r in _ranks(f, primes, seed, f"rank-confirm:a{attempt}", max(4, ns // 4)):
+            if r != best:
+                break
+            checked += 1
+        else:
+            if checked:
+                return best
+    raise InconclusiveRankError(
+        "generic rank did not stabilize after doubling the sample budget"
+    )
 
 
 def is_nondegenerate(f: RatFun) -> bool:

@@ -2,7 +2,7 @@
 
 symbolic_rank eliminates the *symbolic* Jacobian with fraction-free
 Bareiss steps, so its answer is exact and shares no randomness with
-generic_rank.  composition_relation finds the relation a(q)*p - b(q) of
+image_dimension.  composition_relation finds the relation a(q)*p - b(q) of
 P = (b/a)(s) by rational interpolation; it is the only search behind the
 dependence certificates.  annihilating_poly is a standalone search for a
 polynomial relation among any given functions, over all monomials of

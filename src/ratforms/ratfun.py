@@ -295,16 +295,6 @@ class RatFun:
         return f"RatFun({self.to_str()})"
 
 
-def partial_ratio(f: RatFun, a: int, b: int) -> RatFun:
-    """The ratio f_a / f_b, raw, with the common denominator cancelled upfront."""
-    n, d = f.num, f.den
-    na = n.derivative(a) * d - n * d.derivative(a)
-    nb = n.derivative(b) * d - n * d.derivative(b)
-    if nb.is_zero:
-        raise ZeroDivisionError("denominator partial is identically zero")
-    return RatFun.raw(na, nb)
-
-
 def compose_numerator(coeffs: Poly, fs: list[RatFun]) -> Poly:
     """Numerator of A(f_1, ..., f_k) over the common denominator.
 

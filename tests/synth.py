@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from ratforms.calculus import separability_identity
 from ratforms.ratfun import RatFun
 
 TRI = ("x", "y", "z")
@@ -147,6 +148,31 @@ NON_TWISTED = (
     "(x + z)/(1 + y)",
     "x + z + x*y*z",
 )
+
+
+def partial_ratio(f: RatFun, a: int, b: int) -> RatFun:
+    """The ratio f_a / f_b, raw, with the common denominator cancelled upfront."""
+    n, d = f.num, f.den
+    na = n.derivative(a) * d - n * d.derivative(a)
+    nb = n.derivative(b) * d - n * d.derivative(b)
+    if nb.is_zero:
+        raise ZeroDivisionError("denominator partial is identically zero")
+    return RatFun.raw(na, nb)
+
+
+def exact_2decomposed(P: RatFun) -> tuple[bool, dict[str, bool]]:
+    """Exact separability of every partial ratio P_a/P_b: all, and each one.
+
+    The doubled-variable identity of each pair is checked as an exact
+    polynomial identity in five variables; this is the reference the
+    classifier's sampled probe (classify._decomposed_detail) must match.
+    """
+    detail = {
+        f"2dec_{TRI[a]}{TRI[b]}": separability_identity(partial_ratio(P, a, b), (a,), (b,))
+        for a, b in ((0, 1), (0, 2), (1, 2))
+    }
+    return all(detail.values()), detail
+
 
 # Handwritten 2-decomposed trivariate functions (all three partial ratios
 # separable) with their expected classification.

@@ -45,7 +45,7 @@ from ratforms.classify import (
     fit_bivariate,
     verify_certificate,
 )
-from ratforms.dimension import doubling_map, generic_rank, image_dimension
+from ratforms.dimension import doubling_map, image_dimension
 from ratforms.modular import DEFAULT_PRIMES
 from ratforms.oracle import symbolic_rank
 from ratforms.poly import Poly
@@ -156,9 +156,9 @@ def test_dimension_table_and_rank_oracle(capsys):
         corpus += [(e, TRI) for e in synth.RANK_CORPUS_TRI]
         assert len(corpus) >= 30
         for expr, names in corpus:
-            dm = doubling_map(parse(expr, names))
-            generic = generic_rank(dm, primes=DEFAULT_PRIMES, samples=16, seed=0).rank
-            exact = symbolic_rank(dm)
+            f = parse(expr, names)
+            generic = image_dimension(f, primes=DEFAULT_PRIMES, samples=16, seed=0)
+            exact = symbolic_rank(doubling_map(f))
             if generic != exact:
                 failures.append(f"{expr}: generic rank {generic} != symbolic {exact}")
         ok = not failures

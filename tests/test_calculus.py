@@ -8,6 +8,7 @@ from math import lcm
 
 import pytest
 
+from synth import partial_ratio
 from ratforms.calculus import (
     _coeffs,
     _divexact,
@@ -26,7 +27,8 @@ from ratforms.calculus import (
 )
 from ratforms.classify import _Fn, _split_partial_ratio
 from ratforms.modular import rng_for
-from ratforms.ratfun import RatFun, partial_ratio, parse
+from ratforms.poly import Poly
+from ratforms.ratfun import RatFun, parse
 
 BI = ("x", "y")
 TRI = ("x", "y", "z")
@@ -145,6 +147,16 @@ def test_residue_profile_two_simple_poles():
     vals = sorted(res for _, res, _ in prof.residues)
     assert vals == [1, 2]
     assert all(splits for _, _, splits in prof.residues)
+
+
+def test_residue_profile_splits_a_linear_factor_with_a_large_root():
+    # the root's end coefficients are beyond the divisor search's budget, so
+    # a linear factor must be split by reading its root off directly
+    prof = residue_profile(parse("1/(x - 2199023255579)", ("x",)), 0)
+    assert len(prof.residues) == 1
+    factor, res, splits = prof.residues[0]
+    assert splits and res == 1
+    assert factor == Poly.variable(0, 1) - Poly.const(2199023255579, 1)
 
 
 def test_residue_profile_flags_non_splitting_factor():

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import synth
+from synth import partial_ratio
 from ratforms.classify import (
     DependenceCertificate,
+    Fit,
     classify_trivariate,
     cube_identities,
     dependence_certificate,
@@ -22,6 +26,7 @@ from ratforms.classify import (
     verify_twisted_identities,
 )
 from ratforms.classify import (
+    _decomposed_detail,
     _Fn,
     _gate_ratio_indep,
     _gate_ratio_separable,
@@ -29,15 +34,15 @@ from ratforms.classify import (
     _twisted_g,
     _twisted_logpartial_mod,
 )
-from ratforms.classify import test_2decomposed as is_2decomposed
 from ratforms.oracle import symbolic_rank
-from ratforms.dimension import doubling_map, generic_rank, image_dimension
+from ratforms.dimension import doubling_map, image_dimension, is_nondegenerate
 from ratforms.modular import DEFAULT_PRIMES
 from ratforms.poly import Poly
-from ratforms.ratfun import RatFun, compose_numerator, parse, partial_ratio
+from ratforms.ratfun import RatFun, compose_numerator, parse
 
 BI = ("x", "y")
 TRI = ("x", "y", "z")
+GOLDEN = Path(__file__).with_name("golden") / "reports_seed0.json"
 
 
 # -- dependence certificates ---------------------------------------------------
@@ -228,14 +233,18 @@ def test_bivariate_additive_with_rational_parts():
 # -- 2-decomposability ------------------------------------------------------------
 
 
+def _2decomposed(P, seed=0):
+    return _decomposed_detail(P, DEFAULT_PRIMES[0], seed)
+
+
 def test_2decomposed_field_form():
-    ok, detail = is_2decomposed(parse("x*(y+z)^3", TRI))
+    ok, detail = _2decomposed(parse("x*(y+z)^3", TRI))
     assert ok
     assert detail == {"2dec_xy": True, "2dec_xz": True, "2dec_yz": True}
 
 
 def test_2decomposed_twisted_form():
-    ok, _ = is_2decomposed(parse("(x+y)/(y+z)", TRI))
+    ok, _ = _2decomposed(parse("(x+y)/(y+z)", TRI))
     assert ok
 
 
@@ -243,10 +252,30 @@ def test_2decomposed_failure_pinpoints_pair():
     # P_x/P_z = (1 + 2xz)/(y + x^2) couples x and z through the 2xz term,
     # so the (x,z) split is the one that fails; P_x/P_y = (1 + 2xz)/z does
     # not involve y at all and splits trivially.
-    ok, detail = is_2decomposed(parse("x + y*z + x^2*z", TRI))
+    ok, detail = _2decomposed(parse("x + y*z + x^2*z", TRI))
     assert not ok
     assert detail["2dec_xz"] is False
     assert detail["2dec_xy"] is True
+
+
+def _golden_trivariate():
+    runs = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    exprs = {rep["function"] for run in runs for rep in run["reports"] if rep["vars"] == list(TRI)}
+    return sorted(e for e in exprs if is_nondegenerate(parse(e, TRI).reduce()))
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [e for e, _ in synth.HANDWRITTEN_2DEC]
+    + _golden_trivariate()
+    # a large input: 65 terms
+    + ["((x^2+1)*(y^2+1)*(z^2+1))^3"],
+)
+def test_sampled_2decomposition_matches_the_exact_identity(expr):
+    P = parse(expr, TRI).reduce()
+    want = synth.exact_2decomposed(P)
+    for seed in (0, 1, 2):
+        assert _2decomposed(P, seed) == want
 
 
 # -- group fitter -----------------------------------------------------------------
@@ -285,6 +314,22 @@ def test_fit_field_square():
     assert fit.r2 == parse("y", TRI)
     assert fit.r3 == parse("z", TRI)
     assert fit.s == parse("x*(y+z)^2", TRI)
+
+
+def test_only_a_field_fit_carries_pivot_and_exponent():
+    fits = {
+        "GroupAdditive": fit_group(parse("(x+y+z)^2", TRI)),
+        "GroupMultiplicative": fit_group(parse("x*y", BI)),
+        "Field": fit_field(parse("x*(y+z)^2", TRI)),
+        "Twisted": fit_twisted(parse("(x+y)/(y+z)", TRI)),
+    }
+    for verdict, fit in fits.items():
+        assert isinstance(fit, Fit) and fit.verdict == verdict
+        if verdict == "Field":
+            assert (fit.pivot, fit.exponent) == (1, 2)
+        else:
+            assert fit.pivot is None and fit.exponent is None
+    assert fits["GroupMultiplicative"].r3 is None
 
 
 def test_fit_field_high_exponent():
@@ -667,7 +712,7 @@ def test_a_certified_verdict_bounds_the_rank_by_n_plus_1():
         assert rank >= f.arity + 1
         if rep.certificate is not None:
             verdicts.add((f.arity, rep.verdict))
-            assert rep.image_dimension == generic_rank(dm).rank == rank == f.arity + 1
+            assert rep.image_dimension == image_dimension(f) == rank == f.arity + 1
     assert verdicts == {
         (2, "GroupAdditive"),
         (2, "GroupMultiplicative"),

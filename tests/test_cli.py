@@ -169,9 +169,8 @@ def test_an_uncertified_verdict_keeps_the_full_rank_schedule(monkeypatch, expr, 
     assert rep["certificate"] is None
     used = list(ranks)
     ranks.clear()
-    dm = dimension.doubling_map(parse(expr, names))
-    est = dimension.generic_rank(dm, tuple(rep["primes"]), 16, 0)
-    assert rep["image_dimension"] == est.rank
+    dim = dimension.image_dimension(parse(expr, names), tuple(rep["primes"]), 16, 0)
+    assert rep["image_dimension"] == dim
     assert used == ranks
     if calls is not None:
         assert len(used) == calls

@@ -9,7 +9,7 @@ import pytest
 
 from ratforms import oracle
 from ratforms.classify import classify_trivariate, fit_bivariate, verify_certificate
-from ratforms.dimension import doubling_map, generic_rank
+from ratforms.dimension import doubling_map, image_dimension
 from ratforms.modular import DEFAULT_PRIMES
 from ratforms.oracle import (
     MAX_ORACLE_DEGREE,
@@ -50,8 +50,8 @@ def test_symbolic_rank_agrees_with_generic_rank_on_corpus():
 
     for names, corpus in ((BI, synth.RANK_CORPUS_BI), (TRI, synth.RANK_CORPUS_TRI)):
         for expr in corpus:
-            dm = doubling_map(parse(expr, names))
-            assert generic_rank(dm).rank == symbolic_rank(dm)
+            f = parse(expr, names)
+            assert image_dimension(f) == symbolic_rank(doubling_map(f))
 
 
 def test_annihilating_poly_additive_doubling_relation():

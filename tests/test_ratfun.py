@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from synth import partial_ratio
 from ratforms.modular import DEFAULT_PRIMES
 from ratforms.poly import Poly
 from ratforms.ratfun import (
@@ -16,7 +17,6 @@ from ratforms.ratfun import (
     RatFun,
     compose_numerator,
     parse,
-    partial_ratio,
 )
 
 BI = ("x", "y")
