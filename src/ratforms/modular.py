@@ -15,7 +15,7 @@ import random
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 # The two largest 31-bit primes; defaults for every sampling backend.
 DEFAULT_PRIMES = (2147483647, 2147483629)
@@ -147,22 +147,49 @@ def _eval_uni_mod(f: list[int], t: int, p: int) -> int:
     return v
 
 
-def _interpolate_mod(ts: list[int], vs: list[int], p: int) -> list[int]:
-    """The polynomial of degree < len(ts) through the points (t_i, v_i)."""
+def _node_poly(ts: list[int], p: int) -> list[int]:
+    """The node polynomial prod (t - t_i) mod p, as a coefficient list."""
+    m = [1]
+    for t in ts:
+        # m <- m * (t - t_i), highest coefficient last
+        m = [-t * m[0] % p] + [(a - t * b) % p for a, b in zip(m, m[1:])] + [1]
+    return m
+
+
+def _inv_all(xs: list[int], p: int) -> list[int]:
+    """The inverses mod p of nonzero residues, with one modular inversion
+    (von zur Gathen & Gerhard, Modern Computer Algebra, 5.2)."""
+    prefix = [1]
+    for x in xs:
+        prefix.append(prefix[-1] * x % p)
+    inv = pow(prefix[-1], -1, p)
+    out = [0] * len(xs)
+    for i in range(len(xs) - 1, -1, -1):
+        out[i] = inv * prefix[i] % p
+        inv = inv * xs[i] % p
+    return out
+
+
+def _interpolate_mod(ts: list[int], vs: list[int], p: int, node: list[int] | None = None) -> list[int]:
+    """The polynomial of degree < len(ts) through the points (t_i, v_i).
+
+    Lagrange form over the node polynomial M = prod (t - t_i), which a
+    caller that has it passes as node: the sum of v_i w_i M / (t - t_i),
+    with the weights w_i = 1 / M'(t_i) = 1 / prod_(j != i) (t_i - t_j)
+    inverted together, and each quotient added in by one synthetic division.
+    """
+    m = node or _node_poly(ts, p)
     n = len(ts)
-    dd = list(vs)
-    for k in range(1, n):
-        for i in range(n - 1, k - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) * pow(ts[i] - ts[i - k], -1, p) % p
-    out: list[int] = []
-    for k in range(n - 1, -1, -1):
-        # Horner on the Newton form: out <- out * (t - t_k) + dd[k]
-        nxt = [0] + out
-        for i, c in enumerate(out):
-            nxt[i] = (nxt[i] - ts[k] * c) % p
-        nxt[0] = (nxt[0] + dd[k]) % p
-        out = nxt
-    return _trim(out)
+    weights = _inv_all([prod([t - u for u in ts if u != t]) % p for t in ts], p)
+    out = [0] * n
+    for t, v, w in zip(ts, vs, weights):
+        c = v * w % p
+        if c:
+            q = m[n]
+            for k in range(n - 1, -1, -1):
+                out[k] += c * q
+                q = (m[k] + t * q) % p
+    return _trim([c % p for c in out])
 
 
 def _divmod_mod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:

@@ -3,12 +3,14 @@
 symbolic_rank eliminates the *symbolic* Jacobian with fraction-free
 Bareiss steps, so its answer is exact and shares no randomness with
 image_dimension.  composition_relation finds the relation a(q)*p - b(q) of
-P = (b/a)(s) by rational interpolation; it is the only search behind the
-dependence certificates.  annihilating_poly is a standalone search for a
-polynomial relation among any given functions, over all monomials of
-each degree.  Both lift per-prime fits one prime at a time, reconstruct a
-candidate after every prime and refute a false one by its value modulo a
-prime not yet combined, within MAX_LIFT_PRIMES primes (_lift_and_verify).
+P = (b/a)(s) by rational interpolation at nodes on lines parallel to an
+axis, confirmed at points in general position; it is the only search
+behind the dependence certificates.  annihilating_poly is a standalone
+search for a polynomial relation among any given functions, over all
+monomials of each degree, at points in general position.  Both lift
+per-prime fits one prime at a time, reconstruct a candidate after every
+prime and refute a false one by its value modulo a prime not yet
+combined, within MAX_LIFT_PRIMES primes (_lift_and_verify).
 Every returned relation is proven to vanish exactly, never by sampling
 alone (see _vanishes).
 """
@@ -22,9 +24,11 @@ from functools import cache, partial
 
 from .modular import (
     DEFAULT_PRIMES,
+    RETRIES,
     _divmod_mod,
     _eval_uni_mod,
     _interpolate_mod,
+    _node_poly,
     _trim,
     coprime_primes,
     crt_pair,
@@ -332,23 +336,68 @@ def _sub_mod(f: list[int], g: list[int], p: int) -> list[int]:
     return _trim([(a - b) % p for a, b in zip(f, g)])
 
 
-def _cauchy_mod(pts: list[list[int]], m: int, p: int) -> dict | None:
+class _Nodes:
+    """Interpolation nodes (s(w), P(w)) mod p, with pairwise distinct values
+    of s, at points w on lines parallel to an axis.
+
+    Each line runs through a random point in a random variable that s
+    moves, and the numerators and denominators of s and P are restricted to
+    it once (Poly.line_mod), so a node costs one Horner step per
+    restriction: the black-box model of Kaltofen & Trager, J. Symbolic
+    Comput. 9 (1990).  A draw that hits a pole or repeats a value of s
+    moves to a fresh line; each node gets RETRIES draws.
+    """
+
+    def __init__(self, s: RatFun, P: RatFun, p: int, rng):
+        self.polys = (s.num, s.den, P.num, P.den)
+        self.arity = s.arity
+        self.moved = [i for i in range(s.arity) if s.num.degree_in(i) or s.den.degree_in(i)]
+        self.p, self.rng = p, rng
+        self.line: list[list[int]] | None = None
+        self.seen: set[int] = set()
+        self.pts: list[list[int]] = []
+
+    def take(self, count: int) -> list[list[int]] | None:
+        """Every node drawn so far, at least count of them, or None when a
+        node runs out of draws."""
+        p, rng = self.p, self.rng
+        if not self.moved:  # a constant s has no nodes
+            return None
+        while len(self.pts) < count:
+            for _ in range(RETRIES):
+                if self.line is None:
+                    w = [rng.randrange(1, p) for _ in range(self.arity)]
+                    i = rng.choice(self.moved)
+                    self.line = [f.line_mod(w, i, p) for f in self.polys]
+                t = rng.randrange(1, p)
+                ns, ds, nP, dP = (_eval_uni_mod(f, t, p) for f in self.line)
+                if ds and dP:
+                    inv = pow(ds * dP, -1, p)
+                    v = ns * dP * inv % p
+                    if v not in self.seen:
+                        self.seen.add(v)
+                        self.pts.append([v, nP * ds * inv % p])
+                        break
+                self.line = None
+            else:
+                return None
+        return self.pts
+
+
+def _cauchy_mod(nodes: list[list[int]], checks: list[list[int]], m: int, p: int) -> dict | None:
     """Relation a(q)*p - b(q) mod p with deg a, deg b <= m, or None.
 
-    pts holds (t_i, v_i) = (s, P) values with distinct t_i.  The first
-    2m + 1 points fix b/a: the half-extended Euclidean algorithm on
-    (prod (t - t_i), U), with U interpolating them, stops at the first
-    remainder of degree <= m, which is b, with its cofactor a (von zur
-    Gathen & Gerhard, Modern Computer Algebra, 5.7-5.9).  The remaining
-    points must satisfy the relation too.  The result maps exponents in
-    (p, q) to residues, scaled so that the grlex-leading one is 1.
+    nodes holds 2m + 1 pairs (t_i, v_i) = (s, P) with distinct t_i; they
+    fix b/a: the half-extended Euclidean algorithm on (prod (t - t_i), U),
+    with U interpolating them, stops at the first remainder of degree <= m,
+    which is b, with its cofactor a (von zur Gathen & Gerhard, Modern
+    Computer Algebra, 5.7-5.9).  The pairs of checks must satisfy the
+    relation too.  The result maps exponents in (p, q) to residues, scaled
+    so that the grlex-leading one is 1.
     """
-    n = 2 * m + 1
-    ts = [t for t, _ in pts[:n]]
-    r0: list[int] = [1]
-    for t in ts:
-        r0 = _conv_mod(r0, [-t % p, 1], p)
-    r1 = _interpolate_mod(ts, [v for _, v in pts[:n]], p)
+    ts = [t for t, _ in nodes]
+    r0 = _node_poly(ts, p)
+    r1 = _interpolate_mod(ts, [v for _, v in nodes], p, r0)
     c0: list[int] = []
     c1: list[int] = [1]
     while len(r1) > m + 1:
@@ -356,7 +405,7 @@ def _cauchy_mod(pts: list[list[int]], m: int, p: int) -> dict | None:
         r0, r1 = r1, rem
         c0, c1 = c1, _sub_mod(c0, _conv_mod(quo, c1, p), p)
     a, b = c1, r1
-    for t, v in pts[n:]:
+    for t, v in checks:
         if (_eval_uni_mod(a, t, p) * v - _eval_uni_mod(b, t, p)) % p:
             return None
     rel = {(1, i): c for i, c in enumerate(a) if c}
@@ -376,9 +425,16 @@ def composition_relation(
 
     Finds P = (b/a)(s) for univariate a, b by rational (Cauchy)
     interpolation of sampled pairs (s(w), P(w)) modulo the first pool prime.
-    The first degree bound is m = deg P / deg s, which is exact when P =
-    q(s) is reduced; when no fit holds there, the bound doubles from the
-    next power of two, capped at dmax.  Once a fit holds, the primes of
+    The 2m + 1 interpolation nodes of degree bound m lie on lines parallel
+    to an axis (_Nodes).  On such a line P can be a function of s when it
+    is not one on the whole space (x^2 + y*z and s = x + y + z), so the fit
+    must also hold at _CONFIRM_POINTS points that are not taken from the
+    lines: general-position draws of pole_free_values, each of which lies on
+    a given node line with probability (p - 1)^-(n - 1) in n variables.
+    Each degree bound and prime is fitted once.  The first degree bound is
+    m = deg P / deg s, which is exact when P = q(s) is reduced; when no fit
+    holds there, the bound doubles from the next power of two, capped at
+    dmax.  Once a fit holds, the primes of
     prime_pool(primes, [s, P]) (at most MAX_LIFT_PRIMES, plus one spare,
     that divide no coefficient denominator of P or s) refit one at a time
     at the degree it found, and _lift_and_verify reconstructs a candidate
@@ -394,19 +450,21 @@ def composition_relation(
     """
     fs = [s, P]
     first = next(prime_pool(primes, fs, 1))
-    samples = {}
 
+    @cache
+    def samples(p):
+        rng = rng_for(seed, f"cauchy:p{p}")
+        return pole_free_values(fs, _CONFIRM_POINTS, p, rng), _Nodes(s, P, p, rng)
+
+    @cache
     def fit(m, p):
-        if p not in samples:
-            samples[p] = (rng_for(seed, f"cauchy:p{p}"), set(), [])
-        rng, seen, pts = samples[p]
-        need = 2 * m + 1 + _CONFIRM_POINTS - len(pts)
-        if need > 0:
-            more = pole_free_values(fs, need, p, rng, distinct=seen)
-            if more is None:
-                return None
-            pts.extend(more)
-        return _cauchy_mod(pts, m, p)
+        confirm, nodes = samples(p)
+        n = 2 * m + 1
+        pts = nodes.take(n) if confirm is not None else None
+        if pts is None:
+            return None
+        # nodes beyond the first 2m + 1, drawn for a larger bound, check too
+        return _cauchy_mod(pts[:n], pts[n:] + confirm, m, p)
 
     @cache
     def lift(m):

@@ -168,7 +168,8 @@ def _idivexact(f: dict, h: dict, step_cap: int = 200000) -> dict | None:
 
 
 # ---------------------------------------------------------------------------
-# the compiled modular form: values and first partials mod p
+# the compiled modular form: values, first partials and axis-parallel line
+# restrictions mod p
 # ---------------------------------------------------------------------------
 
 
@@ -184,6 +185,18 @@ def _nest(terms: list[tuple[Term, int]], level: int, n: int) -> list:
     for e, c in terms:
         groups.setdefault(e[level], []).append((e, c))
     return [(k, _nest(sub, level + 1, n)) for k, sub in groups.items()]
+
+
+def _powers(degs: list[int], point, p: int) -> list[list[int]]:
+    """Per variable, the powers x^e mod p of the point's coordinate x, for e
+    up to the variable's degree."""
+    out = []
+    for deg, x in zip(degs, point):
+        pw = [1] * (deg + 1)
+        for e in range(1, deg + 1):
+            pw[e] = pw[e - 1] * x % p
+        out.append(pw)
+    return out
 
 
 def _tables(degs: list[int], points, p: int) -> list[list[tuple[list[int], list[int]]]]:
@@ -209,17 +222,41 @@ def _tables(degs: list[int], points, p: int) -> list[list[tuple[list[int], list[
     return tables
 
 
-def _value(node: list, level: int, tables) -> int:
-    """Value of a nested polynomial at the first point of tables, unreduced."""
-    row = tables[level][0][0]
+def _value(node: list, level: int, powers) -> int:
+    """Value of a nested polynomial at the point of powers (see _powers),
+    unreduced."""
+    row = powers[level]
     acc = 0
-    if level == len(tables) - 1:
+    if level == len(powers) - 1:
         for e, c in node:
             acc += c * row[e]
     else:
         for e, child in node:
-            acc += row[e] * _value(child, level + 1, tables)
+            acc += row[e] * _value(child, level + 1, powers)
     return acc
+
+
+def _restrict(node: list, level: int, powers, i: int) -> list[int]:
+    """Coefficients in x_i, lowest first and unreduced, of a nested
+    polynomial whose other variables take the point of powers."""
+    if level == i:
+        out = [0] * (max((e for e, _ in node), default=-1) + 1)
+        if level == len(powers) - 1:
+            for e, c in node:
+                out[e] = c
+        else:
+            for e, child in node:
+                out[e] = _value(child, level + 1, powers)
+        return out
+    row = powers[level]
+    out = []
+    for e, child in node:
+        sub = _restrict(child, level + 1, powers, i)
+        out += [0] * (len(sub) - len(out))
+        w = row[e]
+        for k, c in enumerate(sub):
+            out[k] += w * c
+    return out
 
 
 def _value_and_gradient(node: list, level: int, tables, n: int) -> list[list[int]]:
@@ -926,7 +963,17 @@ class Poly:
         Raises BadPrimeError when p divides the content's denominator.
         """
         nested, degs = self._compiled(p)
-        return _value(nested, 0, _tables(degs, (point,), p)) % p
+        return _value(nested, 0, _powers(degs, point, p)) % p
+
+    def line_mod(self, point, i: int, p: int) -> list[int]:
+        """The restriction mod p to the line through point parallel to the
+        x_i axis: a coefficient list in x_i, lowest first, read off in one
+        walk of the compiled form.  The coordinate point[i] is not used.
+
+        Raises BadPrimeError when p divides the content's denominator.
+        """
+        nested, degs = self._compiled(p)
+        return _trim([c % p for c in _restrict(nested, 0, _powers(degs, point, p), i)])
 
     def eval_grad_mod(self, points, p: int) -> list[list[int]]:
         """[value, d/dx_0, ..., d/dx_(n-1)] mod p at each mixture of one or two points.

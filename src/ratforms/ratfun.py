@@ -332,17 +332,17 @@ def compose_numerator(coeffs: Poly, fs: list[RatFun]) -> Poly:
     return Poly.sum(pieces(), arity).scale(coeffs.content)
 
 
-def pole_free_values(
-    fs: list[RatFun], count: int, p: int, rng, distinct: set[int] | None = None
-) -> list[list[int]] | None:
+def pole_free_values(fs: list[RatFun], count: int, p: int, rng) -> list[list[int]] | None:
     """Values mod p of the functions fs at `count` random pole-free points.
 
-    Each point gets RETRIES draws; a draw that hits a pole of any
-    function is redrawn.  When `distinct` is a set, a draw whose value of
-    fs[0] is already in it is redrawn too, and accepted values are added to
-    it, so successive calls sharing one set keep extending a sample with
-    pairwise distinct first values.  Returns None when a point runs out of
-    draws.
+    The points are in general position: every coordinate is drawn from
+    1..p-1 on its own, and a draw that hits a pole of any function is
+    redrawn, RETRIES times per point.  Returns None when a point runs out of
+    draws.  It is the one sampler of such points: for the certificate fit's
+    confirm points, the spot values, verify_certificate, and the dense
+    relation search, whose evaluation matrix needs points in general
+    position.  The certificate fit's interpolation nodes lie on lines
+    instead (oracle._Nodes); its confirm points are not taken from them.
     """
     arity = fs[0].arity
     out = []
@@ -350,17 +350,12 @@ def pole_free_values(
         for _try in range(RETRIES):
             w = tuple(rng.randrange(1, p) for _ in range(arity))
             try:
-                vals = [f.eval_mod(w, p) for f in fs]
+                out.append([f.eval_mod(w, p) for f in fs])
+                break
             except PoleError:
                 continue
-            if distinct is None:
-                break
-            if vals[0] not in distinct:
-                distinct.add(vals[0])
-                break
         else:
             return None
-        out.append(vals)
     return out
 
 

@@ -304,27 +304,94 @@ def _spy_vanishes(monkeypatch) -> list:
     return seen
 
 
-def _counted_points(monkeypatch) -> list:
-    points = []
+def _counted_points(monkeypatch) -> tuple[list, list]:
+    """Points drawn in general position, and interpolation nodes, per prime."""
+    points, nodes = [], []
 
-    def counted(fs, count, p, rng, distinct=None):
-        pts = pole_free_values(fs, count, p, rng, distinct)
+    def counted(fs, count, p, rng):
+        pts = pole_free_values(fs, count, p, rng)
         points.append((p, len(pts or ())))
         return pts
 
+    take = oracle._Nodes.take
+
+    def counted_nodes(self, count):
+        pts = take(self, count)
+        nodes.append((self.p, len(pts or ())))
+        return pts
+
     monkeypatch.setattr(oracle, "pole_free_values", counted)
-    return points
+    monkeypatch.setattr(oracle._Nodes, "take", counted_nodes)
+    return points, nodes
+
+
+def _counted_fits(monkeypatch) -> list:
+    fits = []
+    cauchy = oracle._cauchy_mod
+
+    def counted(nodes, checks, m, p):
+        fits.append((p, m))
+        return cauchy(nodes, checks, m, p)
+
+    monkeypatch.setattr(oracle, "_cauchy_mod", counted)
+    return fits
 
 
 def test_a_one_prime_relation_samples_one_fit_and_one_spot_value(monkeypatch):
-    # the fit starts at m = deg P / deg s = 12; its 2m + 1 + _CONFIRM_POINTS
-    # points at the first prime reconstruct p - q^12, and one spot value at
-    # the second prime precedes the proportionality test
-    points = _counted_points(monkeypatch)
+    # the fit starts at m = deg P / deg s = 12; its 2m + 1 nodes and
+    # _CONFIRM_POINTS confirm points at the first prime reconstruct
+    # p - q^12 in one Cauchy fit, which the lift reuses, and one spot value
+    # at the second prime precedes the proportionality test
+    points, nodes = _counted_points(monkeypatch)
+    fits = _counted_fits(monkeypatch)
     P, s = parse("(x+y+z)^12", TRI), parse("x+y+z", TRI)
     assert composition_relation(P, s, 26) == parse("p - q^12", ("p", "q")).num
     p1, p2 = DEFAULT_PRIMES
-    assert points == [(p1, 2 * 12 + 1 + oracle._CONFIRM_POINTS), (p2, 1)]
+    assert nodes == [(p1, 2 * 12 + 1)]
+    assert points == [(p1, oracle._CONFIRM_POINTS), (p2, 1)]
+    assert fits == [(p1, 12)]
+
+
+def test_nodes_move_to_a_fresh_line_when_s_repeats():
+    # on an x-line s = x^2*y takes at most 6 values mod 13, one per square
+    P, s = parse("x^2*y + 1", BI), parse("x^2*y", BI)
+    p = 13
+    for y in range(1, p):
+        assert len({x * x * y % p for x in range(1, p)}) == 6
+    for seed in range(5):
+        pts = oracle._Nodes(s, P, p, random.Random(seed)).take(7)
+        assert pts is not None and len(pts) == 7
+        assert len({t for t, _ in pts}) == 7
+        assert all(v == (t + 1) % p for t, v in pts)
+
+
+@pytest.mark.parametrize(
+    "P, s, bounds",
+    [
+        # along any line parallel to an axis each P is a function of s, so
+        # only the confirm points, which are off the lines, reject its fits;
+        # the degree bound starts at deg P // deg s and doubles up to dmax
+        ("x^2 + y*z", "x + y + z", [2, 4, 8, 12]),
+        ("x^2*y + z", "x*y + z", [1, 2, 4, 8, 12]),
+    ],
+)
+def test_a_fit_on_the_node_lines_is_rejected_by_the_confirm_points(monkeypatch, P, s, bounds):
+    def no_lift(*args):
+        raise AssertionError("_lift_and_verify called")
+
+    fits = []
+    cauchy = oracle._cauchy_mod
+
+    def spy(nodes, checks, m, p):
+        # the nodes alone admit a fit; the checks refute it
+        fits.append((m, cauchy(nodes, [], m, p) is not None, cauchy(nodes, checks, m, p)))
+        return fits[-1][2]
+
+    monkeypatch.setattr(oracle, "_lift_and_verify", no_lift)
+    monkeypatch.setattr(oracle, "_cauchy_mod", spy)
+    assert composition_relation(parse(P, TRI), parse(s, TRI), 12) is None
+    assert [m for m, _, _ in fits] == bounds
+    assert all(on_lines and rel is None for _, on_lines, rel in fits)
 
 
 # the constant p1 + 5 reads 5 modulo the first default prime p1

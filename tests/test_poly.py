@@ -425,6 +425,24 @@ def test_line_image_is_the_exact_restriction_to_the_line():
             assert _line_image(q, avec, bvec, p) == want
 
 
+def test_line_mod_is_the_exact_restriction_to_an_axis_parallel_line():
+    rng = random.Random(24)
+    p = 1000003
+    for arity in range(1, 4):
+        for _ in range(20):
+            q = Poly(_random_terms(rng, arity), arity)
+            point = [rng.randrange(1, p) for _ in range(arity)]
+            for i in range(arity):
+                others = {j: Fraction(point[j]) for j in range(arity) if j != i}
+                restriction = q.subs_scalars(others)
+                want = [_residue(restriction.terms.get(tuple(j if k == i else 0 for k in range(arity)),
+                                                       Fraction(0)), p)
+                        for j in range(q.degree_in(i) + 1)]
+                while want and not want[-1]:
+                    want.pop()
+                assert q.line_mod(point, i, p) == want
+
+
 def test_gcd_degree_bound_is_at_least_the_shared_degree():
     rng = random.Random(23)
     shared = bounded = 0
