@@ -352,12 +352,14 @@ def test_a_one_prime_relation_samples_one_fit_and_one_spot_value(monkeypatch):
     assert fits == [(p1, 12)]
 
 
-def test_nodes_move_to_a_fresh_line_when_s_repeats():
-    # on an x-line s = x^2*y takes at most 6 values mod 13, one per square
-    P, s = parse("x^2*y + 1", BI), parse("x^2*y", BI)
+@pytest.mark.parametrize("s", ["x^2*y", "x^2*y^3"])
+def test_nodes_move_to_a_fresh_line_when_s_repeats(s):
+    # on an x-line s = x^2*y takes at most 6 values mod 13, one per square;
+    # x^2*y^3 takes at most 6 on an x-line and 4, one per cube, on a y-line
     p = 13
     for y in range(1, p):
         assert len({x * x * y % p for x in range(1, p)}) == 6
+    P, s = parse(f"{s} + 1", BI), parse(s, BI)
     for seed in range(5):
         pts = oracle._Nodes(s, P, p, random.Random(seed)).take(7)
         assert pts is not None and len(pts) == 7
