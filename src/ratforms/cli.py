@@ -69,7 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="EXPR",
-        help="rational function to analyze (repeatable); grammar: + - * / ^ ( ) integers variables",
+        help="rational function to analyze (repeatable); grammar: + - * / ^ ( ) integers "
+        "variables; it may start with -, as in --function -x*y",
     )
     ap.add_argument(
         "--vars",
@@ -258,7 +259,14 @@ def _read_corpus(path: str) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     ap = _build_parser()
-    args = ap.parse_args(argv)
+    # argparse reads the EXPR of "--function -x*y" as an option; "=" binds it
+    glued: list[str] = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if glued[-1:] == ["--function"] and arg.startswith("-") and not arg.startswith("--"):
+            glued[-1] += "=" + arg
+        else:
+            glued.append(arg)
+    args = ap.parse_args(glued)
 
     try:
         names = check_names(v.strip() for v in args.vars.split(",") if v.strip())

@@ -158,7 +158,8 @@ def _node_poly(ts: list[int], p: int) -> list[int]:
 
 def _inv_all(xs: list[int], p: int) -> list[int]:
     """The inverses mod p of nonzero residues, with one modular inversion
-    (von zur Gathen & Gerhard, Modern Computer Algebra, 5.2)."""
+    (von zur Gathen & Gerhard, Modern Computer Algebra, 5.2); it inverts
+    the Lagrange weights of the certificate fit's _interpolate_mod."""
     prefix = [1]
     for x in xs:
         prefix.append(prefix[-1] * x % p)
@@ -170,15 +171,14 @@ def _inv_all(xs: list[int], p: int) -> list[int]:
     return out
 
 
-def _interpolate_mod(ts: list[int], vs: list[int], p: int, node: list[int] | None = None) -> list[int]:
+def _interpolate_mod(ts: list[int], vs: list[int], p: int, m: list[int]) -> list[int]:
     """The polynomial of degree < len(ts) through the points (t_i, v_i).
 
-    Lagrange form over the node polynomial M = prod (t - t_i), which a
-    caller that has it passes as node: the sum of v_i w_i M / (t - t_i),
-    with the weights w_i = 1 / M'(t_i) = 1 / prod_(j != i) (t_i - t_j)
-    inverted together, and each quotient added in by one synthetic division.
+    Lagrange form over the node polynomial m = prod (t - t_i) (_node_poly):
+    the sum of v_i w_i m / (t - t_i), with the weights
+    w_i = 1 / m'(t_i) = 1 / prod_(j != i) (t_i - t_j) inverted together,
+    and each quotient added in by one synthetic division.
     """
-    m = node or _node_poly(ts, p)
     n = len(ts)
     weights = _inv_all([prod([t - u for u in ts if u != t]) % p for t in ts], p)
     out = [0] * n

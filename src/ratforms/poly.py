@@ -8,13 +8,13 @@ one gcd pass; no per-term Fraction is built.  The canonical term order is
 graded lexicographic.  The gcd stack used for rational-function reduction
 works on the primitive integer parts and combines three layers:
 
-* a sound bound on the gcd's degree (the gcd over GF(p) of the inputs
-  restricted to a line on which both keep their degree; for inputs in one
-  variable the images are their coefficient lists), whose value 0 proves
-  the inputs coprime;
+* a sound bound on the gcd's degree in each variable x_v both inputs
+  involve (the gcd over GF(p) of the inputs restricted to a line parallel
+  to the x_v axis on which both keep their degree in x_v), whose values 0
+  prove the inputs coprime;
 * a heuristic evaluation gcd (single large-integer substitution per
-  variable, candidate verified by exact trial division; a candidate whose
-  degree reaches the bound is the gcd, any other is closed up by a
+  variable, candidate verified by exact trial division; a candidate that
+  meets every bound is the gcd, any other is closed up by a
   cofactor-coprimality pass, so the result is always the true gcd);
 * a subresultant PRS fallback that is unconditionally correct.
 """
@@ -24,10 +24,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd as igcd, prod
-from operator import add as _add
+from operator import add as _add, getitem
 from types import MappingProxyType
 
-from .modular import _divmod_mod, _interpolate_mod, _trim
+from .modular import _divmod_mod, _trim
 
 Term = tuple[int, ...]
 
@@ -168,8 +168,8 @@ def _idivexact(f: dict, h: dict, step_cap: int = 200000) -> dict | None:
 
 
 # ---------------------------------------------------------------------------
-# the compiled modular form: values, first partials and axis-parallel line
-# restrictions mod p
+# images mod p: the restriction to an axis-parallel line, and the compiled
+# form for values and first partials
 # ---------------------------------------------------------------------------
 
 
@@ -197,6 +197,18 @@ def _powers(degs: list[int], point, p: int) -> list[list[int]]:
             pw[e] = pw[e - 1] * x % p
         out.append(pw)
     return out
+
+
+def _axis_line(ints: dict, powers, i: int, p: int) -> list[int]:
+    """The restriction mod p of integer terms to the line parallel to the
+    x_i axis through the point of powers (see _powers): its coefficients in
+    x_i, lowest first, added up in one pass over the terms.  Of powers[i]
+    only the length is used: it gives the degree in x_i."""
+    rows = powers[:i] + [[1] * len(powers[i])] + powers[i + 1 :]
+    out = [0] * len(powers[i])
+    for e, c in ints.items():
+        out[e[i]] += c * prod(map(getitem, rows, e))
+    return _trim([c % p for c in out])
 
 
 def _tables(degs: list[int], points, p: int) -> list[list[tuple[list[int], list[int]]]]:
@@ -234,29 +246,6 @@ def _value(node: list, level: int, powers) -> int:
         for e, child in node:
             acc += row[e] * _value(child, level + 1, powers)
     return acc
-
-
-def _restrict(node: list, level: int, powers, i: int) -> list[int]:
-    """Coefficients in x_i, lowest first and unreduced, of a nested
-    polynomial whose other variables take the point of powers."""
-    if level == i:
-        out = [0] * (max((e for e, _ in node), default=-1) + 1)
-        if level == len(powers) - 1:
-            for e, c in node:
-                out[e] = c
-        else:
-            for e, child in node:
-                out[e] = _value(child, level + 1, powers)
-        return out
-    row = powers[level]
-    out = []
-    for e, child in node:
-        sub = _restrict(child, level + 1, powers, i)
-        out += [0] * (len(sub) - len(out))
-        w = row[e]
-        for k, c in enumerate(sub):
-            out[k] += w * c
-    return out
 
 
 def _value_and_gradient(node: list, level: int, tables, n: int) -> list[list[int]]:
@@ -306,64 +295,34 @@ def _value_and_gradient(node: list, level: int, tables, n: int) -> list[list[int
 # ---------------------------------------------------------------------------
 
 
-def _line_image(f: "Poly", avec, bvec, p: int) -> list[int]:
-    """f restricted to the line x_i = a_i t + b_i, as a coeff list mod p.
+def _gcd_degree_bound(f: dict, g: dict, arity: int) -> dict[int, int] | None:
+    """Per variable x_v that f and g both involve, a bound on the degree in
+    x_v of gcd(f, g); or None.
 
-    The restriction has degree at most deg f, so its values at t = 0..deg f
-    determine it.
+    The bound is the degree of the gcd over GF(p) of f and g restricted to
+    the line parallel to the x_v axis through one random point: the
+    leading coefficient in x_v of the true gcd h divides theirs, so where
+    they keep their degree h keeps it too, and its restriction divides
+    both (von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 6).  h
+    involves only shared variables, so bounds of 0 prove f and g coprime.
+    None when a restriction drops its degree, as when p divides a leading
+    coefficient.
     """
-    ts = list(range(f.total_degree() + 1))
-    vs = [f.eval_mod([a * t + b for a, b in zip(avec, bvec)], p) for t in ts]
-    return _interpolate_mod(ts, vs, p)
-
-
-def _coeff_image(f: dict, v: int, p: int) -> list[int]:
-    """f, which involves x_v alone, as a coeff list mod p in x_v: its
-    restriction to the line x_v = t, read off without any evaluation."""
-    out = [0] * (_deg_in(f, v) + 1)
-    for e, c in f.items():
-        out[e[v]] = c % p
-    return _trim(out)
-
-
-def _uni_gcd_mod(a: list[int], b: list[int], p: int) -> int:
-    """Degree of gcd of two univariate coeff lists over GF(p)."""
-    while b:
-        a, b = b, _divmod_mod(a, b, p)[1]
-    return len(a) - 1
-
-
-def _gcd_degree_bound(f: dict, g: dict, arity: int) -> int | None:
-    """An upper bound on the total degree of gcd(f, g), or None.
-
-    The bound is the degree of the gcd over GF(p) of the restrictions of f
-    and g to a line on which both keep their total degree: the top form of
-    the true gcd h divides theirs, so h keeps its degree there too, and its
-    restriction divides both restrictions (von zur Gathen & Gerhard,
-    *Modern Computer Algebra*, ch. 6).  A pair in one variable x_v uses the
-    line x_v = t, whose images are the coefficient lists mod p; any other
-    pair tries two random lines.  None when no line kept both degrees, as
-    when p divides a leading coefficient.
-    """
-    df, dg = _total_deg(f), _total_deg(g)
     p = _LINE_P
-    used = [i for i in range(arity) if _deg_in(f, i) or _deg_in(g, i)]
-    if len(used) == 1:
-        fu, gu = _coeff_image(f, used[0], p), _coeff_image(g, used[0], p)
-        if len(fu) - 1 == df and len(gu) - 1 == dg:
-            return _uni_gcd_mod(fu, gu, p)
-        return None
-    fp, gp = Poly._make(f, _ONE, arity), Poly._make(g, _ONE, arity)
-    for _ in range(2):
-        avec = [_GCD_RNG.randrange(1, p) for _ in range(arity)]
-        bvec = [_GCD_RNG.randrange(0, p) for _ in range(arity)]
-        fu = _line_image(fp, avec, bvec, p)
-        if len(fu) - 1 != df:
-            continue
-        gu = _line_image(gp, avec, bvec, p)
-        if len(gu) - 1 == dg:
-            return _uni_gcd_mod(fu, gu, p)
-    return None
+    df = [_deg_in(f, i) for i in range(arity)]
+    dg = [_deg_in(g, i) for i in range(arity)]
+    point = [_GCD_RNG.randrange(1, p) for _ in range(arity)]
+    fpow, gpow = _powers(df, point, p), _powers(dg, point, p)
+    bound = {}
+    for v in range(arity):
+        if df[v] and dg[v]:
+            fu, gu = _axis_line(f, fpow, v, p), _axis_line(g, gpow, v, p)
+            if len(fu) - 1 != df[v] or len(gu) - 1 != dg[v]:
+                return None
+            while gu:  # Euclid over GF(p)
+                fu, gu = gu, _divmod_mod(fu, gu, p)[1]
+            bound[v] = len(fu) - 1
+    return bound
 
 
 def _smod(c: int, m: int) -> int:
@@ -546,10 +505,10 @@ def gcd_int(f: dict, g: dict, arity: int) -> dict:
     """Exact gcd of integer term dicts, primitive with positive lead.
 
     After the monomial and integer contents come out, _gcd_degree_bound
-    bounds the degree of the gcd: 0 settles coprimality.  A heuristic
-    common divisor of exactly the bounded degree is the gcd, since it
-    divides the true gcd, whose degree is at most the bound; a smaller one
-    is closed up through its cofactors, and subresultants settle the rest.
+    bounds the gcd's degree in each shared variable: bounds of 0 settle
+    coprimality.  A heuristic common divisor that meets every bound is the
+    gcd, since it divides the true gcd; a smaller one is closed up through
+    its cofactors, and subresultants settle the rest.
     """
     zero_key = tuple([0] * arity)
     if not f and not g:
@@ -574,21 +533,16 @@ def gcd_int(f: dict, g: dict, arity: int) -> dict:
         elif _total_deg(f1) == 0 or _total_deg(g1) == 0:
             core = {zero_key: 1}
         else:
-            shared = [
-                i
-                for i in range(arity)
-                if _deg_in(f1, i) > 0 and _deg_in(g1, i) > 0
-            ]
-            bound = _gcd_degree_bound(f1, g1, arity) if shared else 0
-            if bound == 0:
+            bound = _gcd_degree_bound(f1, g1, arity)
+            if bound is not None and not any(bound.values()):
                 core = {zero_key: 1}
             else:
                 core = _heu_gcd(f1, g1, arity)
                 if core is not None and _total_deg(core) > 0:
-                    # a common divisor as large as the bound is the gcd;
+                    # a common divisor that meets every bound is the gcd;
                     # otherwise close it up to the true gcd: each pass
                     # strictly shrinks the cofactors, so it terminates
-                    while _total_deg(core) != bound:
+                    while bound is None or any(_deg_in(core, v) < b for v, b in bound.items()):
                         c1 = _idivexact(f1, core)
                         c2 = _idivexact(g1, core)
                         extra = gcd_int(c1, c2, arity)
@@ -598,6 +552,7 @@ def gcd_int(f: dict, g: dict, arity: int) -> dict:
                 else:
                     # a constant heuristic answer certifies nothing about
                     # the polynomial part; settle it by subresultants
+                    shared = [i for i in range(arity) if _deg_in(f1, i) and _deg_in(g1, i)]
                     var = min(shared, key=lambda i: min(_deg_in(f1, i), _deg_in(g1, i)))
                     contf = _content_wrt(f1, var, arity)
                     contg = _content_wrt(g1, var, arity)
@@ -935,6 +890,13 @@ class Poly:
     def eval_q(self, point) -> Fraction:
         return self.subs_scalars(dict(enumerate(point))).constant_value()
 
+    def _content_mod(self, p: int) -> int:
+        """The content mod p; BadPrimeError when p divides its denominator."""
+        den = self.content.denominator % p
+        if den == 0:
+            raise BadPrimeError(p)
+        return self.content.numerator * pow(den, -1, p) % p
+
     def _compiled(self, p: int) -> tuple[list, list[int]]:
         """The residues mod p nested by variable (see _nest), and the degree
         in each variable; built once per prime."""
@@ -944,10 +906,7 @@ class Poly:
             object.__setattr__(self, "_mods", mods)
         compiled = mods.get(p)
         if compiled is None:
-            den = self.content.denominator % p
-            if den == 0:
-                raise BadPrimeError(p)
-            scale = self.content.numerator * pow(den, -1, p) % p
+            scale = self._content_mod(p)
             terms = []
             for e, c in self.ints.items():
                 v = c * scale % p
@@ -968,12 +927,13 @@ class Poly:
     def line_mod(self, point, i: int, p: int) -> list[int]:
         """The restriction mod p to the line through point parallel to the
         x_i axis: a coefficient list in x_i, lowest first, read off in one
-        walk of the compiled form.  The coordinate point[i] is not used.
+        pass over the terms.  The coordinate point[i] is not used.
 
         Raises BadPrimeError when p divides the content's denominator.
         """
-        nested, degs = self._compiled(p)
-        return _trim([c % p for c in _restrict(nested, 0, _powers(degs, point, p), i)])
+        scale = self._content_mod(p)
+        degs = [_deg_in(self.ints, j) for j in range(self.arity)]
+        return _trim([c * scale % p for c in _axis_line(self.ints, _powers(degs, point, p), i, p)])
 
     def eval_grad_mod(self, points, p: int) -> list[list[int]]:
         """[value, d/dx_0, ..., d/dx_(n-1)] mod p at each mixture of one or two points.

@@ -56,6 +56,16 @@ def test_multiplicative_example(capsys):
     assert rep["image_dimension"] == 3
 
 
+def test_an_expression_may_start_with_a_minus(capsys):
+    # argparse alone reads the "-x*y" of "--function -x*y" as an option
+    for argv in (["--function", "-x*y"], ["--function=-x*y"]):
+        code, reports = _run_json(capsys, ["--vars", "x,y"] + argv)
+        assert code == 0
+        (rep,) = reports
+        assert rep["function"] == "-x*y"
+        assert rep["verdict"] == "group-multiplicative"
+
+
 def test_degenerate_example(capsys):
     code, reports = _run_json(capsys, ["--vars", "x,y,z", "--function", "x+y"])
     assert code == 0

@@ -15,7 +15,6 @@ from ratforms.poly import (
     Poly,
     _gcd_degree_bound,
     _heu_gcd,
-    _line_image,
     _prs_gcd,
     _total_deg,
     divexact,
@@ -356,7 +355,11 @@ def test_terms_view_is_read_only():
 def test_compiled_form_rejects_a_prime_dividing_a_denominator():
     q = Poly({(1, 0): Fraction(1, 14), (0, 1): Fraction(1)}, 2)
     assert q.eval_mod((3, 2), 5) == (3 * pow(14, -1, 5) + 2) % 5
-    for evaluate in (q.eval_mod, lambda w, p: q.eval_grad_mod((w,), p)):
+    for evaluate in (
+        q.eval_mod,
+        lambda w, p: q.eval_grad_mod((w,), p),
+        lambda w, p: q.line_mod(w, 0, p),
+    ):
         with pytest.raises(BadPrimeError) as info:
             evaluate((3, 2), 7)
         assert info.value.prime == 7
@@ -402,29 +405,6 @@ def test_compiled_values_and_partials_match_exact_derivatives():
                     assert row == _exact_jet(q, mixed, p)
 
 
-def test_line_image_is_the_exact_restriction_to_the_line():
-    rng = random.Random(22)
-    p = 1000003
-    t = Poly.variable(0, 1)
-    for arity in range(1, 4):
-        for _ in range(20):
-            q = Poly(_random_terms(rng, arity), arity)
-            avec = [rng.randrange(1, p) for _ in range(arity)]
-            bvec = [rng.randrange(p) for _ in range(arity)]
-            line = [t.scale(a) + b for a, b in zip(avec, bvec)]
-            restriction = Poly.zero(1)
-            for e, c in q.terms.items():
-                term = Poly.const(c, 1)
-                for x, k in zip(line, e):
-                    term = term * x ** k
-                restriction = restriction + term
-            want = [_residue(restriction.terms.get((j,), Fraction(0)), p)
-                    for j in range(q.total_degree() + 1)]
-            while want and not want[-1]:
-                want.pop()
-            assert _line_image(q, avec, bvec, p) == want
-
-
 def test_line_mod_is_the_exact_restriction_to_an_axis_parallel_line():
     rng = random.Random(24)
     p = 1000003
@@ -452,16 +432,30 @@ def test_gcd_degree_bound_is_at_least_the_shared_degree():
         if g.total_degree() == 0 or a.is_zero or b.is_zero:
             continue
         shared += 1
-        bound = _gcd_degree_bound((g * a).ints, (g * b).ints, arity)
+        f, h = g * a, g * b
+        bound = _gcd_degree_bound(f.ints, h.ints, arity)
         if bound is not None:
             bounded += 1
-            assert bound >= g.total_degree()
+            assert sorted(bound) == [v for v in range(arity) if f.degree_in(v) and h.degree_in(v)]
+            assert all(bound.get(v, 0) >= g.degree_in(v) for v in range(arity))
     assert shared >= 20 and bounded >= 20
-    names = ("x", "y")
-    assert _gcd_degree_bound(_p("x + y", names).ints, _p("x*y + 1", names).ints, 2) == 0
-    # one variable: the coefficient lists are the images
-    assert _gcd_degree_bound(_p("x^2 - 1", names).ints, _p("x^2 + 2*x + 1", names).ints, 2) == 1
-    assert _gcd_degree_bound(_p("y^3 - 1", names).ints, _p("y^2 + 1", names).ints, 2) == 0
+    names = ("x", "y", "z")
+
+    def bound(f: str, g: str):
+        return _gcd_degree_bound(_p(f, names).ints, _p(g, names).ints, 3)
+
+    assert bound("x + y", "x*y + 1") == {0: 0, 1: 0}
+    assert bound("x^2 - 1", "x^2 + 2*x + 1") == {0: 1}
+    assert bound("y^3 - 1", "y^2 + 1") == {1: 0}
+    # y and z each occur in one input only, so neither is bounded
+    assert bound("(x + 1)*y", "(x + 1)*z") == {0: 1}
+    # the line prime divides the leading coefficient in x, so the images
+    # on every x-line drop their degree and there is no bound
+    x, y = Poly.variable(0, 2), Poly.variable(1, 2)
+    g = x * x * y * _LINE_P + x + y
+    f, h = (g * (x + 2)).ints, (g * (x - 5)).ints
+    assert _gcd_degree_bound(f, h, 2) is None
+    assert gcd_int(f, h, 2) == g.ints == _reference_gcd(f, h, 0, 2)
 
 
 def _uni(rng: random.Random, v: int, arity: int, lo: int, hi: int) -> Poly:
@@ -501,7 +495,7 @@ def test_gcd_of_one_variable_pairs_matches_subresultants():
     assert gcd_int(f, h, 1) == g.ints == _reference_gcd(f, h, 0, 1)
 
 
-def test_one_variable_gcd_takes_no_line_evaluation(monkeypatch):
+def test_gcd_takes_no_point_evaluation(monkeypatch):
     def no_walk(*_):
         raise AssertionError("eval_mod called")
 
@@ -512,6 +506,8 @@ def test_one_variable_gcd_takes_no_line_evaluation(monkeypatch):
         ("(x^3 + 2)*(x - 4)^2", "(x - 4)*(x + 9)", "x - 4"),
         ("y^5 + y + 1", "y^4 - 3", "1"),
         ("6*z^3 - 6*z", "4*z^2 + 4*z", "z^2 + z"),
+        ("(x + y)*(x*z + 1)", "(x + y)*(y - z)", "x + y"),
+        ("x*y + 1", "x + y", "1"),
     ):
         assert poly_gcd(_p(f, names), _p(g, names)) == _p(want, names)
 
