@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .modular import _trim
 from .poly import Poly
@@ -307,9 +307,10 @@ def _rational_roots(p: list) -> tuple[list[Fraction], list]:
     """(rational roots of squarefree p, monic deflated cofactor).
 
     A linear cofactor's root is read off as -c0/c1; a larger one is tried
-    at the candidates p/q of the rational root theorem, and the search
-    stops where the divisors of its end coefficients are too hard to find,
-    leaving a cofactor that may still have rational roots.
+    at the candidates p/q of the rational root theorem.  Where the divisors
+    of its end coefficients are too hard to find, a quadratic's roots come
+    from its discriminant, and a larger cofactor is left as it is, though it
+    may still have rational roots.
     """
     roots: list[Fraction] = []
     cur = list(p)
@@ -344,6 +345,13 @@ def _rational_roots(p: list) -> tuple[list[Fraction], list]:
         d0 = _divisors(ints[0])
         dl = _divisors(ints[-1])
         if d0 is None or dl is None:
+            # too hard to factor: a quadratic's roots come from its discriminant
+            if len(ints) == 3:
+                c, b, a = ints
+                disc = b * b - 4 * a * c
+                if disc > 0 and (r := isqrt(disc)) ** 2 == disc:
+                    roots += sorted(Fraction(-b + s, 2 * a) for s in (r, -r))
+                    cur = cur[2:]
             break
         found = None
         for q in dl:

@@ -215,13 +215,13 @@ class _Fn:
             self._parts[vs] = n.derivative(vs[-1]), d.derivative(vs[-1])
         return self._parts[vs]
 
-    def on_line(self, vals: dict[int, Fraction]):
-        """part(*vs) -> (N_vs, D_vs) with the variables in vals pinned, exact.
+    def on_line(self, point, free: int):
+        """part(*vs) -> (N_vs, D_vs) on the line through point parallel to
+        the x_free axis, exact (see Poly.line).
 
-        A partial in a variable that stays free is taken after the
-        substitution, on the restricted pair, since the two commute; a
-        partial in pinned variables comes from the cache and is substituted
-        once per line.
+        A partial in x_free is taken after the restriction, on the
+        restricted pair, since the two commute; a partial in the pinned
+        variables comes from the cache and is restricted once per line.
         """
         memo: dict[tuple[int, ...], tuple[Poly, Poly]] = {}
 
@@ -229,12 +229,12 @@ class _Fn:
         # the restrictions it holds would wait for the cyclic collector
         def part(*vs: int) -> tuple[Poly, Poly]:
             if vs not in memo:
-                pinned = tuple(v for v in vs if v in vals)
+                pinned = tuple(v for v in vs if v != free)
                 if pinned not in memo:
-                    memo[pinned] = tuple(f.subs_scalars(vals) for f in self.partials(*pinned))
+                    memo[pinned] = tuple(f.line(point, free) for f in self.partials(*pinned))
                 n, d = memo[pinned]
-                for v in (v for v in vs if v not in vals):
-                    n, d = n.derivative(v), d.derivative(v)
+                for _ in range(len(vs) - len(pinned)):
+                    n, d = n.derivative(free), d.derivative(free)
                 memo[vs] = n, d
             return memo[vs]
 
@@ -259,9 +259,10 @@ class _Fn:
                 out.append((ng[a] * dv - nv * dg[a]) * pow(pb, p - 2, p) % p)
         return out
 
-    def specialized_ratio(self, a: int, b: int, vals: dict[int, Fraction]) -> RatFun:
-        """(f_a / f_b) with the variables in vals pinned, exact and reduced."""
-        part = self.on_line(vals)
+    def specialized_ratio(self, a: int, b: int, point, free: int) -> RatFun:
+        """(f_a / f_b) on the line through point parallel to the x_free
+        axis, exact and reduced."""
+        part = self.on_line(point, free)
         (n, d), (na, da), (nb, db) = part(), part(a), part(b)
         den = nb * d - n * db
         if den.is_zero:
@@ -280,11 +281,10 @@ def _split_partial_ratio(fn: _Fn, a: int, b: int, rng):
     """
     arity = fn.num.arity
     for _ in range(RETRIES):
-        vals = {i: Fraction(rng.randrange(2, 98)) for i in range(arity)}
+        point = [rng.randrange(2, 98) for _ in range(arity)]
         try:
-            u = fn.specialized_ratio(a, b, {i: c for i, c in vals.items() if i != a})
-            hy = fn.specialized_ratio(a, b, {i: c for i, c in vals.items() if i != b})
-            point = tuple(vals[i] for i in range(arity))
+            u = fn.specialized_ratio(a, b, point, a)
+            hy = fn.specialized_ratio(a, b, point, b)
             h0 = u.eval_q(point)
         except (DegenerateSpecializationError, PoleError, ZeroDivisionError):
             continue
@@ -507,10 +507,10 @@ def _solve_beta(fn: _Fn, i: int, j: int, uj: RatFun, B0: RatFun, rng) -> Fractio
     draws another line; a K that is not a nonzero constant rejects the pivot.
     """
     for _ in range(RETRIES):
-        vals = {t: Fraction(rng.randrange(2, 98)) for t in range(3) if t != j}
+        point = [0 if t == j else rng.randrange(2, 98) for t in range(3)]
         try:
-            M = fn.specialized_ratio(i, j, vals) * uj.subs_scalars(vals)
-            b = B0.subs_scalars(vals)
+            M = fn.specialized_ratio(i, j, point, j) * uj
+            b = B0.line(point, j)
             K = M.partial(j) / b.partial(j)
         except (DegenerateSpecializationError, PoleError, ZeroDivisionError):
             continue
@@ -588,14 +588,13 @@ def fit_field(
             continue
         khat = None
         for _ in range(RETRIES):
-            cj = Fraction(rng.randrange(2, 98))
-            cl = Fraction(rng.randrange(2, 98))
-            point = [Fraction(1)] * 3
-            point[j], point[l] = cj, cl
+            point = [1] * 3
+            point[j] = rng.randrange(2, 98)
+            point[l] = rng.randrange(2, 98)
             try:
-                base = fn.specialized_ratio(i, j, {j: cj, l: cl})
-                ujv = uj.eval_q(tuple(point))
-                bv = Bc.eval_q(tuple(point))
+                base = fn.specialized_ratio(i, j, point, i)
+                ujv = uj.eval_q(point)
+                bv = Bc.eval_q(point)
             except (DegenerateSpecializationError, PoleError, ZeroDivisionError):
                 continue
             if ujv == 0 or bv == 0:
@@ -697,22 +696,22 @@ def _twisted_recover(P, fn, rng, dmax, primes, seed):
     from W and V at y = cy.  The parts are univariate by construction, and
     the certificate P = q(s) is the exact check.
     """
-    def ratio(vals, k):
-        g, delta = _twisted_g(fn.on_line(vals))
+    def ratio(point, free, k):
+        g, delta = _twisted_g(fn.on_line(point, free))
         return RatFun(-(g[1] * g[k]), delta)
 
     for _ in range(8):
-        cx, cy, cz = (Fraction(rng.randrange(2, 98)) for _ in range(3))
+        cx, cy, cz = (rng.randrange(2, 98) for _ in range(3))
         try:
-            u = ratio({0: cx, 2: cz}, 2).partial(1)
+            u = ratio((cx, cy, cz), 1, 2).partial(1)
             if u.is_zero:
                 continue
             r2 = hermite_antiderivative(u, 1)
             if r2 is None:
                 return None
-            r2cy, r2cy1 = (r2.subs_scalars({1: c}).constant_value() for c in (cy, cy + 1))
-            W, W1 = (ratio({1: c, 2: cz}, 2) for c in (cy, cy + 1))
-            V, V1 = (ratio({0: cx, 1: c}, 0) for c in (cy, cy + 1))
+            r2cy, r2cy1 = (r2.eval_q((cx, c, cz)) for c in (cy, cy + 1))
+            W, W1 = (ratio((cx, c, cz), 0, 2) for c in (cy, cy + 1))
+            V, V1 = (ratio((cx, c, cz), 2, 0) for c in (cy, cy + 1))
             r1 = W * ((r2cy1 - r2cy) / (W1 - W)) - r2cy
             r3 = V * ((r2cy1 - r2cy) / (V1 - V)) - r2cy
         except (DegenerateSpecializationError, PoleError, ZeroDivisionError, ValueError):

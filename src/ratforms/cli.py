@@ -259,10 +259,13 @@ def _read_corpus(path: str) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     ap = _build_parser()
-    # argparse reads the EXPR of "--function -x*y" as an option; "=" binds it
+    # argparse reads the EXPR of "--function -x*y" as an option; "=" binds it,
+    # after the full flag or any abbreviation that names only --function
+    longs = [s for s in ap._option_string_actions if s.startswith("--")]
     glued: list[str] = []
     for arg in sys.argv[1:] if argv is None else argv:
-        if glued[-1:] == ["--function"] and arg.startswith("-") and not arg.startswith("--"):
+        if (glued and [s for s in longs if s.startswith(glued[-1])] == ["--function"]
+                and arg.startswith("-") and not arg.startswith("--")):
             glued[-1] += "=" + arg
         else:
             glued.append(arg)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd as igcd, prod
-from operator import add as _add, getitem
+from operator import add as _add, getitem, mul
 from types import MappingProxyType
 
 from .modular import _divmod_mod, _trim
@@ -199,16 +199,30 @@ def _powers(degs: list[int], point, p: int) -> list[list[int]]:
     return out
 
 
-def _axis_line(ints: dict, powers, i: int, p: int) -> list[int]:
-    """The restriction mod p of integer terms to the line parallel to the
-    x_i axis through the point of powers (see _powers): its coefficients in
-    x_i, lowest first, added up in one pass over the terms.  Of powers[i]
-    only the length is used: it gives the degree in x_i."""
+def _qpowers(degs: list[int], point) -> tuple[list[list[int]], list[int]]:
+    """Per variable, the powers n^e * d^(deg - e) of the point's coordinate
+    x = n/d, for e up to the variable's degree, and d^deg: the powers are
+    integers, d^deg times x^e."""
+    rows, dens = [], []
+    for deg, x in zip(degs, point):
+        n, d = x.numerator, x.denominator
+        rows.append([n ** e * d ** (deg - e) for e in range(deg + 1)])
+        dens.append(d ** deg)
+    return rows, dens
+
+
+def _axis_line(ints: dict, powers, i: int) -> list[int]:
+    """The restriction of integer terms to the line parallel to the x_i axis
+    through the point of powers: its coefficients in x_i, lowest first,
+    unreduced, added up in one pass over the terms.  Powers mod p (see
+    _powers) give the restriction mod p, and exact ones (see _qpowers) the
+    exact restriction, times the d^deg of the other coordinates.  Of
+    powers[i] only the length is used: it gives the degree in x_i."""
     rows = powers[:i] + [[1] * len(powers[i])] + powers[i + 1 :]
     out = [0] * len(powers[i])
     for e, c in ints.items():
         out[e[i]] += c * prod(map(getitem, rows, e))
-    return _trim([c % p for c in out])
+    return out
 
 
 def _tables(degs: list[int], points, p: int) -> list[list[tuple[list[int], list[int]]]]:
@@ -316,7 +330,8 @@ def _gcd_degree_bound(f: dict, g: dict, arity: int) -> dict[int, int] | None:
     bound = {}
     for v in range(arity):
         if df[v] and dg[v]:
-            fu, gu = _axis_line(f, fpow, v, p), _axis_line(g, gpow, v, p)
+            fu = _trim([c % p for c in _axis_line(f, fpow, v)])
+            gu = _trim([c % p for c in _axis_line(g, gpow, v)])
             if len(fu) - 1 != df[v] or len(gu) - 1 != dg[v]:
                 return None
             while gu:  # Euclid over GF(p)
@@ -850,45 +865,27 @@ class Poly:
             out[tuple(k)] = c
         return Poly._make(out, self.content, new_arity)
 
-    def subs_scalars(self, values: dict[int, Fraction]) -> "Poly":
-        """Substitute exact scalars for some variables (arity preserved).
-
-        Each value n/d of x_i enters term by term as n^e * d^(D - e), with D
-        the degree in x_i, so the sum stays integral; the common d^D moves
-        into the content.
-        """
-        if not values:
-            return self
-        fr = {i: Fraction(v) for i, v in values.items()}
-        top = {i: self.degree_in(i) for i in fr}
-        pw: dict[tuple[int, int], int] = {}
-        out: dict[Term, int] = {}
-        for e, c in self.ints.items():
-            k = list(e)
-            for i, val in fr.items():
-                ei = e[i]
-                f = pw.get((i, ei))
-                if f is None:
-                    f = val.numerator ** ei * val.denominator ** (top[i] - ei)
-                    pw[(i, ei)] = f
-                c *= f
-                k[i] = 0
-            if c:
-                kk = tuple(k)
-                v = out.get(kk, 0) + c
-                if v:
-                    out[kk] = v
-                else:
-                    del out[kk]
-        den = 1
-        for i, val in fr.items():
-            den *= val.denominator ** top[i]
-        return Poly.from_ints(out, self.arity, self.content / den)
-
     # -- evaluation ----------------------------------------------------------
 
+    def line(self, point, i: int) -> "Poly":
+        """The restriction to the line through point parallel to the x_i
+        axis: a polynomial in x_i alone, read off in one pass over the terms.
+        Coordinates are ints or Fractions; point[i] is not used."""
+        rows, dens = _qpowers([_deg_in(self.ints, j) for j in range(self.arity)], point)
+        key = [0] * self.arity
+        terms = {}
+        for k, c in enumerate(_axis_line(self.ints, rows, i)):
+            if c:
+                key[i] = k
+                terms[tuple(key)] = c
+        dens[i] = 1
+        return Poly.from_ints(terms, self.arity, self.content / prod(dens))
+
     def eval_q(self, point) -> Fraction:
-        return self.subs_scalars(dict(enumerate(point))).constant_value()
+        """The exact value at a point of ints or Fractions: the line in x_0
+        through it (see line), at point[0]."""
+        rows, dens = _qpowers([_deg_in(self.ints, j) for j in range(self.arity)], point)
+        return self.content * sum(map(mul, _axis_line(self.ints, rows, 0), rows[0])) / prod(dens)
 
     def _content_mod(self, p: int) -> int:
         """The content mod p; BadPrimeError when p divides its denominator."""
@@ -933,7 +930,7 @@ class Poly:
         """
         scale = self._content_mod(p)
         degs = [_deg_in(self.ints, j) for j in range(self.arity)]
-        return _trim([c * scale % p for c in _axis_line(self.ints, _powers(degs, point, p), i, p)])
+        return _trim([c * scale % p for c in _axis_line(self.ints, _powers(degs, point, p), i)])
 
     def eval_grad_mod(self, points, p: int) -> list[list[int]]:
         """[value, d/dx_0, ..., d/dx_(n-1)] mod p at each mixture of one or two points.

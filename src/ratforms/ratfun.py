@@ -221,11 +221,7 @@ class RatFun:
     # -- calculus ----------------------------------------------------------------
 
     def partial(self, var: int) -> "RatFun":
-        """Exact partial derivative (quotient rule, canonicalized).
-
-        Uses gcd(D, D_var) to pre-cancel the structural common factor of
-        the quotient-rule fraction, which keeps the final reduction cheap.
-        """
+        """Exact partial derivative (quotient rule, canonicalized)."""
         n, d = self.num, self.den
         dn = n.derivative(var)
         dd = d.derivative(var)
@@ -233,11 +229,6 @@ class RatFun:
             if d.is_constant:
                 return RatFun(dn.scale(1 / d.constant_value()), Poly.const(1, self.arity), reduce=False)._mark()
             return RatFun(dn, d)
-        g = poly_gcd(d, dd)
-        if g.total_degree() > 0:
-            dg = divexact(d, g)
-            t = dn * dg - n * divexact(dd, g)
-            return RatFun(t, d * dg)
         return RatFun(dn * d - n * dd, d * d)
 
     # -- evaluation ----------------------------------------------------------------
@@ -266,16 +257,13 @@ class RatFun:
             out._mark()
         return out
 
-    def subs_scalars(self, values: dict[int, Fraction]) -> "RatFun":
-        """Substitute exact scalars for some variables (arity kept)."""
-        if not values:
-            return self
-        d = self.den.subs_scalars(values)
+    def line(self, point, i: int) -> "RatFun":
+        """The restriction to the line through point parallel to the x_i
+        axis (see Poly.line), reduced."""
+        d = self.den.line(point, i)
         if d.is_zero:
-            raise DegenerateSpecializationError(
-                "substitution lands identically on a pole"
-            )
-        return RatFun(self.num.subs_scalars(values), d)
+            raise DegenerateSpecializationError("the line lies in the pole set")
+        return RatFun(self.num.line(point, i), d)
 
     # -- formatting ----------------------------------------------------------------
 

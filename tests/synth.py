@@ -150,6 +150,19 @@ NON_TWISTED = (
 )
 
 
+def ref_subs(terms: dict, values: dict) -> dict:
+    """The Fraction model of pinning variables: values[i] is substituted
+    for x_i term by term in {exponent: coefficient}, and zero sums dropped."""
+    out: dict = {}
+    for e, c in terms.items():
+        k = list(e)
+        for i, v in values.items():
+            c *= Fraction(v) ** e[i]
+            k[i] = 0
+        out[tuple(k)] = out.get(tuple(k), 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
 def partial_ratio(f: RatFun, a: int, b: int) -> RatFun:
     """The ratio f_a / f_b, raw, with the common denominator cancelled upfront."""
     n, d = f.num, f.den

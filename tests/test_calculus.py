@@ -159,6 +159,21 @@ def test_residue_profile_splits_a_linear_factor_with_a_large_root():
     assert factor == Poly.variable(0, 1) - Poly.const(2199023255579, 1)
 
 
+def test_residue_profile_splits_a_quadratic_factor_with_large_roots():
+    # Yun's split keeps x - a and x - b in one squarefree quadratic whose end
+    # coefficients are beyond the divisor search's budget; its discriminant
+    # is a square, so both roots are read off it
+    a, b = 2199023255579, 2199023255591
+    prof = residue_profile(parse(f"1/((x - {a})*(x - {b}))", ("x",)), 0)
+    x = Poly.variable(0, 1)
+    assert sorted((str(f), r, s) for f, r, s in prof.residues) == sorted(
+        [(str(x - a), Fraction(1, a - b), True), (str(x - b), Fraction(1, b - a), True)]
+    )
+    # a quadratic with the same budget problem and no rational root stays whole
+    prof = residue_profile(parse(f"1/(x^2 - {2 * a * b})", ("x",)), 0)
+    assert [(f.degree_in(0), s) for f, _, s in prof.residues] == [(2, False)]
+
+
 def test_residue_profile_flags_non_splitting_factor():
     prof = residue_profile(parse("x/(x^2+1)", ("x",)), 0)
     assert len(prof.residues) == 1

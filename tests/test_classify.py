@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import synth
-from synth import partial_ratio
+from synth import partial_ratio, ref_subs
 from ratforms.classify import (
     DependenceCertificate,
     Fit,
@@ -385,14 +385,15 @@ def test_field_pivot_without_a_constant_shift_is_rejected():
 )
 def test_specialized_ratio_matches_six_substitutions(a, b, vals):
     fn = _Fn(parse("(x^2*y + z^3 + 1)/(x*y*z + 2) + x*z^2", TRI))
+    (free,) = set(range(3)) - set(vals)
 
     def sub(poly):
-        return poly.subs_scalars(vals)
+        return Poly(ref_subs(poly.terms, vals), 3)
 
     n, d = sub(fn.num), sub(fn.den)
     (na, da), (nb, db) = fn.partials(a), fn.partials(b)
     want = RatFun(sub(na) * d - n * sub(da), sub(nb) * d - n * sub(db))
-    got = fn.specialized_ratio(a, b, vals)
+    got = fn.specialized_ratio(a, b, [vals.get(t, 0) for t in range(3)], free)
     assert (got.num, got.den) == (want.num, want.den)
 
 
@@ -407,12 +408,13 @@ def test_specialized_ratio_matches_six_substitutions(a, b, vals):
 def test_twisted_g_on_a_line_matches_the_substituted_definition(vals):
     f = parse("(x^2*y + z^3 + 1)/(x*y*z + 2) + x*z^2*y^2", TRI)
     N, D = f.num, f.den
+    (free,) = set(range(3)) - set(vals)
 
     def sub(poly):
-        return poly.subs_scalars(vals)
+        return Poly(ref_subs(poly.terms, vals), 3)
 
-    part = _Fn(f).on_line(vals)
-    for vs in ((), (0,), (1,), (2,), (1, 0), (1, 2)):
+    part = _Fn(f).on_line([vals.get(t, 0) for t in range(3)], free)
+    for vs in ((), (0,), (1,), (2,), (1, 0), (1, 2), (1, 1)):
         n, d = N, D
         for v in vs:
             n, d = n.derivative(v), d.derivative(v)
@@ -429,31 +431,31 @@ def test_twisted_g_on_a_line_matches_the_substituted_definition(vals):
 def test_twisted_recovery_restricts_each_partial_once(monkeypatch):
     # (x+y+z)^11 has delta = 0, so both gates pass vacuously and all eight
     # recovery attempts run.  A pinned partial of N or D is differentiated
-    # once per fitter and substituted once per line: three nonconstant
-    # substitutions on each attempt's y-line.  Re-deriving the partials on
+    # once per fitter and restricted once per line: three nonconstant
+    # restrictions on each attempt's y-line.  Re-deriving the partials on
     # every attempt repeats 43 multivariate derivatives here, and
-    # substituting every partial of N and N_y makes 64 substitutions.
+    # restricting every partial of N and N_y makes 64 restrictions.
     derivs = Counter()
-    subs = []
-    derivative, subs_scalars = Poly.derivative, Poly.subs_scalars
+    lines = []
+    derivative, line = Poly.derivative, Poly.line
 
     def counted_derivative(self, i):
         if sum(any(e[v] for e in self.ints) for v in range(self.arity)) >= 2:
             derivs[(self.content, frozenset(self.ints.items()), i)] += 1
         return derivative(self, i)
 
-    def counted_subs(self, vals):
-        if len(vals) == 2 and not self.is_constant:
-            subs.append(vals)
-        return subs_scalars(self, vals)
+    def counted_line(self, point, i):
+        if not self.is_constant:
+            lines.append((tuple(point), i))
+        return line(self, point, i)
 
     monkeypatch.setattr(Poly, "derivative", counted_derivative)
-    monkeypatch.setattr(Poly, "subs_scalars", counted_subs)
+    monkeypatch.setattr(Poly, "line", counted_line)
     diag = {}
     assert fit_twisted(parse("(x+y+z)^11", TRI), diagnostics=diag) is None
     assert diag == {"twisted_gates": True}
     assert derivs and max(derivs.values()) == 1
-    assert 0 < len(subs) <= 24
+    assert 0 < len(lines) <= 24
 
 
 # -- modular probes ---------------------------------------------------------------

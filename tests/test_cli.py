@@ -57,8 +57,9 @@ def test_multiplicative_example(capsys):
 
 
 def test_an_expression_may_start_with_a_minus(capsys):
-    # argparse alone reads the "-x*y" of "--function -x*y" as an option
-    for argv in (["--function", "-x*y"], ["--function=-x*y"]):
+    # argparse alone reads the "-x*y" of "--function -x*y" as an option; an
+    # abbreviation that names only --function binds it too
+    for argv in (["--function", "-x*y"], ["--function=-x*y"], ["--func", "-x*y"], ["--fun", "-x*y"]):
         code, reports = _run_json(capsys, ["--vars", "x,y"] + argv)
         assert code == 0
         (rep,) = reports

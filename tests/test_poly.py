@@ -9,6 +9,7 @@ from math import gcd
 
 import pytest
 
+from synth import ref_subs
 from ratforms.poly import (
     BadPrimeError,
     _LINE_P,
@@ -170,17 +171,6 @@ def _ref_eval(a: dict, point) -> Fraction:
     return acc
 
 
-def _ref_subs(a: dict, values: dict) -> dict:
-    out: dict = {}
-    for e, c in a.items():
-        k = list(e)
-        for i, v in values.items():
-            c *= Fraction(v) ** e[i]
-            k[i] = 0
-        out[tuple(k)] = out.get(tuple(k), 0) + c
-    return {e: c for e, c in out.items() if c}
-
-
 def _random_terms(rng: random.Random, arity: int, nterms: int = 5) -> dict:
     terms = {}
     for _ in range(rng.randint(0, nterms)):
@@ -273,13 +263,14 @@ def test_derivative_and_embed_match_the_fraction_model():
         assert dict(got.terms) == want
 
 
-def test_subs_scalars_matches_the_fraction_model():
+def test_line_matches_the_fraction_model():
     values = [0, 1, -1, 3, Fraction(-2, 3), Fraction(7, 4)]
     for rng, arity, ta, _tb in _cases(14):
-        chosen = {i: rng.choice(values) for i in range(arity) if rng.random() < 0.7}
-        got = Poly(ta, arity).subs_scalars(chosen)
-        _assert_canonical(got)
-        assert dict(got.terms) == _ref_subs(ta, chosen)
+        point = [rng.choice(values) for _ in range(arity)]
+        for i in range(arity):
+            got = Poly(ta, arity).line(point, i)
+            _assert_canonical(got)
+            assert dict(got.terms) == ref_subs(ta, {j: x for j, x in enumerate(point) if j != i})
 
 
 def test_evaluation_matches_the_fraction_model():
@@ -290,6 +281,8 @@ def test_evaluation_matches_the_fraction_model():
         assert a.eval_q(qpoint) == _ref_eval(ta, qpoint)
         ipoint = [rng.randrange(p) for _ in range(arity)]
         want = _ref_eval(ta, ipoint)
+        got = a.eval_q(ipoint)
+        assert type(got) is Fraction and got == want
         assert a.eval_mod(ipoint, p) == want.numerator * pow(want.denominator, -1, p) % p
 
 
@@ -408,19 +401,25 @@ def test_compiled_values_and_partials_match_exact_derivatives():
 def test_line_mod_is_the_exact_restriction_to_an_axis_parallel_line():
     rng = random.Random(24)
     p = 1000003
+
+    def residues(terms, arity, i, deg):
+        out = [_residue(terms.get(tuple(j if k == i else 0 for k in range(arity)), Fraction(0)), p)
+               for j in range(deg + 1)]
+        while out and not out[-1]:
+            out.pop()
+        return out
+
     for arity in range(1, 4):
         for _ in range(20):
-            q = Poly(_random_terms(rng, arity), arity)
+            terms = _random_terms(rng, arity)
+            q = Poly(terms, arity)
             point = [rng.randrange(1, p) for _ in range(arity)]
             for i in range(arity):
-                others = {j: Fraction(point[j]) for j in range(arity) if j != i}
-                restriction = q.subs_scalars(others)
-                want = [_residue(restriction.terms.get(tuple(j if k == i else 0 for k in range(arity)),
-                                                       Fraction(0)), p)
-                        for j in range(q.degree_in(i) + 1)]
-                while want and not want[-1]:
-                    want.pop()
-                assert q.line_mod(point, i, p) == want
+                restriction = ref_subs(terms, {j: x for j, x in enumerate(point) if j != i})
+                got = q.line_mod(point, i, p)
+                assert got == residues(restriction, arity, i, q.degree_in(i))
+                # the modular restriction is the exact one, reduced mod p
+                assert got == residues(q.line(point, i).terms, arity, i, q.degree_in(i))
 
 
 def test_gcd_degree_bound_is_at_least_the_shared_degree():

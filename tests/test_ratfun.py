@@ -299,13 +299,9 @@ def test_eval_is_a_homomorphism():
 
 
 def test_substitute_scalar():
+    # the line through (., 3/2, 0) parallel to the x axis; x's coordinate is not used
     f = parse("(x+y)/(y+z)", TRI)
-    assert f.subs_scalars({2: Fraction(0)}) == parse("(x+y)/y", TRI)
-
-
-def test_substitute_empty_assignment_is_identity():
-    f = parse("(x+y)/(y+z)", TRI)
-    assert f.subs_scalars({}) == f
+    assert f.line((5, Fraction(3, 2), 0), 0) == parse("(2*x + 3)/3", TRI)
 
 
 def test_substitute_function_value():
@@ -317,7 +313,7 @@ def test_substitute_function_value():
 def test_substitute_onto_identical_pole_is_degenerate():
     f = parse("1/((x - 2)*y)", BI)
     with pytest.raises(DegenerateSpecializationError):
-        f.subs_scalars({0: Fraction(2)})
+        f.line((2, 7), 1)
 
 
 # -- identity testing -------------------------------------------------------
