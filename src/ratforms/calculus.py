@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from itertools import count
+from math import lcm
 
-from .modular import _trim
+from .modular import _eval_uni_mod, _trim, is_probable_prime, rational_reconstruct
 from .poly import Poly
 from .ratfun import RatFun
 
@@ -267,10 +268,11 @@ class ResidueProfile:
     """Pole structure of f in one variable over Q.
 
     squarefree_poles: (monic squarefree factor, multiplicity) of the
-    denominator.  residues: per simple-pole factor after Hermite
-    reduction, (factor, residue, splits_over_Q); for a factor that does
-    not split over Q the recorded value is the exact trace (sum of the
-    residues at its conjugate poles) and the flag is False.
+    denominator.  residues: after Hermite reduction, (x - a, residue at a,
+    True) for every rational pole a, in ascending order per squarefree
+    factor, then (cofactor, trace, False) for the part of that factor with
+    no rational root, if any: the trace is the exact sum of the residues at
+    its poles.
     """
 
     var: int
@@ -279,123 +281,55 @@ class ResidueProfile:
     polynomial_part: Poly
 
 
-def _divisors(n: int, budget: int = 1 << 20) -> list[int] | None:
-    """All positive divisors of n, or None when n is too hard to factor."""
-    n = abs(n)
-    if n == 0:
-        return None
-    fac: dict[int, int] = {}
-    m = n
-    p = 2
-    while p * p <= m:
-        if p > budget:
-            return None
-        while m % p == 0:
-            fac[p] = fac.get(p, 0) + 1
-            m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        fac[m] = fac.get(m, 0) + 1
-    divs = [1]
-    for q, e in fac.items():
-        divs = [d * q**k for d in divs for k in range(e + 1)]
-    divs.sort()
-    return divs
-
-
 def _rational_roots(p: list) -> tuple[list[Fraction], list]:
-    """(rational roots of squarefree p, monic deflated cofactor).
+    """(rational roots of squarefree p, ascending; monic deflated cofactor).
 
-    A linear cofactor's root is read off as -c0/c1; a larger one is tried
-    at the candidates p/q of the rational root theorem.  Where the divisors
-    of its end coefficients are too hard to find, a quadratic's roots come
-    from its discriminant, and a larger cofactor is left as it is, though it
-    may still have rational roots.
+    The roots of the integer form c_0 + ... + c_d x^d of p are found modulo
+    the first prime q that does not divide c_d and at which they are all
+    simple, lifted q-adically by Newton's iteration until q^k exceeds
+    2*max(|c_0|, |c_d|)^2, and rebuilt by rational reconstruction.  Every
+    rational root a/b has |a| <= |c_0| and b | c_d, and distinct ones stay
+    distinct modulo q, so every one is found; a candidate is kept only if it
+    is an exact root (Loos, SIAM J. Comput. 12, 1983).  A prime that
+    qualifies exists because p is squarefree.
     """
     roots: list[Fraction] = []
     cur = list(p)
-
-    def deflate(cs: list[Fraction], a: Fraction) -> list[Fraction]:
-        # synthetic division by (x - a); remainder is known to be zero
-        q = [Fraction(0)] * (len(cs) - 1)
-        carry = cs[-1]
-        for i in range(len(cs) - 2, -1, -1):
-            q[i] = carry
-            carry = cs[i] + carry * a
-        return q
-
-    while len(cur) > 1:
-        # strip root at zero
-        if cur[0] == 0:
-            roots.append(Fraction(0))
-            cur = cur[1:]
-            continue
-        if len(cur) == 2:
-            roots.append(-cur[0] / cur[1])
-            cur = [cur[1]]
-            break
-        den_l = 1
-        for c in cur:
-            den_l = den_l * c.denominator // gcd(den_l, c.denominator)
-        ints = [int(c * den_l) for c in cur]
-        g0 = 0
-        for c in ints:
-            g0 = gcd(g0, c)
-        ints = [c // g0 for c in ints]
-        d0 = _divisors(ints[0])
-        dl = _divisors(ints[-1])
-        if d0 is None or dl is None:
-            # too hard to factor: a quadratic's roots come from its discriminant
-            if len(ints) == 3:
-                c, b, a = ints
-                disc = b * b - 4 * a * c
-                if disc > 0 and (r := isqrt(disc)) ** 2 == disc:
-                    roots += sorted(Fraction(-b + s, 2 * a) for s in (r, -r))
-                    cur = cur[2:]
-            break
-        found = None
-        for q in dl:
-            for r in d0:
-                for num in (r, -r):
-                    cand = Fraction(num, q)
-                    if _eval(cur, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
+    if cur[0] == 0:
+        roots.append(Fraction(0))
+        cur = cur[1:]
+    if len(cur) == 2:
+        roots.append(-cur[0] / cur[1])
+        cur = cur[1:]
+    elif len(cur) > 2:
+        den = lcm(*(c.denominator for c in cur))
+        ints = [int(c * den) for c in cur]
+        dp = _deriv(ints)
+        for q in filter(is_probable_prime, count(2)):
+            if ints[-1] % q:
+                found = [r for r in range(q) if _eval_uni_mod(ints, r, q) == 0]
+                if all(_eval_uni_mod(dp, r, q) for r in found):
                     break
-            if found is not None:
-                break
-        if found is None:
-            break
-        roots.append(found)
-        cur = deflate(cur, found)
-    return roots, _monic(cur)
-
-
-def _power_sums(f: list, upto: int) -> list[Fraction]:
-    """Newton power sums p_0..p_upto of the roots of monic f over Q."""
-    d = len(f) - 1
-    e = [Fraction(0)] * (d + 1)  # e[k] = elementary symmetric with sign fix
-    for k in range(1, d + 1):
-        e[k] = (-1) ** k * f[d - k]
-    ps = [Fraction(d)]
-    for k in range(1, upto + 1):
-        if k <= d:
-            acc = Fraction(0)
-            for j in range(1, k):
-                acc += (-1) ** (j - 1) * e[j] * ps[k - j]
-            acc += (-1) ** (k - 1) * e[k] * k
-            ps.append(acc)
-        else:
-            acc = Fraction(0)
-            for j in range(1, d + 1):
-                acc += (-1) ** (j - 1) * e[j] * ps[k - j]
-            ps.append(acc)
-    return ps
+        bound = 2 * max(abs(ints[0]), abs(ints[-1])) ** 2
+        for r in found:
+            m = q
+            while m <= bound:
+                m *= m
+                r = (r - _eval_uni_mod(ints, r, m) * pow(_eval_uni_mod(dp, r, m), -1, m)) % m
+            a = rational_reconstruct(r, m)
+            if a is not None and _eval(cur, a) == 0:
+                roots.append(a)
+                cur = _divexact(cur, [-a, _ONE])
+    return sorted(roots), _monic(cur)
 
 
 def residue_profile(f: RatFun, var: int) -> ResidueProfile:
-    """Exact pole/residue data of f in var; requires f univariate over Q."""
+    """Exact pole/residue data of f in var; requires f univariate over Q.
+
+    Each squarefree factor of the denominator gives up all of its rational
+    roots (see _rational_roots); what is left of it is one cofactor, whose
+    trace is read off without its irrational roots.
+    """
     if f.is_zero:
         raise ValueError("residue profile of the zero function")
     q, r, d = _proper_parts(f, var)
@@ -416,9 +350,11 @@ def residue_profile(f: RatFun, var: int) -> ResidueProfile:
             factor = Poly.variable(var, arity) - Poly.const(a, arity)
             residues.append((factor, _eval(s, a) / _eval(dsp, a), True))
         if len(cof) > 1:
+            # the residue at a root a of cof is w(a); by Lagrange interpolation
+            # at those roots, their sum is the x^(d-1) coefficient of w*cof'
             w = _rem(_mul(_rem(s, cof), _inverse_mod(dsp, cof)), cof)
-            ps = _power_sums(cof, max(0, len(w) - 1))
-            trace = sum((c * p for c, p in zip(w, ps)), Fraction(0))
+            h = _rem(_mul(w, _deriv(cof)), cof)
+            trace = Fraction(h[-1] if len(h) == len(cof) - 1 else 0)
             residues.append((_poly(cof, var, arity), trace, False))
     return ResidueProfile(var, sq, tuple(residues), poly_part)
 

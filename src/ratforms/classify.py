@@ -831,8 +831,8 @@ def fit_bivariate(
     P: RatFun,
     dmax: int | None = None,
     primes: tuple[int, ...] = DEFAULT_PRIMES,
-    seed: int = 0,
     samples: int = 16,
+    seed: int = 0,
 ) -> FormReport:
     """Classify a bivariate function: Q(F+G), Q(F*G), or no constraint.
 

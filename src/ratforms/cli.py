@@ -290,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.corpus is not None:
         try:
             exprs.extend(_read_corpus(args.corpus))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"{ap.prog}: error: cannot read corpus: {exc}", file=sys.stderr)
             return 1
     if not exprs:

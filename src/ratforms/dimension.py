@@ -132,6 +132,8 @@ def image_dimension(
     ends the search at once: observed ranks never exceed the generic rank,
     so it is already proof.
     """
+    if samples < 1:
+        raise ValueError("samples must be positive")
     full = 2 * f.arity
     for attempt in range(2):
         ns = samples << attempt

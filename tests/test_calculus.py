@@ -10,13 +10,16 @@ import pytest
 
 from synth import partial_ratio
 from ratforms.calculus import (
+    _ONE,
     _coeffs,
     _divexact,
     _gcd,
     _hermite_core,
     _inverse_mod,
     _monic,
+    _mul,
     _poly,
+    _rational_roots,
     _trim,
     hermite_antiderivative,
     logderiv_integrate,
@@ -150,8 +153,7 @@ def test_residue_profile_two_simple_poles():
 
 
 def test_residue_profile_splits_a_linear_factor_with_a_large_root():
-    # the root's end coefficients are beyond the divisor search's budget, so
-    # a linear factor must be split by reading its root off directly
+    # a linear factor's root is read off directly, however large
     prof = residue_profile(parse("1/(x - 2199023255579)", ("x",)), 0)
     assert len(prof.residues) == 1
     factor, res, splits = prof.residues[0]
@@ -160,16 +162,23 @@ def test_residue_profile_splits_a_linear_factor_with_a_large_root():
 
 
 def test_residue_profile_splits_a_quadratic_factor_with_large_roots():
-    # Yun's split keeps x - a and x - b in one squarefree quadratic whose end
-    # coefficients are beyond the divisor search's budget; its discriminant
-    # is a square, so both roots are read off it
-    a, b = 2199023255579, 2199023255591
-    prof = residue_profile(parse(f"1/((x - {a})*(x - {b}))", ("x",)), 0)
+    # Yun's split keeps the linear factors of 1/((x - a)(x - b)) in one
+    # squarefree quadratic, and those of 1/((x - a)(x - b)(x - c)) in one
+    # cubic, with roots near 2^41; every root is split off, with residue
+    # 1 / prod (root - other root)
+    a, b, c = 2199023255579, 2199023255591, 2199023255617
     x = Poly.variable(0, 1)
-    assert sorted((str(f), r, s) for f, r, s in prof.residues) == sorted(
-        [(str(x - a), Fraction(1, a - b), True), (str(x - b), Fraction(1, b - a), True)]
-    )
-    # a quadratic with the same budget problem and no rational root stays whole
+    for roots in ((a, b), (a, b, c)):
+        den = "*".join(f"(x - {r})" for r in roots)
+        prof = residue_profile(parse(f"1/({den})", ("x",)), 0)
+        want = []
+        for r in roots:
+            res = Fraction(1)
+            for o in roots:
+                res /= r - o if o != r else 1
+            want.append((str(x - r), res, True))
+        assert sorted((str(f), r, s) for f, r, s in prof.residues) == sorted(want)
+    # a quadratic of the same size with no rational root stays whole
     prof = residue_profile(parse(f"1/(x^2 - {2 * a * b})", ("x",)), 0)
     assert [(f.degree_in(0), s) for f, _, s in prof.residues] == [(2, False)]
 
@@ -341,13 +350,38 @@ def test_residue_profile_exact_residues_and_trace():
         f = parse(f"({b.numerator}/{b.denominator}*x + {e})/(x^2 + {k})", X)
         for r, c in zip(roots, cs):
             f = f + parse(f"({c.numerator}/{c.denominator})/(x - {r})", X)
+        # an irreducible cubic x^3 + k3 under a quadratic numerator: the
+        # residues (a*t^2 + ...)/(3*t^2) at its roots t sum to a
+        k3, a = rng.choice((2, 3, 4, 5, 6, 7, 9, 10)), rng.choice((-3, -1, 1, 2, 5))
+        f = f + parse(f"({a}*x^2 + {rng.randint(-4, 4)}*x + {rng.randint(-4, 4)})/(x^3 + {k3})", X)
         prof = residue_profile(f, 0)
         assert prof.polynomial_part.is_zero
         assert all(m == 1 for _, m in prof.squarefree_poles)
         split = {fac.to_str(X): res for fac, res, ok in prof.residues if ok}
         assert split == {parse(f"x - {r}", X).to_str(X): c for r, c in zip(roots, cs)}
+        # Yun keeps both irreducible factors in one squarefree cofactor
         (traced,) = [(fac, res) for fac, res, ok in prof.residues if not ok]
-        assert traced == (parse(f"x^2 + {k}", X).num, b)
+        assert traced == (parse(f"(x^2 + {k})*(x^3 + {k3})", X).num, b + a)
+
+
+def test_rational_roots_of_planted_factors():
+    # distinct roots n/d with |n|, d up to 2^45 times an irreducible x^2 + k,
+    # then two cubics whose first primes are skipped: (x-1)(x-3)(x-4) has a
+    # double root mod 2 and mod 3, and the integer form of (2x-1)(3x-1)(x-2)
+    # has a leading coefficient divisible by 2 and 3
+    rng = random.Random(61)
+    big = 1 << 45
+    cases = [([Fraction(1), Fraction(3), Fraction(4)], []),
+             ([Fraction(1, 3), Fraction(1, 2), Fraction(2)], [])]
+    for _ in range(12):
+        roots = {Fraction(rng.randint(-big, big), rng.randint(1, big)) for _ in range(rng.randint(1, 4))}
+        cases.append((sorted(roots), [Fraction(rng.randint(1, big)), Fraction(0)]))
+    for roots, cof in cases:
+        cof = cof + [_ONE]
+        p = cof
+        for r in roots:
+            p = _mul(p, [-r, _ONE])
+        assert _rational_roots(p) == (roots, cof)
 
 
 def test_fraction_and_ratfun_coefficients_agree():

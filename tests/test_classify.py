@@ -180,10 +180,13 @@ def test_bivariate_multiplicative_square():
 
 
 def test_bivariate_no_constraint():
-    rep = fit_bivariate(parse("x + y + x^2*y^3", BI))
+    P = parse("x + y + x^2*y^3", BI)
+    rep = fit_bivariate(P)
     assert rep.verdict == "NoConstraint"
     assert rep.certificate is None and rep.fitted is None
     assert rep.diagnostics["group_sep_xy"] is False
+    # the same parameter order as classify_trivariate: ..., samples, seed
+    assert fit_bivariate(P, None, DEFAULT_PRIMES, 16, 0) == rep
 
 
 def test_bivariate_degenerate():

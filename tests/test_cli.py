@@ -235,6 +235,15 @@ def test_missing_corpus_exits_1(capsys):
     assert "cannot read corpus" in capsys.readouterr().err
 
 
+def test_corpus_that_is_not_utf8_exits_1(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(b"x*y\n\xff\n")
+    code = main(["--vars", "x,y", "--corpus", str(corpus)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "cannot read corpus" in err and "Traceback" not in err
+
+
 def test_function_flag_repeats_preserve_order(capsys):
     code, reports = _run_json(
         capsys,

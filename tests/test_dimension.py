@@ -70,6 +70,9 @@ def test_generic_rank_all_poles_is_surfaced():
     f = parse("y + 1/((x^5 - x)*(x^11 - x))", BI)
     with pytest.raises(AllPolesError):
         image_dimension(f, primes=(5, 11), samples=4)
+    # an empty sample budget is a usage error, not a function of poles
+    with pytest.raises(ValueError, match="samples"):
+        image_dimension(f, samples=0)
 
 
 def _exact_rows(f: RatFun, w: list[int], p: int) -> list[list[int]] | None:
