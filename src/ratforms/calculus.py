@@ -350,8 +350,8 @@ def residue_profile(f: RatFun, var: int) -> ResidueProfile:
             factor = Poly.variable(var, arity) - Poly.const(a, arity)
             residues.append((factor, _eval(s, a) / _eval(dsp, a), True))
         if len(cof) > 1:
-            # the residue at a root a of cof is w(a); by Lagrange interpolation
-            # at those roots, their sum is the x^(d-1) coefficient of w*cof'
+            # the residue at a root a of cof, of degree d, is w(a); by Lagrange
+            # interpolation at those roots, their sum is the x^(d-1) coefficient of w*cof'
             w = _rem(_mul(_rem(s, cof), _inverse_mod(dsp, cof)), cof)
             h = _rem(_mul(w, _deriv(cof)), cof)
             trace = Fraction(h[-1] if len(h) == len(cof) - 1 else 0)
