@@ -19,15 +19,16 @@ nondegeneracy check, the fitters (group; then field and twisted for three
 variables), and, when no form certifies, one measurement of the image
 dimension, which decides NoConstraint.
 
-Fitting runs in two phases.  Cheap modular value probes ("gates") reject
-wrong shapes fast -- an unequal pair of residues is an exact disproof of the
-identity being probed, so gates never eliminate a true match except with
-negligible probability, and a fluke pass is harmless because every positive
-path ends in a verified certificate.  Recovery then works on exact
-univariate specializations (lines on which every other variable is pinned
-to a small integer): no fitter evaluates P at an exact multivariate point,
-and no step multiplies two large multivariate polynomials except the
-certificate check.
+Fitting runs in two phases.  Cheap modular probes ("gates") reject wrong
+shapes fast: _probe reads the two sides of an identity among the partials
+of P (see ratfun.partials_mod) at random pairs of points mod p, and an
+unequal pair is an exact disproof, so gates never eliminate a true match
+except with negligible probability (Schwartz, J. ACM 27, 1980); a fluke
+pass is harmless because every positive path ends in a verified
+certificate.  Recovery then works on exact univariate specializations
+(lines on which every other variable is pinned to a small integer): no
+fitter evaluates P at an exact multivariate point, and no step multiplies
+two large multivariate polynomials except the certificate check.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .ratfun import (
     PoleError,
     RatFun,
     compose_numerator,
+    partials_mod,
     pole_free_values,
 )
 
@@ -198,8 +200,8 @@ class _Fn:
     and caches the partial-derivative pairs (N_vs, D_vs); every partial uses
     (N_i D - N D_i) / D^2, so the only exact quotient formed is one of
     polynomials restricted to a line (see on_line).  Values mod p come from
-    one two-copy walk of N and one of D, which gives the ratio at every
-    mixture of two points (see ratios_mod).
+    ratfun.partials_mod, which gives the ratio at every mixture of two
+    points (see ratios_mod).
     """
 
     __slots__ = ("num", "den", "_parts")
@@ -240,24 +242,17 @@ class _Fn:
 
         return part
 
-    def ratios_mod(self, a: int, b: int, points, p: int, ks) -> list[int | None]:
-        """(f_a / f_b) mod p at the mixtures ks of two points.
+    def ratios_mod(self, a: int, b: int, points, p: int, ks) -> list[int]:
+        """(f_a / f_b) mod p at the mixtures ks of two points, read off
+        ratfun.partials_mod; PoleError where D or f_b vanishes at one.
 
-        Mixture k takes x_i from points[bit i of k] (see Poly.eval_grad_mod);
-        an entry is None where D or f_b vanishes.
+        Mixture k takes x_i from points[bit i of k] (see Poly.eval_grad_mod).
         """
-        dens = self.den.eval_grad_mod(points, p)
-        nums = self.num.eval_grad_mod(points, p)
-        out = []
-        for k in ks:
-            dv, *dg = dens[k]
-            nv, *ng = nums[k]
-            pb = (ng[b] * dv - nv * dg[b]) % p
-            if dv == 0 or pb == 0:
-                out.append(None)
-            else:
-                out.append((ng[a] * dv - nv * dg[a]) * pow(pb, p - 2, p) % p)
-        return out
+        parts = partials_mod(self.num, self.den, points, p)
+        rows = [parts[k] for k in ks]
+        if not all(dv and gs[b] for dv, gs in rows):
+            raise PoleError("pole or vanishing partial at sample point")
+        return [gs[a] * pow(gs[b], -1, p) % p for _, gs in rows]
 
     def specialized_ratio(self, a: int, b: int, point, free: int) -> RatFun:
         """(f_a / f_b) on the line through point parallel to the x_free
@@ -294,69 +289,55 @@ def _split_partial_ratio(fn: _Fn, a: int, b: int, rng):
     return None
 
 
-def _gate_ratio_separable(fn: _Fn, a: int, b: int, rng, p: int) -> bool:
-    """Probe H(X,Y) H(X0,Y0) = H(X,Y0) H(X0,Y) for H = f_a/f_b mod p.
+def _probe(sides, arity: int, moved, rng, p: int) -> bool:
+    """Probe an identity mod p at random pairs of points w, w2.
 
-    X and Y are x_a and x_b.  The four corners are mixtures of w and w with
-    (X, Y) := (X0, Y0), read
-    off one two-copy walk of N and one of D.  An unequal residue pair is an
-    exact disproof of separability; two agreeing probes are strong (not
-    absolute) evidence for it.
-    """
-    arity = fn.num.arity
-    corners = (0, 1 << a, 1 << b, (1 << a) | (1 << b))
-    ok = 0
-    tries = 0
-    while ok < 2 and tries < RETRIES:
-        tries += 1
-        w = [rng.randrange(1, p) for _ in range(arity)]
-        wxy = list(w)
-        wxy[a] = rng.randrange(1, p)
-        wxy[b] = rng.randrange(1, p)
-        v, vx, vy, v00 = fn.ratios_mod(a, b, (w, wxy), p, corners)
-        if None in (v, vx, vy, v00):
-            continue
-        if v * v00 % p != vy * vx % p:
-            return False
-        ok += 1
-    return ok == 2
-
-
-def _gate_value_indep(pair, arity: int, var: int, rng, p: int) -> bool:
-    """Probe that a mod-p value function does not depend on one variable.
-
-    pair(w, w2, var, p) returns the function's values at two points that
-    differ only in x_var, or raises PoleError; each value function reads
-    both off one two-copy walk per polynomial, at the mixture indices 0
-    and 1 << var (see Poly.eval_grad_mod).  Two agreeing probes pass.
+    Each of up to RETRIES tries draws w, then a copy w2 with the coordinates
+    in `moved` redrawn, in that order; a copy equal to w is skipped, since
+    every mixture of the two is then w and any identity holds vacuously.
+    sides(w, w2) returns the identity's two sides or raises PoleError,
+    which skips the try.  An unequal pair is an exact disproof and returns
+    False at once; two agreeing tries return True.
     """
     ok = 0
-    tries = 0
-    while ok < 2 and tries < RETRIES:
-        tries += 1
+    for _ in range(RETRIES):
         w = [rng.randrange(1, p) for _ in range(arity)]
         w2 = list(w)
-        w2[var] = rng.randrange(1, p)
-        if w2[var] == w[var]:
+        for v in moved:
+            w2[v] = rng.randrange(1, p)
+        if w2 == w:
             continue
         try:
-            v, v2 = pair(w, w2, var, p)
+            lhs, rhs = sides(w, w2)
         except PoleError:
             continue
-        if v != v2:
+        if lhs != rhs:
             return False
         ok += 1
-    return ok == 2
+        if ok == 2:
+            return True
+    return False
+
+
+def _gate_ratio_separable(fn: _Fn, a: int, b: int, rng, p: int) -> bool:
+    """Probe H(X,Y) H(X0,Y0) = H(X,Y0) H(X0,Y) for H = f_a/f_b mod p, with
+    X = x_a and Y = x_b moved together; the four corners are mixtures of the
+    two points.  A False disproves separability; a True is strong (not
+    absolute) evidence for it."""
+    corners = (0, 1 << a, 1 << b, (1 << a) | (1 << b))
+
+    def sides(w, w2):
+        v, vx, vy, v00 = fn.ratios_mod(a, b, (w, w2), p, corners)
+        return v * v00 % p, vy * vx % p
+
+    return _probe(sides, fn.num.arity, (a, b), rng, p)
 
 
 def _gate_ratio_indep(fn: _Fn, a: int, b: int, var: int, rng, p: int) -> bool:
-    def pair(w, w2, var, p):
-        v, v2 = fn.ratios_mod(a, b, (w, w2), p, (0, 1 << var))
-        if v is None or v2 is None:
-            raise PoleError("pole or vanishing partial at sample point")
-        return v, v2
-
-    return _gate_value_indep(pair, fn.num.arity, var, rng, p)
+    """Probe that f_a/f_b mod p does not depend on x_var: its values at w
+    and at the copy with x_var moved, mixtures 0 and -1, agree."""
+    return _probe(lambda w, w2: fn.ratios_mod(a, b, (w, w2), p, (0, -1)),
+                  fn.num.arity, (var,), rng, p)
 
 
 def _fraction_gcd(vals) -> Fraction:
@@ -523,6 +504,23 @@ def _solve_beta(fn: _Fn, i: int, j: int, uj: RatFun, B0: RatFun, rng) -> Fractio
     return None
 
 
+def _field_k_mod(fn: _Fn, i: int, j: int, uj: RatFun, Bc: RatFun, p: int):
+    """Sides (see _probe) of K = P_i * r_j' / (P_j * B) at w and at its
+    moved copy (mixtures 0 and -1), for the field pivot x_i with inner sum
+    B = Bc and uj = r_j' up to scale; free of x_j and x_l for a field form.
+    """
+    def sides(w, w2):
+        out = []
+        for r, pt in zip(fn.ratios_mod(i, j, (w, w2), p, (0, -1)), (w, w2)):
+            u, bv = uj.eval_mod(pt, p), Bc.eval_mod(pt, p)
+            if bv == 0:
+                raise PoleError("inner sum vanishes at sample point")
+            out.append(r * u * pow(bv, -1, p) % p)
+        return out
+
+    return sides
+
+
 def fit_field(
     P: RatFun,
     dmax: int | None = None,
@@ -570,20 +568,8 @@ def fit_field(
             continue
         Bc = B0 + beta
 
-        def kval(w, w2, var, p, _bc=Bc, _uj=uj, _i=i, _j=j):
-            out = []
-            for r, pt in zip(fn.ratios_mod(_i, _j, (w, w2), p, (0, 1 << var)), (w, w2)):
-                if r is None:
-                    raise PoleError("pole or vanishing partial at sample point")
-                t = r * _uj.eval_mod(pt, p) % p
-                bv = _bc.eval_mod(pt, p)
-                if bv == 0:
-                    raise PoleError("inner sum vanishes at sample point")
-                out.append(t * pow(bv, p - 2, p) % p)
-            return out
-
-        if not (_gate_value_indep(kval, 3, j, rng, primes[0])
-                and _gate_value_indep(kval, 3, l, rng, primes[0])):
+        kval = _field_k_mod(fn, i, j, uj, Bc, primes[0])
+        if not (_probe(kval, 3, (j,), rng, primes[0]) and _probe(kval, 3, (l,), rng, primes[0])):
             diag[f"{tag}_pivot_ratio_independent"] = False
             continue
         khat = None
@@ -656,19 +642,19 @@ def _twisted_g(part):
     return g, gx_y * g[2] - g[0] * gz_y
 
 
-def _twisted_logpartial_mod(fn: _Fn, i: int):
-    """Mod-p pair function (see _gate_value_indep) of (log T)_i, i in {x, z},
-    for P = q(T).
+def _twisted_logpartial_mod(fn: _Fn, i: int, p: int):
+    """Sides (see _probe) of (log T)_i, i in {x, z}, for P = q(T), at w and
+    at its moved copy (mixtures 0 and -1).
 
     A = P_x/P_z = T_x/T_z does not see q, and (log T)_y = -(log A)_y, so
     (log T)_x = -delta/(g_y g_z) and (log T)_z = -delta/(g_y g_x), read off
     one two-copy walk each of (N, D) and (N_y, D_y) for both points.
     """
-    def pair(w, w2, var, p):
+    def sides(w, w2):
         walks = {vs: [f.eval_grad_mod((w, w2), p) for f in fn.partials(*vs)]
                  for vs in ((), (1,))}
         out = []
-        for k in (0, 1 << var):
+        for k in (0, -1):
             def part(*vs, k=k):
                 nw, dw = walks[vs[:-1]]
                 j = 1 + vs[-1] if vs else 0
@@ -678,10 +664,10 @@ def _twisted_logpartial_mod(fn: _Fn, i: int):
             den = g[1] * g[2 - i] % p
             if den == 0:
                 raise PoleError("vanishing partial at sample point")
-            out.append(-delta * pow(den, p - 2, p) % p)
+            out.append(-delta * pow(den, -1, p) % p)
         return out
 
-    return pair
+    return sides
 
 
 def _twisted_recover(P, fn, rng, dmax, primes, seed):
@@ -747,8 +733,9 @@ def fit_twisted(
     diag = diagnostics if diagnostics is not None else {}
     fn = _Fn(P)
     rng = rng_for(seed, "fit-twisted:t")
-    if not (_gate_value_indep(_twisted_logpartial_mod(fn, 0), 3, 2, rng, primes[0])
-            and _gate_value_indep(_twisted_logpartial_mod(fn, 2), 3, 0, rng, primes[0])):
+    p = primes[0]
+    if not (_probe(_twisted_logpartial_mod(fn, 0, p), 3, (2,), rng, p)
+            and _probe(_twisted_logpartial_mod(fn, 2, p), 3, (0,), rng, p)):
         diag["twisted_gates"] = False
         return None
     fit = _twisted_recover(P, fn, rng, dmax, primes, seed)
@@ -871,6 +858,8 @@ def _classify(
     partial one at 5 or a full one at 4 or less), which rests on the
     unanimity of the rank samples.
     """
+    if samples < 1:
+        raise ValueError("samples must be positive")
     n = P.arity
     P = P if P.canonical else P.reduce()
     if not is_nondegenerate(P):

@@ -249,7 +249,7 @@ def _format_text(report: dict) -> str:
 
 def _read_corpus(path: str) -> list[str]:
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line in fh:
             text = line.split("#", 1)[0].strip()
             if text:

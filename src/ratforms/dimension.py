@@ -36,8 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .modular import DEFAULT_PRIMES, RETRIES, inv_mod, rank_mod, rng_for
-from .ratfun import RatFun
+from .modular import DEFAULT_PRIMES, rank_mod, rng_for
+from .ratfun import PoleError, RatFun, partials_mod, pole_free
 
 MAX_DOUBLING_VARS = 6
 
@@ -75,44 +75,36 @@ def doubling_map(f: RatFun) -> DoublingMap:
     return DoublingMap(f=f, n=n, components=tuple(comps))
 
 
-def _jacobian_rows(f: RatFun, w: list[int], p: int) -> list[list[int]] | None:
-    """The doubling-map Jacobian of f at w mod p, or None at a pole.
+def _jacobian_rows(f: RatFun, w, p: int) -> list[list[int]]:
+    """The doubling-map Jacobian of f at w mod p; PoleError at a pole.
 
     Row b of the Jacobian is supported on columns i + n*bit_i(b) only, and
-    the entry there is (df/dx_i) at the b-renamed sub-point, so the value
-    and partials of num and den at the 2^n sub-points give every row: one
-    walk of each compiled form (Poly.eval_grad_mod) over the two copies.
+    the entry there is (df/dx_i) at the b-renamed sub-point, so the
+    partials of f at the 2^n sub-points give every row: one partials_mod
+    read of the two copies.
     """
     n = f.arity
-    copies = (w[:n], w[n:])
-    dens = f.den.eval_grad_mod(copies, p)
-    if any(d[0] == 0 for d in dens):
-        return None
-    nums = f.num.eval_grad_mod(copies, p)
+    parts = partials_mod(f.num, f.den, (w[:n], w[n:]), p)
+    if any(dv == 0 for dv, _ in parts):
+        raise PoleError(f"pole mod {p} at {tuple(w)}")
     rows: list[list[int]] = []
-    for b in range(1 << n):
-        dv, *dg = dens[b]
-        nv, *ng = nums[b]
-        inv2 = inv_mod(dv * dv, p)
+    for b, (dv, gs) in enumerate(parts):
+        inv2 = pow(dv * dv, -1, p)
         row = [0] * (2 * n)
         for i in range(n):
-            row[i + n * ((b >> i) & 1)] = (ng[i] * dv - nv * dg[i]) * inv2 % p
+            row[i + n * ((b >> i) & 1)] = gs[i] * inv2 % p
         rows.append(row)
     return rows
 
 
 def _ranks(f: RatFun, primes: tuple[int, ...], seed: int, label: str, count: int):
-    """Jacobian ranks at count random points modulo each prime in turn; a
-    point whose redraws all hit a pole gives none."""
-    arity = 2 * f.arity
+    """Jacobian ranks at count pole-free points modulo each prime in turn;
+    a point that runs out of draws gives none."""
     for p in primes:
         rng = rng_for(seed, f"{label}:p{p}")
-        for _ in range(count):
-            for _ in range(RETRIES):
-                rows = _jacobian_rows(f, [rng.randrange(1, p) for _ in range(arity)], p)
-                if rows is not None:
-                    yield rank_mod(rows, p)
-                    break
+        for rows in pole_free(lambda w: _jacobian_rows(f, w, p), 2 * f.arity, count, p, rng):
+            if rows is not None:
+                yield rank_mod(rows, p)
 
 
 def image_dimension(

@@ -320,30 +320,46 @@ def compose_numerator(coeffs: Poly, fs: list[RatFun]) -> Poly:
     return Poly.sum(pieces(), arity).scale(coeffs.content)
 
 
-def pole_free_values(fs: list[RatFun], count: int, p: int, rng) -> list[list[int]] | None:
-    """Values mod p of the functions fs at `count` random pole-free points.
+def partials_mod(num: Poly, den: Poly, points, p: int) -> list[tuple[int, list[int]]]:
+    """(D, [N_i D - N D_i for each i]) mod p at each mixture of one or two
+    points, in Poly.eval_grad_mod's order: D and the numerators of the
+    partials of N/D, from one walk of each compiled form."""
+    return [
+        (dv, [(ng * dv - nv * dg) % p for ng, dg in zip(ngs, dgs)])
+        for (dv, *dgs), (nv, *ngs) in zip(den.eval_grad_mod(points, p), num.eval_grad_mod(points, p))
+    ]
 
-    The points are in general position: every coordinate is drawn from
-    1..p-1 on its own, and a draw that hits a pole of any function is
-    redrawn, RETRIES times per point.  Returns None when a point runs out of
-    draws.  It is the one sampler of such points: for the certificate fit's
-    confirm points, the spot values, verify_certificate, and the dense
-    relation search, whose evaluation matrix needs points in general
-    position.  The certificate fit's interpolation nodes lie on lines
-    instead (oracle._Nodes); its confirm points are not taken from them.
+
+def pole_free(read, arity: int, count: int, p: int, rng):
+    """read(w) at `count` random points w mod p, lazily: the one sampler of
+    pole-free points in general position.  Each point gets up to RETRIES
+    draws of `arity` coordinates from 1..p-1, skips a draw where read
+    raises PoleError, and gives None when it runs out of draws.
     """
-    arity = fs[0].arity
-    out = []
     for _ in range(count):
         for _try in range(RETRIES):
             w = tuple(rng.randrange(1, p) for _ in range(arity))
             try:
-                out.append([f.eval_mod(w, p) for f in fs])
-                break
+                value = read(w)
             except PoleError:
                 continue
+            yield value
+            break
         else:
+            yield None
+
+
+def pole_free_values(fs: list[RatFun], count: int, p: int, rng) -> list[list[int]] | None:
+    """Values mod p of the functions fs at `count` points drawn by
+    pole_free, or None when a point runs out of draws: the certificate
+    fit's confirm points (its nodes lie on lines, see oracle._Nodes), the
+    spot values, verify_certificate and the dense relation search.
+    """
+    out = []
+    for vals in pole_free(lambda w: [f.eval_mod(w, p) for f in fs], fs[0].arity, count, p, rng):
+        if vals is None:
             return None
+        out.append(vals)
     return out
 
 

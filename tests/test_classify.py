@@ -28,9 +28,10 @@ from ratforms.classify import (
 from ratforms.classify import (
     _decomposed_detail,
     _Fn,
+    _field_k_mod,
     _gate_ratio_indep,
     _gate_ratio_separable,
-    _gate_value_indep,
+    _probe,
     _twisted_g,
     _twisted_logpartial_mod,
 )
@@ -38,7 +39,7 @@ from ratforms.oracle import symbolic_rank
 from ratforms.dimension import doubling_map, image_dimension, is_nondegenerate
 from ratforms.modular import DEFAULT_PRIMES
 from ratforms.poly import Poly
-from ratforms.ratfun import RatFun, compose_numerator, parse
+from ratforms.ratfun import PoleError, RatFun, compose_numerator, parse
 
 BI = ("x", "y")
 TRI = ("x", "y", "z")
@@ -491,9 +492,12 @@ def test_two_copy_ratios_match_per_point_reference(names, expr, a, b):
 def test_two_copy_ratios_mark_poles():
     # f = x*y/(x + y): f_x/f_y = y^2/x^2, with D = x + y and g_y = x^2
     fn = _Fn(parse("x*y/(x + y)", BI))
-    got = fn.ratios_mod(0, 1, ([3, -3], [0, 5]), 101, range(4))
+    points = ([3, -3], [0, 5])
     # (3, -3) is a pole, (0, -3) and (0, 5) have f_y = 0, (3, 5) is regular
-    assert got == [None, None, 25 * pow(9, -1, 101) % 101, None]
+    assert fn.ratios_mod(0, 1, points, 101, [2]) == [25 * pow(9, -1, 101) % 101]
+    for k in (0, 1, 3):
+        with pytest.raises(PoleError):
+            fn.ratios_mod(0, 1, points, 101, [2, k])
 
 
 def test_probes_walk_each_polynomial_once(monkeypatch):
@@ -513,15 +517,27 @@ def test_probes_walk_each_polynomial_once(monkeypatch):
         return list(walks)
 
     group = _Fn(parse("(x + y^2 + z)^3 + 1", TRI))
+    field = _Fn(parse("x*(y + z)^3", TRI))
     twisted = _Fn(parse("(x + y^2)/(y^2 + z^3)", TRI))
     rng = random.Random(4)
     # each of a gate's two probes: one two-copy walk of N and one of D, or
     # of the four polynomials the twisted value reads
     assert copies(lambda: _gate_ratio_separable(group, 0, 1, rng, p)) == [2] * 4
     assert copies(lambda: _gate_ratio_indep(group, 0, 1, 2, rng, p)) == [2] * 4
-    assert copies(
-        lambda: _gate_value_indep(_twisted_logpartial_mod(twisted, 0), 3, 2, rng, p)
-    ) == [2] * 8
+    # the field pivot x with r_y' = 1 and inner sum y + z: K = P_x/(P_y (y + z))
+    kval = _field_k_mod(field, 0, 1, RatFun.const(1, 3), parse("y + z", TRI), p)
+    for moved in (1, 2):
+        assert copies(lambda: _probe(kval, 3, (moved,), rng, p)) == [2] * 4
+    assert copies(lambda: _probe(_twisted_logpartial_mod(twisted, 0, p), 3, (2,), rng, p)) == [2] * 8
+
+
+def test_a_probe_whose_copies_all_equal_w_fails():
+    # mod 2 every coordinate is 1, so every moved copy equals w and each
+    # try is vacuous; counting those as agreement passed this ratio, which
+    # is not separable in x and y (f_x/f_y = (1 + y)/(2*y*z + x))
+    fn = _Fn(parse("x + y^2*z + x*y", TRI))
+    assert not _gate_ratio_separable(fn, 0, 1, random.Random(0), 2)
+    assert not _gate_ratio_separable(fn, 0, 1, random.Random(0), DEFAULT_PRIMES[0])
 
 
 @pytest.mark.parametrize("primes", [(13, 11), DEFAULT_PRIMES])

@@ -244,6 +244,14 @@ def test_corpus_that_is_not_utf8_exits_1(tmp_path, capsys):
     assert "cannot read corpus" in err and "Traceback" not in err
 
 
+def test_corpus_with_a_byte_order_mark_is_read(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes("x*y\nx + y\n".encode("utf-8-sig"))
+    code, reports = _run_json(capsys, ["--vars", "x,y", "--corpus", str(corpus)])
+    assert code == 0
+    assert [r["function"] for r in reports] == ["x*y", "x + y"]
+
+
 def test_function_flag_repeats_preserve_order(capsys):
     code, reports = _run_json(
         capsys,

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from ratforms.classify import classify_trivariate
 from ratforms.dimension import (
     AllPolesError,
     _jacobian_rows,
@@ -14,7 +15,7 @@ from ratforms.dimension import (
     is_nondegenerate,
 )
 from ratforms.modular import DEFAULT_PRIMES
-from ratforms.ratfun import RatFun, parse
+from ratforms.ratfun import PoleError, RatFun, parse, pole_free_values
 
 BI = ("x", "y")
 TRI = ("x", "y", "z")
@@ -70,13 +71,19 @@ def test_generic_rank_all_poles_is_surfaced():
     f = parse("y + 1/((x^5 - x)*(x^11 - x))", BI)
     with pytest.raises(AllPolesError):
         image_dimension(f, primes=(5, 11), samples=4)
-    # an empty sample budget is a usage error, not a function of poles
+    # the sampler the rank draws through gives None for such a point
+    assert pole_free_values([f], 1, 5, random.Random(0)) is None
+    # an empty sample budget is a usage error, not a function of poles,
+    # also where a certified fit never reaches the rank
     with pytest.raises(ValueError, match="samples"):
         image_dimension(f, samples=0)
+    with pytest.raises(ValueError, match="samples"):
+        classify_trivariate(parse("x+y+z", TRI), samples=0)
 
 
 def _exact_rows(f: RatFun, w: list[int], p: int) -> list[list[int]] | None:
-    """Doubling-map Jacobian rows from the exact partials of f, mod p."""
+    """Doubling-map Jacobian rows from the exact partials of f, mod p, or
+    None at a pole."""
     n = f.arity
     partials = [f.partial(i) for i in range(n)]
     rows = []
@@ -114,7 +121,12 @@ def test_compiled_jacobian_matches_exact_partials(expr, names, p):
         points.append(w)
     points.append([0] * arity)
     for w in points:
-        assert _jacobian_rows(f, w, p) == _exact_rows(f, w, p)
+        rows = _exact_rows(f, w, p)
+        if rows is None:
+            with pytest.raises(PoleError):
+                _jacobian_rows(f, w, p)
+        else:
+            assert _jacobian_rows(f, w, p) == rows
 
 
 # -- image dimension ------------------------------------------------------------

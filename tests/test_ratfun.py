@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from synth import partial_ratio
-from ratforms.modular import DEFAULT_PRIMES
+from ratforms.modular import DEFAULT_PRIMES, RETRIES
 from ratforms.poly import Poly
 from ratforms.ratfun import (
     DegenerateSpecializationError,
@@ -17,6 +17,7 @@ from ratforms.ratfun import (
     RatFun,
     compose_numerator,
     parse,
+    pole_free,
 )
 
 BI = ("x", "y")
@@ -274,6 +275,30 @@ def test_eval_modular_point():
     # rational coefficients map to GF(p) as numerator * denominator^-1
     want = (3 * pow(4, -1, 101) - pow(2, -1, 101)) % 101
     assert parse("3/4*x - 1/2", BI).eval_mod((1, 0), 101) == want
+
+
+def test_pole_free_redraws_a_pole_in_draw_order():
+    # mod 5 a quarter of the draws hit the pole x = 1 of f
+    f = parse("1/(x - 1) + y", BI)
+    got = list(pole_free(lambda w: (w, f.eval_mod(w, 5)), 2, 40, 5, random.Random(0)))
+    ref, rng = [], random.Random(0)
+    while len(ref) < 40:
+        w = (rng.randrange(1, 5), rng.randrange(1, 5))
+        if w[0] != 1:
+            ref.append((w, f.eval_mod(w, 5)))
+    assert got == ref
+    # a point whose draws all hit a pole gives None, and nothing more is
+    # drawn until the next point is asked for
+    def pole(w):
+        raise PoleError("pole")
+
+    rng, ref = random.Random(0), random.Random(0)
+    points = pole_free(pole, 2, 3, 5, rng)
+    assert next(points) is None
+    for _ in range(2 * RETRIES):
+        ref.randrange(1, 5)
+    assert rng.random() == ref.random()
+    assert list(points) == [None, None]
 
 
 def test_eval_is_a_homomorphism():
