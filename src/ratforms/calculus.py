@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import lcm
+from math import gcd, lcm
 
 from .modular import _eval_uni_mod, _trim, is_probable_prime, rational_reconstruct
 from .poly import Poly
@@ -359,47 +359,49 @@ def residue_profile(f: RatFun, var: int) -> ResidueProfile:
     return ResidueProfile(var, sq, tuple(residues), poly_part)
 
 
-def logderiv_obstruction(prof: ResidueProfile) -> str | None:
-    """Why no multiple of the profiled f is a log-derivative g'/g, or None.
+def logderiv_integrate(parts) -> tuple[list[RatFun] | None, Fraction | str]:
+    """Solve g_k'/g_k = c * f_k for rational g_k and one least constant c.
 
-    The reason codes are nonzero-poly-part, multiple-pole and
-    non-splitting-factor; None leaves only the residues to be integers.
+    parts is [(f_k, var_k), ...], each f_k univariate over Q in var_k.
+    A multiple of f is a log-derivative only if f is proper with simple,
+    split poles; the nonzero residues of all parts are then pooled, and c is
+    the least positive rational that makes them coprime integers.  Returns
+    (gs, c), where g_k is the monic product of (var_k - root)^(c * residue),
+    or (None, reason): zero-part, profile-error (see residue_profile),
+    nonzero-poly-part, multiple-pole or non-splitting-factor, for the first
+    part that fails (Bronstein, Symbolic Integration I, sections 2.4-2.5).
     """
-    if not prof.polynomial_part.is_zero:
-        return "nonzero-poly-part"
-    if any(m > 1 for _, m in prof.squarefree_poles):
-        return "multiple-pole"
-    if any(not splits for _, _, splits in prof.residues):
-        return "non-splitting-factor"
-    return None
-
-
-def logderiv_integrate(
-    prof: ResidueProfile, scale: Fraction | int
-) -> tuple[RatFun | None, str | None]:
-    """Solve g'/g = scale * f for rational g, f the profiled function.
-
-    Scaling f by a nonzero constant scales its residues and leaves its
-    poles and their order alone, so the profile of f serves for scale * f.
-    Succeeds when logderiv_obstruction finds nothing and every scaled
-    residue is an integer; then g is the monic product of
-    (var - root)^residue.  Otherwise returns (None, reason): a code of
-    logderiv_obstruction or non-integer-residue.
-    """
-    reason = logderiv_obstruction(prof)
-    if reason is not None:
-        return None, reason
-    residues = [(factor, scale * res) for factor, res, _ in prof.residues]
-    if any(res.denominator != 1 for _, res in residues):
-        return None, "non-integer-residue"
-    # distinct monic linear factors: the two products are coprime
-    num = den = Poly.const(1, prof.polynomial_part.arity)
-    for factor, res in residues:
-        if res > 0:
-            num = num * factor ** int(res)
-        elif res < 0:
-            den = den * factor ** int(-res)
-    return RatFun.coprime(num, den), None
+    profs = []
+    for f, var in parts:
+        if f.is_zero:
+            return None, "zero-part"
+        try:
+            prof = residue_profile(f, var)
+        except (ValueError, ZeroDivisionError):
+            return None, "profile-error"
+        if not prof.polynomial_part.is_zero:
+            return None, "nonzero-poly-part"
+        if any(m > 1 for _, m in prof.squarefree_poles):
+            return None, "multiple-pole"
+        if any(not splits for _, _, splits in prof.residues):
+            return None, "non-splitting-factor"
+        profs.append(prof)
+    # a nonzero proper fraction with simple, split poles has a nonzero residue
+    pool = [res for prof in profs for _, res, _ in prof.residues if res]
+    lcd = lcm(*(res.denominator for res in pool))
+    c = Fraction(lcd, gcd(*(res.numerator * (lcd // res.denominator) for res in pool)))
+    gs = []
+    for prof in profs:
+        # distinct monic linear factors: the two products are coprime
+        num = den = Poly.const(1, prof.polynomial_part.arity)
+        for factor, res, _ in prof.residues:
+            e = int(c * res)
+            if e > 0:
+                num = num * factor ** e
+            elif e < 0:
+                den = den * factor ** -e
+        gs.append(RatFun.coprime(num, den))
+    return gs, c
 
 
 # ---------------------------------------------------------------------------

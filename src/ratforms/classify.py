@@ -35,15 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import prod
 from typing import NamedTuple
 
-from .calculus import (
-    hermite_antiderivative,
-    logderiv_integrate,
-    logderiv_obstruction,
-    residue_profile,
-)
+from .calculus import hermite_antiderivative, logderiv_integrate
 from .dimension import image_dimension, is_nondegenerate
 from .modular import DEFAULT_PRIMES, RETRIES, rng_for
 from .oracle import composition_relation, prime_pool
@@ -58,7 +53,8 @@ from .ratfun import (
 )
 
 _VN = ("x", "y", "z")
-#: fit_field's diagnostic suffix for each logderiv_obstruction code.
+#: fit_field's diagnostic suffix for each logderiv_integrate obstruction code;
+#: any other reason is pivot_ratio.
 _FIELD_OBSTRUCTION = {
     "nonzero-poly-part": "proper",
     "multiple-pole": "simple_poles",
@@ -174,16 +170,18 @@ def verify_certificate(
     so that a corrupted certificate fails in microseconds; agreement at every
     sample falls through to the full exact expansion (compose_numerator),
     which is the final word.  The spot checks skip a prime that divides a
-    coefficient denominator of P or s (see prime_pool).
+    coefficient denominator of P or s (see prime_pool), and read the
+    annihilator's primitive integer part, which vanishes where it does.
     """
     if P.arity != s.arity:
         raise ValueError("P and s must share one ambient variable list")
     ann = cert.annihilator
     if ann.arity != 2 or ann.is_zero:
         return False
+    primitive = Poly.from_ints(ann.ints, 2)
     for p in prime_pool(primes, [P, s], len(primes)):
         pts = pole_free_values([P, s], 4, p, rng_for(seed, f"certcheck:p{p}"))
-        if pts is not None and any(ann.eval_mod(pt, p) for pt in pts):
+        if pts is not None and any(primitive.eval_mod(pt, p) for pt in pts):
             return False
     return compose_numerator(ann, [P, s]).is_zero
 
@@ -340,49 +338,6 @@ def _gate_ratio_indep(fn: _Fn, a: int, b: int, var: int, rng, p: int) -> bool:
                   fn.num.arity, (var,), rng, p)
 
 
-def _fraction_gcd(vals) -> Fraction:
-    """Positive gcd of a nonempty set of rationals (lattice generated by them)."""
-    denlcm = 1
-    for v in vals:
-        denlcm = lcm(denlcm, v.denominator)
-    g = 0
-    for v in vals:
-        g = gcd(g, abs(v.numerator) * (denlcm // v.denominator))
-    return Fraction(g, denlcm)
-
-
-def _joint_logderiv(parts):
-    """Integrate each part as a log-derivative after one shared rescaling.
-
-    parts is a list of (candidate c * g_i'/g_i, variable).  The residues of
-    every part are pooled and divided by their common rational gcd, which
-    removes the shared unknown scale c while keeping the recovered exponent
-    vector primitive; each rescaled part must then be a genuine logarithmic
-    derivative.  Returns (functions, None) or (None, reason).
-    """
-    profs = []
-    pool = []
-    for f, var in parts:
-        if f.is_zero:
-            return None, "zero-part"
-        prof = residue_profile(f, var)
-        reason = logderiv_obstruction(prof)
-        if reason is not None:
-            return None, reason
-        profs.append(prof)
-        pool.extend(r for _, r, _ in prof.residues if r != 0)
-    if not pool:
-        return None, "no-poles"
-    scale = 1 / _fraction_gcd(pool)
-    out = []
-    for prof in profs:
-        g, reason = logderiv_integrate(prof, scale)
-        if g is None:
-            return None, reason
-        out.append(g)
-    return out, None
-
-
 # ---------------------------------------------------------------------------
 # canonical-form fitters
 # ---------------------------------------------------------------------------
@@ -463,10 +418,7 @@ def fit_group(
     else:
         diag["group_additive_integrable"] = False
 
-    try:
-        rs, reason = _joint_logderiv([(parts[k], k) for k in range(n)])
-    except (ValueError, ZeroDivisionError):
-        rs, reason = None, "profile-error"
+    rs, reason = logderiv_integrate([(parts[k], k) for k in range(n)])
     if rs is not None:
         s = prod(rs[1:], start=rs[0])
         cert = dependence_certificate(P, s, dmax=dmax, primes=primes, seed=seed)
@@ -533,9 +485,10 @@ def fit_field(
     For the correct pivot x_i, the ratio P_j/P_l = r_j'/r_l' recovers the
     inner sum B = r_j + r_l up to scale and shift.  With M = P_i * r_j'/P_j,
     the shift beta is the constant M * r_j'/M_j - B0 on one exact x_j-line
-    (see _solve_beta); the exponent n comes from the denominators of the
-    residues of K = M/(B0+beta) = r_i'/(n r_i), and r_i from integrating
-    n*K as a log-derivative.
+    (see _solve_beta).  K = M/(B0+beta) = r_i'/(n r_i) is integrated as a
+    log-derivative, g'/g = c*K (see logderiv_integrate): the exponent n is
+    the numerator of c, the lcm of the residue denominators of K, and
+    r_i = g^(denominator of c).
     """
     diag = diagnostics if diagnostics is not None else {}
     fn = _Fn(P)
@@ -587,32 +540,19 @@ def fit_field(
                 continue
             khat = base.scale(ujv / bv)
             break
-        if khat is None or khat.is_zero:
+        if khat is None:
             diag[f"{tag}_pivot_ratio"] = False
             continue
-        try:
-            prof = residue_profile(khat, i)
-        except (ValueError, ZeroDivisionError):
-            diag[f"{tag}_pivot_ratio"] = False
+        gs, c = logderiv_integrate([(khat, i)])
+        if gs is None:
+            diag[f"{tag}_{_FIELD_OBSTRUCTION.get(c, 'pivot_ratio')}"] = False
             continue
-        obstruction = logderiv_obstruction(prof)
-        if obstruction is not None:
-            diag[f"{tag}_{_FIELD_OBSTRUCTION[obstruction]}"] = False
-            continue
-        res = [r for _, r, _ in prof.residues if r != 0]
-        if not res:
-            diag[f"{tag}_pivot_ratio"] = False
-            continue
-        n = 1
-        for r in res:
-            n = lcm(n, r.denominator)
+        # c = L/A for L the lcm of K's residue denominators and A prime to L
+        n = c.numerator
         if n > deg_cap:
             diag[f"{tag}_exponent_bound"] = False
             continue
-        ri, reason = logderiv_integrate(prof, n)
-        if ri is None:
-            diag[f"{tag}_{reason}"] = False
-            continue
+        ri = gs[0] ** c.denominator
         s = ri * Bc ** n
         cert = dependence_certificate(P, s, dmax=dmax, primes=primes, seed=seed)
         if cert is None:

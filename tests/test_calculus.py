@@ -23,7 +23,6 @@ from ratforms.calculus import (
     _trim,
     hermite_antiderivative,
     logderiv_integrate,
-    logderiv_obstruction,
     residue_profile,
     separability_identity,
     yun_squarefree,
@@ -38,7 +37,9 @@ TRI = ("x", "y", "z")
 
 
 def _logderiv(f, var=0):
-    return logderiv_integrate(residue_profile(f, var), 1)
+    """(g, c) with g'/g = c*f for one part, or (None, reason)."""
+    gs, c = logderiv_integrate([(f, var)])
+    return (None, c) if gs is None else (gs[0], c)
 
 
 # -- separability --------------------------------------------------------------
@@ -210,42 +211,62 @@ def test_residue_scaling_and_minimal_integer_multiplier():
 
 
 def test_logderiv_integrate_power():
-    g, reason = _logderiv(parse("2/x", ("x",)))
-    assert reason is None
-    assert g == parse("x^2", ("x",))
+    g, c = _logderiv(parse("2/x", ("x",)))
+    assert (g, c) == (parse("x", ("x",)), Fraction(1, 2))
+    assert g ** c.denominator == parse("x^2", ("x",))
 
 
 def test_logderiv_integrate_quotient():
-    g, reason = _logderiv(parse("1/(x-1) - 3/x", ("x",)))
-    assert reason is None
+    g, c = _logderiv(parse("1/(x-1) - 3/x", ("x",)))
+    assert c == 1
     assert g == parse("(x-1)/x^3", ("x",))
 
 
 def test_logderiv_integrate_non_integer_residue():
-    g, reason = _logderiv(parse("3/(2*x)", ("x",)))
-    assert g is None
-    assert reason == "non-integer-residue"
-    # the caller's retry with the residue lcm as scale then succeeds
-    g2, reason2 = logderiv_integrate(residue_profile(parse("3/(2*x)", ("x",)), 0), 2)
-    assert reason2 is None and g2 == parse("x^3", ("x",))
+    # the least c making the residue an integer, not a rejection
+    g, c = _logderiv(parse("3/(2*x)", ("x",)))
+    assert (g, c) == (parse("x", ("x",)), Fraction(2, 3))
+
+
+def test_logderiv_integrate_pools_the_residues_of_every_part():
+    (gx, gy), c = logderiv_integrate([(parse("2/x", BI), 0), (parse("4/(y-1)", BI), 1)])
+    assert c == Fraction(1, 2)
+    assert gx == parse("x", BI) and gy == parse("(y-1)^2", BI)
 
 
 def test_logderiv_integrate_scale_matches_scaled_profile():
-    # the profile of f serves for c*f: same poles, residues scaled by c
+    # k*f has the poles of f and residues scaled by k: the same g for k > 0,
+    # 1/g for k < 0, and c*|k| constant
     cases = (
         ("3/(2*x) + 5/(3*(x - 1))", Fraction(6)),
         ("1/(x-1) - 3/x", Fraction(-2, 1)),
         ("4/(x+2) + 8/(x-5)", Fraction(1, 4)),
-        ("1/(3*x)", Fraction(1, 2)),
+        ("1/(3*x)", Fraction(-1, 2)),
     )
-    for expr, c in cases:
+    for expr, k in cases:
         f = parse(expr, ("x",))
-        got = logderiv_integrate(residue_profile(f, 0), c)
-        want = logderiv_integrate(residue_profile(f.scale(c), 0), 1)
-        assert got[1] == want[1]
-        assert got[0] == want[0]
-        if got[0] is not None:
-            assert got[0].to_str(("x",)) == want[0].to_str(("x",))
+        g, c = _logderiv(f)
+        gk, ck = _logderiv(f.scale(k))
+        assert gk == (g if k > 0 else 1 / g)
+        assert gk.to_str(("x",)) == (g if k > 0 else 1 / g).to_str(("x",))
+        assert ck * abs(k) == c
+
+
+def test_logderiv_integrate_gives_the_field_exponent_rule():
+    # K = r'/(n*r) for r = prod (x - a_k)^m_k has residue m_k/n at a_k; the
+    # field pivot's exponent is the lcm L of their denominators, and its
+    # part the product with exponents L*m_k/n
+    rng = random.Random(2505)
+    for _ in range(40):
+        roots = rng.sample(range(-20, 21), rng.randint(1, 4))
+        ms = [-rng.randint(1, 6)] + [rng.choice((-4, -3, -2, -1, 1, 2, 3, 4, 6)) for _ in roots[1:]]
+        n = rng.randint(1, 8)
+        r = _product([(f"x - ({a})", m) for a, m in zip(roots, ms)])
+        g, c = _logderiv(r.partial(0) / r.scale(n))
+        L = lcm(*(Fraction(m, n).denominator for m in ms))
+        want = _product([(f"x - ({a})", L * m // n) for a, m in zip(roots, ms)])
+        assert c.numerator == L
+        assert g ** c.denominator == want
 
 
 def test_logderiv_obstruction_reason_codes():
@@ -253,10 +274,10 @@ def test_logderiv_obstruction_reason_codes():
         ("1/x^2", "multiple-pole"),
         ("x + 1/x", "nonzero-poly-part"),
         ("x/(x^2+1)", "non-splitting-factor"),
-        ("3/(2*x)", None),
     )
     for expr, want in cases:
-        assert logderiv_obstruction(residue_profile(parse(expr, ("x",)), 0)) == want
+        assert _logderiv(parse(expr, ("x",))) == (None, want)
+    assert _logderiv(parse("3/(2*x)", ("x",)))[0] is not None
 
 
 def test_logderiv_integrate_non_splitting_factor():
@@ -270,16 +291,15 @@ def test_logderiv_roundtrip():
     for expr in corpus:
         g = parse(expr, ("x",))
         f = g.partial(0) / g
-        back, reason = _logderiv(f)
-        assert reason is None and back is not None
+        back, c = _logderiv(f)
+        assert c == 1 and back is not None
         # equal up to a multiplicative constant
         ratio = back / g
         assert ratio.is_constant
 
 
 def test_logderiv_rejects_zero_input():
-    with pytest.raises(ValueError):
-        _logderiv(parse("x - x", ("x",)))
+    assert _logderiv(parse("x - x", ("x",))) == (None, "zero-part")
 
 
 # -- the dense univariate core ------------------------------------------------------

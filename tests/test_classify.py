@@ -127,6 +127,19 @@ def test_verify_certificate_accepts_true_and_rejects_corrupted():
         assert not verify_certificate(bad, P, s)
 
 
+def test_verify_certificate_is_blind_to_the_annihilator_content():
+    # a content with the spot-check prime in its denominator, or in its
+    # numerator, changes nothing: the spot checks read the primitive part
+    P = parse("x*y + 1", BI)
+    s = parse("x*y", BI)
+    ann = dependence_certificate(P, s).annihilator
+    p0 = DEFAULT_PRIMES[0]
+    for k in (Fraction(1, p0), p0, -1):
+        assert verify_certificate(DependenceCertificate(ann.scale(k), 1, True), P, s)
+        bad = ann.scale(k) + Poly.const(1, 2)
+        assert not verify_certificate(DependenceCertificate(bad, 1, True), P, s)
+
+
 def test_verify_certificate_rejects_wrong_pair():
     P = parse("(x+y)^2", BI)
     s = parse("x+y", BI)
@@ -347,6 +360,15 @@ def test_fit_field_high_exponent():
         (1, 0): Fraction(1),
         (0, 1): Fraction(-1),
     }
+
+
+def test_fit_field_pivot_part_with_a_common_exponent():
+    # K = r1'/(3*r1) has residues 2/3 and -4/3: n = 3, and r1 is the square
+    # of the integrated g = (x-1)/(x+1)^2
+    fit = fit_field(parse("(x-1)^2/(x+1)^4*(y^3+z)^3", TRI))
+    assert fit is not None
+    assert fit.pivot == 1 and fit.exponent == 3
+    assert fit.r1 == parse("(x-1)^2/(x+1)^4", TRI)
 
 
 def test_fit_field_rejects_twisted():
