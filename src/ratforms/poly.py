@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd as igcd, prod
 from operator import add as _add, getitem, mul
 from types import MappingProxyType
@@ -94,6 +95,23 @@ def _ishift(a: dict, var: int, k: int) -> dict:
     return out
 
 
+def _add_scaled(acc: dict, den: int, items, n: int, d: int) -> int:
+    """Add n/d times the (exponent, int) items into acc, whose terms count
+    in units of 1/den, and return the new den, lcm(den, d); acc is rescaled
+    when it grows.  A term keeps its place when it cancels, so the terms of
+    a sum come in the order they first appear, zeros to drop at the end."""
+    if den % d:
+        grow = d // igcd(den, d)
+        for e in acc:
+            acc[e] *= grow
+        den *= grow
+    m = n * (den // d)
+    get = acc.get
+    for e, c in items:
+        acc[e] = get(e, 0) + m * c
+    return den
+
+
 def _int_content(a: dict) -> int:
     g = 0
     for c in a.values():
@@ -112,7 +130,7 @@ def _deg_in(a: dict, i: int) -> int:
 
 
 def _total_deg(a: dict) -> int:
-    return max((sum(e) for e in a), default=0)
+    return max(map(sum, a), default=0)
 
 
 def _lead_key(a: dict) -> Term:
@@ -140,30 +158,68 @@ def _mono_divide(a: dict, mins: Term) -> dict:
 
 
 def _idivexact(f: dict, h: dict, step_cap: int = 200000) -> dict | None:
-    """Exact division of integer term dicts; None when h does not divide f."""
+    """Exact division of integer term dicts; None when h does not divide f.
+
+    Each exponent vector e is coded as one integer that orders as grlex_key
+    does: sum(e), then the entries, as digits in a base above the total
+    degree of f.  No remainder term has a higher degree, so a product
+    term's code is the sum of its factors' codes, and a heap of the
+    remainder's codes gives each leading term in O(log n), where a scan of
+    the remainder would make the division quadratic.  A code left in the
+    heap after its term cancelled is skipped when it comes up.  The
+    quotient's terms come out in descending grlex order.
+    """
     if not h:
         raise ZeroDivisionError("division by zero polynomial")
     if not f:
         return {}
-    lh = _lead_key(h)
-    ch = h[lh]
-    rem = dict(f)
+    if f == h:
+        return {(0,) * len(next(iter(f))): 1}
+    base = _total_deg(f) + 1
+    if _total_deg(h) >= base:
+        return None
+    n = len(next(iter(h)))
+    weights = [base**n + base ** (n - 1 - i) for i in range(n)]
+    hs = [(sum(map(mul, e, weights)), c) for e, c in h.items()]
+    kh, ch = max(hs)
+    rem = {sum(map(mul, e, weights)): c for e, c in f.items()}
+    heap = [-k for k in rem]
+    heapify(heap)
     q: dict = {}
     steps = 0
     while rem:
+        k = -heappop(heap)
+        cr = rem.get(k)
+        if cr is None:
+            continue
         steps += 1
         if steps > step_cap:
             return None
-        lr = _lead_key(rem)
-        ke = tuple(a - b for a, b in zip(lr, lh))
-        if any(x < 0 for x in ke):
+        # k - kh codes lead(rem) - lead(h) entrywise; its digits add up to
+        # its top digit exactly when no entry is negative (a borrow breaks it)
+        kq = x = k - kh
+        ke = []
+        for _ in weights:
+            x, r = divmod(x, base)
+            ke.append(r)
+        if x != sum(ke) or cr % ch:
             return None
-        cr = rem[lr]
-        if cr % ch:
-            return None
+        ke.reverse()
         cq = cr // ch
-        q[ke] = cq
-        _iadd_into(rem, _imul({ke: cq}, h), -1)
+        q[tuple(ke)] = cq
+        get = rem.get
+        for kt, ct in hs:
+            kk = kq + kt
+            v = get(kk)
+            if v is None:
+                rem[kk] = -cq * ct
+                heappush(heap, -kk)
+            else:
+                v -= cq * ct
+                if v:
+                    rem[kk] = v
+                else:
+                    del rem[kk]
     return q
 
 
@@ -348,12 +404,15 @@ def _smod(c: int, m: int) -> int:
 
 
 def _eval_at_int(f: dict, var: int, xi: int) -> dict:
+    pw = [1]
+    for _ in range(_deg_in(f, var)):
+        pw.append(pw[-1] * xi)
     out: dict = {}
     for e, c in f.items():
         k = list(e)
         k[var] = 0
         k = tuple(k)
-        v = out.get(k, 0) + c * xi ** e[var]
+        v = out.get(k, 0) + c * pw[e[var]]
         if v:
             out[k] = v
         else:
@@ -760,24 +819,13 @@ class Poly:
     def sum(cls, polys, arity: int) -> "Poly":
         """The sum of an iterable of polynomials of the given arity.
 
-        One integer accumulator over the lcm of the contents' denominators
-        (rescaled when a new denominator raises it) and one content pass at
-        the end, where repeated + would re-take the content of every partial
-        sum.
+        One integer accumulator (see _add_scaled) and one content pass at the
+        end, where repeated + would re-take the content of every partial sum.
         """
-        den = 1
         acc: dict[Term, int] = {}
-        get = acc.get
+        den = 1
         for f in polys:
-            cd = f.content.denominator
-            if den % cd:
-                grow = cd // igcd(den, cd)
-                for e in acc:
-                    acc[e] *= grow
-                den *= grow
-            m = f.content.numerator * (den // cd)
-            for e, c in f.ints.items():
-                acc[e] = get(e, 0) + m * c
+            den = _add_scaled(acc, den, f.ints.items(), f.content.numerator, f.content.denominator)
         return cls.from_ints({e: c for e, c in acc.items() if c}, arity, Fraction(1, den))
 
     def __sub__(self, other) -> "Poly":
@@ -797,12 +845,20 @@ class Poly:
             return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self.ints or not other.ints:
+        a, b = self.ints, other.ints
+        if not a or not b:
             return Poly.zero(self.arity)
         # Gauss's lemma: a product of primitive polynomials is primitive
         ca, cb = self.content, other.content
         content = cb if ca is _ONE else ca if cb is _ONE else ca * cb
-        return Poly._make(_imul(self.ints, other.ints), content, self.arity)
+        if len(b) == 1 and not any(next(iter(b))):
+            a, b = b, a
+        if len(a) == 1 and not any(next(iter(a))):
+            # a constant factor, primitive, is 1 or -1: the other's terms in their order
+            if a[next(iter(a))] == -1:
+                b = {e: -c for e, c in b.items()}
+            return Poly._make(b, content, self.arity)
+        return Poly._make(_imul(a, b), content, self.arity)
 
     def __rmul__(self, other) -> "Poly":
         return self.__mul__(other)
@@ -958,32 +1014,35 @@ class Poly:
     # -- formatting -----------------------------------------------------------
 
     def to_str(self, names: tuple[str, ...] | None = None) -> str:
-        terms = self.terms
-        if not terms:
+        """Terms in descending grlex order, each coefficient content * c
+        printed in lowest terms straight from the integer form."""
+        ints = self.ints
+        if not ints:
             return "0"
         if names is None:
             names = tuple(f"x{i}" for i in range(self.arity))
+        n, d = self.content.numerator, self.content.denominator
         parts = []
-        for e in sorted(terms, key=grlex_key, reverse=True):
-            c = terms[e]
+        for e in sorted(ints, key=grlex_key, reverse=True):
+            c = ints[e]
+            a = abs(c) * n
+            g = igcd(a, d)
+            coef = str(a // g) if g == d else f"{a // g}/{d // g}"
             mono = "*".join(
                 names[i] if v == 1 else f"{names[i]}^{v}"
                 for i, v in enumerate(e)
                 if v
             )
             if not mono:
-                piece = str(abs(c))
-            elif abs(c) == 1:
+                piece = coef
+            elif a == d:
                 piece = mono
             else:
-                piece = f"{abs(c)}*{mono}"
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, piece))
-        first_sign, first = parts[0]
-        out = ("-" if first_sign == "-" else "") + first
-        for sign, piece in parts[1:]:
-            out += f" {sign} {piece}"
-        return out
+                piece = f"{coef}*{mono}"
+            parts.append(("- " if c < 0 else "+ ") + piece)
+        first = parts[0]
+        parts[0] = first[2:] if first[0] == "+" else "-" + first[2:]
+        return " ".join(parts)
 
     def __repr__(self):
         return f"Poly({self.to_str()})"

@@ -17,7 +17,7 @@ import re
 from fractions import Fraction
 
 from .modular import RETRIES, inv_mod
-from .poly import Poly, divexact, poly_gcd
+from .poly import Poly, Term, _add_scaled, divexact, poly_gcd
 
 EXPONENT_CAP = 1 << 20
 
@@ -367,21 +367,41 @@ def pole_free_values(fs: list[RatFun], count: int, p: int, rng) -> list[list[int
 # parser
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(
-    r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])"
+_INT = r"\d+"
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_FACTOR = rf"(?:{_INT}|{_NAME})(?:\^{_INT})?"
+# One token per printed monomial: a leading a/b (when no '^' follows b) or
+# factor, then more integer or variable factors, each joined by '*' and
+# maybe raised to a power.  A '^' and its exponent anywhere else are an
+# 'op' and an 'int' token, so a monomial never starts at an exponent.
+# Whitespace may precede any token.
+_LEXEME = re.compile(
+    rf"\s*(?:\^\s*(?P<exp>{_INT})"
+    rf"|(?P<mono>(?:{_INT}/{_INT}(?![\d^])|{_FACTOR})(?:\*{_FACTOR})*)"
+    r"|(?P<op>[-+*/^()]))"
 )
+_SPACE = re.compile(r"\s*")
+# single symbols, as the recursive descent reads a monomial token
+_TOKEN = re.compile(rf"(?P<ws>\s+)|(?P<int>{_INT})|(?P<name>{_NAME})|(?P<op>[-+*/^()])")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) for each monomial ('mono'), operator or
+    parenthesis ('op') and exponent ('int'), and a final 'end'."""
     out = []
     pos = 0
-    for m in _TOKEN.finditer(text):
+    for m in _LEXEME.finditer(text):
         if m.start() != pos:
             break
         kind = m.lastgroup
-        if kind != "ws":
-            out.append((kind, m.group(kind), pos))
+        start = m.start(kind)
+        if kind == "exp":
+            out.append(("op", "^", text.index("^", pos)))
+            out.append(("int", m.group(kind), start))
+        else:
+            out.append((kind, m.group(kind), start))
         pos = m.end()
+    pos = _SPACE.match(text, pos).end()
     if pos < len(text):
         raise ParseError(f"unrecognized character {text[pos]!r}", pos)
     out.append(("end", "", len(text)))
@@ -425,12 +445,16 @@ def _quotient(f: Poly | RatFun | None, g: Poly | RatFun) -> RatFun:
 class _Parser:
     """Recursive descent over the token list.
 
-    Polynomial subtrees stay plain Polys; only a genuine quotient becomes a
-    RatFun, kept raw (unreduced), so no node pays for a gcd.  parse reduces
-    the result once at the end.  Within a product, integer and variable
-    factors (each maybe negated and raised to a power) fold into one
-    coefficient and one exponent vector, so a monomial costs one Poly;
-    only parenthesised factors and divisions by a variable become nodes.
+    A term that is one monomial token, maybe negated, with no '*', '/' or
+    '^' after it is read straight off the token's text (monomial), and expr
+    adds the polynomial terms of a sum into one integer term dict.  Every
+    other term goes through term(), which splits each monomial token it
+    meets into single symbols; there, integer and variable factors (each
+    maybe negated and raised to a power) fold into one coefficient and one
+    exponent vector, and only parenthesised factors and divisions by a
+    variable become nodes.  Polynomial subtrees stay plain Polys; only a
+    genuine quotient becomes a RatFun, kept raw (unreduced), so no node
+    pays for a gcd.  parse reduces the result once at the end.
     """
 
     def __init__(self, text: str, names: tuple[str, ...]):
@@ -457,31 +481,82 @@ class _Parser:
         f = self.expr()
         kind, val, pos = self.peek()
         if kind != "end":
-            raise ParseError(f"unexpected token {val!r}", pos)
+            raise ParseError(f"unexpected token {_TOKEN.match(val).group()!r}", pos)
         return RatFun.from_poly(f) if isinstance(f, Poly) else f.reduce()
 
     def expr(self) -> Poly | RatFun:
-        """A sum of terms: the polynomial ones are added in one Poly.sum, the
-        quotients pairwise over a common denominator, then the two sums."""
-        polys: list[Poly] = []
+        """A sum of terms.  The polynomial ones add into one integer term
+        dict over the lcm of their denominators, in the order their terms
+        first appear, and make one Poly; the quotients add pairwise over a
+        common denominator; then the two sums add."""
+        acc: dict[Term, int] = {}
+        den = 1
         quot: RatFun | None = None
         val = "+"
         while True:
-            g = self.term()
-            if val == "-":
-                g = -g
-            if isinstance(g, Poly):
-                polys.append(g)
+            mono = self.monomial()
+            if mono is not None:
+                n, d, exps = mono
+                if n:
+                    den = _add_scaled(acc, den, ((exps, 1),), -n if val == "-" else n, d)
             else:
-                quot = g if quot is None else _raw_sum(quot, g)
+                g = self.term()
+                if val == "-":
+                    g = -g
+                if isinstance(g, Poly):
+                    c = g.content
+                    den = _add_scaled(acc, den, g.ints.items(), c.numerator, c.denominator)
+                else:
+                    quot = g if quot is None else _raw_sum(quot, g)
             kind, val, _ = self.peek()
             if kind != "op" or val not in "+-":
                 break
             self.advance()
-        if not polys:
-            return quot
-        total = polys[0] if len(polys) == 1 else Poly.sum(polys, self.arity)
-        return total if quot is None else _raw_sum(quot, total)
+        total = Poly.from_ints({e: c for e, c in acc.items() if c}, self.arity, Fraction(1, den))
+        if quot is None:
+            return total
+        return quot if total.is_zero else _raw_sum(quot, total)
+
+    def monomial(self) -> tuple[int, int, Term] | None:
+        """(n, d, exps) for n/d * x^exps, consumed, when the term at the
+        cursor is one monomial token, maybe negated, with no '*', '/' or '^'
+        after it, and the token reads without error; else None, with nothing
+        consumed, and term() reads it and raises any error in its place."""
+        tokens = self.tokens
+        i = self.idx
+        sign = 1
+        kind, val, _ = tokens[i]
+        while kind == "op" and val == "-":
+            sign = -sign
+            i += 1
+            kind, val, _ = tokens[i]
+        if kind != "mono":
+            return None
+        kind, after, _ = tokens[i + 1]
+        if kind == "op" and after in "*/^":
+            return None
+        n = d = 1
+        exps = [0] * self.arity
+        parts = val.split("*")
+        if "/" in parts[0]:
+            a, b = parts.pop(0).split("/")
+            n, d = int(a), int(b)
+            if not d:
+                return None
+        for part in parts:
+            base, _, e = part.partition("^")
+            k = int(e) if e else 1
+            if k > EXPONENT_CAP:
+                return None
+            v = self.names.get(base)
+            if v is not None:
+                exps[v] += k
+            elif base[0].isdigit():
+                n *= int(base) ** k
+            else:
+                return None
+        self.idx = i + 1
+        return sign * n, d, tuple(exps)
 
     def term(self) -> Poly | RatFun:
         """A product: coef * x^exps times the node of the other factors."""
@@ -533,6 +608,13 @@ class _Parser:
         kind, val, pos = self.advance()
         while kind == "op" and val == "-":
             sign = -sign
+            kind, val, pos = self.advance()
+        if kind == "mono":
+            # read the monomial token symbol by symbol from here on
+            self.idx -= 1
+            self.tokens[self.idx : self.idx + 1] = [
+                (m.lastgroup, m.group(), pos + m.start()) for m in _TOKEN.finditer(val)
+            ]
             kind, val, pos = self.advance()
         if kind == "int":
             return sign * int(val) ** self.exponent(), None, 0

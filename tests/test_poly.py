@@ -16,6 +16,8 @@ from ratforms.poly import (
     Poly,
     _gcd_degree_bound,
     _heu_gcd,
+    _idivexact,
+    _imul,
     _prs_gcd,
     _total_deg,
     divexact,
@@ -306,6 +308,54 @@ def test_gcd_and_exact_division_match_the_fraction_model():
             q = divexact(a * b, b)
             _assert_canonical(q)
             assert dict(q.terms) == {e: c for e, c in ta.items() if c}
+
+
+def _idivexact_by_scan(f: dict, h: dict) -> dict | None:
+    """Exact division that finds each leading term of the remainder by a
+    scan of all its terms: the reference for _idivexact."""
+    lh = max(h, key=grlex_key)
+    rem, q = dict(f), {}
+    while rem:
+        lr = max(rem, key=grlex_key)
+        ke = tuple(a - b for a, b in zip(lr, lh))
+        if min(ke) < 0 or rem[lr] % h[lh]:
+            return None
+        cq = q[ke] = rem[lr] // h[lh]
+        for e, c in h.items():
+            k = tuple(a + b for a, b in zip(ke, e))
+            v = rem.get(k, 0) - cq * c
+            if v:
+                rem[k] = v
+            else:
+                del rem[k]
+    return q
+
+
+def test_exact_division_matches_the_scan_division():
+    rng = random.Random(26)
+    checked = 0
+    for _ in range(120):
+        arity = rng.randint(1, 4)
+        a = Poly(_random_terms(rng, arity, 9), arity).ints
+        b = Poly(_random_terms(rng, arity, 6), arity).ints
+        if not a or not b:
+            continue
+        f = _imul(a, b)
+        for h in (a, b, f, {e: -c for e, c in b.items()}):
+            q = _idivexact(f, h)
+            assert q is not None and list(q.items()) == list(_idivexact_by_scan(f, h).items())
+        if _total_deg(b) > 0:
+            # f + 1 is not a multiple of a nonconstant divisor of f
+            g = dict(f)
+            zero = (0,) * arity
+            g[zero] = g.get(zero, 0) + 1
+            if not g[zero]:
+                del g[zero]
+            assert _idivexact(g, b) is None and _idivexact_by_scan(g, b) is None
+            checked += 1
+        if _total_deg(a) > 0:
+            assert _idivexact(b, f) is None
+    assert checked > 60
 
 
 def test_equal_values_have_one_representation():

@@ -9,12 +9,13 @@ import pytest
 
 from synth import partial_ratio
 from ratforms.modular import DEFAULT_PRIMES, RETRIES
-from ratforms.poly import Poly
+from ratforms.poly import Poly, grlex_key
 from ratforms.ratfun import (
     DegenerateSpecializationError,
     ParseError,
     PoleError,
     RatFun,
+    _Parser,
     compose_numerator,
     parse,
     pole_free,
@@ -164,6 +165,13 @@ PRODUCTS = (
     ("(x+1)/2*y^2/3", lambda x, y, z: (x + 1).scale(Fraction(1, 2)) * y**2 * Fraction(1, 3)),
     ("-2^2*x/-z^3*z", lambda x, y, z: RatFun.from_poly(-(_c(2) ** 2) * x) / -(z**3) * z),
     ("x/y^0*--3", lambda x, y, z: x * _c(3)),
+    # forms that straddle a monomial token: left-associative '/', a power
+    # on a denominator, and a coefficient after a variable
+    ("x/y*z", lambda x, y, z: RatFun.from_poly(x) / RatFun.from_poly(y) * z),
+    ("2/3*x", lambda x, y, z: _c(2).scale(Fraction(1, 3)) * x),
+    ("2/3^2*x", lambda x, y, z: _c(2).scale(1 / (_c(3) ** 2).constant_value()) * x),
+    ("x*2/3*y", lambda x, y, z: (x * _c(2)).scale(Fraction(1, 3)) * y),
+    ("160/9*x^2*y^4*z^9", lambda x, y, z: _c(160).scale(Fraction(1, 9)) * x**2 * y**4 * z**9),
 )
 
 
@@ -210,6 +218,53 @@ def test_parse_single_term_powers_match_repeated_products(base, n):
 
 
 # -- arithmetic -------------------------------------------------------------
+
+
+def _random_poly(rng: random.Random, arity: int, nterms: int) -> Poly:
+    terms = {}
+    for _ in range(nterms):
+        e = tuple(rng.randint(0, 4) for _ in range(arity))
+        terms[e] = Fraction(rng.randint(-60, 60), rng.choice([1, 1, 2, 3, 9, 14]))
+    return Poly(terms, arity)
+
+
+def _printed(p: Poly, names: tuple[str, ...]) -> str:
+    """Poly.to_str's format, read off the Fraction view: the reference."""
+    pieces = []
+    for e in sorted(p.terms, key=grlex_key, reverse=True):
+        c = p.terms[e]
+        mono = "*".join(n if v == 1 else f"{n}^{v}" for n, v in zip(names, e) if v)
+        piece = str(abs(c)) if not mono else mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+        pieces.append(("- " if c < 0 else "+ ") + piece)
+    text = " ".join(pieces) or "+ 0"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def test_printed_forms_read_back_as_the_recursive_descent_reads_them(monkeypatch):
+    """Polynomials and quotients with rational coefficients, printed one
+    monomial per term, read back to the same function, and the monomial
+    reader gives the same ints, content and dict order as reading every
+    term factor by factor."""
+    rng = random.Random(26)
+    for _ in range(80):
+        arity = rng.randint(1, 3)
+        names = TRI[:arity]
+        num = _random_poly(rng, arity, rng.randint(0, 14))
+        den = _random_poly(rng, arity, rng.randint(1, 6))
+        if den.is_zero:
+            continue
+        for f in (RatFun.from_poly(num), RatFun(num, den)):
+            text = f.to_str(names)
+            for p in (f.num, f.den):
+                assert p.to_str(names) == _printed(p, names)
+            got = parse(text, names)
+            with monkeypatch.context() as m:
+                m.setattr(_Parser, "monomial", lambda self: None)
+                slow = parse(text, names)
+            assert got == f and got.to_str(names) == text
+            for a, b in ((got.num, slow.num), (got.den, slow.den)):
+                assert a.content == b.content
+                assert list(a.ints.items()) == list(b.ints.items())
 
 
 def test_arith_add_and_factor_cancelling_division():
