@@ -381,8 +381,6 @@ _LEXEME = re.compile(
     r"|(?P<op>[-+*/^()]))"
 )
 _SPACE = re.compile(r"\s*")
-# single symbols, as the recursive descent reads a monomial token
-_TOKEN = re.compile(rf"(?P<ws>\s+)|(?P<int>{_INT})|(?P<name>{_NAME})|(?P<op>[-+*/^()])")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -445,16 +443,13 @@ def _quotient(f: Poly | RatFun | None, g: Poly | RatFun) -> RatFun:
 class _Parser:
     """Recursive descent over the token list.
 
-    A term that is one monomial token, maybe negated, with no '*', '/' or
-    '^' after it is read straight off the token's text (monomial), and expr
-    adds the polynomial terms of a sum into one integer term dict.  Every
-    other term goes through term(), which splits each monomial token it
-    meets into single symbols; there, integer and variable factors (each
-    maybe negated and raised to a power) fold into one coefficient and one
-    exponent vector, and only parenthesised factors and divisions by a
-    variable become nodes.  Polynomial subtrees stay plain Polys; only a
-    genuine quotient becomes a RatFun, kept raw (unreduced), so no node
-    pays for a gcd.  parse reduces the result once at the end.
+    term() is the one reader of a product: it reads monomial tokens in
+    place and folds integer and variable factors into a coefficient n/d
+    and one exponent vector, and expr adds such a term straight into one
+    integer term dict, so a sum of monomials builds one Poly.  Only
+    parenthesised factors and divisions by a variable become nodes, and
+    only a genuine quotient becomes a RatFun, kept raw (unreduced), so no
+    node pays for a gcd; parse reduces the result once at the end.
     """
 
     def __init__(self, text: str, names: tuple[str, ...]):
@@ -463,25 +458,11 @@ class _Parser:
         self.names = {n: i for i, n in enumerate(names)}
         self.arity = len(names)
 
-    def peek(self):
-        return self.tokens[self.idx]
-
-    def advance(self):
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, val, pos = self.peek()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos)
-        return self.advance()
-
     def parse(self) -> RatFun:
         f = self.expr()
-        kind, val, pos = self.peek()
+        kind, val, pos = self.tokens[self.idx]
         if kind != "end":
-            raise ParseError(f"unexpected token {_TOKEN.match(val).group()!r}", pos)
+            raise ParseError(f"unexpected token {re.match(rf'{_INT}|{_NAME}|.', val).group()!r}", pos)
         return RatFun.from_poly(f) if isinstance(f, Poly) else f.reduce()
 
     def expr(self) -> Poly | RatFun:
@@ -494,164 +475,149 @@ class _Parser:
         quot: RatFun | None = None
         val = "+"
         while True:
-            mono = self.monomial()
-            if mono is not None:
-                n, d, exps = mono
+            n, d, exps, node = self.term()
+            if val == "-":
+                n = -n
+            if node is None:
                 if n:
-                    den = _add_scaled(acc, den, ((exps, 1),), -n if val == "-" else n, d)
+                    if den % d:
+                        den = _add_scaled(acc, den, (), 1, d)  # acc over lcm(den, d)
+                    acc[exps] = acc.get(exps, 0) + n * (den // d)
             else:
-                g = self.term()
-                if val == "-":
-                    g = -g
+                g = _product(node, Poly({exps: Fraction(n, d)}, self.arity))
                 if isinstance(g, Poly):
                     c = g.content
                     den = _add_scaled(acc, den, g.ints.items(), c.numerator, c.denominator)
                 else:
                     quot = g if quot is None else _raw_sum(quot, g)
-            kind, val, _ = self.peek()
+            kind, val, _ = self.tokens[self.idx]
             if kind != "op" or val not in "+-":
                 break
-            self.advance()
+            self.idx += 1
         total = Poly.from_ints({e: c for e, c in acc.items() if c}, self.arity, Fraction(1, den))
         if quot is None:
             return total
         return quot if total.is_zero else _raw_sum(quot, total)
 
-    def monomial(self) -> tuple[int, int, Term] | None:
-        """(n, d, exps) for n/d * x^exps, consumed, when the term at the
-        cursor is one monomial token, maybe negated, with no '*', '/' or '^'
-        after it, and the token reads without error; else None, with nothing
-        consumed, and term() reads it and raises any error in its place."""
+    def term(self) -> tuple[int, int, Term, Poly | RatFun | None]:
+        """A product, as (n, d, exps, node) for n/d * x^exps * node, d > 0,
+        with node None when every factor is an integer or a variable.
+
+        A monomial token is read off its text, left to right, each name
+        before its exponent; a ^k after the token binds to its last factor
+        when that has no ^k of its own.  A '/' divides by the next factor.
+        """
         tokens = self.tokens
-        i = self.idx
-        sign = 1
-        kind, val, _ = tokens[i]
-        while kind == "op" and val == "-":
-            sign = -sign
-            i += 1
-            kind, val, _ = tokens[i]
-        if kind != "mono":
-            return None
-        kind, after, _ = tokens[i + 1]
-        if kind == "op" and after in "*/^":
-            return None
+        names = self.names
         n = d = 1
         exps = [0] * self.arity
-        parts = val.split("*")
-        if "/" in parts[0]:
-            a, b = parts.pop(0).split("/")
-            n, d = int(a), int(b)
-            if not d:
-                return None
-        for part in parts:
-            base, _, e = part.partition("^")
-            k = int(e) if e else 1
-            if k > EXPONENT_CAP:
-                return None
-            v = self.names.get(base)
-            if v is not None:
-                exps[v] += k
-            elif base[0].isdigit():
-                n *= int(base) ** k
-            else:
-                return None
-        self.idx = i + 1
-        return sign * n, d, tuple(exps)
-
-    def term(self) -> Poly | RatFun:
-        """A product: coef * x^exps times the node of the other factors."""
-        coef: int | Fraction = 1
-        exps = [0] * self.arity
         node: Poly | RatFun | None = None
-        op, pos = "*", -1
+        op = "*"
+        i = self.idx
         while True:
-            leaf = self.leaf()
-            if leaf is None:
-                g = self.factor()
+            kind, val, start = tokens[i]
+            neg = False
+            while kind == "op" and val == "-":
+                neg = not neg
+                i += 1
+                kind, val, start = tokens[i]
+            if kind == "mono":
+                if neg:
+                    n = -n
+                parts = val.split("*")
+                if tokens[i + 1][1] == "^" and "^" not in parts[-1]:
+                    parts[-1] += "^"  # the ^k after the token is its last factor's
+                if "/" in parts[0]:
+                    # a/b: the integer a, then b after a '/', read here unless
+                    # it takes the ^k after the token
+                    a, b = parts[0].split("/")
+                    c = int(a)
+                    if op == "*":
+                        n *= c
+                    elif not c:
+                        raise ParseError("division by the zero polynomial", pos)
+                    else:
+                        d *= c
+                    if b.isdigit():
+                        c = int(b)
+                        if not c:
+                            raise ParseError("division by the zero polynomial", start + len(a))
+                        d *= c
+                        op = "*"
+                        del parts[0]
+                    else:
+                        op, pos, parts[0] = "/", start + len(a), b
+                for part in parts:
+                    base, caret, e = part.partition("^")
+                    v = names.get(base)
+                    k = int(e) if e else 1
+                    if v is None and not base[0].isdigit() or k > EXPONENT_CAP:
+                        # the first factor that fails is the first copy of it
+                        at = start + len(val) - len("*".join(parts[parts.index(part) :]).rstrip("^"))
+                        if v is None and not base[0].isdigit():
+                            raise ParseError(f"unknown identifier {base!r}", at)
+                        raise ParseError(f"exponent {k} too large", at + len(base) + 1)
+                    if caret and not e:
+                        self.idx = i + 1
+                        k = self.exponent()
+                        i = self.idx - 1
+                    if op == "/":
+                        op = "*"
+                        if v is not None:
+                            if k:
+                                node = _quotient(node, Poly.variable(v, self.arity) ** k)
+                            continue
+                        c = int(base) ** k
+                        if not c:
+                            raise ParseError("division by the zero polynomial", pos)
+                        d *= c
+                    elif v is None:
+                        n *= int(base) ** k
+                    else:
+                        exps[v] += k
+                i += 1
+            elif kind == "op" and val == "(":
+                self.idx = i + 1
+                g = self.expr()
+                _, close, at = tokens[self.idx]
+                if close != ")":
+                    raise ParseError("expected ')'", at)
+                self.idx += 1
+                k = self.exponent()
+                i = self.idx
+                if k != 1:
+                    g = g**k if isinstance(g, Poly) else RatFun.raw(g.num**k, g.den**k)
+                if neg:
+                    g = -g
                 if op == "*":
                     node = _product(node, g)
                 elif g.is_zero:
                     raise ParseError("division by the zero polynomial", pos)
                 elif isinstance(g, Poly) and g.is_constant:
-                    coef /= g.constant_value()
+                    c = g.constant_value()
+                    n, d = n * c.denominator, d * c.numerator
                 else:
                     node = _quotient(node, g)
             else:
-                c, i, n = leaf
-                if op == "*":
-                    coef *= c
-                    if i is not None:
-                        exps[i] += n
-                elif not c:
-                    raise ParseError("division by the zero polynomial", pos)
-                else:
-                    coef = Fraction(coef, c)
-                    if i is not None and n:
-                        node = _quotient(node, Poly.variable(i, self.arity) ** n)
-            kind, op, pos = self.peek()
+                raise ParseError(f"unexpected token {val or 'end of input'!r}", start)
+            kind, op, pos = tokens[i]
             if kind != "op" or op not in "*/":
                 break
-            self.advance()
-        if coef:
-            sign = 1 if coef > 0 else -1
-            mono = Poly._make({tuple(exps): sign}, Fraction(abs(coef)), self.arity)
-        else:
-            mono = Poly.zero(self.arity)
-        return mono if node is None else _product(node, mono)
-
-    def leaf(self) -> tuple[int, int | None, int] | None:
-        """An integer or variable factor, maybe negated and raised to a
-        power, as (c, i, n) for c * x_i^n, or (c, None, 0) for the integer
-        c; None, with nothing consumed, for any other factor."""
-        start = self.idx
-        sign = 1
-        kind, val, pos = self.advance()
-        while kind == "op" and val == "-":
-            sign = -sign
-            kind, val, pos = self.advance()
-        if kind == "mono":
-            # read the monomial token symbol by symbol from here on
-            self.idx -= 1
-            self.tokens[self.idx : self.idx + 1] = [
-                (m.lastgroup, m.group(), pos + m.start()) for m in _TOKEN.finditer(val)
-            ]
-            kind, val, pos = self.advance()
-        if kind == "int":
-            return sign * int(val) ** self.exponent(), None, 0
-        if kind == "name":
-            i = self.names.get(val)
-            if i is None:
-                raise ParseError(f"unknown identifier {val!r}", pos)
-            return sign, i, self.exponent()
-        self.idx = start
-        return None
-
-    def factor(self) -> Poly | RatFun:
-        """A negated or parenthesised factor, maybe raised to a power."""
-        kind, val, pos = self.advance()
-        if kind == "op" and val == "-":
-            return -self.factor()
-        if kind != "op" or val != "(":
-            raise ParseError(f"unexpected token {val or 'end of input'!r}", pos)
-        f = self.expr()
-        self.expect_op(")")
-        n = self.exponent()
-        if n == 1:
-            return f
-        if isinstance(f, Poly):
-            return f**n
-        return RatFun.raw(f.num**n, f.den**n)
+            i += 1
+        self.idx = i
+        if d < 0:
+            n, d = -n, -d
+        return n, d, tuple(exps), node
 
     def exponent(self) -> int:
         """The exponent after a base: 1 when no ^ follows."""
-        kind, val, _ = self.peek()
-        if kind != "op" or val != "^":
+        i = self.idx
+        if self.tokens[i][1] != "^":
             return 1
-        self.advance()
-        kind, val, pos = self.peek()
+        kind, val, pos = self.tokens[i + 1]
         if kind != "int":
             raise ParseError("exponent must be a nonnegative integer", pos)
-        self.advance()
+        self.idx = i + 2
         n = int(val)
         if n > EXPONENT_CAP:
             raise ParseError(f"exponent {n} too large", pos)
@@ -662,8 +628,7 @@ def check_names(vars) -> tuple[str, ...]:
     """The names as a tuple; ValueError unless they are distinct identifiers."""
     names = tuple(vars)
     for v in names:
-        m = _TOKEN.fullmatch(v)
-        if m is None or m.lastgroup != "name":
+        if not re.fullmatch(_NAME, v):
             raise ValueError(f"variable name {v!r} is not an identifier")
     if len(set(names)) != len(names):
         raise ValueError("duplicate variable names")

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +18,6 @@ from ratforms.ratfun import (
     ParseError,
     PoleError,
     RatFun,
-    _Parser,
     compose_numerator,
     parse,
     pole_free,
@@ -139,6 +141,11 @@ def test_parse_matches_per_node_reduction(expr, build):
         ("x/0*$", "unrecognized character '$' (at position 4)"),
         ("x/w", "unknown identifier 'w' (at position 2)"),
         ("x/2*w", "unknown identifier 'w' (at position 4)"),
+        # inside one monomial token: a name before its exponent, and a
+        # divisor with its power before the factors after it
+        ("xy^", "unknown identifier 'xy' (at position 0)"),
+        ("xx^1048577", "unknown identifier 'xx' (at position 0)"),
+        ("2/0^1*x", "division by the zero polynomial (at position 1)"),
     ),
 )
 def test_parse_error_messages_and_positions(expr, message):
@@ -172,6 +179,9 @@ PRODUCTS = (
     ("2/3^2*x", lambda x, y, z: _c(2).scale(1 / (_c(3) ** 2).constant_value()) * x),
     ("x*2/3*y", lambda x, y, z: (x * _c(2)).scale(Fraction(1, 3)) * y),
     ("160/9*x^2*y^4*z^9", lambda x, y, z: _c(160).scale(Fraction(1, 9)) * x**2 * y**4 * z**9),
+    # a ^k after a monomial token binds to its last factor only
+    ("1/2 ^3*x", lambda x, y, z: x.scale(Fraction(1, 8))),
+    ("x*y ^2", lambda x, y, z: x * y**2),
 )
 
 
@@ -240,11 +250,10 @@ def _printed(p: Poly, names: tuple[str, ...]) -> str:
     return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
-def test_printed_forms_read_back_as_the_recursive_descent_reads_them(monkeypatch):
+def test_printed_forms_read_back_in_printed_order():
     """Polynomials and quotients with rational coefficients, printed one
-    monomial per term, read back to the same function, and the monomial
-    reader gives the same ints, content and dict order as reading every
-    term factor by factor."""
+    monomial per term, read back to the same function and text, with the
+    reference content and the terms in printed (descending grlex) order."""
     rng = random.Random(26)
     for _ in range(80):
         arity = rng.randint(1, 3)
@@ -258,13 +267,37 @@ def test_printed_forms_read_back_as_the_recursive_descent_reads_them(monkeypatch
             for p in (f.num, f.den):
                 assert p.to_str(names) == _printed(p, names)
             got = parse(text, names)
-            with monkeypatch.context() as m:
-                m.setattr(_Parser, "monomial", lambda self: None)
-                slow = parse(text, names)
             assert got == f and got.to_str(names) == text
-            for a, b in ((got.num, slow.num), (got.den, slow.den)):
-                assert a.content == b.content
-                assert list(a.ints.items()) == list(b.ints.items())
+            for a, b in ((got.num, f.num), (got.den, f.den)):
+                assert a.content == b.content and a.ints == b.ints
+                assert list(a.ints) == sorted(b.ints, key=grlex_key, reverse=True)
+
+
+def _bench_corpus(monkeypatch):
+    """bench/corpus.py, loaded by path: it builds its inputs without ratforms."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("_bench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclass
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_generated_benchmark_inputs_read_as_the_num_and_den_they_print(monkeypatch):
+    """Every generated input of the three workloads reads back as exactly
+    the coprime num/den it was printed from, denominator made monic."""
+    corpus = _bench_corpus(monkeypatch)
+    checked = 0
+    for workload in sorted(corpus.WORKLOADS):
+        for it in corpus.build(workload, 1):
+            if it.num is None:
+                continue
+            arity = len(it.names)
+            want = RatFun.coprime(Poly(it.num, arity), Poly(it.den, arity))
+            got = parse(it.expr, it.names)
+            assert (got.num, got.den) == (want.num, want.den), it.expr
+            checked += 1
+    assert checked > 400
 
 
 def test_arith_add_and_factor_cancelling_division():
