@@ -5,12 +5,13 @@ through F(x) + G(y) or F(x) * G(y), the group template for two variables;
 a trivariate one decomposes through r1 + r2 + r3, r1 * r2 * r3,
 r_i * (r_j + r_l)^n, or the twisted quotient
 (r1(x) + r2(y)) / (r2(y) + r3(z)), each inside an outer map q that is any
-nonconstant univariate rational function: every fitter reads the inner
-parts off partial ratios or log-derivatives from which q cancels.  The
-fitters recover the inner parts exactly and back every positive verdict
-with a machine-checkable dependence certificate: the relation
-a(q)*p - b(q) stating P = (b/a)(s), checked exactly when it is found (its
-homogenized parts in (N_s, D_s) are proportional to D_P and -N_P, see
+nonconstant univariate rational function.  TEMPLATES states each inner
+function s once.  Every fitter reads the inner parts exactly off partial
+ratios or log-derivatives, from which q cancels, and reports through
+_certified, which builds s from TEMPLATES and backs the verdict with a
+machine-checkable dependence certificate: the relation a(q)*p - b(q)
+stating P = (b/a)(s), checked exactly when it is found (its homogenized
+parts in (N_s, D_s) are proportional to D_P and -N_P, see
 oracle._vanishes) and re-checked from scratch by verify_certificate's
 full expansion.
 
@@ -36,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import NamedTuple
 
 from .calculus import hermite_antiderivative, logderiv_integrate
 from .dimension import image_dimension, is_nondegenerate
@@ -80,17 +80,18 @@ class DependenceCertificate:
 
 @dataclass
 class FormReport:
-    """Outcome of classification: verdict, fitted parts, certificate.
+    """Outcome of classification, or of one fitter: verdict, parts, certificate.
 
     verdict is one of GroupAdditive, GroupMultiplicative, Field, Twisted,
     NoConstraint, Degenerate, Unresolved.  Positive verdicts always carry
     fitted parts and a verified certificate.  fitted maps "r1", "r2" and
     "s" (and "r3" for a trivariate input) to the parts of the canonical
-    form: r_i is the part in the i-th variable and s the inner function
+    form: r_i is the part in the i-th variable and s, which is
+    TEMPLATES[verdict] of the parts, pivot and exponent, the inner function
     the certificate relates to the input.  diagnostics maps named probe
     steps to booleans; for Field, pivot is the 1-based index of the variable
     outside the inner sum and exponent is the outer power n.
-    image_dimension is set for every nondegenerate input.
+    image_dimension is set for every nondegenerate input once classified.
     """
 
     verdict: str
@@ -102,21 +103,19 @@ class FormReport:
     image_dimension: int | None = None
 
 
-class Fit(NamedTuple):
-    """One certified fit: its verdict, parts, s and certificate.
+def _field_form(r, i, n):
+    rj, rl = r[: i - 1] + r[i:]
+    return r[i - 1] * (rj + rl) ** n
 
-    r3 is None for a bivariate fit; pivot (1-based) and exponent are set
-    for Field only, as in FormReport.
-    """
 
-    verdict: str
-    r1: RatFun
-    r2: RatFun
-    r3: RatFun | None
-    s: RatFun
-    certificate: DependenceCertificate
-    pivot: int | None = None
-    exponent: int | None = None
+#: The one statement of each canonical form P = q(s): s from the parts
+#: r = (r1, r2[, r3]), the pivot i and the exponent n (both Field only).
+TEMPLATES = {
+    "GroupAdditive": lambda r, i, n: sum(r[1:], r[0]),
+    "GroupMultiplicative": lambda r, i, n: prod(r[1:], start=r[0]),
+    "Field": _field_form,
+    "Twisted": lambda r, i, n: (r[0] + r[1]) / (r[1] + r[2]),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +357,32 @@ def _decomposed_detail(P: RatFun, p: int, seed: int) -> tuple[bool, dict[str, bo
     return all(detail.values()), detail
 
 
+def _certified(verdict, parts, key, P, dmax, primes, seed, diag, pivot=None, exponent=None):
+    """Certify P = q(s) for s = TEMPLATES[verdict](parts, pivot, exponent),
+    the one call of dependence_certificate: record diagnostic key True and
+    return the report, or record key_certificate False (for Twisted,
+    fit_twisted records the outcome) and return None.  A constant s raises
+    DegenerateSpecializationError."""
+    s = TEMPLATES[verdict](parts, pivot, exponent)
+    if s.is_constant:
+        raise DegenerateSpecializationError("the fitted parts give a constant s")
+    cert = dependence_certificate(P, s, dmax=dmax, primes=primes, seed=seed)
+    if cert is None:
+        if verdict != "Twisted":
+            diag[f"{key}_certificate"] = False
+        return None
+    diag[key] = True
+    fitted = dict(zip(("r1", "r2", "r3"), parts), s=s)
+    return FormReport(verdict, fitted, cert, diag, pivot=pivot, exponent=exponent)
+
+
 def fit_group(
     P: RatFun,
     dmax: int | None = None,
     primes: tuple[int, ...] = DEFAULT_PRIMES,
     seed: int = 0,
     diagnostics: dict[str, bool] | None = None,
-) -> Fit | None:
+) -> FormReport | None:
     """Fit P = Q(r1 + ... + rn) or Q(r1 * ... * rn), n = 2 or 3, certified.
 
     P_x/P_y of such a P is separable, and for n = 3 every partial ratio is
@@ -372,7 +390,7 @@ def fit_group(
     P_y/P_z then share the middle part r2', which pins all three derivative
     parts to one common scale.  The additive branch integrates the parts
     directly, the multiplicative branch integrates them as log-derivatives
-    after the shared residue rescaling.  A bivariate fit has r3 None.
+    after the shared residue rescaling.  A bivariate fit has no r3.
     """
     diag = diagnostics if diagnostics is not None else {}
     n = P.arity
@@ -402,33 +420,24 @@ def fit_group(
             diag["group_scale_consistent"] = False
             return None
         parts.append(v2.scale(1 / mu.constant_value()))
-    pad = [None] * (3 - n)
 
     try:
         rs = [hermite_antiderivative(parts[k], k) for k in range(n)]
     except (ValueError, ZeroDivisionError):
         rs = [None]
     if all(r is not None for r in rs):
-        s = sum(rs[1:], rs[0])
-        cert = dependence_certificate(P, s, dmax=dmax, primes=primes, seed=seed)
-        if cert is not None:
-            diag["group_additive"] = True
-            return Fit("GroupAdditive", *rs, *pad, s, cert)
-        diag["group_additive_certificate"] = False
+        report = _certified("GroupAdditive", rs, "group_additive", P, dmax, primes, seed, diag)
+        if report is not None:
+            return report
     else:
         diag["group_additive_integrable"] = False
 
     rs, reason = logderiv_integrate([(parts[k], k) for k in range(n)])
-    if rs is not None:
-        s = prod(rs[1:], start=rs[0])
-        cert = dependence_certificate(P, s, dmax=dmax, primes=primes, seed=seed)
-        if cert is not None:
-            diag["group_multiplicative"] = True
-            return Fit("GroupMultiplicative", *rs, *pad, s, cert)
-        diag["group_multiplicative_certificate"] = False
-    else:
+    if rs is None:
         diag[f"group_multiplicative_{reason}"] = False
-    return None
+        return None
+    return _certified("GroupMultiplicative", rs, "group_multiplicative",
+                      P, dmax, primes, seed, diag)
 
 
 def _solve_beta(fn: _Fn, i: int, j: int, uj: RatFun, B0: RatFun, rng) -> Fraction | None:
@@ -479,16 +488,16 @@ def fit_field(
     primes: tuple[int, ...] = DEFAULT_PRIMES,
     seed: int = 0,
     diagnostics: dict[str, bool] | None = None,
-) -> Fit | None:
+) -> FormReport | None:
     """Fit P = Q(r_i * (r_j + r_l)^n) over the three pivot choices.
 
     For the correct pivot x_i, the ratio P_j/P_l = r_j'/r_l' recovers the
-    inner sum B = r_j + r_l up to scale and shift.  With M = P_i * r_j'/P_j,
+    inner sum B0 = r_j + r_l up to scale and shift.  With M = P_i * r_j'/P_j,
     the shift beta is the constant M * r_j'/M_j - B0 on one exact x_j-line
-    (see _solve_beta).  K = M/(B0+beta) = r_i'/(n r_i) is integrated as a
-    log-derivative, g'/g = c*K (see logderiv_integrate): the exponent n is
-    the numerator of c, the lcm of the residue denominators of K, and
-    r_i = g^(denominator of c).
+    (see _solve_beta), and r_j takes it on.  K = M/(B0+beta) = r_i'/(n r_i)
+    is integrated as a log-derivative, g'/g = c*K (see logderiv_integrate):
+    the exponent n is the numerator of c, the lcm of the residue denominators
+    of K, and r_i = g^(denominator of c).
     """
     diag = diagnostics if diagnostics is not None else {}
     fn = _Fn(P)
@@ -514,12 +523,12 @@ def fit_field(
         if rj is None or rl is None:
             diag[f"{tag}_integrable"] = False
             continue
-        B0 = rj + rl
-        beta = _solve_beta(fn, i, j, uj, B0, rng)
+        beta = _solve_beta(fn, i, j, uj, rj + rl, rng)
         if beta is None:
             diag[f"{tag}_shift"] = False
             continue
-        Bc = B0 + beta
+        rj += beta
+        Bc = rj + rl
 
         kval = _field_k_mod(fn, i, j, uj, Bc, primes[0])
         if not (_probe(kval, 3, (j,), rng, primes[0]) and _probe(kval, 3, (l,), rng, primes[0])):
@@ -552,16 +561,11 @@ def fit_field(
         if n > deg_cap:
             diag[f"{tag}_exponent_bound"] = False
             continue
-        ri = gs[0] ** c.denominator
-        s = ri * Bc ** n
-        cert = dependence_certificate(P, s, dmax=dmax, primes=primes, seed=seed)
-        if cert is None:
-            diag[f"{tag}_certificate"] = False
-            continue
-        diag[tag] = True
-        rr: list[RatFun] = [None, None, None]  # type: ignore[list-item]
-        rr[i], rr[j], rr[l] = ri, rj, rl
-        return Fit("Field", *rr, s, cert, pivot=i + 1, exponent=n)
+        rs = [rj, rl]
+        rs.insert(i, gs[0] ** c.denominator)
+        report = _certified("Field", rs, tag, P, dmax, primes, seed, diag, pivot=i + 1, exponent=n)
+        if report is not None:
+            return report
     return None
 
 
@@ -610,7 +614,7 @@ def _twisted_logpartial_mod(fn: _Fn, i: int, p: int):
     return sides
 
 
-def _twisted_recover(P, fn, rng, dmax, primes, seed):
+def _twisted_recover(P, fn, rng, dmax, primes, seed, diag):
     """Recover (r1, r2, r3) of P = q((r1+r2)/(r2+r3)) and certify, or None.
 
     W = T/T_x = (r1+r2)/r1' = -g_y g_z/delta and V = T/T_z = -(r2+r3)/r3' =
@@ -642,16 +646,10 @@ def _twisted_recover(P, fn, rng, dmax, primes, seed):
             r3 = V * ((r2cy1 - r2cy) / (V1 - V)) - r2cy
         except (DegenerateSpecializationError, PoleError, ZeroDivisionError, ValueError):
             continue
-        s1, s2 = r1 + r2, r2 + r3
-        if s2.is_zero:
-            continue
-        shat = s1 / s2
-        if shat.is_constant:
-            continue
-        cert = dependence_certificate(P, shat, dmax=dmax, primes=primes, seed=seed)
-        if cert is None:
-            return None
-        return Fit("Twisted", r1, r2, r3, shat, cert)
+        try:
+            return _certified("Twisted", (r1, r2, r3), "twisted", P, dmax, primes, seed, diag)
+        except (DegenerateSpecializationError, ZeroDivisionError):
+            continue  # r2 + r3 = 0, or a constant s
     return None
 
 
@@ -661,7 +659,7 @@ def fit_twisted(
     primes: tuple[int, ...] = DEFAULT_PRIMES,
     seed: int = 0,
     diagnostics: dict[str, bool] | None = None,
-) -> Fit | None:
+) -> FormReport | None:
     """Fit P = q((r1(x) + r2(y)) / (r2(y) + r3(z))) for any outer map q.
 
     q is any nonconstant univariate rational function: it cancels from
@@ -678,15 +676,14 @@ def fit_twisted(
             and _probe(_twisted_logpartial_mod(fn, 2, p), 3, (0,), rng, p)):
         diag["twisted_gates"] = False
         return None
-    fit = _twisted_recover(P, fn, rng, dmax, primes, seed)
-    if fit is None:
+    report = _twisted_recover(P, fn, rng, dmax, primes, seed, diag)
+    if report is None:
         diag["twisted_gates"] = True
     else:
-        diag["twisted"] = True
         # r1, r2 and r3 are univariate in x, y and z by construction, so all
         # three cube identities of (r1 + r2)/(r2 + r3) hold identically
         diag["twisted_cube_identities"] = True
-    return fit
+    return report
 
 
 def verify_twisted_identities(
@@ -698,10 +695,10 @@ def verify_twisted_identities(
 ) -> bool:
     """Spot-check the three value-cube identities of the fitted twisted form.
 
-    Builds s = (r1+r2)/(r2+r3) and requires all three cube identities of
+    Builds s from TEMPLATES and requires all three cube identities of
     cube_identities to hold at `trials` exact random integer cubes.
     """
-    s = (r1 + r2) / (r2 + r3)
+    s = TEMPLATES["Twisted"]((r1, r2, r3), None, None)
     return all(cube_identities(s, trials=trials, seed=seed))
 
 
@@ -790,9 +787,11 @@ def _classify(
 ) -> FormReport:
     """The pipeline for n = 2 or 3 variables: degeneracy, fits, dimension.
 
-    The fitters run first; a certified fit proves the constraint, and with
-    P nondegenerate its certificate P = q(s) proves the image dimension is
-    n + 1 (see the dimension module), so no rank is sampled.  Without one,
+    The fitters run first (group; then field and twisted for n = 3), and the
+    first report one returns is the verdict: a certified fit proves the
+    constraint, and with P nondegenerate its certificate P = q(s) proves the
+    image dimension is n + 1 (see the dimension module), so no rank is
+    sampled.  Without one,
     the sampled dimension separates NoConstraint (2n, proven by a full-rank
     sample) from Unresolved, a constraint no form explains (for n = 3 a
     partial one at 5 or a full one at 4 or less), which rests on the
@@ -805,10 +804,11 @@ def _classify(
     if not is_nondegenerate(P):
         return FormReport("Degenerate", None, None, {"nondegenerate": False})
     diag: dict[str, bool] = {"nondegenerate": True}
-    report = _fit(P, dmax, primes, seed, diag)
-    if report is not None:
-        report.image_dimension = n + 1
-        return report
+    for fitter in (fit_group,) if n == 2 else (fit_group, fit_field, fit_twisted):
+        report = fitter(P, dmax=dmax, primes=primes, seed=seed, diagnostics=diag)
+        if report is not None:
+            report.image_dimension = n + 1
+            return report
     d = image_dimension(P, primes=primes, samples=samples, seed=seed)
     diag["constraint"] = d < 2 * n
     if n == 3 and d == 5:
@@ -819,18 +819,3 @@ def _classify(
         diag["2decomposed"] = two
     verdict = "NoConstraint" if d == 2 * n else "Unresolved"
     return FormReport(verdict, None, None, diag, image_dimension=d)
-
-
-def _fit(
-    P: RatFun, dmax: int | None, primes: tuple[int, ...], seed: int, diag: dict[str, bool]
-) -> FormReport | None:
-    """The first certified fit among group, field and twisted, or None."""
-    fitters = (fit_group,) if P.arity == 2 else (fit_group, fit_field, fit_twisted)
-    for fitter in fitters:
-        fit = fitter(P, dmax=dmax, primes=primes, seed=seed, diagnostics=diag)
-        if fit is not None:
-            parts = zip(("r1", "r2", "r3", "s"), (fit.r1, fit.r2, fit.r3, fit.s))
-            fitted = {k: v for k, v in parts if v is not None}  # a bivariate fit has no r3
-            return FormReport(fit.verdict, fitted, fit.certificate, diag,
-                              pivot=fit.pivot, exponent=fit.exponent)
-    return None

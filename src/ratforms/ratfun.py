@@ -381,6 +381,7 @@ _LEXEME = re.compile(
     r"|(?P<op>[-+*/^()]))"
 )
 _SPACE = re.compile(r"\s*")
+_LONG_INT = re.compile(r"(?<!\w)\d{4301,}")  # past int()'s default limit, not in a name
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -636,5 +637,13 @@ def check_names(vars) -> tuple[str, ...]:
 
 
 def parse(expr: str, vars: tuple[str, ...] | list[str]) -> RatFun:
-    """Parse an expression into a canonical RatFun over the given variables."""
-    return _Parser(expr, check_names(vars)).parse()
+    """Parse an expression into a canonical RatFun over the given variables;
+    an integer too long for int() is a ParseError at its first digit."""
+    parser = _Parser(expr, check_names(vars))
+    try:
+        return parser.parse()
+    except ValueError as exc:
+        # integers are read left to right, so the first long one failed
+        if isinstance(exc, ParseError) or not (long := _LONG_INT.search(expr)):
+            raise
+        raise ParseError("integer of more than 4300 digits", long.start()) from None

@@ -39,6 +39,7 @@ import synth
 
 from ratforms import cli
 from ratforms.classify import (
+    TEMPLATES,
     DependenceCertificate,
     classify_trivariate,
     cube_identities,
@@ -55,6 +56,13 @@ BI = synth.BI
 TRI = synth.TRI
 
 POSITIVE_VERDICTS = ("GroupAdditive", "GroupMultiplicative", "Field", "Twisted")
+
+
+def _rebuilds_s(rep) -> bool:
+    """Does the report's template, applied to its parts, pivot and exponent,
+    give its s exactly?"""
+    parts = [rep.fitted[k] for k in ("r1", "r2", "r3") if k in rep.fitted]
+    return TEMPLATES[rep.verdict](parts, rep.pivot, rep.exponent) == rep.fitted["s"]
 
 # expression, variable names, expected image dimension of the doubling map
 DIMENSION_TABLE = (
@@ -211,6 +219,8 @@ def test_canonical_form_recovery(capsys):
                 failures.append(
                     f"{fn.to_str(TRI)}: exponent {rep.exponent} != {n}"
                 )
+            elif not _rebuilds_s(rep):
+                failures.append(f"{fn.to_str(TRI)}: the parts do not rebuild s")
             if dt >= 20.0:
                 failures.append(f"{fn.to_str(TRI)}: took {dt:.2f}s (budget 20s)")
         for cls in POSITIVE_VERDICTS:
@@ -326,6 +336,8 @@ def test_bivariate_dichotomy(capsys):
                 rep.certificate, fn, rep.fitted["s"]
             ):
                 failures.append(f"{fn.to_str(BI)}: missing or unverifiable certificate")
+            elif not _rebuilds_s(rep):
+                failures.append(f"{fn.to_str(BI)}: the parts do not rebuild s")
 
         for expr in synth.UNCONSTRAINED_BIVARIATE:
             fn = parse(expr, BI)

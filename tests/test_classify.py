@@ -13,8 +13,9 @@ import pytest
 import synth
 from synth import partial_ratio, ref_subs
 from ratforms.classify import (
+    TEMPLATES,
     DependenceCertificate,
-    Fit,
+    FormReport,
     classify_trivariate,
     cube_identities,
     dependence_certificate,
@@ -299,18 +300,18 @@ def test_sampled_2decomposition_matches_the_exact_identity(expr):
 
 
 def test_fit_group_additive():
-    fit = fit_group(parse("(x+y+z)^2", TRI))
-    assert fit is not None
-    assert fit.verdict == "GroupAdditive"
-    assert fit.s == parse("x+y+z", TRI)
+    rep = fit_group(parse("(x+y+z)^2", TRI))
+    assert rep is not None
+    assert rep.verdict == "GroupAdditive"
+    assert rep.fitted["s"] == parse("x+y+z", TRI)
 
 
 def test_fit_group_multiplicative():
-    fit = fit_group(parse("x*y*z", TRI))
-    assert fit is not None
-    assert fit.verdict == "GroupMultiplicative"
-    assert fit.s == parse("x*y*z", TRI)
-    assert fit.certificate.annihilator.terms == {
+    rep = fit_group(parse("x*y*z", TRI))
+    assert rep is not None
+    assert rep.verdict == "GroupMultiplicative"
+    assert rep.fitted["s"] == parse("x*y*z", TRI)
+    assert rep.certificate.annihilator.terms == {
         (1, 0): Fraction(1),
         (0, 1): Fraction(-1),
     }
@@ -324,39 +325,46 @@ def test_fit_group_rejects_field_form():
 
 
 def test_fit_field_square():
-    fit = fit_field(parse("x*(y+z)^2", TRI))
-    assert fit is not None
-    assert fit.pivot == 1 and fit.exponent == 2
-    assert fit.r1 == parse("x", TRI)
-    assert fit.r2 == parse("y", TRI)
-    assert fit.r3 == parse("z", TRI)
-    assert fit.s == parse("x*(y+z)^2", TRI)
+    # r2 carries the shift of the inner sum, so the parts rebuild s
+    for inner, r2 in (("y+z", "y"), ("y+z+1", "y+1")):
+        expr = f"x*({inner})^2"
+        rep = fit_field(parse(expr, TRI))
+        assert rep is not None
+        assert rep.pivot == 1 and rep.exponent == 2
+        f = rep.fitted
+        assert f["r1"] == parse("x", TRI)
+        assert f["r2"] == parse(r2, TRI)
+        assert f["r3"] == parse("z", TRI)
+        assert f["r2"] + f["r3"] == parse(inner, TRI)
+        assert f["s"] == parse(expr, TRI)
 
 
 def test_only_a_field_fit_carries_pivot_and_exponent():
-    fits = {
+    reps = {
         "GroupAdditive": fit_group(parse("(x+y+z)^2", TRI)),
         "GroupMultiplicative": fit_group(parse("x*y", BI)),
         "Field": fit_field(parse("x*(y+z)^2", TRI)),
         "Twisted": fit_twisted(parse("(x+y)/(y+z)", TRI)),
     }
-    for verdict, fit in fits.items():
-        assert isinstance(fit, Fit) and fit.verdict == verdict
+    for verdict, rep in reps.items():
+        assert isinstance(rep, FormReport) and rep.verdict == verdict
+        parts = [rep.fitted[k] for k in ("r1", "r2", "r3") if k in rep.fitted]
+        assert TEMPLATES[verdict](parts, rep.pivot, rep.exponent) == rep.fitted["s"]
         if verdict == "Field":
-            assert (fit.pivot, fit.exponent) == (1, 2)
+            assert (rep.pivot, rep.exponent) == (1, 2)
         else:
-            assert fit.pivot is None and fit.exponent is None
-    assert fits["GroupMultiplicative"].r3 is None
+            assert rep.pivot is None and rep.exponent is None
+    assert "r3" not in reps["GroupMultiplicative"].fitted
 
 
 def test_fit_field_high_exponent():
-    fit = fit_field(parse("x^2*(y^3+z)^5", TRI))
-    assert fit is not None
-    assert fit.pivot == 1 and fit.exponent == 5
-    assert fit.r1 == parse("x^2", TRI)
-    assert fit.r2 == parse("y^3", TRI)
-    assert fit.r3 == parse("z", TRI)
-    assert fit.certificate.annihilator.terms == {
+    rep = fit_field(parse("x^2*(y^3+z)^5", TRI))
+    assert rep is not None
+    assert rep.pivot == 1 and rep.exponent == 5
+    assert rep.fitted["r1"] == parse("x^2", TRI)
+    assert rep.fitted["r2"] == parse("y^3", TRI)
+    assert rep.fitted["r3"] == parse("z", TRI)
+    assert rep.certificate.annihilator.terms == {
         (1, 0): Fraction(1),
         (0, 1): Fraction(-1),
     }
@@ -365,10 +373,10 @@ def test_fit_field_high_exponent():
 def test_fit_field_pivot_part_with_a_common_exponent():
     # K = r1'/(3*r1) has residues 2/3 and -4/3: n = 3, and r1 is the square
     # of the integrated g = (x-1)/(x+1)^2
-    fit = fit_field(parse("(x-1)^2/(x+1)^4*(y^3+z)^3", TRI))
-    assert fit is not None
-    assert fit.pivot == 1 and fit.exponent == 3
-    assert fit.r1 == parse("(x-1)^2/(x+1)^4", TRI)
+    rep = fit_field(parse("(x-1)^2/(x+1)^4*(y^3+z)^3", TRI))
+    assert rep is not None
+    assert rep.pivot == 1 and rep.exponent == 3
+    assert rep.fitted["r1"] == parse("(x-1)^2/(x+1)^4", TRI)
 
 
 def test_fit_field_rejects_twisted():
@@ -586,13 +594,13 @@ def test_dependent_pair_certifies_at_small_primes():
 
 def test_fit_twisted_identity_parts():
     P = parse("(x+y)/(y+z)", TRI)
-    fit = fit_twisted(P)
-    assert fit is not None
-    assert fit.s == P
-    assert fit.r1 == parse("x", TRI)
-    assert fit.r2 == parse("y", TRI)
-    assert fit.r3 == parse("z", TRI)
-    assert fit.certificate.annihilator.terms == {
+    rep = fit_twisted(P)
+    assert rep is not None
+    assert rep.fitted["s"] == P
+    assert rep.fitted["r1"] == parse("x", TRI)
+    assert rep.fitted["r2"] == parse("y", TRI)
+    assert rep.fitted["r3"] == parse("z", TRI)
+    assert rep.certificate.annihilator.terms == {
         (1, 0): Fraction(1),
         (0, 1): Fraction(-1),
     }
@@ -600,15 +608,16 @@ def test_fit_twisted_identity_parts():
 
 def test_fit_twisted_polynomial_parts():
     P = parse("(x^2+y)/(y+z^3)", TRI)
-    fit = fit_twisted(P)
-    assert fit is not None
-    assert fit.s == P
-    assert (fit.r1 + fit.r2) / (fit.r2 + fit.r3) == P
+    rep = fit_twisted(P)
+    assert rep is not None
+    f = rep.fitted
+    assert f["s"] == P
+    assert (f["r1"] + f["r2"]) / (f["r2"] + f["r3"]) == P
     # parts are recovered up to one shared scale
-    kappa = fit.r2 / parse("y", TRI)
+    kappa = f["r2"] / parse("y", TRI)
     assert kappa.is_constant
-    assert fit.r1 == parse("x^2", TRI) * kappa
-    assert fit.r3 == parse("z^3", TRI) * kappa
+    assert f["r1"] == parse("x^2", TRI) * kappa
+    assert f["r3"] == parse("z^3", TRI) * kappa
 
 
 def test_fit_twisted_rejects_additive():
@@ -685,8 +694,8 @@ def test_cube_identities_hold_for_twisted_forms():
 
 def test_verify_twisted_identities_for_fitted_parts():
     P = parse("(x+y)/(y+z)", TRI)
-    fit = fit_twisted(P)
-    assert verify_twisted_identities(fit.r1, fit.r2, fit.r3, trials=25, seed=0)
+    f = fit_twisted(P).fitted
+    assert verify_twisted_identities(f["r1"], f["r2"], f["r3"], trials=25, seed=0)
 
 
 # -- full trivariate pipeline -------------------------------------------------------

@@ -190,10 +190,12 @@ def test_an_uncertified_verdict_keeps_the_full_rank_schedule(monkeypatch, expr, 
 
 
 def test_parse_error_exits_1(capsys):
-    code = main(["--vars", "x,y", "--function", "x*(y"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "cannot parse" in err and "position" in err
+    # an exponent longer than int() reads is a parse error too
+    for expr in ("x*(y", "x^" + "9" * 5000 + "*y"):
+        code = main(["--vars", "x,y", "--function", expr])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "cannot parse" in err and "position" in err
 
 
 def test_usage_errors_exit_1(capsys):

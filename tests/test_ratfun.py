@@ -116,6 +116,10 @@ def test_parse_matches_per_node_reduction(expr, build):
     assert f.den == want.den
 
 
+NINES = "9" * 5000
+TOO_LONG = "integer of more than 4300 digits"
+
+
 @pytest.mark.parametrize(
     "expr,message",
     (
@@ -146,6 +150,30 @@ def test_parse_matches_per_node_reduction(expr, build):
         ("xy^", "unknown identifier 'xy' (at position 0)"),
         ("xx^1048577", "unknown identifier 'xx' (at position 0)"),
         ("2/0^1*x", "division by the zero polynomial (at position 1)"),
+        # an integer longer than int() reads is an error at its first digit:
+        # an exponent, a power of a parenthesis, a coefficient, a divisor
+        pytest.param(f"x^{NINES}*y", f"{TOO_LONG} (at position 2)", id="long-exponent"),
+        pytest.param(f"(x+y)^{NINES}", f"{TOO_LONG} (at position 6)", id="long-power"),
+        pytest.param(f"{NINES}*x*y", f"{TOO_LONG} (at position 0)", id="long-coefficient"),
+        pytest.param(f"x*y/{NINES}", f"{TOO_LONG} (at position 4)", id="long-divisor"),
+        # an error before it, a shorter integer, leading zeros included, and a
+        # name with any number of digits keep their messages
+        pytest.param(
+            f"x/0*{NINES}", "division by the zero polynomial (at position 1)", id="zero-before-long"
+        ),
+        pytest.param(
+            "x^" + "9" * 4300,
+            f"exponent {'9' * 4300} too large (at position 2)",
+            id="exponent-4300-digits",
+        ),
+        pytest.param(
+            "x^" + "0" * 4290 + "1048577",
+            "exponent 1048577 too large (at position 2)",
+            id="exponent-leading-zeros",
+        ),
+        pytest.param(
+            f"x*w{NINES}", f"unknown identifier 'w{NINES}' (at position 2)", id="long-name"
+        ),
     ),
 )
 def test_parse_error_messages_and_positions(expr, message):
