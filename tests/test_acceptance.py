@@ -57,13 +57,6 @@ TRI = synth.TRI
 
 POSITIVE_VERDICTS = ("GroupAdditive", "GroupMultiplicative", "Field", "Twisted")
 
-
-def _rebuilds_s(rep) -> bool:
-    """Does the report's template, applied to its parts, pivot and exponent,
-    give its s exactly?"""
-    parts = [rep.fitted[k] for k in ("r1", "r2", "r3") if k in rep.fitted]
-    return TEMPLATES[rep.verdict](parts, rep.pivot, rep.exponent) == rep.fitted["s"]
-
 # expression, variable names, expected image dimension of the doubling map
 DIMENSION_TABLE = (
     ("x + y", BI, 3),
@@ -144,6 +137,13 @@ def _bivariate_corpus():
             rows.append(("GroupMultiplicative", fn, fit_bivariate(fn)))
         _CACHE["bivariate"] = rows
     return _CACHE["bivariate"]
+
+
+def _rebuilds_s(rep) -> bool:
+    """Does the report's template, applied to its parts, pivot and exponent,
+    give its s exactly?"""
+    parts = [rep.fitted[k] for k in ("r1", "r2", "r3") if k in rep.fitted]
+    return TEMPLATES[rep.verdict](parts, rep.pivot, rep.exponent) == rep.fitted["s"]
 
 
 def test_dimension_table_and_rank_oracle(capsys):
