@@ -230,13 +230,13 @@ def _idivexact(f: dict, h: dict, step_cap: int = 200000) -> dict | None:
 
 
 def _nest(terms: list[tuple[Term, int]], level: int, n: int) -> list:
-    """Terms grouped by their exponent of x_level, then of x_level+1, ...
-
-    The last level holds (exponent, coefficient) pairs; every other level
-    holds (exponent, nested subpolynomial) pairs.
+    """Terms grouped by their exponent of x_level, then of x_level+1, ...,
+    down to x_(n-3): each of those levels holds (exponent, subform) pairs.
+    Below them the leaf is one flat list of (e_(n-2), e_(n-1), coefficient)
+    triples, or of (e_0, coefficient) pairs for one variable.
     """
-    if level == n - 1:
-        return [(e[level], c) for e, c in terms]
+    if level >= n - 2:
+        return [e[level:] + (c,) for e, c in terms]
     groups: dict[int, list] = {}
     for e, c in terms:
         groups.setdefault(e[level], []).append((e, c))
@@ -255,27 +255,48 @@ def _powers(degs: list[int], point, p: int) -> list[list[int]]:
     return out
 
 
-def _qpowers(degs: list[int], point) -> tuple[list[list[int]], list[int]]:
+class _QPowers(dict):
+    """The powers n^e * d^(deg - e) of a coordinate n/d (see _qpowers), each
+    computed when exponent e is first read."""
+
+    __slots__ = ("n", "d", "deg")
+
+    def __init__(self, n: int, d: int, deg: int):
+        super().__init__()
+        self.n, self.d, self.deg = n, d, deg
+
+    def __missing__(self, e: int) -> int:
+        v = self[e] = self.n ** e * self.d ** (self.deg - e)
+        return v
+
+
+def _qpowers(degs: list[int], point, terms: int) -> tuple[list, list[int]]:
     """Per variable, the powers n^e * d^(deg - e) of the point's coordinate
     x = n/d, for e up to the variable's degree, and d^deg: the powers are
-    integers, d^deg times x^e."""
+    integers, d^deg times x^e.  A pass over the terms reads at most one
+    power of each variable per term, so a variable whose degree is at least
+    the number of terms gets its powers as they are read (see _QPowers),
+    and any other a list of them all."""
     rows, dens = [], []
     for deg, x in zip(degs, point):
         n, d = x.numerator, x.denominator
-        rows.append([n ** e * d ** (deg - e) for e in range(deg + 1)])
+        if deg < terms:
+            rows.append([n ** e * d ** (deg - e) for e in range(deg + 1)])
+        else:
+            rows.append(_QPowers(n, d, deg))
         dens.append(d ** deg)
     return rows, dens
 
 
-def _axis_line(ints: dict, powers, i: int) -> list[int]:
+def _axis_line(ints: dict, powers, i: int, deg: int) -> list[int]:
     """The restriction of integer terms to the line parallel to the x_i axis
-    through the point of powers: its coefficients in x_i, lowest first,
-    unreduced, added up in one pass over the terms.  Powers mod p (see
-    _powers) give the restriction mod p, and exact ones (see _qpowers) the
-    exact restriction, times the d^deg of the other coordinates.  Of
-    powers[i] only the length is used: it gives the degree in x_i."""
-    rows = powers[:i] + [[1] * len(powers[i])] + powers[i + 1 :]
-    out = [0] * len(powers[i])
+    through the point of powers: its deg + 1 coefficients in x_i, lowest
+    first, unreduced, added up in one pass over the terms.  Powers mod p
+    (see _powers) give the restriction mod p, and exact ones (see _qpowers)
+    the exact restriction, times the d^deg of the other coordinates.
+    powers[i] is not read."""
+    rows = powers[:i] + [[1] * (deg + 1)] + powers[i + 1 :]
+    out = [0] * (deg + 1)
     for e, c in ints.items():
         out[e[i]] += c * prod(map(getitem, rows, e))
     return out
@@ -284,16 +305,12 @@ def _axis_line(ints: dict, powers, i: int) -> list[int]:
 def _tables(degs: list[int], points, p: int) -> list[list[tuple[list[int], list[int]]]]:
     """Per variable, one entry per distinct coordinate x of the points, in
     point order: the powers x^e and the derivatives e*x^(e-1) mod p, for e up
-    to the variable's degree."""
+    to the variable's degree.  A variable of degree 0 has one entry, since
+    its powers are the same at every point."""
     tables = []
-    for i, deg in enumerate(degs):
+    for deg, xs in zip(degs, zip(*points)):
         copies = []
-        xs: list[int] = []
-        for point in points:
-            x = point[i] % p
-            if x in xs:
-                continue
-            xs.append(x)
+        for x in dict.fromkeys([x % p for x in xs]) if deg else (0,):
             pw = [1] * (deg + 1)
             dpw = [0] * (deg + 1)
             for e in range(1, deg + 1):
@@ -305,40 +322,52 @@ def _tables(degs: list[int], points, p: int) -> list[list[tuple[list[int], list[
 
 
 def _value(node: list, level: int, powers) -> int:
-    """Value of a nested polynomial at the point of powers (see _powers),
-    unreduced."""
-    row = powers[level]
+    """Value of a compiled polynomial (see _nest) at the point of powers
+    (see _powers), unreduced."""
     acc = 0
-    if level == len(powers) - 1:
+    if level < len(powers) - 2:
+        row = powers[level]
+        for e, child in node:
+            acc += row[e] * _value(child, level + 1, powers)
+    elif level == len(powers) - 1:  # one variable
+        row = powers[level]
         for e, c in node:
             acc += c * row[e]
     else:
-        for e, child in node:
-            acc += row[e] * _value(child, level + 1, powers)
+        r1, r2 = powers[level], powers[level + 1]
+        for a, b, c in node:
+            acc += c * r1[a] * r2[b]
     return acc
 
 
 def _value_and_gradient(node: list, level: int, tables, n: int) -> list[list[int]]:
-    """[value, d/dx_level, ..., d/dx_(n-1)] of a nested polynomial, unreduced.
+    """[value, d/dx_level, ..., d/dx_(n-1)] of a compiled polynomial (see
+    _nest), unreduced.
 
     tables[i] holds one entry per copy of x_i (one or two, m_i of them):
     the powers x^e and the derivatives e*x^(e-1) of that copy's coordinate,
     so a zero coordinate needs no special case.  There is one result per
     choice of copies for x_level..x_(n-1); in the mixed-radix index
     c_0 + m_0 * (c_1 + m_1 * (c_2 + ...)), c_k picks the copy of
-    x_(level+k).  A subpolynomial is walked once for every copy of its
-    variable and shared by every choice of the ones above.
+    x_(level+k).  A leaf is read in one term loop for each pair of copies of
+    the last two variables, and shared by every choice of the ones above.
     """
-    copies = tables[level]
-    if level == n - 1:
+    if n == 1:  # one variable
+        return [[sum([c * a[e] for e, c in node]), sum([c * d[e] for e, c in node])]
+                for a, d in tables[0]]
+    if level == n - 2:
         out = []
-        for a, d in copies:
-            v = g = 0
-            for e, c in node:
-                v += c * a[e]
-                g += c * d[e]
-            out.append([v, g])
+        for a2, d2 in tables[level + 1]:
+            for a1, d1 in tables[level]:
+                v = g1 = g2 = 0
+                for e1, e2, c in node:
+                    ca = c * a2[e2]
+                    v += ca * a1[e1]
+                    g1 += ca * d1[e1]
+                    g2 += c * a1[e1] * d2[e2]
+                out.append([v, g1, g2])
         return out
+    copies = tables[level]
     m = len(copies)
     width = n - level + 1
     out = None
@@ -386,8 +415,8 @@ def _gcd_degree_bound(f: dict, g: dict, arity: int) -> dict[int, int] | None:
     bound = {}
     for v in range(arity):
         if df[v] and dg[v]:
-            fu = _trim([c % p for c in _axis_line(f, fpow, v)])
-            gu = _trim([c % p for c in _axis_line(g, gpow, v)])
+            fu = _trim([c % p for c in _axis_line(f, fpow, v, df[v])])
+            gu = _trim([c % p for c in _axis_line(g, gpow, v, dg[v])])
             if len(fu) - 1 != df[v] or len(gu) - 1 != dg[v]:
                 return None
             while gu:  # Euclid over GF(p)
@@ -927,21 +956,24 @@ class Poly:
         """The restriction to the line through point parallel to the x_i
         axis: a polynomial in x_i alone, read off in one pass over the terms.
         Coordinates are ints or Fractions; point[i] is not used."""
-        rows, dens = _qpowers([_deg_in(self.ints, j) for j in range(self.arity)], point)
+        degs = [_deg_in(self.ints, j) for j in range(self.arity)]
+        deg, degs[i] = degs[i], 0  # no power of point[i] is read
+        rows, dens = _qpowers(degs, point, len(self.ints))
         key = [0] * self.arity
         terms = {}
-        for k, c in enumerate(_axis_line(self.ints, rows, i)):
+        for k, c in enumerate(_axis_line(self.ints, rows, i, deg)):
             if c:
                 key[i] = k
                 terms[tuple(key)] = c
-        dens[i] = 1
         return Poly.from_ints(terms, self.arity, self.content / prod(dens))
 
     def eval_q(self, point) -> Fraction:
-        """The exact value at a point of ints or Fractions: the line in x_0
-        through it (see line), at point[0]."""
-        rows, dens = _qpowers([_deg_in(self.ints, j) for j in range(self.arity)], point)
-        return self.content * sum(map(mul, _axis_line(self.ints, rows, 0), rows[0])) / prod(dens)
+        """The exact value at a point of ints or Fractions, added up in one
+        pass over the terms."""
+        degs = [_deg_in(self.ints, j) for j in range(self.arity)]
+        rows, dens = _qpowers(degs, point, len(self.ints))
+        total = sum([c * prod(map(getitem, rows, e)) for e, c in self.ints.items()])
+        return self.content * total / prod(dens)
 
     def _content_mod(self, p: int) -> int:
         """The content mod p; BadPrimeError when p divides its denominator."""
@@ -951,8 +983,8 @@ class Poly:
         return self.content.numerator * pow(den, -1, p) % p
 
     def _compiled(self, p: int) -> tuple[list, list[int]]:
-        """The residues mod p nested by variable (see _nest), and the degree
-        in each variable; built once per prime."""
+        """The residues mod p grouped by variable with a flat leaf (see
+        _nest), and the degree in each variable; built once per prime."""
         mods = self._mods
         if mods is None:
             mods = {}
@@ -974,8 +1006,8 @@ class Poly:
 
         Raises BadPrimeError when p divides the content's denominator.
         """
-        nested, degs = self._compiled(p)
-        return _value(nested, 0, _powers(degs, point, p)) % p
+        form, degs = self._compiled(p)
+        return _value(form, 0, _powers(degs, point, p)) % p
 
     def line_mod(self, point, i: int, p: int) -> list[int]:
         """The restriction mod p to the line through point parallel to the
@@ -986,7 +1018,7 @@ class Poly:
         """
         scale = self._content_mod(p)
         degs = [_deg_in(self.ints, j) for j in range(self.arity)]
-        return _trim([c * scale % p for c in _axis_line(self.ints, _powers(degs, point, p), i)])
+        return _trim([c * scale % p for c in _axis_line(self.ints, _powers(degs, point, p), i, degs[i])])
 
     def eval_grad_mod(self, points, p: int) -> list[list[int]]:
         """[value, d/dx_0, ..., d/dx_(n-1)] mod p at each mixture of one or two points.
@@ -996,9 +1028,9 @@ class Poly:
         coordinate the two points share is walked once: the mixtures that
         coincide then share one row.
         """
-        nested, degs = self._compiled(p)
+        form, degs = self._compiled(p)
         tables = _tables(degs, points, p)
-        rows = _value_and_gradient(nested, 0, tables, self.arity)
+        rows = _value_and_gradient(form, 0, tables, self.arity)
         rows = [[v % p for v in row] for row in rows]
         if len(points) == 1 or len(rows) == 1 << self.arity:
             return rows

@@ -14,6 +14,7 @@ potentially expensive gcd until :meth:`reduce` is called.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .modular import RETRIES, inv_mod
@@ -381,7 +382,6 @@ _LEXEME = re.compile(
     r"|(?P<op>[-+*/^()]))"
 )
 _SPACE = re.compile(r"\s*")
-_LONG_INT = re.compile(r"(?<!\w)\d{4301,}")  # past int()'s default limit, not in a name
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -638,12 +638,16 @@ def check_names(vars) -> tuple[str, ...]:
 
 def parse(expr: str, vars: tuple[str, ...] | list[str]) -> RatFun:
     """Parse an expression into a canonical RatFun over the given variables;
-    an integer too long for int() is a ParseError at its first digit."""
+    an integer longer than int() reads (sys.get_int_max_str_digits(), where
+    that exists and is not 0) is a ParseError at its first digit."""
     parser = _Parser(expr, check_names(vars))
     try:
         return parser.parse()
     except ValueError as exc:
-        # integers are read left to right, so the first long one failed
-        if isinstance(exc, ParseError) or not (long := _LONG_INT.search(expr)):
+        # integers are read left to right, so the first long one failed (a
+        # digit run inside a name is not an integer)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        long = limit and re.search(rf"(?<!\w)\d{{{limit + 1},}}", expr)
+        if isinstance(exc, ParseError) or not long:
             raise
-        raise ParseError("integer of more than 4300 digits", long.start()) from None
+        raise ParseError(f"integer of more than {limit} digits", long.start()) from None

@@ -448,6 +448,66 @@ def test_compiled_values_and_partials_match_exact_derivatives():
                     assert row == _exact_jet(q, mixed, p)
 
 
+def _assert_walks_match_exact_jets(q: Poly, pair, p: int) -> None:
+    """Both walks at each point and at every mixture of the pair agree with
+    the exact jets, and eval_mod is the value column of eval_grad_mod."""
+    for point in pair:
+        want = _exact_jet(q, point, p)
+        assert q.eval_mod(point, p) == want[0]
+        assert q.eval_grad_mod((point,), p) == [want]
+    rows = q.eval_grad_mod(pair, p)
+    assert len(rows) == 1 << q.arity
+    for k, row in enumerate(rows):
+        mixed = [pair[(k >> i) & 1][i] for i in range(q.arity)]
+        assert row == _exact_jet(q, mixed, p)
+        assert q.eval_mod(mixed, p) == row[0]
+
+
+def test_compiled_walks_of_zero_constants_single_terms_and_powers():
+    """The compiled form keeps the last two variables in one flat term list:
+    shapes that leave it empty, give it one term, or give every group above
+    it many terms, at point pairs that differ everywhere, only in the last
+    two coordinates, or only above them."""
+    rng = random.Random(29)
+    p = 1000003
+    for arity in range(1, 5):
+        xs = [Poly.variable(i, arity) for i in range(arity)]
+        linear = Poly.sum(xs, arity)
+        shapes = [
+            Poly.zero(arity),
+            Poly.const(1, arity),
+            Poly.const(Fraction(-7, 3), arity),
+            Poly({(3,) + (0,) * (arity - 2) + (5,) if arity > 1 else (8,): Fraction(2, 5)}, arity),
+            xs[-1] ** 4,
+            linear,
+            linear ** 6,
+            (linear + Poly.const(1, arity)) ** 3,
+        ]
+        for q in shapes:
+            a = [rng.randrange(p) for _ in range(arity)]
+            b = [rng.randrange(p) for _ in range(arity)]
+            a[rng.randrange(arity)] = 0
+            low = a[:-2] + b[-2:]  # differs from a in the last two coordinates only
+            high = b[:-2] + a[-2:]  # differs from a above them only
+            for pair in ([a, b], [a, low], [a, high]):
+                _assert_walks_match_exact_jets(q, pair, p)
+
+
+def test_line_of_a_high_power_reads_only_the_exponents_of_its_terms():
+    """x^1048576*y: the exact powers are those of the terms' exponents, not
+    of every exponent up to the degree, on a line along either axis."""
+    e = 1 << 20
+    q = Poly({(e, 1): Fraction(3, 2)}, 2)
+    for x in (2, Fraction(1, 3)):
+        y_line = q.line((x, Fraction(-4, 9)), 1)
+        assert dict(y_line.terms) == {(0, 1): Fraction(3, 2) * Fraction(x) ** e}
+    for y in (5, Fraction(5, 7)):
+        x_line = q.line((Fraction(1, 3), y), 0)
+        assert dict(x_line.terms) == {(e, 0): Fraction(3, 2) * y}
+        assert x_line.content == Fraction(3, 2) * y
+    assert q.eval_q((2, Fraction(5, 7))) == Fraction(3, 2) * 2 ** e * Fraction(5, 7)
+
+
 def test_line_mod_is_the_exact_restriction_to_an_axis_parallel_line():
     rng = random.Random(24)
     p = 1000003

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -118,6 +119,9 @@ def test_parse_matches_per_node_reduction(expr, build):
 
 NINES = "9" * 5000
 TOO_LONG = "integer of more than 4300 digits"
+# read with int()'s digit limit lowered to 640 (PYTHONINTMAXSTRDIGITS=640)
+LOWERED_LIMIT = 640
+UNDER_LOWERED_LIMIT = f"x^{'9' * 700}*y"
 
 
 @pytest.mark.parametrize(
@@ -156,6 +160,12 @@ TOO_LONG = "integer of more than 4300 digits"
         pytest.param(f"(x+y)^{NINES}", f"{TOO_LONG} (at position 6)", id="long-power"),
         pytest.param(f"{NINES}*x*y", f"{TOO_LONG} (at position 0)", id="long-coefficient"),
         pytest.param(f"x*y/{NINES}", f"{TOO_LONG} (at position 4)", id="long-divisor"),
+        # the guard reads the interpreter's limit, not the default one
+        pytest.param(
+            UNDER_LOWERED_LIMIT,
+            f"integer of more than {LOWERED_LIMIT} digits (at position 2)",
+            id="long-under-lowered-limit",
+        ),
         # an error before it, a shorter integer, leading zeros included, and a
         # name with any number of digits keep their messages
         pytest.param(
@@ -177,8 +187,36 @@ TOO_LONG = "integer of more than 4300 digits"
     ),
 )
 def test_parse_error_messages_and_positions(expr, message):
-    with pytest.raises(ParseError) as err:
-        parse(expr, TRI)
+    with _int_digit_limit(LOWERED_LIMIT if expr == UNDER_LOWERED_LIMIT else None):
+        with pytest.raises(ParseError) as err:
+            parse(expr, TRI)
+    assert str(err.value) == message
+
+
+@contextmanager
+def _int_digit_limit(limit):
+    """int()'s digit limit set to limit (None: left as it is) for the block."""
+    if limit is None:
+        yield
+        return
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int() digit limit")
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(default)
+        return
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int() digit limit")
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(LOWERED_LIMIT)
+    try:
+        with pytest.raises(ParseError) as err:
+            parse(expr, TRI)
+    finally:
+        sys.set_int_max_str_digits(default)
     assert str(err.value) == message
 
 
