@@ -255,37 +255,24 @@ def _powers(degs: list[int], point, p: int) -> list[list[int]]:
     return out
 
 
-class _QPowers(dict):
-    """The powers n^e * d^(deg - e) of a coordinate n/d (see _qpowers), each
-    computed when exponent e is first read."""
-
-    __slots__ = ("n", "d", "deg")
-
-    def __init__(self, n: int, d: int, deg: int):
-        super().__init__()
-        self.n, self.d, self.deg = n, d, deg
-
-    def __missing__(self, e: int) -> int:
-        v = self[e] = self.n ** e * self.d ** (self.deg - e)
-        return v
-
-
-def _qpowers(degs: list[int], point, terms: int) -> tuple[list, list[int]]:
-    """Per variable, the powers n^e * d^(deg - e) of the point's coordinate
-    x = n/d, for e up to the variable's degree, and d^deg: the powers are
-    integers, d^deg times x^e.  A pass over the terms reads at most one
-    power of each variable per term, so a variable whose degree is at least
-    the number of terms gets its powers as they are read (see _QPowers),
-    and any other a list of them all."""
-    rows, dens = [], []
-    for deg, x in zip(degs, point):
-        n, d = x.numerator, x.denominator
-        if deg < terms:
-            rows.append([n ** e * d ** (deg - e) for e in range(deg + 1)])
+def _qpowers(ints: dict, point, skip: int = -1) -> tuple[list, list[int], int]:
+    """For nonzero integer terms and a point: per variable, the integers
+    n^e * d^(deg - e) for the exponents e of the variable in the terms,
+    keyed by e, where n/d is the point's coordinate and deg the degree in
+    the variable, so each is d^deg times x^e; the degrees; and the product
+    of the d^deg.  A variable of degree 0, and the variable skip, gets
+    (1,), and no power of its coordinate is computed."""
+    rows, degs, den = [], [], 1
+    for v, (used, x) in enumerate(zip(map(set, zip(*ints)), point)):
+        deg = max(used)
+        degs.append(deg)
+        if deg and v != skip:
+            n, d = x.numerator, x.denominator
+            rows.append({e: n ** e * d ** (deg - e) for e in used})
+            den *= d ** deg
         else:
-            rows.append(_QPowers(n, d, deg))
-        dens.append(d ** deg)
-    return rows, dens
+            rows.append((1,))
+    return rows, degs, den
 
 
 def _axis_line(ints: dict, powers, i: int, deg: int) -> list[int]:
@@ -956,24 +943,23 @@ class Poly:
         """The restriction to the line through point parallel to the x_i
         axis: a polynomial in x_i alone, read off in one pass over the terms.
         Coordinates are ints or Fractions; point[i] is not used."""
-        degs = [_deg_in(self.ints, j) for j in range(self.arity)]
-        deg, degs[i] = degs[i], 0  # no power of point[i] is read
-        rows, dens = _qpowers(degs, point, len(self.ints))
+        if not self.ints:
+            return self
+        rows, degs, den = _qpowers(self.ints, point, i)
         key = [0] * self.arity
         terms = {}
-        for k, c in enumerate(_axis_line(self.ints, rows, i, deg)):
+        for k, c in enumerate(_axis_line(self.ints, rows, i, degs[i])):
             if c:
                 key[i] = k
                 terms[tuple(key)] = c
-        return Poly.from_ints(terms, self.arity, self.content / prod(dens))
+        return Poly.from_ints(terms, self.arity, self.content / den)
 
     def eval_q(self, point) -> Fraction:
         """The exact value at a point of ints or Fractions, added up in one
         pass over the terms."""
-        degs = [_deg_in(self.ints, j) for j in range(self.arity)]
-        rows, dens = _qpowers(degs, point, len(self.ints))
+        rows, _, den = _qpowers(self.ints, point)
         total = sum([c * prod(map(getitem, rows, e)) for e, c in self.ints.items()])
-        return self.content * total / prod(dens)
+        return self.content * total / den
 
     def _content_mod(self, p: int) -> int:
         """The content mod p; BadPrimeError when p divides its denominator."""

@@ -273,6 +273,10 @@ def test_line_matches_the_fraction_model():
             got = Poly(ta, arity).line(point, i)
             _assert_canonical(got)
             assert dict(got.terms) == ref_subs(ta, {j: x for j, x in enumerate(point) if j != i})
+    for arity in (1, 2, 3):
+        zero, point = Poly.zero(arity), [Fraction(-2, 3)] * arity
+        assert zero.line(point, arity - 1) == zero
+        assert zero.eval_q(point) == 0
 
 
 def test_evaluation_matches_the_fraction_model():
