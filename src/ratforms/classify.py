@@ -36,13 +36,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
-from .calculus import hermite_antiderivative, logderiv_integrate
+from .calculus import _mul, _sub, hermite_antiderivative, logderiv_integrate
 from .dimension import image_dimension, is_nondegenerate
 from .modular import DEFAULT_PRIMES, RETRIES, rng_for
 from .oracle import composition_relation, prime_pool
-from .poly import Poly
+from .poly import Poly, _dense_gcd
 from .ratfun import (
     DegenerateSpecializationError,
     PoleError,
@@ -196,7 +196,8 @@ class _Fn:
     Wraps the raw numerator/denominator pair (which need not be reduced)
     and caches the partial-derivative pairs (N_vs, D_vs); every partial uses
     (N_i D - N D_i) / D^2, so the only exact quotient formed is one of
-    polynomials restricted to a line (see on_line).  Values mod p come from
+    polynomials restricted to a line, whose first partials come from one
+    pass over the terms (see Poly.line_jet).  Values mod p come from
     ratfun.partials_mod, which gives the ratio at every mixture of two
     points (see ratios_mod).
     """
@@ -216,13 +217,22 @@ class _Fn:
 
     def on_line(self, point, free: int):
         """part(*vs) -> (N_vs, D_vs) on the line through point parallel to
-        the x_free axis, exact (see Poly.line).
+        the x_free axis, exact.
 
-        A partial in x_free is taken after the restriction, on the
-        restricted pair, since the two commute; a partial in the pinned
-        variables comes from the cache and is restricted once per line.
+        One jet pass over N and one over D (see Poly.line_jet) give the
+        line and every first partial.  Partials commute, so a further
+        partial in x_free is taken last, on the restricted pair, and a
+        second partial in the pinned variables restricts the cached one
+        (see Poly.line): a jet pass over the first partial computes two
+        lists where one is read, and the cached second partial is often
+        zero, which restricts for free.
         """
-        memo: dict[tuple[int, ...], tuple[Poly, Poly]] = {}
+        arity = self.num.arity
+        jets = [f.line_jet(point, free) for f in (self.num, self.den)]
+        memo: dict[tuple[int, ...], tuple[Poly, Poly]] = {
+            vs: tuple(Poly.from_coeffs(jet[k], free, arity, scale) for scale, jet in jets)
+            for vs, k in [((), 0)] + [((v,), 1 + v) for v in range(arity)]
+        }
 
         # part never calls itself: a self-referring closure is a cycle, and
         # the restrictions it holds would wait for the cyclic collector
@@ -253,13 +263,26 @@ class _Fn:
 
     def specialized_ratio(self, a: int, b: int, point, free: int) -> RatFun:
         """(f_a / f_b) on the line through point parallel to the x_free
-        axis, exact and reduced."""
-        part = self.on_line(point, free)
-        (n, d), (na, da), (nb, db) = part(), part(a), part(b)
-        den = nb * d - n * db
-        if den.is_zero:
+        axis, exact and reduced.
+
+        The numerators g_v = N_v D - N D_v of f_a and f_b are integer
+        coefficient lists off one jet pass over N and one over D (see
+        Poly.line_jet): both carry the product of the two jets' scales,
+        which cancels.  Their integer contents and their gcd (a dense
+        heuristic gcd, poly._dense_gcd) come out, and the canonical RatFun
+        is built once.
+        """
+        (_, n), (_, d) = self.num.line_jet(point, free), self.den.line_jet(point, free)
+        ga, gb = (_sub(_mul(n[1 + v], d[0]), _mul(n[0], d[1 + v])) for v in (a, b))
+        arity = self.num.arity
+        if not gb:
             raise DegenerateSpecializationError("partial ratio degenerates")
-        return RatFun(na * d - n * da, den)
+        if not ga:
+            return RatFun.const(0, arity)
+        ca, cb = gcd(*ga), gcd(*gb)
+        _, qa, qb = _dense_gcd([c // ca for c in ga], [c // cb for c in gb])
+        return RatFun.coprime(Poly.from_coeffs(qa, free, arity, Fraction(ca, cb)),
+                              Poly.from_coeffs(qb, free, arity))
 
 
 def _split_partial_ratio(fn: _Fn, a: int, b: int, rng):

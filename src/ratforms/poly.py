@@ -6,7 +6,10 @@ Products of primitive polynomials are primitive (Gauss's lemma), so
 multiplication is integer work plus one Fraction product, and sums need
 one gcd pass; no per-term Fraction is built.  The canonical term order is
 graded lexicographic.  The gcd stack used for rational-function reduction
-works on the primitive integer parts and combines three layers:
+works on the primitive integer parts.  Two inputs in one shared variable
+go to a dense heuristic gcd on coefficient lists, which falls back to
+subresultants; the exact line ratios of the fitters reduce through it too.
+Other inputs combine three layers:
 
 * a sound bound on the gcd's degree in each variable x_v both inputs
   involve (the gcd over GF(p) of the inputs restricted to a line parallel
@@ -25,7 +28,7 @@ import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd as igcd, prod
-from operator import add as _add, getitem, mul
+from operator import add as _add, getitem, itemgetter, mul
 from types import MappingProxyType
 
 from .modular import _divmod_mod, _trim
@@ -255,38 +258,80 @@ def _powers(degs: list[int], point, p: int) -> list[list[int]]:
     return out
 
 
-def _qpowers(ints: dict, point, skip: int = -1) -> tuple[list, list[int], int]:
+def _qpowers(ints: dict, point, skip: int = -1, slopes: bool = False) -> tuple[list, list[int], int, list]:
     """For nonzero integer terms and a point: per variable, the integers
     n^e * d^(deg - e) for the exponents e of the variable in the terms,
     keyed by e, where n/d is the point's coordinate and deg the degree in
-    the variable, so each is d^deg times x^e; the degrees; and the product
-    of the d^deg.  A variable of degree 0, and the variable skip, gets
-    (1,), and no power of its coordinate is computed."""
-    rows, degs, den = [], [], 1
+    the variable, so each is d^deg times x^e; the degrees; the product of
+    the d^deg; and with slopes, per variable the integers
+    e * n^(e-1) * d^(deg-e+1), d^deg times the derivative e*x^(e-1), keyed
+    the same way.  A variable of degree 0, and the variable skip, gets (1,)
+    and no slope row (None), and no power of its coordinate is computed."""
+    rows, degs, den, srows = [], [], 1, []
     for v, (used, x) in enumerate(zip(map(set, zip(*ints)), point)):
         deg = max(used)
         degs.append(deg)
         if deg and v != skip:
             n, d = x.numerator, x.denominator
             rows.append({e: n ** e * d ** (deg - e) for e in used})
+            srows.append({e: e * n ** (e - 1) * d ** (deg - e + 1) if e else 0 for e in used}
+                         if slopes else None)
             den *= d ** deg
         else:
             rows.append((1,))
-    return rows, degs, den
+            srows.append(None)
+    return rows, degs, den, srows
 
 
-def _axis_line(ints: dict, powers, i: int, deg: int) -> list[int]:
+def _axis_line(ints: dict, powers, i: int, deg: int, slopes=None) -> list:
     """The restriction of integer terms to the line parallel to the x_i axis
     through the point of powers: its deg + 1 coefficients in x_i, lowest
     first, unreduced, added up in one pass over the terms.  Powers mod p
     (see _powers) give the restriction mod p, and exact ones (see _qpowers)
     the exact restriction, times the d^deg of the other coordinates.
-    powers[i] is not read."""
+    powers[i] is not read.
+
+    With the slope rows of _qpowers, the jet form: [f, f_0, ..., f_(n-1)],
+    the restriction and those of the first partials, from the same pass and
+    at the same scale.  The partial in a pinned x_v reads x_v's slope row in
+    place of its power row (the zero list when it has none), and f_i is the
+    derivative of the restriction, deg coefficients long."""
     rows = powers[:i] + [[1] * (deg + 1)] + powers[i + 1 :]
-    out = [0] * (deg + 1)
-    for e, c in ints.items():
-        out[e[i]] += c * prod(map(getitem, rows, e))
-    return out
+    if slopes is None:
+        out = [0] * (deg + 1)
+        for e, c in ints.items():
+            out[e[i]] += c * prod(map(getitem, rows, e))
+        return out
+    pinned = [v for v, row in enumerate(slopes) if row is not None and v != i]
+    jet = [[] for _ in range(len(rows) + 1)]
+    jet[0] = out = [0] * (deg + 1)
+    if len(pinned) <= 2:
+        # one term loop for two pinned variables, padded with x_i (its row
+        # of ones and a slope row of zeros) when there are fewer
+        u, v = (pinned + [i, i])[:2]
+        ru, rv = rows[u], rows[v]
+        su, sv = (slopes[w] if w != i else [0] * (deg + 1) for w in (u, v))
+        partials = du, dv = [0] * (deg + 1), [0] * (deg + 1)
+        get = itemgetter(i, u, v)
+        for e, c in ints.items():
+            k, x, y = get(e)
+            a = ru[x]
+            cb = c * rv[y]
+            out[k] += cb * a
+            du[k] += cb * su[x]
+            dv[k] += c * a * sv[y]
+    else:
+        tables = [rows[:v] + [slopes[v]] + rows[v + 1 :] for v in pinned]
+        partials = [[0] * (deg + 1) for _ in pinned]
+        for e, c in ints.items():
+            k = e[i]
+            out[k] += c * prod(map(getitem, rows, e))
+            for d, table in zip(partials, tables):
+                d[k] += c * prod(map(getitem, table, e))
+    for v, d in zip(pinned, partials):
+        jet[1 + v] = d
+    jet[1 + i] = [k * c for k, c in enumerate(out)][1:]
+    return jet
 
 
 def _tables(degs: list[int], points, p: int) -> list[list[tuple[list[int], list[int]]]]:
@@ -440,6 +485,19 @@ def _height(f: dict) -> int:
     return max(abs(c) for c in f.values())
 
 
+def _xi_schedule(height: int, dbound: int):
+    """The evaluation points of the heuristic gcds for inputs of the given
+    smaller height and degree bound: six, from 2 * height + 29, each about
+    2.73 times the last, while a value's dbound + 1 digits stay within
+    4000000 bits."""
+    xi = 2 * height + 29
+    for _ in range(6):
+        if xi.bit_length() * (dbound + 1) > 4_000_000:
+            return
+        yield xi
+        xi = xi * 73794 // 27011
+
+
 def _heu_gcd(f: dict, g: dict, arity: int, depth: int = 0) -> dict | None:
     """Heuristic gcd by big-integer evaluation; verified by trial division.
 
@@ -458,10 +516,7 @@ def _heu_gcd(f: dict, g: dict, arity: int, depth: int = 0) -> dict | None:
         if min(_deg_in(f, i), _deg_in(g, i)) > min(_deg_in(f, var), _deg_in(g, var)):
             var = i
     dbound = min(_deg_in(f, var), _deg_in(g, var))
-    xi = 2 * min(_height(f), _height(g)) + 29
-    for _ in range(6):
-        if xi.bit_length() * (dbound + 1) > 4_000_000:
-            return None
+    for xi in _xi_schedule(min(_height(f), _height(g)), dbound):
         F = _eval_at_int(f, var, xi)
         G = _eval_at_int(g, var, xi)
         if F and G:
@@ -498,7 +553,6 @@ def _heu_gcd(f: dict, g: dict, arity: int, depth: int = 0) -> dict | None:
                     if cand:
                         if _idivexact(f, cand) is not None and _idivexact(g, cand) is not None:
                             return cand
-        xi = xi * 73794 // 27011
     return None
 
 
@@ -591,10 +645,95 @@ def _prs_gcd(f: dict, g: dict, var: int, arity: int) -> dict:
     return _divide_coeffwise(b, cont, var, arity)
 
 
+def _ddivexact(f: list[int], h: list[int]) -> list[int] | None:
+    """f / h for integer coefficient lists, lowest first, h with a nonzero
+    lead; None when h does not divide f over the integers."""
+    m = len(h) - 1
+    if len(f) <= m or h[0] and f[0] % h[0]:
+        return None
+    r = list(f)
+    q = [0] * (len(f) - m)
+    lead = h[-1]
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[k + m], lead)
+        if rem:
+            return None
+        if c:
+            q[k] = c
+            for j in range(m):
+                r[k + j] -= c * h[j]
+    return None if any(r[:m]) else q
+
+
+def _dense_gcd(f: list[int], g: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(h, f/h, g/h) for h the gcd, primitive with a positive lead, of
+    primitive integer coefficient lists, lowest first, with nonzero leads.
+
+    The heuristic gcd of Char, Geddes & Gonnet (J. Symb. Comput. 7, 1989):
+    the balanced base-xi digits of gcd(f(xi), g(xi)) are a candidate whose
+    primitive part is the gcd as soon as it divides both, since xi is above
+    twice the smaller height.  The evaluation points are _heu_gcd's (see
+    _xi_schedule); past them subresultants decide.
+    """
+    if len(f) == 1 or len(g) == 1:
+        return [1], f, g
+    if f == g:
+        s = 1 if f[-1] > 0 else -1
+        return [c * s for c in f], [s], [s]
+    dbound = min(len(f), len(g)) - 1
+    for xi in _xi_schedule(min(max(map(abs, f)), max(map(abs, g))), dbound):
+        fv = gv = 0
+        for c in reversed(f):
+            fv = fv * xi + c
+        for c in reversed(g):
+            gv = gv * xi + c
+        gam = igcd(fv, gv)
+        digits = []
+        while gam and len(digits) <= dbound:
+            d = _smod(gam, xi)
+            digits.append(d)
+            gam = (gam - d) // xi
+        if not gam:
+            h = _unit_content(digits)
+            qf = _ddivexact(f, h)
+            qg = None if qf is None else _ddivexact(g, h)
+            if qg is not None:
+                return h, qf, qg
+    h = _prs_gcd({(k,): c for k, c in enumerate(f) if c}, {(k,): c for k, c in enumerate(g) if c}, 0, 1)
+    h = _unit_content([h.get((k,), 0) for k in range(max(h)[0] + 1)])
+    return h, _ddivexact(f, h), _ddivexact(g, h)
+
+
+def _unit_content(c: list[int]) -> list[int]:
+    """c over its integer content, signed to make the lead positive."""
+    g = igcd(*c) if c[-1] > 0 else -igcd(*c)
+    return [x // g for x in c]
+
+
+def _on_axis(coeffs: list[int], i: int, arity: int) -> dict:
+    """The terms of the polynomial in x_i alone with the coefficients
+    coeffs, lowest first."""
+    key = [0] * arity
+    terms = {}
+    for k, c in enumerate(coeffs):
+        if c:
+            key[i] = k
+            terms[tuple(key)] = c
+    return terms
+
+
+def _sole_variable(a: dict) -> int | None:
+    """The one variable the terms involve; None for none or several."""
+    vs = [v for v, col in enumerate(zip(*a)) if any(col)]
+    return vs[0] if len(vs) == 1 else None
+
+
 def gcd_int(f: dict, g: dict, arity: int) -> dict:
     """Exact gcd of integer term dicts, primitive with positive lead.
 
-    After the monomial and integer contents come out, _gcd_degree_bound
+    After the monomial and integer contents come out, two inputs in one
+    shared variable go to the dense heuristic gcd on coefficient lists
+    (_dense_gcd), the one univariate gcd.  Otherwise _gcd_degree_bound
     bounds the gcd's degree in each shared variable: bounds of 0 settle
     coprimality.  A heuristic common divisor that meets every bound is the
     gcd, since it divides the true gcd; a smaller one is closed up through
@@ -622,6 +761,12 @@ def gcd_int(f: dict, g: dict, arity: int) -> dict:
             core = f1
         elif _total_deg(f1) == 0 or _total_deg(g1) == 0:
             core = {zero_key: 1}
+        elif (v := _sole_variable(f1)) is not None and v == _sole_variable(g1):
+            coeffs = [[0] * (_deg_in(a, v) + 1) for a in (f1, g1)]
+            for a, out in zip((f1, g1), coeffs):
+                for e, c in a.items():
+                    out[e[v]] = c
+            core = _on_axis(_dense_gcd(*coeffs)[0], v, arity)
         else:
             bound = _gcd_degree_bound(f1, g1, arity)
             if bound is not None and not any(bound.values()):
@@ -689,7 +834,7 @@ class Poly:
     ``terms`` is a read-only ``{exponent: Fraction}`` view built on first use.
     """
 
-    __slots__ = ("ints", "content", "arity", "_mods", "_terms")
+    __slots__ = ("ints", "content", "arity", "_mods", "_terms", "_degs")
 
     def __init__(self, terms: dict[Term, int | Fraction], arity: int):
         denlcm = 1
@@ -709,6 +854,7 @@ class Poly:
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "_mods", None)
         object.__setattr__(self, "_terms", None)
+        object.__setattr__(self, "_degs", None)
 
     def __setattr__(self, *a):  # pragma: no cover - guard rail
         raise AttributeError("Poly is immutable")
@@ -743,6 +889,12 @@ class Poly:
         e = [0] * arity
         e[i] = 1
         return cls._make({tuple(e): 1}, _ONE, arity)
+
+    @classmethod
+    def from_coeffs(cls, coeffs: list[int], i: int, arity: int, content: Fraction = _ONE) -> "Poly":
+        """content times the polynomial in x_i alone with the integer
+        coefficients coeffs, lowest first."""
+        return cls.from_ints(_on_axis(coeffs, i, arity), arity, content)
 
     # -- basic queries ------------------------------------------------------
 
@@ -945,19 +1097,25 @@ class Poly:
         Coordinates are ints or Fractions; point[i] is not used."""
         if not self.ints:
             return self
-        rows, degs, den = _qpowers(self.ints, point, i)
-        key = [0] * self.arity
-        terms = {}
-        for k, c in enumerate(_axis_line(self.ints, rows, i, degs[i])):
-            if c:
-                key[i] = k
-                terms[tuple(key)] = c
-        return Poly.from_ints(terms, self.arity, self.content / den)
+        rows, degs, den, _ = _qpowers(self.ints, point, i)
+        scale = self.content / den if den > 1 else self.content
+        return Poly.from_coeffs(_axis_line(self.ints, rows, i, degs[i]), i, self.arity, scale)
+
+    def line_jet(self, point, i: int) -> tuple[Fraction, list[list[int]]]:
+        """(scale, [f, f_0, ..., f_(n-1)]): the restriction to the line of
+        Poly.line and those of the first partials, as integer coefficient
+        lists in x_i, lowest first, each times the one scale; one pass over
+        the terms (see _axis_line)."""
+        if not self.ints:
+            return _ONE, [[] for _ in range(self.arity + 1)]
+        rows, degs, den, slopes = _qpowers(self.ints, point, i, slopes=True)
+        scale = self.content / den if den > 1 else self.content
+        return scale, _axis_line(self.ints, rows, i, degs[i], slopes)
 
     def eval_q(self, point) -> Fraction:
         """The exact value at a point of ints or Fractions, added up in one
         pass over the terms."""
-        rows, _, den = _qpowers(self.ints, point)
+        rows, _, den, _ = _qpowers(self.ints, point)
         total = sum([c * prod(map(getitem, rows, e)) for e, c in self.ints.items()])
         return self.content * total / den
 
@@ -970,7 +1128,8 @@ class Poly:
 
     def _compiled(self, p: int) -> tuple[list, list[int]]:
         """The residues mod p grouped by variable with a flat leaf (see
-        _nest), and the degree in each variable; built once per prime."""
+        _nest), built once per prime, and the degree in each variable (see
+        _degrees)."""
         mods = self._mods
         if mods is None:
             mods = {}
@@ -983,9 +1142,16 @@ class Poly:
                 v = c * scale % p
                 if v:
                     terms.append((e, v))
-            degs = [_deg_in(self.ints, i) for i in range(self.arity)]
-            compiled = mods[p] = (_nest(terms, 0, self.arity), degs)
+            compiled = mods[p] = (_nest(terms, 0, self.arity), self._degrees())
         return compiled
+
+    def _degrees(self) -> list[int]:
+        """The degree in each variable, computed once."""
+        degs = self._degs
+        if degs is None:
+            degs = [_deg_in(self.ints, i) for i in range(self.arity)]
+            object.__setattr__(self, "_degs", degs)
+        return degs
 
     def eval_mod(self, point, p: int) -> int:
         """Value mod p at an integer point.
@@ -1003,7 +1169,7 @@ class Poly:
         Raises BadPrimeError when p divides the content's denominator.
         """
         scale = self._content_mod(p)
-        degs = [_deg_in(self.ints, j) for j in range(self.arity)]
+        degs = self._degrees()
         return _trim([c * scale % p for c in _axis_line(self.ints, _powers(degs, point, p), i, degs[i])])
 
     def eval_grad_mod(self, points, p: int) -> list[list[int]]:

@@ -217,7 +217,14 @@ class RatFun:
         return RatFun(self.num**n, self.den**n)
 
     def scale(self, c) -> "RatFun":
-        return RatFun(self.num.scale(c), self.den)
+        """c times the function.  A canonical one needs no gcd: a nonzero
+        constant factor leaves num and den coprime and den as it is."""
+        num = self.num.scale(c)
+        if not self.canonical:
+            return RatFun(num, self.den)
+        if num.is_zero:
+            return RatFun.const(0, self.arity)
+        return RatFun(num, self.den, reduce=False)._mark()
 
     # -- calculus ----------------------------------------------------------------
 

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from ratforms.calculus import separability_identity
-from ratforms.ratfun import RatFun
+from ratforms.ratfun import DegenerateSpecializationError, RatFun
 
 TRI = ("x", "y", "z")
 BI = ("x", "y")
@@ -171,6 +171,20 @@ def partial_ratio(f: RatFun, a: int, b: int) -> RatFun:
     if nb.is_zero:
         raise ZeroDivisionError("denominator partial is identically zero")
     return RatFun.raw(na, nb)
+
+
+def line_ratio(f: RatFun, a: int, b: int, point, free: int) -> RatFun:
+    """The reference for classify._Fn.specialized_ratio: f_a / f_b on the
+    line through point parallel to the x_free axis, from Poly.line of each
+    partial of N and D and one reduction through RatFun."""
+    N, D = f.num, f.den
+    n, d = N.line(point, free), D.line(point, free)
+    (na, da), (nb, db) = ((N.derivative(v).line(point, free), D.derivative(v).line(point, free))
+                          for v in (a, b))
+    den = nb * d - n * db
+    if den.is_zero:
+        raise DegenerateSpecializationError("partial ratio degenerates")
+    return RatFun(na * d - n * da, den)
 
 
 def exact_2decomposed(P: RatFun) -> tuple[bool, dict[str, bool]]:

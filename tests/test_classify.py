@@ -40,7 +40,7 @@ from ratforms.oracle import symbolic_rank
 from ratforms.dimension import doubling_map, image_dimension, is_nondegenerate
 from ratforms.modular import DEFAULT_PRIMES
 from ratforms.poly import Poly
-from ratforms.ratfun import PoleError, RatFun, compose_numerator, parse
+from ratforms.ratfun import DegenerateSpecializationError, PoleError, RatFun, compose_numerator, parse
 
 BI = ("x", "y")
 TRI = ("x", "y", "z")
@@ -432,6 +432,42 @@ def test_specialized_ratio_matches_six_substitutions(a, b, vals):
 
 
 @pytest.mark.parametrize(
+    "expr, a, b, free",
+    [
+        ("(x^2*y + z^3 + 1)/(x*y*z + 2) + x*z^2", 0, 1, 0),  # free == a
+        ("(x^2*y + z^3 + 1)/(x*y*z + 2) + x*z^2", 2, 0, 0),  # free == b
+        ("x^3*y^2 - 7*x*z + y*z^4 + 11", 1, 2, 1),  # constant D
+        ("(x^2*y^3 + z)/(x^2 + 3*x*z - 5)", 0, 1, 0),  # D free of the pinned y
+        ("(y^2 + z)/(y*z + 1)", 0, 1, 1),  # f_a = 0: a zero numerator
+        ("(x + y*z)^3/((x*y + z)^2 + 1)", 2, 1, 0),  # neither a nor b free
+        ("((x+y+z+10000000000/7)^3 + 1)/((x+y+z+10000000000/7)^3 + 2)", 0, 1, 0),
+        ("1/((x-2199023255579)*y*z + 1)", 1, 2, 2),
+    ],
+)
+def test_specialized_ratio_matches_the_poly_level_reference(expr, a, b, free):
+    f = parse(expr, TRI)
+    rng = random.Random(31)
+    # integer coordinates, and fractional ones whose denominators the jets'
+    # slope rows must carry
+    draws = (lambda: rng.randint(-9, 9), lambda: Fraction(2 * rng.randint(-4, 4) + 1, rng.choice((2, 4))))
+    for draw in draws * 2:
+        point = [draw() for _ in range(3)]
+        want = synth.line_ratio(f, a, b, point, free)
+        got = _Fn(f).specialized_ratio(a, b, point, free)
+        assert got.canonical and (got.num, got.den) == (want.num, want.den)
+
+
+def test_specialized_ratio_with_a_zero_other_numerator_degenerates():
+    # f is free of y, so g_y = N_y D - N D_y is zero on every line
+    f = parse("(x^2 + z)/(x*z + 2)", TRI)
+    point = (4, 3, Fraction(-2, 3))
+    with pytest.raises(DegenerateSpecializationError):
+        synth.line_ratio(f, 0, 1, point, 0)
+    with pytest.raises(DegenerateSpecializationError):
+        _Fn(f).specialized_ratio(0, 1, point, 0)
+
+
+@pytest.mark.parametrize(
     "vals",
     [
         {1: Fraction(3, 2), 2: Fraction(-5)},  # x-line: N_yx free, N_yz pinned
@@ -465,31 +501,37 @@ def test_twisted_g_on_a_line_matches_the_substituted_definition(vals):
 def test_twisted_recovery_restricts_each_partial_once(monkeypatch):
     # (x+y+z)^11 has delta = 0, so both gates pass vacuously and all eight
     # recovery attempts run.  A pinned partial of N or D is differentiated
-    # once per fitter and restricted once per line: three nonconstant
-    # restrictions on each attempt's y-line.  Re-deriving the partials on
-    # every attempt repeats 43 multivariate derivatives here, and
-    # restricting every partial of N and N_y makes 64 restrictions.
+    # once per fitter, and N is read once per line: one jet pass (D = 1 is
+    # constant) gives N and its first partials on each attempt's y-line, so
+    # there are eight restrictions.  Re-deriving the partials on every
+    # attempt repeats 43 multivariate derivatives here, restricting every
+    # partial of N and N_y makes 64 restrictions, and restricting N, N_x
+    # and N_z separately makes 24.
     derivs = Counter()
     lines = []
-    derivative, line = Poly.derivative, Poly.line
+    derivative, line, line_jet = Poly.derivative, Poly.line, Poly.line_jet
 
     def counted_derivative(self, i):
         if sum(any(e[v] for e in self.ints) for v in range(self.arity)) >= 2:
             derivs[(self.content, frozenset(self.ints.items()), i)] += 1
         return derivative(self, i)
 
-    def counted_line(self, point, i):
-        if not self.is_constant:
-            lines.append((tuple(point), i))
-        return line(self, point, i)
+    def counted(restrict):
+        def counted_restrict(self, point, i):
+            if not self.is_constant:
+                lines.append((tuple(point), i))
+            return restrict(self, point, i)
+
+        return counted_restrict
 
     monkeypatch.setattr(Poly, "derivative", counted_derivative)
-    monkeypatch.setattr(Poly, "line", counted_line)
+    monkeypatch.setattr(Poly, "line", counted(line))
+    monkeypatch.setattr(Poly, "line_jet", counted(line_jet))
     diag = {}
     assert fit_twisted(parse("(x+y+z)^11", TRI), diagnostics=diag) is None
     assert diag == {"twisted_gates": True}
     assert derivs and max(derivs.values()) == 1
-    assert 0 < len(lines) <= 24
+    assert 0 < len(lines) <= 8
 
 
 # -- modular probes ---------------------------------------------------------------

@@ -10,10 +10,12 @@ from math import gcd
 import pytest
 
 from synth import ref_subs
+import ratforms.poly as poly_module
 from ratforms.poly import (
     BadPrimeError,
     _LINE_P,
     Poly,
+    _dense_gcd,
     _gcd_degree_bound,
     _heu_gcd,
     _idivexact,
@@ -632,3 +634,131 @@ def test_heuristic_gcd_divides_out_the_content_of_its_candidate():
     f, g = _p("(x+1)*(x^3+2*x+5)", ("x",)).ints, _p("(x+1)*(x^2-3)", ("x",)).ints
     assert _heu_gcd(f, g, 1) == _p("x + 1", ("x",)).ints
     assert gcd_int(f, g, 1) == _reference_gcd(f, g, 0, 1)
+    # the dense gcd of the same pair takes the primitive part too
+    fl, gl = ([a.get((k,), 0) for k in range(max(a)[0] + 1)] for a in (f, g))
+    assert _dense_gcd(fl, gl)[0] == [1, 1]
+
+
+def test_line_jet_is_the_line_of_each_first_partial():
+    """One jet pass gives the restriction and those of every first partial,
+    at integer, zero and fractional coordinates; arities 1 and 4 take the
+    padded and the general term loop."""
+    rng = random.Random(3001)
+    coords = (lambda: rng.randint(-9, 9), lambda: 0, lambda: Fraction(rng.randint(-9, 9), rng.randint(2, 7)))
+    for arity in (1, 2, 3, 4):
+        for _ in range(40):
+            q = Poly(_random_terms(rng, arity, 8), arity)
+            point = [rng.choice(coords)() for _ in range(arity)]
+            for i in range(arity):
+                scale, jet = q.line_jet(point, i)
+                assert len(jet) == arity + 1
+                assert Poly.from_coeffs(jet[0], i, arity, scale) == q.line(point, i)
+                for v in range(arity):
+                    assert Poly.from_coeffs(jet[1 + v], i, arity, scale) == q.derivative(v).line(point, i)
+
+
+def _int_list(rng: random.Random, lo: int, hi: int, size: int = 9) -> list[int]:
+    """Integer coefficients, lowest first, of a degree in lo..hi, nonzero lead."""
+    out = [rng.randint(-size, size) for _ in range(rng.randint(lo, hi) + 1)]
+    out[-1] = out[-1] or 1
+    return out
+
+
+def _primitive_list(c: list[int]) -> list[int]:
+    g = gcd(*c)
+    return [x // g for x in c]
+
+
+def _prs_list(f: list[int], g: list[int]) -> list[int]:
+    """The subresultant gcd of coefficient lists, primitive, positive lead."""
+    h = _reference_gcd(*({(k,): c for k, c in enumerate(a) if c} for a in (f, g)), 0, 1)
+    return [h.get((k,), 0) for k in range(max(h)[0] + 1)]
+
+
+def _dmul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_dense_gcd_matches_subresultants_without_falling_back(monkeypatch):
+    """Products that share a factor, coprime pairs and equal inputs: the
+    heuristic alone finds the gcd and both cofactors."""
+    prs = []
+    monkeypatch.setattr(poly_module, "_prs_gcd", lambda *a: prs.append(a))
+    rng = random.Random(3002)
+    pairs = []
+    for _ in range(60):
+        h = _int_list(rng, 1, 4)
+        pairs.append((_dmul(h, _int_list(rng, 0, 4)), _dmul(h, _int_list(rng, 0, 4))))
+        pairs.append((_int_list(rng, 1, 5, 10**6), _int_list(rng, 1, 5, 10**6)))
+        f = _int_list(rng, 0, 5)
+        pairs.append((f, list(f)))
+    # negative roots and a negative lead need balanced digits
+    pairs.append(([-10, -3, 1], [15, 2, -1]))
+    for f, g in pairs:
+        f, g = _primitive_list(f), _primitive_list(g)
+        h, qf, qg = _dense_gcd(f, g)
+        monkeypatch.undo()
+        assert h == _prs_list(f, g) and h[-1] > 0
+        monkeypatch.setattr(poly_module, "_prs_gcd", lambda *a: prs.append(a))
+        assert _dmul(h, qf) == f and _dmul(h, qg) == g
+    assert not prs
+
+
+def test_dense_gcd_falls_back_past_the_size_guard(monkeypatch):
+    """A divisor of degree 20 with coefficients of 200000 bits puts the
+    first xi past the size guard, so subresultants decide, with the same
+    gcd and cofactors."""
+    prs = []
+    fallback = poly_module._prs_gcd
+    monkeypatch.setattr(poly_module, "_prs_gcd", lambda *a: prs.append(a) or fallback(*a))
+    rng = random.Random(3003)
+    h = _primitive_list([rng.getrandbits(200_000) - (1 << 199_999) for _ in range(21)])
+    f, g = _dmul(h, [2, -1]), h
+    got, qf, qg = _dense_gcd(f, g)
+    assert len(prs) == 1
+    assert got == (h if h[-1] > 0 else [-c for c in h])
+    assert _dmul(got, qf) == f and _dmul(got, qg) == g
+
+
+def test_gcd_of_univariate_inputs_keeps_content_sign_and_monomials(monkeypatch):
+    """gcd_int on two inputs in one shared variable runs the dense gcd, and
+    takes the monomial content out first and the sign and integer content
+    last, as it does for every input."""
+    def unused(*_):
+        raise AssertionError("multivariate gcd path taken")
+
+    rng = random.Random(3004)
+    for arity in (1, 2, 3):
+        for _ in range(30):
+            v = rng.randrange(arity)
+            g = _uni(rng, v, arity, 1, 3)
+            a, b = _uni(rng, v, arity, 1, 3), _uni(rng, v, arity, 1, 3)
+            mono = [0] * arity
+            mono[v] = rng.randint(0, 2)
+            x = Poly({tuple(mono): rng.choice((-6, -1, 2, 15))}, arity)
+            f, h = (x * g * a).ints, (g * b * x * x).ints
+            want = _reference_gcd(f, h, v, arity)
+            monkeypatch.setattr(poly_module, "_heu_gcd", unused)
+            monkeypatch.setattr(poly_module, "_gcd_degree_bound", unused)
+            got = gcd_int(f, h, arity)
+            monkeypatch.undo()
+            assert got == want
+            lead = got[max(got, key=grlex_key)]
+            assert lead > 0 and reduce(gcd, got.values()) == 1
+
+
+def test_line_mod_and_compiled_forms_read_the_degrees_once(monkeypatch):
+    rng = random.Random(3005)
+    p = 1000003
+    q = Poly(_random_terms(rng, 3, 8), 3) + Poly.variable(0, 3)
+    want = [q.line_mod((5, 7, 9), i, p) for i in range(3)]
+    monkeypatch.setattr(poly_module, "_deg_in", lambda *_: pytest.fail("degrees read again"))
+    assert [q.line_mod((5, 7, 9), i, p) for i in range(3)] == want
+    assert q.eval_mod((5, 7, 9), 1000033) == q.eval_mod((5, 7, 9), 1000033)
+    bad = Poly({(1, 0, 0): Fraction(1, p)}, 3)
+    with pytest.raises(BadPrimeError):
+        bad.line_mod((5, 7, 9), 0, p)

@@ -555,3 +555,16 @@ def test_compose_numerator_vanishes_iff_relation_holds():
     assert compose_numerator(rel, [P, s]).is_zero
     bad = Poly({(1, 0): Fraction(1), (0, 2): Fraction(1)}, 2)
     assert not compose_numerator(bad, [P, s]).is_zero
+
+
+@pytest.mark.parametrize("c", [Fraction(-3, 7), -2, 0, Fraction(5, 6), 4, 1])
+@pytest.mark.parametrize("expr", ["(x^2 - y)/(3*x*y + 2)", "x + y/2", "0", "(x - 1)/(x^2 - 1)"])
+def test_scale_of_canonical_and_raw_functions_matches_the_reduce_path(expr, c):
+    names = ("x", "y")
+    f = parse(expr, names)
+    raw = RatFun.raw(f.num * (Poly.variable(0, 2) + 5), f.den * (Poly.variable(0, 2) + 5))
+    want = RatFun(f.num.scale(c), f.den)
+    assert f.canonical and not raw.canonical
+    for g in (f, raw):
+        got = g.scale(c)
+        assert got.canonical and (got.num, got.den) == (want.num, want.den)
