@@ -11,6 +11,7 @@ import pytest
 
 from synth import ref_subs
 import ratforms.poly as poly_module
+from ratforms.calculus import _mul
 from ratforms.poly import (
     BadPrimeError,
     _LINE_P,
@@ -675,14 +676,6 @@ def _prs_list(f: list[int], g: list[int]) -> list[int]:
     return [h.get((k,), 0) for k in range(max(h)[0] + 1)]
 
 
-def _dmul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def test_dense_gcd_matches_subresultants_without_falling_back(monkeypatch):
     """Products that share a factor, coprime pairs and equal inputs: the
     heuristic alone finds the gcd and both cofactors."""
@@ -692,7 +685,7 @@ def test_dense_gcd_matches_subresultants_without_falling_back(monkeypatch):
     pairs = []
     for _ in range(60):
         h = _int_list(rng, 1, 4)
-        pairs.append((_dmul(h, _int_list(rng, 0, 4)), _dmul(h, _int_list(rng, 0, 4))))
+        pairs.append((_mul(h, _int_list(rng, 0, 4)), _mul(h, _int_list(rng, 0, 4))))
         pairs.append((_int_list(rng, 1, 5, 10**6), _int_list(rng, 1, 5, 10**6)))
         f = _int_list(rng, 0, 5)
         pairs.append((f, list(f)))
@@ -704,7 +697,7 @@ def test_dense_gcd_matches_subresultants_without_falling_back(monkeypatch):
         monkeypatch.undo()
         assert h == _prs_list(f, g) and h[-1] > 0
         monkeypatch.setattr(poly_module, "_prs_gcd", lambda *a: prs.append(a))
-        assert _dmul(h, qf) == f and _dmul(h, qg) == g
+        assert _mul(h, qf) == f and _mul(h, qg) == g
     assert not prs
 
 
@@ -717,11 +710,11 @@ def test_dense_gcd_falls_back_past_the_size_guard(monkeypatch):
     monkeypatch.setattr(poly_module, "_prs_gcd", lambda *a: prs.append(a) or fallback(*a))
     rng = random.Random(3003)
     h = _primitive_list([rng.getrandbits(200_000) - (1 << 199_999) for _ in range(21)])
-    f, g = _dmul(h, [2, -1]), h
+    f, g = _mul(h, [2, -1]), h
     got, qf, qg = _dense_gcd(f, g)
     assert len(prs) == 1
     assert got == (h if h[-1] > 0 else [-c for c in h])
-    assert _dmul(got, qf) == f and _dmul(got, qg) == g
+    assert _mul(got, qf) == f and _mul(got, qg) == g
 
 
 def test_gcd_of_univariate_inputs_keeps_content_sign_and_monomials(monkeypatch):
