@@ -677,9 +677,9 @@ def _dense_gcd(f: list[int], g: list[int]) -> tuple[list[int], list[int], list[i
     """
     if len(f) == 1 or len(g) == 1:
         return [1], f, g
-    if f == g:
-        s = 1 if f[-1] > 0 else -1
-        return [c * s for c in f], [s], [s]
+    if f == g or f == [-c for c in g]:  # f_x = f_y on lines of (x + y + z)^d
+        h = _unit_content(f)
+        return h, [f[-1] // h[-1]], [g[-1] // h[-1]]
     dbound = min(len(f), len(g)) - 1
     for xi in _xi_schedule(min(max(map(abs, f)), max(map(abs, g))), dbound):
         fv = gv = 0

@@ -677,8 +677,8 @@ def _prs_list(f: list[int], g: list[int]) -> list[int]:
 
 
 def test_dense_gcd_matches_subresultants_without_falling_back(monkeypatch):
-    """Products that share a factor, coprime pairs and equal inputs: the
-    heuristic alone finds the gcd and both cofactors."""
+    """Products that share a factor, coprime pairs and inputs equal up to
+    sign: the heuristic alone finds the gcd and both cofactors."""
     prs = []
     monkeypatch.setattr(poly_module, "_prs_gcd", lambda *a: prs.append(a))
     rng = random.Random(3002)
@@ -688,7 +688,7 @@ def test_dense_gcd_matches_subresultants_without_falling_back(monkeypatch):
         pairs.append((_mul(h, _int_list(rng, 0, 4)), _mul(h, _int_list(rng, 0, 4))))
         pairs.append((_int_list(rng, 1, 5, 10**6), _int_list(rng, 1, 5, 10**6)))
         f = _int_list(rng, 0, 5)
-        pairs.append((f, list(f)))
+        pairs += [(f, list(f)), (f, [-c for c in f])]
     # negative roots and a negative lead need balanced digits
     pairs.append(([-10, -3, 1], [15, 2, -1]))
     for f, g in pairs:
