@@ -283,25 +283,29 @@ def _qpowers(ints: dict, point, skip: int = -1, slopes: bool = False) -> tuple[l
     return rows, degs, den, srows
 
 
-def _axis_line(ints: dict, powers, i: int, deg: int, slopes=None) -> list:
+def _axis_line(ints: dict, powers, i: int, deg: int) -> list[int]:
     """The restriction of integer terms to the line parallel to the x_i axis
     through the point of powers: its deg + 1 coefficients in x_i, lowest
     first, unreduced, added up in one pass over the terms.  Powers mod p
     (see _powers) give the restriction mod p, and exact ones (see _qpowers)
     the exact restriction, times the d^deg of the other coordinates.
-    powers[i] is not read.
-
-    With the slope rows of _qpowers, the jet form: [f, f_0, ..., f_(n-1)],
-    the restriction and those of the first partials, from the same pass and
-    at the same scale.  The partial in a pinned x_v reads x_v's slope row in
-    place of its power row (the zero list when it has none), and f_i is the
-    derivative of the restriction, deg coefficients long."""
+    powers[i] is not read."""
     rows = powers[:i] + [[1] * (deg + 1)] + powers[i + 1 :]
-    if slopes is None:
-        out = [0] * (deg + 1)
-        for e, c in ints.items():
-            out[e[i]] += c * prod(map(getitem, rows, e))
-        return out
+    out = [0] * (deg + 1)
+    for e, c in ints.items():
+        out[e[i]] += c * prod(map(getitem, rows, e))
+    return out
+
+
+def _axis_jet(ints: dict, powers, i: int, deg: int, slopes) -> list[list[int]]:
+    """The jet form of _axis_line, for exact powers and the slope rows of
+    _qpowers: [f, f_0, ..., f_(n-1)], the restriction and those of the
+    first partials, from one pass over the terms and at the same scale.
+    The partial in a pinned x_v reads x_v's slope row in place of its power
+    row (the zero list when it has none), and f_i is the derivative of the
+    restriction, deg coefficients long.  A function of its own, so that
+    the mod-p callers of _axis_line take no branch for it."""
+    rows = powers[:i] + [[1] * (deg + 1)] + powers[i + 1 :]
     pinned = [v for v, row in enumerate(slopes) if row is not None and v != i]
     jet = [[] for _ in range(len(rows) + 1)]
     jet[0] = out = [0] * (deg + 1)
@@ -1105,12 +1109,12 @@ class Poly:
         """(scale, [f, f_0, ..., f_(n-1)]): the restriction to the line of
         Poly.line and those of the first partials, as integer coefficient
         lists in x_i, lowest first, each times the one scale; one pass over
-        the terms (see _axis_line)."""
+        the terms (see _axis_jet)."""
         if not self.ints:
             return _ONE, [[] for _ in range(self.arity + 1)]
         rows, degs, den, slopes = _qpowers(self.ints, point, i, slopes=True)
         scale = self.content / den if den > 1 else self.content
-        return scale, _axis_line(self.ints, rows, i, degs[i], slopes)
+        return scale, _axis_jet(self.ints, rows, i, degs[i], slopes)
 
     def eval_q(self, point) -> Fraction:
         """The exact value at a point of ints or Fractions, added up in one
