@@ -268,9 +268,11 @@ class _Fn:
         The numerators g_v = N_v D - N D_v of f_a and f_b are integer
         coefficient lists off one jet pass over N and one over D (see
         Poly.line_jet): both carry the product of the two jets' scales,
-        which cancels.  Their integer contents and their gcd (a dense
-        heuristic gcd, poly._dense_gcd) come out, and the canonical RatFun
-        is built once.
+        which cancels.  Their shared power of x_free and their integer
+        contents come out here, so that their gcd (a dense heuristic gcd,
+        poly._dense_gcd, whose cost grows with the square of the degree)
+        reads short primitive lists on a sparse line such as that of
+        x^65536*y.  The canonical RatFun is built once.
         """
         (_, n), (_, d) = self.num.line_jet(point, free), self.den.line_jet(point, free)
         ga, gb = (_sub(_mul(n[1 + v], d[0]), _mul(n[0], d[1 + v])) for v in (a, b))
@@ -279,6 +281,8 @@ class _Fn:
             raise DegenerateSpecializationError("partial ratio degenerates")
         if not ga:
             return RatFun.const(0, arity)
+        k = next(i for i, pair in enumerate(zip(ga, gb)) if any(pair))
+        ga, gb = ga[k:], gb[k:]
         ca, cb = gcd(*ga), gcd(*gb)
         _, qa, qb = _dense_gcd([c // ca for c in ga], [c // cb for c in gb])
         return RatFun.coprime(Poly.from_coeffs(qa, free, arity, Fraction(ca, cb)),
@@ -463,19 +467,21 @@ def fit_group(
                       P, dmax, primes, seed, diag)
 
 
-def _solve_beta(fn: _Fn, i: int, j: int, uj: RatFun, B0: RatFun, rng) -> Fraction | None:
-    """Constant beta making M/(B0 + beta) free of x_j, M = P_i * r_j' / P_j.
+def _solve_beta(fn: _Fn, i: int, j: int, uj: RatFun, rj: RatFun, rl: RatFun, rng) -> Fraction | None:
+    """Constant beta making M/(r_j + r_l + beta) free of x_j, with
+    M = P_i * r_j' / P_j.
 
     On an exact x_j-line, with x_i and x_l pinned to small integers, a field
-    form gives M = K * (b + beta) with b = B0 on the line and K constant, so
-    K = M'/b' and beta = M/K - b.  M = 0 (x_i pinned where r_i' vanishes)
-    draws another line; a K that is not a nonzero constant rejects the pivot.
+    form gives M = K * (b + beta) with b = r_j + r_l(x_l) on the line and K
+    constant, so K = M'/b' and beta = M/K - b.  M = 0 (x_i pinned where r_i'
+    vanishes) or x_l pinned at a pole of r_l draws another line; a K that is
+    not a nonzero constant rejects the pivot.
     """
     for _ in range(RETRIES):
         point = [0 if t == j else rng.randrange(2, 98) for t in range(3)]
         try:
             M = fn.specialized_ratio(i, j, point, j) * uj
-            b = B0.line(point, j)
+            b = rj + rl.eval_q(point)
             K = M.partial(j) / b.partial(j)
         except (DegenerateSpecializationError, PoleError, ZeroDivisionError):
             continue
@@ -546,7 +552,7 @@ def fit_field(
         if rj is None or rl is None:
             diag[f"{tag}_integrable"] = False
             continue
-        beta = _solve_beta(fn, i, j, uj, rj + rl, rng)
+        beta = _solve_beta(fn, i, j, uj, rj, rl, rng)
         if beta is None:
             diag[f"{tag}_shift"] = False
             continue

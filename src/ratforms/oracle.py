@@ -36,6 +36,7 @@ from .modular import (
     rational_reconstruct,
     rng_for,
 )
+from .calculus import _mul, _sub
 from .poly import Poly, divexact, grlex_key
 from .ratfun import RatFun, compose_numerator, pole_free_values
 from .dimension import DoublingMap
@@ -320,22 +321,6 @@ def _proportional(A: Poly, P: RatFun, s: RatFun) -> bool:
 _CONFIRM_POINTS = 3
 
 
-def _conv_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _sub_mod(f: list[int], g: list[int], p: int) -> list[int]:
-    n = max(len(f), len(g))
-    f, g = f + [0] * (n - len(f)), g + [0] * (n - len(g))
-    return _trim([(a - b) % p for a, b in zip(f, g)])
-
-
 class _Nodes:
     """Interpolation nodes (s(w), P(w)) mod p, with pairwise distinct values
     of s, at points w on lines parallel to an axis.
@@ -403,7 +388,7 @@ def _cauchy_mod(nodes: list[list[int]], checks: list[list[int]], m: int, p: int)
     while len(r1) > m + 1:
         quo, rem = _divmod_mod(r0, r1, p)
         r0, r1 = r1, rem
-        c0, c1 = c1, _sub_mod(c0, _conv_mod(quo, c1, p), p)
+        c0, c1 = c1, _trim([c % p for c in _sub(c0, _mul(quo, c1))])
     a, b = c1, r1
     for t, v in checks:
         if (_eval_uni_mod(a, t, p) * v - _eval_uni_mod(b, t, p)) % p:

@@ -9,7 +9,10 @@ graded lexicographic.  The gcd stack used for rational-function reduction
 works on the primitive integer parts.  Two inputs in one shared variable
 go to a dense heuristic gcd on coefficient lists, which falls back to
 subresultants; the exact line ratios of the fitters reduce through it too.
-Other inputs combine three layers:
+Its callers hand it primitive lists with no shared power of the variable.
+Every gcd routine returns its result primitive with a positive lead, and
+takes that sign and content once, from the result.  Other inputs combine
+three layers:
 
 * a sound bound on the gcd's degree in each variable x_v both inputs
   involve (the gcd over GF(p) of the inputs restricted to a line parallel
@@ -82,12 +85,6 @@ def _imul(a: dict, b: dict) -> dict:
     return out
 
 
-def _iscale(a: dict, c: int) -> dict:
-    if c == 0:
-        return {}
-    return {k: v * c for k, v in a.items()}
-
-
 def _ishift(a: dict, var: int, k: int) -> dict:
     """Multiply by var**k."""
     out = {}
@@ -138,6 +135,14 @@ def _total_deg(a: dict) -> int:
 
 def _lead_key(a: dict) -> Term:
     return max(a, key=grlex_key)
+
+
+def _unit_normal(a: dict) -> dict:
+    """a over its integer content, signed to make the grlex lead positive."""
+    g = _int_content(a)
+    if a and a[_lead_key(a)] < 0:
+        g = -g
+    return a if g == 1 else {k: v // g for k, v in a.items()}
 
 
 def _mono_content(a: dict, arity: int) -> Term:
@@ -597,7 +602,7 @@ def _content_wrt(f: dict, var: int, arity: int) -> dict:
     acc = cs[0]
     for c in cs[1:]:
         acc = gcd_int(acc, c, arity)
-        if _total_deg(acc) == 0 and _int_content(acc) == 1:
+        if _total_deg(acc) == 0:
             break
     return acc
 
@@ -613,7 +618,8 @@ def _divide_coeffwise(f: dict, d: dict, var: int, arity: int) -> dict:
 
 
 def _prs_gcd(f: dict, g: dict, var: int, arity: int) -> dict:
-    """Subresultant PRS gcd of primitive (wrt var) inputs."""
+    """Subresultant PRS gcd of primitive (wrt var) inputs, primitive with
+    a positive lead."""
     if _deg_in(f, var) < _deg_in(g, var):
         f, g = g, f
     one = {tuple([0] * arity): 1}
@@ -645,8 +651,7 @@ def _prs_gcd(f: dict, g: dict, var: int, arity: int) -> dict:
                 hden = _imul(hden, h)
             h = _idivexact(num, hden)
             assert h is not None
-    cont = _content_wrt(b, var, arity)
-    return _divide_coeffwise(b, cont, var, arity)
+    return _unit_normal(_divide_coeffwise(b, _content_wrt(b, var, arity), var, arity))
 
 
 def _ddivexact(f: list[int], h: list[int]) -> list[int] | None:
@@ -672,6 +677,10 @@ def _ddivexact(f: list[int], h: list[int]) -> list[int] | None:
 def _dense_gcd(f: list[int], g: list[int]) -> tuple[list[int], list[int], list[int]]:
     """(h, f/h, g/h) for h the gcd, primitive with a positive lead, of
     primitive integer coefficient lists, lowest first, with nonzero leads.
+    The callers take the contents and any shared power of x out first: the
+    digits are read one per degree from a number of about that many digits,
+    so the cost grows with the square of the degree, and a shared power of
+    x left in would make a sparse pair such as x^65535 and x^65536 dense.
 
     The heuristic gcd of Char, Geddes & Gonnet (J. Symb. Comput. 7, 1989):
     the balanced base-xi digits of gcd(f(xi), g(xi)) are a candidate whose
@@ -704,7 +713,7 @@ def _dense_gcd(f: list[int], g: list[int]) -> tuple[list[int], list[int], list[i
             if qg is not None:
                 return h, qf, qg
     h = _prs_gcd({(k,): c for k, c in enumerate(f) if c}, {(k,): c for k, c in enumerate(g) if c}, 0, 1)
-    h = _unit_content([h.get((k,), 0) for k in range(max(h)[0] + 1)])
+    h = [h.get((k,), 0) for k in range(max(h)[0] + 1)]
     return h, _ddivexact(f, h), _ddivexact(g, h)
 
 
@@ -741,73 +750,59 @@ def gcd_int(f: dict, g: dict, arity: int) -> dict:
     bounds the gcd's degree in each shared variable: bounds of 0 settle
     coprimality.  A heuristic common divisor that meets every bound is the
     gcd, since it divides the true gcd; a smaller one is closed up through
-    its cofactors, and subresultants settle the rest.
+    its cofactors, and subresultants settle the rest.  The sign and the
+    integer content are taken once, from the result.
     """
+    if not f or not g:
+        return _unit_normal(dict(f or g))
     zero_key = tuple([0] * arity)
-    if not f and not g:
-        return {}
-    if not f:
-        res = dict(g)
-    elif not g:
-        res = dict(f)
+    mf = _mono_content(f, arity)
+    mg = _mono_content(g, arity)
+    mono = tuple(min(a, b) for a, b in zip(mf, mg))
+    f1 = _mono_divide(f, mf)
+    g1 = _mono_divide(g, mg)
+    cf = _int_content(f1)
+    cg = _int_content(g1)
+    f1 = {k: v // cf for k, v in f1.items()}
+    g1 = {k: v // cg for k, v in g1.items()}
+    if f1 == g1:
+        core = f1
+    elif _total_deg(f1) == 0 or _total_deg(g1) == 0:
+        core = {zero_key: 1}
+    elif (v := _sole_variable(f1)) is not None and v == _sole_variable(g1):
+        coeffs = [[0] * (_deg_in(a, v) + 1) for a in (f1, g1)]
+        for a, out in zip((f1, g1), coeffs):
+            for e, c in a.items():
+                out[e[v]] = c
+        core = _on_axis(_dense_gcd(*coeffs)[0], v, arity)
     else:
-        mf = _mono_content(f, arity)
-        mg = _mono_content(g, arity)
-        mono = tuple(min(a, b) for a, b in zip(mf, mg))
-        f1 = _mono_divide(f, mf)
-        g1 = _mono_divide(g, mg)
-        cf = _int_content(f1)
-        cg = _int_content(g1)
-        c = igcd(cf, cg)
-        f1 = {k: v // cf for k, v in f1.items()}
-        g1 = {k: v // cg for k, v in g1.items()}
-        if f1 == g1:
-            core = f1
-        elif _total_deg(f1) == 0 or _total_deg(g1) == 0:
+        bound = _gcd_degree_bound(f1, g1, arity)
+        if bound is not None and not any(bound.values()):
             core = {zero_key: 1}
-        elif (v := _sole_variable(f1)) is not None and v == _sole_variable(g1):
-            coeffs = [[0] * (_deg_in(a, v) + 1) for a in (f1, g1)]
-            for a, out in zip((f1, g1), coeffs):
-                for e, c in a.items():
-                    out[e[v]] = c
-            core = _on_axis(_dense_gcd(*coeffs)[0], v, arity)
         else:
-            bound = _gcd_degree_bound(f1, g1, arity)
-            if bound is not None and not any(bound.values()):
-                core = {zero_key: 1}
+            core = _heu_gcd(f1, g1, arity)
+            if core is not None and _total_deg(core) > 0:
+                # a common divisor that meets every bound is the gcd;
+                # otherwise close it up to the true gcd: each pass
+                # strictly shrinks the cofactors, so it terminates
+                while bound is None or any(_deg_in(core, v) < b for v, b in bound.items()):
+                    c1 = _idivexact(f1, core)
+                    c2 = _idivexact(g1, core)
+                    extra = gcd_int(c1, c2, arity)
+                    if _total_deg(extra) == 0:
+                        break
+                    core = _imul(core, extra)
             else:
-                core = _heu_gcd(f1, g1, arity)
-                if core is not None and _total_deg(core) > 0:
-                    # a common divisor that meets every bound is the gcd;
-                    # otherwise close it up to the true gcd: each pass
-                    # strictly shrinks the cofactors, so it terminates
-                    while bound is None or any(_deg_in(core, v) < b for v, b in bound.items()):
-                        c1 = _idivexact(f1, core)
-                        c2 = _idivexact(g1, core)
-                        extra = gcd_int(c1, c2, arity)
-                        if _total_deg(extra) == 0:
-                            break
-                        core = _imul(core, extra)
-                else:
-                    # a constant heuristic answer certifies nothing about
-                    # the polynomial part; settle it by subresultants
-                    shared = [i for i in range(arity) if _deg_in(f1, i) and _deg_in(g1, i)]
-                    var = min(shared, key=lambda i: min(_deg_in(f1, i), _deg_in(g1, i)))
-                    contf = _content_wrt(f1, var, arity)
-                    contg = _content_wrt(g1, var, arity)
-                    fp = _divide_coeffwise(f1, contf, var, arity)
-                    gp = _divide_coeffwise(g1, contg, var, arity)
-                    core = _imul(gcd_int(contf, contg, arity), _prs_gcd(fp, gp, var, arity))
-        cc = _int_content(core)
-        if cc > 1:
-            core = {k: v // cc for k, v in core.items()}
-        res = _imul(_iscale(core, c), {mono: 1})
-    if res and res[_lead_key(res)] < 0:
-        res = {k: -v for k, v in res.items()}
-    cr = _int_content(res)
-    if cr > 1:
-        res = {k: v // cr for k, v in res.items()}
-    return res
+                # a constant heuristic answer certifies nothing about
+                # the polynomial part; settle it by subresultants
+                shared = [i for i in range(arity) if _deg_in(f1, i) and _deg_in(g1, i)]
+                var = min(shared, key=lambda i: min(_deg_in(f1, i), _deg_in(g1, i)))
+                contf = _content_wrt(f1, var, arity)
+                contg = _content_wrt(g1, var, arity)
+                fp = _divide_coeffwise(f1, contf, var, arity)
+                gp = _divide_coeffwise(g1, contg, var, arity)
+                core = _imul(gcd_int(contf, contg, arity), _prs_gcd(fp, gp, var, arity))
+    return _unit_normal(_imul(core, {mono: 1}))
 
 
 # ---------------------------------------------------------------------------

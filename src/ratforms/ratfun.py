@@ -265,14 +265,6 @@ class RatFun:
             out._mark()
         return out
 
-    def line(self, point, i: int) -> "RatFun":
-        """The restriction to the line through point parallel to the x_i
-        axis (see Poly.line), reduced."""
-        d = self.den.line(point, i)
-        if d.is_zero:
-            raise DegenerateSpecializationError("the line lies in the pole set")
-        return RatFun(self.num.line(point, i), d)
-
     # -- formatting ----------------------------------------------------------------
 
     def to_str(self, names: tuple[str, ...] | None = None) -> str:

@@ -12,6 +12,7 @@ import pytest
 
 import synth
 from synth import partial_ratio, ref_subs
+from ratforms import cli, poly
 from ratforms.classify import (
     TEMPLATES,
     DependenceCertificate,
@@ -455,6 +456,29 @@ def test_specialized_ratio_matches_the_poly_level_reference(expr, a, b, free):
         want = synth.line_ratio(f, a, b, point, free)
         got = _Fn(f).specialized_ratio(a, b, point, free)
         assert got.canonical and (got.num, got.den) == (want.num, want.den)
+
+
+def test_sparse_line_ratios_stay_within_a_gcd_work_budget(monkeypatch):
+    """On an x-line of x^65536*y the numerators g_x and g_y share the power
+    x^65535.  It comes out before the dense gcd, whose digit loop would
+    otherwise call _smod about 65536 times on numbers of about 65536 digits
+    in base xi; a budget of 1000 calls ends that early."""
+    smod, calls = poly._smod, []
+
+    def budget(c, m):
+        calls.append(m)
+        if len(calls) > 1000:
+            raise AssertionError("gcd work budget exhausted")
+        return smod(c, m)
+
+    monkeypatch.setattr(poly, "_smod", budget)
+    f = parse("x^65536*y", BI)
+    for free in (0, 1):
+        want = synth.line_ratio(f, 0, 1, (3, 5), free)
+        got = _Fn(f).specialized_ratio(0, 1, (3, 5), free)
+        assert (got.num, got.den) == (want.num, want.den)
+    report, status = cli.analyze_function("x^65536*y*z + 1", TRI, DEFAULT_PRIMES, 16, 0, None, False)
+    assert (report["verdict"], status) == ("group-multiplicative", 0)
 
 
 def test_specialized_ratio_with_a_zero_other_numerator_degenerates():

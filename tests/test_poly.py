@@ -640,6 +640,19 @@ def test_heuristic_gcd_divides_out_the_content_of_its_candidate():
     assert _dense_gcd(fl, gl)[0] == [1, 1]
 
 
+def test_subresultant_gcd_is_primitive_with_a_positive_lead():
+    # the chain of the first pair ends in 69*x - 207; the content with
+    # respect to x is a constant, which leaves the 69 in unless the result
+    # is normalized; the other pairs end with a negative lead
+    for f, g, want, names in (
+        ("(x-3)*(5*x+7)", "(x-3)*(2*x-11)", "x - 3", ("x",)),
+        ("(3-x)*(5*x+7)", "(x-3)*(2*x-11)", "x - 3", ("x",)),
+        ("(2-x*y)*(5*x+7)", "(x*y-2)*(2*x-11*y)", "x*y - 2", ("x", "y")),
+    ):
+        f, g = _p(f, names).ints, _p(g, names).ints
+        assert _prs_gcd(f, g, 0, len(names)) == _p(want, names).ints
+
+
 def test_line_jet_is_the_line_of_each_first_partial():
     """One jet pass gives the restriction and those of every first partial,
     at integer, zero and fractional coordinates; arities 1 and 4 take the

@@ -15,7 +15,6 @@ from synth import partial_ratio
 from ratforms.modular import DEFAULT_PRIMES, RETRIES
 from ratforms.poly import Poly, grlex_key
 from ratforms.ratfun import (
-    DegenerateSpecializationError,
     ParseError,
     PoleError,
     RatFun,
@@ -466,22 +465,10 @@ def test_eval_is_a_homomorphism():
 # -- substitution -----------------------------------------------------------
 
 
-def test_substitute_scalar():
-    # the line through (., 3/2, 0) parallel to the x axis; x's coordinate is not used
-    f = parse("(x+y)/(y+z)", TRI)
-    assert f.line((5, Fraction(3, 2), 0), 0) == parse("(2*x + 3)/3", TRI)
-
-
 def test_substitute_function_value():
     # x^2 at x = y + 1, as the composition numerator of the slot polynomial t^2
     t2 = Poly({(2,): Fraction(1)}, 1)
     assert compose_numerator(t2, [parse("y+1", BI)]) == parse("y^2 + 2*y + 1", BI).num
-
-
-def test_substitute_onto_identical_pole_is_degenerate():
-    f = parse("1/((x - 2)*y)", BI)
-    with pytest.raises(DegenerateSpecializationError):
-        f.line((2, 7), 1)
 
 
 # -- identity testing -------------------------------------------------------
