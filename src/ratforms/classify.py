@@ -26,10 +26,12 @@ of P (see ratfun.partials_mod) at random pairs of points mod p, and an
 unequal pair is an exact disproof, so gates never eliminate a true match
 except with negligible probability (Schwartz, J. ACM 27, 1980); a fluke
 pass is harmless because every positive path ends in a verified
-certificate.  Recovery then works on exact univariate specializations
-(lines on which every other variable is pinned to a small integer): no
-fitter evaluates P at an exact multivariate point, and no step multiplies
-two large multivariate polynomials except the certificate check.
+certificate.  The partial-ratio gates share one sample (see _Fn.tries),
+whose 2^n mixtures carry every such identity at once.  Recovery then works
+on exact univariate specializations (lines on which every other variable
+is pinned to a small integer): no fitter evaluates P at an exact
+multivariate point, and no step multiplies two large multivariate
+polynomials except the certificate check.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from math import gcd, prod
 from .calculus import _mul, _sub, hermite_antiderivative, logderiv_integrate
 from .dimension import image_dimension, is_nondegenerate
 from .modular import DEFAULT_PRIMES, RETRIES, rng_for
-from .oracle import composition_relation, prime_pool
+from .oracle import LiftBudgetError, composition_relation, prime_pool
 from .poly import Poly, _dense_gcd
 from .ratfun import (
     DegenerateSpecializationError,
@@ -135,10 +137,10 @@ def dependence_certificate(
     Every fitter builds s with P = q(s) for a univariate rational q, so the
     certificate is that relation, of total degree at most dmax (by default
     2 * (deg P + deg s)), fitted by rational interpolation and checked
-    exactly by composition_relation.  It is linear in p: a dependence of
-    higher degree in p means P lies outside Q(s), so s does not explain P
-    and no certificate is returned.  An independent pair has no relation to
-    find, so it is rejected by the same search, bounded by dmax.
+    exactly by composition_relation (which may raise LiftBudgetError).  It
+    is linear in p: a dependence of higher degree in p means P lies outside
+    Q(s), so s does not explain P and no certificate is returned.  An
+    independent pair has no relation to find, so the search rejects it.
     """
     if P.arity != s.arity:
         raise ValueError("P and s must share one ambient variable list")
@@ -198,15 +200,29 @@ class _Fn:
     (N_i D - N D_i) / D^2, so the only exact quotient formed is one of
     polynomials restricted to a line, whose first partials come from one
     pass over the terms (see Poly.line_jet).  Values mod p come from
-    ratfun.partials_mod, which gives the ratio at every mixture of two
-    points (see ratios_mod).
+    ratfun.partials_mod, which gives them at every mixture of two points;
+    the gates read them off a shared sample (see tries).
     """
 
-    __slots__ = ("num", "den", "_parts")
+    __slots__ = ("num", "den", "_parts", "_rng", "_tries")
 
-    def __init__(self, f: RatFun):
+    def __init__(self, f: RatFun, seed: int = 0):
         self.num, self.den = f.num, f.den
         self._parts: dict[tuple[int, ...], tuple[Poly, Poly]] = {(): (f.num, f.den)}
+        self._rng, self._tries = rng_for(seed, "gates"), {}
+
+    def tries(self, p: int):
+        """The gates' shared sample mod p, up to RETRIES tries drawn lazily
+        from one stream and kept: (w, w2), w2[i] drawn from the residues
+        other than w[i] (none for p = 2), with the partials_mod rows of all
+        2^n mixtures, one walk each of N and D for every gate identity."""
+        drawn, rng = self._tries.setdefault(p, []), self._rng
+        for k in range(RETRIES):
+            if k == len(drawn):
+                w = [rng.randrange(1, p) for _ in range(self.num.arity)]
+                w2 = [(c + rng.randrange(max(1, p - 2))) % (p - 1) + 1 for c in w]
+                drawn.append((w, w2, partials_mod(self.num, self.den, (w, w2), p)))
+            yield drawn[k]
 
     def partials(self, *vs: int) -> tuple[Poly, Poly]:
         """(N, D) differentiated in the variables vs, in order; cached."""
@@ -248,18 +264,6 @@ class _Fn:
             return memo[vs]
 
         return part
-
-    def ratios_mod(self, a: int, b: int, points, p: int, ks) -> list[int]:
-        """(f_a / f_b) mod p at the mixtures ks of two points, read off
-        ratfun.partials_mod; PoleError where D or f_b vanishes at one.
-
-        Mixture k takes x_i from points[bit i of k] (see Poly.eval_grad_mod).
-        """
-        parts = partials_mod(self.num, self.den, points, p)
-        rows = [parts[k] for k in ks]
-        if not all(dv and gs[b] for dv, gs in rows):
-            raise PoleError("pole or vanishing partial at sample point")
-        return [gs[a] * pow(gs[b], -1, p) % p for _, gs in rows]
 
     def specialized_ratio(self, a: int, b: int, point, free: int) -> RatFun:
         """(f_a / f_b) on the line through point parallel to the x_free
@@ -313,26 +317,31 @@ def _split_partial_ratio(fn: _Fn, a: int, b: int, rng):
     return None
 
 
-def _probe(sides, arity: int, moved, rng, p: int) -> bool:
-    """Probe an identity mod p at random pairs of points w, w2.
+def _ratios(rows, a: int, b: int, p: int, ks) -> list[int]:
+    """(f_a / f_b) mod p at the mixtures ks (see Poly.eval_grad_mod), read
+    off ratfun.partials_mod rows; PoleError where D or f_b vanishes at one."""
+    rows = [rows[k] for k in ks]
+    if not all(dv and gs[b] for dv, gs in rows):
+        raise PoleError("pole or vanishing partial at sample point")
+    return [gs[a] * pow(gs[b], -1, p) % p for _, gs in rows]
 
-    Each of up to RETRIES tries draws w, then a copy w2 with the coordinates
-    in `moved` redrawn, in that order; a copy equal to w is skipped, since
-    every mixture of the two is then w and any identity holds vacuously.
-    sides(w, w2) returns the identity's two sides or raises PoleError,
-    which skips the try.  An unequal pair is an exact disproof and returns
-    False at once; two agreeing tries return True.
+
+def _probe(sides, tries) -> bool:
+    """Probe an identity mod p on tries (w, w2, ...): the shared sample
+    (see _Fn.tries) or fresh draws (see _draws), at most RETRIES of them.
+
+    A copy w2 equal to w is skipped, since every mixture is then w and any
+    identity holds vacuously; otherwise w2 differs from w in every moved
+    coordinate.  sides(*try) returns the identity's two sides or raises
+    PoleError, which skips the try.  An unequal pair is an exact disproof
+    and returns False at once; two agreeing tries return True.
     """
     ok = 0
-    for _ in range(RETRIES):
-        w = [rng.randrange(1, p) for _ in range(arity)]
-        w2 = list(w)
-        for v in moved:
-            w2[v] = rng.randrange(1, p)
-        if w2 == w:
+    for t in tries:
+        if t[0] == t[1]:
             continue
         try:
-            lhs, rhs = sides(w, w2)
+            lhs, rhs = sides(*t)
         except PoleError:
             continue
         if lhs != rhs:
@@ -343,25 +352,32 @@ def _probe(sides, arity: int, moved, rng, p: int) -> bool:
     return False
 
 
-def _gate_ratio_separable(fn: _Fn, a: int, b: int, rng, p: int) -> bool:
-    """Probe H(X,Y) H(X0,Y0) = H(X,Y0) H(X0,Y) for H = f_a/f_b mod p, with
-    X = x_a and Y = x_b moved together; the four corners are mixtures of the
-    two points.  A False disproves separability; a True is strong (not
-    absolute) evidence for it."""
-    corners = (0, 1 << a, 1 << b, (1 << a) | (1 << b))
+def _draws(v: int, rng, p: int):
+    """Fresh tries for _probe: RETRIES times a point w, then its copy w2
+    with x_v redrawn."""
+    for _ in range(RETRIES):
+        w = [rng.randrange(1, p) for _ in range(3)]
+        w2 = list(w)
+        w2[v] = rng.randrange(1, p)
+        yield w, w2
 
-    def sides(w, w2):
-        v, vx, vy, v00 = fn.ratios_mod(a, b, (w, w2), p, corners)
+
+def _gate_ratio_separable(fn: _Fn, a: int, b: int, p: int) -> bool:
+    """Probe H(X,Y) H(X0,Y0) = H(X,Y0) H(X0,Y) for H = f_a/f_b mod p, with
+    X = x_a and Y = x_b, on the shared sample: the four corners are the
+    mixtures with every other coordinate at copy 0.  A False disproves
+    separability; a True is strong (not absolute) evidence for it."""
+    def sides(w, w2, rows):
+        v, vx, vy, v00 = _ratios(rows, a, b, p, (0, 1 << a, 1 << b, (1 << a) | (1 << b)))
         return v * v00 % p, vy * vx % p
 
-    return _probe(sides, fn.num.arity, (a, b), rng, p)
+    return _probe(sides, fn.tries(p))
 
 
-def _gate_ratio_indep(fn: _Fn, a: int, b: int, var: int, rng, p: int) -> bool:
-    """Probe that f_a/f_b mod p does not depend on x_var: its values at w
-    and at the copy with x_var moved, mixtures 0 and -1, agree."""
-    return _probe(lambda w, w2: fn.ratios_mod(a, b, (w, w2), p, (0, -1)),
-                  fn.num.arity, (var,), rng, p)
+def _gate_ratio_indep(fn: _Fn, a: int, b: int, var: int, p: int) -> bool:
+    """Probe that f_a/f_b mod p does not depend on x_var, on the shared
+    sample: its values at mixtures 0 and 1 << var agree."""
+    return _probe(lambda w, w2, rows: _ratios(rows, a, b, p, (0, 1 << var)), fn.tries(p))
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +389,13 @@ def _decomposed_detail(P: RatFun, p: int, seed: int) -> tuple[bool, dict[str, bo
     """Is every partial ratio P_a/P_b separable mod p: all of them, and each one.
 
     P is 2-decomposed iff all three are; each pair is probed by
-    _gate_ratio_separable on its own stream.  A False is an exact disproof;
-    a fluke True has probability at most deg/p per probe (Schwartz-Zippel).
+    _gate_ratio_separable on the sample fit_group and fit_field share.  A
+    False is an exact disproof; a fluke True has probability at most deg/p
+    per probe (Schwartz-Zippel).
     """
-    fn = _Fn(P)
+    fn = _Fn(P, seed)
     detail = {
-        f"2dec_{_VN[a]}{_VN[b]}": _gate_ratio_separable(fn, a, b, rng_for(seed, f"2dec:{a}{b}"), p)
+        f"2dec_{_VN[a]}{_VN[b]}": _gate_ratio_separable(fn, a, b, p)
         for a, b in ((0, 1), (0, 2), (1, 2))
     }
     return all(detail.values()), detail
@@ -387,13 +404,17 @@ def _decomposed_detail(P: RatFun, p: int, seed: int) -> tuple[bool, dict[str, bo
 def _certified(verdict, parts, key, P, dmax, primes, seed, diag, pivot=None, exponent=None):
     """Certify P = q(s) for s = TEMPLATES[verdict](parts, pivot, exponent),
     the one call of dependence_certificate: record diagnostic key True and
-    return the report, or record key_certificate False (for Twisted,
-    fit_twisted records the outcome) and return None.  A constant s raises
-    DegenerateSpecializationError."""
+    return the report, or record key_certificate False (fit_twisted records
+    Twisted's), and budget_certificate_lift True on a LiftBudgetError, and
+    return None.  A constant s raises DegenerateSpecializationError."""
     s = TEMPLATES[verdict](parts, pivot, exponent)
     if s.is_constant:
         raise DegenerateSpecializationError("the fitted parts give a constant s")
-    cert = dependence_certificate(P, s, dmax=dmax, primes=primes, seed=seed)
+    try:
+        cert = dependence_certificate(P, s, dmax=dmax, primes=primes, seed=seed)
+    except LiftBudgetError:
+        diag["budget_certificate_lift"] = True
+        cert = None
     if cert is None:
         if verdict != "Twisted":
             diag[f"{key}_certificate"] = False
@@ -421,13 +442,13 @@ def fit_group(
     """
     diag = diagnostics if diagnostics is not None else {}
     n = P.arity
-    fn = _Fn(P)
+    fn = _Fn(P, seed)
     rng = rng_for(seed, "fit-group")
     for a, b, c in ((0, 1, 2), (1, 2, 0), (0, 2, 1))[: 1 if n == 2 else 3]:
-        if not _gate_ratio_separable(fn, a, b, rng, primes[0]):
+        if not _gate_ratio_separable(fn, a, b, primes[0]):
             diag[f"group_sep_{_VN[a]}{_VN[b]}"] = False
             return None
-        if n == 3 and not _gate_ratio_indep(fn, a, b, c, rng, primes[0]):
+        if n == 3 and not _gate_ratio_indep(fn, a, b, c, primes[0]):
             diag[f"group_indep_{_VN[a]}{_VN[b]}"] = False
             return None
     # the split of P_a/P_(a+1) is (c_a * r_a', c_a * r_(a+1)')
@@ -500,8 +521,8 @@ def _field_k_mod(fn: _Fn, i: int, j: int, uj: RatFun, Bc: RatFun, p: int):
     B = Bc and uj = r_j' up to scale; free of x_j and x_l for a field form.
     """
     def sides(w, w2):
-        out = []
-        for r, pt in zip(fn.ratios_mod(i, j, (w, w2), p, (0, -1)), (w, w2)):
+        rows, out = partials_mod(fn.num, fn.den, (w, w2), p), []
+        for r, pt in zip(_ratios(rows, i, j, p, (0, -1)), (w, w2)):
             u, bv = uj.eval_mod(pt, p), Bc.eval_mod(pt, p)
             if bv == 0:
                 raise PoleError("inner sum vanishes at sample point")
@@ -529,14 +550,14 @@ def fit_field(
     of K, and r_i = g^(denominator of c).
     """
     diag = diagnostics if diagnostics is not None else {}
-    fn = _Fn(P)
+    fn = _Fn(P, seed)
     deg_cap = 2 * max(1, P.total_degree())
     for i in range(3):
         j, l = (t for t in range(3) if t != i)
         tag = f"field_pivot_{_VN[i]}"
         rng = rng_for(seed, f"fit-field:{i}")
-        if not (_gate_ratio_separable(fn, j, l, rng, primes[0])
-                and _gate_ratio_indep(fn, j, l, i, rng, primes[0])):
+        if not (_gate_ratio_separable(fn, j, l, primes[0])
+                and _gate_ratio_indep(fn, j, l, i, primes[0])):
             diag[f"{tag}_gates"] = False
             continue
         pair = _split_partial_ratio(fn, j, l, rng)
@@ -560,7 +581,7 @@ def fit_field(
         Bc = rj + rl
 
         kval = _field_k_mod(fn, i, j, uj, Bc, primes[0])
-        if not (_probe(kval, 3, (j,), rng, primes[0]) and _probe(kval, 3, (l,), rng, primes[0])):
+        if not all(_probe(kval, _draws(v, rng, primes[0])) for v in (j, l)):
             diag[f"{tag}_pivot_ratio_independent"] = False
             continue
         khat = None
@@ -701,8 +722,7 @@ def fit_twisted(
     fn = _Fn(P)
     rng = rng_for(seed, "fit-twisted:t")
     p = primes[0]
-    if not (_probe(_twisted_logpartial_mod(fn, 0, p), 3, (2,), rng, p)
-            and _probe(_twisted_logpartial_mod(fn, 2, p), 3, (0,), rng, p)):
+    if not all(_probe(_twisted_logpartial_mod(fn, i, p), _draws(2 - i, rng, p)) for i in (0, 2)):
         diag["twisted_gates"] = False
         return None
     report = _twisted_recover(P, fn, rng, dmax, primes, seed, diag)

@@ -51,6 +51,10 @@ class OracleGuardError(ValueError):
     """Input outside the size range the exact oracle is willing to handle."""
 
 
+class LiftBudgetError(ArithmeticError):
+    """No relation found, and a lift spent all MAX_LIFT_PRIMES primes."""
+
+
 def symbolic_rank(dm: DoublingMap) -> int:
     """Exact generic rank of the doubling-map Jacobian.
 
@@ -430,8 +434,8 @@ def composition_relation(
     Since s is nonconstant, every relation between P and s is then a
     multiple of this one (Gauss's lemma), so it is also the relation
     annihilating_poly([P, s], dmax) returns.  None carries no claim: P
-    may lie outside Q(s), the samples were unlucky, or the relation's
-    coefficients need more than MAX_LIFT_PRIMES primes.
+    may lie outside Q(s), or the samples were unlucky.  LiftBudgetError
+    says a lift spent all MAX_LIFT_PRIMES primes and none of them found it.
     """
     fs = [s, P]
     first = next(prime_pool(primes, fs, 1))
@@ -465,8 +469,12 @@ def composition_relation(
             return [fitted.get(e, 0) for e in monos]
 
         pool = prime_pool(primes, fs, MAX_LIFT_PRIMES + 1)
-        return _lift_and_verify([P, s], monos, pool, solve, seed)
+        cand = _lift_and_verify([P, s], monos, pool, solve, seed)
+        # the lift has drawn the whole pool only if it ran out of primes
+        spent.append(cand is None and next(pool, None) is None)
+        return cand
 
+    spent = []
     bound = min(max(1, P.total_degree() // s.total_degree()), dmax)
     while True:
         rel = fit(bound, first)
@@ -477,5 +485,7 @@ def composition_relation(
             if cand is not None:
                 return cand
         if bound >= dmax:
+            if any(spent):
+                raise LiftBudgetError(f"no relation within {MAX_LIFT_PRIMES} lift primes")
             return None
         bound = min(1 << bound.bit_length(), dmax)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from collections import Counter
@@ -12,7 +13,7 @@ import pytest
 
 import synth
 from synth import partial_ratio, ref_subs
-from ratforms import cli, poly
+from ratforms import classify, cli, poly
 from ratforms.classify import (
     TEMPLATES,
     DependenceCertificate,
@@ -29,11 +30,13 @@ from ratforms.classify import (
 )
 from ratforms.classify import (
     _decomposed_detail,
+    _draws,
     _Fn,
     _field_k_mod,
     _gate_ratio_indep,
     _gate_ratio_separable,
     _probe,
+    _ratios,
     _twisted_g,
     _twisted_logpartial_mod,
 )
@@ -41,7 +44,14 @@ from ratforms.oracle import symbolic_rank
 from ratforms.dimension import doubling_map, image_dimension, is_nondegenerate
 from ratforms.modular import DEFAULT_PRIMES
 from ratforms.poly import Poly
-from ratforms.ratfun import DegenerateSpecializationError, PoleError, RatFun, compose_numerator, parse
+from ratforms.ratfun import (
+    DegenerateSpecializationError,
+    PoleError,
+    RatFun,
+    compose_numerator,
+    parse,
+    partials_mod,
+)
 
 BI = ("x", "y")
 TRI = ("x", "y", "z")
@@ -573,13 +583,12 @@ def test_twisted_recovery_restricts_each_partial_once(monkeypatch):
 def test_two_copy_ratios_match_per_point_reference(names, expr, a, b):
     P = parse(expr, names)
     ref = partial_ratio(P, a, b)
-    fn = _Fn(P)
     n = P.arity
     p = DEFAULT_PRIMES[0]
     rng = random.Random(17)
     for _ in range(10):
         w = ([rng.randrange(1, p) for _ in range(n)], [rng.randrange(1, p) for _ in range(n)])
-        got = fn.ratios_mod(a, b, w, p, range(1 << n))
+        got = _ratios(partials_mod(P.num, P.den, w, p), a, b, p, range(1 << n))
         for k in range(1 << n):
             point = [w[(k >> i) & 1][i] for i in range(n)]
             assert got[k] == ref.eval_mod(point, p)
@@ -587,13 +596,13 @@ def test_two_copy_ratios_match_per_point_reference(names, expr, a, b):
 
 def test_two_copy_ratios_mark_poles():
     # f = x*y/(x + y): f_x/f_y = y^2/x^2, with D = x + y and g_y = x^2
-    fn = _Fn(parse("x*y/(x + y)", BI))
-    points = ([3, -3], [0, 5])
+    P = parse("x*y/(x + y)", BI)
+    rows = partials_mod(P.num, P.den, ([3, -3], [0, 5]), 101)
     # (3, -3) is a pole, (0, -3) and (0, 5) have f_y = 0, (3, 5) is regular
-    assert fn.ratios_mod(0, 1, points, 101, [2]) == [25 * pow(9, -1, 101) % 101]
+    assert _ratios(rows, 0, 1, 101, [2]) == [25 * pow(9, -1, 101) % 101]
     for k in (0, 1, 3):
         with pytest.raises(PoleError):
-            fn.ratios_mod(0, 1, points, 101, [2, k])
+            _ratios(rows, 0, 1, 101, [2, k])
 
 
 def test_probes_walk_each_polynomial_once(monkeypatch):
@@ -612,28 +621,77 @@ def test_probes_walk_each_polynomial_once(monkeypatch):
         assert probe()
         return list(walks)
 
-    group = _Fn(parse("(x + y^2 + z)^3 + 1", TRI))
+    P = parse("(x + y^2 + z)^3 + 1", TRI)
+    group = _Fn(P)
+    # a shared try is one walk of N and one of D at two points that differ
+    # in every coordinate, which gives all 2^3 mixtures
+    tries = copies(lambda: list(itertools.islice(group.tries(p), 3)))
+    assert tries == [2] * 6
+    for w, w2, rows in itertools.islice(group.tries(p), 3):
+        assert all(a != b for a, b in zip(w, w2)) and len(rows) == 8
+    # so do the copies mod 3, where an independent draw would often repeat one
+    assert all(a != b for w, w2, _ in itertools.islice(_Fn(P).tries(3), 8) for a, b in zip(w, w2))
+    # every gate identity reads the tries already drawn, with no walk
+    assert copies(lambda: _gate_ratio_separable(group, 0, 1, p)) == []
+    assert copies(lambda: _gate_ratio_indep(group, 0, 1, 2, p)) == []
+    # fit_group reads all six gate identities off two tries: 4 walks, where
+    # one pair of draws per gate took 24
+    walks.clear()
+    assert fit_group(P).verdict == "GroupAdditive"
+    assert walks == [2] * 4
+    # the field pivot x with r_y' = 1 and inner sum y + z: K = P_x/(P_y (y + z)),
+    # each of its probes one two-copy walk of N and one of D per fresh draw
     field = _Fn(parse("x*(y + z)^3", TRI))
     twisted = _Fn(parse("(x + y^2)/(y^2 + z^3)", TRI))
     rng = random.Random(4)
-    # each of a gate's two probes: one two-copy walk of N and one of D, or
-    # of the four polynomials the twisted value reads
-    assert copies(lambda: _gate_ratio_separable(group, 0, 1, rng, p)) == [2] * 4
-    assert copies(lambda: _gate_ratio_indep(group, 0, 1, 2, rng, p)) == [2] * 4
-    # the field pivot x with r_y' = 1 and inner sum y + z: K = P_x/(P_y (y + z))
     kval = _field_k_mod(field, 0, 1, RatFun.const(1, 3), parse("y + z", TRI), p)
     for moved in (1, 2):
-        assert copies(lambda: _probe(kval, 3, (moved,), rng, p)) == [2] * 4
-    assert copies(lambda: _probe(_twisted_logpartial_mod(twisted, 0, p), 3, (2,), rng, p)) == [2] * 8
+        assert copies(lambda: _probe(kval, _draws(moved, rng, p))) == [2] * 4
+    # or of the four polynomials the twisted value reads
+    logpartial = _twisted_logpartial_mod(twisted, 0, p)
+    assert copies(lambda: _probe(logpartial, _draws(2, rng, p))) == [2] * 8
 
 
 def test_a_probe_whose_copies_all_equal_w_fails():
-    # mod 2 every coordinate is 1, so every moved copy equals w and each
-    # try is vacuous; counting those as agreement passed this ratio, which
-    # is not separable in x and y (f_x/f_y = (1 + y)/(2*y*z + x))
+    # mod 2 every coordinate is 1, so every copy equals w and each try is
+    # vacuous; counting those as agreement passed this ratio, which is not
+    # separable in x and y (f_x/f_y = (1 + y)/(2*y*z + x))
     fn = _Fn(parse("x + y^2*z + x*y", TRI))
-    assert not _gate_ratio_separable(fn, 0, 1, random.Random(0), 2)
-    assert not _gate_ratio_separable(fn, 0, 1, random.Random(0), DEFAULT_PRIMES[0])
+    assert not _gate_ratio_separable(fn, 0, 1, 2)
+    assert not _gate_ratio_separable(fn, 0, 1, DEFAULT_PRIMES[0])
+
+
+def test_gates_give_one_answer_per_pair_identity(monkeypatch):
+    # fit_group, fit_field and _decomposed_detail read one shared sample for
+    # a seed, so an identity gets one answer in all three, the flukes of a
+    # small prime included
+    seen = {}
+
+    def spy(gate):
+        def recorded(fn, *args):
+            out = gate(fn, *args)
+            seen.setdefault(args[:-1], set()).add(out)
+            return out
+        return recorded
+
+    monkeypatch.setattr(classify, "_gate_ratio_separable", spy(_gate_ratio_separable))
+    monkeypatch.setattr(classify, "_gate_ratio_indep", spy(_gate_ratio_indep))
+    flukes = 0
+    for expr in ("x + y*z + x^2*z", "(x*y+1)/(x+y) + z", "x + y + z + x^2*y^2*z^2"):
+        P = parse(expr, TRI).reduce()
+        for seed in range(3):
+            answers = []
+            for primes in (DEFAULT_PRIMES, (7, 5), (5, 3)):
+                seen.clear()
+                fit_group(P, primes=primes, seed=seed)
+                fit_field(P, primes=primes, seed=seed)
+                _decomposed_detail(P, primes[0], seed)
+                assert all(len(outs) == 1 for outs in seen.values()), (expr, seed, primes, seen)
+                answers.append({key: outs.pop() for key, outs in seen.items()})
+            flukes += sum(small.get(key, exact) != exact
+                          for small in answers[1:] for key, exact in answers[0].items())
+    # the small primes do pass identities that fail at the large one
+    assert flukes
 
 
 @pytest.mark.parametrize("primes", [(13, 11), DEFAULT_PRIMES])

@@ -6,9 +6,10 @@ import json
 
 import pytest
 
-from ratforms import cli, dimension
+from ratforms import cli, dimension, oracle
 from ratforms.cli import main
 from ratforms.modular import primes_below
+from ratforms.oracle import prime_pool
 from ratforms.poly import BadPrimeError
 from ratforms.ratfun import RatFun, parse
 
@@ -464,17 +465,40 @@ def test_a_certificate_settles_the_dimension_at_4_bits(capsys):
 
 
 def test_certificate_pool_skips_a_prime_dividing_a_fitted_denominator(capsys):
-    # the input has no denominator, but the fitted parts have a 44 = 4*11,
-    # so s has no image modulo the sampling prime 11: the certificate pool
-    # at 4 bits is 13, 7, 5, 3, 17, 19, without 11 and 2
+    # the input has no denominator, but at this seed the fitted parts have a
+    # 44 = 4*11, so s has no image modulo the sampling prime 11: the
+    # certificate pool at 4 bits is 13, 7, 5, 3, 17, 19, without 11 and 2
     code, (rep,) = _run_json(
-        capsys, ["--vars", "x,y", "--function", "x^2 + y^2", "--prime-bits", "4"]
+        capsys, ["--vars", "x,y", "--function", "x^2 + y^2", "--prime-bits", "4", "--seed", "39"]
     )
     assert code == 0
     assert rep["primes"] == [13, 11]
     assert rep["verdict"] == "group-additive"
     assert rep["fitted"]["s"] == "1/44*x^2 + 1/44*y^2"
     assert rep["certificate"]["annihilator"] == "p - 44*q"
+    fs = [parse(text, ("x", "y")) for text in (rep["function"], rep["fitted"]["s"])]
+    assert list(prime_pool((13, 11), fs, 6)) == [13, 7, 5, 3, 17, 19]
+
+
+def test_an_exhausted_lift_budget_is_named(monkeypatch, capsys):
+    # one 31-bit prime reconstructs fractions up to about 2^15, so the
+    # constant of p - q - 1000003 needs two lift primes
+    argv = ["--vars", "x,y", "--function", "x*y + 1000003"]
+    monkeypatch.setattr(oracle, "MAX_LIFT_PRIMES", 2)
+    code, (rep,) = _run_json(capsys, argv)
+    assert (code, rep["verdict"]) == (0, "group-multiplicative")
+    assert rep["certificate"]["annihilator"] == "p - q - 1000003"
+    assert "budget_certificate_lift" not in rep["diagnostics"]
+    monkeypatch.setattr(oracle, "MAX_LIFT_PRIMES", 1)
+    code, (rep,) = _run_json(capsys, argv)
+    assert (code, rep["verdict"]) == (2, "unresolved")
+    assert rep["diagnostics"] == {
+        "nondegenerate": True,
+        "group_additive_integrable": False,
+        "budget_certificate_lift": True,
+        "group_multiplicative_certificate": False,
+        "constraint": True,
+    }
 
 
 def test_bad_prime_in_a_fitted_function_is_unresolved(monkeypatch, capsys):

@@ -418,6 +418,7 @@ def test_a_wrong_one_prime_candidate_is_refuted_at_an_uncombined_prime(monkeypat
 def test_the_lift_gives_up_when_its_primes_run_out(monkeypatch):
     P, s = parse(_WRONG_MOD_P1, BI), parse("x*y", BI)
     monkeypatch.setattr(oracle, "MAX_LIFT_PRIMES", 2)
-    assert composition_relation(P, s, 4) is None
+    with pytest.raises(oracle.LiftBudgetError):
+        composition_relation(P, s, 4)
     monkeypatch.setattr(oracle, "MAX_LIFT_PRIMES", 3)
     assert composition_relation(P, s, 4) is not None
