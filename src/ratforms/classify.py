@@ -8,7 +8,8 @@ r_i * (r_j + r_l)^n, or the twisted quotient
 nonconstant univariate rational function.  TEMPLATES states each inner
 function s once.  Every fitter reads the inner parts exactly off partial
 ratios or log-derivatives, from which q cancels, and reports through
-_certified, which builds s from TEMPLATES and backs the verdict with a
+_certified, which moves the parts to the one representative of their form
+that NORMAL_FORMS fixes, builds s from TEMPLATES and backs the verdict with a
 machine-checkable dependence certificate: the relation a(q)*p - b(q)
 stating P = (b/a)(s), checked exactly when it is found (its homogenized
 parts in (N_s, D_s) are proportional to D_P and -N_P, see
@@ -38,17 +39,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, prod
 
 from .calculus import _mul, _sub, hermite_antiderivative, logderiv_integrate
 from .dimension import image_dimension, is_nondegenerate
 from .modular import DEFAULT_PRIMES, RETRIES, rng_for
 from .oracle import LiftBudgetError, composition_relation, prime_pool
-from .poly import Poly, _dense_gcd
+from .poly import Poly, _dense_gcd, grlex_key
 from .ratfun import (
     DegenerateSpecializationError,
     PoleError,
     RatFun,
+    _raw_sum,
     compose_numerator,
     partials_mod,
     pole_free_values,
@@ -117,6 +120,104 @@ TEMPLATES = {
     "GroupMultiplicative": lambda r, i, n: prod(r[1:], start=r[0]),
     "Field": _field_form,
     "Twisted": lambda r, i, n: (r[0] + r[1]) / (r[1] + r[2]),
+}
+
+
+def _unit(f: RatFun) -> Fraction:
+    """The c with c*f = N/D for primitive integer N and D whose grlex
+    leading coefficients are positive; 1 for the zero function.  Contents
+    and leading coefficients are multiplicative (Gauss's lemma), so any
+    fraction f, reduced or not, gives the same c."""
+    if f.is_zero:
+        return Fraction(1)
+    c = f.den.content / f.num.content
+    return c if (f.num.leading()[1] > 0) == (f.den.leading()[1] > 0) else -c
+
+
+def _const(r: RatFun, var: int):
+    """The constant term of the polynomial part of r, univariate in var:
+    the last quotient coefficient of the long division of its integer
+    numerator by its integer denominator, times their contents."""
+    r = r.reduce()
+    a, b = r.num.degree_in(var), r.den.degree_in(var)
+    if r.is_zero or a < b:
+        return 0
+    n, d = [0] * (a + 1), [0] * (b + 1)
+    for f, out in ((r.num, n), (r.den, d)):
+        for e, c in f.ints.items():
+            out[e[var]] = c
+    if b:
+        for k in range(a - b, 0, -1):
+            q = Fraction(n[k + b], d[b])
+            for t in range(b):
+                n[k + t] -= q * d[t]
+    return Fraction(n[b], d[b]) * r.num.content / r.den.content if n[b] else 0
+
+
+def _shift(r: RatFun, c) -> RatFun:
+    return r + c if c else r
+
+
+def _terms_desc(p: Poly):
+    """p's integer terms from the grlex-leading one down."""
+    return sorted(((grlex_key(e), c) for e, c in p.ints.items()), reverse=True)
+
+
+def _additive_normal(r, i, n):
+    r = [_shift(rk, -_const(rk, k)) for k, rk in enumerate(r)]
+    c = _unit(reduce(_raw_sum, r[1:], r[0]))
+    return [rk.scale(c) for rk in r]
+
+
+def _multiplicative_normal(r, i, n):
+    r = [rk.scale(_unit(rk)) for rk in r]
+    first = next((rk for rk in r if not rk.is_constant), None)
+    if first is not None and _terms_desc(first.den) > _terms_desc(first.num):
+        r = [RatFun.coprime(rk.den, rk.num) for rk in r]
+    return r
+
+
+def _field_normal(r, i, n):
+    j, l = (k for k in range(3) if k != i - 1)
+    c, r = _const(r[l], l), list(r)
+    r[j], r[l] = _shift(r[j], c), _shift(r[l], -c)
+    b = _unit(_raw_sum(r[j], r[l]))
+    r[j], r[l], r[i - 1] = r[j].scale(b), r[l].scale(b), r[i - 1].scale(_unit(r[i - 1]))
+    return r
+
+
+def _twisted_normal(r, i, n):
+    c = _const(r[1], 1)
+    r = [_shift(r[0], c), _shift(r[1], -c), _shift(r[2], c)]
+    b = _unit(_raw_sum(r[1], r[2]))
+    return [rk.scale(b) for rk in r]
+
+
+#: Beside each template, its one normalization rule: it moves the parts
+#: along the symmetries of the form (those that keep P = q(s) for some q)
+#: to one representative that depends on P alone.  A function is called
+#: primitive here when it is N/D for primitive integer N and D with
+#: positive grlex leads (see _unit); products of primitive functions are
+#: primitive (Gauss's lemma).
+#: - GroupAdditive: each r_k's polynomial part has constant term 0, and a
+#:   common scale makes s primitive.
+#: - GroupMultiplicative: each r_k is primitive, so s is (the scale goes on
+#:   r1); of s and 1/s, s is the one whose first nonconstant part has the
+#:   numerator that comes later under _terms_desc (the grlex-leading
+#:   monomial, then its coefficient, then the next term).
+#: - Field, with j < l the variables of the block B = r_j + r_l: r_l's
+#:   polynomial part has constant term 0, so r_j carries B's constant, and
+#:   B and r_i are primitive, so s = r_i * B^n is.
+#: - Twisted: (r1 + c, r2 - c, r3 + c) gives r2's polynomial part constant
+#:   term 0, and a common scale makes r2 + r3 primitive; s does not change.
+#: A small s needs few certificate lift primes: rational reconstruction
+#: needs a modulus above about twice the square of a coefficient's height
+#: (von zur Gathen & Gerhard, Modern Computer Algebra, 5.10).
+NORMAL_FORMS = {
+    "GroupAdditive": _additive_normal,
+    "GroupMultiplicative": _multiplicative_normal,
+    "Field": _field_normal,
+    "Twisted": _twisted_normal,
 }
 
 
@@ -403,10 +504,12 @@ def _decomposed_detail(P: RatFun, p: int, seed: int) -> tuple[bool, dict[str, bo
 
 def _certified(verdict, parts, key, P, dmax, primes, seed, diag, pivot=None, exponent=None):
     """Certify P = q(s) for s = TEMPLATES[verdict](parts, pivot, exponent),
-    the one call of dependence_certificate: record diagnostic key True and
-    return the report, or record key_certificate False (fit_twisted records
-    Twisted's), and budget_certificate_lift True on a LiftBudgetError, and
-    return None.  A constant s raises DegenerateSpecializationError."""
+    the parts first normalized by NORMAL_FORMS[verdict], the one call of
+    dependence_certificate: record diagnostic key True and return the
+    report, or record key_certificate False (fit_twisted records Twisted's),
+    and budget_certificate_lift True on a LiftBudgetError, and return None.
+    A constant s raises DegenerateSpecializationError."""
+    parts = NORMAL_FORMS[verdict](parts, pivot, exponent)
     s = TEMPLATES[verdict](parts, pivot, exponent)
     if s.is_constant:
         raise DegenerateSpecializationError("the fitted parts give a constant s")
@@ -519,14 +622,19 @@ def _field_k_mod(fn: _Fn, i: int, j: int, uj: RatFun, Bc: RatFun, p: int):
     """Sides (see _probe) of K = P_i * r_j' / (P_j * B) at w and at its
     moved copy (mixtures 0 and -1), for the field pivot x_i with inner sum
     B = Bc and uj = r_j' up to scale; free of x_j and x_l for a field form.
+    K does not see a constant scale of uj or Bc, so each is read off the
+    primitive integer parts of its numerator and denominator, which have an
+    image modulo every prime.
     """
+    un, ud, bn, bd = (Poly.from_ints(f.ints, 3) for f in (uj.num, uj.den, Bc.num, Bc.den))
+
     def sides(w, w2):
         rows, out = partials_mod(fn.num, fn.den, (w, w2), p), []
         for r, pt in zip(_ratios(rows, i, j, p, (0, -1)), (w, w2)):
-            u, bv = uj.eval_mod(pt, p), Bc.eval_mod(pt, p)
-            if bv == 0:
-                raise PoleError("inner sum vanishes at sample point")
-            out.append(r * u * pow(bv, -1, p) % p)
+            u, v, b, d = (f.eval_mod(pt, p) for f in (un, ud, bn, bd))
+            if v * b * d % p == 0:
+                raise PoleError("pole or vanishing inner sum at sample point")
+            out.append(r * u * d * pow(v * b, -1, p) % p)
         return out
 
     return sides
@@ -636,9 +744,10 @@ def _twisted_g(part):
     return g, gx_y * g[2] - g[0] * gz_y
 
 
-def _twisted_logpartial_mod(fn: _Fn, i: int, p: int):
+def _twisted_logpartial_mod(fn: _Fn, i: int, p: int, seen: list):
     """Sides (see _probe) of (log T)_i, i in {x, z}, for P = q(T), at w and
-    at its moved copy (mixtures 0 and -1).
+    at its moved copy (mixtures 0 and -1); each try appends to seen whether
+    a side is nonzero.
 
     A = P_x/P_z = T_x/T_z does not see q, and (log T)_y = -(log A)_y, so
     (log T)_x = -delta/(g_y g_z) and (log T)_z = -delta/(g_y g_x), read off
@@ -659,6 +768,7 @@ def _twisted_logpartial_mod(fn: _Fn, i: int, p: int):
             if den == 0:
                 raise PoleError("vanishing partial at sample point")
             out.append(-delta * pow(den, -1, p) % p)
+        seen.append(any(out))
         return out
 
     return sides
@@ -715,14 +825,19 @@ def fit_twisted(
     q is any nonconstant univariate rational function: it cancels from
     P_x/P_z, so (log T)_x and (log T)_z are read off P directly.  The gates
     check that (log T)_x is free of z and (log T)_z is free of x (both exact
-    properties of the twisted shape); the recovery then rebuilds T on
-    univariate lines and certifies P = q(T).
+    properties of the twisted shape), and that delta is not 0: a twisted
+    form has (log T)_x = r1'/(r1 + r2), while every P with P_x/P_z free of
+    y, each group form among them, has delta = 0, and both identities hold
+    for it vacuously.  So the x-gate fails when its agreeing tries read 0
+    on both sides, which for delta != 0 has probability about (deg/p)^2.
+    The recovery then rebuilds T on univariate lines and certifies P = q(T).
     """
     diag = diagnostics if diagnostics is not None else {}
     fn = _Fn(P)
     rng = rng_for(seed, "fit-twisted:t")
-    p = primes[0]
-    if not all(_probe(_twisted_logpartial_mod(fn, i, p), _draws(2 - i, rng, p)) for i in (0, 2)):
+    p, seen = primes[0], []
+    if not all(_probe(_twisted_logpartial_mod(fn, i, p, seen), _draws(2 - i, rng, p))
+               and any(seen) for i in (0, 2)):
         diag["twisted_gates"] = False
         return None
     report = _twisted_recover(P, fn, rng, dmax, primes, seed, diag)

@@ -13,9 +13,10 @@ degenerate), 2 when any function is unresolved or the rank sampling is
 inconclusive, 1 on usage or parse errors.  An input with a coefficient
 whose denominator a sampling prime divides has no image modulo that prime,
 so that prime is replaced by the next lower prime that divides no
-coefficient denominator; the report lists the primes used.  A fitted
-function with such a coefficient is reported unresolved with a
-``bad_prime`` diagnostic naming the prime.
+coefficient denominator; the report lists the primes used.  The gates
+read a fitted function modulo their prime only up to scale, off integer
+parts; a step that still meets a prime with no image of a coefficient
+reports the input unresolved with a ``bad_prime`` diagnostic naming it.
 An input whose analysis raises is reported unresolved with an ``error``
 diagnostic naming the exception and the primes it sampled modulo, and the
 other inputs are still analyzed.

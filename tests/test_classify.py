@@ -13,7 +13,7 @@ import pytest
 
 import synth
 from synth import partial_ratio, ref_subs
-from ratforms import classify, cli, poly
+from ratforms import classify, cli, oracle, poly
 from ratforms.classify import (
     TEMPLATES,
     DependenceCertificate,
@@ -39,10 +39,11 @@ from ratforms.classify import (
     _ratios,
     _twisted_g,
     _twisted_logpartial_mod,
+    _twisted_recover,
 )
 from ratforms.oracle import symbolic_rank
 from ratforms.dimension import doubling_map, image_dimension, is_nondegenerate
-from ratforms.modular import DEFAULT_PRIMES
+from ratforms.modular import DEFAULT_PRIMES, rng_for
 from ratforms.poly import Poly
 from ratforms.ratfun import (
     DegenerateSpecializationError,
@@ -332,6 +333,36 @@ def test_fit_group_rejects_field_form():
     assert fit_group(parse("x*(y+z)^3", TRI)) is None
 
 
+def test_normalized_certificates_lift_at_their_first_prime(monkeypatch):
+    # a scale of s is raised to the degree of q in a(q)*p - b(q), and one
+    # 31-bit prime reconstructs fractions up to about 2^15; the fitted
+    # scales of these forms took up to 5 primes, the normalized s takes one
+    lifts = []
+    lift = oracle._lift_and_verify
+
+    def spy(fs, monos, pool, solve, seed):
+        primes = []
+
+        def counted(p):
+            primes.append(p)
+            return solve(p)
+
+        rel = lift(fs, monos, pool, counted, seed)
+        lifts.append((len(primes), rel is not None))
+        return rel
+
+    monkeypatch.setattr(oracle, "_lift_and_verify", spy)
+    rng = random.Random(2)
+    verdicts = Counter()
+    for k in range(16):
+        fn = synth.make_field(rng)[0] if k % 2 else synth.make_additive(rng)
+        lifts.clear()
+        rep = classify_trivariate(fn)
+        verdicts[rep.verdict] += 1
+        assert [n for n, found in lifts if found] == [1], fn.to_str(TRI)
+    assert verdicts == {"Field": 8, "GroupAdditive": 8}
+
+
 # -- field fitter -----------------------------------------------------------------
 
 
@@ -533,8 +564,9 @@ def test_twisted_g_on_a_line_matches_the_substituted_definition(vals):
 
 
 def test_twisted_recovery_restricts_each_partial_once(monkeypatch):
-    # (x+y+z)^11 has delta = 0, so both gates pass vacuously and all eight
-    # recovery attempts run.  A pinned partial of N or D is differentiated
+    # (x+y+z)^11 has delta = 0, so the gates turn it away; after them, run
+    # the recovery on it directly, and all eight attempts run, as they did
+    # when the gates passed every input with delta = 0.  A pinned partial of N or D is differentiated
     # once per fitter, and N is read once per line: one jet pass (D = 1 is
     # constant) gives N and its first partials on each attempt's y-line, so
     # there are eight restrictions.  Re-deriving the partials on every
@@ -562,10 +594,40 @@ def test_twisted_recovery_restricts_each_partial_once(monkeypatch):
     monkeypatch.setattr(Poly, "line", counted(line))
     monkeypatch.setattr(Poly, "line_jet", counted(line_jet))
     diag = {}
-    assert fit_twisted(parse("(x+y+z)^11", TRI), diagnostics=diag) is None
-    assert diag == {"twisted_gates": True}
+    P = parse("(x+y+z)^11", TRI)
+    fn, rng, p, seen = _Fn(P), rng_for(0, "fit-twisted:t"), DEFAULT_PRIMES[0], []
+    for i in (0, 2):
+        assert _probe(_twisted_logpartial_mod(fn, i, p, seen), _draws(2 - i, rng, p))
+    assert seen == [False] * 4
+    assert _twisted_recover(P, fn, rng, None, DEFAULT_PRIMES, 0, diag) is None
+    assert diag == {}
     assert derivs and max(derivs.values()) == 1
     assert 0 < len(lines) <= 8
+
+
+@pytest.mark.parametrize("expr", ["(x+y+z)^11", "(x^2+1)*(y^2+1)*z", "y*(x+z)^2", "x^2*y*z"])
+@pytest.mark.parametrize("p", [DEFAULT_PRIMES[0], 13])
+def test_the_twisted_gates_turn_away_delta_zero(monkeypatch, expr, p):
+    # P_x/P_z is free of y for each of these (group forms and a field form
+    # with pivot y), so delta = 0 and both gate identities hold vacuously:
+    # the x-gate fails on its two agreeing tries, four walks each, where
+    # skipping every try that reads 0 spent all RETRIES of them
+    def never(*args):
+        raise AssertionError("the recovery ran on an input with delta = 0")
+
+    walks = []
+    eval_grad_mod = Poly.eval_grad_mod
+
+    def counted(self, points, q):
+        walks.append(q)
+        return eval_grad_mod(self, points, q)
+
+    monkeypatch.setattr(classify, "_twisted_recover", never)
+    monkeypatch.setattr(Poly, "eval_grad_mod", counted)
+    diag = {}
+    assert fit_twisted(parse(expr, TRI), primes=(p, 11), diagnostics=diag) is None
+    assert diag == {"twisted_gates": False}
+    assert 8 <= len(walks) <= 16
 
 
 # -- modular probes ---------------------------------------------------------------
@@ -648,8 +710,23 @@ def test_probes_walk_each_polynomial_once(monkeypatch):
     for moved in (1, 2):
         assert copies(lambda: _probe(kval, _draws(moved, rng, p))) == [2] * 4
     # or of the four polynomials the twisted value reads
-    logpartial = _twisted_logpartial_mod(twisted, 0, p)
+    logpartial = _twisted_logpartial_mod(twisted, 0, p, [])
     assert copies(lambda: _probe(logpartial, _draws(2, rng, p))) == [2] * 8
+
+
+def test_the_field_k_probe_reads_parts_whose_denominator_the_prime_divides():
+    # K does not see a constant scale of r_j' or of the inner sum, so 13 in
+    # their coefficient denominators neither raises BadPrimeError modulo 13
+    # nor changes the answer: the pivot x passes, the pivot y does not
+    field = _Fn(parse("x*(y + z)^3", TRI))
+    inner = parse("y + z", TRI)
+    for scale in (1, Fraction(1, 13), Fraction(26, 7)):
+        uj, Bc = RatFun.const(scale, 3), inner.scale(Fraction(scale) / 13)
+        kval = _field_k_mod(field, 0, 1, uj, Bc, 13)
+        assert all(_probe(kval, _draws(v, random.Random(4), 13)) for v in (1, 2))
+        # pivot y, with r_x' = 1 and x + z in place of the inner sum
+        kval = _field_k_mod(field, 1, 0, uj, parse("x + z", TRI).scale(scale), 13)
+        assert not all(_probe(kval, _draws(v, random.Random(4), 13)) for v in (0, 2))
 
 
 def test_a_probe_whose_copies_all_equal_w_fails():

@@ -416,17 +416,17 @@ def test_failing_input_does_not_abort_the_batch(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "names, expr, extra, primes",
+    "names, expr, extra, primes, k",
     [
-        ("x,y,z", "x/2147483647 + y + z", [], [2147483629, 2147483587]),
-        ("x,y", "x/251 + y", ["--prime-bits", "8"], [241, 239]),
+        ("x,y,z", "x/2147483647 + y + z", [], [2147483629, 2147483587], 2147483647),
+        ("x,y", "x/251 + y", ["--prime-bits", "8"], [241, 239], 251),
         # every prime below 16 divides 30030, so the primes above 13 serve
-        ("x,y", "x/30030 + y", ["--prime-bits", "4"], [17, 19]),
+        ("x,y", "x/30030 + y", ["--prime-bits", "4"], [17, 19], 30030),
     ],
     ids=["trivariate-31-bit", "bivariate-8-bit", "bivariate-4-bit-exhausted"],
 )
 def test_a_prime_dividing_a_coefficient_denominator_is_replaced(
-    capsys, names, expr, extra, primes
+    capsys, names, expr, extra, primes, k
 ):
     code = main(["--vars", names, "--function", expr, "--format", "json"] + extra)
     captured = capsys.readouterr()
@@ -434,7 +434,8 @@ def test_a_prime_dividing_a_coefficient_denominator_is_replaced(
     assert code == 0
     assert rep["primes"] == primes
     assert rep["verdict"] == "group-additive"
-    assert rep["certificate"]["annihilator"] == "p - q"
+    # s = k*P is primitive, so the denominator k moves to the certificate
+    assert rep["certificate"]["annihilator"] == f"{k}*p - q"
     assert captured.err == ""
 
 
@@ -464,20 +465,42 @@ def test_a_certificate_settles_the_dimension_at_4_bits(capsys):
     assert "rank_inconclusive" not in rep["diagnostics"]
 
 
+@pytest.mark.parametrize(
+    "names, expr, verdict",
+    [
+        ("x,y,z", "x + y^2 + z", "group-additive"),
+        ("x,y", "(x - 1)*(y + 2)/((x + 3)*(y - 5))", "group-multiplicative"),
+        ("x,y,z", "(x - 1)*(2*y + z^2 + 3)^2 + 1", "field"),
+        ("x,y,z", "((x + 1)/(x - 2) + y^2 - 3)/(y^2 + 2*z + 5)", "twisted"),
+    ],
+)
+def test_a_report_is_the_same_under_every_seed(capsys, names, expr, verdict):
+    # the fitted parts are normalized along the symmetries of their form
+    # (classify.NORMAL_FORMS), so neither the scale the draws give them, nor
+    # the sign, the orientation of s or the shift among the parts shows
+    reports = []
+    for seed in range(10):
+        code, (rep,) = _run_json(capsys, ["--vars", names, "--function", expr, "--seed", str(seed)])
+        assert (code, rep.pop("seed"), rep["verdict"]) == (0, seed, verdict)
+        reports.append(rep)
+    assert all(rep == reports[0] for rep in reports)
+
+
 def test_certificate_pool_skips_a_prime_dividing_a_fitted_denominator(capsys):
-    # the input has no denominator, but at this seed the fitted parts have a
-    # 44 = 4*11, so s has no image modulo the sampling prime 11: the
-    # certificate pool at 4 bits is 13, 7, 5, 3, 17, 19, without 11 and 2
+    # the input has integer coefficients, but s = (x + 1)*y/(11*y + 1) is
+    # stored with a monic denominator, y + 1/11, so it has no image modulo
+    # the sampling prime 11: the certificate pool at 4 bits is 13, 7, 5, 3,
+    # 2, 17, without 11
     code, (rep,) = _run_json(
-        capsys, ["--vars", "x,y", "--function", "x^2 + y^2", "--prime-bits", "4", "--seed", "39"]
+        capsys, ["--vars", "x,y", "--function", "(11*y + 1)/(x*y + y)", "--prime-bits", "4"]
     )
     assert code == 0
     assert rep["primes"] == [13, 11]
-    assert rep["verdict"] == "group-additive"
-    assert rep["fitted"]["s"] == "1/44*x^2 + 1/44*y^2"
-    assert rep["certificate"]["annihilator"] == "p - 44*q"
+    assert rep["verdict"] == "group-multiplicative"
+    assert rep["fitted"]["s"] == "(1/11*x*y + 1/11*y)/(y + 1/11)"
+    assert rep["certificate"]["annihilator"] == "p*q - 1"
     fs = [parse(text, ("x", "y")) for text in (rep["function"], rep["fitted"]["s"])]
-    assert list(prime_pool((13, 11), fs, 6)) == [13, 7, 5, 3, 17, 19]
+    assert list(prime_pool((13, 11), fs, 6)) == [13, 7, 5, 3, 2, 17]
 
 
 def test_an_exhausted_lift_budget_is_named(monkeypatch, capsys):
