@@ -138,7 +138,6 @@ def _const(r: RatFun, var: int):
     """The constant term of the polynomial part of r, univariate in var:
     the last quotient coefficient of the long division of its integer
     numerator by its integer denominator, times their contents."""
-    r = r.reduce()
     a, b = r.num.degree_in(var), r.den.degree_in(var)
     if r.is_zero or a < b:
         return 0
