@@ -23,16 +23,16 @@ dimension, which decides NoConstraint.
 
 Fitting runs in two phases.  Cheap modular probes ("gates") reject wrong
 shapes fast: _probe reads the two sides of an identity among the partials
-of P (see ratfun.partials_mod) at random pairs of points mod p, and an
+of P (see Poly.eval_grad_mod) at random pairs of points mod p, and an
 unequal pair is an exact disproof, so gates never eliminate a true match
 except with negligible probability (Schwartz, J. ACM 27, 1980); a fluke
 pass is harmless because every positive path ends in a verified
-certificate.  The partial-ratio gates share one sample (see _Fn.tries),
-whose 2^n mixtures carry every such identity at once.  Recovery then works
-on exact univariate specializations (lines on which every other variable
-is pinned to a small integer): no fitter evaluates P at an exact
-multivariate point, and no step multiplies two large multivariate
-polynomials except the certificate check.
+certificate.  Every gate reads one sample per input and seed (see
+_Fn.tries), whose 2^n mixtures carry every such identity at once.
+Recovery then works on exact univariate specializations (lines on which
+every other variable is pinned to a small integer): no fitter evaluates P
+at an exact multivariate point, and no step multiplies two large
+multivariate polynomials except the certificate check.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .ratfun import (
     RatFun,
     _raw_sum,
     compose_numerator,
-    partials_mod,
     pole_free_values,
 )
 
@@ -293,35 +292,39 @@ def verify_certificate(
 
 
 class _Fn:
-    """Partials of one function f = N/D: values mod p, exact on lines.
+    """One input f = N/D and its seed: partials, values mod p, exact lines.
 
-    Wraps the raw numerator/denominator pair (which need not be reduced)
-    and caches the partial-derivative pairs (N_vs, D_vs); every partial uses
+    _classify builds one per input and hands it to every fitter and to
+    _decomposed_detail, which read f and seed off it.  It wraps the raw
+    numerator/denominator pair (which need not be reduced) and caches the
+    partial-derivative pairs (N_vs, D_vs); every partial uses
     (N_i D - N D_i) / D^2, so the only exact quotient formed is one of
     polynomials restricted to a line, whose first partials come from one
     pass over the terms (see Poly.line_jet).  Values mod p come from
-    ratfun.partials_mod, which gives them at every mixture of two points;
-    the gates read them off a shared sample (see tries).
+    Poly.eval_grad_mod at every mixture of two points; every gate reads
+    them off the one sample of the input (see tries).
     """
 
-    __slots__ = ("num", "den", "_parts", "_rng", "_tries")
+    __slots__ = ("f", "seed", "num", "den", "_parts", "_rng", "_tries")
 
     def __init__(self, f: RatFun, seed: int = 0):
+        self.f, self.seed = f, seed
         self.num, self.den = f.num, f.den
         self._parts: dict[tuple[int, ...], tuple[Poly, Poly]] = {(): (f.num, f.den)}
         self._rng, self._tries = rng_for(seed, "gates"), {}
 
     def tries(self, p: int):
-        """The gates' shared sample mod p, up to RETRIES tries drawn lazily
-        from one stream and kept: (w, w2), w2[i] drawn from the residues
-        other than w[i] (none for p = 2), with the partials_mod rows of all
-        2^n mixtures, one walk each of N and D for every gate identity."""
+        """The gates' one sample mod p, up to RETRIES tries drawn lazily
+        from one stream and kept: (w, w2, walks), w2[i] drawn from the
+        residues other than w[i] (none for p = 2), and walks the
+        Poly.eval_grad_mod rows of N and of D at all 2^n mixtures, one walk
+        each for every gate identity."""
         drawn, rng = self._tries.setdefault(p, []), self._rng
         for k in range(RETRIES):
             if k == len(drawn):
                 w = [rng.randrange(1, p) for _ in range(self.num.arity)]
                 w2 = [(c + rng.randrange(max(1, p - 2))) % (p - 1) + 1 for c in w]
-                drawn.append((w, w2, partials_mod(self.num, self.den, (w, w2), p)))
+                drawn.append((w, w2, [f.eval_grad_mod((w, w2), p) for f in (self.num, self.den)]))
             yield drawn[k]
 
     def partials(self, *vs: int) -> tuple[Poly, Poly]:
@@ -417,21 +420,33 @@ def _split_partial_ratio(fn: _Fn, a: int, b: int, rng):
     return None
 
 
-def _ratios(rows, a: int, b: int, p: int, ks) -> list[int]:
-    """(f_a / f_b) mod p at the mixtures ks (see Poly.eval_grad_mod), read
-    off ratfun.partials_mod rows; PoleError where D or f_b vanishes at one."""
-    rows = [rows[k] for k in ks]
-    if not all(dv and gs[b] for dv, gs in rows):
-        raise PoleError("pole or vanishing partial at sample point")
-    return [gs[a] * pow(gs[b], -1, p) % p for _, gs in rows]
+def _ratios(walks, a: int, b: int, p: int, ks) -> list[int]:
+    """(f_a / f_b) mod p at the mixtures ks, read off a try's walks of N and
+    D (see _Fn.tries): f_v has numerator N_v D - N D_v.  PoleError where D
+    or f_b vanishes at one."""
+    out = []
+    for k in ks:
+        (nv, *ng), (dv, *dg) = walks[0][k], walks[1][k]
+        gb = (ng[b] * dv - nv * dg[b]) % p
+        if not (dv and gb):
+            raise PoleError("pole or vanishing partial at sample point")
+        out.append((ng[a] * dv - nv * dg[a]) * pow(gb, -1, p) % p)
+    return out
+
+
+def _moved(w, w2, v: int) -> list[int]:
+    """The point of mixture 1 << v of a try: w with x_v taken from w2."""
+    pt = list(w)
+    pt[v] = w2[v]
+    return pt
 
 
 def _probe(sides, tries) -> bool:
-    """Probe an identity mod p on tries (w, w2, ...): the shared sample
-    (see _Fn.tries) or fresh draws (see _draws), at most RETRIES of them.
+    """Probe an identity mod p on tries (w, w2, walks) of the input's one
+    sample (see _Fn.tries), at most RETRIES of them.
 
     A copy w2 equal to w is skipped, since every mixture is then w and any
-    identity holds vacuously; otherwise w2 differs from w in every moved
+    identity holds vacuously; otherwise w2 differs from w in every
     coordinate.  sides(*try) returns the identity's two sides or raises
     PoleError, which skips the try.  An unequal pair is an exact disproof
     and returns False at once; two agreeing tries return True.
@@ -452,32 +467,22 @@ def _probe(sides, tries) -> bool:
     return False
 
 
-def _draws(v: int, rng, p: int):
-    """Fresh tries for _probe: RETRIES times a point w, then its copy w2
-    with x_v redrawn."""
-    for _ in range(RETRIES):
-        w = [rng.randrange(1, p) for _ in range(3)]
-        w2 = list(w)
-        w2[v] = rng.randrange(1, p)
-        yield w, w2
-
-
 def _gate_ratio_separable(fn: _Fn, a: int, b: int, p: int) -> bool:
     """Probe H(X,Y) H(X0,Y0) = H(X,Y0) H(X0,Y) for H = f_a/f_b mod p, with
-    X = x_a and Y = x_b, on the shared sample: the four corners are the
-    mixtures with every other coordinate at copy 0.  A False disproves
-    separability; a True is strong (not absolute) evidence for it."""
-    def sides(w, w2, rows):
-        v, vx, vy, v00 = _ratios(rows, a, b, p, (0, 1 << a, 1 << b, (1 << a) | (1 << b)))
+    X = x_a and Y = x_b: the four corners are the mixtures with every other
+    coordinate at copy 0.  A False disproves separability; a True is strong
+    (not absolute) evidence for it."""
+    def sides(w, w2, walks):
+        v, vx, vy, v00 = _ratios(walks, a, b, p, (0, 1 << a, 1 << b, (1 << a) | (1 << b)))
         return v * v00 % p, vy * vx % p
 
     return _probe(sides, fn.tries(p))
 
 
 def _gate_ratio_indep(fn: _Fn, a: int, b: int, var: int, p: int) -> bool:
-    """Probe that f_a/f_b mod p does not depend on x_var, on the shared
-    sample: its values at mixtures 0 and 1 << var agree."""
-    return _probe(lambda w, w2, rows: _ratios(rows, a, b, p, (0, 1 << var)), fn.tries(p))
+    """Probe that f_a/f_b mod p does not depend on x_var: its values at
+    mixtures 0 and 1 << var agree."""
+    return _probe(lambda w, w2, walks: _ratios(walks, a, b, p, (0, 1 << var)), fn.tries(p))
 
 
 # ---------------------------------------------------------------------------
@@ -485,15 +490,15 @@ def _gate_ratio_indep(fn: _Fn, a: int, b: int, var: int, p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _decomposed_detail(P: RatFun, p: int, seed: int) -> tuple[bool, dict[str, bool]]:
-    """Is every partial ratio P_a/P_b separable mod p: all of them, and each one.
+def _decomposed_detail(fn: _Fn, p: int) -> tuple[bool, dict[str, bool]]:
+    """Is every partial ratio P_a/P_b separable mod p, for P = fn.f: all of
+    them, and each one.
 
     P is 2-decomposed iff all three are; each pair is probed by
-    _gate_ratio_separable on the sample fit_group and fit_field share.  A
-    False is an exact disproof; a fluke True has probability at most deg/p
-    per probe (Schwartz-Zippel).
+    _gate_ratio_separable on the sample the fitters read.  A False is an
+    exact disproof; a fluke True has probability at most deg/p per probe
+    (Schwartz-Zippel).
     """
-    fn = _Fn(P, seed)
     detail = {
         f"2dec_{_VN[a]}{_VN[b]}": _gate_ratio_separable(fn, a, b, p)
         for a, b in ((0, 1), (0, 2), (1, 2))
@@ -501,8 +506,8 @@ def _decomposed_detail(P: RatFun, p: int, seed: int) -> tuple[bool, dict[str, bo
     return all(detail.values()), detail
 
 
-def _certified(verdict, parts, key, P, dmax, primes, seed, diag, pivot=None, exponent=None):
-    """Certify P = q(s) for s = TEMPLATES[verdict](parts, pivot, exponent),
+def _certified(verdict, parts, key, fn, dmax, primes, diag, pivot=None, exponent=None):
+    """Certify P = q(s), P = fn.f, for s = TEMPLATES[verdict](parts, pivot, exponent),
     the parts first normalized by NORMAL_FORMS[verdict], the one call of
     dependence_certificate: record diagnostic key True and return the
     report, or record key_certificate False (fit_twisted records Twisted's),
@@ -513,7 +518,7 @@ def _certified(verdict, parts, key, P, dmax, primes, seed, diag, pivot=None, exp
     if s.is_constant:
         raise DegenerateSpecializationError("the fitted parts give a constant s")
     try:
-        cert = dependence_certificate(P, s, dmax=dmax, primes=primes, seed=seed)
+        cert = dependence_certificate(fn.f, s, dmax=dmax, primes=primes, seed=fn.seed)
     except LiftBudgetError:
         diag["budget_certificate_lift"] = True
         cert = None
@@ -527,13 +532,12 @@ def _certified(verdict, parts, key, P, dmax, primes, seed, diag, pivot=None, exp
 
 
 def fit_group(
-    P: RatFun,
+    fn: _Fn,
     dmax: int | None = None,
     primes: tuple[int, ...] = DEFAULT_PRIMES,
-    seed: int = 0,
     diagnostics: dict[str, bool] | None = None,
 ) -> FormReport | None:
-    """Fit P = Q(r1 + ... + rn) or Q(r1 * ... * rn), n = 2 or 3, certified.
+    """Fit P = fn.f = Q(r1 + ... + rn) or Q(r1 * ... * rn), n = 2 or 3, certified.
 
     P_x/P_y of such a P is separable, and for n = 3 every partial ratio is
     separable and free of the third variable; the splits of P_x/P_y and
@@ -543,9 +547,8 @@ def fit_group(
     after the shared residue rescaling.  A bivariate fit has no r3.
     """
     diag = diagnostics if diagnostics is not None else {}
-    n = P.arity
-    fn = _Fn(P, seed)
-    rng = rng_for(seed, "fit-group")
+    n = fn.f.arity
+    rng = rng_for(fn.seed, "fit-group")
     for a, b, c in ((0, 1, 2), (1, 2, 0), (0, 2, 1))[: 1 if n == 2 else 3]:
         if not _gate_ratio_separable(fn, a, b, primes[0]):
             diag[f"group_sep_{_VN[a]}{_VN[b]}"] = False
@@ -576,7 +579,7 @@ def fit_group(
     except (ValueError, ZeroDivisionError):
         rs = [None]
     if all(r is not None for r in rs):
-        report = _certified("GroupAdditive", rs, "group_additive", P, dmax, primes, seed, diag)
+        report = _certified("GroupAdditive", rs, "group_additive", fn, dmax, primes, diag)
         if report is not None:
             return report
     else:
@@ -586,8 +589,7 @@ def fit_group(
     if rs is None:
         diag[f"group_multiplicative_{reason}"] = False
         return None
-    return _certified("GroupMultiplicative", rs, "group_multiplicative",
-                      P, dmax, primes, seed, diag)
+    return _certified("GroupMultiplicative", rs, "group_multiplicative", fn, dmax, primes, diag)
 
 
 def _solve_beta(fn: _Fn, i: int, j: int, uj: RatFun, rj: RatFun, rl: RatFun, rng) -> Fraction | None:
@@ -617,36 +619,36 @@ def _solve_beta(fn: _Fn, i: int, j: int, uj: RatFun, rj: RatFun, rl: RatFun, rng
     return None
 
 
-def _field_k_mod(fn: _Fn, i: int, j: int, uj: RatFun, Bc: RatFun, p: int):
-    """Sides (see _probe) of K = P_i * r_j' / (P_j * B) at w and at its
-    moved copy (mixtures 0 and -1), for the field pivot x_i with inner sum
-    B = Bc and uj = r_j' up to scale; free of x_j and x_l for a field form.
-    K does not see a constant scale of uj or Bc, so each is read off the
-    primitive integer parts of its numerator and denominator, which have an
-    image modulo every prime.
+def _field_k_mod(i: int, j: int, v: int, uj: RatFun, Bc: RatFun, p: int):
+    """Sides (see _probe) of K = P_i * r_j' / (P_j * B) at mixtures 0 and
+    1 << v of a try, for the field pivot x_i with inner sum B = Bc and
+    uj = r_j' up to scale; free of x_j and x_l for a field form.  P_i/P_j
+    comes off the try's walks, so the probe walks nothing.  K does not see
+    a constant scale of uj or Bc, so each is read off the primitive integer
+    parts of its numerator and denominator, which have an image modulo
+    every prime.
     """
     un, ud, bn, bd = (Poly.from_ints(f.ints, 3) for f in (uj.num, uj.den, Bc.num, Bc.den))
 
-    def sides(w, w2):
-        rows, out = partials_mod(fn.num, fn.den, (w, w2), p), []
-        for r, pt in zip(_ratios(rows, i, j, p, (0, -1)), (w, w2)):
-            u, v, b, d = (f.eval_mod(pt, p) for f in (un, ud, bn, bd))
-            if v * b * d % p == 0:
+    def sides(w, w2, walks):
+        out = []
+        for r, pt in zip(_ratios(walks, i, j, p, (0, 1 << v)), (w, _moved(w, w2, v))):
+            nu, du, nb, db = (f.eval_mod(pt, p) for f in (un, ud, bn, bd))
+            if du * nb * db % p == 0:
                 raise PoleError("pole or vanishing inner sum at sample point")
-            out.append(r * u * d * pow(v * b, -1, p) % p)
+            out.append(r * nu * db * pow(du * nb, -1, p) % p)
         return out
 
     return sides
 
 
 def fit_field(
-    P: RatFun,
+    fn: _Fn,
     dmax: int | None = None,
     primes: tuple[int, ...] = DEFAULT_PRIMES,
-    seed: int = 0,
     diagnostics: dict[str, bool] | None = None,
 ) -> FormReport | None:
-    """Fit P = Q(r_i * (r_j + r_l)^n) over the three pivot choices.
+    """Fit P = fn.f = Q(r_i * (r_j + r_l)^n) over the three pivot choices.
 
     For the correct pivot x_i, the ratio P_j/P_l = r_j'/r_l' recovers the
     inner sum B0 = r_j + r_l up to scale and shift.  With M = P_i * r_j'/P_j,
@@ -657,14 +659,13 @@ def fit_field(
     of K, and r_i = g^(denominator of c).
     """
     diag = diagnostics if diagnostics is not None else {}
-    fn = _Fn(P, seed)
-    deg_cap = 2 * max(1, P.total_degree())
+    p = primes[0]
+    deg_cap = 2 * max(1, fn.f.total_degree())
     for i in range(3):
         j, l = (t for t in range(3) if t != i)
         tag = f"field_pivot_{_VN[i]}"
-        rng = rng_for(seed, f"fit-field:{i}")
-        if not (_gate_ratio_separable(fn, j, l, primes[0])
-                and _gate_ratio_indep(fn, j, l, i, primes[0])):
+        rng = rng_for(fn.seed, f"fit-field:{i}")
+        if not (_gate_ratio_separable(fn, j, l, p) and _gate_ratio_indep(fn, j, l, i, p)):
             diag[f"{tag}_gates"] = False
             continue
         pair = _split_partial_ratio(fn, j, l, rng)
@@ -687,8 +688,7 @@ def fit_field(
         rj += beta
         Bc = rj + rl
 
-        kval = _field_k_mod(fn, i, j, uj, Bc, primes[0])
-        if not all(_probe(kval, _draws(v, rng, primes[0])) for v in (j, l)):
+        if not all(_probe(_field_k_mod(i, j, v, uj, Bc, p), fn.tries(p)) for v in (j, l)):
             diag[f"{tag}_pivot_ratio_independent"] = False
             continue
         khat = None
@@ -720,7 +720,7 @@ def fit_field(
             continue
         rs = [rj, rl]
         rs.insert(i, gs[0] ** c.denominator)
-        report = _certified("Field", rs, tag, P, dmax, primes, seed, diag, pivot=i + 1, exponent=n)
+        report = _certified("Field", rs, tag, fn, dmax, primes, diag, pivot=i + 1, exponent=n)
         if report is not None:
             return report
     return None
@@ -744,19 +744,22 @@ def _twisted_g(part):
 
 
 def _twisted_logpartial_mod(fn: _Fn, i: int, p: int, seen: list):
-    """Sides (see _probe) of (log T)_i, i in {x, z}, for P = q(T), at w and
-    at its moved copy (mixtures 0 and -1); each try appends to seen whether
-    a side is nonzero.
+    """Sides (see _probe) of (log T)_i, i in {x, z}, for P = q(T), at
+    mixtures 0 and 1 << v of a try, v = 2 - i the variable it must be free
+    of; each try appends to seen whether a side is nonzero.
 
     A = P_x/P_z = T_x/T_z does not see q, and (log T)_y = -(log A)_y, so
-    (log T)_x = -delta/(g_y g_z) and (log T)_z = -delta/(g_y g_x), read off
-    one two-copy walk each of (N, D) and (N_y, D_y) for both points.
+    (log T)_x = -delta/(g_y g_z) and (log T)_z = -delta/(g_y g_x).  N and D
+    are read off the try's walks, and one two-point walk each of N_y and D_y
+    gives the rest.
     """
-    def sides(w, w2):
-        walks = {vs: [f.eval_grad_mod((w, w2), p) for f in fn.partials(*vs)]
-                 for vs in ((), (1,))}
+    v = 2 - i
+
+    def sides(w, w2, walks):
+        pts = (w, _moved(w, w2, v))
+        walks = {(): walks, (1,): [f.eval_grad_mod(pts, p) for f in fn.partials(1)]}
         out = []
-        for k in (0, -1):
+        for k in (0, 1 << v):
             def part(*vs, k=k):
                 nw, dw = walks[vs[:-1]]
                 j = 1 + vs[-1] if vs else 0
@@ -773,7 +776,7 @@ def _twisted_logpartial_mod(fn: _Fn, i: int, p: int, seen: list):
     return sides
 
 
-def _twisted_recover(P, fn, rng, dmax, primes, seed, diag):
+def _twisted_recover(fn, rng, dmax, primes, diag):
     """Recover (r1, r2, r3) of P = q((r1+r2)/(r2+r3)) and certify, or None.
 
     W = T/T_x = (r1+r2)/r1' = -g_y g_z/delta and V = T/T_z = -(r2+r3)/r3' =
@@ -806,20 +809,19 @@ def _twisted_recover(P, fn, rng, dmax, primes, seed, diag):
         except (DegenerateSpecializationError, PoleError, ZeroDivisionError, ValueError):
             continue
         try:
-            return _certified("Twisted", (r1, r2, r3), "twisted", P, dmax, primes, seed, diag)
+            return _certified("Twisted", (r1, r2, r3), "twisted", fn, dmax, primes, diag)
         except (DegenerateSpecializationError, ZeroDivisionError):
             continue  # r2 + r3 = 0, or a constant s
     return None
 
 
 def fit_twisted(
-    P: RatFun,
+    fn: _Fn,
     dmax: int | None = None,
     primes: tuple[int, ...] = DEFAULT_PRIMES,
-    seed: int = 0,
     diagnostics: dict[str, bool] | None = None,
 ) -> FormReport | None:
-    """Fit P = q((r1(x) + r2(y)) / (r2(y) + r3(z))) for any outer map q.
+    """Fit P = fn.f = q((r1(x) + r2(y)) / (r2(y) + r3(z))) for any outer map q.
 
     q is any nonconstant univariate rational function: it cancels from
     P_x/P_z, so (log T)_x and (log T)_z are read off P directly.  The gates
@@ -832,14 +834,12 @@ def fit_twisted(
     The recovery then rebuilds T on univariate lines and certifies P = q(T).
     """
     diag = diagnostics if diagnostics is not None else {}
-    fn = _Fn(P)
-    rng = rng_for(seed, "fit-twisted:t")
     p, seen = primes[0], []
-    if not all(_probe(_twisted_logpartial_mod(fn, i, p, seen), _draws(2 - i, rng, p))
+    if not all(_probe(_twisted_logpartial_mod(fn, i, p, seen), fn.tries(p))
                and any(seen) for i in (0, 2)):
         diag["twisted_gates"] = False
         return None
-    report = _twisted_recover(P, fn, rng, dmax, primes, seed, diag)
+    report = _twisted_recover(fn, rng_for(fn.seed, "fit-twisted:t"), dmax, primes, diag)
     if report is None:
         diag["twisted_gates"] = True
     else:
@@ -967,8 +967,9 @@ def _classify(
     if not is_nondegenerate(P):
         return FormReport("Degenerate", None, None, {"nondegenerate": False})
     diag: dict[str, bool] = {"nondegenerate": True}
+    fn = _Fn(P, seed)
     for fitter in (fit_group,) if n == 2 else (fit_group, fit_field, fit_twisted):
-        report = fitter(P, dmax=dmax, primes=primes, seed=seed, diagnostics=diag)
+        report = fitter(fn, dmax=dmax, primes=primes, diagnostics=diag)
         if report is not None:
             report.image_dimension = n + 1
             return report
@@ -977,7 +978,7 @@ def _classify(
     if n == 3 and d == 5:
         diag["partial_constraint_dim5"] = True
     elif n == 3 and d < 5:
-        two, detail = _decomposed_detail(P, primes[0], seed)
+        two, detail = _decomposed_detail(fn, primes[0])
         diag.update(detail)
         diag["2decomposed"] = two
     verdict = "NoConstraint" if d == 2 * n else "Unresolved"

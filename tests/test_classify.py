@@ -30,7 +30,6 @@ from ratforms.classify import (
 )
 from ratforms.classify import (
     _decomposed_detail,
-    _draws,
     _Fn,
     _field_k_mod,
     _gate_ratio_indep,
@@ -51,7 +50,6 @@ from ratforms.ratfun import (
     RatFun,
     compose_numerator,
     parse,
-    partials_mod,
 )
 
 BI = ("x", "y")
@@ -264,7 +262,7 @@ def test_bivariate_additive_with_rational_parts():
 
 
 def _2decomposed(P, seed=0):
-    return _decomposed_detail(P, DEFAULT_PRIMES[0], seed)
+    return _decomposed_detail(_Fn(P, seed), DEFAULT_PRIMES[0])
 
 
 def test_2decomposed_field_form():
@@ -312,14 +310,14 @@ def test_sampled_2decomposition_matches_the_exact_identity(expr):
 
 
 def test_fit_group_additive():
-    rep = fit_group(parse("(x+y+z)^2", TRI))
+    rep = fit_group(_Fn(parse("(x+y+z)^2", TRI)))
     assert rep is not None
     assert rep.verdict == "GroupAdditive"
     assert rep.fitted["s"] == parse("x+y+z", TRI)
 
 
 def test_fit_group_multiplicative():
-    rep = fit_group(parse("x*y*z", TRI))
+    rep = fit_group(_Fn(parse("x*y*z", TRI)))
     assert rep is not None
     assert rep.verdict == "GroupMultiplicative"
     assert rep.fitted["s"] == parse("x*y*z", TRI)
@@ -330,7 +328,7 @@ def test_fit_group_multiplicative():
 
 
 def test_fit_group_rejects_field_form():
-    assert fit_group(parse("x*(y+z)^3", TRI)) is None
+    assert fit_group(_Fn(parse("x*(y+z)^3", TRI))) is None
 
 
 def test_normalized_certificates_lift_at_their_first_prime(monkeypatch):
@@ -370,7 +368,7 @@ def test_fit_field_square():
     # r2 carries the shift of the inner sum, so the parts rebuild s
     for inner, r2 in (("y+z", "y"), ("y+z+1", "y+1")):
         expr = f"x*({inner})^2"
-        rep = fit_field(parse(expr, TRI))
+        rep = fit_field(_Fn(parse(expr, TRI)))
         assert rep is not None
         assert rep.pivot == 1 and rep.exponent == 2
         f = rep.fitted
@@ -383,10 +381,10 @@ def test_fit_field_square():
 
 def test_only_a_field_fit_carries_pivot_and_exponent():
     reps = {
-        "GroupAdditive": fit_group(parse("(x+y+z)^2", TRI)),
-        "GroupMultiplicative": fit_group(parse("x*y", BI)),
-        "Field": fit_field(parse("x*(y+z)^2", TRI)),
-        "Twisted": fit_twisted(parse("(x+y)/(y+z)", TRI)),
+        "GroupAdditive": fit_group(_Fn(parse("(x+y+z)^2", TRI))),
+        "GroupMultiplicative": fit_group(_Fn(parse("x*y", BI))),
+        "Field": fit_field(_Fn(parse("x*(y+z)^2", TRI))),
+        "Twisted": fit_twisted(_Fn(parse("(x+y)/(y+z)", TRI))),
     }
     for verdict, rep in reps.items():
         assert isinstance(rep, FormReport) and rep.verdict == verdict
@@ -400,7 +398,7 @@ def test_only_a_field_fit_carries_pivot_and_exponent():
 
 
 def test_fit_field_high_exponent():
-    rep = fit_field(parse("x^2*(y^3+z)^5", TRI))
+    rep = fit_field(_Fn(parse("x^2*(y^3+z)^5", TRI)))
     assert rep is not None
     assert rep.pivot == 1 and rep.exponent == 5
     assert rep.fitted["r1"] == parse("x^2", TRI)
@@ -415,14 +413,14 @@ def test_fit_field_high_exponent():
 def test_fit_field_pivot_part_with_a_common_exponent():
     # K = r1'/(3*r1) has residues 2/3 and -4/3: n = 3, and r1 is the square
     # of the integrated g = (x-1)/(x+1)^2
-    rep = fit_field(parse("(x-1)^2/(x+1)^4*(y^3+z)^3", TRI))
+    rep = fit_field(_Fn(parse("(x-1)^2/(x+1)^4*(y^3+z)^3", TRI)))
     assert rep is not None
     assert rep.pivot == 1 and rep.exponent == 3
     assert rep.fitted["r1"] == parse("(x-1)^2/(x+1)^4", TRI)
 
 
 def test_fit_field_rejects_twisted():
-    assert fit_field(parse("(x+y)/(y+z)", TRI)) is None
+    assert fit_field(_Fn(parse("(x+y)/(y+z)", TRI))) is None
 
 
 @pytest.mark.parametrize(
@@ -597,9 +595,9 @@ def test_twisted_recovery_restricts_each_partial_once(monkeypatch):
     P = parse("(x+y+z)^11", TRI)
     fn, rng, p, seen = _Fn(P), rng_for(0, "fit-twisted:t"), DEFAULT_PRIMES[0], []
     for i in (0, 2):
-        assert _probe(_twisted_logpartial_mod(fn, i, p, seen), _draws(2 - i, rng, p))
+        assert _probe(_twisted_logpartial_mod(fn, i, p, seen), fn.tries(p))
     assert seen == [False] * 4
-    assert _twisted_recover(P, fn, rng, None, DEFAULT_PRIMES, 0, diag) is None
+    assert _twisted_recover(fn, rng, None, DEFAULT_PRIMES, diag) is None
     assert diag == {}
     assert derivs and max(derivs.values()) == 1
     assert 0 < len(lines) <= 8
@@ -610,8 +608,9 @@ def test_twisted_recovery_restricts_each_partial_once(monkeypatch):
 def test_the_twisted_gates_turn_away_delta_zero(monkeypatch, expr, p):
     # P_x/P_z is free of y for each of these (group forms and a field form
     # with pivot y), so delta = 0 and both gate identities hold vacuously:
-    # the x-gate fails on its two agreeing tries, four walks each, where
-    # skipping every try that reads 0 spent all RETRIES of them
+    # the x-gate fails on its two agreeing tries, four walks each (N and D
+    # for the try, N_y and D_y for the gate), where skipping every try that
+    # reads 0 spent all RETRIES of them
     def never(*args):
         raise AssertionError("the recovery ran on an input with delta = 0")
 
@@ -625,12 +624,17 @@ def test_the_twisted_gates_turn_away_delta_zero(monkeypatch, expr, p):
     monkeypatch.setattr(classify, "_twisted_recover", never)
     monkeypatch.setattr(Poly, "eval_grad_mod", counted)
     diag = {}
-    assert fit_twisted(parse(expr, TRI), primes=(p, 11), diagnostics=diag) is None
+    assert fit_twisted(_Fn(parse(expr, TRI)), primes=(p, 11), diagnostics=diag) is None
     assert diag == {"twisted_gates": False}
     assert 8 <= len(walks) <= 16
 
 
 # -- modular probes ---------------------------------------------------------------
+
+
+def _walks(P, points, p):
+    """The walks of a try (see _Fn.tries) of P at points."""
+    return [f.eval_grad_mod(points, p) for f in (P.num, P.den)]
 
 
 @pytest.mark.parametrize(
@@ -650,7 +654,7 @@ def test_two_copy_ratios_match_per_point_reference(names, expr, a, b):
     rng = random.Random(17)
     for _ in range(10):
         w = ([rng.randrange(1, p) for _ in range(n)], [rng.randrange(1, p) for _ in range(n)])
-        got = _ratios(partials_mod(P.num, P.den, w, p), a, b, p, range(1 << n))
+        got = _ratios(_walks(P, w, p), a, b, p, range(1 << n))
         for k in range(1 << n):
             point = [w[(k >> i) & 1][i] for i in range(n)]
             assert got[k] == ref.eval_mod(point, p)
@@ -659,12 +663,12 @@ def test_two_copy_ratios_match_per_point_reference(names, expr, a, b):
 def test_two_copy_ratios_mark_poles():
     # f = x*y/(x + y): f_x/f_y = y^2/x^2, with D = x + y and g_y = x^2
     P = parse("x*y/(x + y)", BI)
-    rows = partials_mod(P.num, P.den, ([3, -3], [0, 5]), 101)
+    walks = _walks(P, ([3, -3], [0, 5]), 101)
     # (3, -3) is a pole, (0, -3) and (0, 5) have f_y = 0, (3, 5) is regular
-    assert _ratios(rows, 0, 1, 101, [2]) == [25 * pow(9, -1, 101) % 101]
+    assert _ratios(walks, 0, 1, 101, [2]) == [25 * pow(9, -1, 101) % 101]
     for k in (0, 1, 3):
         with pytest.raises(PoleError):
-            _ratios(rows, 0, 1, 101, [2, k])
+            _ratios(walks, 0, 1, 101, [2, k])
 
 
 def test_probes_walk_each_polynomial_once(monkeypatch):
@@ -672,7 +676,7 @@ def test_probes_walk_each_polynomial_once(monkeypatch):
     walk = Poly.eval_grad_mod
 
     def counted(self, points, p):
-        walks.append(len(points))
+        walks.append((self, len(points)))
         return walk(self, points, p)
 
     monkeypatch.setattr(Poly, "eval_grad_mod", counted)
@@ -681,7 +685,7 @@ def test_probes_walk_each_polynomial_once(monkeypatch):
     def copies(probe):
         walks.clear()
         assert probe()
-        return list(walks)
+        return [n for _, n in walks]
 
     P = parse("(x + y^2 + z)^3 + 1", TRI)
     group = _Fn(P)
@@ -689,8 +693,8 @@ def test_probes_walk_each_polynomial_once(monkeypatch):
     # in every coordinate, which gives all 2^3 mixtures
     tries = copies(lambda: list(itertools.islice(group.tries(p), 3)))
     assert tries == [2] * 6
-    for w, w2, rows in itertools.islice(group.tries(p), 3):
-        assert all(a != b for a, b in zip(w, w2)) and len(rows) == 8
+    for w, w2, (nw, dw) in itertools.islice(group.tries(p), 3):
+        assert all(a != b for a, b in zip(w, w2)) and len(nw) == len(dw) == 8
     # so do the copies mod 3, where an independent draw would often repeat one
     assert all(a != b for w, w2, _ in itertools.islice(_Fn(P).tries(3), 8) for a, b in zip(w, w2))
     # every gate identity reads the tries already drawn, with no walk
@@ -699,19 +703,23 @@ def test_probes_walk_each_polynomial_once(monkeypatch):
     # fit_group reads all six gate identities off two tries: 4 walks, where
     # one pair of draws per gate took 24
     walks.clear()
-    assert fit_group(P).verdict == "GroupAdditive"
-    assert walks == [2] * 4
-    # the field pivot x with r_y' = 1 and inner sum y + z: K = P_x/(P_y (y + z)),
-    # each of its probes one two-copy walk of N and one of D per fresh draw
+    assert fit_group(_Fn(P)).verdict == "GroupAdditive"
+    assert [n for _, n in walks] == [2] * 4
+    # the field pivot x with r_y' = 1 and inner sum y + z: K = P_x/(P_y (y + z))
+    # reads P_x/P_y off the tries, so once they are drawn its probes walk nothing
     field = _Fn(parse("x*(y + z)^3", TRI))
-    twisted = _Fn(parse("(x + y^2)/(y^2 + z^3)", TRI))
-    rng = random.Random(4)
-    kval = _field_k_mod(field, 0, 1, RatFun.const(1, 3), parse("y + z", TRI), p)
+    list(itertools.islice(field.tries(p), 2))
     for moved in (1, 2):
-        assert copies(lambda: _probe(kval, _draws(moved, rng, p))) == [2] * 4
-    # or of the four polynomials the twisted value reads
-    logpartial = _twisted_logpartial_mod(twisted, 0, p, [])
-    assert copies(lambda: _probe(logpartial, _draws(2, rng, p))) == [2] * 8
+        kval = _field_k_mod(0, 1, moved, RatFun.const(1, 3), parse("y + z", TRI), p)
+        assert copies(lambda: _probe(kval, field.tries(p))) == []
+    # a twisted gate reads N and D off the try and walks N_y and D_y, once
+    # each per try at its two points
+    twisted = _Fn(parse("(x + y^2)/(y^2 + z^3)", TRI))
+    list(itertools.islice(twisted.tries(p), 2))
+    for i in (0, 2):
+        logpartial = _twisted_logpartial_mod(twisted, i, p, [])
+        assert copies(lambda: _probe(logpartial, twisted.tries(p))) == [2] * 4
+        assert [f for f, _ in walks] == list(twisted.partials(1)) * 2
 
 
 def test_the_field_k_probe_reads_parts_whose_denominator_the_prime_divides():
@@ -722,11 +730,10 @@ def test_the_field_k_probe_reads_parts_whose_denominator_the_prime_divides():
     inner = parse("y + z", TRI)
     for scale in (1, Fraction(1, 13), Fraction(26, 7)):
         uj, Bc = RatFun.const(scale, 3), inner.scale(Fraction(scale) / 13)
-        kval = _field_k_mod(field, 0, 1, uj, Bc, 13)
-        assert all(_probe(kval, _draws(v, random.Random(4), 13)) for v in (1, 2))
+        assert all(_probe(_field_k_mod(0, 1, v, uj, Bc, 13), field.tries(13)) for v in (1, 2))
         # pivot y, with r_x' = 1 and x + z in place of the inner sum
-        kval = _field_k_mod(field, 1, 0, uj, parse("x + z", TRI).scale(scale), 13)
-        assert not all(_probe(kval, _draws(v, random.Random(4), 13)) for v in (0, 2))
+        Bc = parse("x + z", TRI).scale(scale)
+        assert not all(_probe(_field_k_mod(1, 0, v, uj, Bc, 13), field.tries(13)) for v in (0, 2))
 
 
 def test_a_probe_whose_copies_all_equal_w_fails():
@@ -739,9 +746,9 @@ def test_a_probe_whose_copies_all_equal_w_fails():
 
 
 def test_gates_give_one_answer_per_pair_identity(monkeypatch):
-    # fit_group, fit_field and _decomposed_detail read one shared sample for
-    # a seed, so an identity gets one answer in all three, the flukes of a
-    # small prime included
+    # fit_group, fit_field and _decomposed_detail read the one sample of an
+    # input and seed, so an identity gets one answer in all three, the
+    # flukes of a small prime included, even from separate _Fn objects
     seen = {}
 
     def spy(gate):
@@ -760,15 +767,81 @@ def test_gates_give_one_answer_per_pair_identity(monkeypatch):
             answers = []
             for primes in (DEFAULT_PRIMES, (7, 5), (5, 3)):
                 seen.clear()
-                fit_group(P, primes=primes, seed=seed)
-                fit_field(P, primes=primes, seed=seed)
-                _decomposed_detail(P, primes[0], seed)
+                fit_group(_Fn(P, seed), primes=primes)
+                fit_field(_Fn(P, seed), primes=primes)
+                _decomposed_detail(_Fn(P, seed), primes[0])
                 assert all(len(outs) == 1 for outs in seen.values()), (expr, seed, primes, seen)
                 answers.append({key: outs.pop() for key, outs in seen.items()})
             flukes += sum(small.get(key, exact) != exact
                           for small in answers[1:] for key, exact in answers[0].items())
     # the small primes do pass identities that fail at the large one
     assert flukes
+
+
+def test_classify_builds_one_fn_per_input(monkeypatch):
+    # every fitter and the 2dec_* check read the _Fn that _classify builds,
+    # so the tries of an input are drawn once; a degenerate input reaches
+    # no fitter and builds none
+    built = []
+    init = _Fn.__init__
+
+    def counted(self, f, seed=0):
+        built.append(seed)
+        init(self, f, seed)
+
+    monkeypatch.setattr(_Fn, "__init__", counted)
+    verdicts = set()
+    for expr in _golden_trivariate() + ["x + y", "x*(y+z)^2 + x"]:
+        built.clear()
+        rep = classify_trivariate(parse(expr, TRI), seed=3)
+        verdicts.add(rep.verdict)
+        assert built == ([] if rep.verdict == "Degenerate" else [3]), expr
+    assert verdicts == {"GroupAdditive", "GroupMultiplicative", "Field", "Twisted",
+                        "NoConstraint", "Unresolved", "Degenerate"}
+
+
+def test_field_and_twisted_fits_read_the_tries_fit_group_drew(monkeypatch):
+    # x*(y+z)^3: fit_group reads two tries before its independence gate
+    # fails; fit_field then reads every gate, the K probe included, off
+    # those two, and the twisted gates walk only N_y and D_y on them (they
+    # pass here, and the recovery, on exact lines, walks nothing)
+    walks = []
+    walk = Poly.eval_grad_mod
+
+    def counted(self, points, p):
+        walks.append(self)
+        return walk(self, points, p)
+
+    monkeypatch.setattr(Poly, "eval_grad_mod", counted)
+    fn = _Fn(parse("x*(y+z)^3", TRI))
+    assert fit_group(fn) is None
+    assert walks == [fn.num, fn.den] * 2
+    walks.clear()
+    assert fit_field(fn).verdict == "Field"
+    assert walks == []
+    assert fit_twisted(fn) is None
+    assert walks and all(f in fn.partials(1) for f in walks)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_fit_twisted_reads_the_tries_of_its_seed(monkeypatch, seed):
+    read = []
+    probe = classify._probe
+
+    def spy(sides, tries):
+        def recorded():
+            for t in tries:
+                read.append((t[0], t[1]))
+                yield t
+        return probe(sides, recorded())
+
+    monkeypatch.setattr(classify, "_probe", spy)
+    P, p = parse("(x^2+y)/(y+z^3)", TRI), DEFAULT_PRIMES[0]
+    assert fit_twisted(_Fn(P, seed)).verdict == "Twisted"
+    want = [(w, w2) for w, w2, _ in itertools.islice(_Fn(P, seed).tries(p), 2)]
+    assert read[:2] == want
+    other = [(w, w2) for w, w2, _ in itertools.islice(_Fn(P, seed + 1).tries(p), 2)]
+    assert want != other
 
 
 @pytest.mark.parametrize("primes", [(13, 11), DEFAULT_PRIMES])
@@ -795,7 +868,7 @@ def test_dependent_pair_certifies_at_small_primes():
 
 def test_fit_twisted_identity_parts():
     P = parse("(x+y)/(y+z)", TRI)
-    rep = fit_twisted(P)
+    rep = fit_twisted(_Fn(P))
     assert rep is not None
     assert rep.fitted["s"] == P
     assert rep.fitted["r1"] == parse("x", TRI)
@@ -809,7 +882,7 @@ def test_fit_twisted_identity_parts():
 
 def test_fit_twisted_polynomial_parts():
     P = parse("(x^2+y)/(y+z^3)", TRI)
-    rep = fit_twisted(P)
+    rep = fit_twisted(_Fn(P))
     assert rep is not None
     f = rep.fitted
     assert f["s"] == P
@@ -822,12 +895,12 @@ def test_fit_twisted_polynomial_parts():
 
 
 def test_fit_twisted_rejects_additive():
-    assert fit_twisted(parse("x+y+z", TRI)) is None
+    assert fit_twisted(_Fn(parse("x+y+z", TRI))) is None
 
 
 def test_twisted_gates_reject_non_twisted_input():
     diag = {}
-    assert fit_twisted(parse("x*y*z + x + 1", TRI), diagnostics=diag) is None
+    assert fit_twisted(_Fn(parse("x*y*z + x + 1", TRI)), diagnostics=diag) is None
     assert diag == {"twisted_gates": False}
 
 
@@ -895,7 +968,7 @@ def test_cube_identities_hold_for_twisted_forms():
 
 def test_verify_twisted_identities_for_fitted_parts():
     P = parse("(x+y)/(y+z)", TRI)
-    f = fit_twisted(P).fitted
+    f = fit_twisted(_Fn(P)).fitted
     assert verify_twisted_identities(f["r1"], f["r2"], f["r3"], trials=25, seed=0)
 
 
@@ -917,6 +990,33 @@ def test_a_twisted_verdict_needs_no_cube_check(monkeypatch):
     rep = classify_trivariate(parse("(2*(x^2+y)/(y+z^3) + 1)/((x^2+y)/(y+z^3) - 1)", TRI))
     assert rep.verdict == "Twisted"
     assert rep.diagnostics["twisted_cube_identities"] is True
+
+
+#: One input per template and the variable permutations its form allows,
+#: each as the names the variables x, y, z (or x, y) take: any permutation
+#: for a group form, a swap of the block variables and both moves of the
+#: pivot for the field form, the swap of x and z for the twisted form,
+#: which carries T to the twisted 1/T.
+METAMORPHIC = [
+    (TRI, "1/(x+1) + y^2 + z/(z-2)", "GroupAdditive", list(itertools.permutations(TRI))),
+    (TRI, "(x*y^2*z)^3/(x+1)^2", "GroupMultiplicative", list(itertools.permutations(TRI))),
+    (TRI, "x^2*(y^3+z)^3", "Field", [TRI, ("x", "z", "y"), ("y", "x", "z"), ("z", "y", "x")]),
+    (TRI, "(x^2+y)/(y+z^3)", "Twisted", [TRI, ("z", "y", "x")]),
+    (BI, "(1/(x+1) + y^2)^2 + 3", "GroupAdditive", [BI, ("y", "x")]),
+    (BI, "x^2*y^3/(y+1)", "GroupMultiplicative", [BI, ("y", "x")]),
+]
+
+
+@pytest.mark.parametrize("names, expr, verdict, perms", METAMORPHIC)
+def test_a_verdict_is_invariant_under_scaling_and_allowed_permutations(names, expr, verdict, perms):
+    # x -> 2x, then a permutation of the variables: the verdict, the image
+    # dimension and the exponent stay, and a field pivot follows x
+    for text in (expr, expr.replace("x", "(2*x)")):
+        for perm in perms:
+            rep = _classify(parse(text, perm))
+            assert (rep.verdict, rep.image_dimension) == (verdict, len(names) + 1), (text, perm)
+            if verdict == "Field":
+                assert (rep.pivot, rep.exponent) == (perm.index("x") + 1, 3), (text, perm)
 
 
 def test_classify_field_cube():
@@ -1050,8 +1150,8 @@ def test_group_additive_and_twisted_never_both_certify():
     pool += [synth.make_twisted(rng) for _ in range(3)]
     pool += [parse(e, TRI) for e, _ in synth.HANDWRITTEN_2DEC]
     for P in pool:
-        g = fit_group(P)
-        t = fit_twisted(P)
+        g = fit_group(_Fn(P))
+        t = fit_twisted(_Fn(P))
         assert not (g is not None and g.verdict == "GroupAdditive" and t is not None)
 
 
