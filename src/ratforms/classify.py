@@ -842,10 +842,6 @@ def fit_twisted(
     report = _twisted_recover(fn, rng_for(fn.seed, "fit-twisted:t"), dmax, primes, diag)
     if report is None:
         diag["twisted_gates"] = True
-    else:
-        # r1, r2 and r3 are univariate in x, y and z by construction, so all
-        # three cube identities of (r1 + r2)/(r2 + r3) hold identically
-        diag["twisted_cube_identities"] = True
     return report
 
 
