@@ -30,9 +30,11 @@ pass is harmless because every positive path ends in a verified
 certificate.  Every gate reads one sample per input and seed (see
 _Fn.tries), whose 2^n mixtures carry every such identity at once.
 Recovery then works on exact univariate specializations (lines on which
-every other variable is pinned to a small integer): no fitter evaluates P
-at an exact multivariate point, and no step multiplies two large
-multivariate polynomials except the certificate check.
+every other variable is pinned to a small integer), read as integer lists
+in one term pass per polynomial (see Poly.line_jet) and reduced by one
+dense gcd (see _lowest_terms): no fitter evaluates P at an exact
+multivariate point, and no step multiplies two large multivariate
+polynomials except the certificate check.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, prod
+from operator import mul as _times, sub as _minus
 
-from .calculus import _mul, _sub, hermite_antiderivative, logderiv_integrate
+from .calculus import _deriv, _mul, _scale, _sub, hermite_antiderivative, logderiv_integrate
 from .dimension import image_dimension, is_nondegenerate
 from .modular import DEFAULT_PRIMES, RETRIES, rng_for
 from .oracle import LiftBudgetError, composition_relation, prime_pool
@@ -297,10 +300,10 @@ class _Fn:
     _classify builds one per input and hands it to every fitter and to
     _decomposed_detail, which read f and seed off it.  It wraps the raw
     numerator/denominator pair (which need not be reduced) and caches the
-    partial-derivative pairs (N_vs, D_vs); every partial uses
+    partial-derivative pairs (N_vs, D_vs) for the gates; every partial uses
     (N_i D - N D_i) / D^2, so the only exact quotient formed is one of
-    polynomials restricted to a line, whose first partials come from one
-    pass over the terms (see Poly.line_jet).  Values mod p come from
+    polynomials restricted to a line, whose partials come from one pass
+    over the terms (see Poly.line_jet).  Values mod p come from
     Poly.eval_grad_mod at every mixture of two points; every gate reads
     them off the one sample of the input (see tries).
     """
@@ -334,40 +337,6 @@ class _Fn:
             self._parts[vs] = n.derivative(vs[-1]), d.derivative(vs[-1])
         return self._parts[vs]
 
-    def on_line(self, point, free: int):
-        """part(*vs) -> (N_vs, D_vs) on the line through point parallel to
-        the x_free axis, exact.
-
-        One jet pass over N and one over D (see Poly.line_jet) give the
-        line and every first partial.  Partials commute, so a further
-        partial in x_free is taken last, on the restricted pair, and a
-        second partial in the pinned variables restricts the cached one
-        (see Poly.line): a jet pass over the first partial computes two
-        lists where one is read, and the cached second partial is often
-        zero, which restricts for free.
-        """
-        arity = self.num.arity
-        jets = [f.line_jet(point, free) for f in (self.num, self.den)]
-        memo: dict[tuple[int, ...], tuple[Poly, Poly]] = {
-            vs: tuple(Poly.from_coeffs(jet[k], free, arity, scale) for scale, jet in jets)
-            for vs, k in [((), 0)] + [((v,), 1 + v) for v in range(arity)]
-        }
-
-        # part never calls itself: a self-referring closure is a cycle, and
-        # the restrictions it holds would wait for the cyclic collector
-        def part(*vs: int) -> tuple[Poly, Poly]:
-            if vs not in memo:
-                pinned = tuple(v for v in vs if v != free)
-                if pinned not in memo:
-                    memo[pinned] = tuple(f.line(point, free) for f in self.partials(*pinned))
-                n, d = memo[pinned]
-                for _ in range(len(vs) - len(pinned)):
-                    n, d = n.derivative(free), d.derivative(free)
-                memo[vs] = n, d
-            return memo[vs]
-
-        return part
-
     def specialized_ratio(self, a: int, b: int, point, free: int) -> RatFun:
         """(f_a / f_b) on the line through point parallel to the x_free
         axis, exact and reduced.
@@ -375,25 +344,37 @@ class _Fn:
         The numerators g_v = N_v D - N D_v of f_a and f_b are integer
         coefficient lists off one jet pass over N and one over D (see
         Poly.line_jet): both carry the product of the two jets' scales,
-        which cancels.  Their shared power of x_free and their integer
-        contents come out here, so that their gcd (a dense heuristic gcd,
-        poly._dense_gcd, whose cost grows with the square of the degree)
-        reads short primitive lists on a sparse line such as that of
-        x^65536*y.  The canonical RatFun is built once.
+        which cancels.  _lowest_terms reduces their quotient, and the
+        canonical RatFun is built once.
         """
         (_, n), (_, d) = self.num.line_jet(point, free), self.den.line_jet(point, free)
         ga, gb = (_sub(_mul(n[1 + v], d[0]), _mul(n[0], d[1 + v])) for v in (a, b))
-        arity = self.num.arity
-        if not gb:
-            raise DegenerateSpecializationError("partial ratio degenerates")
-        if not ga:
-            return RatFun.const(0, arity)
-        k = next(i for i, pair in enumerate(zip(ga, gb)) if any(pair))
-        ga, gb = ga[k:], gb[k:]
-        ca, cb = gcd(*ga), gcd(*gb)
-        _, qa, qb = _dense_gcd([c // ca for c in ga], [c // cb for c in gb])
-        return RatFun.coprime(Poly.from_coeffs(qa, free, arity, Fraction(ca, cb)),
-                              Poly.from_coeffs(qb, free, arity))
+        return _line_quotient(ga, gb, free, self.num.arity)
+
+
+def _lowest_terms(ga: list[int], gb: list[int]) -> tuple[list[int], list[int], Fraction]:
+    """(qa, qb, c), c > 0, with ga/gb = c*qa/qb for coprime primitive lists
+    qa and qb, of trimmed integer coefficient lists (lowest first); ([], [1],
+    1) for ga = [], DegenerateSpecializationError for gb = [].  The shared
+    power of the variable and the contents come out before the gcd (a dense
+    heuristic gcd, poly._dense_gcd, whose cost grows with the square of the
+    degree), so that it reads short lists on a sparse line such as that of
+    x^65536*y."""
+    if not gb:
+        raise DegenerateSpecializationError("quotient on a line degenerates")
+    if not ga:
+        return [], [1], Fraction(1)
+    k = next(i for i, pair in enumerate(zip(ga, gb)) if any(pair))
+    ga, gb = ga[k:], gb[k:]
+    ca, cb = gcd(*ga), gcd(*gb)
+    _, qa, qb = _dense_gcd([c // ca for c in ga], [c // cb for c in gb])
+    return qa, qb, Fraction(ca, cb)
+
+
+def _line_quotient(ga: list[int], gb: list[int], free: int, arity: int, c=1) -> RatFun:
+    """c*ga/gb, c > 0, as a canonical RatFun in x_free, reduced by _lowest_terms."""
+    qa, qb, ca = _lowest_terms(ga, gb)
+    return RatFun.coprime(Poly.from_coeffs(qa, free, arity, c * ca), Poly.from_coeffs(qb, free, arity))
 
 
 def _split_partial_ratio(fn: _Fn, a: int, b: int, rng):
@@ -726,21 +707,43 @@ def fit_field(
     return None
 
 
-def _twisted_g(part):
+def _twisted_g(part, mul=_times, sub=_minus):
     """(g, delta) of f = N/D, with part(*vs) -> (N_vs, D_vs) reading partials.
 
     g[i] = N_i D - N D_i is the numerator of f_i and delta = (g_x)_y g_z -
     g_x (g_z)_y the numerator of the y-derivative of log(f_x/f_z).  part
-    reads the partials in one ring, residues mod p at a sample point (see
-    _twisted_logpartial_mod) or polynomials on an exact line (see
-    _Fn.on_line), and the arithmetic runs in that ring.
+    reads the partials in one ring, and mul and sub are its operations:
+    residues mod p at a sample point (see _twisted_logpartial_mod), or
+    integer coefficient lists on an exact line (see _twisted_line).
     """
+    def det(a, b, c, e):
+        return sub(mul(a, b), mul(c, e))
+
     (n, d), (nyx, dyx), (nyz, dyz) = part(), part(1, 0), part(1, 2)
     nd, dd = zip(*(part(i) for i in range(3)))
-    g = [nd[i] * d - n * dd[i] for i in range(3)]
-    gx_y = nyx * d + nd[0] * dd[1] - nd[1] * dd[0] - n * dyx
-    gz_y = nyz * d + nd[2] * dd[1] - nd[1] * dd[2] - n * dyz
-    return g, gx_y * g[2] - g[0] * gz_y
+    g = [det(nd[i], d, n, dd[i]) for i in range(3)]
+    gx_y = sub(det(nyx, d, n, dyx), det(nd[1], dd[0], nd[0], dd[1]))
+    gz_y = sub(det(nyz, d, n, dyz), det(nd[1], dd[2], nd[2], dd[1]))
+    return g, det(gx_y, g[2], g[0], gz_y)
+
+
+def _twisted_line(fn: _Fn, point, free: int):
+    """(g, delta) of _twisted_g on the line through point parallel to the
+    x_free axis, integer lists in x_free times the product of the jets'
+    scales (delta its square), from one term pass over each of N and D (see
+    Poly.line_jet with mixed); a second partial in x_free is the derivative
+    of a first partial's list."""
+    jets = [f.line_jet(point, free, mixed=True)[1] for f in (fn.num, fn.den)]
+
+    def part(*vs):
+        if len(vs) < 2:
+            return tuple(jet[1 + vs[0] if vs else 0] for jet in jets)
+        if free not in vs:
+            return tuple(jet[4] for jet in jets)
+        other = vs[0] if vs[1] == free else vs[1]
+        return tuple(_deriv(jet[1 + other]) for jet in jets)
+
+    return _twisted_g(part, _mul, _sub)
 
 
 def _twisted_logpartial_mod(fn: _Fn, i: int, p: int, seen: list):
@@ -776,40 +779,61 @@ def _twisted_logpartial_mod(fn: _Fn, i: int, p: int, seen: list):
     return sides
 
 
-def _twisted_recover(fn, rng, dmax, primes, diag):
-    """Recover (r1, r2, r3) of P = q((r1+r2)/(r2+r3)) and certify, or None.
+def _twisted_part(W, W1, k: Fraction, r0: Fraction, free: int) -> RatFun:
+    """W*k/(W1 - W) - r0 in x_free for W = c*a/b and W1 = c1*a1/b1: with
+    E = c1.num*c.den*a1*b - c.num*c1.den*a*b1, W1 - W is E/(c.den*c1.den*b*b1)
+    and the part t*a*b1/E - r0 for t = k*c.num*c1.den, one integer-list
+    quotient reduced once (E = [] raises)."""
+    (a, b, c), (a1, b1, c1) = W, W1
+    ab1 = _mul(a, b1)
+    E = _sub(_scale(_mul(a1, b), c1.numerator * c.denominator), _scale(ab1, c.numerator * c1.denominator))
+    t = k * c.numerator * c1.denominator
+    num = _sub(_scale(ab1, t.numerator * r0.denominator), _scale(E, r0.numerator * t.denominator))
+    return _line_quotient(num, _scale(E, t.denominator * r0.denominator), free, 3)
+
+
+def _twisted_parts(fn: _Fn, rng):
+    """Yield (r1, r2, r3) of P = q((r1+r2)/(r2+r3)), P = fn.f, for each of
+    at most 8 drawn points (cx, cy, cz) that gets that far; stop when the
+    part in y does not integrate.
 
     W = T/T_x = (r1+r2)/r1' = -g_y g_z/delta and V = T/T_z = -(r2+r3)/r3' =
-    -g_y g_x/delta are read off P on exact univariate lines only (see
-    _Fn.on_line).  On the y-line u = W_y = r2'/r1' yields r2.  W and V are
-    affine in r2(y), so two x-lines at y = cy and cy + 1 give
-    r1'/r1'(cx) = (r2(cy+1) - r2(cy))/(W|cy+1 - W|cy), at the scale of r2,
-    and two z-lines give r3' from V likewise; the additive constants come
-    from W and V at y = cy.  The parts are univariate by construction, and
-    the certificate P = q(s) is the exact check.
+    -g_y g_x/delta are read off P on exact univariate lines only, as integer
+    lists (see _twisted_line) reduced once, where the scales cancel.  On the
+    y-line u = W_y = r2'/r1' yields r2.  W and V are affine in r2(y), so two
+    x-lines at y = cy and cy + 1 give, at the scale of r2,
+    r1'/r1'(cx) = (r2(cy+1) - r2(cy))/(W|cy+1 - W|cy), and two z-lines give
+    r3' from V likewise; the additive constants come from W and V at y = cy
+    (see _twisted_part).  u, r1 and r3 are the only RatFuns built, and each
+    part is univariate by construction.
     """
-    def ratio(point, free, k):
-        g, delta = _twisted_g(fn.on_line(point, free))
-        return RatFun(-(g[1] * g[k]), delta)
+    def ratio(point, free, k):  # -g_y g_k/delta as (a, b, c), see _lowest_terms
+        g, delta = _twisted_line(fn, point, free)
+        return _lowest_terms(_mul(g[1], g[k]), [-c for c in delta])
 
     for _ in range(8):
         cx, cy, cz = (rng.randrange(2, 98) for _ in range(3))
         try:
-            u = ratio((cx, cy, cz), 1, 2).partial(1)
+            a, b, c = ratio((cx, cy, cz), 1, 2)
+            u = _line_quotient(_sub(_mul(_deriv(a), b), _mul(a, _deriv(b))), _mul(b, b), 1, 3, c)
             if u.is_zero:
                 continue
             r2 = hermite_antiderivative(u, 1)
             if r2 is None:
-                return None
-            r2cy, r2cy1 = (r2.eval_q((cx, c, cz)) for c in (cy, cy + 1))
-            W, W1 = (ratio((cx, c, cz), 0, 2) for c in (cy, cy + 1))
-            V, V1 = (ratio((cx, c, cz), 2, 0) for c in (cy, cy + 1))
-            r1 = W * ((r2cy1 - r2cy) / (W1 - W)) - r2cy
-            r3 = V * ((r2cy1 - r2cy) / (V1 - V)) - r2cy
+                return
+            r2cy, r2cy1 = (r2.eval_q((cx, y, cz)) for y in (cy, cy + 1))
+            r1, r3 = (_twisted_part(*(ratio((cx, y, cz), v, 2 - v) for y in (cy, cy + 1)),
+                                    r2cy1 - r2cy, r2cy, v) for v in (0, 2))
         except (DegenerateSpecializationError, PoleError, ZeroDivisionError, ValueError):
             continue
+        yield r1, r2, r3
+
+
+def _twisted_recover(fn, rng, dmax, primes, diag):
+    """Certify the first parts of _twisted_parts with a nonconstant s, or None."""
+    for parts in _twisted_parts(fn, rng):
         try:
-            return _certified("Twisted", (r1, r2, r3), "twisted", fn, dmax, primes, diag)
+            return _certified("Twisted", parts, "twisted", fn, dmax, primes, diag)
         except (DegenerateSpecializationError, ZeroDivisionError):
             continue  # r2 + r3 = 0, or a constant s
     return None

@@ -302,14 +302,16 @@ def _axis_line(ints: dict, powers, i: int, deg: int) -> list[int]:
     return out
 
 
-def _axis_jet(ints: dict, powers, i: int, deg: int, slopes) -> list[list[int]]:
+def _axis_jet(ints: dict, powers, i: int, deg: int, slopes, mixed: bool = False) -> list[list[int]]:
     """The jet form of _axis_line, for exact powers and the slope rows of
     _qpowers: [f, f_0, ..., f_(n-1)], the restriction and those of the
     first partials, from one pass over the terms and at the same scale.
     The partial in a pinned x_v reads x_v's slope row in place of its power
     row (the zero list when it has none), and f_i is the derivative of the
-    restriction, deg coefficients long.  A function of its own, so that
-    the mod-p callers of _axis_line take no branch for it."""
+    restriction, deg coefficients long.  With mixed (at most two pinned
+    variables) the jet ends with the second partial in both, from a term
+    loop of its own that a plain jet does not pay for.  A function of its
+    own, so that the mod-p callers of _axis_line take no branch for it."""
     rows = powers[:i] + [[1] * (deg + 1)] + powers[i + 1 :]
     pinned = [v for v, row in enumerate(slopes) if row is not None and v != i]
     jet = [[] for _ in range(len(rows) + 1)]
@@ -322,13 +324,24 @@ def _axis_jet(ints: dict, powers, i: int, deg: int, slopes) -> list[list[int]]:
         su, sv = (slopes[w] if w != i else [0] * (deg + 1) for w in (u, v))
         partials = du, dv = [0] * (deg + 1), [0] * (deg + 1)
         get = itemgetter(i, u, v)
-        for e, c in ints.items():
-            k, x, y = get(e)
-            a = ru[x]
-            cb = c * rv[y]
-            out[k] += cb * a
-            du[k] += cb * su[x]
-            dv[k] += c * a * sv[y]
+        if mixed:
+            jet.append(duv := [0] * (deg + 1))
+            for e, c in ints.items():
+                k, x, y = get(e)
+                a, s = ru[x], su[x]
+                cb, cs = c * rv[y], c * sv[y]
+                out[k] += cb * a
+                du[k] += cb * s
+                dv[k] += cs * a
+                duv[k] += cs * s
+        else:
+            for e, c in ints.items():
+                k, x, y = get(e)
+                a = ru[x]
+                cb = c * rv[y]
+                out[k] += cb * a
+                du[k] += cb * su[x]
+                dv[k] += c * a * sv[y]
     else:
         tables = [rows[:v] + [slopes[v]] + rows[v + 1 :] for v in pinned]
         partials = [[0] * (deg + 1) for _ in pinned]
@@ -1090,26 +1103,18 @@ class Poly:
 
     # -- evaluation ----------------------------------------------------------
 
-    def line(self, point, i: int) -> "Poly":
-        """The restriction to the line through point parallel to the x_i
-        axis: a polynomial in x_i alone, read off in one pass over the terms.
-        Coordinates are ints or Fractions; point[i] is not used."""
+    def line_jet(self, point, i: int, mixed: bool = False) -> tuple[Fraction, list[list[int]]]:
+        """(scale, [f, f_0, ..., f_(n-1)]): the restrictions of f and its
+        first partials to the line through point (ints or Fractions; point[i]
+        is not read) parallel to the x_i axis, as integer coefficient lists
+        in x_i, lowest first, each times the one scale; one pass over the
+        terms (see _axis_jet).  With mixed, for three variables, the list of
+        the second partial in the two pinned variables follows."""
         if not self.ints:
-            return self
-        rows, degs, den, _ = _qpowers(self.ints, point, i)
-        scale = self.content / den if den > 1 else self.content
-        return Poly.from_coeffs(_axis_line(self.ints, rows, i, degs[i]), i, self.arity, scale)
-
-    def line_jet(self, point, i: int) -> tuple[Fraction, list[list[int]]]:
-        """(scale, [f, f_0, ..., f_(n-1)]): the restriction to the line of
-        Poly.line and those of the first partials, as integer coefficient
-        lists in x_i, lowest first, each times the one scale; one pass over
-        the terms (see _axis_jet)."""
-        if not self.ints:
-            return _ONE, [[] for _ in range(self.arity + 1)]
+            return _ONE, [[] for _ in range(self.arity + 1 + mixed)]
         rows, degs, den, slopes = _qpowers(self.ints, point, i, slopes=True)
         scale = self.content / den if den > 1 else self.content
-        return scale, _axis_jet(self.ints, rows, i, degs[i], slopes)
+        return scale, _axis_jet(self.ints, rows, i, degs[i], slopes, mixed)
 
     def eval_q(self, point) -> Fraction:
         """The exact value at a point of ints or Fractions, added up in one

@@ -13,8 +13,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from ratforms.calculus import separability_identity
-from ratforms.ratfun import DegenerateSpecializationError, RatFun
+from ratforms.calculus import hermite_antiderivative, separability_identity
+from ratforms.classify import _twisted_g
+from ratforms.poly import Poly, _axis_line, _qpowers
+from ratforms.ratfun import DegenerateSpecializationError, PoleError, RatFun
 
 TRI = ("x", "y", "z")
 BI = ("x", "y")
@@ -173,18 +175,60 @@ def partial_ratio(f: RatFun, a: int, b: int) -> RatFun:
     return RatFun.raw(na, nb)
 
 
+def line(f: Poly, point, i: int) -> Poly:
+    """The reference for Poly.line_jet: the restriction of f to the line
+    through point parallel to the x_i axis, a polynomial in x_i alone, read
+    off in one pass over the terms at exact powers (poly._qpowers and
+    poly._axis_line).  Coordinates are ints or Fractions; point[i] is not
+    used."""
+    if not f.ints:
+        return f
+    rows, degs, den, _ = _qpowers(f.ints, point, i)
+    scale = f.content / den if den > 1 else f.content
+    return Poly.from_coeffs(_axis_line(f.ints, rows, i, degs[i]), i, f.arity, scale)
+
+
 def line_ratio(f: RatFun, a: int, b: int, point, free: int) -> RatFun:
     """The reference for classify._Fn.specialized_ratio: f_a / f_b on the
-    line through point parallel to the x_free axis, from Poly.line of each
+    line through point parallel to the x_free axis, from line of each
     partial of N and D and one reduction through RatFun."""
     N, D = f.num, f.den
-    n, d = N.line(point, free), D.line(point, free)
-    (na, da), (nb, db) = ((N.derivative(v).line(point, free), D.derivative(v).line(point, free))
+    n, d = line(N, point, free), line(D, point, free)
+    (na, da), (nb, db) = ((line(N.derivative(v), point, free), line(D.derivative(v), point, free))
                           for v in (a, b))
     den = nb * d - n * db
     if den.is_zero:
         raise DegenerateSpecializationError("partial ratio degenerates")
     return RatFun(na * d - n * da, den)
+
+
+def twisted_parts(fn, rng):
+    """The reference for classify._twisted_parts, on Polys and RatFuns: the
+    same draws and the same parts, with every partial of N and D that
+    _twisted_g reads differentiated in full and restricted by line, each
+    quotient -g_y g_k / delta reduced as a RatFun, and r1 and r3 formed in
+    RatFun arithmetic."""
+    def ratio(point, free, k):
+        g, delta = _twisted_g(lambda *vs: tuple(line(f, point, free) for f in fn.partials(*vs)))
+        return RatFun(-(g[1] * g[k]), delta)
+
+    for _ in range(8):
+        cx, cy, cz = (rng.randrange(2, 98) for _ in range(3))
+        try:
+            u = ratio((cx, cy, cz), 1, 2).partial(1)
+            if u.is_zero:
+                continue
+            r2 = hermite_antiderivative(u, 1)
+            if r2 is None:
+                return
+            r2cy, r2cy1 = (r2.eval_q((cx, c, cz)) for c in (cy, cy + 1))
+            W, W1 = (ratio((cx, c, cz), 0, 2) for c in (cy, cy + 1))
+            V, V1 = (ratio((cx, c, cz), 2, 0) for c in (cy, cy + 1))
+            r1 = W * ((r2cy1 - r2cy) / (W1 - W)) - r2cy
+            r3 = V * ((r2cy1 - r2cy) / (V1 - V)) - r2cy
+        except (DegenerateSpecializationError, PoleError, ZeroDivisionError, ValueError):
+            continue
+        yield r1, r2, r3
 
 
 def exact_2decomposed(P: RatFun) -> tuple[bool, dict[str, bool]]:

@@ -36,8 +36,9 @@ from ratforms.classify import (
     _gate_ratio_separable,
     _probe,
     _ratios,
-    _twisted_g,
+    _twisted_line,
     _twisted_logpartial_mod,
+    _twisted_parts,
     _twisted_recover,
 )
 from ratforms.oracle import symbolic_rank
@@ -531,76 +532,107 @@ def test_specialized_ratio_with_a_zero_other_numerator_degenerates():
 
 
 @pytest.mark.parametrize(
-    "vals",
+    "expr, vals",
     [
-        {1: Fraction(3, 2), 2: Fraction(-5)},  # x-line: N_yx free, N_yz pinned
-        {0: Fraction(7), 2: Fraction(2, 3)},  # y-line: both free
-        {0: Fraction(4), 1: Fraction(-1, 3)},  # z-line: N_yx pinned, N_yz free
+        # x-line: N_yx is a list derivative, N_yz the pass's mixed partial
+        ("(x^2*y + z^3 + 1)/(x*y*z + 2) + x*z^2*y^2", {1: Fraction(3, 2), 2: Fraction(-5)}),
+        # y-line: both second partials are list derivatives
+        ("(x^2*y + z^3 + 1)/(x*y*z + 2) + x*z^2*y^2", {0: Fraction(7), 2: Fraction(2, 3)}),
+        # z-line: N_yx the mixed partial, N_yz a list derivative
+        ("(x^2*y + z^3 + 1)/(x*y*z + 2) + x*z^2*y^2", {0: Fraction(4), 1: Fraction(-1, 3)}),
+        # D has degree 0 in the pinned y, so its mixed partial is zero
+        ("(x^2 + y^3 + 1)/(x^2 + 1 - z^2 + z)", {1: Fraction(-2), 2: Fraction(5, 3)}),
+        ("(x^2 + y^3 + 1)/(x^2 + 1 - z^2 + z)", {0: Fraction(3), 1: Fraction(1, 2)}),
     ],
 )
-def test_twisted_g_on_a_line_matches_the_substituted_definition(vals):
-    f = parse("(x^2*y + z^3 + 1)/(x*y*z + 2) + x*z^2*y^2", TRI)
+def test_twisted_g_on_a_line_matches_the_substituted_definition(expr, vals):
+    f = parse(expr, TRI)
     N, D = f.num, f.den
     (free,) = set(range(3)) - set(vals)
+    point = [vals.get(t, 0) for t in range(3)]
 
     def sub(poly):
         return Poly(ref_subs(poly.terms, vals), 3)
 
-    part = _Fn(f).on_line([vals.get(t, 0) for t in range(3)], free)
-    for vs in ((), (0,), (1,), (2,), (1, 0), (1, 2), (1, 1)):
-        n, d = N, D
-        for v in vs:
-            n, d = n.derivative(v), d.derivative(v)
-        assert part(*vs) == (sub(n), sub(d))
+    # one term pass over each of N and D: the restriction, the three first
+    # partials and the second partial in the two pinned variables
+    jets = [h.line_jet(point, free, mixed=True) for h in (N, D)]
+    for k, vs in enumerate(((), (0,), (1,), (2,), tuple(set(range(3)) - {free}))):
+        for h, (scale, jet) in zip((N, D), jets):
+            for v in vs:
+                h = h.derivative(v)
+            assert Poly.from_coeffs(jet[k], free, 3, scale) == sub(h)
     # g_i = N_i D - N D_i and delta = (g_x)_y g_z - g_x (g_z)_y, built on the
-    # full polynomials and then restricted to the line
+    # full polynomials and then restricted to the line; the lists carry the
+    # product of the two jets' scales, and delta its square
     g = [N.derivative(i) * D - N * D.derivative(i) for i in range(3)]
     delta = g[0].derivative(1) * g[2] - g[0] * g[2].derivative(1)
-    got_g, got_delta = _twisted_g(part)
-    assert list(got_g) == [sub(gi) for gi in g]
-    assert got_delta == sub(delta)
+    got_g, got_delta = _twisted_line(_Fn(f), point, free)
+    scale = jets[0][0] * jets[1][0]
+    assert [Poly.from_coeffs(gi, free, 3, scale) for gi in got_g] == [sub(gi) for gi in g]
+    assert Poly.from_coeffs(got_delta, free, 3, scale**2) == sub(delta)
 
 
 def test_twisted_recovery_restricts_each_partial_once(monkeypatch):
-    # (x+y+z)^11 has delta = 0, so the gates turn it away; after them, run
-    # the recovery on it directly, and all eight attempts run, as they did
-    # when the gates passed every input with delta = 0.  A pinned partial of N or D is differentiated
-    # once per fitter, and N is read once per line: one jet pass (D = 1 is
-    # constant) gives N and its first partials on each attempt's y-line, so
-    # there are eight restrictions.  Re-deriving the partials on every
-    # attempt repeats 43 multivariate derivatives here, restricting every
-    # partial of N and N_y makes 64 restrictions, and restricting N, N_x
-    # and N_z separately makes 24.
-    derivs = Counter()
-    lines = []
-    derivative, line, line_jet = Poly.derivative, Poly.line, Poly.line_jet
+    # Every line the recovery reads takes one term pass over N and one over
+    # D (Poly.line_jet with the mixed partial), and no partial of N or D is
+    # differentiated as a multivariate polynomial: the second partial in
+    # the two pinned variables comes from that pass, and one in the free
+    # variable is the derivative of a list.  Restricting the cached second
+    # partials as well reads N_y and N_yx or N_yz in two more passes per
+    # line and differentiates N twice.
+    derivs, passes = [], Counter()
+    derivative, line_jet = Poly.derivative, Poly.line_jet
 
     def counted_derivative(self, i):
         if sum(any(e[v] for e in self.ints) for v in range(self.arity)) >= 2:
-            derivs[(self.content, frozenset(self.ints.items()), i)] += 1
+            derivs.append(i)
         return derivative(self, i)
 
-    def counted(restrict):
-        def counted_restrict(self, point, i):
-            if not self.is_constant:
-                lines.append((tuple(point), i))
-            return restrict(self, point, i)
+    def counted_jet(self, point, i, mixed=False):
+        assert mixed
+        passes[(self.content, frozenset(self.ints.items()), tuple(point), i)] += 1
+        return line_jet(self, point, i, mixed)
 
-        return counted_restrict
-
-    monkeypatch.setattr(Poly, "derivative", counted_derivative)
-    monkeypatch.setattr(Poly, "line", counted(line))
-    monkeypatch.setattr(Poly, "line_jet", counted(line_jet))
-    diag = {}
+    # (x+y+z)^11 has delta = 0, so the gates turn it away; after them, run
+    # the recovery on it directly: all eight attempts end on their y-line,
+    # read in one pass over N and one over D = 1
     P = parse("(x+y+z)^11", TRI)
-    fn, rng, p, seen = _Fn(P), rng_for(0, "fit-twisted:t"), DEFAULT_PRIMES[0], []
+    fn, p, seen = _Fn(P), DEFAULT_PRIMES[0], []
     for i in (0, 2):
         assert _probe(_twisted_logpartial_mod(fn, i, p, seen), fn.tries(p))
     assert seen == [False] * 4
-    assert _twisted_recover(fn, rng, None, DEFAULT_PRIMES, diag) is None
-    assert diag == {}
-    assert derivs and max(derivs.values()) == 1
-    assert 0 < len(lines) <= 8
+    monkeypatch.setattr(Poly, "derivative", counted_derivative)
+    monkeypatch.setattr(Poly, "line_jet", counted_jet)
+    diag = {}
+    assert _twisted_recover(fn, rng_for(0, "fit-twisted:t"), None, DEFAULT_PRIMES, diag) is None
+    assert diag == {} and derivs == []
+    assert sorted(i for *_, i in passes) == [1] * 16 and set(passes.values()) == {1}
+
+    # a twisted form, t/(t - 1) of (x^2 + y^3 + 1)/(y^3 + z^2 - z): one
+    # y-line, two x-lines and two z-lines, each read once for N and for D
+    passes.clear()
+    fn = _Fn(parse("(x^2 + y^3 + 1)/(x^2 + 1 - z^2 + z)", TRI))
+    parts = next(_twisted_parts(fn, rng_for(0, "fit-twisted:t")))
+    assert derivs == []
+    assert sorted(i for *_, i in passes) == [0] * 4 + [1] * 2 + [2] * 4 and set(passes.values()) == {1}
+    assert [[v for v in range(3) if not r.independent_of(v)] for r in parts] == [[0], [1], [2]]
+
+
+def test_twisted_parts_match_the_reference_recovery():
+    # the list recovery and the Poly/RatFun reference (synth.twisted_parts)
+    # give the same parts, draw by draw, on the golden twisted inputs and on
+    # 50 synthetic twisted inputs
+    golden = {report["function"] for run in json.loads(GOLDEN.read_text(encoding="utf-8"))
+              for report in run["reports"] if report["verdict"] == "twisted"}
+    rng = random.Random(3501)
+    inputs = [parse(f, TRI) for f in sorted(golden)] + [synth.make_twisted(rng) for _ in range(50)]
+    assert len(golden) >= 2
+    for P in inputs:
+        fn = _Fn(P.reduce())
+        got, want = (list(itertools.islice(parts(fn, rng_for(0, "fit-twisted:t")), 2))
+                     for parts in (_twisted_parts, synth.twisted_parts))
+        assert got and got == want
 
 
 @pytest.mark.parametrize("expr", ["(x+y+z)^11", "(x^2+1)*(y^2+1)*z", "y*(x+z)^2", "x^2*y*z"])

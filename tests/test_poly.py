@@ -9,7 +9,7 @@ from math import gcd
 
 import pytest
 
-from synth import ref_subs
+from synth import line, ref_subs
 import ratforms.poly as poly_module
 from ratforms.calculus import _mul
 from ratforms.poly import (
@@ -273,12 +273,12 @@ def test_line_matches_the_fraction_model():
     for rng, arity, ta, _tb in _cases(14):
         point = [rng.choice(values) for _ in range(arity)]
         for i in range(arity):
-            got = Poly(ta, arity).line(point, i)
+            got = line(Poly(ta, arity), point, i)
             _assert_canonical(got)
             assert dict(got.terms) == ref_subs(ta, {j: x for j, x in enumerate(point) if j != i})
     for arity in (1, 2, 3):
         zero, point = Poly.zero(arity), [Fraction(-2, 3)] * arity
-        assert zero.line(point, arity - 1) == zero
+        assert line(zero, point, arity - 1) == zero
         assert zero.eval_q(point) == 0
 
 
@@ -506,10 +506,10 @@ def test_line_of_a_high_power_reads_only_the_exponents_of_its_terms():
     e = 1 << 20
     q = Poly({(e, 1): Fraction(3, 2)}, 2)
     for x in (2, Fraction(1, 3)):
-        y_line = q.line((x, Fraction(-4, 9)), 1)
+        y_line = line(q, (x, Fraction(-4, 9)), 1)
         assert dict(y_line.terms) == {(0, 1): Fraction(3, 2) * Fraction(x) ** e}
     for y in (5, Fraction(5, 7)):
-        x_line = q.line((Fraction(1, 3), y), 0)
+        x_line = line(q, (Fraction(1, 3), y), 0)
         assert dict(x_line.terms) == {(e, 0): Fraction(3, 2) * y}
         assert x_line.content == Fraction(3, 2) * y
     assert q.eval_q((2, Fraction(5, 7))) == Fraction(3, 2) * 2 ** e * Fraction(5, 7)
@@ -536,7 +536,7 @@ def test_line_mod_is_the_exact_restriction_to_an_axis_parallel_line():
                 got = q.line_mod(point, i, p)
                 assert got == residues(restriction, arity, i, q.degree_in(i))
                 # the modular restriction is the exact one, reduced mod p
-                assert got == residues(q.line(point, i).terms, arity, i, q.degree_in(i))
+                assert got == residues(line(q, point, i).terms, arity, i, q.degree_in(i))
 
 
 def test_gcd_degree_bound_is_at_least_the_shared_degree():
@@ -656,7 +656,9 @@ def test_subresultant_gcd_is_primitive_with_a_positive_lead():
 def test_line_jet_is_the_line_of_each_first_partial():
     """One jet pass gives the restriction and those of every first partial,
     at integer, zero and fractional coordinates; arities 1 and 4 take the
-    padded and the general term loop."""
+    padded and the general term loop.  For three variables, the mixed jet
+    is the same jet and the restriction of the second partial in the two
+    pinned variables, also when one of them does not occur."""
     rng = random.Random(3001)
     coords = (lambda: rng.randint(-9, 9), lambda: 0, lambda: Fraction(rng.randint(-9, 9), rng.randint(2, 7)))
     for arity in (1, 2, 3, 4):
@@ -666,9 +668,23 @@ def test_line_jet_is_the_line_of_each_first_partial():
             for i in range(arity):
                 scale, jet = q.line_jet(point, i)
                 assert len(jet) == arity + 1
-                assert Poly.from_coeffs(jet[0], i, arity, scale) == q.line(point, i)
+                assert Poly.from_coeffs(jet[0], i, arity, scale) == line(q, point, i)
                 for v in range(arity):
-                    assert Poly.from_coeffs(jet[1 + v], i, arity, scale) == q.derivative(v).line(point, i)
+                    assert Poly.from_coeffs(jet[1 + v], i, arity, scale) == line(q.derivative(v), point, i)
+                if arity == 3:
+                    _assert_mixed_jet(q, point, i, scale, jet)
+    # y does not occur, so the mixed partial on an x- or z-line is zero
+    q = Poly({(2, 0, 1): Fraction(1), (1, 0, 0): Fraction(3), (0, 0, 2): Fraction(-2, 5)}, 3)
+    for i in range(3):
+        point = [Fraction(-3, 2), 4, 7]
+        _assert_mixed_jet(q, point, i, *q.line_jet(point, i))
+
+
+def _assert_mixed_jet(q, point, i, scale, jet):
+    u, v = (w for w in range(3) if w != i)
+    mixed_scale, mixed = q.line_jet(point, i, mixed=True)
+    assert (mixed_scale, mixed[:-1]) == (scale, jet)
+    assert Poly.from_coeffs(mixed[-1], i, 3, scale) == line(q.derivative(u).derivative(v), point, i)
 
 
 def _int_list(rng: random.Random, lo: int, hi: int, size: int = 9) -> list[int]:
