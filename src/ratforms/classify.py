@@ -237,12 +237,14 @@ def dependence_certificate(
     """Relation a(q)*p - b(q) stating P = (b/a)(s), or None.
 
     Every fitter builds s with P = q(s) for a univariate rational q, so the
-    certificate is that relation, of total degree at most dmax (by default
-    2 * (deg P + deg s)), fitted by rational interpolation and checked
-    exactly by composition_relation (which may raise LiftBudgetError).  It
-    is linear in p: a dependence of higher degree in p means P lies outside
-    Q(s), so s does not explain P and no certificate is returned.  An
-    independent pair has no relation to find, so the search rejects it.
+    certificate is that relation, fitted by rational interpolation and
+    checked exactly by composition_relation (which may raise
+    LiftBudgetError).  Its degree in q is deg P / deg s, as the degree of a
+    composition is multiplicative, so a cap dmax on its total degree (None:
+    no cap) only turns certificates away.  It is linear in p: a dependence
+    of higher degree in p means P lies outside Q(s), so s does not explain
+    P and no certificate is returned.  An independent pair has no relation
+    to find, so the search rejects it.
     """
     if P.arity != s.arity:
         raise ValueError("P and s must share one ambient variable list")
@@ -250,8 +252,7 @@ def dependence_certificate(
         raise ValueError("the fitted function s must be nonconstant")
     if P.is_constant:
         raise ValueError("P must be nonconstant")
-    bound = dmax if dmax is not None else 2 * max(1, P.total_degree() + s.total_degree())
-    ann = composition_relation(P, s, bound, primes=primes, seed=seed)
+    ann = composition_relation(P, s, dmax, primes=primes, seed=seed)
     if ann is None:
         return None
     # composition_relation only returns a relation that was proven to vanish

@@ -105,7 +105,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         dest="max_degree",
-        help="total-degree bound for the certificate (default: 2*(deg f + deg s))",
+        help="largest total degree in (p, q) a certificate may have (default: "
+        "no cap); the certificate of f = q(s) has degree deg f / deg s in q, "
+        "so a cap only turns certificates away",
     )
     ap.add_argument(
         "--probe-conjecture",

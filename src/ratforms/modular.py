@@ -85,13 +85,6 @@ def coprime_primes(primes: tuple[int, ...], den: int, count: int) -> Iterator[in
     return itertools.islice((q for q in walk if den % q), count)
 
 
-def inv_mod(a: int, p: int) -> int:
-    try:
-        return pow(a, -1, p)
-    except ValueError:
-        raise ZeroDivisionError(f"{a} not invertible mod {p}") from None
-
-
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
     """Residue mod m1*m2 congruent to r1 mod m1 and r2 mod m2 (coprime moduli)."""
     if gcd(m1, m2) != 1:
@@ -226,7 +219,7 @@ def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        inv = inv_mod(m[rank][col], p)
+        inv = pow(m[rank][col], -1, p)
         prow = m[rank]
         for j in range(col, ncols):
             prow[j] = prow[j] * inv % p

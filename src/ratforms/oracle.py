@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 
 from .modular import (
     DEFAULT_PRIMES,
@@ -325,52 +325,42 @@ def _proportional(A: Poly, P: RatFun, s: RatFun) -> bool:
 _CONFIRM_POINTS = 3
 
 
-class _Nodes:
-    """Interpolation nodes (s(w), P(w)) mod p, with pairwise distinct values
-    of s, at points w on lines parallel to an axis.
+def _nodes(s: RatFun, P: RatFun, count: int, p: int, rng) -> list[list[int]] | None:
+    """count interpolation nodes (s(w), P(w)) mod p, with pairwise distinct
+    values of a nonconstant s, at points w on lines parallel to an axis, or
+    None when a node runs out of draws.
 
-    Each line runs through a random point in a random variable that s
-    moves, and the numerators and denominators of s and P are restricted to
-    it once (Poly.line_mod), so a node costs one Horner step per
-    restriction: the black-box model of Kaltofen & Trager, J. Symbolic
-    Comput. 9 (1990).  A draw that hits a pole or repeats a value of s
-    moves to a fresh line; each node gets RETRIES draws.
+    Each line runs through a random point w in a random variable that s
+    moves, drawn in that order, and the numerators and denominators of s and
+    P are restricted to it once (Poly.line_mod), so a node costs one Horner
+    step per restriction: the black-box model of Kaltofen & Trager, J.
+    Symbolic Comput. 9 (1990).  A draw that hits a pole or repeats a value of
+    s moves to a fresh line; each node gets RETRIES draws.
     """
-
-    def __init__(self, s: RatFun, P: RatFun, p: int, rng):
-        self.polys = (s.num, s.den, P.num, P.den)
-        self.arity = s.arity
-        self.moved = [i for i in range(s.arity) if s.num.degree_in(i) or s.den.degree_in(i)]
-        self.p, self.rng = p, rng
-        self.line: list[list[int]] | None = None
-        self.seen: set[int] = set()
-        self.pts: list[list[int]] = []
-
-    def take(self, count: int) -> list[list[int]] | None:
-        """Every node drawn so far, at least count of them, or None when a
-        node runs out of draws."""
-        p, rng = self.p, self.rng
-        if not self.moved:  # a constant s has no nodes
+    polys = (s.num, s.den, P.num, P.den)
+    moved = [i for i in range(s.arity) if s.num.degree_in(i) or s.den.degree_in(i)]
+    line = None
+    seen: set[int] = set()
+    pts: list[list[int]] = []
+    while len(pts) < count:
+        for _ in range(RETRIES):
+            if line is None:
+                w = [rng.randrange(1, p) for _ in range(s.arity)]
+                i = rng.choice(moved)
+                line = [f.line_mod(w, i, p) for f in polys]
+            t = rng.randrange(1, p)
+            ns, ds, nP, dP = (_eval_uni_mod(f, t, p) for f in line)
+            if ds and dP:
+                inv = pow(ds * dP, -1, p)
+                v = ns * dP * inv % p
+                if v not in seen:
+                    seen.add(v)
+                    pts.append([v, nP * ds * inv % p])
+                    break
+            line = None
+        else:
             return None
-        while len(self.pts) < count:
-            for _ in range(RETRIES):
-                if self.line is None:
-                    w = [rng.randrange(1, p) for _ in range(self.arity)]
-                    i = rng.choice(self.moved)
-                    self.line = [f.line_mod(w, i, p) for f in self.polys]
-                t = rng.randrange(1, p)
-                ns, ds, nP, dP = (_eval_uni_mod(f, t, p) for f in self.line)
-                if ds and dP:
-                    inv = pow(ds * dP, -1, p)
-                    v = ns * dP * inv % p
-                    if v not in self.seen:
-                        self.seen.add(v)
-                        self.pts.append([v, nP * ds * inv % p])
-                        break
-                self.line = None
-            else:
-                return None
-        return self.pts
+    return pts
 
 
 def _cauchy_mod(nodes: list[list[int]], checks: list[list[int]], m: int, p: int) -> dict | None:
@@ -406,86 +396,59 @@ def _cauchy_mod(nodes: list[list[int]], checks: list[list[int]], m: int, p: int)
 def composition_relation(
     P: RatFun,
     s: RatFun,
-    dmax: int,
+    dmax: int | None = None,
     primes: tuple[int, ...] = DEFAULT_PRIMES,
     seed: int = 0,
 ) -> Poly | None:
     """Relation a(q)*p - b(q) with a(s)*P = b(s) exactly, or None.
 
     Finds P = (b/a)(s) for univariate a, b by rational (Cauchy)
-    interpolation of sampled pairs (s(w), P(w)) modulo the first pool prime.
-    The 2m + 1 interpolation nodes of degree bound m lie on lines parallel
-    to an axis (_Nodes).  On such a line P can be a function of s when it
-    is not one on the whole space (x^2 + y*z and s = x + y + z), so the fit
-    must also hold at _CONFIRM_POINTS points that are not taken from the
-    lines: general-position draws of pole_free_values, each of which lies on
-    a given node line with probability (p - 1)^-(n - 1) in n variables.
-    Each degree bound and prime is fitted once.  The first degree bound is
-    m = deg P / deg s, which is exact when P = q(s) is reduced; when no fit
-    holds there, the bound doubles from the next power of two, capped at
-    dmax.  Once a fit holds, the primes of
-    prime_pool(primes, [s, P]) (at most MAX_LIFT_PRIMES, plus one spare,
-    that divide no coefficient denominator of P or s) refit one at a time
-    at the degree it found, and _lift_and_verify reconstructs a candidate
-    after each: the relation is returned only if its total degree is at
-    most dmax and it is proven to vanish on (P, s), by homogenized
+    interpolation of sampled pairs (s(w), P(w)) at the one degree bound
+    m = deg P / deg s, after P and s are reduced.  That bound is exact: the
+    degree of a composition is multiplicative (Zippel, ISSAC 1991), and for
+    a multivariate s the homogenized a(N_h, D_h) and b(N_h, D_h) are coprime
+    forms of degree deg q * deg s that the new variable divides at most one
+    of, so a reduced P = q(s) has deg P = deg q * deg s.  When deg s does
+    not divide deg P, or m exceeds dmax, there is nothing to fit.  The 2m + 1
+    interpolation nodes lie on lines parallel to an axis (_nodes).  On such
+    a line P can be a function of s when it is not one on the whole space
+    (x^2 + y*z and s = x + y + z), so the fit must also hold at
+    _CONFIRM_POINTS points that are not taken from the lines:
+    general-position draws of pole_free_values, each of which lies on a
+    given node line with probability (p - 1)^-(n - 1) in n variables.  The
+    primes of prime_pool(primes, [s, P]) (at most MAX_LIFT_PRIMES, plus one
+    spare, that divide no coefficient denominator of P or s) fit once each,
+    on the monomials of total degree at most dmax (None: no cap), and
+    _lift_and_verify reconstructs a candidate after each: the relation is
+    returned only if it is proven to vanish on (P, s), by homogenized
     proportionality or, where that does not apply, by the exact expansion
     (_vanishes).
     Since s is nonconstant, every relation between P and s is then a
-    multiple of this one (Gauss's lemma), so it is also the relation
-    annihilating_poly([P, s], dmax) returns.  None carries no claim: P
-    may lie outside Q(s), or the samples were unlucky.  LiftBudgetError
-    says a lift spent all MAX_LIFT_PRIMES primes and none of them found it.
+    multiple of this one (Gauss's lemma), so annihilating_poly([P, s], d)
+    returns it at its total degree d.  None carries no claim: P may lie
+    outside Q(s), or the samples were unlucky.  LiftBudgetError says a lift
+    spent all MAX_LIFT_PRIMES primes and none of them found it.
     """
+    P, s = P.reduce(), s.reduce()
+    m, rem = divmod(P.total_degree(), s.total_degree())
+    if rem or (dmax is not None and m > dmax):
+        return None
+    support = {e for e in itertools.product((0, 1), range(m + 1)) if dmax is None or sum(e) <= dmax}
+    monos = sorted(support, key=grlex_key)
     fs = [s, P]
-    first = next(prime_pool(primes, fs, 1))
 
-    @cache
-    def samples(p):
+    def solve(p):
         rng = rng_for(seed, f"cauchy:p{p}")
-        return pole_free_values(fs, _CONFIRM_POINTS, p, rng), _Nodes(s, P, p, rng)
-
-    @cache
-    def fit(m, p):
-        confirm, nodes = samples(p)
-        n = 2 * m + 1
-        pts = nodes.take(n) if confirm is not None else None
-        if pts is None:
+        confirm = pole_free_values(fs, _CONFIRM_POINTS, p, rng)
+        nodes = None if confirm is None else _nodes(s, P, 2 * m + 1, p, rng)
+        fitted = None if nodes is None else _cauchy_mod(nodes, confirm, m, p)
+        if fitted is None or not fitted.keys() <= support:
             return None
-        # nodes beyond the first 2m + 1, drawn for a larger bound, check too
-        return _cauchy_mod(pts[:n], pts[n:] + confirm, m, p)
+        return [fitted.get(e, 0) for e in monos]
 
-    @cache
-    def lift(m):
-        # every prime refits with the degree m the first one found
-        support = {(1, i) for i in range(min(m, dmax - 1) + 1)}
-        support |= {(0, j) for j in range(m + 1)}
-        monos = sorted(support, key=grlex_key)
-
-        def solve(p):
-            fitted = fit(m, p)
-            if fitted is None or not fitted.keys() <= support:
-                return None
-            return [fitted.get(e, 0) for e in monos]
-
-        pool = prime_pool(primes, fs, MAX_LIFT_PRIMES + 1)
-        cand = _lift_and_verify([P, s], monos, pool, solve, seed)
-        # the lift has drawn the whole pool only if it ran out of primes
-        spent.append(cand is None and next(pool, None) is None)
-        return cand
-
-    spent = []
-    bound = min(max(1, P.total_degree() // s.total_degree()), dmax)
-    while True:
-        rel = fit(bound, first)
-        if rel is not None and max(map(sum, rel)) <= dmax:
-            # a larger bound refits the same relation at the first prime,
-            # so each degree is lifted once (lift is cached)
-            cand = lift(max(e[1] for e in rel))
-            if cand is not None:
-                return cand
-        if bound >= dmax:
-            if any(spent):
-                raise LiftBudgetError(f"no relation within {MAX_LIFT_PRIMES} lift primes")
-            return None
-        bound = min(1 << bound.bit_length(), dmax)
+    pool = prime_pool(primes, fs, MAX_LIFT_PRIMES + 1)
+    cand = _lift_and_verify([P, s], monos, pool, solve, seed)
+    # the lift has drawn the whole pool only if it ran out of primes
+    if cand is None and next(pool, None) is None:
+        raise LiftBudgetError(f"no relation within {MAX_LIFT_PRIMES} lift primes")
+    return cand

@@ -17,7 +17,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .modular import RETRIES, inv_mod
+from .modular import RETRIES
 from .poly import Poly, Term, _add_scaled, divexact, poly_gcd
 
 EXPONENT_CAP = 1 << 20
@@ -251,7 +251,7 @@ class RatFun:
         dv = self.den.eval_mod(point, p)
         if dv == 0:
             raise PoleError(f"pole mod {p} at {tuple(point)}")
-        return self.num.eval_mod(point, p) * inv_mod(dv, p) % p
+        return self.num.eval_mod(point, p) * pow(dv, -1, p) % p
 
     # -- substitution ----------------------------------------------------------------
 
@@ -352,7 +352,7 @@ def pole_free(read, arity: int, count: int, p: int, rng):
 def pole_free_values(fs: list[RatFun], count: int, p: int, rng) -> list[list[int]] | None:
     """Values mod p of the functions fs at `count` points drawn by
     pole_free, or None when a point runs out of draws: the certificate
-    fit's confirm points (its nodes lie on lines, see oracle._Nodes), the
+    fit's confirm points (its nodes lie on lines, see oracle._nodes), the
     spot values, verify_certificate and the dense relation search.
     """
     out = []

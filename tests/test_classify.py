@@ -103,6 +103,59 @@ def test_certificate_respects_max_degree():
     assert dependence_certificate(parse("(x+y)^3", BI), parse("x+y", BI), dmax=2) is None
 
 
+def test_a_certificate_has_degree_deg_P_over_deg_s_in_q(monkeypatch):
+    # the degree of a composition is multiplicative, so the certificate of
+    # P = q(s) has degree deg P / deg s in q, the one bound that each
+    # composition_relation call fits, once per prime; with no degree cap the
+    # search finds the certificate of every positive golden report and of
+    # 20 synthetic inputs per canonical form
+    fits, calls = [], []
+    cauchy, relate = oracle._cauchy_mod, classify.composition_relation
+
+    def spy_fit(nodes, checks, m, p):
+        fits.append((p, m))
+        return cauchy(nodes, checks, m, p)
+
+    def spy_relate(*args, **kwargs):
+        fits.clear()
+        rel = relate(*args, **kwargs)
+        calls.append(list(fits))
+        return rel
+
+    monkeypatch.setattr(oracle, "_cauchy_mod", spy_fit)
+    monkeypatch.setattr(classify, "composition_relation", spy_relate)
+    pq = ("p", "q")
+    cases = {
+        (r["function"], tuple(r["vars"])): (r["fitted"]["s"], r["certificate"]["annihilator"])
+        for run in json.loads(GOLDEN.read_text(encoding="utf-8"))
+        for r in run["reports"] if r["certificate"]
+    }
+    cases = [(parse(f, names), parse(s, names), parse(ann, pq).num) for (f, names), (s, ann) in cases.items()]
+    assert len(cases) >= 10
+    rng = random.Random(3601)
+    makers = (
+        synth.make_additive,
+        synth.make_multiplicative,
+        lambda rng: synth.make_field(rng)[0],
+        synth.make_twisted,
+        synth.make_bivariate_additive,
+        synth.make_bivariate_multiplicative,
+    )
+    for make in makers:
+        for _ in range(20):
+            P = make(rng)
+            rep = _classify(P)
+            assert rep.certificate is not None
+            cases.append((P, rep.fitted["s"], rep.certificate.annihilator))
+    for P, s, ann in cases:
+        assert ann.degree_in(1) * s.total_degree() == P.total_degree()
+        assert classify.composition_relation(P, s) == ann
+    assert len(calls) >= len(cases)
+    for fitted in calls:
+        assert len({p for p, _ in fitted}) == len(fitted)
+        assert len({m for _, m in fitted}) <= 1
+
+
 def test_certificate_found_without_dense_search(monkeypatch):
     import ratforms.oracle
 

@@ -267,8 +267,12 @@ def test_an_unreduced_s_falls_back_to_the_expansion(monkeypatch):
     x, y = (parse(v, BI).num for v in BI)
     s = RatFun.raw((x + y) * (x + 1), (x - y) * (x + 1))
     P = parse("((x+y)/(x-y))^2", BI)
-    rel = composition_relation(P, s, 4)
-    assert rel == parse("p - q^2", ("p", "q")).num
+    rel = parse("p - q^2", ("p", "q")).num
+    spare = tuple(prime_pool(DEFAULT_PRIMES, [P, s], 2))[1:]
+    assert oracle._vanishes(rel, [P, s], spare, 0)
+    assert len(calls) == 1
+    # composition_relation reduces s first, so proportionality settles it
+    assert composition_relation(P, s, 4) == rel
     assert len(calls) == 1
 
 
@@ -313,15 +317,15 @@ def _counted_points(monkeypatch) -> tuple[list, list]:
         points.append((p, len(pts or ())))
         return pts
 
-    take = oracle._Nodes.take
+    draw = oracle._nodes
 
-    def counted_nodes(self, count):
-        pts = take(self, count)
-        nodes.append((self.p, len(pts or ())))
+    def counted_nodes(s, P, count, p, rng):
+        pts = draw(s, P, count, p, rng)
+        nodes.append((p, len(pts or ())))
         return pts
 
     monkeypatch.setattr(oracle, "pole_free_values", counted)
-    monkeypatch.setattr(oracle._Nodes, "take", counted_nodes)
+    monkeypatch.setattr(oracle, "_nodes", counted_nodes)
     return points, nodes
 
 
@@ -338,10 +342,10 @@ def _counted_fits(monkeypatch) -> list:
 
 
 def test_a_one_prime_relation_samples_one_fit_and_one_spot_value(monkeypatch):
-    # the fit starts at m = deg P / deg s = 12; its 2m + 1 nodes and
+    # the fit is at m = deg P / deg s = 12; its 2m + 1 nodes and
     # _CONFIRM_POINTS confirm points at the first prime reconstruct
-    # p - q^12 in one Cauchy fit, which the lift reuses, and one spot value
-    # at the second prime precedes the proportionality test
+    # p - q^12 in one Cauchy fit, and one spot value at the second prime
+    # precedes the proportionality test
     points, nodes = _counted_points(monkeypatch)
     fits = _counted_fits(monkeypatch)
     P, s = parse("(x+y+z)^12", TRI), parse("x+y+z", TRI)
@@ -361,39 +365,72 @@ def test_nodes_move_to_a_fresh_line_when_s_repeats(s):
         assert len({x * x * y % p for x in range(1, p)}) == 6
     P, s = parse(f"{s} + 1", BI), parse(s, BI)
     for seed in range(5):
-        pts = oracle._Nodes(s, P, p, random.Random(seed)).take(7)
+        pts = oracle._nodes(s, P, 7, p, random.Random(seed))
         assert pts is not None and len(pts) == 7
         assert len({t for t, _ in pts}) == 7
         assert all(v == (t + 1) % p for t, v in pts)
 
 
+def test_nodes_draw_a_point_then_a_variable_per_line():
+    # the seeded stream behind every certificate: a line's point w, then
+    # its variable i, then one t per node on that line while nodes hold
+    p, seed = 101, 7
+    s, P = parse("x + 2*y^2", BI), parse("(x + 2*y^2)^2 + 1", BI)
+    rng = random.Random(seed)
+    w = [rng.randrange(1, p) for _ in BI]
+    i = rng.choice([0, 1])
+    want = []
+    for _ in range(2):
+        w[i] = rng.randrange(1, p)
+        want.append([s.eval_mod(w, p), P.eval_mod(w, p)])
+    assert oracle._nodes(s, P, 2, p, random.Random(seed)) == want
+
+
 @pytest.mark.parametrize(
-    "P, s, bounds",
+    "P, s",
     [
-        # along any line parallel to an axis each P is a function of s, so
-        # only the confirm points, which are off the lines, reject its fits;
-        # the degree bound starts at deg P // deg s and doubles up to dmax
-        ("x^2 + y*z", "x + y + z", [2, 4, 8, 12]),
-        ("x^2*y + z", "x*y + z", [1, 2, 4, 8, 12]),
+        # along any line parallel to an axis each P is a function of s, of
+        # degree deg P / deg s = 2, so only the confirm points, which are
+        # off the lines, reject its fit; no larger bound can succeed where
+        # that one failed, so no other bound or prime is tried
+        ("x^2 + y*z", "x + y + z"),
+        ("x^2*y^2 + z", "x*y + z"),
     ],
 )
-def test_a_fit_on_the_node_lines_is_rejected_by_the_confirm_points(monkeypatch, P, s, bounds):
-    def no_lift(*args):
-        raise AssertionError("_lift_and_verify called")
+def test_a_fit_on_the_node_lines_is_rejected_by_the_confirm_points(monkeypatch, P, s):
+    def no_check(*args):
+        raise AssertionError("a candidate reached _vanishes")
 
     fits = []
     cauchy = oracle._cauchy_mod
 
     def spy(nodes, checks, m, p):
         # the nodes alone admit a fit; the checks refute it
-        fits.append((m, cauchy(nodes, [], m, p) is not None, cauchy(nodes, checks, m, p)))
-        return fits[-1][2]
+        fits.append((p, m, cauchy(nodes, [], m, p) is not None, cauchy(nodes, checks, m, p)))
+        return fits[-1][3]
 
-    monkeypatch.setattr(oracle, "_lift_and_verify", no_lift)
+    monkeypatch.setattr(oracle, "_vanishes", no_check)
     monkeypatch.setattr(oracle, "_cauchy_mod", spy)
     assert composition_relation(parse(P, TRI), parse(s, TRI), 12) is None
-    assert [m for m, _, _ in fits] == bounds
-    assert all(on_lines and rel is None for _, on_lines, rel in fits)
+    assert [(p, m) for p, m, _, _ in fits] == [(DEFAULT_PRIMES[0], 2)]
+    assert all(on_lines and rel is None for _, _, on_lines, rel in fits)
+
+
+@pytest.mark.parametrize(
+    "P, s, dmax, primes",
+    [
+        # deg P = 3 is no multiple of deg s = 2, so P = q(s) is impossible
+        ("x^2*y + z", "x*y + z", 12, DEFAULT_PRIMES),
+        # P = (q + 1)^12 has degree 12 in q, above the cap, so nothing is
+        # fitted; modulo 4-bit primes a fit of degree 2 can hold by chance
+        ("(x*y*z+1)^12", "x*y*z", 2, (13, 11)),
+    ],
+)
+def test_a_pair_with_no_certificate_by_degree_draws_no_node(monkeypatch, P, s, dmax, primes):
+    points, nodes = _counted_points(monkeypatch)
+    fits = _counted_fits(monkeypatch)
+    assert composition_relation(parse(P, TRI), parse(s, TRI), dmax, primes=primes) is None
+    assert points == nodes == fits == []
 
 
 # the constant p1 + 5 reads 5 modulo the first default prime p1
