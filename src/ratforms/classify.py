@@ -13,7 +13,7 @@ that NORMAL_FORMS fixes, builds s from TEMPLATES and backs the verdict with a
 machine-checkable dependence certificate: the relation a(q)*p - b(q)
 stating P = (b/a)(s), checked exactly when it is found (its homogenized
 parts in (N_s, D_s) are proportional to D_P and -N_P, see
-oracle._vanishes) and re-checked from scratch by verify_certificate's
+oracle._proportional) and re-checked from scratch by verify_certificate's
 full expansion.
 
 fit_bivariate and classify_trivariate share one pipeline: the
@@ -48,7 +48,7 @@ from operator import mul as _times, sub as _minus
 from .calculus import _deriv, _mul, _scale, _sub, hermite_antiderivative, logderiv_integrate
 from .dimension import image_dimension, is_nondegenerate
 from .modular import DEFAULT_PRIMES, RETRIES, rng_for
-from .oracle import LiftBudgetError, composition_relation, prime_pool
+from .oracle import composition_relation, prime_pool
 from .poly import Poly, _dense_gcd, grlex_key
 from .ratfun import (
     DegenerateSpecializationError,
@@ -75,9 +75,8 @@ class DependenceCertificate:
     annihilator is a nonzero bivariate polynomial in slots (p, q) with
     annihilator(P, s) = 0 as a function; the fitters' certificates are
     a(q)*p - b(q), that is P = (b/a)(s).  verified records that
-    annihilator(P, s) = 0 was checked exactly when the relation was found:
-    by homogenized proportionality, or by the exact expansion where that
-    test does not apply (see oracle._vanishes).
+    annihilator(P, s) = 0 was checked exactly when the relation was found,
+    by homogenized proportionality (see oracle._proportional).
     """
 
     annihilator: Poly
@@ -211,9 +210,8 @@ def _twisted_normal(r, i, n):
 #:   B and r_i are primitive, so s = r_i * B^n is.
 #: - Twisted: (r1 + c, r2 - c, r3 + c) gives r2's polynomial part constant
 #:   term 0, and a common scale makes r2 + r3 primitive; s does not change.
-#: A small s needs few certificate lift primes: rational reconstruction
-#: needs a modulus above about twice the square of a coefficient's height
-#: (von zur Gathen & Gerhard, Modern Computer Algebra, 5.10).
+#: A scale of s is raised to the degree of q in the certificate, so the
+#: normalized s also keeps the certificate's coefficients small.
 NORMAL_FORMS = {
     "GroupAdditive": _additive_normal,
     "GroupMultiplicative": _multiplicative_normal,
@@ -231,15 +229,14 @@ def dependence_certificate(
     P: RatFun,
     s: RatFun,
     dmax: int | None = None,
-    primes: tuple[int, ...] = DEFAULT_PRIMES,
     seed: int = 0,
 ) -> DependenceCertificate | None:
     """Relation a(q)*p - b(q) stating P = (b/a)(s), or None.
 
     Every fitter builds s with P = q(s) for a univariate rational q, so the
-    certificate is that relation, fitted by rational interpolation and
-    checked exactly by composition_relation (which may raise
-    LiftBudgetError).  Its degree in q is deg P / deg s, as the degree of a
+    certificate is that relation, interpolated exactly on one line and
+    checked exactly by composition_relation; it depends on neither the
+    primes nor the seed.  Its degree in q is deg P / deg s, as the degree of a
     composition is multiplicative, so a cap dmax on its total degree (None:
     no cap) only turns certificates away.  It is linear in p: a dependence
     of higher degree in p means P lies outside Q(s), so s does not explain
@@ -252,7 +249,7 @@ def dependence_certificate(
         raise ValueError("the fitted function s must be nonconstant")
     if P.is_constant:
         raise ValueError("P must be nonconstant")
-    ann = composition_relation(P, s, dmax, primes=primes, seed=seed)
+    ann = composition_relation(P, s, dmax, seed=seed)
     if ann is None:
         return None
     # composition_relation only returns a relation that was proven to vanish
@@ -488,22 +485,17 @@ def _decomposed_detail(fn: _Fn, p: int) -> tuple[bool, dict[str, bool]]:
     return all(detail.values()), detail
 
 
-def _certified(verdict, parts, key, fn, dmax, primes, diag, pivot=None, exponent=None):
+def _certified(verdict, parts, key, fn, dmax, diag, pivot=None, exponent=None):
     """Certify P = q(s), P = fn.f, for s = TEMPLATES[verdict](parts, pivot, exponent),
     the parts first normalized by NORMAL_FORMS[verdict], the one call of
     dependence_certificate: record diagnostic key True and return the
-    report, or record key_certificate False (fit_twisted records Twisted's),
-    and budget_certificate_lift True on a LiftBudgetError, and return None.
-    A constant s raises DegenerateSpecializationError."""
+    report, or record key_certificate False (fit_twisted records Twisted's)
+    and return None.  A constant s raises DegenerateSpecializationError."""
     parts = NORMAL_FORMS[verdict](parts, pivot, exponent)
     s = TEMPLATES[verdict](parts, pivot, exponent)
     if s.is_constant:
         raise DegenerateSpecializationError("the fitted parts give a constant s")
-    try:
-        cert = dependence_certificate(fn.f, s, dmax=dmax, primes=primes, seed=fn.seed)
-    except LiftBudgetError:
-        diag["budget_certificate_lift"] = True
-        cert = None
+    cert = dependence_certificate(fn.f, s, dmax=dmax, seed=fn.seed)
     if cert is None:
         if verdict != "Twisted":
             diag[f"{key}_certificate"] = False
@@ -561,7 +553,7 @@ def fit_group(
     except (ValueError, ZeroDivisionError):
         rs = [None]
     if all(r is not None for r in rs):
-        report = _certified("GroupAdditive", rs, "group_additive", fn, dmax, primes, diag)
+        report = _certified("GroupAdditive", rs, "group_additive", fn, dmax, diag)
         if report is not None:
             return report
     else:
@@ -571,7 +563,7 @@ def fit_group(
     if rs is None:
         diag[f"group_multiplicative_{reason}"] = False
         return None
-    return _certified("GroupMultiplicative", rs, "group_multiplicative", fn, dmax, primes, diag)
+    return _certified("GroupMultiplicative", rs, "group_multiplicative", fn, dmax, diag)
 
 
 def _solve_beta(fn: _Fn, i: int, j: int, uj: RatFun, rj: RatFun, rl: RatFun, rng) -> Fraction | None:
@@ -702,7 +694,7 @@ def fit_field(
             continue
         rs = [rj, rl]
         rs.insert(i, gs[0] ** c.denominator)
-        report = _certified("Field", rs, tag, fn, dmax, primes, diag, pivot=i + 1, exponent=n)
+        report = _certified("Field", rs, tag, fn, dmax, diag, pivot=i + 1, exponent=n)
         if report is not None:
             return report
     return None
@@ -830,11 +822,11 @@ def _twisted_parts(fn: _Fn, rng):
         yield r1, r2, r3
 
 
-def _twisted_recover(fn, rng, dmax, primes, diag):
+def _twisted_recover(fn, rng, dmax, diag):
     """Certify the first parts of _twisted_parts with a nonconstant s, or None."""
     for parts in _twisted_parts(fn, rng):
         try:
-            return _certified("Twisted", parts, "twisted", fn, dmax, primes, diag)
+            return _certified("Twisted", parts, "twisted", fn, dmax, diag)
         except (DegenerateSpecializationError, ZeroDivisionError):
             continue  # r2 + r3 = 0, or a constant s
     return None
@@ -864,7 +856,7 @@ def fit_twisted(
                and any(seen) for i in (0, 2)):
         diag["twisted_gates"] = False
         return None
-    report = _twisted_recover(fn, rng_for(fn.seed, "fit-twisted:t"), dmax, primes, diag)
+    report = _twisted_recover(fn, rng_for(fn.seed, "fit-twisted:t"), dmax, diag)
     if report is None:
         diag["twisted_gates"] = True
     return report

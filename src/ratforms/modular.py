@@ -1,6 +1,6 @@
 """Modular-arithmetic utilities: primality, prime selection, CRT and
-rational reconstruction, univariate interpolation and division and row
-reduction over GF(p), plus deterministic seed derivation.
+rational reconstruction, univariate division and row reduction over
+GF(p), plus deterministic seed derivation.
 
 Everything here is deterministic.  Randomized callers derive their RNG
 from (seed, label) pairs via :func:`derive_seed` so that identical
@@ -15,7 +15,7 @@ import random
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 
 # The two largest 31-bit primes; defaults for every sampling backend.
 DEFAULT_PRIMES = (2147483647, 2147483629)
@@ -29,9 +29,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin; deterministic for n < 3.3e24 with the fixed bases.
 
-    Memoised: every certificate search walks the same integers below its
-    sampling primes (see coprime_primes), so the walk tests each one once
-    per process; the bound keeps the cache small under any walk.
+    Memoised: a prime pool that passes over a given prime (see
+    coprime_primes) walks the same integers below it on every call, so the
+    walk tests each one once per process; the bound keeps the cache small
+    under any walk.
     """
     if n < 2:
         return False
@@ -138,51 +139,6 @@ def _eval_uni_mod(f: list[int], t: int, p: int) -> int:
     for c in reversed(f):
         v = (v * t + c) % p
     return v
-
-
-def _node_poly(ts: list[int], p: int) -> list[int]:
-    """The node polynomial prod (t - t_i) mod p, as a coefficient list."""
-    m = [1]
-    for t in ts:
-        # m <- m * (t - t_i), highest coefficient last
-        m = [-t * m[0] % p] + [(a - t * b) % p for a, b in zip(m, m[1:])] + [1]
-    return m
-
-
-def _inv_all(xs: list[int], p: int) -> list[int]:
-    """The inverses mod p of nonzero residues, with one modular inversion
-    (von zur Gathen & Gerhard, Modern Computer Algebra, 5.2); it inverts
-    the Lagrange weights of the certificate fit's _interpolate_mod."""
-    prefix = [1]
-    for x in xs:
-        prefix.append(prefix[-1] * x % p)
-    inv = pow(prefix[-1], -1, p)
-    out = [0] * len(xs)
-    for i in range(len(xs) - 1, -1, -1):
-        out[i] = inv * prefix[i] % p
-        inv = inv * xs[i] % p
-    return out
-
-
-def _interpolate_mod(ts: list[int], vs: list[int], p: int, m: list[int]) -> list[int]:
-    """The polynomial of degree < len(ts) through the points (t_i, v_i).
-
-    Lagrange form over the node polynomial m = prod (t - t_i) (_node_poly):
-    the sum of v_i w_i m / (t - t_i), with the weights
-    w_i = 1 / m'(t_i) = 1 / prod_(j != i) (t_i - t_j) inverted together,
-    and each quotient added in by one synthetic division.
-    """
-    n = len(ts)
-    weights = _inv_all([prod([t - u for u in ts if u != t]) % p for t in ts], p)
-    out = [0] * n
-    for t, v, w in zip(ts, vs, weights):
-        c = v * w % p
-        if c:
-            q = m[n]
-            for k in range(n - 1, -1, -1):
-                out[k] += c * q
-                q = (m[k] + t * q) % p
-    return _trim([c % p for c in out])
 
 
 def _divmod_mod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:

@@ -3,16 +3,17 @@
 symbolic_rank eliminates the *symbolic* Jacobian with fraction-free
 Bareiss steps, so its answer is exact and shares no randomness with
 image_dimension.  composition_relation finds the relation a(q)*p - b(q) of
-P = (b/a)(s) by rational interpolation at nodes on lines parallel to an
-axis, confirmed at points in general position; it is the only search
-behind the dependence certificates.  annihilating_poly is a standalone
-search for a polynomial relation among any given functions, over all
-monomials of each degree, at points in general position.  Both lift
-per-prime fits one prime at a time, reconstruct a candidate after every
-prime and refute a false one by its value modulo a prime not yet
+P = (b/a)(s) by exact interpolation of its two homogenized parts at nodes
+on one line parallel to an axis, and proves it by their proportionality
+(_proportional); it is the only search behind the dependence certificates,
+and it evaluates nothing modulo a prime.  annihilating_poly is a
+standalone search for a polynomial relation among any given functions,
+over all monomials of each degree, at points in general position; it lifts
+per-prime fits one prime at a time, reconstructs a candidate after every
+prime and refutes a false one by its value modulo a prime not yet
 combined, within MAX_LIFT_PRIMES primes (_lift_and_verify).
 Every returned relation is proven to vanish exactly, never by sampling
-alone (see _vanishes).
+alone.
 """
 
 from __future__ import annotations
@@ -21,38 +22,31 @@ import itertools
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import partial
+from math import lcm, prod
 
 from .modular import (
     DEFAULT_PRIMES,
     RETRIES,
-    _divmod_mod,
-    _eval_uni_mod,
-    _interpolate_mod,
-    _node_poly,
-    _trim,
     coprime_primes,
     crt_pair,
     nullspace_vector_mod,
     rational_reconstruct,
     rng_for,
 )
-from .calculus import _mul, _sub
-from .poly import Poly, divexact, grlex_key
+from .calculus import _eval
+from .poly import Poly, _axis_line, _qpowers, divexact, grlex_key
 from .ratfun import RatFun, compose_numerator, pole_free_values
 from .dimension import DoublingMap
 
 MAX_ORACLE_DEGREE = 6
-#: Primes a certificate lift may combine.  Its pool holds one more, so a
-#: prime the lift has not combined is always left for the spot value.
+#: Primes the lift of annihilating_poly may combine.  Its pool holds one
+#: more, so a prime the lift has not combined is always left for the spot
+#: value.
 MAX_LIFT_PRIMES = 24
 
 
 class OracleGuardError(ValueError):
     """Input outside the size range the exact oracle is willing to handle."""
-
-
-class LiftBudgetError(ArithmeticError):
-    """No relation found, and a lift spent all MAX_LIFT_PRIMES primes."""
 
 
 def symbolic_rank(dm: DoublingMap) -> int:
@@ -217,7 +211,8 @@ def prime_pool(primes: tuple[int, ...], fs: list[RatFun], count: int) -> Iterato
 
 
 def _lift_and_verify(fs, monos, pool, solve, seed):
-    """Relation with coefficients on monos from per-prime vectors, or None.
+    """Relation with coefficients on monos from per-prime vectors, or None:
+    the lift of annihilating_poly.
 
     solve(p) returns the coefficient vector mod p, scaled the same way at
     every prime, or None.  None at the first pool prime ends the search; at
@@ -260,16 +255,17 @@ def _lift_and_verify(fs, monos, pool, solve, seed):
 
 
 def _vanishes(A: Poly, fs: list[RatFun], spare, seed: int) -> bool:
-    """Is A(f_1, ..., f_k) the zero function?  Exact, in three steps.
+    """Is A(f_1, ..., f_k) the zero function, for a candidate of
+    _lift_and_verify?  Exact, in three steps.
 
     A nonzero value of A at one random pole-free point modulo the first
     spare prime that yields a point is an exact disproof.  The spares must
     be primes the lift did not combine: a CRT candidate vanishes modulo its
     own lift primes whether or not it is true.  A relation linear in its
     first slot, between two functions, then holds when its homogenized
-    parts are proportional to f_1 (_proportional); that settles every true
-    certificate of a reduced s without a large product.  When neither step
-    decides, the exact expansion of compose_numerator does.
+    parts are proportional to f_1 (_proportional), which settles a relation
+    a(q)*p - b(q) of a reduced f_2 without a large product.  When neither
+    step decides, the exact expansion of compose_numerator does.
     """
     for p in spare:
         pts = pole_free_values(fs, 1, p, rng_for(seed, f"spot:p{p}"))
@@ -291,8 +287,8 @@ def _proportional(A: Poly, P: RatFun, s: RatFun) -> bool:
     which vanishes when alpha = lam D_P and gamma = -lam N_P for one
     rational lam.  For reduced P and s and a relation a(q) p - b(q) with
     coprime a and b that is also necessary (a common factor of alpha and
-    gamma would divide a power of N_s and of D_s), so a False here only
-    sends the caller to its other checks.
+    gamma would divide a power of N_s and of D_s): a False refutes the
+    candidate of composition_relation, and sends _vanishes on to its checks.
     """
     E = A.degree_in(1)
     # A's content scales alpha and gamma alike, so its integer part suffices
@@ -317,138 +313,123 @@ def _proportional(A: Poly, P: RatFun, s: RatFun) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# composition relations by Cauchy interpolation
+# composition relations by exact interpolation
 # ---------------------------------------------------------------------------
 
-#: Sample points beyond the 2m + 1 interpolation nodes that a fitted
-#: relation must also satisfy before it is lifted.
-_CONFIRM_POINTS = 3
+def _restrict(f: Poly, point, i: int) -> list[int]:
+    """The integer terms of f restricted to the line through an integer
+    point parallel to the x_i axis: coefficients in x_i, lowest first, to be
+    multiplied by f.content; one pass over the terms."""
+    rows, degs, _, _ = _qpowers(f.ints, point, i)
+    return _axis_line(f.ints, rows, i, degs[i])
 
 
-def _nodes(s: RatFun, P: RatFun, count: int, p: int, rng) -> list[list[int]] | None:
-    """count interpolation nodes (s(w), P(w)) mod p, with pairwise distinct
-    values of a nonconstant s, at points w on lines parallel to an axis, or
-    None when a node runs out of draws.
+def _line_nodes(s: RatFun, P: RatFun, count: int, rng) -> list[tuple[int, int, int, int]] | None:
+    """count nodes (n, d, v, u) with pairwise distinct n/d, or None when
+    RETRIES lines run short.
 
-    Each line runs through a random point w in a random variable that s
-    moves, drawn in that order, and the numerators and denominators of s and
-    P are restricted to it once (Poly.line_mod), so a node costs one Horner
-    step per restriction: the black-box model of Kaltofen & Trager, J.
-    Symbolic Comput. 9 (1990).  A draw that hits a pole or repeats a value of
-    s moves to a fresh line; each node gets RETRIES draws.
+    Each line runs through a point with coordinates in 1..15 and is parallel
+    to the axis of a variable that s moves, drawn in that order; N_s, D_s,
+    N_P and D_P are restricted to it exactly, once each (_restrict), and
+    read at x = 0, 1, 2, ... as the integers n, d, v and u, each its
+    polynomial's value divided by the content.  A node skips a point where
+    D_s vanishes and a repeated value n/d of s.  Where s has degree k > 0 on
+    the line, it has at most k poles and takes each value at most k times,
+    so (count + 1) * k points hold count nodes unless s is constant or
+    undefined on the line; then the search moves to a fresh line.
     """
     polys = (s.num, s.den, P.num, P.den)
     moved = [i for i in range(s.arity) if s.num.degree_in(i) or s.den.degree_in(i)]
-    line = None
-    seen: set[int] = set()
-    pts: list[list[int]] = []
-    while len(pts) < count:
-        for _ in range(RETRIES):
-            if line is None:
-                w = [rng.randrange(1, p) for _ in range(s.arity)]
-                i = rng.choice(moved)
-                line = [f.line_mod(w, i, p) for f in polys]
-            t = rng.randrange(1, p)
-            ns, ds, nP, dP = (_eval_uni_mod(f, t, p) for f in line)
-            if ds and dP:
-                inv = pow(ds * dP, -1, p)
-                v = ns * dP * inv % p
-                if v not in seen:
-                    seen.add(v)
-                    pts.append([v, nP * ds * inv % p])
-                    break
-            line = None
-        else:
-            return None
-    return pts
+    for _ in range(RETRIES):
+        w = [rng.randint(1, 15) for _ in range(s.arity)]
+        i = rng.choice(moved)
+        ns, ds, vs, us = (_restrict(f, w, i) for f in polys)
+        seen: set[Fraction] = set()
+        nodes = []
+        for x in range((count + 1) * (max(len(ns), len(ds)) - 1)):
+            n, d = _eval(ns, x), _eval(ds, x)
+            if d and (t := Fraction(n, d)) not in seen:
+                seen.add(t)
+                nodes.append((n, d, _eval(vs, x), _eval(us, x)))
+                if len(nodes) == count:
+                    return nodes
+    return None
 
 
-def _cauchy_mod(nodes: list[list[int]], checks: list[list[int]], m: int, p: int) -> dict | None:
-    """Relation a(q)*p - b(q) mod p with deg a, deg b <= m, or None.
+def _interpolate(nodes: list[tuple[int, int, int, int]]) -> tuple[list[int], list[int]]:
+    """W times the polynomials of degree <= m through the points
+    (n/d, v / d^m) and through the points (n/d, u / d^m), for m + 1 nodes
+    (n, d, v, u) of pairwise distinct n/d and one integer W that depends on
+    n and d alone.
 
-    nodes holds 2m + 1 pairs (t_i, v_i) = (s, P) with distinct t_i; they
-    fix b/a: the half-extended Euclidean algorithm on (prod (t - t_i), U),
-    with U interpolating them, stops at the first remainder of degree <= m,
-    which is b, with its cofactor a (von zur Gathen & Gerhard, Modern
-    Computer Algebra, 5.7-5.9).  The pairs of checks must satisfy the
-    relation too.  The result maps exponents in (p, q) to residues, scaled
-    so that the grlex-leading one is 1.
+    Lagrange form over the integer node polynomial M = prod (d_j t - n_j):
+    the first is sum_j v_j L_j / W_j with L_j = M / (d_j t - n_j), whose
+    coefficients are integers, and W_j = prod_(i != j) (n_j d_i - n_i d_j),
+    in which the d_j^m of the values cancels; W is the lcm of the W_j.
     """
-    ts = [t for t, _ in nodes]
-    r0 = _node_poly(ts, p)
-    r1 = _interpolate_mod(ts, [v for _, v in nodes], p, r0)
-    c0: list[int] = []
-    c1: list[int] = [1]
-    while len(r1) > m + 1:
-        quo, rem = _divmod_mod(r0, r1, p)
-        r0, r1 = r1, rem
-        c0, c1 = c1, _trim([c % p for c in _sub(c0, _mul(quo, c1))])
-    a, b = c1, r1
-    for t, v in checks:
-        if (_eval_uni_mod(a, t, p) * v - _eval_uni_mod(b, t, p)) % p:
-            return None
-    rel = {(1, i): c for i, c in enumerate(a) if c}
-    rel.update({(0, j): -c % p for j, c in enumerate(b) if c})
-    inv = pow(rel[max(rel, key=grlex_key)], -1, p)
-    return {e: c * inv % p for e, c in rel.items()}
+    M = [1]
+    for n, d, _, _ in nodes:
+        # M <- M * (d t - n), lowest coefficient first
+        M = [-n * M[0]] + [d * a - n * b for a, b in zip(M, M[1:])] + [d * M[-1]]
+    weights = [prod(nj * di - ni * dj for i, (ni, di, _, _) in enumerate(nodes) if i != j)
+               for j, (nj, dj, _, _) in enumerate(nodes)]
+    W = lcm(*weights)
+    size = len(nodes)
+    vout, uout = [0] * size, [0] * size
+    for (n, d, v, u), wj in zip(nodes, weights):
+        v, u = v * (W // wj), u * (W // wj)
+        # L_j by synthetic division of M by d t - n, from the top
+        q = 0
+        for k in range(size, 0, -1):
+            q = (M[k] + n * q) // d
+            vout[k - 1] += v * q
+            uout[k - 1] += u * q
+    return vout, uout
 
 
-def composition_relation(
-    P: RatFun,
-    s: RatFun,
-    dmax: int | None = None,
-    primes: tuple[int, ...] = DEFAULT_PRIMES,
-    seed: int = 0,
-) -> Poly | None:
+def composition_relation(P: RatFun, s: RatFun, dmax: int | None = None, seed: int = 0) -> Poly | None:
     """Relation a(q)*p - b(q) with a(s)*P = b(s) exactly, or None.
 
-    Finds P = (b/a)(s) for univariate a, b by rational (Cauchy)
-    interpolation of sampled pairs (s(w), P(w)) at the one degree bound
-    m = deg P / deg s, after P and s are reduced.  That bound is exact: the
-    degree of a composition is multiplicative (Zippel, ISSAC 1991), and for
-    a multivariate s the homogenized a(N_h, D_h) and b(N_h, D_h) are coprime
-    forms of degree deg q * deg s that the new variable divides at most one
-    of, so a reduced P = q(s) has deg P = deg q * deg s.  When deg s does
-    not divide deg P, or m exceeds dmax, there is nothing to fit.  The 2m + 1
-    interpolation nodes lie on lines parallel to an axis (_nodes).  On such
-    a line P can be a function of s when it is not one on the whole space
-    (x^2 + y*z and s = x + y + z), so the fit must also hold at
-    _CONFIRM_POINTS points that are not taken from the lines:
-    general-position draws of pole_free_values, each of which lies on a
-    given node line with probability (p - 1)^-(n - 1) in n variables.  The
-    primes of prime_pool(primes, [s, P]) (at most MAX_LIFT_PRIMES, plus one
-    spare, that divide no coefficient denominator of P or s) fit once each,
-    on the monomials of total degree at most dmax (None: no cap), and
-    _lift_and_verify reconstructs a candidate after each: the relation is
-    returned only if it is proven to vanish on (P, s), by homogenized
-    proportionality or, where that does not apply, by the exact expansion
-    (_vanishes).
-    Since s is nonconstant, every relation between P and s is then a
-    multiple of this one (Gauss's lemma), so annihilating_poly([P, s], d)
-    returns it at its total degree d.  None carries no claim: P may lie
-    outside Q(s), or the samples were unlucky.  LiftBudgetError says a lift
-    spent all MAX_LIFT_PRIMES primes and none of them found it.
+    After P and s are reduced, P = (b/a)(s) with coprime a and b holds only
+    at m = deg P / deg s = max(deg a, deg b): the degree of a composition is
+    multiplicative (Zippel, ISSAC 1991), and for a multivariate s the
+    homogenized a(N_h, D_h) and b(N_h, D_h) are coprime forms of degree
+    deg q * deg s that the new variable divides at most one of.  When deg s
+    does not divide deg P, or m exceeds dmax, there is nothing to find.
+    With c = -b and P = N_P/D_P, s = N_s/D_s, the homogenized parts
+    sum a_k N_s^k D_s^(m-k) and sum c_k N_s^k D_s^(m-k) are then lam D_P and
+    -lam N_P for one rational lam (see _proportional), so at lam = 1 the
+    values a(s(w)) = D_P(w) / D_s(w)^m and c(s(w)) = -N_P(w) / D_s(w)^m at
+    m + 1 points w with distinct values of s fix a and c by plain
+    interpolation over Q.  The points lie on one line parallel to an axis,
+    drawn from rng_for(seed, "certificate-line") (_line_nodes), and the
+    interpolation runs in integers (_interpolate).  The one candidate is
+    normalized and returned only if it vanishes on (P, s) by homogenized
+    proportionality, and only if its total degree is at most dmax (None: no
+    cap).  On such a line P can be a function of s when it is not one on
+    the whole space (x^2 + y*z and s = x + y + z); _proportional refutes that
+    candidate, and since no other degree can hold, the search ends there.
+
+    The certificate is unique up to scale, so it depends on neither the
+    seed nor a prime.  Since s is nonconstant, every relation between P and
+    s is a multiple of it (Gauss's lemma), so annihilating_poly([P, s], d)
+    returns it at its total degree d.  None says P lies outside Q(s), or,
+    only if RETRIES lines all run short, that s was constant on each.
     """
     P, s = P.reduce(), s.reduce()
     m, rem = divmod(P.total_degree(), s.total_degree())
     if rem or (dmax is not None and m > dmax):
         return None
-    support = {e for e in itertools.product((0, 1), range(m + 1)) if dmax is None or sum(e) <= dmax}
-    monos = sorted(support, key=grlex_key)
-    fs = [s, P]
-
-    def solve(p):
-        rng = rng_for(seed, f"cauchy:p{p}")
-        confirm = pole_free_values(fs, _CONFIRM_POINTS, p, rng)
-        nodes = None if confirm is None else _nodes(s, P, 2 * m + 1, p, rng)
-        fitted = None if nodes is None else _cauchy_mod(nodes, confirm, m, p)
-        if fitted is None or not fitted.keys() <= support:
-            return None
-        return [fitted.get(e, 0) for e in monos]
-
-    pool = prime_pool(primes, fs, MAX_LIFT_PRIMES + 1)
-    cand = _lift_and_verify([P, s], monos, pool, solve, seed)
-    # the lift has drawn the whole pool only if it ran out of primes
-    if cand is None and next(pool, None) is None:
-        raise LiftBudgetError(f"no relation within {MAX_LIFT_PRIMES} lift primes")
-    return cand
+    nodes = _line_nodes(s, P, m + 1, rng_for(seed, "certificate-line"))
+    if nodes is None:
+        return None
+    # s = (cN/cD) * n/d for the contents cN, cD of N_s, D_s; the factor
+    # 1 / (cD^m W) common to every coefficient is dropped
+    r = s.den.content / s.num.content
+    c, a = _interpolate(nodes)
+    rel = {(1, k): P.den.content * v * r**k for k, v in enumerate(a) if v}
+    rel.update({(0, k): -P.num.content * v * r**k for k, v in enumerate(c) if v})
+    if not rel or (dmax is not None and max(map(sum, rel)) > dmax):
+        return None
+    cand = Poly.from_ints(_normalize_coeffs(list(rel.values()), list(rel)), 2)
+    return cand if _proportional(cand, P, s) else None

@@ -291,8 +291,9 @@ def compose_numerator(coeffs: Poly, fs: list[RatFun]) -> Poly:
     of A.  It vanishes identically iff A(f_1, ..., f_k) is the zero
     function, so callers get an exact zero test without any gcd work.
     The full expansion is classify.verify_certificate's independent
-    re-check; the certificate search reaches it only where the cheaper
-    exact tests of oracle._vanishes do not decide.
+    re-check; annihilating_poly reaches it only where the cheaper exact
+    tests of oracle._vanishes do not decide, and the certificate search
+    never does.
     """
     k = coeffs.arity
     if len(fs) != k:
@@ -351,9 +352,9 @@ def pole_free(read, arity: int, count: int, p: int, rng):
 
 def pole_free_values(fs: list[RatFun], count: int, p: int, rng) -> list[list[int]] | None:
     """Values mod p of the functions fs at `count` points drawn by
-    pole_free, or None when a point runs out of draws: the certificate
-    fit's confirm points (its nodes lie on lines, see oracle._nodes), the
-    spot values, verify_certificate and the dense relation search.
+    pole_free, or None when a point runs out of draws: the spot checks of
+    verify_certificate and the dense relation search (annihilating_poly
+    and its spot values).
     """
     out = []
     for vals in pole_free(lambda w: [f.eval_mod(w, p) for f in fs], fs[0].arity, count, p, rng):

@@ -103,27 +103,9 @@ def test_certificate_respects_max_degree():
     assert dependence_certificate(parse("(x+y)^3", BI), parse("x+y", BI), dmax=2) is None
 
 
-def test_a_certificate_has_degree_deg_P_over_deg_s_in_q(monkeypatch):
-    # the degree of a composition is multiplicative, so the certificate of
-    # P = q(s) has degree deg P / deg s in q, the one bound that each
-    # composition_relation call fits, once per prime; with no degree cap the
-    # search finds the certificate of every positive golden report and of
-    # 20 synthetic inputs per canonical form
-    fits, calls = [], []
-    cauchy, relate = oracle._cauchy_mod, classify.composition_relation
-
-    def spy_fit(nodes, checks, m, p):
-        fits.append((p, m))
-        return cauchy(nodes, checks, m, p)
-
-    def spy_relate(*args, **kwargs):
-        fits.clear()
-        rel = relate(*args, **kwargs)
-        calls.append(list(fits))
-        return rel
-
-    monkeypatch.setattr(oracle, "_cauchy_mod", spy_fit)
-    monkeypatch.setattr(classify, "composition_relation", spy_relate)
+def _certificate_cases() -> list[tuple[RatFun, RatFun, Poly]]:
+    """(P, s, certificate) of every positive golden report and of 20
+    synthetic inputs per canonical form."""
     pq = ("p", "q")
     cases = {
         (r["function"], tuple(r["vars"])): (r["fitted"]["s"], r["certificate"]["annihilator"])
@@ -147,13 +129,51 @@ def test_a_certificate_has_degree_deg_P_over_deg_s_in_q(monkeypatch):
             rep = _classify(P)
             assert rep.certificate is not None
             cases.append((P, rep.fitted["s"], rep.certificate.annihilator))
+    return cases
+
+
+def test_a_certificate_has_degree_deg_P_over_deg_s_in_q(monkeypatch):
+    # the degree of a composition is multiplicative, so the certificate of
+    # P = q(s) has degree deg P / deg s in q: each composition_relation call
+    # reads that many nodes plus one and makes one proportionality test;
+    # with no degree cap it finds every certificate of _certificate_cases
+    cases = _certificate_cases()
+    reads, tests = [], []
+    nodes, proportional = oracle._line_nodes, oracle._proportional
+
+    def spy_nodes(s, P, count, rng):
+        reads.append(count)
+        return nodes(s, P, count, rng)
+
+    def spy_test(A, P, s):
+        tests.append(proportional(A, P, s))
+        return tests[-1]
+
+    monkeypatch.setattr(oracle, "_line_nodes", spy_nodes)
+    monkeypatch.setattr(oracle, "_proportional", spy_test)
     for P, s, ann in cases:
+        reads.clear()
+        tests.clear()
         assert ann.degree_in(1) * s.total_degree() == P.total_degree()
         assert classify.composition_relation(P, s) == ann
-    assert len(calls) >= len(cases)
-    for fitted in calls:
-        assert len({p for p, _ in fitted}) == len(fitted)
-        assert len({m for _, m in fitted}) <= 1
+        assert (reads, tests) == ([ann.degree_in(1) + 1], [True])
+
+
+def test_a_certificate_needs_no_modular_arithmetic(monkeypatch):
+    # the search interpolates over the integers on one exact line: with the
+    # lift and every mod-p evaluation of a polynomial disabled it still
+    # returns each certificate, at every seed
+    cases = _certificate_cases()
+
+    def disabled(*args, **kwargs):
+        raise AssertionError("a modular step ran")
+
+    monkeypatch.setattr(oracle, "_lift_and_verify", disabled)
+    for name in ("eval_mod", "line_mod", "_compiled"):
+        monkeypatch.setattr(Poly, name, disabled)
+    for k, (P, s, ann) in enumerate(cases):
+        cert = dependence_certificate(P, s, seed=k)
+        assert cert is not None and cert.annihilator == ann
 
 
 def test_certificate_found_without_dense_search(monkeypatch):
@@ -214,10 +234,11 @@ def test_verify_certificate_rejects_wrong_pair():
 
 def test_certificate_samples_modulo_primes_coprime_to_the_denominators_of_s():
     # s has no image modulo 11, which divides its coefficient denominator 44,
-    # so the gradient minors and the spot checks sample modulo another prime
+    # so the spot checks sample modulo another prime; the search itself
+    # reads s exactly
     P = parse("x^2 + y^2", BI)
     s = parse("1/44*x^2 + 1/44*y^2", BI)
-    cert = dependence_certificate(P, s, primes=(13, 11))
+    cert = dependence_certificate(P, s)
     assert cert is not None and cert.verified
     assert cert.annihilator.terms == {(1, 0): Fraction(1), (0, 1): Fraction(-44)}
     assert verify_certificate(cert, P, s, primes=(13, 11))
@@ -385,33 +406,18 @@ def test_fit_group_rejects_field_form():
     assert fit_group(_Fn(parse("x*(y+z)^3", TRI))) is None
 
 
-def test_normalized_certificates_lift_at_their_first_prime(monkeypatch):
-    # a scale of s is raised to the degree of q in a(q)*p - b(q), and one
-    # 31-bit prime reconstructs fractions up to about 2^15; the fitted
-    # scales of these forms took up to 5 primes, the normalized s takes one
-    lifts = []
-    lift = oracle._lift_and_verify
-
-    def spy(fs, monos, pool, solve, seed):
-        primes = []
-
-        def counted(p):
-            primes.append(p)
-            return solve(p)
-
-        rel = lift(fs, monos, pool, counted, seed)
-        lifts.append((len(primes), rel is not None))
-        return rel
-
-    monkeypatch.setattr(oracle, "_lift_and_verify", spy)
+def test_normalized_certificates_have_small_coefficients():
+    # a scale of s is raised to the degree of q in a(q)*p - b(q); the
+    # normalized s of these forms keeps every certificate coefficient below
+    # 2^15, where the fitted scales gave fractions far above it
     rng = random.Random(2)
     verdicts = Counter()
     for k in range(16):
         fn = synth.make_field(rng)[0] if k % 2 else synth.make_additive(rng)
-        lifts.clear()
         rep = classify_trivariate(fn)
         verdicts[rep.verdict] += 1
-        assert [n for n, found in lifts if found] == [1], fn.to_str(TRI)
+        ann = rep.certificate.annihilator
+        assert ann.content == 1 and max(map(abs, ann.ints.values())) < 2**15, fn.to_str(TRI)
     assert verdicts == {"Field": 8, "GroupAdditive": 8}
 
 
@@ -658,7 +664,7 @@ def test_twisted_recovery_restricts_each_partial_once(monkeypatch):
     monkeypatch.setattr(Poly, "derivative", counted_derivative)
     monkeypatch.setattr(Poly, "line_jet", counted_jet)
     diag = {}
-    assert _twisted_recover(fn, rng_for(0, "fit-twisted:t"), None, DEFAULT_PRIMES, diag) is None
+    assert _twisted_recover(fn, rng_for(0, "fit-twisted:t"), None, diag) is None
     assert diag == {} and derivs == []
     assert sorted(i for *_, i in passes) == [1] * 16 and set(passes.values()) == {1}
 
@@ -929,23 +935,24 @@ def test_fit_twisted_reads_the_tries_of_its_seed(monkeypatch, seed):
     assert want != other
 
 
-@pytest.mark.parametrize("primes", [(13, 11), DEFAULT_PRIMES])
-def test_an_independent_pair_has_no_certificate(primes):
+@pytest.mark.parametrize("seed", [0, 5])
+def test_an_independent_pair_has_no_certificate(seed):
     for P, s in (
         (parse("x + y", BI), parse("x*y", BI)),
         (parse("(x+y+z)^10 + x", TRI), parse("x*y*z + y", TRI)),
     ):
-        assert dependence_certificate(P, s, primes=primes) is None
+        assert dependence_certificate(P, s, seed=seed) is None
 
 
-def test_dependent_pair_certifies_at_small_primes():
-    # the lift reconstructs the coefficients, at most 3, from 13 * 11 and
-    # spot-checks the candidate modulo 7; larger coefficients draw primes
-    # above 13, since those below 11 give too few distinct values of s
+def test_a_dependent_pair_has_one_certificate_at_every_seed():
+    # the relation is unique up to scale and normalized, and the search
+    # samples no prime, so no seed changes it; the spot checks of
+    # verify_certificate accept it at 4-bit primes
     P, s = parse("(x*y + 1)^3", BI), parse("x*y", BI)
-    cert = dependence_certificate(P, s, primes=(13, 11))
-    assert cert is not None and cert.verified
-    assert verify_certificate(cert, P, s)
+    certs = [dependence_certificate(P, s, seed=seed) for seed in range(8)]
+    assert all(c.verified and c.annihilator == certs[0].annihilator for c in certs)
+    assert certs[0].annihilator == parse("p - (q + 1)^3", ("p", "q")).num
+    assert verify_certificate(certs[0], P, s, primes=(13, 11))
 
 
 # -- twisted fitter ---------------------------------------------------------------

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from ratforms import cli, dimension, oracle
+from ratforms import classify, cli, dimension
 from ratforms.cli import main
 from ratforms.modular import primes_below
 from ratforms.oracle import prime_pool
@@ -486,11 +486,12 @@ def test_a_report_is_the_same_under_every_seed(capsys, names, expr, verdict):
     assert all(rep == reports[0] for rep in reports)
 
 
-def test_certificate_pool_skips_a_prime_dividing_a_fitted_denominator(capsys):
+def test_a_prime_dividing_a_fitted_denominator_is_skipped_by_the_check_pool(capsys):
     # the input has integer coefficients, but s = (x + 1)*y/(11*y + 1) is
     # stored with a monic denominator, y + 1/11, so it has no image modulo
-    # the sampling prime 11: the certificate pool at 4 bits is 13, 7, 5, 3,
-    # 2, 17, without 11
+    # the sampling prime 11; the certificate search reads s exactly, and the
+    # pool of verify_certificate's spot checks at 4 bits is 13, 7, 5, 3, 2,
+    # 17, without 11
     code, (rep,) = _run_json(
         capsys, ["--vars", "x,y", "--function", "(11*y + 1)/(x*y + y)", "--prime-bits", "4"]
     )
@@ -503,25 +504,34 @@ def test_certificate_pool_skips_a_prime_dividing_a_fitted_denominator(capsys):
     assert list(prime_pool((13, 11), fs, 6)) == [13, 7, 5, 3, 2, 17]
 
 
-def test_an_exhausted_lift_budget_is_named(monkeypatch, capsys):
-    # one 31-bit prime reconstructs fractions up to about 2^15, so the
-    # constant of p - q - 1000003 needs two lift primes
-    argv = ["--vars", "x,y", "--function", "x*y + 1000003"]
-    monkeypatch.setattr(oracle, "MAX_LIFT_PRIMES", 2)
-    code, (rep,) = _run_json(capsys, argv)
+@pytest.mark.parametrize("bits", [[], ["--prime-bits", "4"]])
+def test_a_constant_above_the_primes_certifies_at_any_prime_size(capsys, bits):
+    # 1000003 is far above what one 31-bit prime, or a 4-bit one,
+    # reconstructs; the certificate is interpolated over the integers, so
+    # it takes no prime and has no lift budget to spend
+    code, (rep,) = _run_json(capsys, ["--vars", "x,y", "--function", "x*y + 1000003", *bits])
     assert (code, rep["verdict"]) == (0, "group-multiplicative")
     assert rep["certificate"]["annihilator"] == "p - q - 1000003"
-    assert "budget_certificate_lift" not in rep["diagnostics"]
-    monkeypatch.setattr(oracle, "MAX_LIFT_PRIMES", 1)
-    code, (rep,) = _run_json(capsys, argv)
-    assert (code, rep["verdict"]) == (2, "unresolved")
-    assert rep["diagnostics"] == {
-        "nondegenerate": True,
-        "group_additive_integrable": False,
-        "budget_certificate_lift": True,
-        "group_multiplicative_certificate": False,
-        "constraint": True,
-    }
+    assert not any(key.startswith("budget_") for key in rep["diagnostics"])
+
+
+@pytest.mark.parametrize(
+    "names, expr, verdict",
+    [
+        ("x,y,z", "(x*y*z+1)^16", "group-multiplicative"),
+        ("x,y,z", "(x+y+z)^16", "group-additive"),
+        ("x,y,z", "(x*y*z-1)^14", "group-multiplicative"),
+        ("x,y,z", "1/((x+y+z)^11+1)", "group-additive"),
+    ],
+)
+def test_high_powers_certify_at_4_bit_primes(capsys, names, expr, verdict):
+    # modulo 4-bit primes too few values of s are distinct to fit degree 11
+    # or more; the exact search reads its nodes over the integers
+    code, (rep,) = _run_json(capsys, ["--vars", names, "--function", expr, "--prime-bits", "4"])
+    assert (code, rep["verdict"], rep["primes"]) == (0, verdict, [13, 11])
+    f, s = (parse(text, tuple(names.split(","))) for text in (rep["function"], rep["fitted"]["s"]))
+    ann = parse(rep["certificate"]["annihilator"], ("p", "q")).num
+    assert classify.verify_certificate(classify.DependenceCertificate(ann, ann.total_degree(), True), f, s)
 
 
 def test_bad_prime_in_a_fitted_function_is_unresolved(monkeypatch, capsys):

@@ -11,8 +11,6 @@ import pytest
 
 from ratforms.modular import (
     DEFAULT_PRIMES,
-    _interpolate_mod,
-    _node_poly,
     coprime_primes,
     crt_pair,
     is_probable_prime,
@@ -184,51 +182,3 @@ def test_rank_and_nullspace_share_one_reduction(p):
     assert rank_mod([], p) == 0
     assert nullspace_vector_mod([], p) is None
 
-
-def _newton_interpolate(ts: list[int], vs: list[int], p: int) -> list[int]:
-    """The reference: Newton divided differences, one inversion per step."""
-    n = len(ts)
-    dd = list(vs)
-    for k in range(1, n):
-        for i in range(n - 1, k - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) * pow(ts[i] - ts[i - k], -1, p) % p
-    out: list[int] = []
-    for k in range(n - 1, -1, -1):
-        nxt = [0] + out
-        for i, c in enumerate(out):
-            nxt[i] = (nxt[i] - ts[k] * c) % p
-        nxt[0] = (nxt[0] + dd[k]) % p
-        out = nxt
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-@pytest.mark.parametrize(
-    "p, nodes",
-    [
-        (DEFAULT_PRIMES[0], lambda rng, n: rng.sample(range(1, DEFAULT_PRIMES[0]), n)),
-        (13, lambda rng, n: rng.sample(range(13), n)),
-        (DEFAULT_PRIMES[0], lambda rng, n: list(range(n))),
-    ],
-)
-def test_lagrange_interpolation_matches_newton_divided_differences(p, nodes):
-    rng = random.Random(p)
-    for n in chain(range(0, 14), (25, 33)):
-        if n > p:
-            continue
-        ts = nodes(rng, n)
-        for vs in ([rng.randrange(p) for _ in ts], [0] * n, [7] * n):
-            want = _newton_interpolate(ts, vs, p)
-            assert _interpolate_mod(ts, vs, p, _node_poly(ts, p)) == want
-
-
-def test_the_node_polynomial_vanishes_at_its_nodes():
-    rng = random.Random(5)
-    p = 13
-    ts = rng.sample(range(p), 6)
-    m = _node_poly(ts, p)
-    assert len(m) == 7 and m[-1] == 1
-    for t in range(p):
-        value = sum(c * t**k for k, c in enumerate(m)) % p
-        assert (value == 0) == (t in ts)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -115,7 +116,7 @@ def test_annihilating_poly_is_deterministic():
     assert a is not None and a.terms == b.terms
 
 
-# -- composition relations by Cauchy interpolation ------------------------------
+# -- composition relations by exact interpolation -------------------------------
 
 # (P, s, names) with P = q(s) for a univariate rational q
 _COMPOSITIONS = (
@@ -123,7 +124,7 @@ _COMPOSITIONS = (
     ("(x^2+y)/(y+z^3)", "(2*(x^2+y) + y+z^3)/(x^2+y - 3*(y+z^3))", TRI),
     ("(x+y+z)^12", "x+y+z", TRI),
     ("1/((x+y+z)^9+1)", "x+y+z", TRI),
-    # binomial coefficients up to 924 exercise the CRT lift
+    # binomial coefficients up to 924, read off one line exactly
     ("(x*y*z+1)^12", "x*y*z", TRI),
     ("(x+y^2)^3 + 2*(x+y^2)", "x+y^2", BI),
     ("(x*y^2+2)/(3*x*y^2-1)", "x*y^2", BI),
@@ -201,15 +202,14 @@ _S = "((x^5+3*x+1)/(x^2+7) + (y^7-y)/(y^3+2) + (z^4+z)/(z^2+5))"
         (_S + "^3", TRI, "GroupAdditive", DEFAULT_PRIMES),
         ("(x+y+z+10000000000/7)^4", TRI, "GroupAdditive", DEFAULT_PRIMES),
         ("(x*y*z + 123456789/1000)^5", TRI, "GroupMultiplicative", DEFAULT_PRIMES),
-        # the primes below 11 give too few distinct values of s; the pool
-        # goes on above 13
+        # the gates run modulo 13; the certificate uses no prime
         ("(x*y+5)^2", BI, "GroupMultiplicative", (13, 11)),
     ],
 )
-def test_certificates_needing_many_lift_primes_are_accepted_without_expansion(
+def test_certificates_with_large_coefficients_are_accepted_without_expansion(
     monkeypatch, expr, names, verdict, primes
 ):
-    # a fixed pool of six primes certified none of these
+    # coefficients far above any sampling prime are interpolated exactly
     _assert_certified_without_expansion(monkeypatch, expr, names, verdict, primes)
 
 
@@ -238,25 +238,6 @@ def test_a_candidate_equal_modulo_the_lift_primes_is_rejected_without_expansion(
     _forbid_expansion(monkeypatch)
     assert not oracle._vanishes(false, [P, s], pool[2:], 0)
     assert oracle._vanishes(true, [P, s], pool[2:], 0)
-
-
-def test_false_lifts_are_rejected_by_a_spot_value_at_a_spare_prime(monkeypatch):
-    # modulo 251 * 257, and then times 241, coefficients of (q + 5)^6 such as
-    # 9375 reconstruct to wrong rationals; each wrong candidate vanishes
-    # modulo the primes it was lifted from, so only a spare prime refutes it
-    _forbid_expansion(monkeypatch)
-    seen = []
-    vanishes = oracle._vanishes
-
-    def spy(A, fs, spare, seed):
-        seen.append(vanishes(A, fs, spare, seed))
-        return seen[-1]
-
-    monkeypatch.setattr(oracle, "_vanishes", spy)
-    P, s = parse("(x*y+5)^6", BI), parse("x*y", BI)
-    rel = composition_relation(P, s, 12, primes=(251, 257))
-    assert rel == parse("p - (q+5)^6", ("p", "q")).num
-    assert seen == [False, False, True]
 
 
 def test_an_unreduced_s_falls_back_to_the_expansion(monkeypatch):
@@ -293,169 +274,166 @@ def test_a_relation_quadratic_in_p_falls_back_to_the_expansion(monkeypatch):
     assert len(calls) == 3
 
 
-# -- the lift: one prime at a time, a candidate after each ---------------------
+# -- the search: one line, one interpolation, one proportionality test --------
 
 
-def _spy_vanishes(monkeypatch) -> list:
-    seen = []
-    vanishes = oracle._vanishes
+def _spy(monkeypatch, name) -> list:
+    """Calls of oracle.<name>, each as (args, result)."""
+    calls = []
+    fn = getattr(oracle, name)
 
-    def spy(A, fs, spare, seed):
-        seen.append((A, tuple(spare), vanishes(A, fs, spare, seed)))
-        return seen[-1][2]
+    def spy(*args):
+        calls.append((args, fn(*args)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(oracle, "_vanishes", spy)
-    return seen
-
-
-def _counted_points(monkeypatch) -> tuple[list, list]:
-    """Points drawn in general position, and interpolation nodes, per prime."""
-    points, nodes = [], []
-
-    def counted(fs, count, p, rng):
-        pts = pole_free_values(fs, count, p, rng)
-        points.append((p, len(pts or ())))
-        return pts
-
-    draw = oracle._nodes
-
-    def counted_nodes(s, P, count, p, rng):
-        pts = draw(s, P, count, p, rng)
-        nodes.append((p, len(pts or ())))
-        return pts
-
-    monkeypatch.setattr(oracle, "pole_free_values", counted)
-    monkeypatch.setattr(oracle, "_nodes", counted_nodes)
-    return points, nodes
+    monkeypatch.setattr(oracle, name, spy)
+    return calls
 
 
-def _counted_fits(monkeypatch) -> list:
-    fits = []
-    cauchy = oracle._cauchy_mod
-
-    def counted(nodes, checks, m, p):
-        fits.append((p, m))
-        return cauchy(nodes, checks, m, p)
-
-    monkeypatch.setattr(oracle, "_cauchy_mod", counted)
-    return fits
-
-
-def test_a_one_prime_relation_samples_one_fit_and_one_spot_value(monkeypatch):
-    # the fit is at m = deg P / deg s = 12; its 2m + 1 nodes and
-    # _CONFIRM_POINTS confirm points at the first prime reconstruct
-    # p - q^12 in one Cauchy fit, and one spot value at the second prime
-    # precedes the proportionality test
-    points, nodes = _counted_points(monkeypatch)
-    fits = _counted_fits(monkeypatch)
+def test_a_relation_reads_m_plus_one_nodes_and_one_proportionality_test(monkeypatch):
+    # m = deg P / deg s = 12: 13 nodes on one line fix a and c, and one
+    # proportionality test proves the candidate; nothing is read mod p
+    lines = _spy(monkeypatch, "_line_nodes")
+    tests = _spy(monkeypatch, "_proportional")
+    monkeypatch.setattr(oracle, "pole_free_values", None)
     P, s = parse("(x+y+z)^12", TRI), parse("x+y+z", TRI)
     assert composition_relation(P, s, 26) == parse("p - q^12", ("p", "q")).num
-    p1, p2 = DEFAULT_PRIMES
-    assert nodes == [(p1, 2 * 12 + 1)]
-    assert points == [(p1, oracle._CONFIRM_POINTS), (p2, 1)]
-    assert fits == [(p1, 12)]
+    assert [(args[2], len(nodes)) for args, nodes in lines] == [(13, 13)]
+    assert [held for _, held in tests] == [True]
 
 
-@pytest.mark.parametrize("s", ["x^2*y", "x^2*y^3"])
-def test_nodes_move_to_a_fresh_line_when_s_repeats(s):
-    # on an x-line s = x^2*y takes at most 6 values mod 13, one per square;
-    # x^2*y^3 takes at most 6 on an x-line and 4, one per cube, on a y-line
-    p = 13
-    for y in range(1, p):
-        assert len({x * x * y % p for x in range(1, p)}) == 6
-    P, s = parse(f"{s} + 1", BI), parse(s, BI)
-    for seed in range(5):
-        pts = oracle._nodes(s, P, 7, p, random.Random(seed))
-        assert pts is not None and len(pts) == 7
-        assert len({t for t, _ in pts}) == 7
-        assert all(v == (t + 1) % p for t, v in pts)
+class _Script:
+    """An rng that replays the given randint and choice results in order."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def randint(self, lo, hi):
+        v = self.draws.pop(0)
+        assert lo <= v <= hi
+        return v
+
+    def choice(self, seq):
+        v = self.draws.pop(0)
+        assert v in seq
+        return v
 
 
-def test_nodes_draw_a_point_then_a_variable_per_line():
-    # the seeded stream behind every certificate: a line's point w, then
-    # its variable i, then one t per node on that line while nodes hold
-    p, seed = 101, 7
+def test_line_nodes_skip_poles_and_repeated_values_of_s():
+    # on the x-line through (., 2), s = (x-1)^2/(x-3) + y has a pole at
+    # x = 3, and x = 7 repeats the value 9 + 2 that x = 4 took
+    s = parse("(x-1)^2/(x-3) + y", BI)
+    P = RatFun(s.num * s.num + s.den * s.den, s.den * s.den)
+    nodes = oracle._line_nodes(s, P, 7, _Script(5, 2, 0))
+    xs = [0, 1, 2, 4, 5, 6, 8]
+    assert [Fraction(n, d) for n, d, _, _ in nodes] == [s.eval_q([x, 2]) for x in xs]
+    assert [Fraction(v, u) for _, _, v, u in nodes] == [P.eval_q([x, 2]) for x in xs]
+
+
+def test_line_nodes_move_to_a_fresh_line_where_s_is_constant():
+    # s = x*(y-3) + z is constant on the x-line through (., 3, 7); the next
+    # line, through (2, 4, 5) in z, gives the nodes
+    s = parse("x*(y-3) + z", TRI)
+    P = parse("(x*(y-3) + z)^2", TRI)
+    nodes = oracle._line_nodes(s, P, 3, _Script(1, 3, 7, 0, 2, 4, 5, 2))
+    assert [(n, d, v, u) for n, d, v, u in nodes] == [(2 + z, 1, (2 + z) ** 2, 1) for z in range(3)]
+
+
+def test_line_nodes_draw_a_point_then_a_variable_per_line():
+    # the seeded stream behind every certificate: a line's point w, with
+    # coordinates in 1..15, then its variable i; nodes at x_i = 0, 1, ...
+    seed = 7
     s, P = parse("x + 2*y^2", BI), parse("(x + 2*y^2)^2 + 1", BI)
     rng = random.Random(seed)
-    w = [rng.randrange(1, p) for _ in BI]
+    w = [rng.randint(1, 15) for _ in BI]
     i = rng.choice([0, 1])
     want = []
-    for _ in range(2):
-        w[i] = rng.randrange(1, p)
-        want.append([s.eval_mod(w, p), P.eval_mod(w, p)])
-    assert oracle._nodes(s, P, 2, p, random.Random(seed)) == want
+    for x in range(3):
+        w[i] = x
+        want.append((int(s.eval_q(w)), 1, int(P.eval_q(w)), 1))
+    assert oracle._line_nodes(s, P, 3, random.Random(seed)) == want
+
+
+def _lagrange(points):
+    """The reference: Lagrange interpolation over Fraction."""
+    out = [Fraction(0)] * len(points)
+    for j, (tj, vj) in enumerate(points):
+        basis, den = [Fraction(1)], Fraction(1)
+        for i, (ti, _) in enumerate(points):
+            if i != j:
+                basis = [a - ti * b for a, b in zip([Fraction(0)] + basis, basis + [0])]
+                den *= tj - ti
+        out = [o + vj * b / den for o, b in zip(out, basis)]
+    return out
+
+
+def test_integer_interpolation_matches_fraction_lagrange():
+    rng = random.Random(37)
+    for size in (1, 2, 3, 5, 9, 17):
+        ts = set()
+        while len(ts) < size:
+            d = rng.choice([-3, -1, 1, 2, 7])
+            ts.add(Fraction(rng.randint(-20, 20), d))
+        nodes = [(t.numerator * k, t.denominator * k, rng.randint(-99, 99), rng.randint(-99, 99))
+                 for t, k in zip(sorted(ts), itertools.cycle((1, -2, 3)))]
+        vs, us = oracle._interpolate(nodes)
+        m = size - 1
+        want_v = _lagrange([(Fraction(n, d), Fraction(v, d**m)) for n, d, v, _ in nodes])
+        want_u = _lagrange([(Fraction(n, d), Fraction(u, d**m)) for n, d, _, u in nodes])
+        # one integer W scales both
+        W = next(Fraction(a) / b for a, b in zip(vs + us, want_v + want_u) if b)
+        assert [W * b for b in want_v] == vs and [W * b for b in want_u] == us
 
 
 @pytest.mark.parametrize(
     "P, s",
     [
         # along any line parallel to an axis each P is a function of s, of
-        # degree deg P / deg s = 2, so only the confirm points, which are
-        # off the lines, reject its fit; no larger bound can succeed where
-        # that one failed, so no other bound or prime is tried
+        # degree deg P / deg s = 2, so the line admits a fit; one
+        # proportionality test refutes it, and no other degree can hold
         ("x^2 + y*z", "x + y + z"),
         ("x^2*y^2 + z", "x*y + z"),
     ],
 )
-def test_a_fit_on_the_node_lines_is_rejected_by_the_confirm_points(monkeypatch, P, s):
-    def no_check(*args):
-        raise AssertionError("a candidate reached _vanishes")
-
-    fits = []
-    cauchy = oracle._cauchy_mod
-
-    def spy(nodes, checks, m, p):
-        # the nodes alone admit a fit; the checks refute it
-        fits.append((p, m, cauchy(nodes, [], m, p) is not None, cauchy(nodes, checks, m, p)))
-        return fits[-1][3]
-
-    monkeypatch.setattr(oracle, "_vanishes", no_check)
-    monkeypatch.setattr(oracle, "_cauchy_mod", spy)
-    assert composition_relation(parse(P, TRI), parse(s, TRI), 12) is None
-    assert [(p, m) for p, m, _, _ in fits] == [(DEFAULT_PRIMES[0], 2)]
-    assert all(on_lines and rel is None for _, _, on_lines, rel in fits)
+def test_a_fit_on_the_line_is_refuted_by_one_proportionality_test(monkeypatch, P, s):
+    _forbid_expansion(monkeypatch)
+    tests = _spy(monkeypatch, "_proportional")
+    lines = _spy(monkeypatch, "_line_nodes")
+    P, s = parse(P, TRI), parse(s, TRI)
+    assert composition_relation(P, s, 12) is None
+    [((cand, _, _), held)] = tests
+    assert not held
+    # the candidate holds at every node of the line: s and P have content 1
+    # and no denominator there
+    [(_, nodes)] = lines
+    assert len(nodes) == 3
+    assert all(cand.eval_q([Fraction(v, u), Fraction(n, d)]) == 0 for n, d, v, u in nodes)
 
 
 @pytest.mark.parametrize(
-    "P, s, dmax, primes",
+    "P, s, dmax",
     [
         # deg P = 3 is no multiple of deg s = 2, so P = q(s) is impossible
-        ("x^2*y + z", "x*y + z", 12, DEFAULT_PRIMES),
+        ("x^2*y + z", "x*y + z", 12),
         # P = (q + 1)^12 has degree 12 in q, above the cap, so nothing is
-        # fitted; modulo 4-bit primes a fit of degree 2 can hold by chance
-        ("(x*y*z+1)^12", "x*y*z", 2, (13, 11)),
+        # interpolated
+        ("(x*y*z+1)^12", "x*y*z", 2),
     ],
 )
-def test_a_pair_with_no_certificate_by_degree_draws_no_node(monkeypatch, P, s, dmax, primes):
-    points, nodes = _counted_points(monkeypatch)
-    fits = _counted_fits(monkeypatch)
-    assert composition_relation(parse(P, TRI), parse(s, TRI), dmax, primes=primes) is None
-    assert points == nodes == fits == []
+def test_a_pair_with_no_certificate_by_degree_reads_no_node(monkeypatch, P, s, dmax):
+    lines = _spy(monkeypatch, "_line_nodes")
+    tests = _spy(monkeypatch, "_proportional")
+    assert composition_relation(parse(P, TRI), parse(s, TRI), dmax) is None
+    assert lines == tests == []
 
 
-# the constant p1 + 5 reads 5 modulo the first default prime p1
-_WRONG_MOD_P1 = f"x*y + {DEFAULT_PRIMES[0] + 5}"
-
-
-def test_a_wrong_one_prime_candidate_is_refuted_at_an_uncombined_prime(monkeypatch):
+def test_a_constant_above_the_sampling_primes_is_exact(monkeypatch):
+    # the constant p1 + 5 reads 5 modulo the first default prime p1; the
+    # interpolation runs over the integers, so no prime, lift or spot value
+    # is involved
     _forbid_expansion(monkeypatch)
-    seen = _spy_vanishes(monkeypatch)
-    P, s = parse(_WRONG_MOD_P1, BI), parse("x*y", BI)
-    rel = composition_relation(P, s, 4)
-    pq = ("p", "q")
-    assert rel == parse(f"p - q - {DEFAULT_PRIMES[0] + 5}", pq).num
-    p1, p2 = DEFAULT_PRIMES
-    (wrong, spare, held), *rest = seen
-    assert (wrong, spare, held) == (parse("p - q - 5", pq).num, (p2,), False)
-    # p1 * p2 is still too small for p1 + 5, so the third prime settles it
-    assert [(A, held) for A, _, held in rest] == [(rel, True)]
-    assert rest[0][1] not in {(p1,), (p2,)}
-
-
-def test_the_lift_gives_up_when_its_primes_run_out(monkeypatch):
-    P, s = parse(_WRONG_MOD_P1, BI), parse("x*y", BI)
-    monkeypatch.setattr(oracle, "MAX_LIFT_PRIMES", 2)
-    with pytest.raises(oracle.LiftBudgetError):
-        composition_relation(P, s, 4)
-    monkeypatch.setattr(oracle, "MAX_LIFT_PRIMES", 3)
-    assert composition_relation(P, s, 4) is not None
+    monkeypatch.setattr(oracle, "_lift_and_verify", None)
+    monkeypatch.setattr(oracle, "_vanishes", None)
+    c = DEFAULT_PRIMES[0] + 5
+    P, s = parse(f"x*y + {c}", BI), parse("x*y", BI)
+    assert composition_relation(P, s, 4) == parse(f"p - q - {c}", ("p", "q")).num
