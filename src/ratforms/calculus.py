@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
 
-from .modular import _eval_uni_mod, _trim, is_probable_prime, rational_reconstruct
+from .modular import _eval, _trim, is_probable_prime, rational_reconstruct
 from .poly import Poly
 from .ratfun import RatFun
 
@@ -73,13 +73,6 @@ def _monic(a: list) -> list:
 
 def _deriv(a: list) -> list:
     return [i * a[i] for i in range(1, len(a))]
-
-
-def _eval(a: list, x):
-    acc = 0
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
 
 
 def _divmod(a: list, b: list) -> tuple[list, list]:
@@ -307,15 +300,15 @@ def _rational_roots(p: list) -> tuple[list[Fraction], list]:
         dp = _deriv(ints)
         for q in filter(is_probable_prime, count(2)):
             if ints[-1] % q:
-                found = [r for r in range(q) if _eval_uni_mod(ints, r, q) == 0]
-                if all(_eval_uni_mod(dp, r, q) for r in found):
+                found = [r for r in range(q) if _eval(ints, r) % q == 0]
+                if all(_eval(dp, r) % q for r in found):
                     break
         bound = 2 * max(abs(ints[0]), abs(ints[-1])) ** 2
         for r in found:
             m = q
             while m <= bound:
                 m *= m
-                r = (r - _eval_uni_mod(ints, r, m) * pow(_eval_uni_mod(dp, r, m), -1, m)) % m
+                r = (r - _eval(ints, r) * pow(_eval(dp, r), -1, m)) % m
             a = rational_reconstruct(r, m)
             if a is not None and _eval(cur, a) == 0:
                 roots.append(a)

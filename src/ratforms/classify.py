@@ -45,7 +45,7 @@ from functools import reduce
 from math import gcd, prod
 from operator import mul as _times, sub as _minus
 
-from .calculus import _deriv, _mul, _scale, _sub, hermite_antiderivative, logderiv_integrate
+from .calculus import _deriv, _mul, _proper_parts, _scale, _sub, hermite_antiderivative, logderiv_integrate
 from .dimension import image_dimension, is_nondegenerate
 from .modular import DEFAULT_PRIMES, RETRIES, rng_for
 from .oracle import composition_relation, prime_pool
@@ -136,22 +136,9 @@ def _unit(f: RatFun) -> Fraction:
 
 
 def _const(r: RatFun, var: int):
-    """The constant term of the polynomial part of r, univariate in var:
-    the last quotient coefficient of the long division of its integer
-    numerator by its integer denominator, times their contents."""
-    a, b = r.num.degree_in(var), r.den.degree_in(var)
-    if r.is_zero or a < b:
-        return 0
-    n, d = [0] * (a + 1), [0] * (b + 1)
-    for f, out in ((r.num, n), (r.den, d)):
-        for e, c in f.ints.items():
-            out[e[var]] = c
-    if b:
-        for k in range(a - b, 0, -1):
-            q = Fraction(n[k + b], d[b])
-            for t in range(b):
-                n[k + t] -= q * d[t]
-    return Fraction(n[b], d[b]) * r.num.content / r.den.content if n[b] else 0
+    """The constant term of the polynomial part of r, univariate in var."""
+    q = _proper_parts(r, var)[0]
+    return q[0] if q else 0
 
 
 def _shift(r: RatFun, c) -> RatFun:

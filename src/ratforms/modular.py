@@ -1,6 +1,8 @@
 """Modular-arithmetic utilities: primality, prime selection, CRT and
 rational reconstruction, univariate division and row reduction over
-GF(p), plus deterministic seed derivation.
+GF(p), plus deterministic seed derivation.  The one Horner loop on
+univariate coefficient lists lives here too (_eval): its callers reduce
+its value themselves, modulo a prime or a prime power, or read it exactly.
 
 Everything here is deterministic.  Randomized callers derive their RNG
 from (seed, label) pairs via :func:`derive_seed` so that identical
@@ -134,11 +136,13 @@ def _trim(f: list[int]) -> list[int]:
     return f
 
 
-def _eval_uni_mod(f: list[int], t: int, p: int) -> int:
-    v = 0
-    for c in reversed(f):
-        v = (v * t + c) % p
-    return v
+def _eval(a: list, x):
+    """a(x) by Horner's rule, for a coefficient list a, lowest first, and
+    any x its coefficients mix with; unreduced."""
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
 
 
 def _divmod_mod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:

@@ -27,13 +27,13 @@ from math import lcm, prod
 from .modular import (
     DEFAULT_PRIMES,
     RETRIES,
+    _eval,
     coprime_primes,
     crt_pair,
     nullspace_vector_mod,
     rational_reconstruct,
     rng_for,
 )
-from .calculus import _eval
 from .poly import Poly, _axis_line, _qpowers, divexact, grlex_key
 from .ratfun import RatFun, compose_numerator, pole_free_values
 from .dimension import DoublingMap
@@ -335,8 +335,10 @@ def _line_nodes(s: RatFun, P: RatFun, count: int, rng) -> list[tuple[int, int, i
     polynomial's value divided by the content.  A node skips a point where
     D_s vanishes and a repeated value n/d of s.  Where s has degree k > 0 on
     the line, it has at most k poles and takes each value at most k times,
-    so (count + 1) * k points hold count nodes unless s is constant or
-    undefined on the line; then the search moves to a fresh line.
+    so (count + 1) * k points hold count nodes.  Where the restricted N_s
+    and D_s are proportional, s is constant or undefined on the line, which
+    holds at most one node; the search moves to a fresh line at once,
+    reading no point of it.
     """
     polys = (s.num, s.den, P.num, P.den)
     moved = [i for i in range(s.arity) if s.num.degree_in(i) or s.den.degree_in(i)]
@@ -344,6 +346,10 @@ def _line_nodes(s: RatFun, P: RatFun, count: int, rng) -> list[tuple[int, int, i
         w = [rng.randint(1, 15) for _ in range(s.arity)]
         i = rng.choice(moved)
         ns, ds, vs, us = (_restrict(f, w, i) for f in polys)
+        pairs = list(itertools.zip_longest(ns, ds, fillvalue=0))
+        a, b = next((pair for pair in pairs if any(pair)), (0, 0))
+        if all(a * d == b * n for n, d in pairs):
+            continue
         seen: set[Fraction] = set()
         nodes = []
         for x in range((count + 1) * (max(len(ns), len(ds)) - 1)):

@@ -34,7 +34,7 @@ from math import gcd as igcd, prod
 from operator import add as _add, getitem, itemgetter, mul
 from types import MappingProxyType
 
-from .modular import _divmod_mod, _trim
+from .modular import _divmod_mod, _eval, _trim
 
 Term = tuple[int, ...]
 
@@ -251,18 +251,6 @@ def _nest(terms: list[tuple[Term, int]], level: int, n: int) -> list:
     return [(k, _nest(sub, level + 1, n)) for k, sub in groups.items()]
 
 
-def _powers(degs: list[int], point, p: int) -> list[list[int]]:
-    """Per variable, the powers x^e mod p of the point's coordinate x, for e
-    up to the variable's degree."""
-    out = []
-    for deg, x in zip(degs, point):
-        pw = [1] * (deg + 1)
-        for e in range(1, deg + 1):
-            pw[e] = pw[e - 1] * x % p
-        out.append(pw)
-    return out
-
-
 def _qpowers(ints: dict, point, skip: int = -1, slopes: bool = False) -> tuple[list, list[int], int, list]:
     """For nonzero integer terms and a point: per variable, the integers
     n^e * d^(deg - e) for the exponents e of the variable in the terms,
@@ -292,7 +280,7 @@ def _axis_line(ints: dict, powers, i: int, deg: int) -> list[int]:
     """The restriction of integer terms to the line parallel to the x_i axis
     through the point of powers: its deg + 1 coefficients in x_i, lowest
     first, unreduced, added up in one pass over the terms.  Powers mod p
-    (see _powers) give the restriction mod p, and exact ones (see _qpowers)
+    (see _tables) give the restriction mod p, and exact ones (see _qpowers)
     the exact restriction, times the d^deg of the other coordinates.
     powers[i] is not read."""
     rows = powers[:i] + [[1] * (deg + 1)] + powers[i + 1 :]
@@ -375,25 +363,6 @@ def _tables(degs: list[int], points, p: int) -> list[list[tuple[list[int], list[
     return tables
 
 
-def _value(node: list, level: int, powers) -> int:
-    """Value of a compiled polynomial (see _nest) at the point of powers
-    (see _powers), unreduced."""
-    acc = 0
-    if level < len(powers) - 2:
-        row = powers[level]
-        for e, child in node:
-            acc += row[e] * _value(child, level + 1, powers)
-    elif level == len(powers) - 1:  # one variable
-        row = powers[level]
-        for e, c in node:
-            acc += c * row[e]
-    else:
-        r1, r2 = powers[level], powers[level + 1]
-        for a, b, c in node:
-            acc += c * r1[a] * r2[b]
-    return acc
-
-
 def _value_and_gradient(node: list, level: int, tables, n: int) -> list[list[int]]:
     """[value, d/dx_level, ..., d/dx_(n-1)] of a compiled polynomial (see
     _nest), unreduced.
@@ -465,7 +434,8 @@ def _gcd_degree_bound(f: dict, g: dict, arity: int) -> dict[int, int] | None:
     df = [_deg_in(f, i) for i in range(arity)]
     dg = [_deg_in(g, i) for i in range(arity)]
     point = [_GCD_RNG.randrange(1, p) for _ in range(arity)]
-    fpow, gpow = _powers(df, point, p), _powers(dg, point, p)
+    # the powers mod p: the first entry of each variable in its walk's tables
+    fpow, gpow = ([copies[0][0] for copies in _tables(degs, [point], p)] for degs in (df, dg))
     bound = {}
     for v in range(arity):
         if df[v] and dg[v]:
@@ -708,12 +678,7 @@ def _dense_gcd(f: list[int], g: list[int]) -> tuple[list[int], list[int], list[i
         return h, [f[-1] // h[-1]], [g[-1] // h[-1]]
     dbound = min(len(f), len(g)) - 1
     for xi in _xi_schedule(min(max(map(abs, f)), max(map(abs, g))), dbound):
-        fv = gv = 0
-        for c in reversed(f):
-            fv = fv * xi + c
-        for c in reversed(g):
-            gv = gv * xi + c
-        gam = igcd(fv, gv)
+        gam = igcd(_eval(f, xi), _eval(g, xi))
         digits = []
         while gam and len(digits) <= dbound:
             d = _smod(gam, xi)
@@ -1158,23 +1123,12 @@ class Poly:
         return degs
 
     def eval_mod(self, point, p: int) -> int:
-        """Value mod p at an integer point.
+        """Value mod p at an integer point: the value entry of the one-point
+        walk (see eval_grad_mod).
 
         Raises BadPrimeError when p divides the content's denominator.
         """
-        form, degs = self._compiled(p)
-        return _value(form, 0, _powers(degs, point, p)) % p
-
-    def line_mod(self, point, i: int, p: int) -> list[int]:
-        """The restriction mod p to the line through point parallel to the
-        x_i axis: a coefficient list in x_i, lowest first, read off in one
-        pass over the terms.  The coordinate point[i] is not used.
-
-        Raises BadPrimeError when p divides the content's denominator.
-        """
-        scale = self._content_mod(p)
-        degs = self._degrees()
-        return _trim([c * scale % p for c in _axis_line(self.ints, _powers(degs, point, p), i, degs[i])])
+        return self.eval_grad_mod((point,), p)[0][0]
 
     def eval_grad_mod(self, points, p: int) -> list[list[int]]:
         """[value, d/dx_0, ..., d/dx_(n-1)] mod p at each mixture of one or two points.

@@ -29,6 +29,7 @@ from ratforms.classify import (
     verify_twisted_identities,
 )
 from ratforms.classify import (
+    _const,
     _decomposed_detail,
     _Fn,
     _field_k_mod,
@@ -169,7 +170,7 @@ def test_a_certificate_needs_no_modular_arithmetic(monkeypatch):
         raise AssertionError("a modular step ran")
 
     monkeypatch.setattr(oracle, "_lift_and_verify", disabled)
-    for name in ("eval_mod", "line_mod", "_compiled"):
+    for name in ("eval_mod", "eval_grad_mod", "_compiled"):
         monkeypatch.setattr(Poly, name, disabled)
     for k, (P, s, ann) in enumerate(cases):
         cert = dependence_certificate(P, s, seed=k)
@@ -404,6 +405,44 @@ def test_fit_group_multiplicative():
 
 def test_fit_group_rejects_field_form():
     assert fit_group(_Fn(parse("x*(y+z)^3", TRI))) is None
+
+
+def _quotient_const(num: list, den: list):
+    """Reference: the constant term of the quotient of the long division of
+    num by den, Fraction lists lowest first."""
+    rem, m = list(num), len(den) - 1
+    q = [Fraction(0)] * max(0, len(num) - m)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = rem[k + m] / den[-1]
+        for j, d in enumerate(den):
+            rem[k + j] -= q[k] * d
+    return q[0] if q else 0
+
+
+def test_the_normalizing_constant_is_the_constant_of_the_polynomial_part():
+    rng = random.Random(38)
+
+    def part(coeffs, var):
+        key = lambda k: tuple(k if v == var else 0 for v in range(3))
+        return Poly({key(k): c for k, c in enumerate(coeffs) if c}, 3)
+
+    def coeffs(deg):
+        out = [Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 14])) for _ in range(deg + 1)]
+        out[-1] = out[-1] or Fraction(1)
+        return out
+
+    cases = [
+        ([], [Fraction(1)]),  # the zero part
+        ([Fraction(2), Fraction(5)], [Fraction(1), Fraction(0), Fraction(3)]),  # deg num < deg den
+        ([Fraction(7, 3), Fraction(1, 6), Fraction(5, 2)], [Fraction(2, 5), Fraction(4, 3)]),  # content 1/30
+        ([Fraction(-7, 4)], [Fraction(3)]),  # a constant part
+    ]
+    cases += [(coeffs(rng.randint(0, 6)), coeffs(rng.randint(0, 4))) for _ in range(60)]
+    for num, den in cases:
+        for var in range(3):
+            r = RatFun(part(num, var), part(den, var))
+            got = _const(r, var)
+            assert got == _quotient_const(num, den), (num, den, var)
 
 
 def test_normalized_certificates_have_small_coefficients():
@@ -762,6 +801,14 @@ def test_two_copy_ratios_mark_poles():
             _ratios(walks, 0, 1, 101, [2, k])
 
 
+def _own_walks(fn, walks):
+    """The walks, among (polynomial, number of points) pairs, of fn.num,
+    fn.den and their partials: the field K probe also walks the fitted
+    parts, at one point each."""
+    own = [f for pair in fn._parts.values() for f in pair]
+    return [(f, n) for f, n in walks if any(f is g for g in own)]
+
+
 def test_probes_walk_each_polynomial_once(monkeypatch):
     walks = []
     walk = Poly.eval_grad_mod
@@ -802,7 +849,8 @@ def test_probes_walk_each_polynomial_once(monkeypatch):
     list(itertools.islice(field.tries(p), 2))
     for moved in (1, 2):
         kval = _field_k_mod(0, 1, moved, RatFun.const(1, 3), parse("y + z", TRI), p)
-        assert copies(lambda: _probe(kval, field.tries(p))) == []
+        copies(lambda: _probe(kval, field.tries(p)))
+        assert _own_walks(field, walks) == [] and {n for _, n in walks} == {1}
     # a twisted gate reads N and D off the try and walks N_y and D_y, once
     # each per try at its two points
     twisted = _Fn(parse("(x + y^2)/(y^2 + z^3)", TRI))
@@ -900,18 +948,19 @@ def test_field_and_twisted_fits_read_the_tries_fit_group_drew(monkeypatch):
     walk = Poly.eval_grad_mod
 
     def counted(self, points, p):
-        walks.append(self)
+        walks.append((self, len(points)))
         return walk(self, points, p)
 
     monkeypatch.setattr(Poly, "eval_grad_mod", counted)
     fn = _Fn(parse("x*(y+z)^3", TRI))
     assert fit_group(fn) is None
-    assert walks == [fn.num, fn.den] * 2
+    assert [f for f, _ in walks] == [fn.num, fn.den] * 2
     walks.clear()
     assert fit_field(fn).verdict == "Field"
-    assert walks == []
+    assert _own_walks(fn, walks) == [] and {n for _, n in walks} == {1}
+    walks.clear()
     assert fit_twisted(fn) is None
-    assert walks and all(f in fn.partials(1) for f in walks)
+    assert walks and all(f in fn.partials(1) for f, _ in walks)
 
 
 @pytest.mark.parametrize("seed", [0, 5])

@@ -339,6 +339,24 @@ def test_line_nodes_move_to_a_fresh_line_where_s_is_constant():
     assert [(n, d, v, u) for n, d, v, u in nodes] == [(2 + z, 1, (2 + z) ** 2, 1) for z in range(3)]
 
 
+def test_line_nodes_read_no_point_of_a_line_where_s_is_constant(monkeypatch):
+    # N_s vanishes on the y-line through (3, ., 1), so N_s and D_s are
+    # proportional there and s can give it one node at most: the search
+    # moves to the x-line through (., 4, 5) before it reads a point, and
+    # the relation comes off that line alone
+    s = parse("x*(x-3)*(x+1)*(15*y-6*z-41)", TRI)
+    P = s * s + 1
+    draws = (3, 1, 1, 1, 2, 4, 5, 0)
+    evals = _spy(monkeypatch, "_eval")
+    nodes = oracle._line_nodes(s, P, 3, _Script(*draws))
+    cost = len(evals)
+    evals.clear()
+    assert oracle._line_nodes(s, P, 3, _Script(*draws[4:])) == nodes
+    assert len(evals) == cost
+    monkeypatch.setattr(oracle, "rng_for", lambda seed, label: _Script(*draws))
+    assert composition_relation(P, s) == parse("p - q^2 - 1", ("p", "q")).num
+
+
 def test_line_nodes_draw_a_point_then_a_variable_per_line():
     # the seeded stream behind every certificate: a line's point w, with
     # coordinates in 1..15, then its variable i; nodes at x_i = 0, 1, ...

@@ -12,16 +12,19 @@ import pytest
 from synth import line, ref_subs
 import ratforms.poly as poly_module
 from ratforms.calculus import _mul
+from ratforms.modular import _trim
 from ratforms.poly import (
     BadPrimeError,
     _LINE_P,
     Poly,
+    _axis_line,
     _dense_gcd,
     _gcd_degree_bound,
     _heu_gcd,
     _idivexact,
     _imul,
     _prs_gcd,
+    _tables,
     _total_deg,
     divexact,
     gcd_int,
@@ -405,11 +408,7 @@ def test_terms_view_is_read_only():
 def test_compiled_form_rejects_a_prime_dividing_a_denominator():
     q = Poly({(1, 0): Fraction(1, 14), (0, 1): Fraction(1)}, 2)
     assert q.eval_mod((3, 2), 5) == (3 * pow(14, -1, 5) + 2) % 5
-    for evaluate in (
-        q.eval_mod,
-        lambda w, p: q.eval_grad_mod((w,), p),
-        lambda w, p: q.line_mod(w, 0, p),
-    ):
+    for evaluate in (q.eval_mod, lambda w, p: q.eval_grad_mod((w,), p)):
         with pytest.raises(BadPrimeError) as info:
             evaluate((3, 2), 7)
         assert info.value.prime == 7
@@ -456,8 +455,8 @@ def test_compiled_values_and_partials_match_exact_derivatives():
 
 
 def _assert_walks_match_exact_jets(q: Poly, pair, p: int) -> None:
-    """Both walks at each point and at every mixture of the pair agree with
-    the exact jets, and eval_mod is the value column of eval_grad_mod."""
+    """The one- and two-point walks at each point and at every mixture of
+    the pair agree with the exact jets, and eval_mod is their value column."""
     for point in pair:
         want = _exact_jet(q, point, p)
         assert q.eval_mod(point, p) == want[0]
@@ -515,7 +514,10 @@ def test_line_of_a_high_power_reads_only_the_exponents_of_its_terms():
     assert q.eval_q((2, Fraction(5, 7))) == Fraction(3, 2) * 2 ** e * Fraction(5, 7)
 
 
-def test_line_mod_is_the_exact_restriction_to_an_axis_parallel_line():
+def test_the_gcd_line_test_reads_the_exact_restriction_mod_p():
+    """_gcd_degree_bound restricts to an axis-parallel line with _axis_line
+    over the powers of the walk's tables; times the content mod p and
+    trimmed, that is the exact restriction reduced mod p."""
     rng = random.Random(24)
     p = 1000003
 
@@ -533,7 +535,9 @@ def test_line_mod_is_the_exact_restriction_to_an_axis_parallel_line():
             point = [rng.randrange(1, p) for _ in range(arity)]
             for i in range(arity):
                 restriction = ref_subs(terms, {j: x for j, x in enumerate(point) if j != i})
-                got = q.line_mod(point, i, p)
+                powers = [copies[0][0] for copies in _tables(q._degrees(), [point], p)]
+                scale = q._content_mod(p)
+                got = _trim([c * scale % p for c in _axis_line(q.ints, powers, i, q.degree_in(i))])
                 assert got == residues(restriction, arity, i, q.degree_in(i))
                 # the modular restriction is the exact one, reduced mod p
                 assert got == residues(line(q, point, i).terms, arity, i, q.degree_in(i))
@@ -773,14 +777,15 @@ def test_gcd_of_univariate_inputs_keeps_content_sign_and_monomials(monkeypatch):
             assert lead > 0 and reduce(gcd, got.values()) == 1
 
 
-def test_line_mod_and_compiled_forms_read_the_degrees_once(monkeypatch):
+def test_compiled_forms_read_the_degrees_once(monkeypatch):
     rng = random.Random(3005)
     p = 1000003
     q = Poly(_random_terms(rng, 3, 8), 3) + Poly.variable(0, 3)
-    want = [q.line_mod((5, 7, 9), i, p) for i in range(3)]
+    pair = ((5, 7, 9), (2, 4, 6))
+    want = q.eval_grad_mod(pair, p)
     monkeypatch.setattr(poly_module, "_deg_in", lambda *_: pytest.fail("degrees read again"))
-    assert [q.line_mod((5, 7, 9), i, p) for i in range(3)] == want
+    assert q.eval_grad_mod(pair, p) == want
     assert q.eval_mod((5, 7, 9), 1000033) == q.eval_mod((5, 7, 9), 1000033)
     bad = Poly({(1, 0, 0): Fraction(1, p)}, 3)
     with pytest.raises(BadPrimeError):
-        bad.line_mod((5, 7, 9), 0, p)
+        bad.eval_mod((5, 7, 9), p)
