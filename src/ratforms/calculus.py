@@ -160,9 +160,48 @@ def _ratfun(num: list, den: list, var: int, arity: int) -> RatFun:
     return RatFun(_poly(num, var, arity), _poly(den, var, arity))
 
 
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with l^k * a = q*b + r and deg r < deg b, in integers, for the
+    lead l of b and k = len(q) = max(0, deg a - deg b + 1) (Knuth, TAOCP
+    vol. 2, 4.6.1, Algorithm R)."""
+    n, lead = len(b) - 1, b[-1]
+    rem = list(a)
+    q = [0] * max(0, len(a) - n)
+    for k in range(len(q) - 1, -1, -1):
+        c = rem.pop()
+        q[k] = c * lead**k
+        rem = [x * lead for x in rem]
+        for j in range(n):
+            rem[k + j] -= c * b[j]
+    return q, _trim(rem)
+
+
+def _int_coeffs(p: Poly, var: int) -> list[int] | None:
+    """The integer coefficient list of p in var, lowest first, when p is
+    free of the other variables; else None."""
+    out = [0] * (p.degree_in(var) + 1) if p.ints else []
+    for e, c in p.ints.items():
+        if sum(e) != e[var]:
+            return None
+        out[e[var]] = c
+    return out
+
+
 def _proper_parts(f: RatFun, var: int) -> tuple[list, list, list]:
-    """f = q + r/d with d monic in var, deg r < deg d, gcd(r, d) = 1."""
+    """f = q + r/d with d monic in var, deg r < deg d, gcd(r, d) = 1.
+
+    Where f is free of the other variables, its integer numerator is
+    pseudo-divided by its integer denominator, and the contents and the
+    powers of the lead are applied once per coefficient."""
     f = f.reduce()
+    n, d = _int_coeffs(f.num, var), _int_coeffs(f.den, var)
+    if n is not None and d is not None:
+        lead = d[-1]
+        q, r = _pseudo_divmod(n, d)
+        c = f.num.content / f.den.content
+        sq = c / lead ** len(q)
+        sr = sq / lead
+        return [x * sq for x in q], [x * sr for x in r], [Fraction(x, lead) for x in d]
     d = _coeffs(f.den, var)
     inv = _ONE / d[-1]
     d = _scale(d, inv)

@@ -251,6 +251,18 @@ def _nest(terms: list[tuple[Term, int]], level: int, n: int) -> list:
     return [(k, _nest(sub, level + 1, n)) for k, sub in groups.items()]
 
 
+def _powers(degs: list[int], point, p: int) -> list[list[int]]:
+    """Per variable, the powers x^e mod p of the point's coordinate x, for e
+    up to the variable's degree."""
+    out = []
+    for deg, x in zip(degs, point):
+        pw = [1] * (deg + 1)
+        for e in range(1, deg + 1):
+            pw[e] = pw[e - 1] * x % p
+        out.append(pw)
+    return out
+
+
 def _qpowers(ints: dict, point, skip: int = -1, slopes: bool = False) -> tuple[list, list[int], int, list]:
     """For nonzero integer terms and a point: per variable, the integers
     n^e * d^(deg - e) for the exponents e of the variable in the terms,
@@ -280,7 +292,7 @@ def _axis_line(ints: dict, powers, i: int, deg: int) -> list[int]:
     """The restriction of integer terms to the line parallel to the x_i axis
     through the point of powers: its deg + 1 coefficients in x_i, lowest
     first, unreduced, added up in one pass over the terms.  Powers mod p
-    (see _tables) give the restriction mod p, and exact ones (see _qpowers)
+    (see _powers) give the restriction mod p, and exact ones (see _qpowers)
     the exact restriction, times the d^deg of the other coordinates.
     powers[i] is not read."""
     rows = powers[:i] + [[1] * (deg + 1)] + powers[i + 1 :]
@@ -363,6 +375,25 @@ def _tables(degs: list[int], points, p: int) -> list[list[tuple[list[int], list[
     return tables
 
 
+def _value(node: list, level: int, powers) -> int:
+    """Value of a compiled polynomial (see _nest) at the point of powers
+    (see _powers), unreduced."""
+    acc = 0
+    if level < len(powers) - 2:
+        row = powers[level]
+        for e, child in node:
+            acc += row[e] * _value(child, level + 1, powers)
+    elif level == len(powers) - 1:  # one variable
+        row = powers[level]
+        for e, c in node:
+            acc += c * row[e]
+    else:
+        r1, r2 = powers[level], powers[level + 1]
+        for a, b, c in node:
+            acc += c * r1[a] * r2[b]
+    return acc
+
+
 def _value_and_gradient(node: list, level: int, tables, n: int) -> list[list[int]]:
     """[value, d/dx_level, ..., d/dx_(n-1)] of a compiled polynomial (see
     _nest), unreduced.
@@ -434,8 +465,7 @@ def _gcd_degree_bound(f: dict, g: dict, arity: int) -> dict[int, int] | None:
     df = [_deg_in(f, i) for i in range(arity)]
     dg = [_deg_in(g, i) for i in range(arity)]
     point = [_GCD_RNG.randrange(1, p) for _ in range(arity)]
-    # the powers mod p: the first entry of each variable in its walk's tables
-    fpow, gpow = ([copies[0][0] for copies in _tables(degs, [point], p)] for degs in (df, dg))
+    fpow, gpow = _powers(df, point, p), _powers(dg, point, p)
     bound = {}
     for v in range(arity):
         if df[v] and dg[v]:
@@ -1123,12 +1153,14 @@ class Poly:
         return degs
 
     def eval_mod(self, point, p: int) -> int:
-        """Value mod p at an integer point: the value entry of the one-point
-        walk (see eval_grad_mod).
+        """Value mod p at an integer point: the value entry of eval_grad_mod,
+        by a walk of its own that sums no partial, for the readers of values
+        alone (pole_free_values and the field K probe).
 
         Raises BadPrimeError when p divides the content's denominator.
         """
-        return self.eval_grad_mod((point,), p)[0][0]
+        form, degs = self._compiled(p)
+        return _value(form, 0, _powers(degs, point, p)) % p
 
     def eval_grad_mod(self, points, p: int) -> list[list[int]]:
         """[value, d/dx_0, ..., d/dx_(n-1)] mod p at each mixture of one or two points.

@@ -11,6 +11,7 @@ import pytest
 from synth import partial_ratio
 from ratforms.calculus import (
     _ONE,
+    _add,
     _coeffs,
     _divexact,
     _gcd,
@@ -19,6 +20,8 @@ from ratforms.calculus import (
     _monic,
     _mul,
     _poly,
+    _proper_parts,
+    _pseudo_divmod,
     _rational_roots,
     _trim,
     hermite_antiderivative,
@@ -428,6 +431,48 @@ def test_fraction_and_ratfun_coefficients_agree():
         got_q = _hermite_core(r, d, fq)
         got_r = _hermite_core(as_ratfun(r), as_ratfun(d), fr)
         assert [value(a) for a in got_q] == [value(a) for a in got_r]
+
+
+def test_pseudo_division_is_exact_in_integers():
+    rng = random.Random(61)
+    cases = [([], [3]), ([5, 1], [1, 0, 2]), ([7], [-2]), ([4, 0, 0, 6], [1, -3])]
+    for _ in range(40):
+        cases.append(([rng.randint(-9, 9) for _ in range(rng.randint(1, 7))] + [rng.randint(1, 9)],
+                      [rng.randint(-9, 9) for _ in range(rng.randint(0, 4))] + [rng.choice([-6, -1, 1, 4])]))
+    for a, b in cases:
+        q, r = _pseudo_divmod(a, b)
+        assert len(q) == max(0, len(a) - len(b) + 1) and len(r) < len(b)
+        assert all(type(c) is int for c in q + r)
+        assert _add(_mul(q, b), r) == _trim([b[-1] ** len(q) * c for c in a])
+
+
+def test_proper_parts_of_a_univariate_function():
+    # f = q + r/d with d monic and deg r < deg d, in Fractions, for f free of
+    # the other variables (read off its integer lists) and for the same f
+    # times a factor in them (read off its RatFun coefficients)
+    rng = random.Random(67)
+
+    def part(deg):
+        a = [Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 14])) for _ in range(deg + 1)]
+        a[-1] = a[-1] or Fraction(5, 2)
+        return a
+
+    def lift(a):
+        return [c if isinstance(c, RatFun) else RatFun.const(c, 2) for c in a]
+
+    y = RatFun.variable(1, 2)
+    for _ in range(30):
+        f = RatFun(_poly(part(rng.randint(0, 6)), 0, 2), _poly(part(rng.randint(0, 4)), 0, 2))
+        q, r, d = _proper_parts(f, 0)
+        assert d[-1] == 1 and len(r) < len(d)
+        assert all(type(c) is Fraction for c in q + r + d)
+        back = RatFun.from_poly(_poly(q, 0, 2))
+        if r:
+            back = back + RatFun(_poly(r, 0, 2), _poly(d, 0, 2))
+        assert back == f
+        qy, ry, dy = _proper_parts(f * (y + 1), 0)
+        assert lift(qy) == [c * (y + 1) for c in lift(q)] and lift(ry) == [c * (y + 1) for c in lift(r)]
+        assert lift(dy) == lift(d)
 
 
 def test_dense_core_exceptions():

@@ -455,8 +455,8 @@ def test_compiled_values_and_partials_match_exact_derivatives():
 
 
 def _assert_walks_match_exact_jets(q: Poly, pair, p: int) -> None:
-    """The one- and two-point walks at each point and at every mixture of
-    the pair agree with the exact jets, and eval_mod is their value column."""
+    """Both walks at each point and at every mixture of the pair agree with
+    the exact jets, and eval_mod is the value column of eval_grad_mod."""
     for point in pair:
         want = _exact_jet(q, point, p)
         assert q.eval_mod(point, p) == want[0]
