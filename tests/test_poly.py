@@ -23,8 +23,8 @@ from ratforms.poly import (
     _heu_gcd,
     _idivexact,
     _imul,
+    _powers,
     _prs_gcd,
-    _tables,
     _total_deg,
     divexact,
     gcd_int,
@@ -516,7 +516,7 @@ def test_line_of_a_high_power_reads_only_the_exponents_of_its_terms():
 
 def test_the_gcd_line_test_reads_the_exact_restriction_mod_p():
     """_gcd_degree_bound restricts to an axis-parallel line with _axis_line
-    over the powers of the walk's tables; times the content mod p and
+    over the powers eval_mod reads (_powers); times the content mod p and
     trimmed, that is the exact restriction reduced mod p."""
     rng = random.Random(24)
     p = 1000003
@@ -535,7 +535,7 @@ def test_the_gcd_line_test_reads_the_exact_restriction_mod_p():
             point = [rng.randrange(1, p) for _ in range(arity)]
             for i in range(arity):
                 restriction = ref_subs(terms, {j: x for j, x in enumerate(point) if j != i})
-                powers = [copies[0][0] for copies in _tables(q._degrees(), [point], p)]
+                powers = _powers(q._degrees(), point, p)
                 scale = q._content_mod(p)
                 got = _trim([c * scale % p for c in _axis_line(q.ints, powers, i, q.degree_in(i))])
                 assert got == residues(restriction, arity, i, q.degree_in(i))
