@@ -45,7 +45,7 @@ from functools import reduce
 from math import gcd, prod
 from operator import mul as _times, sub as _minus
 
-from .calculus import _deriv, _mul, _proper_parts, _scale, _sub, hermite_antiderivative, logderiv_integrate
+from .calculus import _deriv, _mul, _scale, _sub, hermite_antiderivative, logderiv_integrate
 from .dimension import image_dimension, is_nondegenerate
 from .modular import DEFAULT_PRIMES, RETRIES, rng_for
 from .oracle import composition_relation, prime_pool
@@ -135,23 +135,12 @@ def _unit(f: RatFun) -> Fraction:
     return c if (f.num.leading()[1] > 0) == (f.den.leading()[1] > 0) else -c
 
 
-def _const(r: RatFun, var: int):
-    """The constant term of the polynomial part of r, univariate in var."""
-    q = _proper_parts(r, var)[0]
-    return q[0] if q else 0
-
-
-def _shift(r: RatFun, c) -> RatFun:
-    return r + c if c else r
-
-
 def _terms_desc(p: Poly):
     """p's integer terms from the grlex-leading one down."""
     return sorted(((grlex_key(e), c) for e, c in p.ints.items()), reverse=True)
 
 
 def _additive_normal(r, i, n):
-    r = [_shift(rk, -_const(rk, k)) for k, rk in enumerate(r)]
     c = _unit(reduce(_raw_sum, r[1:], r[0]))
     return [rk.scale(c) for rk in r]
 
@@ -166,16 +155,11 @@ def _multiplicative_normal(r, i, n):
 
 def _field_normal(r, i, n):
     j, l = (k for k in range(3) if k != i - 1)
-    c, r = _const(r[l], l), list(r)
-    r[j], r[l] = _shift(r[j], c), _shift(r[l], -c)
     b = _unit(_raw_sum(r[j], r[l]))
-    r[j], r[l], r[i - 1] = r[j].scale(b), r[l].scale(b), r[i - 1].scale(_unit(r[i - 1]))
-    return r
+    return [rk.scale(_unit(rk) if k == i - 1 else b) for k, rk in enumerate(r)]
 
 
 def _twisted_normal(r, i, n):
-    c = _const(r[1], 1)
-    r = [_shift(r[0], c), _shift(r[1], -c), _shift(r[2], c)]
     b = _unit(_raw_sum(r[1], r[2]))
     return [rk.scale(b) for rk in r]
 
@@ -185,18 +169,20 @@ def _twisted_normal(r, i, n):
 #: to one representative that depends on P alone.  A function is called
 #: primitive here when it is N/D for primitive integer N and D with
 #: positive grlex leads (see _unit); products of primitive functions are
-#: primitive (Gauss's lemma).
-#: - GroupAdditive: each r_k's polynomial part has constant term 0, and a
-#:   common scale makes s primitive.
+#: primitive (Gauss's lemma).  The shifts among the additive parts are
+#: fixed before a rule runs: every part that hermite_antiderivative
+#: returns has a polynomial part with constant term 0, which pins each
+#: GroupAdditive r_k, the Field r_l (r_j carries the inner sum's constant)
+#: and the Twisted r2 (the shift (r1 + c, r2 - c, r3 + c)).  So the rules
+#: are scales:
+#: - GroupAdditive: a common scale makes s primitive.
 #: - GroupMultiplicative: each r_k is primitive, so s is (the scale goes on
 #:   r1); of s and 1/s, s is the one whose first nonconstant part has the
 #:   numerator that comes later under _terms_desc (the grlex-leading
 #:   monomial, then its coefficient, then the next term).
-#: - Field, with j < l the variables of the block B = r_j + r_l: r_l's
-#:   polynomial part has constant term 0, so r_j carries B's constant, and
-#:   B and r_i are primitive, so s = r_i * B^n is.
-#: - Twisted: (r1 + c, r2 - c, r3 + c) gives r2's polynomial part constant
-#:   term 0, and a common scale makes r2 + r3 primitive; s does not change.
+#: - Field, with j < l the variables of the block B = r_j + r_l: B and r_i
+#:   are primitive, so s = r_i * B^n is.
+#: - Twisted: a common scale makes r2 + r3 primitive; s does not change.
 #: A scale of s is raised to the degree of q in the certificate, so the
 #: normalized s also keeps the certificate's coefficients small.
 NORMAL_FORMS = {
@@ -212,23 +198,18 @@ NORMAL_FORMS = {
 # ---------------------------------------------------------------------------
 
 
-def dependence_certificate(
-    P: RatFun,
-    s: RatFun,
-    dmax: int | None = None,
-    seed: int = 0,
-) -> DependenceCertificate | None:
+def dependence_certificate(P: RatFun, s: RatFun, dmax: int | None = None) -> DependenceCertificate | None:
     """Relation a(q)*p - b(q) stating P = (b/a)(s), or None.
 
     Every fitter builds s with P = q(s) for a univariate rational q, so the
     certificate is that relation, interpolated exactly on one line and
-    checked exactly by composition_relation; it depends on neither the
-    primes nor the seed.  Its degree in q is deg P / deg s, as the degree of a
-    composition is multiplicative, so a cap dmax on its total degree (None:
-    no cap) only turns certificates away.  It is linear in p: a dependence
-    of higher degree in p means P lies outside Q(s), so s does not explain
-    P and no certificate is returned.  An independent pair has no relation
-    to find, so the search rejects it.
+    checked exactly by composition_relation; it is unique up to scale, so
+    it depends on no prime and no draw.  Its degree in q is deg P / deg s,
+    as the degree of a composition is multiplicative, so a cap dmax on its
+    total degree (None: no cap) only turns certificates away.  It is linear
+    in p: a dependence of higher degree in p means P lies outside Q(s), so
+    s does not explain P and no certificate is returned.  An independent
+    pair has no relation to find, so the search rejects it.
     """
     if P.arity != s.arity:
         raise ValueError("P and s must share one ambient variable list")
@@ -236,7 +217,7 @@ def dependence_certificate(
         raise ValueError("the fitted function s must be nonconstant")
     if P.is_constant:
         raise ValueError("P must be nonconstant")
-    ann = composition_relation(P, s, dmax, seed=seed)
+    ann = composition_relation(P, s, dmax)
     if ann is None:
         return None
     # composition_relation only returns a relation that was proven to vanish
@@ -244,20 +225,15 @@ def dependence_certificate(
     return DependenceCertificate(ann, ann.total_degree(), True)
 
 
-def verify_certificate(
-    cert: DependenceCertificate,
-    P: RatFun,
-    s: RatFun,
-    primes: tuple[int, ...] = DEFAULT_PRIMES,
-    seed: int = 0,
-) -> bool:
+def verify_certificate(cert: DependenceCertificate, P: RatFun, s: RatFun) -> bool:
     """Re-check a certificate from scratch: is annihilator(P, s) = 0 exactly?
 
     This is the independent check: it shares nothing with the proportionality
     test that accepted the certificate.  Modular spot evaluations run first
     so that a corrupted certificate fails in microseconds; agreement at every
     sample falls through to the full exact expansion (compose_numerator),
-    which is the final word.  The spot checks skip a prime that divides a
+    which is the final word, so the answer is the expansion's.  The spot
+    checks sample modulo DEFAULT_PRIMES, skipping a prime that divides a
     coefficient denominator of P or s (see prime_pool), and read the
     annihilator's primitive integer part, which vanishes where it does.
     """
@@ -267,8 +243,8 @@ def verify_certificate(
     if ann.arity != 2 or ann.is_zero:
         return False
     primitive = Poly.from_ints(ann.ints, 2)
-    for p in prime_pool(primes, [P, s], len(primes)):
-        pts = pole_free_values([P, s], 4, p, rng_for(seed, f"certcheck:p{p}"))
+    for p in prime_pool(DEFAULT_PRIMES, [P, s], len(DEFAULT_PRIMES)):
+        pts = pole_free_values([P, s], 4, p, rng_for(0, f"certcheck:p{p}"))
         if pts is not None and any(primitive.eval_mod(pt, p) for pt in pts):
             return False
     return compose_numerator(ann, [P, s]).is_zero
@@ -280,10 +256,11 @@ def verify_certificate(
 
 
 class _Fn:
-    """One input f = N/D and its seed: partials, values mod p, exact lines.
+    """One input f = N/D, its seed and its gate prime p: partials, values
+    mod p, exact lines.
 
     _classify builds one per input and hands it to every fitter and to
-    _decomposed_detail, which read f and seed off it.  It wraps the raw
+    _decomposed_detail, which read f, seed and p off it.  It wraps the raw
     numerator/denominator pair (which need not be reduced) and caches the
     partial-derivative pairs (N_vs, D_vs) for the gates; every partial uses
     (N_i D - N D_i) / D^2, so the only exact quotient formed is one of
@@ -293,21 +270,21 @@ class _Fn:
     them off the one sample of the input (see tries).
     """
 
-    __slots__ = ("f", "seed", "num", "den", "_parts", "_rng", "_tries")
+    __slots__ = ("f", "seed", "p", "num", "den", "_parts", "_rng", "_tries")
 
-    def __init__(self, f: RatFun, seed: int = 0):
-        self.f, self.seed = f, seed
+    def __init__(self, f: RatFun, seed: int = 0, p: int = DEFAULT_PRIMES[0]):
+        self.f, self.seed, self.p = f, seed, p
         self.num, self.den = f.num, f.den
         self._parts: dict[tuple[int, ...], tuple[Poly, Poly]] = {(): (f.num, f.den)}
-        self._rng, self._tries = rng_for(seed, "gates"), {}
+        self._rng, self._tries = rng_for(seed, "gates"), []
 
-    def tries(self, p: int):
+    def tries(self):
         """The gates' one sample mod p, up to RETRIES tries drawn lazily
         from one stream and kept: (w, w2, walks), w2[i] drawn from the
         residues other than w[i] (none for p = 2), and walks the
         Poly.eval_grad_mod rows of N and of D at all 2^n mixtures, one walk
         each for every gate identity."""
-        drawn, rng = self._tries.setdefault(p, []), self._rng
+        drawn, rng, p = self._tries, self._rng, self.p
         for k in range(RETRIES):
             if k == len(drawn):
                 w = [rng.randrange(1, p) for _ in range(self.num.arity)]
@@ -433,22 +410,24 @@ def _probe(sides, tries) -> bool:
     return False
 
 
-def _gate_ratio_separable(fn: _Fn, a: int, b: int, p: int) -> bool:
-    """Probe H(X,Y) H(X0,Y0) = H(X,Y0) H(X0,Y) for H = f_a/f_b mod p, with
+def _gate_ratio_separable(fn: _Fn, a: int, b: int) -> bool:
+    """Probe H(X,Y) H(X0,Y0) = H(X,Y0) H(X0,Y) for H = f_a/f_b mod fn.p, with
     X = x_a and Y = x_b: the four corners are the mixtures with every other
     coordinate at copy 0.  A False disproves separability; a True is strong
     (not absolute) evidence for it."""
+    p = fn.p
+
     def sides(w, w2, walks):
         v, vx, vy, v00 = _ratios(walks, a, b, p, (0, 1 << a, 1 << b, (1 << a) | (1 << b)))
         return v * v00 % p, vy * vx % p
 
-    return _probe(sides, fn.tries(p))
+    return _probe(sides, fn.tries())
 
 
-def _gate_ratio_indep(fn: _Fn, a: int, b: int, var: int, p: int) -> bool:
-    """Probe that f_a/f_b mod p does not depend on x_var: its values at
+def _gate_ratio_indep(fn: _Fn, a: int, b: int, var: int) -> bool:
+    """Probe that f_a/f_b mod fn.p does not depend on x_var: its values at
     mixtures 0 and 1 << var agree."""
-    return _probe(lambda w, w2, walks: _ratios(walks, a, b, p, (0, 1 << var)), fn.tries(p))
+    return _probe(lambda w, w2, walks: _ratios(walks, a, b, fn.p, (0, 1 << var)), fn.tries())
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +435,8 @@ def _gate_ratio_indep(fn: _Fn, a: int, b: int, var: int, p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _decomposed_detail(fn: _Fn, p: int) -> tuple[bool, dict[str, bool]]:
-    """Is every partial ratio P_a/P_b separable mod p, for P = fn.f: all of
+def _decomposed_detail(fn: _Fn) -> tuple[bool, dict[str, bool]]:
+    """Is every partial ratio P_a/P_b separable mod fn.p, for P = fn.f: all of
     them, and each one.
 
     P is 2-decomposed iff all three are; each pair is probed by
@@ -466,7 +445,7 @@ def _decomposed_detail(fn: _Fn, p: int) -> tuple[bool, dict[str, bool]]:
     (Schwartz-Zippel).
     """
     detail = {
-        f"2dec_{_VN[a]}{_VN[b]}": _gate_ratio_separable(fn, a, b, p)
+        f"2dec_{_VN[a]}{_VN[b]}": _gate_ratio_separable(fn, a, b)
         for a, b in ((0, 1), (0, 2), (1, 2))
     }
     return all(detail.values()), detail
@@ -482,7 +461,7 @@ def _certified(verdict, parts, key, fn, dmax, diag, pivot=None, exponent=None):
     s = TEMPLATES[verdict](parts, pivot, exponent)
     if s.is_constant:
         raise DegenerateSpecializationError("the fitted parts give a constant s")
-    cert = dependence_certificate(fn.f, s, dmax=dmax, seed=fn.seed)
+    cert = dependence_certificate(fn.f, s, dmax=dmax)
     if cert is None:
         if verdict != "Twisted":
             diag[f"{key}_certificate"] = False
@@ -495,7 +474,6 @@ def _certified(verdict, parts, key, fn, dmax, diag, pivot=None, exponent=None):
 def fit_group(
     fn: _Fn,
     dmax: int | None = None,
-    primes: tuple[int, ...] = DEFAULT_PRIMES,
     diagnostics: dict[str, bool] | None = None,
 ) -> FormReport | None:
     """Fit P = fn.f = Q(r1 + ... + rn) or Q(r1 * ... * rn), n = 2 or 3, certified.
@@ -511,10 +489,10 @@ def fit_group(
     n = fn.f.arity
     rng = rng_for(fn.seed, "fit-group")
     for a, b, c in ((0, 1, 2), (1, 2, 0), (0, 2, 1))[: 1 if n == 2 else 3]:
-        if not _gate_ratio_separable(fn, a, b, primes[0]):
+        if not _gate_ratio_separable(fn, a, b):
             diag[f"group_sep_{_VN[a]}{_VN[b]}"] = False
             return None
-        if n == 3 and not _gate_ratio_indep(fn, a, b, c, primes[0]):
+        if n == 3 and not _gate_ratio_indep(fn, a, b, c):
             diag[f"group_indep_{_VN[a]}{_VN[b]}"] = False
             return None
     # the split of P_a/P_(a+1) is (c_a * r_a', c_a * r_(a+1)')
@@ -580,15 +558,16 @@ def _solve_beta(fn: _Fn, i: int, j: int, uj: RatFun, rj: RatFun, rl: RatFun, rng
     return None
 
 
-def _field_k_mod(i: int, j: int, v: int, uj: RatFun, Bc: RatFun, p: int):
-    """Sides (see _probe) of K = P_i * r_j' / (P_j * B) at mixtures 0 and
-    1 << v of a try, for the field pivot x_i with inner sum B = Bc and
-    uj = r_j' up to scale; free of x_j and x_l for a field form.  P_i/P_j
-    comes off the try's walks, so the probe walks nothing.  K does not see
-    a constant scale of uj or Bc, so each is read off the primitive integer
-    parts of its numerator and denominator, which have an image modulo
-    every prime.
+def _field_k_mod(fn: _Fn, i: int, j: int, v: int, uj: RatFun, Bc: RatFun):
+    """Sides (see _probe) of K = P_i * r_j' / (P_j * B) mod fn.p at mixtures
+    0 and 1 << v of a try, for the field pivot x_i with inner sum B = Bc
+    and uj = r_j' up to scale; free of x_j and x_l for a field form.
+    P_i/P_j comes off the try's walks, so the probe walks nothing.  K does
+    not see a constant scale of uj or Bc, so each is read off the primitive
+    integer parts of its numerator and denominator, which have an image
+    modulo every prime.
     """
+    p = fn.p
     un, ud, bn, bd = (Poly.from_ints(f.ints, 3) for f in (uj.num, uj.den, Bc.num, Bc.den))
 
     def sides(w, w2, walks):
@@ -606,7 +585,6 @@ def _field_k_mod(i: int, j: int, v: int, uj: RatFun, Bc: RatFun, p: int):
 def fit_field(
     fn: _Fn,
     dmax: int | None = None,
-    primes: tuple[int, ...] = DEFAULT_PRIMES,
     diagnostics: dict[str, bool] | None = None,
 ) -> FormReport | None:
     """Fit P = fn.f = Q(r_i * (r_j + r_l)^n) over the three pivot choices.
@@ -620,13 +598,12 @@ def fit_field(
     of K, and r_i = g^(denominator of c).
     """
     diag = diagnostics if diagnostics is not None else {}
-    p = primes[0]
     deg_cap = 2 * max(1, fn.f.total_degree())
     for i in range(3):
         j, l = (t for t in range(3) if t != i)
         tag = f"field_pivot_{_VN[i]}"
         rng = rng_for(fn.seed, f"fit-field:{i}")
-        if not (_gate_ratio_separable(fn, j, l, p) and _gate_ratio_indep(fn, j, l, i, p)):
+        if not (_gate_ratio_separable(fn, j, l) and _gate_ratio_indep(fn, j, l, i)):
             diag[f"{tag}_gates"] = False
             continue
         pair = _split_partial_ratio(fn, j, l, rng)
@@ -649,7 +626,7 @@ def fit_field(
         rj += beta
         Bc = rj + rl
 
-        if not all(_probe(_field_k_mod(i, j, v, uj, Bc, p), fn.tries(p)) for v in (j, l)):
+        if not all(_probe(_field_k_mod(fn, i, j, v, uj, Bc), fn.tries()) for v in (j, l)):
             diag[f"{tag}_pivot_ratio_independent"] = False
             continue
         khat = None
@@ -726,9 +703,9 @@ def _twisted_line(fn: _Fn, point, free: int):
     return _twisted_g(part, _mul, _sub)
 
 
-def _twisted_logpartial_mod(fn: _Fn, i: int, p: int, seen: list):
-    """Sides (see _probe) of (log T)_i, i in {x, z}, for P = q(T), at
-    mixtures 0 and 1 << v of a try, v = 2 - i the variable it must be free
+def _twisted_logpartial_mod(fn: _Fn, i: int, seen: list):
+    """Sides (see _probe) of (log T)_i mod fn.p, i in {x, z}, for P = q(T),
+    at mixtures 0 and 1 << v of a try, v = 2 - i the variable it must be free
     of; each try appends to seen whether a side is nonzero.
 
     A = P_x/P_z = T_x/T_z does not see q, and (log T)_y = -(log A)_y, so
@@ -736,7 +713,7 @@ def _twisted_logpartial_mod(fn: _Fn, i: int, p: int, seen: list):
     are read off the try's walks, and one two-point walk each of N_y and D_y
     gives the rest.
     """
-    v = 2 - i
+    v, p = 2 - i, fn.p
 
     def sides(w, w2, walks):
         pts = (w, _moved(w, w2, v))
@@ -822,7 +799,6 @@ def _twisted_recover(fn, rng, dmax, diag):
 def fit_twisted(
     fn: _Fn,
     dmax: int | None = None,
-    primes: tuple[int, ...] = DEFAULT_PRIMES,
     diagnostics: dict[str, bool] | None = None,
 ) -> FormReport | None:
     """Fit P = fn.f = q((r1(x) + r2(y)) / (r2(y) + r3(z))) for any outer map q.
@@ -838,8 +814,8 @@ def fit_twisted(
     The recovery then rebuilds T on univariate lines and certifies P = q(T).
     """
     diag = diagnostics if diagnostics is not None else {}
-    p, seen = primes[0], []
-    if not all(_probe(_twisted_logpartial_mod(fn, i, p, seen), fn.tries(p))
+    seen = []
+    if not all(_probe(_twisted_logpartial_mod(fn, i, seen), fn.tries())
                and any(seen) for i in (0, 2)):
         diag["twisted_gates"] = False
         return None
@@ -967,9 +943,9 @@ def _classify(
     if not is_nondegenerate(P):
         return FormReport("Degenerate", None, None, {"nondegenerate": False})
     diag: dict[str, bool] = {"nondegenerate": True}
-    fn = _Fn(P, seed)
+    fn = _Fn(P, seed, primes[0])
     for fitter in (fit_group,) if n == 2 else (fit_group, fit_field, fit_twisted):
-        report = fitter(fn, dmax=dmax, primes=primes, diagnostics=diag)
+        report = fitter(fn, dmax=dmax, diagnostics=diag)
         if report is not None:
             report.image_dimension = n + 1
             return report
@@ -978,7 +954,7 @@ def _classify(
     if n == 3 and d == 5:
         diag["partial_constraint_dim5"] = True
     elif n == 3 and d < 5:
-        two, detail = _decomposed_detail(fn, primes[0])
+        two, detail = _decomposed_detail(fn)
         diag.update(detail)
         diag["2decomposed"] = two
     verdict = "NoConstraint" if d == 2 * n else "Unresolved"

@@ -152,11 +152,10 @@ def image_dimension(
 
 
 def is_nondegenerate(f: RatFun) -> bool:
-    """True iff f genuinely depends on every one of its variables (exact).
+    """True iff f genuinely depends on every one of its variables (exact),
+    at any arity.
 
     O(terms) on a reduced input, which involves x_i exactly when num or den
     has positive degree in x_i; see RatFun.independent_of.
     """
-    if f.arity not in (2, 3):
-        raise ValueError("nondegeneracy is defined for 2 or 3 variables")
     return not any(f.independent_of(i) for i in range(f.arity))

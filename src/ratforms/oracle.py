@@ -22,7 +22,7 @@ import itertools
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import partial
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .modular import (
     DEFAULT_PRIMES,
@@ -153,8 +153,6 @@ def _normalize_coeffs(vec: list[Fraction], monos) -> dict | None:
     support = [(a, c) for a, c in zip(monos, vec) if c]
     if not support:
         return None
-    from math import gcd, lcm
-
     den = lcm(*(c.denominator for _, c in support))
     ints = [(a, int(c * den)) for a, c in support]
     g = 0
@@ -393,7 +391,7 @@ def _interpolate(nodes: list[tuple[int, int, int, int]]) -> tuple[list[int], lis
     return vout, uout
 
 
-def composition_relation(P: RatFun, s: RatFun, dmax: int | None = None, seed: int = 0) -> Poly | None:
+def composition_relation(P: RatFun, s: RatFun, dmax: int | None = None) -> Poly | None:
     """Relation a(q)*p - b(q) with a(s)*P = b(s) exactly, or None.
 
     After P and s are reduced, P = (b/a)(s) with coprime a and b holds only
@@ -408,25 +406,27 @@ def composition_relation(P: RatFun, s: RatFun, dmax: int | None = None, seed: in
     values a(s(w)) = D_P(w) / D_s(w)^m and c(s(w)) = -N_P(w) / D_s(w)^m at
     m + 1 points w with distinct values of s fix a and c by plain
     interpolation over Q.  The points lie on one line parallel to an axis,
-    drawn from rng_for(seed, "certificate-line") (_line_nodes), and the
-    interpolation runs in integers (_interpolate).  The one candidate is
-    normalized and returned only if it vanishes on (P, s) by homogenized
-    proportionality, and only if its total degree is at most dmax (None: no
-    cap).  On such a line P can be a function of s when it is not one on
-    the whole space (x^2 + y*z and s = x + y + z); _proportional refutes that
-    candidate, and since no other degree can hold, the search ends there.
+    drawn from one fixed stream, rng_for(0, "certificate-line")
+    (_line_nodes), and the interpolation runs in integers (_interpolate).
+    The one candidate is normalized and returned only if it vanishes on
+    (P, s) by homogenized proportionality, and only if its total degree is
+    at most dmax (None: no cap).  On such a line P can be a function of s
+    when it is not one on the whole space (x^2 + y*z and s = x + y + z);
+    _proportional refutes that candidate, and since no other degree can
+    hold, the search ends there.
 
     The certificate is unique up to scale, so it depends on neither the
-    seed nor a prime.  Since s is nonconstant, every relation between P and
-    s is a multiple of it (Gauss's lemma), so annihilating_poly([P, s], d)
-    returns it at its total degree d.  None says P lies outside Q(s), or,
+    line nor a prime, and the search takes no seed.  Since s is
+    nonconstant, every relation between P and s is a multiple of it
+    (Gauss's lemma), so annihilating_poly([P, s], d) returns it at its
+    total degree d.  None says P lies outside Q(s), or,
     only if RETRIES lines all run short, that s was constant on each.
     """
     P, s = P.reduce(), s.reduce()
     m, rem = divmod(P.total_degree(), s.total_degree())
     if rem or (dmax is not None and m > dmax):
         return None
-    nodes = _line_nodes(s, P, m + 1, rng_for(seed, "certificate-line"))
+    nodes = _line_nodes(s, P, m + 1, rng_for(0, "certificate-line"))
     if nodes is None:
         return None
     # s = (cN/cD) * n/d for the contents cN, cD of N_s, D_s; the factor

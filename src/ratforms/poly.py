@@ -43,6 +43,7 @@ Term = tuple[int, ...]
 # so this never affects output determinism.
 _GCD_RNG = random.Random(0x5EED)
 _LINE_P = 2147483647
+DIV_STEP_CAP = 200000
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -165,8 +166,9 @@ def _mono_divide(a: dict, mins: Term) -> dict:
     return {tuple(x - m for x, m in zip(e, mins)): c for e, c in a.items()}
 
 
-def _idivexact(f: dict, h: dict, step_cap: int = 200000) -> dict | None:
-    """Exact division of integer term dicts; None when h does not divide f.
+def _idivexact(f: dict, h: dict) -> dict | None:
+    """Exact division of integer term dicts; None when h does not divide f,
+    or when the quotient needs more than DIV_STEP_CAP leading terms.
 
     Each exponent vector e is coded as one integer that orders as grlex_key
     does: sum(e), then the entries, as digits in a base above the total
@@ -201,7 +203,7 @@ def _idivexact(f: dict, h: dict, step_cap: int = 200000) -> dict | None:
         if cr is None:
             continue
         steps += 1
-        if steps > step_cap:
+        if steps > DIV_STEP_CAP:
             return None
         # k - kh codes lead(rem) - lead(h) entrywise; its digits add up to
         # its top digit exactly when no entry is negative (a borrow breaks it)

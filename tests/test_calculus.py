@@ -475,6 +475,76 @@ def test_proper_parts_of_a_univariate_function():
         assert lift(dy) == lift(d)
 
 
+def _long_quotient(num: list, den: list) -> list:
+    """Reference: the quotient of the long division of num by den, Fraction
+    lists lowest first."""
+    rem, m = list(num), len(den) - 1
+    q = [Fraction(0)] * max(0, len(num) - m)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = rem[k + m] / den[-1]
+        for j, d in enumerate(den):
+            rem[k + j] -= q[k] * d
+    return q
+
+
+def test_the_polynomial_part_is_the_long_division_quotient():
+    rng = random.Random(38)
+
+    def coeffs(deg):
+        out = [Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 14])) for _ in range(deg + 1)]
+        out[-1] = out[-1] or Fraction(1)
+        return out
+
+    cases = [
+        ([], [Fraction(1)]),  # the zero part
+        ([Fraction(2), Fraction(5)], [Fraction(1), Fraction(0), Fraction(3)]),  # deg num < deg den
+        ([Fraction(7, 3), Fraction(1, 6), Fraction(5, 2)], [Fraction(2, 5), Fraction(4, 3)]),  # content 1/30
+        ([Fraction(-7, 4)], [Fraction(3)]),  # a constant part
+    ]
+    cases += [(coeffs(rng.randint(0, 6)), coeffs(rng.randint(0, 4))) for _ in range(60)]
+    for num, den in cases:
+        for var in range(3):
+            r = RatFun(_poly(num, var, 3), _poly(den, var, 3))
+            assert _proper_parts(r, var)[0] == _long_quotient(num, den), (num, den, var)
+
+
+def test_hermite_antiderivatives_have_no_constant_term():
+    # the normal forms rest on this: the polynomial part of every
+    # antiderivative hermite_antiderivative returns has constant term 0, so
+    # no fitted additive part carries a shift of its own
+    rng = random.Random(39)
+
+    def coeffs(deg):
+        out = [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7])) for _ in range(deg + 1)]
+        out[-1] = out[-1] or Fraction(1)
+        return out
+
+    def proper(var, most):
+        den = [_ONE]
+        for _ in range(rng.randint(1, 2)):
+            a = Fraction(rng.randint(-5, 5), rng.choice([1, 2]))
+            for _ in range(rng.randint(1, most)):
+                den = _mul(den, [-a, _ONE])
+        if rng.random() < 0.3:
+            den = _mul(den, [Fraction(rng.randint(1, 5)), 0, _ONE])
+        return RatFun(_poly(coeffs(len(den) - 2), var, 3), _poly(den, var, 3))
+
+    kinds = {
+        "polynomial": lambda var: RatFun.from_poly(_poly(coeffs(rng.randint(1, 5)), var, 3)),
+        "proper": lambda var: proper(var, 1),
+        "mixed": lambda var: RatFun.from_poly(_poly(coeffs(rng.randint(1, 4)), var, 3)) + proper(var, 2),
+        "multiple poles": lambda var: proper(var, 3),
+    }
+    for kind, make in kinds.items():
+        for k in range(60):
+            var = k % 3
+            f = make(var).partial(var)
+            got = hermite_antiderivative(f, var)
+            assert got is not None and got.partial(var) == f, kind
+            q = _proper_parts(got, var)[0]
+            assert not q or q[0] == 0, (kind, f)
+
+
 def test_dense_core_exceptions():
     with pytest.raises(ValueError, match="inexact"):
         _divexact([Fraction(1), Fraction(0), Fraction(1)], [Fraction(1), Fraction(1)])

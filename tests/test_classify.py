@@ -29,7 +29,6 @@ from ratforms.classify import (
     verify_twisted_identities,
 )
 from ratforms.classify import (
-    _const,
     _decomposed_detail,
     _Fn,
     _field_k_mod,
@@ -163,7 +162,7 @@ def test_a_certificate_has_degree_deg_P_over_deg_s_in_q(monkeypatch):
 def test_a_certificate_needs_no_modular_arithmetic(monkeypatch):
     # the search interpolates over the integers on one exact line: with the
     # lift and every mod-p evaluation of a polynomial disabled it still
-    # returns each certificate, at every seed
+    # returns each certificate
     cases = _certificate_cases()
 
     def disabled(*args, **kwargs):
@@ -172,8 +171,8 @@ def test_a_certificate_needs_no_modular_arithmetic(monkeypatch):
     monkeypatch.setattr(oracle, "_lift_and_verify", disabled)
     for name in ("eval_mod", "eval_grad_mod", "_compiled"):
         monkeypatch.setattr(Poly, name, disabled)
-    for k, (P, s, ann) in enumerate(cases):
-        cert = dependence_certificate(P, s, seed=k)
+    for P, s, ann in cases:
+        cert = dependence_certificate(P, s)
         assert cert is not None and cert.annihilator == ann
 
 
@@ -233,16 +232,19 @@ def test_verify_certificate_rejects_wrong_pair():
     assert not verify_certificate(cert, P, parse("x*y", BI))
 
 
-def test_certificate_samples_modulo_primes_coprime_to_the_denominators_of_s():
+def test_certificate_samples_modulo_primes_coprime_to_the_denominators_of_s(monkeypatch):
     # s has no image modulo 11, which divides its coefficient denominator 44,
-    # so the spot checks sample modulo another prime; the search itself
-    # reads s exactly
+    # so with the spot checks' primes set to 13 and 11 they sample modulo
+    # another prime; the search itself reads s exactly
     P = parse("x^2 + y^2", BI)
     s = parse("1/44*x^2 + 1/44*y^2", BI)
     cert = dependence_certificate(P, s)
     assert cert is not None and cert.verified
     assert cert.annihilator.terms == {(1, 0): Fraction(1), (0, 1): Fraction(-44)}
-    assert verify_certificate(cert, P, s, primes=(13, 11))
+    monkeypatch.setattr(classify, "DEFAULT_PRIMES", (13, 11))
+    assert verify_certificate(cert, P, s)
+    bad = DependenceCertificate(cert.annihilator + Poly.const(1, 2), 1, True)
+    assert not verify_certificate(bad, P, s)
 
 
 def test_verify_certificate_rejects_mismatched_arity():
@@ -338,7 +340,7 @@ def test_bivariate_additive_with_rational_parts():
 
 
 def _2decomposed(P, seed=0):
-    return _decomposed_detail(_Fn(P, seed), DEFAULT_PRIMES[0])
+    return _decomposed_detail(_Fn(P, seed))
 
 
 def test_2decomposed_field_form():
@@ -405,44 +407,6 @@ def test_fit_group_multiplicative():
 
 def test_fit_group_rejects_field_form():
     assert fit_group(_Fn(parse("x*(y+z)^3", TRI))) is None
-
-
-def _quotient_const(num: list, den: list):
-    """Reference: the constant term of the quotient of the long division of
-    num by den, Fraction lists lowest first."""
-    rem, m = list(num), len(den) - 1
-    q = [Fraction(0)] * max(0, len(num) - m)
-    for k in range(len(q) - 1, -1, -1):
-        q[k] = rem[k + m] / den[-1]
-        for j, d in enumerate(den):
-            rem[k + j] -= q[k] * d
-    return q[0] if q else 0
-
-
-def test_the_normalizing_constant_is_the_constant_of_the_polynomial_part():
-    rng = random.Random(38)
-
-    def part(coeffs, var):
-        key = lambda k: tuple(k if v == var else 0 for v in range(3))
-        return Poly({key(k): c for k, c in enumerate(coeffs) if c}, 3)
-
-    def coeffs(deg):
-        out = [Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 14])) for _ in range(deg + 1)]
-        out[-1] = out[-1] or Fraction(1)
-        return out
-
-    cases = [
-        ([], [Fraction(1)]),  # the zero part
-        ([Fraction(2), Fraction(5)], [Fraction(1), Fraction(0), Fraction(3)]),  # deg num < deg den
-        ([Fraction(7, 3), Fraction(1, 6), Fraction(5, 2)], [Fraction(2, 5), Fraction(4, 3)]),  # content 1/30
-        ([Fraction(-7, 4)], [Fraction(3)]),  # a constant part
-    ]
-    cases += [(coeffs(rng.randint(0, 6)), coeffs(rng.randint(0, 4))) for _ in range(60)]
-    for num, den in cases:
-        for var in range(3):
-            r = RatFun(part(num, var), part(den, var))
-            got = _const(r, var)
-            assert got == _quotient_const(num, den), (num, den, var)
 
 
 def test_normalized_certificates_have_small_coefficients():
@@ -696,9 +660,9 @@ def test_twisted_recovery_restricts_each_partial_once(monkeypatch):
     # the recovery on it directly: all eight attempts end on their y-line,
     # read in one pass over N and one over D = 1
     P = parse("(x+y+z)^11", TRI)
-    fn, p, seen = _Fn(P), DEFAULT_PRIMES[0], []
+    fn, seen = _Fn(P), []
     for i in (0, 2):
-        assert _probe(_twisted_logpartial_mod(fn, i, p, seen), fn.tries(p))
+        assert _probe(_twisted_logpartial_mod(fn, i, seen), fn.tries())
     assert seen == [False] * 4
     monkeypatch.setattr(Poly, "derivative", counted_derivative)
     monkeypatch.setattr(Poly, "line_jet", counted_jet)
@@ -754,7 +718,7 @@ def test_the_twisted_gates_turn_away_delta_zero(monkeypatch, expr, p):
     monkeypatch.setattr(classify, "_twisted_recover", never)
     monkeypatch.setattr(Poly, "eval_grad_mod", counted)
     diag = {}
-    assert fit_twisted(_Fn(parse(expr, TRI)), primes=(p, 11), diagnostics=diag) is None
+    assert fit_twisted(_Fn(parse(expr, TRI), p=p), diagnostics=diag) is None
     assert diag == {"twisted_gates": False}
     assert 8 <= len(walks) <= 16
 
@@ -810,7 +774,6 @@ def test_probes_walk_each_polynomial_once(monkeypatch):
         return walk(self, points, p)
 
     monkeypatch.setattr(Poly, "eval_grad_mod", counted)
-    p = DEFAULT_PRIMES[0]
 
     def copies(probe):
         walks.clear()
@@ -821,15 +784,15 @@ def test_probes_walk_each_polynomial_once(monkeypatch):
     group = _Fn(P)
     # a shared try is one walk of N and one of D at two points that differ
     # in every coordinate, which gives all 2^3 mixtures
-    tries = copies(lambda: list(itertools.islice(group.tries(p), 3)))
+    tries = copies(lambda: list(itertools.islice(group.tries(), 3)))
     assert tries == [2] * 6
-    for w, w2, (nw, dw) in itertools.islice(group.tries(p), 3):
+    for w, w2, (nw, dw) in itertools.islice(group.tries(), 3):
         assert all(a != b for a, b in zip(w, w2)) and len(nw) == len(dw) == 8
     # so do the copies mod 3, where an independent draw would often repeat one
-    assert all(a != b for w, w2, _ in itertools.islice(_Fn(P).tries(3), 8) for a, b in zip(w, w2))
+    assert all(a != b for w, w2, _ in itertools.islice(_Fn(P, p=3).tries(), 8) for a, b in zip(w, w2))
     # every gate identity reads the tries already drawn, with no walk
-    assert copies(lambda: _gate_ratio_separable(group, 0, 1, p)) == []
-    assert copies(lambda: _gate_ratio_indep(group, 0, 1, 2, p)) == []
+    assert copies(lambda: _gate_ratio_separable(group, 0, 1)) == []
+    assert copies(lambda: _gate_ratio_indep(group, 0, 1, 2)) == []
     # fit_group reads all six gate identities off two tries: 4 walks, where
     # one pair of draws per gate took 24
     walks.clear()
@@ -838,17 +801,17 @@ def test_probes_walk_each_polynomial_once(monkeypatch):
     # the field pivot x with r_y' = 1 and inner sum y + z: K = P_x/(P_y (y + z))
     # reads P_x/P_y off the tries, so once they are drawn its probes walk nothing
     field = _Fn(parse("x*(y + z)^3", TRI))
-    list(itertools.islice(field.tries(p), 2))
+    list(itertools.islice(field.tries(), 2))
     for moved in (1, 2):
-        kval = _field_k_mod(0, 1, moved, RatFun.const(1, 3), parse("y + z", TRI), p)
-        assert copies(lambda: _probe(kval, field.tries(p))) == []
+        kval = _field_k_mod(field, 0, 1, moved, RatFun.const(1, 3), parse("y + z", TRI))
+        assert copies(lambda: _probe(kval, field.tries())) == []
     # a twisted gate reads N and D off the try and walks N_y and D_y, once
     # each per try at its two points
     twisted = _Fn(parse("(x + y^2)/(y^2 + z^3)", TRI))
-    list(itertools.islice(twisted.tries(p), 2))
+    list(itertools.islice(twisted.tries(), 2))
     for i in (0, 2):
-        logpartial = _twisted_logpartial_mod(twisted, i, p, [])
-        assert copies(lambda: _probe(logpartial, twisted.tries(p))) == [2] * 4
+        logpartial = _twisted_logpartial_mod(twisted, i, [])
+        assert copies(lambda: _probe(logpartial, twisted.tries())) == [2] * 4
         assert [f for f, _ in walks] == list(twisted.partials(1)) * 2
 
 
@@ -856,23 +819,23 @@ def test_the_field_k_probe_reads_parts_whose_denominator_the_prime_divides():
     # K does not see a constant scale of r_j' or of the inner sum, so 13 in
     # their coefficient denominators neither raises BadPrimeError modulo 13
     # nor changes the answer: the pivot x passes, the pivot y does not
-    field = _Fn(parse("x*(y + z)^3", TRI))
+    field = _Fn(parse("x*(y + z)^3", TRI), p=13)
     inner = parse("y + z", TRI)
     for scale in (1, Fraction(1, 13), Fraction(26, 7)):
         uj, Bc = RatFun.const(scale, 3), inner.scale(Fraction(scale) / 13)
-        assert all(_probe(_field_k_mod(0, 1, v, uj, Bc, 13), field.tries(13)) for v in (1, 2))
+        assert all(_probe(_field_k_mod(field, 0, 1, v, uj, Bc), field.tries()) for v in (1, 2))
         # pivot y, with r_x' = 1 and x + z in place of the inner sum
         Bc = parse("x + z", TRI).scale(scale)
-        assert not all(_probe(_field_k_mod(1, 0, v, uj, Bc, 13), field.tries(13)) for v in (0, 2))
+        assert not all(_probe(_field_k_mod(field, 1, 0, v, uj, Bc), field.tries()) for v in (0, 2))
 
 
 def test_a_probe_whose_copies_all_equal_w_fails():
     # mod 2 every coordinate is 1, so every copy equals w and each try is
     # vacuous; counting those as agreement passed this ratio, which is not
     # separable in x and y (f_x/f_y = (1 + y)/(2*y*z + x))
-    fn = _Fn(parse("x + y^2*z + x*y", TRI))
-    assert not _gate_ratio_separable(fn, 0, 1, 2)
-    assert not _gate_ratio_separable(fn, 0, 1, DEFAULT_PRIMES[0])
+    P = parse("x + y^2*z + x*y", TRI)
+    assert not _gate_ratio_separable(_Fn(P, p=2), 0, 1)
+    assert not _gate_ratio_separable(_Fn(P), 0, 1)
 
 
 def test_gates_give_one_answer_per_pair_identity(monkeypatch):
@@ -884,7 +847,7 @@ def test_gates_give_one_answer_per_pair_identity(monkeypatch):
     def spy(gate):
         def recorded(fn, *args):
             out = gate(fn, *args)
-            seen.setdefault(args[:-1], set()).add(out)
+            seen.setdefault(args, set()).add(out)
             return out
         return recorded
 
@@ -895,12 +858,12 @@ def test_gates_give_one_answer_per_pair_identity(monkeypatch):
         P = parse(expr, TRI).reduce()
         for seed in range(3):
             answers = []
-            for primes in (DEFAULT_PRIMES, (7, 5), (5, 3)):
+            for p in (DEFAULT_PRIMES[0], 7, 5):
                 seen.clear()
-                fit_group(_Fn(P, seed), primes=primes)
-                fit_field(_Fn(P, seed), primes=primes)
-                _decomposed_detail(_Fn(P, seed), primes[0])
-                assert all(len(outs) == 1 for outs in seen.values()), (expr, seed, primes, seen)
+                fit_group(_Fn(P, seed, p))
+                fit_field(_Fn(P, seed, p))
+                _decomposed_detail(_Fn(P, seed, p))
+                assert all(len(outs) == 1 for outs in seen.values()), (expr, seed, p, seen)
                 answers.append({key: outs.pop() for key, outs in seen.items()})
             flukes += sum(small.get(key, exact) != exact
                           for small in answers[1:] for key, exact in answers[0].items())
@@ -915,9 +878,9 @@ def test_classify_builds_one_fn_per_input(monkeypatch):
     built = []
     init = _Fn.__init__
 
-    def counted(self, f, seed=0):
+    def counted(self, f, seed=0, p=DEFAULT_PRIMES[0]):
         built.append(seed)
-        init(self, f, seed)
+        init(self, f, seed, p)
 
     monkeypatch.setattr(_Fn, "__init__", counted)
     verdicts = set()
@@ -966,32 +929,20 @@ def test_fit_twisted_reads_the_tries_of_its_seed(monkeypatch, seed):
         return probe(sides, recorded())
 
     monkeypatch.setattr(classify, "_probe", spy)
-    P, p = parse("(x^2+y)/(y+z^3)", TRI), DEFAULT_PRIMES[0]
+    P = parse("(x^2+y)/(y+z^3)", TRI)
     assert fit_twisted(_Fn(P, seed)).verdict == "Twisted"
-    want = [(w, w2) for w, w2, _ in itertools.islice(_Fn(P, seed).tries(p), 2)]
+    want = [(w, w2) for w, w2, _ in itertools.islice(_Fn(P, seed).tries(), 2)]
     assert read[:2] == want
-    other = [(w, w2) for w, w2, _ in itertools.islice(_Fn(P, seed + 1).tries(p), 2)]
+    other = [(w, w2) for w, w2, _ in itertools.islice(_Fn(P, seed + 1).tries(), 2)]
     assert want != other
 
 
-@pytest.mark.parametrize("seed", [0, 5])
-def test_an_independent_pair_has_no_certificate(seed):
+def test_an_independent_pair_has_no_certificate():
     for P, s in (
         (parse("x + y", BI), parse("x*y", BI)),
         (parse("(x+y+z)^10 + x", TRI), parse("x*y*z + y", TRI)),
     ):
-        assert dependence_certificate(P, s, seed=seed) is None
-
-
-def test_a_dependent_pair_has_one_certificate_at_every_seed():
-    # the relation is unique up to scale and normalized, and the search
-    # samples no prime, so no seed changes it; the spot checks of
-    # verify_certificate accept it at 4-bit primes
-    P, s = parse("(x*y + 1)^3", BI), parse("x*y", BI)
-    certs = [dependence_certificate(P, s, seed=seed) for seed in range(8)]
-    assert all(c.verified and c.annihilator == certs[0].annihilator for c in certs)
-    assert certs[0].annihilator == parse("p - (q + 1)^3", ("p", "q")).num
-    assert verify_certificate(certs[0], P, s, primes=(13, 11))
+        assert dependence_certificate(P, s) is None
 
 
 # -- twisted fitter ---------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -486,12 +487,33 @@ def test_a_report_is_the_same_under_every_seed(capsys, names, expr, verdict):
     assert all(rep == reports[0] for rep in reports)
 
 
-def test_a_prime_dividing_a_fitted_denominator_is_skipped_by_the_check_pool(capsys):
+def test_every_golden_positive_report_is_the_same_at_every_seed(capsys):
+    # the certificate is unique up to scale and the fitted parts are
+    # normalized, so a positive report names one verdict, one set of parts
+    # and one certificate whatever seed draws the gates and the lines
+    runs = json.loads((Path(__file__).with_name("golden") / "reports_seed0.json").read_text(encoding="utf-8"))
+    positive = 0
+    for run in runs:
+        seed = run["argv"].index("--seed") + 1
+        by_seed = []
+        for value in ("0", "5", str(1 << 63)):
+            argv = run["argv"][:seed] + [value] + run["argv"][seed + 1:]
+            main(argv)
+            by_seed.append(json.loads(capsys.readouterr().out))
+        for reports in zip(*by_seed):
+            if reports[0]["certificate"] is not None:
+                positive += 1
+                keys = ("verdict", "fitted", "certificate")
+                assert all([rep[k] for k in keys] == [reports[0][k] for k in keys] for rep in reports)
+    assert positive == 57
+
+
+def test_a_prime_dividing_a_fitted_denominator_is_skipped_by_the_check_pool(capsys, monkeypatch):
     # the input has integer coefficients, but s = (x + 1)*y/(11*y + 1) is
     # stored with a monic denominator, y + 1/11, so it has no image modulo
-    # the sampling prime 11; the certificate search reads s exactly, and the
-    # pool of verify_certificate's spot checks at 4 bits is 13, 7, 5, 3, 2,
-    # 17, without 11
+    # the sampling prime 11; the certificate search reads s exactly, and
+    # with the spot checks of verify_certificate set to the 4-bit primes
+    # their pool is 13, 7, 5, 3, 2, 17, without 11
     code, (rep,) = _run_json(
         capsys, ["--vars", "x,y", "--function", "(11*y + 1)/(x*y + y)", "--prime-bits", "4"]
     )
@@ -502,6 +524,9 @@ def test_a_prime_dividing_a_fitted_denominator_is_skipped_by_the_check_pool(caps
     assert rep["certificate"]["annihilator"] == "p*q - 1"
     fs = [parse(text, ("x", "y")) for text in (rep["function"], rep["fitted"]["s"])]
     assert list(prime_pool((13, 11), fs, 6)) == [13, 7, 5, 3, 2, 17]
+    monkeypatch.setattr(classify, "DEFAULT_PRIMES", (13, 11))
+    ann = parse(rep["certificate"]["annihilator"], ("p", "q")).num
+    assert classify.verify_certificate(classify.DependenceCertificate(ann, 2, True), *fs)
 
 
 @pytest.mark.parametrize("bits", [[], ["--prime-bits", "4"]])

@@ -197,6 +197,19 @@ def test_is_nondegenerate_examples():
     assert not is_nondegenerate(RatFun.const(5, 2))
 
 
+def test_is_nondegenerate_at_any_arity():
+    # RatFun.independent_of is exact at every arity, so one and four
+    # variables are answered as two and three are, raw fractions included
+    one, four = ("x",), ("x", "y", "z", "w")
+    assert is_nondegenerate(parse("(x^2 + 1)/(x - 3)", one))
+    assert not is_nondegenerate(RatFun.const(2, 1))
+    assert is_nondegenerate(parse("x*y*z*w + 1", four))
+    assert not is_nondegenerate(parse("x*y + z", four))
+    x, w = (parse(v, four).num for v in ("x", "w"))
+    assert not is_nondegenerate(RatFun.raw(parse("x*y*z", four).num * (w + 1), w + 1))
+    assert is_nondegenerate(RatFun.raw(parse("x*y*z", four).num * (w + 1), x + 1))
+
+
 def test_is_nondegenerate_on_unreduced_inputs():
     # raw fractions may carry a variable in a cancelling common factor, so
     # they keep the exact quotient-rule test
