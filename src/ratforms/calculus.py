@@ -7,13 +7,14 @@ recognizes logarithmic derivatives r'/r so that r can be rebuilt from its
 pole multiplicities.  The exact separability test of H across two
 variable blocks lives here too.
 
-The univariate core (Euclid, Yun, Hermite, residues) works on dense
-coefficient lists in the chosen variable, lowest degree first, with no
-trailing zeros.  A coefficient free of the other variables is a Fraction
-and any other is a RatFun; the two mix in arithmetic, so each algorithm is
-written once.  A function univariate over Q, which is every function the
-fitters integrate, is thus handled in Fraction arithmetic throughout.
-RatFun and Poly values are built only for the results.
+The core works on dense coefficient lists in the chosen variable, lowest
+degree first.  A function univariate over Q, which is every function the
+fitters integrate, is read as primitive integer lists and one Fraction
+scale; its squarefree split, rational roots and residues stay in integers.
+The field algorithms (Euclid, Yun, Hermite) take Fraction coefficients, and
+RatFun ones in the other variables, written once for both; they serve
+multiple poles, converted at Hermite's entry, and coefficients in the other
+variables.  RatFun and Poly values are built only for the results.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .modular import _eval, _trim, is_probable_prime, rational_reconstruct
-from .poly import Poly
+from .poly import Poly, _ddivexact, _dense_gcd, _unit_content
 from .ratfun import RatFun
 
 _ONE = Fraction(1)
@@ -155,8 +156,6 @@ def _ratfun(num: list, den: list, var: int, arity: int) -> RatFun:
     if any(isinstance(c, RatFun) for c in num + den):
         x = RatFun.variable(var, arity)
         return _eval(num, x) / _eval(den, x)
-    if len(den) == 1:
-        return RatFun.from_poly(_poly(num, var, arity))
     return RatFun(_poly(num, var, arity), _poly(den, var, arity))
 
 
@@ -187,47 +186,59 @@ def _int_coeffs(p: Poly, var: int) -> list[int] | None:
     return out
 
 
-def _proper_parts(f: RatFun, var: int) -> tuple[list, list, list]:
-    """f = q + r/d with d monic in var, deg r < deg d, gcd(r, d) = 1.
+def _proper_parts(f: RatFun, var: int) -> tuple[list, list, list, Fraction]:
+    """(q, r, d, s) with f = s*(q + r/d) in var, deg r < deg d, gcd(r, d) = 1.
 
-    Where f is free of the other variables, its integer numerator is
-    pseudo-divided by its integer denominator, and the contents and the
-    powers of the lead are applied once per coefficient."""
+    For f free of the other variables, q, r and d are integer lists: d is
+    f's primitive denominator, l^k * n = q*d + r pseudo-divides f's
+    primitive numerator n by d, with l = lead(d) and k = len(q), and s is
+    the ratio of the contents over l^k.  Otherwise d is monic and s = 1."""
     f = f.reduce()
     n, d = _int_coeffs(f.num, var), _int_coeffs(f.den, var)
     if n is not None and d is not None:
-        lead = d[-1]
         q, r = _pseudo_divmod(n, d)
-        c = f.num.content / f.den.content
-        sq = c / lead ** len(q)
-        sr = sq / lead
-        return [x * sq for x in q], [x * sr for x in r], [Fraction(x, lead) for x in d]
+        return q, r, d, f.num.content / f.den.content / d[-1] ** len(q)
     d = _coeffs(f.den, var)
     inv = _ONE / d[-1]
     d = _scale(d, inv)
     q, r = _divmod(_scale(_coeffs(f.num, var), inv), d)
-    return q, r, d
+    return q, r, d, _ONE
+
+
+def _gcd_split(a: list, b: list) -> tuple[list, list, list]:
+    """(h, a/h, b/h) for h = gcd(a, b).  Over a field, h is monic.  For a
+    primitive integer list a and any integer list b, h is primitive with a
+    positive lead: the shared power of x and the content of b come out for
+    _dense_gcd and go back after it."""
+    if type(a[-1]) is not int:
+        h = _gcd(a, b)
+        return h, _divexact(a, h), _divexact(b, h)
+    if not b:
+        h = _unit_content(a)
+        return h, [a[-1] // h[-1]], []
+    k = 0
+    while not (a[k] or b[k]):
+        k += 1
+    cb = gcd(*b)
+    h, qa, qb = _dense_gcd(a[k:], [c // cb for c in b[k:]])
+    return [0] * k + h, qa, [c * cb for c in qb]
 
 
 def yun_squarefree(d: list) -> list[tuple[list, int]]:
-    """Squarefree factorization of monic d: list of (factor, multiplicity).
+    """Squarefree factorization of d: list of (factor, multiplicity).
 
-    The factors are monic and pairwise coprime, by ascending multiplicity.
+    The factors are pairwise coprime, by ascending multiplicity: monic for a
+    monic d over a field, primitive with positive leads for a primitive
+    integer d (see _gcd_split).  Yun's w and y share one scale, so the
+    integer z = y - w' is exact (Yun, 1976).
     """
     out: list[tuple[list, int]] = []
-    dp = _deriv(d)
-    g = _gcd(d, dp)
-    if len(g) == 1:
-        return [(d, 1)] if len(d) > 1 else []
-    c = _divexact(d, g)
-    w = _sub(_divexact(dp, g), _deriv(c))
+    _, w, y = _gcd_split(d, _deriv(d))
     i = 1
-    while len(c) > 1:
-        p = _gcd(c, w)
+    while len(w) > 1:
+        p, w, y = _gcd_split(w, _sub(y, _deriv(w)))
         if len(p) > 1:
             out.append((p, i))
-        c = _divexact(c, p)
-        w = _sub(_divexact(w, p), _deriv(c))
         i += 1
     return out
 
@@ -278,9 +289,20 @@ def hermite_antiderivative(f: RatFun, var: int) -> RatFun | None:
 
     Hermite reduction leaves f = g' + s/d* with d* squarefree; a rational
     antiderivative exists exactly when s = 0.  The additive constant is
-    normalized to zero (no constant term is ever introduced).
+    normalized to zero (no constant term is ever introduced).  On integer
+    lists (_proper_parts), a polynomial integrates over the lcm of its
+    raised exponents, and a nonzero r over a squarefree d (by _dense_gcd)
+    gives None at once; a multiple pole is reduced in Fractions.
     """
-    q, r, d = _proper_parts(f, var)
+    q, r, d, s = _proper_parts(f, var)
+    if type(d[-1]) is int:
+        if not r:
+            den = lcm(*(i + 1 for i, c in enumerate(q) if c))
+            acc = [0] + [c * (den // (i + 1)) if c else 0 for i, c in enumerate(q)]
+            return RatFun.from_poly(Poly.from_coeffs(acc, var, f.arity, s / den))
+        if len(_gcd_split(d, _deriv(d))[0]) == 1:
+            return None
+        q, r, d = _scale(q, s), _scale(r, s / d[-1]), _monic(d)
     acc = _trim([0] + [c * Fraction(1, i + 1) for i, c in enumerate(q)])
     if not r:
         return _ratfun(acc, [_ONE], var, f.arity)
@@ -302,9 +324,9 @@ class ResidueProfile:
     squarefree_poles: (monic squarefree factor, multiplicity) of the
     denominator.  residues: after Hermite reduction, (x - a, residue at a,
     True) for every rational pole a, in ascending order per squarefree
-    factor, then (cofactor, trace, False) for the part of that factor with
-    no rational root, if any: the trace is the exact sum of the residues at
-    its poles.
+    factor, then (monic cofactor, trace, False) for the part of that factor
+    with no rational root, if any: the trace, a Fraction as every residue
+    is, is the exact sum of the residues at its poles.
     """
 
     var: int
@@ -313,30 +335,35 @@ class ResidueProfile:
     polynomial_part: Poly
 
 
-def _rational_roots(p: list) -> tuple[list[Fraction], list]:
-    """(rational roots of squarefree p, ascending; monic deflated cofactor).
+def _homog(p: list[int], a: int, b: int, n: int) -> int:
+    """b^n * p(a/b) in integers, for deg p <= n."""
+    return sum(c * a**i * b ** (n - i) for i, c in enumerate(p))
 
-    The roots of the integer form c_0 + ... + c_d x^d of p are found modulo
-    the first prime q that does not divide c_d and at which they are all
-    simple, lifted q-adically by Newton's iteration until q^k exceeds
-    2*max(|c_0|, |c_d|)^2, and rebuilt by rational reconstruction.  Every
-    rational root a/b has |a| <= |c_0| and b | c_d, and distinct ones stay
-    distinct modulo q, so every one is found; a candidate is kept only if it
-    is an exact root (Loos, SIAM J. Comput. 12, 1983).  A prime that
-    qualifies exists because p is squarefree.
+
+def _rational_roots(p: list[int]) -> tuple[list[Fraction], list[int]]:
+    """(rational roots of p, ascending; deflated cofactor) for a squarefree
+    primitive integer list p with a positive lead, which the cofactor keeps.
+
+    A linear p = c_0 + c_1 x gives -c_0/c_1.  The roots of a larger
+    c_0 + ... + c_d x^d are found modulo the first prime q that does not
+    divide c_d and at which they are all simple, lifted q-adically by
+    Newton's iteration until q^k exceeds 2*max(|c_0|, |c_d|)^2, and rebuilt
+    by rational reconstruction.  Every rational root a/b has |a| <= |c_0|
+    and b | c_d, and distinct ones stay distinct modulo q, so every one is
+    found; a candidate is kept only if b^d * p(a/b) = 0, and b*x - a divides
+    out exactly (Loos, SIAM J. Comput. 12, 1983).  A prime that qualifies
+    exists because p is squarefree.
     """
     roots: list[Fraction] = []
-    cur = list(p)
+    cur = p
     if cur[0] == 0:
         roots.append(Fraction(0))
         cur = cur[1:]
     if len(cur) == 2:
-        roots.append(-cur[0] / cur[1])
-        cur = cur[1:]
+        roots.append(Fraction(-cur[0], cur[1]))
+        cur = [1]
     elif len(cur) > 2:
-        den = lcm(*(c.denominator for c in cur))
-        ints = [int(c * den) for c in cur]
-        dp = _deriv(ints)
+        ints, dp = cur, _deriv(cur)
         for q in filter(is_probable_prime, count(2)):
             if ints[-1] % q:
                 found = [r for r in range(q) if _eval(ints, r) % q == 0]
@@ -349,45 +376,52 @@ def _rational_roots(p: list) -> tuple[list[Fraction], list]:
                 m *= m
                 r = (r - _eval(ints, r) * pow(_eval(dp, r), -1, m)) % m
             a = rational_reconstruct(r, m)
-            if a is not None and _eval(cur, a) == 0:
+            if a is not None and _homog(cur, a.numerator, a.denominator, len(cur) - 1) == 0:
                 roots.append(a)
-                cur = _divexact(cur, [-a, _ONE])
-    return sorted(roots), _monic(cur)
+                cur = _ddivexact(cur, [-a.numerator, a.denominator])
+    return sorted(roots), cur
 
 
 def residue_profile(f: RatFun, var: int) -> ResidueProfile:
     """Exact pole/residue data of f in var; requires f univariate over Q.
 
-    Each squarefree factor of the denominator gives up all of its rational
-    roots (see _rational_roots); what is left of it is one cofactor, whose
-    trace is read off without its irrational roots.
+    Each squarefree factor of the integer denominator (yun_squarefree)
+    gives up all of its rational roots (see _rational_roots); the residue at
+    a root a/b is one Fraction of homogenized integer values at (a, b), or
+    of Fraction ones after Hermite's reduction of a multiple pole.  What is
+    left of the factor is one cofactor, whose trace is read off without its
+    irrational roots.
     """
     if f.is_zero:
         raise ValueError("residue profile of the zero function")
-    q, r, d = _proper_parts(f, var)
-    if any(isinstance(c, RatFun) for c in q + r + d):
+    q, r, d, s = _proper_parts(f, var)
+    if type(d[-1]) is not int:
         raise ValueError("profile requires a function univariate over Q")
     arity = f.arity
     factors = yun_squarefree(d)
-    sq = tuple((_poly(v, var, arity), m) for v, m in factors)
-    poly_part = _poly(q, var, arity)
+    sq = tuple((Poly.from_coeffs(v, var, arity, Fraction(1, v[-1])), m) for v, m in factors)
+    poly_part = Poly.from_coeffs(q, var, arity, s)
     if not r:
         return ResidueProfile(var, sq, (), poly_part)
-    _, _, s, dstar = _hermite_core(r, d, factors)
-    dsp = _deriv(dstar)
+    if any(m > 1 for _, m in factors):
+        _, _, r, d = _hermite_core(_scale(r, s / d[-1]), _monic(d), [(_monic(v), m) for v, m in factors])
+        s = _ONE
+    dp, n = _deriv(d), len(d) - 2
     residues: list[tuple[Poly, Fraction, bool]] = []
     for v, _m in factors:
         roots, cof = _rational_roots(v)
         for a in roots:
-            factor = Poly.variable(var, arity) - Poly.const(a, arity)
-            residues.append((factor, _eval(s, a) / _eval(dsp, a), True))
+            num, den = a.numerator, a.denominator
+            res = Fraction(s.numerator * _homog(r, num, den, n), s.denominator * _homog(dp, num, den, n))
+            residues.append((Poly.from_coeffs([-num, den], var, arity, Fraction(1, den)), res, True))
         if len(cof) > 1:
-            # the residue at a root a of cof, of degree d, is w(a); by Lagrange
-            # interpolation at those roots, their sum is the x^(d-1) coefficient of w*cof'
-            w = _rem(_mul(_rem(s, cof), _inverse_mod(dsp, cof)), cof)
+            # the residue at a root a of cof, of degree e, is w(a); by Lagrange
+            # interpolation at those roots, their sum is the x^(e-1)
+            # coefficient of w*cof' mod cof over the lead of cof
+            w = _rem(_mul(_rem(r, cof), _inverse_mod(dp, cof)), cof)
             h = _rem(_mul(w, _deriv(cof)), cof)
-            trace = Fraction(h[-1] if len(h) == len(cof) - 1 else 0)
-            residues.append((_poly(cof, var, arity), trace, False))
+            trace = s * h[-1] / cof[-1] if len(h) == len(cof) - 1 else Fraction(0)
+            residues.append((Poly.from_coeffs(cof, var, arity, Fraction(1, cof[-1])), trace, False))
     return ResidueProfile(var, sq, tuple(residues), poly_part)
 
 
@@ -402,6 +436,7 @@ def logderiv_integrate(parts) -> tuple[list[RatFun] | None, Fraction | str]:
     or (None, reason): zero-part, profile-error (see residue_profile),
     nonzero-poly-part, multiple-pole or non-splitting-factor, for the first
     part that fails (Bronstein, Symbolic Integration I, sections 2.4-2.5).
+    g_k's numerator and denominator are integer products of the b*x - a.
     """
     profs = []
     for f, var in parts:
@@ -424,15 +459,15 @@ def logderiv_integrate(parts) -> tuple[list[RatFun] | None, Fraction | str]:
     c = Fraction(lcd, gcd(*(res.numerator * (lcd // res.denominator) for res in pool)))
     gs = []
     for prof in profs:
-        # distinct monic linear factors: the two products are coprime
-        num = den = Poly.const(1, prof.polynomial_part.arity)
+        # distinct linear factors: the numerator and the denominator are coprime
+        sides = [[1], [1]]
         for factor, res, _ in prof.residues:
             e = int(c * res)
-            if e > 0:
-                num = num * factor ** e
-            elif e < 0:
-                den = den * factor ** -e
-        gs.append(RatFun.coprime(num, den))
+            (c0, c1), k = _int_coeffs(factor, prof.var), abs(e)
+            power = [comb(k, i) * c0 ** (k - i) * c1**i for i in range(k + 1)] if c0 else [0] * k + [c1**k]
+            sides[e < 0] = _mul(sides[e < 0], power)
+        arity = prof.polynomial_part.arity
+        gs.append(RatFun.coprime(*(Poly.from_coeffs(p, prof.var, arity, Fraction(1, p[-1])) for p in sides)))
     return gs, c
 
 

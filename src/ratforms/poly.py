@@ -902,7 +902,10 @@ class Poly:
     @classmethod
     def from_coeffs(cls, coeffs: list[int], i: int, arity: int, content: Fraction = _ONE) -> "Poly":
         """content times the polynomial in x_i alone with the integer
-        coefficients coeffs, lowest first."""
+        coefficients coeffs, lowest first; a negative content's sign moves
+        into the coefficients."""
+        if content.numerator < 0:
+            coeffs, content = [-c for c in coeffs], -content
         return cls.from_ints(_on_axis(coeffs, i, arity), arity, content)
 
     # -- basic queries ------------------------------------------------------

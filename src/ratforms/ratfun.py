@@ -210,11 +210,13 @@ class RatFun:
     def __pow__(self, n: int) -> "RatFun":
         if n == 0:
             return RatFun.const(1, self.arity)
+        num, den = self.num, self.den
         if n < 0:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of zero")
-            return RatFun(self.den ** (-n), self.num ** (-n))
-        return RatFun(self.num**n, self.den**n)
+            num, den, n = den, num, -n
+        # powers of a canonical num and den stay coprime, with a lead of 1
+        return (RatFun.coprime if self.canonical else RatFun)(num**n, den**n)
 
     def scale(self, c) -> "RatFun":
         """c times the function.  A canonical one needs no gcd: a nonzero

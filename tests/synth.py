@@ -12,9 +12,33 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import count
+from math import gcd, lcm
 
-from ratforms.calculus import hermite_antiderivative, separability_identity
+from ratforms.calculus import (
+    _ONE,
+    _add,
+    _coeffs,
+    _deriv,
+    _divexact,
+    _divmod,
+    _gcd,
+    _hermite_core,
+    _inverse_mod,
+    _monic,
+    _mul,
+    _poly,
+    _ratfun,
+    _rem,
+    _scale,
+    _sub,
+    _trim,
+    ResidueProfile,
+    hermite_antiderivative,
+    separability_identity,
+)
 from ratforms.classify import _twisted_g
+from ratforms.modular import _eval, is_probable_prime, rational_reconstruct
 from ratforms.poly import Poly, _axis_line, _qpowers
 from ratforms.ratfun import DegenerateSpecializationError, PoleError, RatFun
 
@@ -317,3 +341,148 @@ RANK_CORPUS_TRI = (
     "x*y*z + x + 1",
     "(x*y + z)^2",
 )
+
+
+# The Fraction-list calculus that calculus.py's integer lists replaced, kept
+# as the reference for a function univariate over Q: every coefficient is a
+# Fraction, the denominator is made monic up front, and Euclid's gcd drives
+# Yun's split.
+
+
+def _fraction_parts(f: RatFun, var: int) -> tuple[list, list, list]:
+    """f = q + r/d with d monic in var, deg r < deg d, gcd(r, d) = 1."""
+    f = f.reduce()
+    d = _coeffs(f.den, var)
+    inv = _ONE / d[-1]
+    d = _scale(d, inv)
+    q, r = _divmod(_scale(_coeffs(f.num, var), inv), d)
+    return q, r, d
+
+
+def ref_yun_squarefree(d: list) -> list[tuple[list, int]]:
+    """Squarefree factorization of monic d: monic, pairwise coprime factors
+    by ascending multiplicity."""
+    out: list[tuple[list, int]] = []
+    dp = _deriv(d)
+    g = _gcd(d, dp)
+    if len(g) == 1:
+        return [(d, 1)] if len(d) > 1 else []
+    c = _divexact(d, g)
+    w = _sub(_divexact(dp, g), _deriv(c))
+    i = 1
+    while len(c) > 1:
+        p = _gcd(c, w)
+        if len(p) > 1:
+            out.append((p, i))
+        c = _divexact(c, p)
+        w = _sub(_divexact(w, p), _deriv(c))
+        i += 1
+    return out
+
+
+def ref_hermite_antiderivative(f: RatFun, var: int) -> RatFun | None:
+    """The reference for calculus.hermite_antiderivative."""
+    q, r, d = _fraction_parts(f, var)
+    acc = _trim([0] + [c * Fraction(1, i + 1) for i, c in enumerate(q)])
+    if not r:
+        return _ratfun(acc, [_ONE], var, f.arity)
+    gn, gd, s, _ = _hermite_core(r, d, ref_yun_squarefree(d))
+    if s:
+        return None
+    return _ratfun(_add(_mul(acc, gd), gn), gd, var, f.arity)
+
+
+def ref_rational_roots(p: list) -> tuple[list[Fraction], list]:
+    """The reference for calculus._rational_roots on a monic squarefree
+    Fraction list: (rational roots, ascending; monic deflated cofactor)."""
+    roots: list[Fraction] = []
+    cur = list(p)
+    if cur[0] == 0:
+        roots.append(Fraction(0))
+        cur = cur[1:]
+    if len(cur) == 2:
+        roots.append(-cur[0] / cur[1])
+        cur = cur[1:]
+    elif len(cur) > 2:
+        den = lcm(*(c.denominator for c in cur))
+        ints = [int(c * den) for c in cur]
+        dp = _deriv(ints)
+        for q in filter(is_probable_prime, count(2)):
+            if ints[-1] % q:
+                found = [r for r in range(q) if _eval(ints, r) % q == 0]
+                if all(_eval(dp, r) % q for r in found):
+                    break
+        bound = 2 * max(abs(ints[0]), abs(ints[-1])) ** 2
+        for r in found:
+            m = q
+            while m <= bound:
+                m *= m
+                r = (r - _eval(ints, r) * pow(_eval(dp, r), -1, m)) % m
+            a = rational_reconstruct(r, m)
+            if a is not None and _eval(cur, a) == 0:
+                roots.append(a)
+                cur = _divexact(cur, [-a, _ONE])
+    return sorted(roots), _monic(cur)
+
+
+def ref_residue_profile(f: RatFun, var: int) -> ResidueProfile:
+    """The reference for calculus.residue_profile."""
+    if f.is_zero:
+        raise ValueError("residue profile of the zero function")
+    q, r, d = _fraction_parts(f, var)
+    if any(isinstance(c, RatFun) for c in q + r + d):
+        raise ValueError("profile requires a function univariate over Q")
+    arity = f.arity
+    factors = ref_yun_squarefree(d)
+    sq = tuple((_poly(v, var, arity), m) for v, m in factors)
+    poly_part = _poly(q, var, arity)
+    if not r:
+        return ResidueProfile(var, sq, (), poly_part)
+    _, _, s, dstar = _hermite_core(r, d, factors)
+    dsp = _deriv(dstar)
+    residues: list[tuple[Poly, Fraction, bool]] = []
+    for v, _m in factors:
+        roots, cof = ref_rational_roots(v)
+        for a in roots:
+            factor = Poly.variable(var, arity) - Poly.const(a, arity)
+            residues.append((factor, _eval(s, a) / _eval(dsp, a), True))
+        if len(cof) > 1:
+            w = _rem(_mul(_rem(s, cof), _inverse_mod(dsp, cof)), cof)
+            h = _rem(_mul(w, _deriv(cof)), cof)
+            trace = Fraction(h[-1] if len(h) == len(cof) - 1 else 0)
+            residues.append((_poly(cof, var, arity), trace, False))
+    return ResidueProfile(var, sq, tuple(residues), poly_part)
+
+
+def ref_logderiv_integrate(parts) -> tuple[list[RatFun] | None, Fraction | str]:
+    """The reference for calculus.logderiv_integrate: the same pooling on
+    ref_residue_profile, with each g_k a product of Poly powers."""
+    profs = []
+    for f, var in parts:
+        if f.is_zero:
+            return None, "zero-part"
+        try:
+            prof = ref_residue_profile(f, var)
+        except (ValueError, ZeroDivisionError):
+            return None, "profile-error"
+        if not prof.polynomial_part.is_zero:
+            return None, "nonzero-poly-part"
+        if any(m > 1 for _, m in prof.squarefree_poles):
+            return None, "multiple-pole"
+        if any(not splits for _, _, splits in prof.residues):
+            return None, "non-splitting-factor"
+        profs.append(prof)
+    pool = [res for prof in profs for _, res, _ in prof.residues if res]
+    lcd = lcm(*(res.denominator for res in pool))
+    c = Fraction(lcd, gcd(*(res.numerator * (lcd // res.denominator) for res in pool)))
+    gs = []
+    for prof in profs:
+        num = den = Poly.const(1, prof.polynomial_part.arity)
+        for factor, res, _ in prof.residues:
+            e = int(c * res)
+            if e > 0:
+                num = num * factor**e
+            elif e < 0:
+                den = den * factor**-e
+        gs.append(RatFun.coprime(num, den))
+    return gs, c

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
-from synth import partial_ratio
+from synth import partial_ratio, ref_hermite_antiderivative, ref_logderiv_integrate, ref_residue_profile
 from ratforms.calculus import (
     _ONE,
     _add,
@@ -16,6 +16,7 @@ from ratforms.calculus import (
     _divexact,
     _gcd,
     _hermite_core,
+    _int_coeffs,
     _inverse_mod,
     _monic,
     _mul,
@@ -23,6 +24,7 @@ from ratforms.calculus import (
     _proper_parts,
     _pseudo_divmod,
     _rational_roots,
+    _scale,
     _trim,
     hermite_antiderivative,
     logderiv_integrate,
@@ -353,14 +355,16 @@ def test_yun_squarefree_recovers_known_multiplicities():
         parts = [(f"x - {r}", m) for r, m in zip(roots, mults)]
         qm = rng.choice([m for m in range(1, 5) if m not in mults] + mults)
         parts.append((f"x^2 + {c}", qm))
-        d = _coeffs(_product(parts).num, 0)
-        got = [(_poly(v, 0, 1), m) for v, m in yun_squarefree(_monic(d))]
+        d = _int_coeffs(_product(parts).num, 0)
+        got = yun_squarefree(d)
+        assert all(type(c) is int for v, _ in got for c in v)
+        assert all(gcd(*v) == 1 and v[-1] > 0 for v, _ in got)
         want = {}
         for text, m in parts:
             want[m] = want.get(m, parse("1", X)) * parse(text, X)
         assert [m for _, m in got] == sorted(want)
         for v, m in got:
-            assert v == want[m].num
+            assert _poly(_monic(v), 0, 1) == want[m].num
 
 
 def test_residue_profile_exact_residues_and_trace():
@@ -391,19 +395,20 @@ def test_rational_roots_of_planted_factors():
     # distinct roots n/d with |n|, d up to 2^45 times an irreducible x^2 + k,
     # then two cubics whose first primes are skipped: (x-1)(x-3)(x-4) has a
     # double root mod 2 and mod 3, and the integer form of (2x-1)(3x-1)(x-2)
-    # has a leading coefficient divisible by 2 and 3
+    # has a leading coefficient divisible by 2 and 3; p is the primitive
+    # integer product of the cofactor and the factors d*x - n
     rng = random.Random(61)
     big = 1 << 45
     cases = [([Fraction(1), Fraction(3), Fraction(4)], []),
              ([Fraction(1, 3), Fraction(1, 2), Fraction(2)], [])]
     for _ in range(12):
         roots = {Fraction(rng.randint(-big, big), rng.randint(1, big)) for _ in range(rng.randint(1, 4))}
-        cases.append((sorted(roots), [Fraction(rng.randint(1, big)), Fraction(0)]))
+        cases.append((sorted(roots), [rng.randint(1, big), 0]))
     for roots, cof in cases:
-        cof = cof + [_ONE]
+        cof = cof + [1]
         p = cof
         for r in roots:
-            p = _mul(p, [-r, _ONE])
+            p = _mul(p, [-r.numerator, r.denominator])
         assert _rational_roots(p) == (roots, cof)
 
 
@@ -420,12 +425,14 @@ def test_fraction_and_ratfun_coefficients_agree():
 
     for _ in range(8):
         a, b = _rand_linear_roots(rng, 2)
-        d = _monic(_coeffs(_product([(f"x - {a}", 3), (f"x - {b}", 1),
-                                     (f"x^2 + {rng.randint(1, 5)}", 2)]).num, 0))
+        p = _product([(f"x - {a}", 3), (f"x - {b}", 1), (f"x^2 + {rng.randint(1, 5)}", 2)]).num
+        d = _monic(_coeffs(p, 0))
         r = _trim([Fraction(rng.randint(-5, 5)) for _ in range(len(d) - 1)])
         fq = yun_squarefree(d)
         fr = yun_squarefree(as_ratfun(d))
         assert fq == [(value(v), m) for v, m in fr]
+        # the integer split of the primitive form has the same monic factors
+        assert [(_monic(v), m) for v, m in yun_squarefree(_int_coeffs(p, 0))] == fq
         if _gcd(r, d) != [1]:
             continue
         got_q = _hermite_core(r, d, fq)
@@ -447,9 +454,9 @@ def test_pseudo_division_is_exact_in_integers():
 
 
 def test_proper_parts_of_a_univariate_function():
-    # f = q + r/d with d monic and deg r < deg d, in Fractions, for f free of
-    # the other variables (read off its integer lists) and for the same f
-    # times a factor in them (read off its RatFun coefficients)
+    # f = s*(q + r/d) with deg r < deg d, on integer lists with d primitive,
+    # for f free of the other variables, and with d monic and s = 1 for the
+    # same f times a factor in them (read off its RatFun coefficients)
     rng = random.Random(67)
 
     def part(deg):
@@ -463,14 +470,17 @@ def test_proper_parts_of_a_univariate_function():
     y = RatFun.variable(1, 2)
     for _ in range(30):
         f = RatFun(_poly(part(rng.randint(0, 6)), 0, 2), _poly(part(rng.randint(0, 4)), 0, 2))
-        q, r, d = _proper_parts(f, 0)
-        assert d[-1] == 1 and len(r) < len(d)
-        assert all(type(c) is Fraction for c in q + r + d)
+        q, r, d, s = _proper_parts(f, 0)
+        assert gcd(*d) == 1 and len(r) < len(d) and type(s) is Fraction
+        assert all(type(c) is int for c in q + r + d)
         back = RatFun.from_poly(_poly(q, 0, 2))
         if r:
             back = back + RatFun(_poly(r, 0, 2), _poly(d, 0, 2))
-        assert back == f
-        qy, ry, dy = _proper_parts(f * (y + 1), 0)
+        assert back.scale(s) == f
+        # the same parts as Fraction lists with a monic denominator
+        q, r, d = _scale(q, s), _scale(r, s / d[-1]), _monic(d)
+        qy, ry, dy, sy = _proper_parts(f * (y + 1), 0)
+        assert sy == 1 and dy[-1] == 1
         assert lift(qy) == [c * (y + 1) for c in lift(q)] and lift(ry) == [c * (y + 1) for c in lift(r)]
         assert lift(dy) == lift(d)
 
@@ -505,7 +515,8 @@ def test_the_polynomial_part_is_the_long_division_quotient():
     for num, den in cases:
         for var in range(3):
             r = RatFun(_poly(num, var, 3), _poly(den, var, 3))
-            assert _proper_parts(r, var)[0] == _long_quotient(num, den), (num, den, var)
+            q, _, _, s = _proper_parts(r, var)
+            assert _scale(q, s) == _long_quotient(num, den), (num, den, var)
 
 
 def test_hermite_antiderivatives_have_no_constant_term():
@@ -553,3 +564,92 @@ def test_dense_core_exceptions():
         _inverse_mod([Fraction(1), Fraction(1)], [Fraction(-1), Fraction(0), Fraction(1)])
     with pytest.raises(ValueError, match="univariate over Q"):
         residue_profile(parse("y/x + x", BI), 0)
+
+
+def test_residue_profiles_hold_fractions_and_monic_factors():
+    # every root, residue and trace is a Fraction (a linear factor's root is
+    # -c0/c1 as a Fraction, not a float), and every stored factor is monic
+    big = 2199023255579
+    cases = ("1/(3*x-7)", "x/((3*x-7)*(5*x+2))", "1/(x*(2*x+1))", f"1/((x - {big})*(3*x + {big + 12}))",
+             "x/(x^2+1) + 1/(3*x-7)^2")
+    for expr in cases:
+        f = parse(expr, X)
+        for v, _ in yun_squarefree(_int_coeffs(f.den, 0)):
+            roots, cof = _rational_roots(v)
+            assert all(type(a) is Fraction for a in roots) and type(cof[-1]) is int
+        prof = residue_profile(f, 0)
+        assert all(type(res) is Fraction for _, res, _ in prof.residues)
+        factors = [v for v, _ in prof.squarefree_poles] + [fac for fac, _, _ in prof.residues]
+        assert all(fac.leading()[1] == 1 for fac in factors)
+    (factor, res, splits), = residue_profile(parse("1/(3*x-7)", X), 0).residues
+    assert (factor, res, splits) == (parse("x - 7/3", X).num, Fraction(1, 3), True)
+    assert _rational_roots([-7, 3]) == ([Fraction(7, 3)], [1])
+
+
+def _random_univariate(rng, var, arity):
+    """A random nonzero function univariate over Q in var, scaled by a
+    content such as -1/30: simple split poles, or a polynomial part plus a
+    proper part, or the derivative of one.  Its poles include 0, roots with
+    denominators (as of 3*x - 7), roots near 2^41, multiplicities up to 4
+    and the roots of a j*x^2 + k that does not split."""
+    x = RatFun.variable(var, arity)
+    zero = RatFun.const(0, arity)
+
+    def root():
+        u = rng.random()
+        if u < 0.15:
+            return Fraction(0)
+        if u < 0.3:
+            return Fraction(rng.choice((2199023255579, 2199023255591, -2199023255617)))
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 5)))
+
+    def lin(a):
+        return x * a.denominator - a.numerator
+
+    def general():
+        den = RatFun.const(1, arity)
+        for a in {root() for _ in range(rng.randint(0, 3))}:
+            den = den * lin(a) ** rng.choice((1, 1, 2, 3, 4))
+        if rng.random() < 0.35:
+            den = den * (x**2 * rng.choice((1, 2, 5)) + rng.choice((1, 2, 3, 7))) ** rng.choice((1, 1, 2))
+        num = sum((x**i * rng.randint(-9, 9) for i in range(den.num.degree_in(var))), RatFun.const(rng.randint(-9, 9), arity))
+        out = num / den
+        if rng.random() < 0.4:
+            out = out + sum((x**i * rng.randint(-5, 5) for i in range(rng.randint(1, 4))), zero)
+        return out
+
+    kind = rng.randrange(3)
+    if kind == 0:
+        f = sum((RatFun.const(Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 4)), arity) / lin(a)
+                 for a in {root() for _ in range(rng.randint(1, 4))}), zero)
+    else:
+        f = general()
+        if kind == 1:
+            f = f.partial(var)
+    f = f.scale(Fraction(rng.choice((1, -1, 7, -3)), rng.choice((1, 30, 4))))
+    return f if not f.is_zero else _random_univariate(rng, var, arity)
+
+
+def test_integer_calculus_matches_the_fraction_list_reference():
+    # residue_profile, hermite_antiderivative and logderiv_integrate on
+    # integer lists against the Fraction-list code they replaced
+    # (synth.ref_*), on 200 random functions in several variables
+    rng = random.Random(40)
+    seen = {"antiderivative": 0, "logderiv": 0, "multiple-pole": 0, "non-split": 0, "zero root": 0,
+            "large root": 0}
+    for k in range(200):
+        var, arity = ((0, 1), (1, 2), (2, 3))[k % 3]
+        f = _random_univariate(rng, var, arity)
+        prof = residue_profile(f, var)
+        assert prof == ref_residue_profile(f, var), f
+        g = hermite_antiderivative(f, var)
+        assert g == ref_hermite_antiderivative(f, var), f
+        got = logderiv_integrate([(f, var)])
+        assert got == ref_logderiv_integrate([(f, var)]), f
+        seen["antiderivative"] += g is not None
+        seen["logderiv"] += got[0] is not None
+        seen["multiple-pole"] += any(m > 1 for _, m in prof.squarefree_poles)
+        seen["non-split"] += any(not ok for _, _, ok in prof.residues)
+        seen["zero root"] += any(fac == Poly.variable(var, arity) for fac, _, _ in prof.residues)
+        seen["large root"] += any(abs(fac.eval_q([0] * arity)) > 1 << 40 for fac, _, _ in prof.residues)
+    assert min(seen.values()) >= 15, seen

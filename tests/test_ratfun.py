@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from synth import partial_ratio
+from ratforms import ratfun
 from ratforms.modular import DEFAULT_PRIMES, RETRIES
 from ratforms.poly import Poly, grlex_key
 from ratforms.ratfun import (
@@ -352,6 +353,28 @@ def test_generated_benchmark_inputs_read_as_the_num_and_den_they_print(monkeypat
             assert (got.num, got.den) == (want.num, want.den), it.expr
             checked += 1
     assert checked > 400
+
+
+def test_powers_of_a_canonical_function_need_no_gcd(monkeypatch):
+    # powers of a coprime num and den stay coprime, and a grlex lead of 1
+    # stays 1, so f**n of a canonical f is the reduced fraction at no gcd
+    rng = random.Random(40)
+
+    def poly():
+        terms = {(rng.randint(0, 3), rng.randint(0, 3)): Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+                 for _ in range(rng.randint(1, 4))}
+        return Poly(terms, 2)
+
+    fs = [RatFun.const(0, 2)] + [RatFun(poly(), poly()) for _ in range(24)]
+    real, calls = ratfun.poly_gcd, []
+    monkeypatch.setattr(ratfun, "poly_gcd", lambda a, b: calls.append((a, b)) or real(a, b))
+    got = [(f, n, f**n) for f in fs for n in range(-3, 4) if n >= 0 or not f.is_zero]
+    assert not calls
+    monkeypatch.undo()
+    for f, n, g in got:
+        want = RatFun(f.num**n, f.den**n) if n >= 0 else RatFun(f.den**-n, f.num**-n)
+        assert g.canonical and (g.num, g.den) == (want.num, want.den)
+    assert len(got) == 7 * 25 - 3
 
 
 def test_arith_add_and_factor_cancelling_division():
