@@ -169,7 +169,8 @@ def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     for k in range(len(q) - 1, -1, -1):
         c = rem.pop()
         q[k] = c * lead**k
-        rem = [x * lead for x in rem]
+        if lead != 1:
+            rem = [x * lead for x in rem]
         for j in range(n):
             rem[k + j] -= c * b[j]
     return q, _trim(rem)

@@ -33,8 +33,10 @@ Recovery then works on exact univariate specializations (lines on which
 every other variable is pinned to a small integer), read as integer lists
 in one term pass per polynomial (see Poly.line_jet) and reduced by one
 dense gcd (see _lowest_terms): no fitter evaluates P at an exact
-multivariate point, and no step multiplies two large multivariate
-polynomials except the certificate check.
+multivariate point, and only a certificate's proof and its re-check
+multiply large multivariate polynomials, the proof as integer term dicts on
+packed exponent codes (oracle._proportional) and the re-check as Poly
+products (verify_certificate's expansion).
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ Bareiss steps, so its answer is exact and shares no randomness with
 image_dimension.  composition_relation finds the relation a(q)*p - b(q) of
 P = (b/a)(s) by exact interpolation of its two homogenized parts at nodes
 on one line parallel to an axis, and proves it by their proportionality
-(_proportional); it is the only search behind the dependence certificates,
-and it evaluates nothing modulo a prime.  annihilating_poly is a
+(_proportional, which builds both parts in integers on packed exponent
+codes); it is the only search behind the dependence certificates, and it
+evaluates nothing modulo a prime.  annihilating_poly is a
 standalone search for a polynomial relation among any given functions,
 over all monomials of each degree, at points in general position; it lifts
 per-prime fits one prime at a time, reconstructs a candidate after every
@@ -34,7 +35,7 @@ from .modular import (
     rational_reconstruct,
     rng_for,
 )
-from .poly import Poly, _axis_line, _qpowers, divexact, grlex_key
+from .poly import Poly, _axis_line, _codes, _qpowers, divexact, grlex_key
 from .ratfun import RatFun, compose_numerator, pole_free_values
 from .dimension import DoublingMap
 
@@ -287,27 +288,53 @@ def _proportional(A: Poly, P: RatFun, s: RatFun) -> bool:
     coprime a and b that is also necessary (a common factor of alpha and
     gamma would divide a power of N_s and of D_s): a False refutes the
     candidate of composition_relation, and sends _vanishes on to its checks.
+
+    Both sums run in integers on packed exponent codes (poly._codes), in a
+    base above every total degree that they and P reach, so that a monomial
+    product is one integer add.  The contents fold into the integer
+    coefficients: with c(N_s)/c(D_s) = u/v, the sums take a_k u^k v^(E-k)
+    and c_k u^k v^(E-k).  D_P's integer part is primitive, so lam is an
+    integer multiplier of it, and gamma is compared with N_P's integer part
+    by cross-multiplied equality with P's content ratio: no Poly and no
+    Fraction is built per step.
     """
     E = A.degree_in(1)
+    r = s.num.content / s.den.content
+    fold = [r.numerator**k * r.denominator ** (E - k) for k in range(E + 1)]
     # A's content scales alpha and gamma alike, so its integer part suffices
     a, c = [0] * (E + 1), [0] * (E + 1)
-    for (i, k), v in A.ints.items():
-        (a if i else c)[k] = v
-    dpow = [Poly.const(1, s.arity)]
-    for _ in range(E):
-        dpow.append(dpow[-1] * s.den)
-
-    def horner(co):
-        h = Poly.const(co[E], s.arity)
-        for k in range(E - 1, -1, -1):
-            h = h * s.num + dpow[E - k].scale(co[k])
-        return h
-
-    alpha = horner(a)
-    if alpha.is_zero:  # alpha = D_s^E a(s) vanishes only for a constant s
+    for (i, k), x in A.ints.items():
+        (a if i else c)[k] = x * fold[k]
+    base = 1 + max(E * s.total_degree(), P.total_degree())
+    ns, ds, nP, dP = (_codes(f.ints, base) for f in (s.num, s.den, P.num, P.den))
+    # Horner's rule for both sums at once, with D_s^(E-k) built as it goes
+    alpha, gamma, dk = {0: a[E]}, {0: c[E]}, {0: 1}
+    for k in range(E - 1, -1, -1):
+        alpha, gamma, dk = _cmul(alpha, ns), _cmul(gamma, ns), _cmul(dk, ds)
+        for key, x in dk.items():
+            alpha[key] = alpha.get(key, 0) + a[k] * x
+            gamma[key] = gamma.get(key, 0) + c[k] * x
+    alpha = {key: x for key, x in alpha.items() if x}
+    if not alpha:  # alpha = D_s^E a(s) vanishes only for a constant s
         return False
-    lam = alpha.leading()[1] / P.den.leading()[1]
-    return alpha == P.den.scale(lam) and horner(c) == P.num.scale(-lam)
+    k0 = next(iter(dP))
+    lam, rest = divmod(alpha.get(k0, 0), dP[k0])
+    g = P.num.content / P.den.content
+    return (not rest and alpha == {key: lam * x for key, x in dP.items()}
+            and {key: g.denominator * x for key, x in gamma.items() if x}
+            == {key: -lam * g.numerator * x for key, x in nP.items()})
+
+
+def _cmul(f: dict, h: dict) -> dict:
+    """The product of term dicts on packed exponent codes, f's zeros skipped."""
+    out: dict = {}
+    get = out.get
+    hi = list(h.items())
+    for kf, cf in f.items():
+        if cf:
+            for kh, ch in hi:
+                out[kf + kh] = get(kf + kh, 0) + cf * ch
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -166,18 +166,29 @@ def _mono_divide(a: dict, mins: Term) -> dict:
     return {tuple(x - m for x, m in zip(e, mins)): c for e, c in a.items()}
 
 
+def _codes(a: dict, base: int) -> dict:
+    """The integer term dict a with each exponent vector e coded as one
+    integer that orders as grlex_key does: sum(e), then the entries, as
+    digits in base.  The code is linear in e, so the code of a product term
+    is the sum of its factors' codes, and two vectors of total degree below
+    base never share a code."""
+    if not a:
+        return {}
+    n = len(next(iter(a)))
+    weights = [base**n + base ** (n - 1 - i) for i in range(n)]
+    return {sum(map(mul, e, weights)): c for e, c in a.items()}
+
+
 def _idivexact(f: dict, h: dict) -> dict | None:
     """Exact division of integer term dicts; None when h does not divide f,
     or when the quotient needs more than DIV_STEP_CAP leading terms.
 
-    Each exponent vector e is coded as one integer that orders as grlex_key
-    does: sum(e), then the entries, as digits in a base above the total
-    degree of f.  No remainder term has a higher degree, so a product
-    term's code is the sum of its factors' codes, and a heap of the
-    remainder's codes gives each leading term in O(log n), where a scan of
-    the remainder would make the division quadratic.  A code left in the
-    heap after its term cancelled is skipped when it comes up.  The
-    quotient's terms come out in descending grlex order.
+    Exponent vectors are coded (_codes) in a base above the total degree of
+    f.  No remainder term has a higher degree, so a heap of the remainder's
+    codes gives each leading term in O(log n), where a scan of the
+    remainder would make the division quadratic.  A code left in the heap
+    after its term cancelled is skipped when it comes up.  The quotient's
+    terms come out in descending grlex order.
     """
     if not h:
         raise ZeroDivisionError("division by zero polynomial")
@@ -189,10 +200,9 @@ def _idivexact(f: dict, h: dict) -> dict | None:
     if _total_deg(h) >= base:
         return None
     n = len(next(iter(h)))
-    weights = [base**n + base ** (n - 1 - i) for i in range(n)]
-    hs = [(sum(map(mul, e, weights)), c) for e, c in h.items()]
+    hs = list(_codes(h, base).items())
     kh, ch = max(hs)
-    rem = {sum(map(mul, e, weights)): c for e, c in f.items()}
+    rem = _codes(f, base)
     heap = [-k for k in rem]
     heapify(heap)
     q: dict = {}
@@ -209,7 +219,7 @@ def _idivexact(f: dict, h: dict) -> dict | None:
         # its top digit exactly when no entry is negative (a borrow breaks it)
         kq = x = k - kh
         ke = []
-        for _ in weights:
+        for _ in range(n):
             x, r = divmod(x, base)
             ke.append(r)
         if x != sum(ke) or cr % ch:

@@ -486,3 +486,28 @@ def ref_logderiv_integrate(parts) -> tuple[list[RatFun] | None, Fraction | str]:
                 den = den * factor**-e
         gs.append(RatFun.coprime(num, den))
     return gs, c
+
+
+def ref_proportional(A: Poly, P: RatFun, s: RatFun) -> bool:
+    """The reference for oracle._proportional: both homogenized parts of A
+    by Horner's rule on Poly objects, compared with D_P and -N_P through the
+    ratio of their grlex leads."""
+    E = A.degree_in(1)
+    a, c = [0] * (E + 1), [0] * (E + 1)
+    for (i, k), v in A.ints.items():
+        (a if i else c)[k] = v
+    dpow = [Poly.const(1, s.arity)]
+    for _ in range(E):
+        dpow.append(dpow[-1] * s.den)
+
+    def horner(co):
+        h = Poly.const(co[E], s.arity)
+        for k in range(E - 1, -1, -1):
+            h = h * s.num + dpow[E - k].scale(co[k])
+        return h
+
+    alpha = horner(a)
+    if alpha.is_zero:
+        return False
+    lam = alpha.leading()[1] / P.den.leading()[1]
+    return alpha == P.den.scale(lam) and horner(c) == P.num.scale(-lam)

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 
+from synth import ref_proportional
+import ratforms.poly as poly_module
 from ratforms import oracle
 from ratforms.classify import classify_trivariate, fit_bivariate, verify_certificate
 from ratforms.dimension import doubling_map, image_dimension
@@ -20,7 +22,7 @@ from ratforms.oracle import (
     prime_pool,
     symbolic_rank,
 )
-from ratforms.poly import Poly
+from ratforms.poly import Poly, poly_gcd
 from ratforms.ratfun import RatFun, compose_numerator, parse, pole_free_values
 
 BI = ("x", "y")
@@ -455,3 +457,134 @@ def test_a_constant_above_the_sampling_primes_is_exact(monkeypatch):
     c = DEFAULT_PRIMES[0] + 5
     P, s = parse(f"x*y + {c}", BI), parse("x*y", BI)
     assert composition_relation(P, s, 4) == parse(f"p - q - {c}", ("p", "q")).num
+
+
+# -- the proof on coded exponents ---------------------------------------------
+
+
+def _random_part(rng, arity: int, deg: int) -> Poly:
+    """A nonzero polynomial of total degree at most deg with a few terms and
+    a random rational content."""
+    while True:
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            e = [0] * arity
+            for _ in range(rng.randint(0, deg)):
+                e[rng.randrange(arity)] += 1
+            terms[tuple(e)] = rng.randint(-6, 6)
+        f = Poly(terms, arity)
+        if not f.is_zero:
+            return f.scale(Fraction(rng.randint(1, 9), rng.choice([1, 2, 3, 7])))
+
+
+def _outer(rng, m: int, linear: bool) -> tuple[list[int], list[int]]:
+    """Coprime integer a(q), b(q) of degree at most m, one of them of
+    degree m: a Mobius map when linear."""
+    while True:
+        if linear:
+            a, b = [rng.randint(-4, 4), rng.randint(-4, 4)], [rng.randint(-4, 4), rng.randint(-4, 4)]
+            if a[0] * b[1] != a[1] * b[0]:
+                return a, b
+            continue
+        a = [rng.randint(-3, 3) for _ in range(m + 1)] if rng.random() < 0.5 else [rng.randint(1, 3)]
+        b = [rng.randint(-3, 3) for _ in range(m)] + [rng.choice([-2, -1, 1, 2])]
+        A, B = Poly.from_coeffs(a, 0, 1), Poly.from_coeffs(b, 0, 1)
+        if not A.is_zero and poly_gcd(A, B).is_constant:
+            return a, b
+
+
+def _at(coeffs: list[int], s: RatFun) -> RatFun:
+    """sum_k coeffs[k] s^k, lowest coefficient first."""
+    out = RatFun.const(0, s.arity)
+    for c in reversed(coeffs):
+        out = out * s + c
+    return out
+
+
+def _exchanged(f: RatFun) -> RatFun:
+    """f with its first two variables exchanged."""
+    def swap(p: Poly) -> Poly:
+        return Poly.from_ints({(e[1], e[0], *e[2:]): c for e, c in p.ints.items()}, p.arity, p.content)
+
+    return RatFun(swap(f.num), swap(f.den))
+
+
+def test_coded_proportionality_matches_the_poly_horner_reference():
+    # _proportional on coded exponents against the Poly Horner it replaced
+    # (synth.ref_proportional), on true relations P = (b/a)(s) and on false
+    # ones in arities 2 and 3.  Linear s and P have the base 2; a base of 1
+    # would code every variable alike and so read each function on the
+    # diagonal alone, where P with two variables exchanged passes for true.
+    rng = random.Random(41)
+    seen = dict.fromkeys(("true", "perturbed", "swapped", "sign", "exchanged",
+                          "contents", "top degree"), 0)
+    triples = 0
+    for k in range(70):
+        arity, linear = 2 + k % 2, k % 5 == 0
+        deg = 1 if linear else rng.randint(1, 3)
+        num = _random_part(rng, arity, deg)
+        den = _random_part(rng, arity, 1 if linear else rng.randint(0, 2))
+        s = RatFun(num, den)
+        if s.is_constant or (linear and s.total_degree() != 1):
+            continue
+        a, b = _outer(rng, 1 if linear else rng.randint(1, 3), linear)
+        P = (_at(b, s) / _at(a, s)).reduce()
+        A = composition_relation(P, s)
+        assert A is not None and ref_proportional(A, P, s)
+        ints = dict(A.ints)
+        e = rng.choice(list(ints))
+        ints[e] += rng.choice([-1, 1])
+        perturbed = Poly.from_ints({e: c for e, c in ints.items() if c}, 2)
+        sign = Poly.from_ints({(i, j): c if i else -c for (i, j), c in A.ints.items()}, 2)
+        cases = [("true", A, P, s), ("perturbed", perturbed, P, s), ("swapped", A, s, P),
+                 ("sign", sign, P, s), ("exchanged", A, _exchanged(P), s)]
+        for kind, rel, p, q in cases:
+            held = ref_proportional(rel, p, q)
+            assert oracle._proportional(rel, p, q) == held, (kind, rel, p, q)
+            seen[kind] += held == (kind == "true")
+            triples += 1
+        r = s.num.content / s.den.content
+        seen["contents"] += not s.den.is_constant and r.denominator != 1
+        # a term of P has total degree base - 1, the largest the base codes
+        seen["top degree"] += P.total_degree() >= A.degree_in(1) * s.total_degree()
+    assert triples >= 200
+    assert min(seen.values()) >= 10, seen
+
+
+def test_the_proof_multiplies_no_poly(monkeypatch):
+    # the Horner sums run on coded term dicts: no Poly product, no _imul
+    triples = []
+    for P, s, names in [("(x + y^2 + 1/(z+1))^2 + 3", "x + y^2 + 1/(z+1)", TRI),
+                        ("((6*x^2+2*y)/(5*y+3*z^3))^3 - 1/7", "(6*x^2+2*y)/(5*y+3*z^3)", TRI),
+                        ("1/((2/3*x*y + 5)^4 + 1)", "2/3*x*y + 5", BI)]:
+        P, s = parse(P, names), parse(s, names)
+        triples.append((composition_relation(P, s), P, s))
+
+    # the second s has a nonconstant D_s and c(N_s)/c(D_s) = 2, the third 1/3
+    def forbidden(*args):
+        raise AssertionError("a Poly product ran")
+
+    monkeypatch.setattr(poly_module, "_imul", forbidden)
+    monkeypatch.setattr(Poly, "__mul__", forbidden)
+    assert all(oracle._proportional(A, P, s) for A, P, s in triples)
+
+
+def test_the_recheck_shares_no_code_with_the_proof(monkeypatch):
+    # verify_certificate's expansion never reaches the exponent coding that
+    # the proof (and exact division) use
+    cases = [("(x + y^2 + 1/(z+1))^2 + 3", TRI), ("x*(y^2+z+5)^3", TRI), ("(1/(x+1) + y^2)^2 + 3", BI)]
+    reports = []
+    for expr, names in cases:
+        f = parse(expr, names)
+        rep = (classify_trivariate if len(names) == 3 else fit_bivariate)(f)
+        reports.append((rep, f))
+    calls, codes = [], poly_module._codes
+
+    def spy(a, base):
+        calls.append(base)
+        return codes(a, base)
+
+    monkeypatch.setattr(poly_module, "_codes", spy)
+    monkeypatch.setattr(oracle, "_codes", spy)
+    assert all(verify_certificate(rep.certificate, f, rep.fitted["s"]) for rep, f in reports)
+    assert calls == []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from functools import reduce
@@ -18,6 +19,7 @@ from ratforms.poly import (
     _LINE_P,
     Poly,
     _axis_line,
+    _codes,
     _dense_gcd,
     _gcd_degree_bound,
     _heu_gcd,
@@ -318,6 +320,35 @@ def test_gcd_and_exact_division_match_the_fraction_model():
             q = divexact(a * b, b)
             _assert_canonical(q)
             assert dict(q.terms) == {e: c for e, c in ta.items() if c}
+
+
+def test_codes_add_under_products_and_keep_grlex_order():
+    # in a base above the product's total degree, the code of a product term
+    # is the sum of its factors' codes, distinct vectors get distinct codes,
+    # and codes sort as grlex_key does
+    rng = random.Random(41)
+    checked = 0
+    for _ in range(80):
+        arity = rng.randint(1, 4)
+        a = Poly(_random_terms(rng, arity, 7), arity).ints
+        b = Poly(_random_terms(rng, arity, 7), arity).ints
+        if not a or not b:
+            continue
+        f = _imul(a, b)
+        base = _total_deg(f) + 1
+        ca, cb = _codes(a, base), _codes(b, base)
+        coded: dict = {}
+        for ka, x in ca.items():
+            for kb, y in cb.items():
+                coded[ka + kb] = coded.get(ka + kb, 0) + x * y
+        assert {k: v for k, v in coded.items() if v} == _codes(f, base)
+        box = [e for e in itertools.product(range(base), repeat=arity) if sum(e) < base]
+        codes = list(_codes(dict.fromkeys(box, 1), base))
+        assert len(set(codes)) == len(box)
+        assert [e for _, e in sorted(zip(codes, box))] == sorted(box, key=grlex_key)
+        checked += 1
+    assert checked > 50
+    assert _codes({}, 5) == {}
 
 
 def _idivexact_by_scan(f: dict, h: dict) -> dict | None:
