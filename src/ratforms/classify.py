@@ -32,7 +32,10 @@ _Fn.tries), whose 2^n mixtures carry every such identity at once.
 Recovery then works on exact univariate specializations (lines on which
 every other variable is pinned to a small integer), read as integer lists
 in one term pass per polynomial (see Poly.line_jet) and reduced by one
-dense gcd (see _lowest_terms): no fitter evaluates P at an exact
+dense gcd (see _lowest_terms).  Each recovery step reads its lines through
+one drawn point: one split gives every part of a group fit at one scale
+(see _split_partial_ratio), and one pair of lines gives the field pivot's
+shift and ratio (see _pivot_lines).  No fitter evaluates P at an exact
 multivariate point, and only a certificate's proof and its re-check
 multiply large multivariate polynomials, the proof as integer term dicts on
 packed exponent codes (oracle._proportional) and the re-check as Poly
@@ -341,14 +344,18 @@ def _line_quotient(ga: list[int], gb: list[int], free: int, arity: int, c=1) -> 
     return RatFun.coprime(Poly.from_coeffs(qa, free, arity, c * ca), Poly.from_coeffs(qb, free, arity))
 
 
-def _split_partial_ratio(fn: _Fn, a: int, b: int, rng):
-    """Split f_a/f_b into (u(x_a), v(x_b)) by specialization, scale shared.
+def _split_partial_ratio(fn: _Fn, a: int, b: int, rng, rest=()):
+    """Split f_a/f_b into (u(x_a), v(x_b)) by specialization, scale shared,
+    followed by one w(x_c) for each variable c in rest.
 
-    u is the ratio on a random x_a-line and v = H(point)/H on a random
-    x_b-line, so u/v equals the ratio exactly whenever it is separable;
-    validity for a non-separable ratio is *not* checked here -- downstream
-    exact anchors (integration, identity checks, certificates) reject those
-    fits.
+    All of them are read on lines through one drawn point: u is the ratio
+    H = f_a/f_b on the x_a-line, v = H(point)/H on the x_b-line and w the
+    ratio f_c/f_b on the x_c-line, so u/v equals H exactly whenever it is
+    separable, and for a group form, where f_k/f_b = r_k'/r_b' (for the
+    multiplicative one read r_k'/r_k), every part is r_k' over the one
+    constant r_b'(point).  Validity for a non-separable ratio is *not*
+    checked here -- downstream exact anchors (integration, identity checks,
+    certificates) reject those fits.
     """
     arity = fn.num.arity
     for _ in range(RETRIES):
@@ -357,11 +364,12 @@ def _split_partial_ratio(fn: _Fn, a: int, b: int, rng):
             u = fn.specialized_ratio(a, b, point, a)
             hy = fn.specialized_ratio(a, b, point, b)
             h0 = u.eval_q(point)
+            ws = [fn.specialized_ratio(c, b, point, c) for c in rest]
         except (DegenerateSpecializationError, PoleError, ZeroDivisionError):
             continue
-        if h0 == 0 or u.is_zero or hy.is_zero:
+        if h0 == 0 or u.is_zero or hy.is_zero or any(w.is_zero for w in ws):
             continue
-        return u, RatFun.coprime(hy.den.scale(h0), hy.num)
+        return u, RatFun.coprime(hy.den.scale(h0), hy.num), *ws
     return None
 
 
@@ -481,15 +489,16 @@ def fit_group(
     """Fit P = fn.f = Q(r1 + ... + rn) or Q(r1 * ... * rn), n = 2 or 3, certified.
 
     P_x/P_y of such a P is separable, and for n = 3 every partial ratio is
-    separable and free of the third variable; the splits of P_x/P_y and
-    P_y/P_z then share the middle part r2', which pins all three derivative
-    parts to one common scale.  The additive branch integrates the parts
-    directly, the multiplicative branch integrates them as log-derivatives
-    after the shared residue rescaling.  A bivariate fit has no r3.
+    separable and free of the third variable.  One split then reads every
+    derivative part through one point, each over the one constant that
+    P_y carries there (see _split_partial_ratio); the gates passed force
+    that scale, so no second split ties two scales.  The additive branch
+    integrates the parts directly, the multiplicative branch integrates
+    them as log-derivatives after the shared residue rescaling.  A
+    bivariate fit has no r3.
     """
     diag = diagnostics if diagnostics is not None else {}
     n = fn.f.arity
-    rng = rng_for(fn.seed, "fit-group")
     for a, b, c in ((0, 1, 2), (1, 2, 0), (0, 2, 1))[: 1 if n == 2 else 3]:
         if not _gate_ratio_separable(fn, a, b):
             diag[f"group_sep_{_VN[a]}{_VN[b]}"] = False
@@ -497,23 +506,10 @@ def fit_group(
         if n == 3 and not _gate_ratio_indep(fn, a, b, c):
             diag[f"group_indep_{_VN[a]}{_VN[b]}"] = False
             return None
-    # the split of P_a/P_(a+1) is (c_a * r_a', c_a * r_(a+1)')
-    pairs = [_split_partial_ratio(fn, a, a + 1, rng) for a in range(n - 1)]
-    if any(pair is None for pair in pairs):
+    parts = _split_partial_ratio(fn, 0, 1, rng_for(fn.seed, "fit-group"), range(2, n))
+    if parts is None:
         diag["group_split"] = False
         return None
-    parts = list(pairs[0])
-    if n == 3:
-        u2, v2 = pairs[1]
-        try:
-            mu = u2 / parts[1]
-        except ZeroDivisionError:
-            diag["group_split"] = False
-            return None
-        if not mu.is_constant or mu.constant_value() == 0:
-            diag["group_scale_consistent"] = False
-            return None
-        parts.append(v2.scale(1 / mu.constant_value()))
 
     try:
         rs = [hermite_antiderivative(parts[k], k) for k in range(n)]
@@ -533,18 +529,21 @@ def fit_group(
     return _certified("GroupMultiplicative", rs, "group_multiplicative", fn, dmax, diag)
 
 
-def _solve_beta(fn: _Fn, i: int, j: int, uj: RatFun, rj: RatFun, rl: RatFun, rng) -> Fraction | None:
-    """Constant beta making M/(r_j + r_l + beta) free of x_j, with
-    M = P_i * r_j' / P_j.
+def _pivot_lines(fn: _Fn, i: int, j: int, uj: RatFun, rj: RatFun, rl: RatFun, rng):
+    """(beta, khat) for the field pivot x_i off the x_j- and x_i-lines through
+    one drawn point, with uj = r_j' up to scale and M = P_i * uj / P_j.
 
-    On an exact x_j-line, with x_i and x_l pinned to small integers, a field
-    form gives M = K * (b + beta) with b = r_j + r_l(x_l) on the line and K
-    constant, so K = M'/b' and beta = M/K - b.  M = 0 (x_i pinned where r_i'
-    vanishes) or x_l pinned at a pole of r_l draws another line; a K that is
-    not a nonzero constant rejects the pivot.
+    A field form has M = K * (r_j + r_l + beta), K = r_i'/(n r_i) up to scale.
+    On the x_j-line, b = r_j + r_l(point) and K is constant, so K = M'/b' and
+    beta = M/K - b; on the x_i-line khat = M/(b(point) + beta) is K.  M = 0
+    (x_i pinned where r_i' vanishes), a pole or a degenerate line draws
+    another point; a K on the x_j-line that is not a nonzero constant rejects
+    the pivot (beta None).  khat is None when beta is found but no point
+    gives an x_i-line.
     """
+    beta = None
     for _ in range(RETRIES):
-        point = [0 if t == j else rng.randrange(2, 98) for t in range(3)]
+        point = [rng.randrange(2, 98) for _ in range(3)]
         try:
             M = fn.specialized_ratio(i, j, point, j) * uj
             b = rj + rl.eval_q(point)
@@ -554,10 +553,17 @@ def _solve_beta(fn: _Fn, i: int, j: int, uj: RatFun, rj: RatFun, rl: RatFun, rng
         if M.is_zero:
             continue
         if not K.is_constant or K.is_zero:
-            return None
+            return None, None
         # (M/K - b)' = M'/K - b' = 0, so M/K - b is the constant beta
-        return (M.scale(1 / K.constant_value()) - b).constant_value()
-    return None
+        beta = (M.scale(1 / K.constant_value()) - b).constant_value()
+        try:
+            base = fn.specialized_ratio(i, j, point, i)
+            ujv, bv = uj.eval_q(point), b.eval_q(point) + beta
+        except (DegenerateSpecializationError, PoleError, ZeroDivisionError):
+            continue
+        if ujv and bv:
+            return beta, base.scale(ujv / bv)
+    return beta, None
 
 
 def _field_k_mod(fn: _Fn, i: int, j: int, v: int, uj: RatFun, Bc: RatFun):
@@ -593,9 +599,10 @@ def fit_field(
 
     For the correct pivot x_i, the ratio P_j/P_l = r_j'/r_l' recovers the
     inner sum B0 = r_j + r_l up to scale and shift.  With M = P_i * r_j'/P_j,
-    the shift beta is the constant M * r_j'/M_j - B0 on one exact x_j-line
-    (see _solve_beta), and r_j takes it on.  K = M/(B0+beta) = r_i'/(n r_i)
-    is integrated as a log-derivative, g'/g = c*K (see logderiv_integrate):
+    K = M/(B0+beta) = r_i'/(n r_i) is free of x_j and x_l: the x_j-line
+    through one drawn point gives the shift beta, which r_j takes on, and
+    the x_i-line through the same point gives K (see _pivot_lines).  K is
+    integrated as a log-derivative, g'/g = c*K (see logderiv_integrate):
     the exponent n is the numerator of c, the lcm of the residue denominators
     of K, and r_i = g^(denominator of c).
     """
@@ -621,31 +628,15 @@ def fit_field(
         if rj is None or rl is None:
             diag[f"{tag}_integrable"] = False
             continue
-        beta = _solve_beta(fn, i, j, uj, rj, rl, rng)
+        beta, khat = _pivot_lines(fn, i, j, uj, rj, rl, rng)
         if beta is None:
             diag[f"{tag}_shift"] = False
             continue
         rj += beta
         Bc = rj + rl
-
         if not all(_probe(_field_k_mod(fn, i, j, v, uj, Bc), fn.tries()) for v in (j, l)):
             diag[f"{tag}_pivot_ratio_independent"] = False
             continue
-        khat = None
-        for _ in range(RETRIES):
-            point = [1] * 3
-            point[j] = rng.randrange(2, 98)
-            point[l] = rng.randrange(2, 98)
-            try:
-                base = fn.specialized_ratio(i, j, point, i)
-                ujv = uj.eval_q(point)
-                bv = Bc.eval_q(point)
-            except (DegenerateSpecializationError, PoleError, ZeroDivisionError):
-                continue
-            if ujv == 0 or bv == 0:
-                continue
-            khat = base.scale(ujv / bv)
-            break
         if khat is None:
             diag[f"{tag}_pivot_ratio"] = False
             continue

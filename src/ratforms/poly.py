@@ -19,10 +19,11 @@ three layers:
   to the x_v axis on which both keep their degree in x_v), whose values 0
   prove the inputs coprime;
 * a heuristic evaluation gcd (single large-integer substitution per
-  variable, candidate verified by exact trial division; a candidate that
-  meets every bound is the gcd, any other is closed up by a
-  cofactor-coprimality pass, so the result is always the true gcd);
-* a subresultant PRS fallback that is unconditionally correct.
+  variable, candidate verified by exact trial division; at points above
+  twice the smaller height a candidate that divides both inputs is their
+  gcd, so it needs no closing up);
+* a subresultant PRS fallback, which runs only when the heuristic gives
+  up and is unconditionally correct.
 """
 
 from __future__ import annotations
@@ -535,9 +536,13 @@ def _xi_schedule(height: int, dbound: int):
 def _heu_gcd(f: dict, g: dict, arity: int, depth: int = 0) -> dict | None:
     """Heuristic gcd by big-integer evaluation; verified by trial division.
 
-    Returns a *common divisor* that trial division has certified; the
-    caller closes it up to the full gcd via the cofactor pass.  None on
-    budget exhaustion (caller falls back to PRS).
+    Every point xi is above twice the smaller height (see _xi_schedule), so
+    a candidate that divides both inputs is their gcd (Char, Geddes &
+    Gonnet, J. Symb. Comput. 7, 1989): the gcd gamma of the images is exact
+    by induction, from math.gcd at the bottom, and a common divisor c with
+    c(xi) = gamma has c | h and h(xi) | c(xi) for the gcd h, so h/c is +-1
+    at xi and hence constant.  At depth 0 the inputs and the candidate taken
+    are primitive.  None once the points run out (PRS decides then).
     """
     active = [i for i in range(arity) if _deg_in(f, i) or _deg_in(g, i)]
     if not active:
@@ -768,10 +773,9 @@ def gcd_int(f: dict, g: dict, arity: int) -> dict:
     shared variable go to the dense heuristic gcd on coefficient lists
     (_dense_gcd), the one univariate gcd.  Otherwise _gcd_degree_bound
     bounds the gcd's degree in each shared variable: bounds of 0 settle
-    coprimality.  A heuristic common divisor that meets every bound is the
-    gcd, since it divides the true gcd; a smaller one is closed up through
-    its cofactors, and subresultants settle the rest.  The sign and the
-    integer content are taken once, from the result.
+    coprimality.  Otherwise the heuristic gcd's answer is the gcd (see
+    _heu_gcd), and subresultants decide only where it gives up.  The sign
+    and the integer content are taken once, from the result.
     """
     if not f or not g:
         return _unit_normal(dict(f or g))
@@ -795,33 +799,17 @@ def gcd_int(f: dict, g: dict, arity: int) -> dict:
             for e, c in a.items():
                 out[e[v]] = c
         core = _on_axis(_dense_gcd(*coeffs)[0], v, arity)
-    else:
-        bound = _gcd_degree_bound(f1, g1, arity)
-        if bound is not None and not any(bound.values()):
-            core = {zero_key: 1}
-        else:
-            core = _heu_gcd(f1, g1, arity)
-            if core is not None and _total_deg(core) > 0:
-                # a common divisor that meets every bound is the gcd;
-                # otherwise close it up to the true gcd: each pass
-                # strictly shrinks the cofactors, so it terminates
-                while bound is None or any(_deg_in(core, v) < b for v, b in bound.items()):
-                    c1 = _idivexact(f1, core)
-                    c2 = _idivexact(g1, core)
-                    extra = gcd_int(c1, c2, arity)
-                    if _total_deg(extra) == 0:
-                        break
-                    core = _imul(core, extra)
-            else:
-                # a constant heuristic answer certifies nothing about
-                # the polynomial part; settle it by subresultants
-                shared = [i for i in range(arity) if _deg_in(f1, i) and _deg_in(g1, i)]
-                var = min(shared, key=lambda i: min(_deg_in(f1, i), _deg_in(g1, i)))
-                contf = _content_wrt(f1, var, arity)
-                contg = _content_wrt(g1, var, arity)
-                fp = _divide_coeffwise(f1, contf, var, arity)
-                gp = _divide_coeffwise(g1, contg, var, arity)
-                core = _imul(gcd_int(contf, contg, arity), _prs_gcd(fp, gp, var, arity))
+    elif (bound := _gcd_degree_bound(f1, g1, arity)) is not None and not any(bound.values()):
+        core = {zero_key: 1}
+    elif (core := _heu_gcd(f1, g1, arity)) is None:
+        # past the heuristic's points subresultants decide
+        shared = [i for i in range(arity) if _deg_in(f1, i) and _deg_in(g1, i)]
+        var = min(shared, key=lambda i: min(_deg_in(f1, i), _deg_in(g1, i)))
+        contf = _content_wrt(f1, var, arity)
+        contg = _content_wrt(g1, var, arity)
+        fp = _divide_coeffwise(f1, contf, var, arity)
+        gp = _divide_coeffwise(g1, contg, var, arity)
+        core = _imul(gcd_int(contf, contg, arity), _prs_gcd(fp, gp, var, arity))
     return _unit_normal(_imul(core, {mono: 1}))
 
 

@@ -13,7 +13,7 @@ import pytest
 
 import synth
 from synth import partial_ratio, ref_subs
-from ratforms import classify, cli, oracle, poly
+from ratforms import classify, cli, oracle, poly, ratfun
 from ratforms.classify import (
     TEMPLATES,
     DependenceCertificate,
@@ -405,6 +405,56 @@ def test_fit_group_multiplicative():
     }
 
 
+def _spy_recovery(monkeypatch):
+    """A log of the exact line ratios (a, b, point, free) that a fit reads,
+    with "gcd" for each ratfun.poly_gcd call and "hermite" for each
+    hermite_antiderivative call, in order."""
+    events = []
+    ratio, gcd, hermite = _Fn.specialized_ratio, ratfun.poly_gcd, classify.hermite_antiderivative
+
+    def spy_ratio(self, a, b, point, free):
+        events.append((a, b, tuple(point), free))
+        return ratio(self, a, b, point, free)
+
+    monkeypatch.setattr(_Fn, "specialized_ratio", spy_ratio)
+    monkeypatch.setattr(ratfun, "poly_gcd", lambda *a: events.append("gcd") or gcd(*a))
+    monkeypatch.setattr(classify, "hermite_antiderivative", lambda *a: events.append("hermite") or hermite(*a))
+    return events
+
+
+@pytest.mark.parametrize(
+    "expr, names, verdict",
+    [
+        ("(x + y^2 + z)^3 + 1", TRI, "GroupAdditive"),
+        ("(x*y*z + 1)^2", TRI, "GroupMultiplicative"),
+        ("(x + y^2)^3 + 1", BI, "GroupAdditive"),
+    ],
+)
+def test_a_group_fit_reads_every_part_through_one_point(monkeypatch, expr, names, verdict):
+    # one split reads f_x/f_y on the x- and y-lines and f_z/f_y on the
+    # z-line through one point, each part at one scale, so nothing divides
+    # one split's part by another's before the parts are integrated
+    events = _spy_recovery(monkeypatch)
+    rep = fit_group(_Fn(parse(expr, names)))
+    assert rep is not None and rep.verdict == verdict
+    first = events.index("hermite")
+    lines = [e for e in events[:first] if e != "gcd"]
+    assert [free for *_, free in lines] == list(range(len(names)))
+    assert len({point for _, _, point, _ in lines}) == 1
+    assert "gcd" not in events[events.index(lines[-1]):first]
+
+
+def test_a_field_pivot_reads_its_shift_and_ratio_through_one_point(monkeypatch):
+    # for the pivot x of x*(y + z)^3, P_x/P_y on the y-line gives the shift
+    # and on the x-line through the same point the pivot ratio
+    events = _spy_recovery(monkeypatch)
+    rep = fit_field(_Fn(parse("x*(y + z)^3", TRI)))
+    assert rep is not None and (rep.pivot, rep.exponent) == (1, 3)
+    lines = [e for e in events if e not in ("gcd", "hermite") and e[:2] == (0, 1)]
+    assert [free for *_, free in lines] == [1, 0]
+    assert lines[0][2] == lines[1][2]
+
+
 def test_fit_group_rejects_field_form():
     assert fit_group(_Fn(parse("x*(y+z)^3", TRI))) is None
 
@@ -499,11 +549,14 @@ def test_field_shift_puts_the_constant_back_inside_s(expr, n):
     assert rep.fitted["s"] == P
 
 
-def test_field_shift_redraws_a_line_through_a_critical_point_of_r1():
-    # at seed 45 the shift step first pins x = 5, where r1' = 2*x - 10
+def test_field_shift_redraws_a_line_through_a_critical_point_of_r1(monkeypatch):
+    # at seed 111 the shift step first pins x = 5, where r1' = 2*x - 10
     # vanishes, so M = 0 on that line and says nothing about the shift
-    rep = classify_trivariate(parse("x*(x-10)*(y+z)^2", TRI), seed=45)
+    events = _spy_recovery(monkeypatch)
+    rep = classify_trivariate(parse("x*(x-10)*(y+z)^2", TRI), seed=111)
     assert rep.verdict == "Field" and rep.pivot == 1 and rep.exponent == 2
+    shift_lines = [e[2] for e in events if e not in ("gcd", "hermite") and e[:2] == (0, 1) and e[3] == 1]
+    assert shift_lines[0][0] == 5 and len(shift_lines) >= 2
 
 
 def test_field_pivot_without_a_constant_shift_is_rejected():

@@ -638,7 +638,8 @@ def test_gcd_of_one_variable_pairs_matches_subresultants():
             assert got == _reference_gcd(f, h, v, arity)
             assert _total_deg(got) >= g.total_degree()
     # a leading coefficient divisible by the line prime drops the degree
-    # of the image, so there is no bound and the closure path decides
+    # of the image, so there is no bound; a pair in one variable needs none,
+    # since the dense gcd decides it
     x = Poly.variable(0, 1)
     g = x * x * _LINE_P + x * 3 + 1
     f, h = (g * (x + 2)).ints, (g * (x - 5)).ints
@@ -673,6 +674,51 @@ def test_heuristic_gcd_divides_out_the_content_of_its_candidate():
     # the dense gcd of the same pair takes the primitive part too
     fl, gl = ([a.get((k,), 0) for k in range(max(a)[0] + 1)] for a in (f, g))
     assert _dense_gcd(fl, gl)[0] == [1, 1]
+
+
+def _planted(rng: random.Random, arity: int, height: int, lo: int, hi: int) -> Poly:
+    """A random polynomial of degree lo..hi in x_0 whose coefficient of the
+    top power of x_0 is an integer, plus up to four terms below it in all
+    variables, with coefficients of size up to height."""
+    deg = rng.randint(lo, hi)
+    terms = {(deg,) + (0,) * (arity - 1): rng.choice((-1, 1)) * rng.randint(1, height)}
+    for _ in range(rng.randint(1, 4)):
+        e = (rng.randint(0, deg - 1) if deg else 0,) + tuple(rng.randint(0, 2) for _ in range(arity - 1))
+        terms[e] = rng.choice((-1, 1)) * rng.randint(1, height)
+    return Poly(terms, arity)
+
+
+def test_heuristic_gcd_answers_with_no_closure_pass(monkeypatch):
+    """On planted pairs g*a and g*b in two to four variables, gcd_int is the
+    subresultant gcd, and where the heuristic gcd answers at depth 0 its
+    answer stands: no subresultant chain runs.  The leading coefficients in
+    x_0 are integers, so the reference (primitive in x_0) is the whole gcd."""
+    calls = []
+    heu, prs = poly_module._heu_gcd, poly_module._prs_gcd
+
+    def heu_spy(f, g, arity, depth=0):
+        h = heu(f, g, arity, depth)
+        calls.append(("heu", depth, h is not None))
+        return h
+
+    monkeypatch.setattr(poly_module, "_heu_gcd", heu_spy)
+    monkeypatch.setattr(poly_module, "_prs_gcd", lambda *a: calls.append(("prs",)) or prs(*a))
+    rng = random.Random(4201)
+    answered = 0
+    for k in range(300):
+        arity = 2 + k % 3
+        height = rng.choice((3, 10, 1000, 10**6))
+        g = _planted(rng, arity, height, 1, 2)
+        a, b = _planted(rng, arity, height, 0, 2), _planted(rng, arity, height, 0, 2)
+        f, h = (g * a).ints, (g * b).ints
+        want = _reference_gcd(f, h, 0, arity)
+        calls.clear()
+        assert gcd_int(f, h, arity) == want
+        assert _total_deg(want) >= g.total_degree()
+        if ("heu", 0, True) in calls:
+            answered += 1
+            assert ("prs",) not in calls
+    assert answered >= 100
 
 
 def test_subresultant_gcd_is_primitive_with_a_positive_lead():
