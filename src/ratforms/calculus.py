@@ -11,16 +11,18 @@ The core works on dense coefficient lists in the chosen variable, lowest
 degree first.  A function univariate over Q, which is every function the
 fitters integrate, is read as primitive integer lists and one Fraction
 scale; its squarefree split, rational roots and residues stay in integers.
+A LineFn is that form: the fitters' line ratios stay in it up to the parts.
 The field algorithms (Euclid, Yun, Hermite) take Fraction coefficients, and
 RatFun ones in the other variables, written once for both; they serve
 multiple poles, converted at Hermite's entry, and coefficients in the other
-variables.  RatFun and Poly values are built only for the results.
+variables.  RatFun and Poly values are built only for the results, those of
+a ResidueProfile on first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import count
 from math import comb, gcd, lcm
 
@@ -159,6 +161,32 @@ def _ratfun(num: list, den: list, var: int, arity: int) -> RatFun:
     return RatFun(_poly(num, var, arity), _poly(den, var, arity))
 
 
+class LineFn:
+    """c*num/den, univariate over Q: num and den coprime primitive integer
+    lists, lowest degree first, den with a positive lead, c a nonzero
+    Fraction (num [] for zero), and arity that of the results' variables."""
+
+    __slots__ = ("num", "den", "c", "arity")
+
+    def __init__(self, num: list[int], den: list[int], c: Fraction, arity: int):
+        if den[-1] < 0:
+            num, den = [-x for x in num], [-x for x in den]
+        self.num, self.den, self.c, self.arity = num, den, c, arity
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.num
+
+    def __call__(self, x) -> Fraction:
+        """The value at x by Horner's rule; ZeroDivisionError at a pole."""
+        return self.c * _eval(self.num, x) / _eval(self.den, x)
+
+    def ratfun(self, var: int) -> RatFun:
+        """The canonical RatFun in x_var, with no gcd."""
+        return RatFun.coprime(Poly.from_coeffs(self.num, var, self.arity, self.c),
+                              Poly.from_coeffs(self.den, var, self.arity))
+
+
 def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     """(q, r) with l^k * a = q*b + r and deg r < deg b, in integers, for the
     lead l of b and k = len(q) = max(0, deg a - deg b + 1) (Knuth, TAOCP
@@ -187,23 +215,25 @@ def _int_coeffs(p: Poly, var: int) -> list[int] | None:
     return out
 
 
-def _proper_parts(f: RatFun, var: int) -> tuple[list, list, list, Fraction]:
+def _proper_parts(f: LineFn | RatFun, var: int) -> tuple[list, list, list, Fraction]:
     """(q, r, d, s) with f = s*(q + r/d) in var, deg r < deg d, gcd(r, d) = 1.
 
-    For f free of the other variables, q, r and d are integer lists: d is
-    f's primitive denominator, l^k * n = q*d + r pseudo-divides f's
-    primitive numerator n by d, with l = lead(d) and k = len(q), and s is
-    the ratio of the contents over l^k.  Otherwise d is monic and s = 1."""
-    f = f.reduce()
-    n, d = _int_coeffs(f.num, var), _int_coeffs(f.den, var)
-    if n is not None and d is not None:
-        q, r = _pseudo_divmod(n, d)
-        return q, r, d, f.num.content / f.den.content / d[-1] ** len(q)
-    d = _coeffs(f.den, var)
-    inv = _ONE / d[-1]
-    d = _scale(d, inv)
-    q, r = _divmod(_scale(_coeffs(f.num, var), inv), d)
-    return q, r, d, _ONE
+    For a LineFn f = c*n/d, and for a RatFun f free of the other variables
+    (read as one), q, r and d are integer lists: d has a positive lead,
+    l^k * n = q*d + r pseudo-divides n by d, with l = lead(d) and
+    k = len(q), and s = c/l^k.  Otherwise d is monic and s = 1."""
+    if not isinstance(f, LineFn):
+        f = f.reduce()
+        n, d = _int_coeffs(f.num, var), _int_coeffs(f.den, var)
+        if n is None or d is None:
+            d = _coeffs(f.den, var)
+            inv = _ONE / d[-1]
+            d = _scale(d, inv)
+            q, r = _divmod(_scale(_coeffs(f.num, var), inv), d)
+            return q, r, d, _ONE
+        f = LineFn(n, d, f.num.content / f.den.content, f.arity)
+    q, r = _pseudo_divmod(f.num, f.den)
+    return q, r, f.den, f.c / f.den[-1] ** len(q)
 
 
 def _gcd_split(a: list, b: list) -> tuple[list, list, list]:
@@ -285,7 +315,7 @@ def _hermite_core(a: list, d: list, factors) -> tuple[list, list, list, list]:
     return gn, gd, a, dstar
 
 
-def hermite_antiderivative(f: RatFun, var: int) -> RatFun | None:
+def hermite_antiderivative(f: LineFn | RatFun, var: int) -> RatFun | None:
     """Antiderivative of f in var when one exists inside rational functions.
 
     Hermite reduction leaves f = g' + s/d* with d* squarefree; a rational
@@ -318,7 +348,6 @@ def hermite_antiderivative(f: RatFun, var: int) -> RatFun | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ResidueProfile:
     """Pole structure of f in one variable over Q.
 
@@ -327,13 +356,19 @@ class ResidueProfile:
     True) for every rational pole a, in ascending order per squarefree
     factor, then (monic cofactor, trace, False) for the part of that factor
     with no rational root, if any: the trace, a Fraction as every residue
-    is, is the exact sum of the residues at its poles.
+    is, is the exact sum of the residues at its poles.  Each Poly field is
+    built on first read, off the integer lists (x - a/b as [-a, b]).
     """
 
-    var: int
-    squarefree_poles: tuple[tuple[Poly, int], ...]
-    residues: tuple[tuple[Poly, Fraction, bool], ...]
-    polynomial_part: Poly
+    def __init__(self, var: int, arity: int, poles: list, residues: list, q: list[int], s: Fraction):
+        self.var, self.arity, self._poles, self._residues, self._q, self._s = var, arity, poles, residues, q, s
+
+    def _monic(self, v: list[int]) -> Poly:
+        return Poly.from_coeffs(v, self.var, self.arity, Fraction(1, v[-1]))
+
+    squarefree_poles = cached_property(lambda self: tuple((self._monic(v), m) for v, m in self._poles))
+    residues = cached_property(lambda self: tuple((self._monic(v), *rest) for v, *rest in self._residues))
+    polynomial_part = cached_property(lambda self: Poly.from_coeffs(self._q, self.var, self.arity, self._s))
 
 
 def _homog(p: list[int], a: int, b: int, n: int) -> int:
@@ -383,7 +418,7 @@ def _rational_roots(p: list[int]) -> tuple[list[Fraction], list[int]]:
     return sorted(roots), cur
 
 
-def residue_profile(f: RatFun, var: int) -> ResidueProfile:
+def residue_profile(f: LineFn | RatFun, var: int) -> ResidueProfile:
     """Exact pole/residue data of f in var; requires f univariate over Q.
 
     Each squarefree factor of the integer denominator (yun_squarefree)
@@ -398,23 +433,20 @@ def residue_profile(f: RatFun, var: int) -> ResidueProfile:
     q, r, d, s = _proper_parts(f, var)
     if type(d[-1]) is not int:
         raise ValueError("profile requires a function univariate over Q")
-    arity = f.arity
-    factors = yun_squarefree(d)
-    sq = tuple((Poly.from_coeffs(v, var, arity, Fraction(1, v[-1])), m) for v, m in factors)
-    poly_part = Poly.from_coeffs(q, var, arity, s)
+    factors, quotient = yun_squarefree(d), (q, s)
+    residues: list[tuple[list[int], Fraction, bool]] = []
     if not r:
-        return ResidueProfile(var, sq, (), poly_part)
+        return ResidueProfile(var, f.arity, factors, residues, *quotient)
     if any(m > 1 for _, m in factors):
         _, _, r, d = _hermite_core(_scale(r, s / d[-1]), _monic(d), [(_monic(v), m) for v, m in factors])
         s = _ONE
     dp, n = _deriv(d), len(d) - 2
-    residues: list[tuple[Poly, Fraction, bool]] = []
     for v, _m in factors:
         roots, cof = _rational_roots(v)
         for a in roots:
             num, den = a.numerator, a.denominator
             res = Fraction(s.numerator * _homog(r, num, den, n), s.denominator * _homog(dp, num, den, n))
-            residues.append((Poly.from_coeffs([-num, den], var, arity, Fraction(1, den)), res, True))
+            residues.append(([-num, den], res, True))
         if len(cof) > 1:
             # the residue at a root a of cof, of degree e, is w(a); by Lagrange
             # interpolation at those roots, their sum is the x^(e-1)
@@ -422,8 +454,8 @@ def residue_profile(f: RatFun, var: int) -> ResidueProfile:
             w = _rem(_mul(_rem(r, cof), _inverse_mod(dp, cof)), cof)
             h = _rem(_mul(w, _deriv(cof)), cof)
             trace = s * h[-1] / cof[-1] if len(h) == len(cof) - 1 else Fraction(0)
-            residues.append((Poly.from_coeffs(cof, var, arity, Fraction(1, cof[-1])), trace, False))
-    return ResidueProfile(var, sq, tuple(residues), poly_part)
+            residues.append((cof, trace, False))
+    return ResidueProfile(var, f.arity, factors, residues, *quotient)
 
 
 def logderiv_integrate(parts) -> tuple[list[RatFun] | None, Fraction | str]:
@@ -447,28 +479,26 @@ def logderiv_integrate(parts) -> tuple[list[RatFun] | None, Fraction | str]:
             prof = residue_profile(f, var)
         except (ValueError, ZeroDivisionError):
             return None, "profile-error"
-        if not prof.polynomial_part.is_zero:
+        if prof._q:
             return None, "nonzero-poly-part"
-        if any(m > 1 for _, m in prof.squarefree_poles):
+        if any(m > 1 for _, m in prof._poles):
             return None, "multiple-pole"
-        if any(not splits for _, _, splits in prof.residues):
+        if any(not splits for _, _, splits in prof._residues):
             return None, "non-splitting-factor"
         profs.append(prof)
     # a nonzero proper fraction with simple, split poles has a nonzero residue
-    pool = [res for prof in profs for _, res, _ in prof.residues if res]
+    pool = [res for prof in profs for _, res, _ in prof._residues if res]
     lcd = lcm(*(res.denominator for res in pool))
     c = Fraction(lcd, gcd(*(res.numerator * (lcd // res.denominator) for res in pool)))
     gs = []
     for prof in profs:
         # distinct linear factors: the numerator and the denominator are coprime
         sides = [[1], [1]]
-        for factor, res, _ in prof.residues:
-            e = int(c * res)
-            (c0, c1), k = _int_coeffs(factor, prof.var), abs(e)
+        for (c0, c1), res, _ in prof._residues:
+            k = abs(e := int(c * res))
             power = [comb(k, i) * c0 ** (k - i) * c1**i for i in range(k + 1)] if c0 else [0] * k + [c1**k]
             sides[e < 0] = _mul(sides[e < 0], power)
-        arity = prof.polynomial_part.arity
-        gs.append(RatFun.coprime(*(Poly.from_coeffs(p, prof.var, arity, Fraction(1, p[-1])) for p in sides)))
+        gs.append(RatFun.coprime(*map(prof._monic, sides)))
     return gs, c
 
 

@@ -31,15 +31,16 @@ certificate.  Every gate reads one sample per input and seed (see
 _Fn.tries), whose 2^n mixtures carry every such identity at once.
 Recovery then works on exact univariate specializations (lines on which
 every other variable is pinned to a small integer), read as integer lists
-in one term pass per polynomial (see Poly.line_jet) and reduced by one
-dense gcd (see _lowest_terms).  Each recovery step reads its lines through
-one drawn point: one split gives every part of a group fit at one scale
-(see _split_partial_ratio), and one pair of lines gives the field pivot's
-shift and ratio (see _pivot_lines).  No fitter evaluates P at an exact
-multivariate point, and only a certificate's proof and its re-check
-multiply large multivariate polynomials, the proof as integer term dicts on
-packed exponent codes (oracle._proportional) and the re-check as Poly
-products (verify_certificate's expansion).
+in one term pass per polynomial (see Poly.line_jet), reduced by one dense
+gcd (see _line_quotient) and kept as integer lists (calculus.LineFn) up to
+the fitted parts, which TEMPLATES combine with no gcd.  Each recovery step
+reads its lines through one drawn point: one split gives every part of a
+group fit at one scale (see _split_partial_ratio), and one pair of lines
+gives the field pivot's shift and ratio (see _pivot_lines).  No fitter
+evaluates P at an exact multivariate point, and only a certificate's proof
+and its re-check multiply large multivariate polynomials, the proof as
+integer term dicts on packed exponent codes (oracle._proportional) and the
+re-check as Poly products (verify_certificate's expansion).
 """
 
 from __future__ import annotations
@@ -47,10 +48,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd, prod
+from math import gcd
 from operator import mul as _times, sub as _minus
 
-from .calculus import _deriv, _mul, _scale, _sub, hermite_antiderivative, logderiv_integrate
+from .calculus import LineFn, _deriv, _mul, _scale, _sub, hermite_antiderivative, logderiv_integrate
 from .dimension import image_dimension, is_nondegenerate
 from .modular import DEFAULT_PRIMES, RETRIES, rng_for
 from .oracle import composition_relation, prime_pool
@@ -114,18 +115,30 @@ class FormReport:
     image_dimension: int | None = None
 
 
-def _field_form(r, i, n):
-    rj, rl = r[: i - 1] + r[i:]
-    return r[i - 1] * (rj + rl) ** n
+def _coprime_sum(r):
+    num, den = r[0].num, r[0].den
+    for f in r[1:]:
+        num, den = num * f.den + f.num * den, den * f.den
+    return RatFun.coprime(num, den)
+
+
+def _coprime_product(r):
+    return RatFun.coprime(reduce(_times, (f.num for f in r)), reduce(_times, (f.den for f in r)))
 
 
 #: The one statement of each canonical form P = q(s): s from the parts
 #: r = (r1, r2[, r3]), the pivot i and the exponent n (both Field only).
+#: The parts are canonical, each in its own variable, so their sums and
+#: products, also with a constant, take no gcd: for n1/d1 and n2/d2 in
+#: disjoint variables, or one constant, an irreducible factor of d1 divides
+#: none of n1, d2 and a nonzero n2, so not n1*d2 + n2*d1 nor n1*n2 != 0 (a zero
+#: one is 0/1); d1*d2 has grlex lead 1.  The twisted quotient keeps its
+#: reducing division: with r1 and r3 constant, its s is not reduced.
 TEMPLATES = {
-    "GroupAdditive": lambda r, i, n: sum(r[1:], r[0]),
-    "GroupMultiplicative": lambda r, i, n: prod(r[1:], start=r[0]),
-    "Field": _field_form,
-    "Twisted": lambda r, i, n: (r[0] + r[1]) / (r[1] + r[2]),
+    "GroupAdditive": lambda r, i, n: _coprime_sum(r),
+    "GroupMultiplicative": lambda r, i, n: _coprime_product(r),
+    "Field": lambda r, i, n: _coprime_product((r[i - 1], _coprime_sum(r[: i - 1] + r[i:]) ** n)),
+    "Twisted": lambda r, i, n: _coprime_sum(r[:2]) / _coprime_sum(r[1:]),
 }
 
 
@@ -304,58 +317,51 @@ class _Fn:
             self._parts[vs] = n.derivative(vs[-1]), d.derivative(vs[-1])
         return self._parts[vs]
 
-    def specialized_ratio(self, a: int, b: int, point, free: int) -> RatFun:
+    def specialized_ratio(self, a: int, b: int, point, free: int) -> LineFn:
         """(f_a / f_b) on the line through point parallel to the x_free
-        axis, exact and reduced.
+        axis, exact and reduced, a LineFn in x_free.
 
         The numerators g_v = N_v D - N D_v of f_a and f_b are integer
         coefficient lists off one jet pass over N and one over D (see
         Poly.line_jet): both carry the product of the two jets' scales,
-        which cancels.  _lowest_terms reduces their quotient, and the
-        canonical RatFun is built once.
+        which cancels.  _line_quotient reduces their quotient, and no Poly
+        is built.
         """
         (_, n), (_, d) = self.num.line_jet(point, free), self.den.line_jet(point, free)
         ga, gb = (_sub(_mul(n[1 + v], d[0]), _mul(n[0], d[1 + v])) for v in (a, b))
-        return _line_quotient(ga, gb, free, self.num.arity)
+        return _line_quotient(ga, gb, self.num.arity)
 
 
-def _lowest_terms(ga: list[int], gb: list[int]) -> tuple[list[int], list[int], Fraction]:
-    """(qa, qb, c), c > 0, with ga/gb = c*qa/qb for coprime primitive lists
-    qa and qb, of trimmed integer coefficient lists (lowest first); ([], [1],
-    1) for ga = [], DegenerateSpecializationError for gb = [].  The shared
-    power of the variable and the contents come out before the gcd (a dense
-    heuristic gcd, poly._dense_gcd, whose cost grows with the square of the
-    degree), so that it reads short lists on a sparse line such as that of
-    x^65536*y."""
+def _line_quotient(ga: list[int], gb: list[int], arity: int, c=1) -> LineFn:
+    """c*ga/gb in lowest terms, a LineFn, for trimmed integer coefficient
+    lists (lowest first); DegenerateSpecializationError for gb = [].  The
+    shared power of the variable and the contents come out before the gcd (a
+    dense heuristic gcd, poly._dense_gcd, whose cost grows with the square of
+    the degree), so that it reads short lists on a sparse line such as that
+    of x^65536*y."""
     if not gb:
         raise DegenerateSpecializationError("quotient on a line degenerates")
     if not ga:
-        return [], [1], Fraction(1)
+        return LineFn([], [1], Fraction(1), arity)
     k = next(i for i, pair in enumerate(zip(ga, gb)) if any(pair))
     ga, gb = ga[k:], gb[k:]
     ca, cb = gcd(*ga), gcd(*gb)
-    _, qa, qb = _dense_gcd([c // ca for c in ga], [c // cb for c in gb])
-    return qa, qb, Fraction(ca, cb)
-
-
-def _line_quotient(ga: list[int], gb: list[int], free: int, arity: int, c=1) -> RatFun:
-    """c*ga/gb, c > 0, as a canonical RatFun in x_free, reduced by _lowest_terms."""
-    qa, qb, ca = _lowest_terms(ga, gb)
-    return RatFun.coprime(Poly.from_coeffs(qa, free, arity, c * ca), Poly.from_coeffs(qb, free, arity))
+    _, qa, qb = _dense_gcd([x // ca for x in ga], [x // cb for x in gb])
+    return LineFn(qa, qb, c * Fraction(ca, cb), arity)
 
 
 def _split_partial_ratio(fn: _Fn, a: int, b: int, rng, rest=()):
-    """Split f_a/f_b into (u(x_a), v(x_b)) by specialization, scale shared,
-    followed by one w(x_c) for each variable c in rest.
+    """Split f_a/f_b into LineFns (u(x_a), v(x_b)) by specialization, scale
+    shared, followed by one w(x_c) for each variable c in rest.
 
     All of them are read on lines through one drawn point: u is the ratio
     H = f_a/f_b on the x_a-line, v = H(point)/H on the x_b-line and w the
     ratio f_c/f_b on the x_c-line, so u/v equals H exactly whenever it is
     separable, and for a group form, where f_k/f_b = r_k'/r_b' (for the
     multiplicative one read r_k'/r_k), every part is r_k' over the one
-    constant r_b'(point).  Validity for a non-separable ratio is *not*
-    checked here -- downstream exact anchors (integration, identity checks,
-    certificates) reject those fits.
+    constant r_b'(point); H(point) is u's Horner value, v swaps H's lists.  A
+    non-separable ratio is *not* rejected here -- downstream exact anchors
+    (integration, identity checks, certificates) reject those fits.
     """
     arity = fn.num.arity
     for _ in range(RETRIES):
@@ -363,13 +369,13 @@ def _split_partial_ratio(fn: _Fn, a: int, b: int, rng, rest=()):
         try:
             u = fn.specialized_ratio(a, b, point, a)
             hy = fn.specialized_ratio(a, b, point, b)
-            h0 = u.eval_q(point)
+            h0 = u(point[a])
             ws = [fn.specialized_ratio(c, b, point, c) for c in rest]
         except (DegenerateSpecializationError, PoleError, ZeroDivisionError):
             continue
         if h0 == 0 or u.is_zero or hy.is_zero or any(w.is_zero for w in ws):
             continue
-        return u, RatFun.coprime(hy.den.scale(h0), hy.num), *ws
+        return u, LineFn(hy.den, hy.num, h0 / hy.c, arity), *ws
     return None
 
 
@@ -535,18 +541,18 @@ def _pivot_lines(fn: _Fn, i: int, j: int, uj: RatFun, rj: RatFun, rl: RatFun, rn
 
     A field form has M = K * (r_j + r_l + beta), K = r_i'/(n r_i) up to scale.
     On the x_j-line, b = r_j + r_l(point) and K is constant, so K = M'/b' and
-    beta = M/K - b; on the x_i-line khat = M/(b(point) + beta) is K.  M = 0
-    (x_i pinned where r_i' vanishes), a pole or a degenerate line draws
-    another point; a K on the x_j-line that is not a nonzero constant rejects
-    the pivot (beta None).  khat is None when beta is found but no point
-    gives an x_i-line.
+    beta = M/K - b; on the x_i-line khat = M/(b(point) + beta) is K, a
+    LineFn.  M = 0 (x_i pinned where r_i' vanishes), a pole or a degenerate
+    line draws another point; a K on the x_j-line that is not a nonzero
+    constant rejects the pivot (beta None).  khat is None when beta is found
+    but no point gives an x_i-line.
     """
     beta = None
     for _ in range(RETRIES):
         point = [rng.randrange(2, 98) for _ in range(3)]
         try:
-            M = fn.specialized_ratio(i, j, point, j) * uj
-            b = rj + rl.eval_q(point)
+            M = fn.specialized_ratio(i, j, point, j).ratfun(j) * uj
+            b = _coprime_sum((rj, RatFun.const(rl.eval_q(point), 3)))
             K = M.partial(j) / b.partial(j)
         except (DegenerateSpecializationError, PoleError, ZeroDivisionError):
             continue
@@ -562,7 +568,7 @@ def _pivot_lines(fn: _Fn, i: int, j: int, uj: RatFun, rj: RatFun, rl: RatFun, rn
         except (DegenerateSpecializationError, PoleError, ZeroDivisionError):
             continue
         if ujv and bv:
-            return beta, base.scale(ujv / bv)
+            return beta, LineFn(base.num, base.den, base.c * ujv / bv, 3)
     return beta, None
 
 
@@ -628,12 +634,13 @@ def fit_field(
         if rj is None or rl is None:
             diag[f"{tag}_integrable"] = False
             continue
+        uj = uj.ratfun(j)
         beta, khat = _pivot_lines(fn, i, j, uj, rj, rl, rng)
         if beta is None:
             diag[f"{tag}_shift"] = False
             continue
-        rj += beta
-        Bc = rj + rl
+        rj = _coprime_sum((rj, RatFun.const(beta, 3)))
+        Bc = _coprime_sum((rj, rl))
         if not all(_probe(_field_k_mod(fn, i, j, v, uj, Bc), fn.tries()) for v in (j, l)):
             diag[f"{tag}_pivot_ratio_independent"] = False
             continue
@@ -734,12 +741,12 @@ def _twisted_part(W, W1, k: Fraction, r0: Fraction, free: int) -> RatFun:
     E = c1.num*c.den*a1*b - c.num*c1.den*a*b1, W1 - W is E/(c.den*c1.den*b*b1)
     and the part t*a*b1/E - r0 for t = k*c.num*c1.den, one integer-list
     quotient reduced once (E = [] raises)."""
-    (a, b, c), (a1, b1, c1) = W, W1
+    (a, b, c), (a1, b1, c1) = ((w.num, w.den, w.c) for w in (W, W1))
     ab1 = _mul(a, b1)
     E = _sub(_scale(_mul(a1, b), c1.numerator * c.denominator), _scale(ab1, c.numerator * c1.denominator))
     t = k * c.numerator * c1.denominator
     num = _sub(_scale(ab1, t.numerator * r0.denominator), _scale(E, r0.numerator * t.denominator))
-    return _line_quotient(num, _scale(E, t.denominator * r0.denominator), free, 3)
+    return _line_quotient(num, _scale(E, t.denominator * r0.denominator), 3).ratfun(free)
 
 
 def _twisted_parts(fn: _Fn, rng):
@@ -754,18 +761,19 @@ def _twisted_parts(fn: _Fn, rng):
     x-lines at y = cy and cy + 1 give, at the scale of r2,
     r1'/r1'(cx) = (r2(cy+1) - r2(cy))/(W|cy+1 - W|cy), and two z-lines give
     r3' from V likewise; the additive constants come from W and V at y = cy
-    (see _twisted_part).  u, r1 and r3 are the only RatFuns built, and each
-    part is univariate by construction.
+    (see _twisted_part).  u is a LineFn, r1 and r3 are the only RatFuns
+    built, and each part is univariate by construction.
     """
-    def ratio(point, free, k):  # -g_y g_k/delta as (a, b, c), see _lowest_terms
+    def ratio(point, free, k):  # -g_y g_k/delta, a LineFn
         g, delta = _twisted_line(fn, point, free)
-        return _lowest_terms(_mul(g[1], g[k]), [-c for c in delta])
+        return _line_quotient(_mul(g[1], g[k]), [-c for c in delta], 3)
 
     for _ in range(8):
         cx, cy, cz = (rng.randrange(2, 98) for _ in range(3))
         try:
-            a, b, c = ratio((cx, cy, cz), 1, 2)
-            u = _line_quotient(_sub(_mul(_deriv(a), b), _mul(a, _deriv(b))), _mul(b, b), 1, 3, c)
+            w = ratio((cx, cy, cz), 1, 2)
+            a, b = w.num, w.den
+            u = _line_quotient(_sub(_mul(_deriv(a), b), _mul(a, _deriv(b))), _mul(b, b), 3, w.c)
             if u.is_zero:
                 continue
             r2 = hermite_antiderivative(u, 1)

@@ -93,7 +93,9 @@ class RatFun:
 
     @classmethod
     def coprime(cls, num: Poly, den: Poly) -> "RatFun":
-        """num/den for coprime num and den: canonical without a gcd."""
+        """num/den for coprime num and den: canonical without a gcd (0/1 for a zero num)."""
+        if num.is_zero:
+            return cls(num, den)
         return cls(*_unit_lead(num, den), reduce=False)._mark()
 
     def _mark(self) -> "RatFun":

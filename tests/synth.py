@@ -10,10 +10,14 @@ handwritten lists cover the cases that must not depend on generator luck.
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
+from collections import namedtuple
 from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
+from pathlib import Path
 
 from ratforms.calculus import (
     _ONE,
@@ -33,7 +37,6 @@ from ratforms.calculus import (
     _scale,
     _sub,
     _trim,
-    ResidueProfile,
     hermite_antiderivative,
     separability_identity,
 )
@@ -425,8 +428,28 @@ def ref_rational_roots(p: list) -> tuple[list[Fraction], list]:
     return sorted(roots), _monic(cur)
 
 
-def ref_residue_profile(f: RatFun, var: int) -> ResidueProfile:
-    """The reference for calculus.residue_profile."""
+def bench_corpus(monkeypatch):
+    """bench/corpus.py, loaded by path: it builds its inputs without ratforms."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("_bench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclass
+    spec.loader.exec_module(module)
+    return module
+
+
+#: The public fields of a calculus.ResidueProfile, which the reference builds.
+RefProfile = namedtuple("RefProfile", "var squarefree_poles residues polynomial_part")
+
+
+def public_profile(prof) -> RefProfile:
+    """The public fields of a calculus.ResidueProfile, to compare with the
+    reference's."""
+    return RefProfile(prof.var, prof.squarefree_poles, prof.residues, prof.polynomial_part)
+
+
+def ref_residue_profile(f: RatFun, var: int) -> RefProfile:
+    """The reference for calculus.residue_profile: its public fields."""
     if f.is_zero:
         raise ValueError("residue profile of the zero function")
     q, r, d = _fraction_parts(f, var)
@@ -437,7 +460,7 @@ def ref_residue_profile(f: RatFun, var: int) -> ResidueProfile:
     sq = tuple((_poly(v, var, arity), m) for v, m in factors)
     poly_part = _poly(q, var, arity)
     if not r:
-        return ResidueProfile(var, sq, (), poly_part)
+        return RefProfile(var, sq, (), poly_part)
     _, _, s, dstar = _hermite_core(r, d, factors)
     dsp = _deriv(dstar)
     residues: list[tuple[Poly, Fraction, bool]] = []
@@ -451,7 +474,7 @@ def ref_residue_profile(f: RatFun, var: int) -> ResidueProfile:
             h = _rem(_mul(w, _deriv(cof)), cof)
             trace = Fraction(h[-1] if len(h) == len(cof) - 1 else 0)
             residues.append((_poly(cof, var, arity), trace, False))
-    return ResidueProfile(var, sq, tuple(residues), poly_part)
+    return RefProfile(var, sq, tuple(residues), poly_part)
 
 
 def ref_logderiv_integrate(parts) -> tuple[list[RatFun] | None, Fraction | str]:

@@ -13,6 +13,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -28,6 +30,33 @@ def test_every_span_resolves_to_a_function():
     assert len(spans) == 21
     for _, module, attr in spans:
         assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+
+
+@pytest.mark.parametrize(
+    "expr, fitter, verdict, reached",
+    [
+        ("(x + y^2 + z)^3 + 1", "fit_group", "GroupAdditive", {"hermite_antiderivative"}),
+        ("(x*y*z + 1)^2", "fit_group", "GroupMultiplicative",
+         {"hermite_antiderivative", "logderiv_integrate", "residue_profile"}),
+        ("x*(y + z)^3", "fit_field", "Field", {"hermite_antiderivative", "logderiv_integrate", "residue_profile"}),
+    ],
+)
+def test_fits_reach_the_calculus_through_the_names_the_spans_wrap(expr, fitter, verdict, reached):
+    # a fit that integrated its line ratios past these names would leave the
+    # calculus spans of a traced run at zero calls
+    from ratforms import classify
+    from ratforms.ratfun import parse
+
+    tracer = _load("spans").Tracer()
+    tracer.install()
+    try:
+        report = getattr(classify, fitter)(classify._Fn(parse(expr, ("x", "y", "z"))))
+    finally:
+        tracer.uninstall()
+    assert report is not None and report.verdict == verdict
+    calls = tracer.summary(1)
+    names = ("hermite_antiderivative", "logderiv_integrate", "residue_profile")
+    assert {name for name in names if calls[f"calculus.{name}.calls"]} == reached
 
 
 def test_names_imported_by_the_runner_resolve():

@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
 
-from synth import partial_ratio, ref_hermite_antiderivative, ref_logderiv_integrate, ref_residue_profile
+from synth import (
+    bench_corpus,
+    partial_ratio,
+    public_profile,
+    ref_hermite_antiderivative,
+    ref_logderiv_integrate,
+    ref_residue_profile,
+)
 from ratforms.calculus import (
     _ONE,
     _add,
@@ -32,8 +40,10 @@ from ratforms.calculus import (
     separability_identity,
     yun_squarefree,
 )
-from ratforms.classify import _Fn, _split_partial_ratio
-from ratforms.modular import rng_for
+from ratforms import classify
+from ratforms.calculus import LineFn
+from ratforms.classify import _Fn, _line_quotient, _split_partial_ratio
+from ratforms.modular import DEFAULT_PRIMES, rng_for
 from ratforms.poly import Poly
 from ratforms.ratfun import RatFun, parse
 
@@ -54,7 +64,7 @@ def _split(f):
     """The one separable split, of f_x/f_y; u/v must equal that ratio exactly."""
     got = _split_partial_ratio(_Fn(f), 0, 1, rng_for(0, "test-split"))
     assert got is not None
-    u, v = got
+    u, v = (h.ratfun(var) for var, h in enumerate(got))
     assert u / v == partial_ratio(f, 0, 1)
     assert u.independent_of(1) and v.independent_of(0)
     return u, v
@@ -641,7 +651,7 @@ def test_integer_calculus_matches_the_fraction_list_reference():
         var, arity = ((0, 1), (1, 2), (2, 3))[k % 3]
         f = _random_univariate(rng, var, arity)
         prof = residue_profile(f, var)
-        assert prof == ref_residue_profile(f, var), f
+        assert public_profile(prof) == ref_residue_profile(f, var), f
         g = hermite_antiderivative(f, var)
         assert g == ref_hermite_antiderivative(f, var), f
         got = logderiv_integrate([(f, var)])
@@ -653,3 +663,77 @@ def test_integer_calculus_matches_the_fraction_list_reference():
         seen["zero root"] += any(fac == Poly.variable(var, arity) for fac, _, _ in prof.residues)
         seen["large root"] += any(abs(fac.eval_q([0] * arity)) > 1 << 40 for fac, _, _ in prof.residues)
     assert min(seen.values()) >= 15, seen
+
+
+# -- the line form ---------------------------------------------------------------
+
+
+def _assert_line_form_matches_its_ratfun(f, var):
+    """hermite_antiderivative, every field of residue_profile and
+    logderiv_integrate (its gs and c) give one result on the LineFn f and on
+    the RatFun it converts to; returns that profile's fields or the error."""
+    g = f.ratfun(var)
+    assert g.canonical
+    assert hermite_antiderivative(f, var) == hermite_antiderivative(g, var)
+    try:
+        want = public_profile(residue_profile(g, var))
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            residue_profile(f, var)
+        want = type(exc)
+    else:
+        assert public_profile(residue_profile(f, var)) == want
+    assert logderiv_integrate([(f, var)]) == logderiv_integrate([(g, var)])
+    return want
+
+
+def test_the_line_form_matches_its_ratfun_on_the_replayed_split_ratios(monkeypatch):
+    # every split ratio the fitters read on the seed-3 inputs of the three
+    # benchmark workloads, integrated as a LineFn and as its RatFun
+    corpus = bench_corpus(monkeypatch)
+    split, seen = classify._split_partial_ratio, []
+
+    def spy(fn, a, b, rng, rest=()):
+        got = split(fn, a, b, rng, rest)
+        seen.extend(zip(got or (), (a, b, *rest)))
+        return got
+
+    monkeypatch.setattr(classify, "_split_partial_ratio", spy)
+    for workload in sorted(corpus.WORKLOADS):
+        for it in corpus.build(workload, 3):
+            classify._classify(parse(it.expr, it.names), None, DEFAULT_PRIMES, 16, 0)
+    monkeypatch.undo()
+    kinds = Counter()
+    for f, var in seen:
+        assert isinstance(f, LineFn) and f.den[-1] > 0
+        want = _assert_line_form_matches_its_ratfun(f, var)
+        kinds["profile"] += not isinstance(want, type)
+        kinds["antiderivative"] += hermite_antiderivative(f, var) is not None
+        kinds["logderiv"] += logderiv_integrate([(f, var)])[0] is not None
+        kinds["negative c"] += f.c < 0
+    assert len(seen) > 900 and min(kinds.values()) >= 100, (len(seen), kinds)
+
+
+@pytest.mark.parametrize(
+    "ga, gb, var, arity, reason",
+    [
+        ([1, 2], [4, 0, -1], 0, 2, None),  # a negative-lead denominator, 4 - x^2
+        ([0, 0, 3, 1], [0, 0, 0, 2, 5], 2, 3, None),  # a shared power x^2
+        ([0, 0, 7], [0, 0, 5], 0, 2, "nonzero-poly-part"),  # the constant 7/5
+        ([0, -7], [0, 5], 1, 2, "nonzero-poly-part"),  # the constant -7/5
+        ([], [1, 1], 1, 3, "zero-part"),
+        ([-1], [1, -2, 1], 0, 3, "multiple-pole"),  # (1/(x - 1))'
+        ([5, 1], [2, -3, 0, 1], 1, 2, "multiple-pole"),  # (x + 5)/((x - 1)^2 (x + 2))
+        ([-4, 2], [-3, 0, 1], 1, 3, "non-splitting-factor"),  # (2x - 4)/(x^2 - 3)
+        ([7], [2, 0, 1], 2, 3, "non-splitting-factor"),
+    ],
+)
+def test_the_line_form_matches_its_ratfun_on_generated_cases(ga, gb, var, arity, reason):
+    f = _line_quotient(ga, gb, arity)
+    assert f.den[-1] > 0
+    _assert_line_form_matches_its_ratfun(f, var)
+    gs, c = logderiv_integrate([(f, var)])
+    assert (None if gs is not None else c) == reason
+    if gb == [1, -2, 1]:
+        # Hermite's Fraction branch reduces the double pole
+        assert hermite_antiderivative(f, var) == 1 / (RatFun.variable(var, arity) - 1)

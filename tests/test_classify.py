@@ -7,6 +7,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from ratforms.classify import (
     verify_twisted_identities,
 )
 from ratforms.classify import (
+    _coprime_sum,
     _decomposed_detail,
     _Fn,
     _field_k_mod,
@@ -407,10 +409,12 @@ def test_fit_group_multiplicative():
 
 def _spy_recovery(monkeypatch):
     """A log of the exact line ratios (a, b, point, free) that a fit reads,
-    with "gcd" for each ratfun.poly_gcd call and "hermite" for each
-    hermite_antiderivative call, in order."""
+    with "gcd" for each ratfun.poly_gcd call, "hermite" for each
+    hermite_antiderivative call, "coeffs" for each Poly.from_coeffs call and
+    "cert" for each dependence_certificate call, in order."""
     events = []
     ratio, gcd, hermite = _Fn.specialized_ratio, ratfun.poly_gcd, classify.hermite_antiderivative
+    coeffs, cert = Poly.from_coeffs, classify.dependence_certificate
 
     def spy_ratio(self, a, b, point, free):
         events.append((a, b, tuple(point), free))
@@ -419,6 +423,8 @@ def _spy_recovery(monkeypatch):
     monkeypatch.setattr(_Fn, "specialized_ratio", spy_ratio)
     monkeypatch.setattr(ratfun, "poly_gcd", lambda *a: events.append("gcd") or gcd(*a))
     monkeypatch.setattr(classify, "hermite_antiderivative", lambda *a: events.append("hermite") or hermite(*a))
+    monkeypatch.setattr(Poly, "from_coeffs", classmethod(lambda cls, *a: events.append("coeffs") or coeffs(*a)))
+    monkeypatch.setattr(classify, "dependence_certificate", lambda *a, **k: events.append("cert") or cert(*a, **k))
     return events
 
 
@@ -433,15 +439,19 @@ def _spy_recovery(monkeypatch):
 def test_a_group_fit_reads_every_part_through_one_point(monkeypatch, expr, names, verdict):
     # one split reads f_x/f_y on the x- and y-lines and f_z/f_y on the
     # z-line through one point, each part at one scale, so nothing divides
-    # one split's part by another's before the parts are integrated
+    # one split's part by another's before the parts are integrated; the
+    # parts reach the calculus as integer lists, and the template builds s
+    # from the integrated parts with no gcd
     events = _spy_recovery(monkeypatch)
     rep = fit_group(_Fn(parse(expr, names)))
     assert rep is not None and rep.verdict == verdict
     first = events.index("hermite")
-    lines = [e for e in events[:first] if e != "gcd"]
+    lines = [e for e in events[:first] if isinstance(e, tuple)]
     assert [free for *_, free in lines] == list(range(len(names)))
     assert len({point for _, _, point, _ in lines}) == 1
     assert "gcd" not in events[events.index(lines[-1]):first]
+    assert "coeffs" not in events[events.index(lines[0]):first]
+    assert "gcd" not in events[first:events.index("cert")]
 
 
 def test_a_field_pivot_reads_its_shift_and_ratio_through_one_point(monkeypatch):
@@ -450,9 +460,58 @@ def test_a_field_pivot_reads_its_shift_and_ratio_through_one_point(monkeypatch):
     events = _spy_recovery(monkeypatch)
     rep = fit_field(_Fn(parse("x*(y + z)^3", TRI)))
     assert rep is not None and (rep.pivot, rep.exponent) == (1, 3)
-    lines = [e for e in events if e not in ("gcd", "hermite") and e[:2] == (0, 1)]
+    lines = [e for e in events if isinstance(e, tuple) and e[:2] == (0, 1)]
     assert [free for *_, free in lines] == [1, 0]
     assert lines[0][2] == lines[1][2]
+
+
+def _random_part(rng, var, arity):
+    """A random canonical part in x_var: a constant (0 among them), or a
+    quotient of polynomials with rational coefficients, maybe shifted by a
+    constant and scaled by a negative content."""
+    x = RatFun.variable(var, arity)
+    if rng.random() < 0.2:
+        return RatFun.const(Fraction(rng.randint(-3, 3), rng.randint(1, 4)), arity)
+
+    def poly():
+        while True:
+            p = sum((x**i * Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for i in range(rng.randint(1, 4))),
+                    RatFun.const(0, arity))
+            if not p.is_zero:
+                return p
+
+    f = poly() / poly()
+    if rng.random() < 0.4:
+        f = f + Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    return f.scale(Fraction(-rng.randint(1, 7), rng.randint(1, 5))) if rng.random() < 0.5 else f
+
+
+def test_gcd_free_templates_equal_the_gcd_reduced_functions(monkeypatch):
+    # parts in distinct variables are coprime, so the group and field s, the
+    # field's inner sum and its shifts need no gcd and equal the reduced
+    # RatFun arithmetic, numerator and denominator alike
+    rng = random.Random(43)
+    real, calls = ratfun.poly_gcd, []
+    cases = 0
+    for k in range(120):
+        n = 2 + k % 2
+        r = [_random_part(rng, v, n) for v in range(n)]
+        i, e, beta = rng.randint(1, 3), rng.randint(1, 3), Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        r3 = [_random_part(rng, v, 3) for v in range(3)]
+        rj, rl = r3[: i - 1] + r3[i:]
+        wants = [sum(r[1:], r[0]), prod(r[1:], start=r[0]), r3[i - 1] * (rj + rl) ** e, rj + rl, rj + beta]
+        monkeypatch.setattr(ratfun, "poly_gcd", lambda a, b: calls.append((a, b)) or real(a, b))
+        gots = [TEMPLATES["GroupAdditive"](r, None, None), TEMPLATES["GroupMultiplicative"](r, None, None),
+                TEMPLATES["Field"](r3, i, e), _coprime_sum((rj, rl)), _coprime_sum((rj, RatFun.const(beta, 3)))]
+        monkeypatch.undo()
+        assert not calls
+        for got, want in zip(gots, wants):
+            assert got.canonical and (got.num, got.den) == (want.num, want.den), (r, r3, i, e, beta)
+            cases += not want.is_constant
+    assert cases > 500
+    # constant parts that cancel give the canonical zero
+    zero = TEMPLATES["GroupAdditive"]([RatFun.const(2, 2), RatFun.const(-2, 2)], None, None)
+    assert (zero.num, zero.den) == (Poly.zero(2), Poly.const(1, 2))
 
 
 def test_fit_group_rejects_field_form():
@@ -583,7 +642,7 @@ def test_specialized_ratio_matches_six_substitutions(a, b, vals):
     n, d = sub(fn.num), sub(fn.den)
     (na, da), (nb, db) = fn.partials(a), fn.partials(b)
     want = RatFun(sub(na) * d - n * sub(da), sub(nb) * d - n * sub(db))
-    got = fn.specialized_ratio(a, b, [vals.get(t, 0) for t in range(3)], free)
+    got = fn.specialized_ratio(a, b, [vals.get(t, 0) for t in range(3)], free).ratfun(free)
     assert (got.num, got.den) == (want.num, want.den)
 
 
@@ -609,7 +668,7 @@ def test_specialized_ratio_matches_the_poly_level_reference(expr, a, b, free):
     for draw in draws * 2:
         point = [draw() for _ in range(3)]
         want = synth.line_ratio(f, a, b, point, free)
-        got = _Fn(f).specialized_ratio(a, b, point, free)
+        got = _Fn(f).specialized_ratio(a, b, point, free).ratfun(free)
         assert got.canonical and (got.num, got.den) == (want.num, want.den)
 
 
@@ -630,7 +689,7 @@ def test_sparse_line_ratios_stay_within_a_gcd_work_budget(monkeypatch):
     f = parse("x^65536*y", BI)
     for free in (0, 1):
         want = synth.line_ratio(f, 0, 1, (3, 5), free)
-        got = _Fn(f).specialized_ratio(0, 1, (3, 5), free)
+        got = _Fn(f).specialized_ratio(0, 1, (3, 5), free).ratfun(free)
         assert (got.num, got.den) == (want.num, want.den)
     report, status = cli.analyze_function("x^65536*y*z + 1", TRI, DEFAULT_PRIMES, 16, 0, None, False)
     assert (report["verdict"], status) == ("group-multiplicative", 0)

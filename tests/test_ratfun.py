@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-import importlib.util
 import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from synth import partial_ratio
+from synth import bench_corpus, partial_ratio
 from ratforms import ratfun
 from ratforms.modular import DEFAULT_PRIMES, RETRIES
 from ratforms.poly import Poly, grlex_key
@@ -328,20 +326,10 @@ def test_printed_forms_read_back_in_printed_order():
                 assert list(a.ints) == sorted(b.ints, key=grlex_key, reverse=True)
 
 
-def _bench_corpus(monkeypatch):
-    """bench/corpus.py, loaded by path: it builds its inputs without ratforms."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("_bench_corpus", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclass
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_generated_benchmark_inputs_read_as_the_num_and_den_they_print(monkeypatch):
     """Every generated input of the three workloads reads back as exactly
     the coprime num/den it was printed from, denominator made monic."""
-    corpus = _bench_corpus(monkeypatch)
+    corpus = bench_corpus(monkeypatch)
     checked = 0
     for workload in sorted(corpus.WORKLOADS):
         for it in corpus.build(workload, 1):
@@ -375,6 +363,18 @@ def test_powers_of_a_canonical_function_need_no_gcd(monkeypatch):
         want = RatFun(f.num**n, f.den**n) if n >= 0 else RatFun(f.den**-n, f.num**-n)
         assert g.canonical and (g.num, g.den) == (want.num, want.den)
     assert len(got) == 7 * 25 - 3
+
+
+def test_coprime_of_a_zero_numerator_is_the_canonical_zero():
+    # as scale does: 0/(x + 1) is the zero function, over 1
+    x = Poly.variable(0, 2)
+    for den in (x + 1, Poly.const(3, 2), x * x - 2):
+        f = RatFun.coprime(Poly.zero(2), den)
+        assert f.canonical and f.is_zero and f.is_constant
+        assert (f.num, f.den) == (Poly.zero(2), Poly.const(1, 2))
+        assert f == RatFun.const(0, 2) and f.to_str(BI) == "0"
+    with pytest.raises(ZeroDivisionError):
+        RatFun.coprime(Poly.zero(2), Poly.zero(2))
 
 
 def test_arith_add_and_factor_cancelling_division():
