@@ -21,6 +21,7 @@ a ResidueProfile on first read.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
@@ -348,6 +349,7 @@ def hermite_antiderivative(f: LineFn | RatFun, var: int) -> RatFun | None:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class ResidueProfile:
     """Pole structure of f in one variable over Q.
 
@@ -357,18 +359,21 @@ class ResidueProfile:
     factor, then (monic cofactor, trace, False) for the part of that factor
     with no rational root, if any: the trace, a Fraction as every residue
     is, is the exact sum of the residues at its poles.  Each Poly field is
-    built on first read, off the integer lists (x - a/b as [-a, b]).
+    built on first read off the fields, which equal functions share.
     """
 
-    def __init__(self, var: int, arity: int, poles: list, residues: list, q: list[int], s: Fraction):
-        self.var, self.arity, self._poles, self._residues, self._q, self._s = var, arity, poles, residues, q, s
+    var: int
+    arity: int
+    _poles: list[tuple[list[int], int]]
+    _residues: list[tuple[list[int], Fraction, bool]]  # x - a/b as [-a, b]
+    _q: list[Fraction]
 
     def _monic(self, v: list[int]) -> Poly:
         return Poly.from_coeffs(v, self.var, self.arity, Fraction(1, v[-1]))
 
     squarefree_poles = cached_property(lambda self: tuple((self._monic(v), m) for v, m in self._poles))
     residues = cached_property(lambda self: tuple((self._monic(v), *rest) for v, *rest in self._residues))
-    polynomial_part = cached_property(lambda self: Poly.from_coeffs(self._q, self.var, self.arity, self._s))
+    polynomial_part = cached_property(lambda self: _poly(self._q, self.var, self.arity))
 
 
 def _homog(p: list[int], a: int, b: int, n: int) -> int:
@@ -433,10 +438,9 @@ def residue_profile(f: LineFn | RatFun, var: int) -> ResidueProfile:
     q, r, d, s = _proper_parts(f, var)
     if type(d[-1]) is not int:
         raise ValueError("profile requires a function univariate over Q")
-    factors, quotient = yun_squarefree(d), (q, s)
-    residues: list[tuple[list[int], Fraction, bool]] = []
+    factors, quotient, residues = yun_squarefree(d), _scale(q, s), []
     if not r:
-        return ResidueProfile(var, f.arity, factors, residues, *quotient)
+        return ResidueProfile(var, f.arity, factors, residues, quotient)
     if any(m > 1 for _, m in factors):
         _, _, r, d = _hermite_core(_scale(r, s / d[-1]), _monic(d), [(_monic(v), m) for v, m in factors])
         s = _ONE
@@ -455,7 +459,7 @@ def residue_profile(f: LineFn | RatFun, var: int) -> ResidueProfile:
             h = _rem(_mul(w, _deriv(cof)), cof)
             trace = s * h[-1] / cof[-1] if len(h) == len(cof) - 1 else Fraction(0)
             residues.append((cof, trace, False))
-    return ResidueProfile(var, f.arity, factors, residues, *quotient)
+    return ResidueProfile(var, f.arity, factors, residues, quotient)
 
 
 def logderiv_integrate(parts) -> tuple[list[RatFun] | None, Fraction | str]:

@@ -60,6 +60,7 @@ from .ratfun import (
     DegenerateSpecializationError,
     PoleError,
     RatFun,
+    _product,
     _raw_sum,
     compose_numerator,
     pole_free_values,
@@ -115,15 +116,9 @@ class FormReport:
     image_dimension: int | None = None
 
 
-def _coprime_sum(r):
-    num, den = r[0].num, r[0].den
-    for f in r[1:]:
-        num, den = num * f.den + f.num * den, den * f.den
-    return RatFun.coprime(num, den)
-
-
-def _coprime_product(r):
-    return RatFun.coprime(reduce(_times, (f.num for f in r)), reduce(_times, (f.den for f in r)))
+def _coprime_fold(op, r):
+    s = reduce(op, r[1:], r[0])
+    return RatFun.coprime(s.num, s.den)
 
 
 #: The one statement of each canonical form P = q(s): s from the parts
@@ -135,10 +130,11 @@ def _coprime_product(r):
 #: one is 0/1); d1*d2 has grlex lead 1.  The twisted quotient keeps its
 #: reducing division: with r1 and r3 constant, its s is not reduced.
 TEMPLATES = {
-    "GroupAdditive": lambda r, i, n: _coprime_sum(r),
-    "GroupMultiplicative": lambda r, i, n: _coprime_product(r),
-    "Field": lambda r, i, n: _coprime_product((r[i - 1], _coprime_sum(r[: i - 1] + r[i:]) ** n)),
-    "Twisted": lambda r, i, n: _coprime_sum(r[:2]) / _coprime_sum(r[1:]),
+    "GroupAdditive": lambda r, i, n: _coprime_fold(_raw_sum, r),
+    "GroupMultiplicative": lambda r, i, n: _coprime_fold(_product, r),
+    "Field": lambda r, i, n: _coprime_fold(
+        _product, (r[i - 1], _coprime_fold(_raw_sum, r[: i - 1] + r[i:]) ** n)),
+    "Twisted": lambda r, i, n: _coprime_fold(_raw_sum, r[:2]) / _coprime_fold(_raw_sum, r[1:]),
 }
 
 
@@ -552,7 +548,7 @@ def _pivot_lines(fn: _Fn, i: int, j: int, uj: RatFun, rj: RatFun, rl: RatFun, rn
         point = [rng.randrange(2, 98) for _ in range(3)]
         try:
             M = fn.specialized_ratio(i, j, point, j).ratfun(j) * uj
-            b = _coprime_sum((rj, RatFun.const(rl.eval_q(point), 3)))
+            b = _coprime_fold(_raw_sum, (rj, RatFun.const(rl.eval_q(point), 3)))
             K = M.partial(j) / b.partial(j)
         except (DegenerateSpecializationError, PoleError, ZeroDivisionError):
             continue
@@ -639,8 +635,8 @@ def fit_field(
         if beta is None:
             diag[f"{tag}_shift"] = False
             continue
-        rj = _coprime_sum((rj, RatFun.const(beta, 3)))
-        Bc = _coprime_sum((rj, rl))
+        rj = _coprime_fold(_raw_sum, (rj, RatFun.const(beta, 3)))
+        Bc = _coprime_fold(_raw_sum, (rj, rl))
         if not all(_probe(_field_k_mod(fn, i, j, v, uj, Bc), fn.tries()) for v in (j, l)):
             diag[f"{tag}_pivot_ratio_independent"] = False
             continue

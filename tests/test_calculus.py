@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -220,6 +221,25 @@ def test_residue_scaling_and_minimal_integer_multiplier():
     by_factor_scaled = {fac.to_str(("x",)): res for fac, res, _ in scaled.residues}
     for key, res in by_factor.items():
         assert by_factor_scaled[key] == n * res
+
+
+def test_residue_profiles_compare_by_value():
+    # profiles are frozen values: two compare equal exactly when their
+    # public fields do, also for functions that differ in a scale the
+    # fields do not show (the residue 0 of c/(x-1)^2, the polynomial part
+    # 2x of 2x + c/(x-1)^2)
+    X = ("x",)
+    texts = ["1/(x-1)^2", "2/(x-1)^2", "2*x + 1/(x-1)^2", "2*x + 2/(x-1)^2", "1/(x-1)", "2/(x-1)",
+             "x/(x^2+1)", "(2*x^2 + 1)/(x^2+1)", "3/(2*x)", "3/(2*x) + x"]
+    profs = [residue_profile(parse(t, X), 0) for t in texts]
+    for p in profs:
+        for q in profs:
+            assert (p == q) == (public_profile(p) == public_profile(q)), (p, q)
+    assert profs[0] == profs[1] and profs[2] == profs[3] and profs[4] != profs[5]
+    assert profs[0] == residue_profile(parse("1/(x^2 - 2*x + 1)", X), 0)
+    assert repr(profs[4]).startswith("ResidueProfile(var=0, arity=1, ")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        profs[4].var = 1
 
 
 # -- logarithmic derivatives ---------------------------------------------------------
@@ -676,13 +696,15 @@ def _assert_line_form_matches_its_ratfun(f, var):
     assert g.canonical
     assert hermite_antiderivative(f, var) == hermite_antiderivative(g, var)
     try:
-        want = public_profile(residue_profile(g, var))
+        want = residue_profile(g, var)
     except (ValueError, ZeroDivisionError) as exc:
         with pytest.raises(type(exc)):
             residue_profile(f, var)
         want = type(exc)
     else:
-        assert public_profile(residue_profile(f, var)) == want
+        got = residue_profile(f, var)
+        assert got == want
+        assert public_profile(got) == public_profile(want)
     assert logderiv_integrate([(f, var)]) == logderiv_integrate([(g, var)])
     return want
 

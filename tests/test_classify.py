@@ -30,7 +30,7 @@ from ratforms.classify import (
     verify_twisted_identities,
 )
 from ratforms.classify import (
-    _coprime_sum,
+    _coprime_fold,
     _decomposed_detail,
     _Fn,
     _field_k_mod,
@@ -51,6 +51,7 @@ from ratforms.ratfun import (
     DegenerateSpecializationError,
     PoleError,
     RatFun,
+    _raw_sum,
     compose_numerator,
     parse,
 )
@@ -502,7 +503,8 @@ def test_gcd_free_templates_equal_the_gcd_reduced_functions(monkeypatch):
         wants = [sum(r[1:], r[0]), prod(r[1:], start=r[0]), r3[i - 1] * (rj + rl) ** e, rj + rl, rj + beta]
         monkeypatch.setattr(ratfun, "poly_gcd", lambda a, b: calls.append((a, b)) or real(a, b))
         gots = [TEMPLATES["GroupAdditive"](r, None, None), TEMPLATES["GroupMultiplicative"](r, None, None),
-                TEMPLATES["Field"](r3, i, e), _coprime_sum((rj, rl)), _coprime_sum((rj, RatFun.const(beta, 3)))]
+                TEMPLATES["Field"](r3, i, e), _coprime_fold(_raw_sum, (rj, rl)),
+                _coprime_fold(_raw_sum, (rj, RatFun.const(beta, 3)))]
         monkeypatch.undo()
         assert not calls
         for got, want in zip(gots, wants):
