@@ -155,11 +155,11 @@ def _poly(a: list, var: int, arity: int) -> Poly:
 
 
 def _ratfun(num: list, den: list, var: int, arity: int) -> RatFun:
-    """The RatFun num/den in var, for a monic den."""
+    """The RatFun num/den in var for coprime num and den, with no gcd over Q."""
     if any(isinstance(c, RatFun) for c in num + den):
         x = RatFun.variable(var, arity)
         return _eval(num, x) / _eval(den, x)
-    return RatFun(_poly(num, var, arity), _poly(den, var, arity))
+    return RatFun.coprime(_poly(num, var, arity), _poly(den, var, arity))
 
 
 class LineFn:
@@ -336,8 +336,6 @@ def hermite_antiderivative(f: LineFn | RatFun, var: int) -> RatFun | None:
             return None
         q, r, d = _scale(q, s), _scale(r, s / d[-1]), _monic(d)
     acc = _trim([0] + [c * Fraction(1, i + 1) for i, c in enumerate(q)])
-    if not r:
-        return _ratfun(acc, [_ONE], var, f.arity)
     gn, gd, s, _ = _hermite_core(r, d, yun_squarefree(d))
     if s:
         return None

@@ -33,14 +33,14 @@ Recovery then works on exact univariate specializations (lines on which
 every other variable is pinned to a small integer), read as integer lists
 in one term pass per polynomial (see Poly.line_jet), reduced by one dense
 gcd (see _line_quotient) and kept as integer lists (calculus.LineFn) up to
-the fitted parts, which TEMPLATES combine with no gcd.  Each recovery step
+the fitted parts, which TEMPLATES combine with no gcd, so P, reduced when it
+is parsed, is the one fraction an analysis reduces.  Each recovery step
 reads its lines through one drawn point: one split gives every part of a
 group fit at one scale (see _split_partial_ratio), and one pair of lines
 gives the field pivot's shift and ratio (see _pivot_lines).  No fitter
-evaluates P at an exact multivariate point, and only a certificate's proof
-and its re-check multiply large multivariate polynomials, the proof as
-integer term dicts on packed exponent codes (oracle._proportional) and the
-re-check as Poly products (verify_certificate's expansion).
+evaluates P at an exact multivariate point; only a certificate's proof (on
+packed integer term dicts, oracle._proportional) and its re-check (Poly
+products, verify_certificate) multiply large multivariate polynomials.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from operator import mul as _times, sub as _minus
 
 from .calculus import LineFn, _deriv, _mul, _scale, _sub, hermite_antiderivative, logderiv_integrate
 from .dimension import image_dimension, is_nondegenerate
-from .modular import DEFAULT_PRIMES, RETRIES, rng_for
+from .modular import DEFAULT_PRIMES, RETRIES, _eval, rng_for
 from .oracle import composition_relation, prime_pool
 from .poly import Poly, _dense_gcd, grlex_key
 from .ratfun import (
@@ -121,20 +121,29 @@ def _coprime_fold(op, r):
     return RatFun.coprime(s.num, s.den)
 
 
+def _twisted_s(r):
+    (n1, d1), (n2, d2), (n3, d3) = ((rk.num, rk.den) for rk in r)
+    s = RatFun.coprime((n1 * d2 + n2 * d1) * d3, d1 * (n2 * d3 + n3 * d2))  # r2 + r3 = 0 raises
+    return RatFun.const(1, 3) if r[0] == r[2] else s
+
+
 #: The one statement of each canonical form P = q(s): s from the parts
 #: r = (r1, r2[, r3]), the pivot i and the exponent n (both Field only).
-#: The parts are canonical, each in its own variable, so their sums and
-#: products, also with a constant, take no gcd: for n1/d1 and n2/d2 in
-#: disjoint variables, or one constant, an irreducible factor of d1 divides
-#: none of n1, d2 and a nonzero n2, so not n1*d2 + n2*d1 nor n1*n2 != 0 (a zero
-#: one is 0/1); d1*d2 has grlex lead 1.  The twisted quotient keeps its
-#: reducing division: with r1 and r3 constant, its s is not reduced.
+#: The parts are canonical, each in its own variable, so s takes no gcd.
+#: For n1/d1 and n2/d2 in disjoint variables, or one constant, an
+#: irreducible factor of d1 divides none of n1, d2 and a nonzero n2, so not
+#: n1*d2 + n2*d1 nor n1*n2 != 0 (a zero one is 0/1); d1*d2 has grlex lead 1.
+#: The twisted s is 1 for r1 = r3, else A*d3/(d1*B) for A = n1*d2 + n2*d1 in
+#: Q[x, y] and B = n2*d3 + n3*d2 in Q[y, z], whose common factors lie in
+#: Q[y]: A's coefficients in x (B's in z) make one divide n2 and d2 for a
+#: nonconstant r1 (r3), and for unequal constants it divides A - B, a
+#: constant times d2, so it is a unit.  d1 and d3 are prime to all else.
 TEMPLATES = {
     "GroupAdditive": lambda r, i, n: _coprime_fold(_raw_sum, r),
     "GroupMultiplicative": lambda r, i, n: _coprime_fold(_product, r),
     "Field": lambda r, i, n: _coprime_fold(
         _product, (r[i - 1], _coprime_fold(_raw_sum, r[: i - 1] + r[i:]) ** n)),
-    "Twisted": lambda r, i, n: _coprime_fold(_raw_sum, r[:2]) / _coprime_fold(_raw_sum, r[1:]),
+    "Twisted": lambda r, i, n: _twisted_s(r),
 }
 
 
@@ -531,59 +540,59 @@ def fit_group(
     return _certified("GroupMultiplicative", rs, "group_multiplicative", fn, dmax, diag)
 
 
-def _pivot_lines(fn: _Fn, i: int, j: int, uj: RatFun, rj: RatFun, rl: RatFun, rng):
+def _pivot_lines(fn: _Fn, i: int, j: int, uj: LineFn, rj: RatFun, rl: RatFun, rng):
     """(beta, khat) for the field pivot x_i off the x_j- and x_i-lines through
-    one drawn point, with uj = r_j' up to scale and M = P_i * uj / P_j.
+    one drawn point pt, with uj = r_j' exactly, on integer lists alone.
 
-    A field form has M = K * (r_j + r_l + beta), K = r_i'/(n r_i) up to scale.
-    On the x_j-line, b = r_j + r_l(point) and K is constant, so K = M'/b' and
-    beta = M/K - b; on the x_i-line khat = M/(b(point) + beta) is K, a
-    LineFn.  M = 0 (x_i pinned where r_i' vanishes), a pole or a degenerate
-    line draws another point; a K on the x_j-line that is not a nonzero
-    constant rejects the pivot (beta None).  khat is None when beta is found
-    but no point gives an x_i-line.
+    A field form has M = H * uj = K * (r_j + r_l + beta), H = P_i/P_j and K =
+    r_i'/(n r_i) up to scale.  On the x_j-line, for H = c*hn/hd and uj =
+    c'*un/ud, K = M'/uj is c*kn/kd, kn = (hn un)' hd ud - hn un (hd ud)' and
+    kd = hd^2 ud un, and beta = M(pt)/K - r_j(pt) - r_l(pt); on the x_i-line
+    khat = K * H/H(pt) is K.  H = 0 (x_i pinned where r_i' vanishes), a pole
+    or a degenerate line draws another point; a K on the x_j-line that is not
+    a nonzero constant rejects the pivot (beta None).  khat is None when beta
+    is found but no point gives an x_i-line.
     """
     beta = None
     for _ in range(RETRIES):
         point = [rng.randrange(2, 98) for _ in range(3)]
         try:
-            M = fn.specialized_ratio(i, j, point, j).ratfun(j) * uj
-            b = _coprime_fold(_raw_sum, (rj, RatFun.const(rl.eval_q(point), 3)))
-            K = M.partial(j) / b.partial(j)
-        except (DegenerateSpecializationError, PoleError, ZeroDivisionError):
+            h, rlv = fn.specialized_ratio(i, j, point, j), rl.eval_q(point)
+        except (DegenerateSpecializationError, PoleError):
             continue
-        if M.is_zero:
+        if h.is_zero:
             continue
-        if not K.is_constant or K.is_zero:
+        hu, hdud = _mul(h.num, uj.num), _mul(h.den, uj.den)
+        kn, kd = _sub(_mul(_deriv(hu), hdud), _mul(hu, _deriv(hdud))), _mul(_mul(h.den, hdud), uj.num)
+        if len(kn) != len(kd) or _scale(kn, kd[-1]) != _scale(kd, kn[-1]):
             return None, None
-        # (M/K - b)' = M'/K - b' = 0, so M/K - b is the constant beta
-        beta = (M.scale(1 / K.constant_value()) - b).constant_value()
+        k = h.c * Fraction(kn[-1], kd[-1])
         try:
+            m = (hv := h(point[j])) * uj(point[j])  # M(pt) = K * (r_j(pt) + r_l(pt) + beta)
+            beta = m / k - rj.eval_q(point) - rlv
             base = fn.specialized_ratio(i, j, point, i)
-            ujv, bv = uj.eval_q(point), b.eval_q(point) + beta
         except (DegenerateSpecializationError, PoleError, ZeroDivisionError):
             continue
-        if ujv and bv:
-            return beta, LineFn(base.num, base.den, base.c * ujv / bv, 3)
+        if m:
+            return beta, LineFn(base.num, base.den, base.c * k / hv, 3)
     return beta, None
 
 
-def _field_k_mod(fn: _Fn, i: int, j: int, v: int, uj: RatFun, Bc: RatFun):
+def _field_k_mod(fn: _Fn, i: int, j: int, v: int, uj: LineFn, Bc: RatFun):
     """Sides (see _probe) of K = P_i * r_j' / (P_j * B) mod fn.p at mixtures
-    0 and 1 << v of a try, for the field pivot x_i with inner sum B = Bc
-    and uj = r_j' up to scale; free of x_j and x_l for a field form.
-    P_i/P_j comes off the try's walks, so the probe walks nothing.  K does
-    not see a constant scale of uj or Bc, so each is read off the primitive
-    integer parts of its numerator and denominator, which have an image
-    modulo every prime.
+    0 and 1 << v of a try, for the field pivot x_i with inner sum B = Bc and
+    uj = r_j' up to scale; free of x_j and x_l for a field form.  P_i/P_j
+    comes off the try's walks, so the probe walks nothing.  K does not see a
+    constant scale of uj or Bc, so it reads uj's integer lists and Bc's
+    primitive integer parts, which have an image modulo every prime.
     """
     p = fn.p
-    un, ud, bn, bd = (Poly.from_ints(f.ints, 3) for f in (uj.num, uj.den, Bc.num, Bc.den))
+    bn, bd = (Poly.from_ints(f.ints, 3) for f in (Bc.num, Bc.den))
 
     def sides(w, w2, walks):
         out = []
         for r, pt in zip(_ratios(walks, i, j, p, (0, 1 << v)), (w, _moved(w, w2, v))):
-            nu, du, nb, db = (f.eval_mod(pt, p) for f in (un, ud, bn, bd))
+            nu, du, nb, db = _eval(uj.num, pt[j]), _eval(uj.den, pt[j]), bn.eval_mod(pt, p), bd.eval_mod(pt, p)
             if du * nb * db % p == 0:
                 raise PoleError("pole or vanishing inner sum at sample point")
             out.append(r * nu * db * pow(du * nb, -1, p) % p)
@@ -630,7 +639,6 @@ def fit_field(
         if rj is None or rl is None:
             diag[f"{tag}_integrable"] = False
             continue
-        uj = uj.ratfun(j)
         beta, khat = _pivot_lines(fn, i, j, uj, rj, rl, rng)
         if beta is None:
             diag[f"{tag}_shift"] = False

@@ -93,8 +93,8 @@ class RatFun:
 
     @classmethod
     def coprime(cls, num: Poly, den: Poly) -> "RatFun":
-        """num/den for coprime num and den: canonical without a gcd (0/1 for a zero num)."""
-        if num.is_zero:
+        """num/den for coprime num and den: canonical without a gcd (0/1 for a zero num; a zero den raises)."""
+        if num.is_zero or den.is_zero:
             return cls(num, den)
         return cls(*_unit_lead(num, den), reduce=False)._mark()
 
@@ -235,13 +235,7 @@ class RatFun:
     def partial(self, var: int) -> "RatFun":
         """Exact partial derivative (quotient rule, canonicalized)."""
         n, d = self.num, self.den
-        dn = n.derivative(var)
-        dd = d.derivative(var)
-        if dd.is_zero:
-            if d.is_constant:
-                return RatFun(dn.scale(1 / d.constant_value()), Poly.const(1, self.arity), reduce=False)._mark()
-            return RatFun(dn, d)
-        return RatFun(dn * d - n * dd, d * d)
+        return RatFun(n.derivative(var) * d - n * d.derivative(var), d * d)
 
     # -- evaluation ----------------------------------------------------------------
 

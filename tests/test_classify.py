@@ -43,6 +43,7 @@ from ratforms.classify import (
     _twisted_parts,
     _twisted_recover,
 )
+from ratforms.calculus import LineFn
 from ratforms.oracle import symbolic_rank
 from ratforms.dimension import doubling_map, image_dimension, is_nondegenerate
 from ratforms.modular import DEFAULT_PRIMES, rng_for
@@ -487,33 +488,91 @@ def _random_part(rng, var, arity):
     return f.scale(Fraction(-rng.randint(1, 7), rng.randint(1, 5))) if rng.random() < 0.5 else f
 
 
+def _twisted_draw(rng, k):
+    """Parts for the twisted template: random ones, constant r1 and r3 (equal
+    on every other such draw), constant r2 = -r3 (so r2 + r3 = 0), or one
+    constant among r1 and r3."""
+    r = [_random_part(rng, v, 3) for v in range(3)]
+    c = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    if k % 4 == 1:
+        r[0], r[2] = RatFun.const(c, 3), RatFun.const(c if k % 8 == 1 else c + rng.randint(1, 3), 3)
+    elif k % 4 == 2:
+        r[1], r[2] = RatFun.const(c, 3), RatFun.const(-c, 3)
+        if k % 8 == 2:
+            r[0] = r[2]
+    elif k % 4 == 3:
+        r[k % 8 // 4 * 2] = RatFun.const(c, 3)
+    return r
+
+
+def _or_zero_division(build):
+    try:
+        return build()
+    except ZeroDivisionError:
+        return None
+
+
 def test_gcd_free_templates_equal_the_gcd_reduced_functions(monkeypatch):
-    # parts in distinct variables are coprime, so the group and field s, the
-    # field's inner sum and its shifts need no gcd and equal the reduced
-    # RatFun arithmetic, numerator and denominator alike
+    # parts in distinct variables are coprime, so the group, field and
+    # twisted s, the field's inner sum and its shifts need no gcd and equal
+    # the reduced RatFun arithmetic, numerator and denominator alike; the
+    # twisted s is 1 for equal constants r1 and r3, and r2 + r3 = 0 raises
     rng = random.Random(43)
     real, calls = ratfun.poly_gcd, []
-    cases = 0
-    for k in range(120):
+    cases, twisted = 0, Counter()
+    for k in range(240):
         n = 2 + k % 2
         r = [_random_part(rng, v, n) for v in range(n)]
         i, e, beta = rng.randint(1, 3), rng.randint(1, 3), Fraction(rng.randint(-9, 9), rng.randint(1, 4))
         r3 = [_random_part(rng, v, 3) for v in range(3)]
         rj, rl = r3[: i - 1] + r3[i:]
+        t = _twisted_draw(rng, k)
         wants = [sum(r[1:], r[0]), prod(r[1:], start=r[0]), r3[i - 1] * (rj + rl) ** e, rj + rl, rj + beta]
+        want_t = _or_zero_division(lambda: (t[0] + t[1]) / (t[1] + t[2]))
         monkeypatch.setattr(ratfun, "poly_gcd", lambda a, b: calls.append((a, b)) or real(a, b))
         gots = [TEMPLATES["GroupAdditive"](r, None, None), TEMPLATES["GroupMultiplicative"](r, None, None),
                 TEMPLATES["Field"](r3, i, e), _coprime_fold(_raw_sum, (rj, rl)),
                 _coprime_fold(_raw_sum, (rj, RatFun.const(beta, 3)))]
+        got_t = _or_zero_division(lambda: TEMPLATES["Twisted"](t, None, None))
         monkeypatch.undo()
         assert not calls
+        assert (got_t is None) == (want_t is None), t
+        if want_t is not None:
+            gots.append(got_t)
+            wants.append(want_t)
+            twisted["constant r1, r3" if t[0].is_constant and t[2].is_constant else "other"] += 1
+            twisted["s = 1"] += want_t == RatFun.const(1, 3)
+        else:
+            twisted["r2 + r3 = 0"] += 1
         for got, want in zip(gots, wants):
-            assert got.canonical and (got.num, got.den) == (want.num, want.den), (r, r3, i, e, beta)
+            assert got.canonical and (got.num, got.den) == (want.num, want.den), (r, r3, i, e, beta, t)
             cases += not want.is_constant
-    assert cases > 500
+    assert cases > 1000
+    assert twisted["r2 + r3 = 0"] >= 50 and twisted["s = 1"] >= 25 and twisted["constant r1, r3"] >= 50
     # constant parts that cancel give the canonical zero
     zero = TEMPLATES["GroupAdditive"]([RatFun.const(2, 2), RatFun.const(-2, 2)], None, None)
     assert (zero.num, zero.den) == (Poly.zero(2), Poly.const(1, 2))
+
+
+def test_an_analysis_reduces_only_at_the_parse(monkeypatch):
+    # the parse reduces the input once; every fit then builds its functions
+    # from coprime parts (the field pivot on integer lists, the templates by
+    # Gauss's lemma, Hermite's reduction from its reduced g), so classifying
+    # the parsed input calls poly_gcd not once, whatever the verdict
+    inputs = [("(x*(y+z)^3 + 1)/(x*(y+z)^3 - 1)", TRI, "Field"),
+              ("(2*(x+y)/(y+z) + 1)/((x+y)/(y+z) - 1)", TRI, "Twisted"),
+              ("(x^3+1)/(x-2)^2 + y/(y+1)^4", BI, "GroupAdditive")]
+    inputs += [(it.expr, TRI, None) for it in synth.bench_corpus(monkeypatch).build("tri-corpus", 3)]
+    real, calls, verdicts = ratfun.poly_gcd, [], Counter()
+    for expr, names, verdict in inputs:
+        P = parse(expr, names)
+        with monkeypatch.context() as m:
+            m.setattr(ratfun, "poly_gcd", lambda a, b: calls.append(expr) or real(a, b))
+            rep = (fit_bivariate if len(names) == 2 else classify_trivariate)(P)
+        assert verdict in (None, rep.verdict), expr
+        verdicts[rep.verdict] += 1
+    assert not calls
+    assert {"GroupAdditive", "GroupMultiplicative", "Field", "Twisted", "NoConstraint"} <= set(verdicts)
 
 
 def test_fit_group_rejects_field_form():
@@ -917,7 +976,7 @@ def test_probes_walk_each_polynomial_once(monkeypatch):
     field = _Fn(parse("x*(y + z)^3", TRI))
     list(itertools.islice(field.tries(), 2))
     for moved in (1, 2):
-        kval = _field_k_mod(field, 0, 1, moved, RatFun.const(1, 3), parse("y + z", TRI))
+        kval = _field_k_mod(field, 0, 1, moved, LineFn([1], [1], Fraction(1), 3), parse("y + z", TRI))
         assert copies(lambda: _probe(kval, field.tries())) == []
     # a twisted gate reads N and D off the try and walks N_y and D_y, once
     # each per try at its two points
@@ -936,7 +995,7 @@ def test_the_field_k_probe_reads_parts_whose_denominator_the_prime_divides():
     field = _Fn(parse("x*(y + z)^3", TRI), p=13)
     inner = parse("y + z", TRI)
     for scale in (1, Fraction(1, 13), Fraction(26, 7)):
-        uj, Bc = RatFun.const(scale, 3), inner.scale(Fraction(scale) / 13)
+        uj, Bc = LineFn([1], [1], Fraction(scale), 3), inner.scale(Fraction(scale) / 13)
         assert all(_probe(_field_k_mod(field, 0, 1, v, uj, Bc), field.tries()) for v in (1, 2))
         # pivot y, with r_x' = 1 and x + z in place of the inner sum
         Bc = parse("x + z", TRI).scale(scale)

@@ -377,6 +377,16 @@ def test_coprime_of_a_zero_numerator_is_the_canonical_zero():
         RatFun.coprime(Poly.zero(2), Poly.zero(2))
 
 
+def test_coprime_over_a_zero_denominator_raises_zero_division():
+    # as the constructor does; a leading-term ValueError would escape the
+    # twisted recovery, which catches ZeroDivisionError for r2 + r3 = 0
+    x = Poly.variable(0, 2)
+    for num in (x + 1, Poly.const(3, 2), x * x - 2, Poly.zero(2)):
+        for build in (RatFun.coprime, RatFun):
+            with pytest.raises(ZeroDivisionError):
+                build(num, Poly.zero(2))
+
+
 def test_arith_add_and_factor_cancelling_division():
     x, y = RatFun.variable(0, 2), RatFun.variable(1, 2)
     assert x + y == parse("x+y", BI)
