@@ -1,11 +1,6 @@
 """Exact detection and classification of algebraic constraints of rational functions."""
 
-from .calculus import (
-    hermite_antiderivative,
-    logderiv_integrate,
-    residue_profile,
-    separability_identity,
-)
+from .calculus import separability_identity
 from .classify import (
     DependenceCertificate,
     FormReport,
@@ -58,9 +53,6 @@ __all__ = [
     "AllPolesError",
     "annihilating_poly",
     "symbolic_rank",
-    "hermite_antiderivative",
-    "logderiv_integrate",
-    "residue_profile",
     "separability_identity",
     "DependenceCertificate",
     "FormReport",

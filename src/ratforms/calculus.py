@@ -1,22 +1,18 @@
 """Differential algebra on one variable at a time.
 
-Everything here treats a RatFun as univariate in a chosen variable with
-coefficients in the exact field generated by the remaining variables:
-Hermite reduction finds rational antiderivatives, and residue arithmetic
-recognizes logarithmic derivatives r'/r so that r can be rebuilt from its
-pole multiplicities.  The exact separability test of H across two
-variable blocks lives here too.
+Every function integrated here is univariate over Q in a chosen variable,
+and it comes as a LineFn: coprime primitive integer coefficient lists,
+lowest degree first, and one Fraction scale, the form in which the fitters'
+line ratios reach their parts.  Hermite reduction finds rational
+antiderivatives, and residue arithmetic recognizes logarithmic derivatives
+r'/r so that r can be rebuilt from its pole multiplicities.  The exact
+separability test of H across two variable blocks lives here too.
 
-The core works on dense coefficient lists in the chosen variable, lowest
-degree first.  A function univariate over Q, which is every function the
-fitters integrate, is read as primitive integer lists and one Fraction
-scale; its squarefree split, rational roots and residues stay in integers.
-A LineFn is that form: the fitters' line ratios stay in it up to the parts.
-The field algorithms (Euclid, Yun, Hermite) take Fraction coefficients, and
-RatFun ones in the other variables, written once for both; they serve
-multiple poles, converted at Hermite's entry, and coefficients in the other
-variables.  RatFun and Poly values are built only for the results, those of
-a ResidueProfile on first read.
+The proper form, the squarefree split (Yun's loop), the rational roots and
+the residues stay in integers.  Only Hermite's reduction of a multiple pole,
+over the monic forms of the integer factors, and the trace of a cofactor
+with no rational root work on Fraction lists.  RatFun and Poly values are
+built only for the results, those of a ResidueProfile on first read.
 """
 
 from __future__ import annotations
@@ -107,13 +103,6 @@ def _divexact(a: list, b: list) -> list:
     return q
 
 
-def _gcd(a: list, b: list) -> list:
-    """Monic gcd of a and b, not both zero."""
-    while b:
-        a, b = b, _rem(a, b)
-    return _monic(a)
-
-
 def _inverse_mod(a: list, modulus: list) -> list:
     """Inverse of a in K[x]/(modulus); requires gcd(a, modulus) = 1."""
     r0, r1 = modulus, _rem(a, modulus)
@@ -128,38 +117,14 @@ def _inverse_mod(a: list, modulus: list) -> list:
 
 
 # ---------------------------------------------------------------------------
-# conversion at the boundary
+# the line form
 # ---------------------------------------------------------------------------
-
-
-def _coeffs(p: Poly, var: int) -> list:
-    """Coefficients of p in var: a Fraction where a coefficient is free of
-    the other variables, a RatFun in them otherwise."""
-    rows: dict[int, dict] = {}
-    for e, c in p.ints.items():
-        rows.setdefault(e[var], {})[e[:var] + (0,) + e[var + 1 :]] = c
-    zero = (0,) * p.arity
-    out = [0] * (max(rows, default=-1) + 1)
-    for i, row in rows.items():
-        if row.keys() == {zero}:
-            out[i] = p.content * row[zero]
-        else:
-            out[i] = RatFun.from_poly(Poly.from_ints(row, p.arity, p.content))
-    return out
 
 
 def _poly(a: list, var: int, arity: int) -> Poly:
     """The polynomial with the rational coefficient list a in var."""
     pad = (0,) * (arity - var - 1)
     return Poly({(0,) * var + (i,) + pad: c for i, c in enumerate(a)}, arity)
-
-
-def _ratfun(num: list, den: list, var: int, arity: int) -> RatFun:
-    """The RatFun num/den in var for coprime num and den, with no gcd over Q."""
-    if any(isinstance(c, RatFun) for c in num + den):
-        x = RatFun.variable(var, arity)
-        return _eval(num, x) / _eval(den, x)
-    return RatFun.coprime(_poly(num, var, arity), _poly(den, var, arity))
 
 
 class LineFn:
@@ -205,46 +170,18 @@ def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     return q, _trim(rem)
 
 
-def _int_coeffs(p: Poly, var: int) -> list[int] | None:
-    """The integer coefficient list of p in var, lowest first, when p is
-    free of the other variables; else None."""
-    out = [0] * (p.degree_in(var) + 1) if p.ints else []
-    for e, c in p.ints.items():
-        if sum(e) != e[var]:
-            return None
-        out[e[var]] = c
-    return out
-
-
-def _proper_parts(f: LineFn | RatFun, var: int) -> tuple[list, list, list, Fraction]:
-    """(q, r, d, s) with f = s*(q + r/d) in var, deg r < deg d, gcd(r, d) = 1.
-
-    For a LineFn f = c*n/d, and for a RatFun f free of the other variables
-    (read as one), q, r and d are integer lists: d has a positive lead,
-    l^k * n = q*d + r pseudo-divides n by d, with l = lead(d) and
-    k = len(q), and s = c/l^k.  Otherwise d is monic and s = 1."""
-    if not isinstance(f, LineFn):
-        f = f.reduce()
-        n, d = _int_coeffs(f.num, var), _int_coeffs(f.den, var)
-        if n is None or d is None:
-            d = _coeffs(f.den, var)
-            inv = _ONE / d[-1]
-            d = _scale(d, inv)
-            q, r = _divmod(_scale(_coeffs(f.num, var), inv), d)
-            return q, r, d, _ONE
-        f = LineFn(n, d, f.num.content / f.den.content, f.arity)
+def _proper_parts(f: LineFn) -> tuple[list[int], list[int], list[int], Fraction]:
+    """(q, r, d, s) with f = s*(q + r/d), deg r < deg d, gcd(r, d) = 1, on
+    integer lists: for f = c*n/d, l^k * n = q*d + r pseudo-divides n by d,
+    with l = lead(d) and k = len(q), and s = c/l^k."""
     q, r = _pseudo_divmod(f.num, f.den)
     return q, r, f.den, f.c / f.den[-1] ** len(q)
 
 
-def _gcd_split(a: list, b: list) -> tuple[list, list, list]:
-    """(h, a/h, b/h) for h = gcd(a, b).  Over a field, h is monic.  For a
-    primitive integer list a and any integer list b, h is primitive with a
-    positive lead: the shared power of x and the content of b come out for
-    _dense_gcd and go back after it."""
-    if type(a[-1]) is not int:
-        h = _gcd(a, b)
-        return h, _divexact(a, h), _divexact(b, h)
+def _gcd_split(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(h, a/h, b/h) for h = gcd(a, b), a primitive integer list a and any
+    integer list b: h is primitive with a positive lead.  The shared power
+    of x and the content of b come out for _dense_gcd and go back after it."""
     if not b:
         h = _unit_content(a)
         return h, [a[-1] // h[-1]], []
@@ -256,15 +193,15 @@ def _gcd_split(a: list, b: list) -> tuple[list, list, list]:
     return [0] * k + h, qa, [c * cb for c in qb]
 
 
-def yun_squarefree(d: list) -> list[tuple[list, int]]:
-    """Squarefree factorization of d: list of (factor, multiplicity).
+def yun_squarefree(d: list[int]) -> list[tuple[list[int], int]]:
+    """Squarefree factorization of a primitive integer list d: list of
+    (factor, multiplicity).
 
-    The factors are pairwise coprime, by ascending multiplicity: monic for a
-    monic d over a field, primitive with positive leads for a primitive
-    integer d (see _gcd_split).  Yun's w and y share one scale, so the
-    integer z = y - w' is exact (Yun, 1976).
+    The factors are pairwise coprime, by ascending multiplicity, and
+    primitive with positive leads (see _gcd_split).  Yun's w and y share one
+    scale, so the integer z = y - w' is exact (Yun, 1976).
     """
-    out: list[tuple[list, int]] = []
+    out: list[tuple[list[int], int]] = []
     _, w, y = _gcd_split(d, _deriv(d))
     i = 1
     while len(w) > 1:
@@ -281,18 +218,21 @@ def yun_squarefree(d: list) -> list[tuple[list, int]]:
 
 
 def _hermite_core(a: list, d: list, factors) -> tuple[list, list, list, list]:
-    """Reduce proper a/d to g' + s/d* with d* squarefree.
+    """Reduce proper a/d to g' + s/d* with d* squarefree, in Fractions.
 
-    d is monic, coprime to a, with squarefree factorization factors.
-    Returns (gn, gd, s, d*), where g = gn/gd is proper, gd is monic and
-    coprime to gn, and d* is the product of the factors.  For a factor v of
-    multiplicity m, d = u*v^m, each j = m-1, ..., 1 solves
-    b*u*v' + c*v = -a/j with deg b < deg v; then
-    a/(u*v^(j+1)) - (b/v^j)' = (-j*c - u*b')/(u*v^j)
+    d is coprime to a, with squarefree factorization factors, each up to a
+    unit (the integer factors of yun_squarefree); a/d is first written over
+    the monic d, and each factor made monic.  Returns (gn, gd, s, d*), where
+    g = gn/gd is proper, gd is monic and coprime to gn, and d* is the
+    product of the monic factors.  For a factor v of multiplicity m,
+    d = u*v^m, each j = m-1, ..., 1 solves b*u*v' + c*v = -a/j with
+    deg b < deg v; then a/(u*v^(j+1)) - (b/v^j)' = (-j*c - u*b')/(u*v^j)
     (Bronstein, Symbolic Integration I, section 2.2).
     """
+    a, d = _scale(a, _ONE / d[-1]), _monic(d)
     gn, gd, dstar = [], [_ONE], [_ONE]
     for v, m in factors:
+        v = _monic(v)
         dstar = _mul(dstar, v)
         if m == 1:
             continue
@@ -316,30 +256,29 @@ def _hermite_core(a: list, d: list, factors) -> tuple[list, list, list, list]:
     return gn, gd, a, dstar
 
 
-def hermite_antiderivative(f: LineFn | RatFun, var: int) -> RatFun | None:
+def hermite_antiderivative(f: LineFn, var: int) -> RatFun | None:
     """Antiderivative of f in var when one exists inside rational functions.
 
     Hermite reduction leaves f = g' + s/d* with d* squarefree; a rational
     antiderivative exists exactly when s = 0.  The additive constant is
-    normalized to zero (no constant term is ever introduced).  On integer
-    lists (_proper_parts), a polynomial integrates over the lcm of its
-    raised exponents, and a nonzero r over a squarefree d (by _dense_gcd)
-    gives None at once; a multiple pole is reduced in Fractions.
+    normalized to zero (no constant term is ever introduced).  On the
+    integer lists of _proper_parts, a polynomial integrates over the lcm of
+    its raised exponents, and a nonzero r over a squarefree d (by
+    _dense_gcd) gives None at once; a multiple pole is reduced in Fractions
+    over the integer factors of yun_squarefree.
     """
-    q, r, d, s = _proper_parts(f, var)
-    if type(d[-1]) is int:
-        if not r:
-            den = lcm(*(i + 1 for i, c in enumerate(q) if c))
-            acc = [0] + [c * (den // (i + 1)) if c else 0 for i, c in enumerate(q)]
-            return RatFun.from_poly(Poly.from_coeffs(acc, var, f.arity, s / den))
-        if len(_gcd_split(d, _deriv(d))[0]) == 1:
-            return None
-        q, r, d = _scale(q, s), _scale(r, s / d[-1]), _monic(d)
-    acc = _trim([0] + [c * Fraction(1, i + 1) for i, c in enumerate(q)])
-    gn, gd, s, _ = _hermite_core(r, d, yun_squarefree(d))
-    if s:
+    q, r, d, s = _proper_parts(f)
+    if not r:
+        den = lcm(*(i + 1 for i, c in enumerate(q) if c))
+        acc = [0] + [c * (den // (i + 1)) if c else 0 for i, c in enumerate(q)]
+        return RatFun.from_poly(Poly.from_coeffs(acc, var, f.arity, s / den))
+    if len(_gcd_split(d, _deriv(d))[0]) == 1:
         return None
-    return _ratfun(_add(_mul(acc, gd), gn), gd, var, f.arity)
+    gn, gd, rest, _ = _hermite_core(_scale(r, s), d, yun_squarefree(d))
+    if rest:
+        return None
+    acc = _trim([0] + [c * s / (i + 1) for i, c in enumerate(q)])
+    return RatFun.coprime(_poly(_add(_mul(acc, gd), gn), var, f.arity), _poly(gd, var, f.arity))
 
 
 # ---------------------------------------------------------------------------
@@ -421,26 +360,24 @@ def _rational_roots(p: list[int]) -> tuple[list[Fraction], list[int]]:
     return sorted(roots), cur
 
 
-def residue_profile(f: LineFn | RatFun, var: int) -> ResidueProfile:
-    """Exact pole/residue data of f in var; requires f univariate over Q.
+def residue_profile(f: LineFn, var: int) -> ResidueProfile:
+    """Exact pole/residue data of a nonzero f in var.
 
     Each squarefree factor of the integer denominator (yun_squarefree)
     gives up all of its rational roots (see _rational_roots); the residue at
     a root a/b is one Fraction of homogenized integer values at (a, b), or
-    of Fraction ones after Hermite's reduction of a multiple pole.  What is
-    left of the factor is one cofactor, whose trace is read off without its
-    irrational roots.
+    of Fraction ones after Hermite's reduction of a multiple pole over the
+    same factors.  What is left of the factor is one cofactor, whose trace
+    is read off without its irrational roots.
     """
     if f.is_zero:
         raise ValueError("residue profile of the zero function")
-    q, r, d, s = _proper_parts(f, var)
-    if type(d[-1]) is not int:
-        raise ValueError("profile requires a function univariate over Q")
+    q, r, d, s = _proper_parts(f)
     factors, quotient, residues = yun_squarefree(d), _scale(q, s), []
     if not r:
         return ResidueProfile(var, f.arity, factors, residues, quotient)
     if any(m > 1 for _, m in factors):
-        _, _, r, d = _hermite_core(_scale(r, s / d[-1]), _monic(d), [(_monic(v), m) for v, m in factors])
+        _, _, r, d = _hermite_core(_scale(r, s), d, factors)
         s = _ONE
     dp, n = _deriv(d), len(d) - 2
     for v, _m in factors:
@@ -463,24 +400,21 @@ def residue_profile(f: LineFn | RatFun, var: int) -> ResidueProfile:
 def logderiv_integrate(parts) -> tuple[list[RatFun] | None, Fraction | str]:
     """Solve g_k'/g_k = c * f_k for rational g_k and one least constant c.
 
-    parts is [(f_k, var_k), ...], each f_k univariate over Q in var_k.
-    A multiple of f is a log-derivative only if f is proper with simple,
-    split poles; the nonzero residues of all parts are then pooled, and c is
-    the least positive rational that makes them coprime integers.  Returns
-    (gs, c), where g_k is the monic product of (var_k - root)^(c * residue),
-    or (None, reason): zero-part, profile-error (see residue_profile),
-    nonzero-poly-part, multiple-pole or non-splitting-factor, for the first
-    part that fails (Bronstein, Symbolic Integration I, sections 2.4-2.5).
-    g_k's numerator and denominator are integer products of the b*x - a.
+    parts is [(f_k, var_k), ...], each f_k a LineFn in var_k.  A multiple
+    of f is a log-derivative only if f is proper with simple, split poles;
+    the nonzero residues of all parts are then pooled, and c is the least
+    positive rational that makes them coprime integers.  Returns (gs, c),
+    where g_k is the monic product of (var_k - root)^(c * residue), or
+    (None, reason): zero-part, nonzero-poly-part, multiple-pole or
+    non-splitting-factor, for the first part that fails (Bronstein,
+    Symbolic Integration I, sections 2.4-2.5).  g_k's numerator and
+    denominator are integer products of the b*x - a.
     """
     profs = []
     for f, var in parts:
         if f.is_zero:
             return None, "zero-part"
-        try:
-            prof = residue_profile(f, var)
-        except (ValueError, ZeroDivisionError):
-            return None, "profile-error"
+        prof = residue_profile(f, var)
         if prof._q:
             return None, "nonzero-poly-part"
         if any(m > 1 for _, m in prof._poles):

@@ -22,21 +22,19 @@ from pathlib import Path
 from ratforms.calculus import (
     _ONE,
     _add,
-    _coeffs,
     _deriv,
     _divexact,
     _divmod,
-    _gcd,
     _hermite_core,
     _inverse_mod,
     _monic,
     _mul,
     _poly,
-    _ratfun,
     _rem,
     _scale,
     _sub,
     _trim,
+    LineFn,
     hermite_antiderivative,
     separability_identity,
 )
@@ -202,7 +200,7 @@ def partial_ratio(f: RatFun, a: int, b: int) -> RatFun:
     return RatFun.raw(na, nb)
 
 
-def line(f: Poly, point, i: int) -> Poly:
+def restrict(f: Poly, point, i: int) -> Poly:
     """The reference for Poly.line_jet: the restriction of f to the line
     through point parallel to the x_i axis, a polynomial in x_i alone, read
     off in one pass over the terms at exact powers (poly._qpowers and
@@ -217,11 +215,11 @@ def line(f: Poly, point, i: int) -> Poly:
 
 def line_ratio(f: RatFun, a: int, b: int, point, free: int) -> RatFun:
     """The reference for classify._Fn.specialized_ratio: f_a / f_b on the
-    line through point parallel to the x_free axis, from line of each
-    partial of N and D and one reduction through RatFun."""
+    line through point parallel to the x_free axis, from the restriction of
+    each partial of N and D and one reduction through RatFun."""
     N, D = f.num, f.den
-    n, d = line(N, point, free), line(D, point, free)
-    (na, da), (nb, db) = ((line(N.derivative(v), point, free), line(D.derivative(v), point, free))
+    n, d = restrict(N, point, free), restrict(D, point, free)
+    (na, da), (nb, db) = ((restrict(N.derivative(v), point, free), restrict(D.derivative(v), point, free))
                           for v in (a, b))
     den = nb * d - n * db
     if den.is_zero:
@@ -232,11 +230,11 @@ def line_ratio(f: RatFun, a: int, b: int, point, free: int) -> RatFun:
 def twisted_parts(fn, rng):
     """The reference for classify._twisted_parts, on Polys and RatFuns: the
     same draws and the same parts, with every partial of N and D that
-    _twisted_g reads differentiated in full and restricted by line, each
-    quotient -g_y g_k / delta reduced as a RatFun, and r1 and r3 formed in
-    RatFun arithmetic."""
+    _twisted_g reads differentiated in full and restricted to the line, each
+    quotient -g_y g_k / delta reduced as a RatFun, u read back as a LineFn
+    for Hermite, and r1 and r3 formed in RatFun arithmetic."""
     def ratio(point, free, k):
-        g, delta = _twisted_g(lambda *vs: tuple(line(f, point, free) for f in fn.partials(*vs)))
+        g, delta = _twisted_g(lambda *vs: tuple(restrict(f, point, free) for f in fn.partials(*vs)))
         return RatFun(-(g[1] * g[k]), delta)
 
     for _ in range(8):
@@ -245,7 +243,7 @@ def twisted_parts(fn, rng):
             u = ratio((cx, cy, cz), 1, 2).partial(1)
             if u.is_zero:
                 continue
-            r2 = hermite_antiderivative(u, 1)
+            r2 = hermite_antiderivative(line(u, 1), 1)
             if r2 is None:
                 return
             r2cy, r2cy1 = (r2.eval_q((cx, c, cz)) for c in (cy, cy + 1))
@@ -349,7 +347,38 @@ RANK_CORPUS_TRI = (
 # The Fraction-list calculus that calculus.py's integer lists replaced, kept
 # as the reference for a function univariate over Q: every coefficient is a
 # Fraction, the denominator is made monic up front, and Euclid's gcd drives
-# Yun's split.
+# Yun's split.  It reads its own coefficient lists and takes its own gcd, so
+# that it shares no front end with the code it checks.
+
+
+def _ints(p: Poly, var: int) -> list[int]:
+    """The integer coefficient list of p in var, lowest first, for p free of
+    the other variables; ValueError otherwise."""
+    out = [0] * (p.degree_in(var) + 1) if p.ints else []
+    for e, c in p.ints.items():
+        if sum(e) != e[var]:
+            raise ValueError("not univariate over Q")
+        out[e[var]] = c
+    return out
+
+
+def _coeffs(p: Poly, var: int) -> list[Fraction]:
+    """The Fraction coefficient list of p in var, lowest first, for p free
+    of the other variables."""
+    return [p.content * c for c in _ints(p, var)]
+
+
+def _gcd(a: list, b: list) -> list:
+    """Monic gcd of the Fraction lists a and b, not both zero."""
+    while b:
+        a, b = b, _rem(a, b)
+    return _monic(a)
+
+
+def line(f: RatFun, var: int) -> LineFn:
+    """f, univariate over Q in var, as the LineFn the calculus takes."""
+    f = f.reduce()
+    return LineFn(_ints(f.num, var), _ints(f.den, var), f.num.content / f.den.content, f.arity)
 
 
 def _fraction_parts(f: RatFun, var: int) -> tuple[list, list, list]:
@@ -388,11 +417,11 @@ def ref_hermite_antiderivative(f: RatFun, var: int) -> RatFun | None:
     q, r, d = _fraction_parts(f, var)
     acc = _trim([0] + [c * Fraction(1, i + 1) for i, c in enumerate(q)])
     if not r:
-        return _ratfun(acc, [_ONE], var, f.arity)
+        return RatFun.from_poly(_poly(acc, var, f.arity))
     gn, gd, s, _ = _hermite_core(r, d, ref_yun_squarefree(d))
     if s:
         return None
-    return _ratfun(_add(_mul(acc, gd), gn), gd, var, f.arity)
+    return RatFun.coprime(_poly(_add(_mul(acc, gd), gn), var, f.arity), _poly(gd, var, f.arity))
 
 
 def ref_rational_roots(p: list) -> tuple[list[Fraction], list]:
@@ -453,8 +482,6 @@ def ref_residue_profile(f: RatFun, var: int) -> RefProfile:
     if f.is_zero:
         raise ValueError("residue profile of the zero function")
     q, r, d = _fraction_parts(f, var)
-    if any(isinstance(c, RatFun) for c in q + r + d):
-        raise ValueError("profile requires a function univariate over Q")
     arity = f.arity
     factors = ref_yun_squarefree(d)
     sq = tuple((_poly(v, var, arity), m) for v, m in factors)
@@ -484,10 +511,7 @@ def ref_logderiv_integrate(parts) -> tuple[list[RatFun] | None, Fraction | str]:
     for f, var in parts:
         if f.is_zero:
             return None, "zero-part"
-        try:
-            prof = ref_residue_profile(f, var)
-        except (ValueError, ZeroDivisionError):
-            return None, "profile-error"
+        prof = ref_residue_profile(f, var)
         if not prof.polynomial_part.is_zero:
             return None, "nonzero-poly-part"
         if any(m > 1 for _, m in prof.squarefree_poles):

@@ -10,7 +10,7 @@ from math import gcd
 
 import pytest
 
-from synth import line, ref_subs
+from synth import ref_subs, restrict
 import ratforms.poly as poly_module
 from ratforms.calculus import _mul
 from ratforms.modular import _trim
@@ -278,12 +278,12 @@ def test_line_matches_the_fraction_model():
     for rng, arity, ta, _tb in _cases(14):
         point = [rng.choice(values) for _ in range(arity)]
         for i in range(arity):
-            got = line(Poly(ta, arity), point, i)
+            got = restrict(Poly(ta, arity), point, i)
             _assert_canonical(got)
             assert dict(got.terms) == ref_subs(ta, {j: x for j, x in enumerate(point) if j != i})
     for arity in (1, 2, 3):
         zero, point = Poly.zero(arity), [Fraction(-2, 3)] * arity
-        assert line(zero, point, arity - 1) == zero
+        assert restrict(zero, point, arity - 1) == zero
         assert zero.eval_q(point) == 0
 
 
@@ -536,10 +536,10 @@ def test_line_of_a_high_power_reads_only_the_exponents_of_its_terms():
     e = 1 << 20
     q = Poly({(e, 1): Fraction(3, 2)}, 2)
     for x in (2, Fraction(1, 3)):
-        y_line = line(q, (x, Fraction(-4, 9)), 1)
+        y_line = restrict(q, (x, Fraction(-4, 9)), 1)
         assert dict(y_line.terms) == {(0, 1): Fraction(3, 2) * Fraction(x) ** e}
     for y in (5, Fraction(5, 7)):
-        x_line = line(q, (Fraction(1, 3), y), 0)
+        x_line = restrict(q, (Fraction(1, 3), y), 0)
         assert dict(x_line.terms) == {(e, 0): Fraction(3, 2) * y}
         assert x_line.content == Fraction(3, 2) * y
     assert q.eval_q((2, Fraction(5, 7))) == Fraction(3, 2) * 2 ** e * Fraction(5, 7)
@@ -571,7 +571,7 @@ def test_the_gcd_line_test_reads_the_exact_restriction_mod_p():
                 got = _trim([c * scale % p for c in _axis_line(q.ints, powers, i, q.degree_in(i))])
                 assert got == residues(restriction, arity, i, q.degree_in(i))
                 # the modular restriction is the exact one, reduced mod p
-                assert got == residues(line(q, point, i).terms, arity, i, q.degree_in(i))
+                assert got == residues(restrict(q, point, i).terms, arity, i, q.degree_in(i))
 
 
 def test_gcd_degree_bound_is_at_least_the_shared_degree():
@@ -749,9 +749,9 @@ def test_line_jet_is_the_line_of_each_first_partial():
             for i in range(arity):
                 scale, jet = q.line_jet(point, i)
                 assert len(jet) == arity + 1
-                assert Poly.from_coeffs(jet[0], i, arity, scale) == line(q, point, i)
+                assert Poly.from_coeffs(jet[0], i, arity, scale) == restrict(q, point, i)
                 for v in range(arity):
-                    assert Poly.from_coeffs(jet[1 + v], i, arity, scale) == line(q.derivative(v), point, i)
+                    assert Poly.from_coeffs(jet[1 + v], i, arity, scale) == restrict(q.derivative(v), point, i)
                 if arity == 3:
                     _assert_mixed_jet(q, point, i, scale, jet)
     # y does not occur, so the mixed partial on an x- or z-line is zero
@@ -765,7 +765,7 @@ def _assert_mixed_jet(q, point, i, scale, jet):
     u, v = (w for w in range(3) if w != i)
     mixed_scale, mixed = q.line_jet(point, i, mixed=True)
     assert (mixed_scale, mixed[:-1]) == (scale, jet)
-    assert Poly.from_coeffs(mixed[-1], i, 3, scale) == line(q.derivative(u).derivative(v), point, i)
+    assert Poly.from_coeffs(mixed[-1], i, 3, scale) == restrict(q.derivative(u).derivative(v), point, i)
 
 
 def _int_list(rng: random.Random, lo: int, hi: int, size: int = 9) -> list[int]:
