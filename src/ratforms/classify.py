@@ -938,8 +938,9 @@ def _classify(
     sampled.  Without one,
     the sampled dimension separates NoConstraint (2n, proven by a full-rank
     sample) from Unresolved, a constraint no form explains (for n = 3 a
-    partial one at 5 or a full one at 4 or less), which rests on the
-    unanimity of the rank samples.
+    partial one at 5 or a full one at 4 or less), which rests on as many
+    rank samples as a Schwartz-Zippel bound of 2^-64 per prime needs, or
+    on their unanimity past `samples` (see the dimension module).
     """
     if samples < 1:
         raise ValueError("samples must be positive")

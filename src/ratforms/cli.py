@@ -98,7 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=16,
         help="most rank samples per prime (default 16), taken only when no "
-        "form certifies; a sample of full rank ends them early",
+        "form certifies; fewer when the Schwartz-Zippel bound needs fewer, "
+        "and a sample of full rank ends them early",
     )
     ap.add_argument(
         "--max-degree",

@@ -23,8 +23,16 @@ point (r_1 for b_0).  r depends on every variable, so each is a nonzero
 function, and the minor is nonzero: the dimension is at least n + 1.
 
 Only without a certificate or a full-rank sample does the dimension rest on
-an estimate: the maximum over `samples` points per prime, confirmed by
-unanimous fresh samples.
+an estimate: the maximum rank over k points per prime.  Scaled by D(w_b)^2,
+row b of the Jacobian has the entries N_i D - N D_i at the b-renamed point
+w_b, of total degree at most e = deg N + deg D - 1, so an r-minor has degree
+at most 2n*e.  A point drawn from {1..p-1}^2n, and redrawn where some D(w_b)
+vanishes (degree 2^n*deg D in all), misses a nonzero minor with probability
+at most eps_p = 2n*e / (p - 1 - 2^n*deg D) (Schwartz 1980; Zippel 1979),
+unless p divides every minor of the generic rank.  k is the least count
+with eps_p^k <= 2^-64 at every prime (1 when e = 0: the minors are
+constants).  When k exceeds `samples`, or eps_p >= 1, the maximum over
+`samples` points is confirmed by unanimous fresh samples.
 
 image_dimension reads every Jacobian row straight off f's numerator and
 denominator at the two copies of a point (see _jacobian_rows), so it
@@ -35,11 +43,14 @@ the exact oracle (oracle.symbolic_rank).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import ceil, inf, log2
 
 from .modular import DEFAULT_PRIMES, rank_mod, rng_for
 from .ratfun import PoleError, RatFun, partials_mod, pole_free
 
 MAX_DOUBLING_VARS = 6
+#: Each prime's rank estimate misses with probability at most 2^-MISS_BITS.
+MISS_BITS = 64
 
 
 class InconclusiveRankError(RuntimeError):
@@ -76,10 +87,11 @@ def doubling_map(f: RatFun) -> DoublingMap:
 
 
 def _jacobian_rows(f: RatFun, w, p: int) -> list[list[int]]:
-    """The doubling-map Jacobian of f at w mod p; PoleError at a pole.
+    """The doubling-map Jacobian of f at w mod p, row b scaled by the unit
+    D(w_b)^2; PoleError at a pole.
 
     Row b of the Jacobian is supported on columns i + n*bit_i(b) only, and
-    the entry there is (df/dx_i) at the b-renamed sub-point, so the
+    the entry there is N_i D - N D_i at the b-renamed sub-point w_b, so the
     partials of f at the 2^n sub-points give every row: one partials_mod
     read of the two copies.
     """
@@ -88,13 +100,23 @@ def _jacobian_rows(f: RatFun, w, p: int) -> list[list[int]]:
     if any(dv == 0 for dv, _ in parts):
         raise PoleError(f"pole mod {p} at {tuple(w)}")
     rows: list[list[int]] = []
-    for b, (dv, gs) in enumerate(parts):
-        inv2 = pow(dv * dv, -1, p)
+    for b, (_, gs) in enumerate(parts):
         row = [0] * (2 * n)
         for i in range(n):
-            row[i + n * ((b >> i) & 1)] = gs[i] * inv2 % p
+            row[i + n * ((b >> i) & 1)] = gs[i]
         rows.append(row)
     return rows
+
+
+def _budget(f: RatFun, primes: tuple[int, ...]) -> float:
+    """The least k with eps_p^k <= 2^-MISS_BITS at every prime p (see the
+    module docstring), set by the smallest; inf when its eps_p >= 1."""
+    dd = f.den.total_degree()
+    miss = 2 * f.arity * max(0, f.num.total_degree() + dd - 1)
+    room = min(primes) - 1 - (dd << f.arity)
+    if not miss:
+        return 1
+    return ceil(MISS_BITS / log2(room / miss)) if room > miss else inf
 
 
 def _ranks(f: RatFun, primes: tuple[int, ...], seed: int, label: str, count: int):
@@ -118,17 +140,20 @@ def image_dimension(
     f satisfies a nontrivial algebraic constraint exactly when this is
     below 2n, n the number of variables; the classifier calls it only when
     no certificate settles the dimension at n + 1.  The estimate is the
-    generic Jacobian rank: the max rank over `samples` random points for
-    each prime, re-checked on a fresh confirmation round, with the budget
-    doubled once if they disagree.  A sample reaching the full rank 2n
-    ends the search at once: observed ranks never exceed the generic rank,
-    so it is already proof.
+    generic Jacobian rank: the max rank over k random points per prime, k
+    the least with eps_p^k <= 2^-64, eps_p = 2n*e / (p - 1 - 2^n*deg D)
+    and e = deg N + deg D - 1 (see the module docstring).  When k exceeds
+    `samples`, or eps_p >= 1, the max over `samples` points is re-checked
+    on a fresh confirmation round, with the budget doubled once if they
+    disagree.  A sample reaching the full rank 2n ends the search at once:
+    observed ranks never exceed the generic rank, so it is already proof.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
     full = 2 * f.arity
+    k = _budget(f, primes)
     for attempt in range(2):
-        ns = samples << attempt
+        ns = k if k <= samples else samples << attempt
         best = -1
         for r in _ranks(f, primes, seed, f"rank:a{attempt}", ns):
             best = max(best, r)
@@ -138,6 +163,8 @@ def image_dimension(
             raise AllPolesError(
                 "all sampled points hit poles; function too degenerate to sample"
             )
+        if k <= samples:
+            return best
         checked = 0
         for r in _ranks(f, primes, seed, f"rank-confirm:a{attempt}", max(4, ns // 4)):
             if r != best:

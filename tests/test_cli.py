@@ -141,9 +141,9 @@ def _rank_samples(monkeypatch) -> list[int]:
     return ranks
 
 
-def _default_report(expr: str, names: tuple[str, ...]) -> dict:
-    primes = primes_below(1 << 31, 2)
-    report, _ = cli.analyze_function(expr, names, primes, 16, 0, None, False)
+def _default_report(expr: str, names: tuple[str, ...], bits: int = 31, samples: int = 16) -> dict:
+    primes = primes_below(1 << bits, 2)
+    report, _ = cli.analyze_function(expr, names, primes, samples, 0, None, False)
     return report
 
 
@@ -168,21 +168,27 @@ def test_a_certified_verdict_takes_no_rank_sample(monkeypatch, expr, names, verd
 
 
 @pytest.mark.parametrize(
-    "expr, names, calls",
+    "expr, names, bits, samples, calls",
     [
-        # dimension 5: 16 samples and 4 confirmations per prime
-        ("x*y + z", ("x", "y", "z"), 2 * (16 + 4)),
-        ("x + y + z + x^2*y^2*z^2", ("x", "y", "z"), None),
-        ("x + y + x^2*y^3", ("x", "y"), None),
+        # dimension 5, e = 1: k = ceil(64 / log2((p-1)/6)) = 3 per prime
+        ("x*y + z", ("x", "y", "z"), 31, 16, 2 * 3),
+        # k = 3 > 2 samples, and k = 87 > 16 at 4 bits, keep the unanimity
+        # schedule: the samples and 4 confirmations per prime
+        ("x*y + z", ("x", "y", "z"), 31, 2, 2 * (2 + 4)),
+        ("x*y + z", ("x", "y", "z"), 4, 16, 2 * (16 + 4)),
+        ("x + y + z + x^2*y^2*z^2", ("x", "y", "z"), 31, 16, None),
+        ("x + y + x^2*y^3", ("x", "y"), 31, 16, None),
     ],
 )
-def test_an_uncertified_verdict_keeps_the_full_rank_schedule(monkeypatch, expr, names, calls):
+def test_an_uncertified_verdict_takes_the_schwartz_zippel_budget(
+    monkeypatch, expr, names, bits, samples, calls
+):
     ranks = _rank_samples(monkeypatch)
-    rep = _default_report(expr, names)
+    rep = _default_report(expr, names, bits, samples)
     assert rep["certificate"] is None
     used = list(ranks)
     ranks.clear()
-    dim = dimension.image_dimension(parse(expr, names), tuple(rep["primes"]), 16, 0)
+    dim = dimension.image_dimension(parse(expr, names), tuple(rep["primes"]), samples, 0)
     assert rep["image_dimension"] == dim
     assert used == ranks
     if calls is not None:

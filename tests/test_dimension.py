@@ -3,18 +3,21 @@
 from __future__ import annotations
 
 import random
+from math import inf
 
 import pytest
 
 from ratforms.classify import classify_trivariate
 from ratforms.dimension import (
     AllPolesError,
+    _budget,
     _jacobian_rows,
     doubling_map,
     image_dimension,
     is_nondegenerate,
 )
 from ratforms.modular import DEFAULT_PRIMES
+from ratforms.oracle import symbolic_rank
 from ratforms.ratfun import PoleError, RatFun, parse, pole_free_values
 
 BI = ("x", "y")
@@ -82,19 +85,20 @@ def test_generic_rank_all_poles_is_surfaced():
 
 
 def _exact_rows(f: RatFun, w: list[int], p: int) -> list[list[int]] | None:
-    """Doubling-map Jacobian rows from the exact partials of f, mod p, or
-    None at a pole."""
+    """Doubling-map Jacobian rows from the exact partials of f, mod p, row b
+    scaled by D(w_b)^2, or None at a pole."""
     n = f.arity
     partials = [f.partial(i) for i in range(n)]
     rows = []
     for b in range(1 << n):
         cols = [i + n * ((b >> i) & 1) for i in range(n)]
         sub = [w[c] for c in cols]
-        if f.den.eval_mod(sub, p) == 0:
+        dv = f.den.eval_mod(sub, p)
+        if dv == 0:
             return None
         row = [0] * (2 * n)
         for i, c in enumerate(cols):
-            row[c] = partials[i].eval_mod(sub, p)
+            row[c] = partials[i].eval_mod(sub, p) * dv * dv % p
         rows.append(row)
     return rows
 
@@ -127,6 +131,83 @@ def test_compiled_jacobian_matches_exact_partials(expr, names, p):
                 _jacobian_rows(f, w, p)
         else:
             assert _jacobian_rows(f, w, p) == rows
+
+
+# -- rank sample budget ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "expr,names,primes,want",
+    (
+        # e = 1 and 2n*e = 6, so k = ceil(64 / log2((p-1)/6)) at the worse prime
+        ("x*y + z", TRI, DEFAULT_PRIMES, 3),
+        ("x*y + z", TRI, (251, 241), 13),
+        ("x*y + z", TRI, (13, 11), 87),  # past any default budget: unanimity
+        # deg D = 3, e = 2 and 2n*e = 12; the poles take 2^3*3 = 24 of p - 1,
+        # so k = ceil(64 / log2(216/12)) = 16, not ceil(64 / log2(240/12)) = 15
+        ("1/(x*y*z + 1)", TRI, (251, 241), 16),
+        ("(x+y)/(y+z)", TRI, (13, 11), inf),  # 12 - 2^3 <= 6: vacuous
+        # e = 0: the minors are constants, so one sample decides
+        ("x + y + z", TRI, (13, 11), 1),
+        ("x - y", BI, (13, 11), 1),
+    ),
+)
+def test_rank_budget_meets_the_schwartz_zippel_bound(expr, names, primes, want):
+    assert _budget(parse(expr, names), primes) == want
+
+
+def test_a_constant_jacobian_takes_one_sample_per_prime(monkeypatch):
+    import ratforms.dimension as dimension
+
+    primes, real = [], dimension.rank_mod
+    monkeypatch.setattr(dimension, "rank_mod", lambda rows, p: primes.append(p) or real(rows, p))
+    assert image_dimension(parse("x + y + z", TRI), primes=(13, 11)) == 4
+    assert primes == [13, 11]
+
+
+@pytest.mark.parametrize(
+    "expr,names",
+    (
+        # dimension 4 through the non-splitting gap
+        ("(x^2+1)*(y+z)^2", TRI),
+        ("(x^2+1)*(y^2+1)*z", TRI),
+        ("(x^3+1)*(y+z)", TRI),
+        ("x*(y^2+1)*(z+1)", TRI),
+        ("(x+1/x)*(y+z)^2", TRI),
+        ("(x^2+1)/(x^2-1)*(y+z)", TRI),
+        # dimension 5 (the exact rank of (x+y+z)^5 + x takes minutes)
+        ("x*y + z", TRI),
+        ("x^2*y + z", TRI),
+        ("(x*y+1)/(x+y) + z", TRI),
+        ("x^3 + x*y^3 + 1/(x-y) + z^2", TRI),
+        ("x + y*z", TRI),
+        # dimension 3 in two variables
+        ("(x^2+1)*(y^2+2)", BI),
+        ("(x^2+1)/(y^2+1)", BI),
+        ("(x^3+x)/(y^2+1)", BI),
+    ),
+)
+def test_the_budgeted_dimension_is_the_exact_rank(expr, names):
+    f = parse(expr, names)
+    assert image_dimension(f) == symbolic_rank(doubling_map(f)) < 2 * f.arity
+
+
+def test_the_budgeted_dimension_is_the_exact_rank_on_generated_forms():
+    import synth
+
+    rng = random.Random(46)
+    makers = (
+        synth.make_additive,
+        synth.make_multiplicative,
+        lambda rng: synth.make_field(rng)[0],
+        synth.make_bivariate_additive,
+        synth.make_bivariate_multiplicative,
+    )
+    for make in makers:
+        drawn = [f for f in (make(rng) for _ in range(60)) if f.total_degree() <= 3][:2]
+        assert len(drawn) == 2
+        for f in drawn:
+            assert image_dimension(f) == symbolic_rank(doubling_map(f)) == f.arity + 1
 
 
 # -- image dimension ------------------------------------------------------------
