@@ -263,18 +263,19 @@ def hermite_antiderivative(f: LineFn, var: int) -> RatFun | None:
     antiderivative exists exactly when s = 0.  The additive constant is
     normalized to zero (no constant term is ever introduced).  On the
     integer lists of _proper_parts, a polynomial integrates over the lcm of
-    its raised exponents, and a nonzero r over a squarefree d (by
-    _dense_gcd) gives None at once; a multiple pole is reduced in Fractions
-    over the integer factors of yun_squarefree.
+    its raised exponents, and a nonzero r over a squarefree d (every
+    multiplicity of yun_squarefree(d) is 1) gives None at once; a multiple
+    pole is reduced in Fractions over those integer factors.
     """
     q, r, d, s = _proper_parts(f)
     if not r:
         den = lcm(*(i + 1 for i, c in enumerate(q) if c))
         acc = [0] + [c * (den // (i + 1)) if c else 0 for i, c in enumerate(q)]
         return RatFun.from_poly(Poly.from_coeffs(acc, var, f.arity, s / den))
-    if len(_gcd_split(d, _deriv(d))[0]) == 1:
+    factors = yun_squarefree(d)
+    if all(m == 1 for _, m in factors):
         return None
-    gn, gd, rest, _ = _hermite_core(_scale(r, s), d, yun_squarefree(d))
+    gn, gd, rest, _ = _hermite_core(_scale(r, s), d, factors)
     if rest:
         return None
     acc = _trim([0] + [c * s / (i + 1) for i, c in enumerate(q)])

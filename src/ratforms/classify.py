@@ -24,11 +24,12 @@ dimension, which decides NoConstraint.
 Fitting runs in two phases.  Cheap modular probes ("gates") reject wrong
 shapes fast: _probe reads the two sides of an identity among the partials
 of P (see Poly.eval_grad_mod) at random pairs of points mod p, and an
-unequal pair is an exact disproof, so gates never eliminate a true match
-except with negligible probability (Schwartz, J. ACM 27, 1980); a fluke
-pass is harmless because every positive path ends in a verified
-certificate.  Every gate reads one sample per input and seed (see
-_Fn.tries), whose 2^n mixtures carry every such identity at once.
+unequal pair is an exact disproof, so a partial-ratio gate never fails a
+true form and passes on one agreeing try; only the twisted gates' zero check
+can, with probability about (deg/p)^2 over its two tries (Schwartz, J. ACM
+27, 1980).  A fluke pass is harmless: every positive path ends in a verified
+certificate.  Every gate reads one sample per input and seed (see _Fn.tries),
+whose 2^n mixtures carry every such identity at once.
 Recovery then works on exact univariate specializations (lines on which
 every other variable is pinned to a small integer), read as integer lists
 in one term pass per polynomial (see Poly.line_jet), reduced by one dense
@@ -306,7 +307,8 @@ class _Fn:
         from one stream and kept: (w, w2, walks), w2[i] drawn from the
         residues other than w[i] (none for p = 2), and walks the
         Poly.eval_grad_mod rows of N and of D at all 2^n mixtures, one walk
-        each for every gate identity."""
+        each for every gate identity.  A partial-ratio gate that passes
+        reads the first try only; the twisted gates read a second."""
         drawn, rng, p = self._tries, self._rng, self.p
         for k in range(RETRIES):
             if k == len(drawn):
@@ -405,7 +407,7 @@ def _moved(w, w2, v: int) -> list[int]:
     return pt
 
 
-def _probe(sides, tries) -> bool:
+def _probe(sides, tries, agree: int = 1) -> bool:
     """Probe an identity mod p on tries (w, w2, walks) of the input's one
     sample (see _Fn.tries), at most RETRIES of them.
 
@@ -413,7 +415,10 @@ def _probe(sides, tries) -> bool:
     identity holds vacuously; otherwise w2 differs from w in every
     coordinate.  sides(*try) returns the identity's two sides or raises
     PoleError, which skips the try.  An unequal pair is an exact disproof
-    and returns False at once; two agreeing tries return True.
+    and returns False at once; `agree` agreeing tries return True: one for
+    a partial-ratio gate, which a true form passes on any try (a fluke pass,
+    probability at most deg/p, costs one failed exact recovery), and two for
+    the twisted gates, whose zero check can fail a true form (fit_twisted).
     """
     ok = 0
     for t in tries:
@@ -426,7 +431,7 @@ def _probe(sides, tries) -> bool:
         if lhs != rhs:
             return False
         ok += 1
-        if ok == 2:
+        if ok == agree:
             return True
     return False
 
@@ -462,8 +467,8 @@ def _decomposed_detail(fn: _Fn) -> tuple[bool, dict[str, bool]]:
 
     P is 2-decomposed iff all three are; each pair is probed by
     _gate_ratio_separable on the sample the fitters read.  A False is an
-    exact disproof; a fluke True has probability at most deg/p per probe
-    (Schwartz-Zippel).
+    exact disproof; a fluke True has probability at most deg/p per probe,
+    from its one agreeing try (Schwartz-Zippel).
     """
     detail = {
         f"2dec_{_VN[a]}{_VN[b]}": _gate_ratio_separable(fn, a, b)
@@ -815,12 +820,13 @@ def fit_twisted(
     form has (log T)_x = r1'/(r1 + r2), while every P with P_x/P_z free of
     y, each group form among them, has delta = 0, and both identities hold
     for it vacuously.  So the x-gate fails when its agreeing tries read 0
-    on both sides, which for delta != 0 has probability about (deg/p)^2.
+    on both sides, which for delta != 0 has probability about (deg/p)^2
+    over the two tries it reads (one try would make it about deg/p).
     The recovery then rebuilds T on univariate lines and certifies P = q(T).
     """
     diag = diagnostics if diagnostics is not None else {}
     seen = []
-    if not all(_probe(_twisted_logpartial_mod(fn, i, seen), fn.tries())
+    if not all(_probe(_twisted_logpartial_mod(fn, i, seen), fn.tries(), agree=2)
                and any(seen) for i in (0, 2)):
         diag["twisted_gates"] = False
         return None

@@ -835,7 +835,7 @@ def test_twisted_recovery_restricts_each_partial_once(monkeypatch):
     P = parse("(x+y+z)^11", TRI)
     fn, seen = _Fn(P), []
     for i in (0, 2):
-        assert _probe(_twisted_logpartial_mod(fn, i, seen), fn.tries())
+        assert _probe(_twisted_logpartial_mod(fn, i, seen), fn.tries(), agree=2)
     assert seen == [False] * 4
     monkeypatch.setattr(Poly, "derivative", counted_derivative)
     monkeypatch.setattr(Poly, "line_jet", counted_jet)
@@ -966,11 +966,12 @@ def test_probes_walk_each_polynomial_once(monkeypatch):
     # every gate identity reads the tries already drawn, with no walk
     assert copies(lambda: _gate_ratio_separable(group, 0, 1)) == []
     assert copies(lambda: _gate_ratio_indep(group, 0, 1, 2)) == []
-    # fit_group reads all six gate identities off two tries: 4 walks, where
-    # one pair of draws per gate took 24
+    # fit_group reads all six gate identities off one try, since one
+    # agreeing try passes a partial-ratio gate: 2 walks, where two tries
+    # took 4 and one pair of draws per gate took 24
     walks.clear()
     assert fit_group(_Fn(P)).verdict == "GroupAdditive"
-    assert [n for _, n in walks] == [2] * 4
+    assert [n for _, n in walks] == [2] * 2
     # the field pivot x with r_y' = 1 and inner sum y + z: K = P_x/(P_y (y + z))
     # reads P_x/P_y off the tries, so once they are drawn its probes walk nothing
     field = _Fn(parse("x*(y + z)^3", TRI))
@@ -978,13 +979,13 @@ def test_probes_walk_each_polynomial_once(monkeypatch):
     for moved in (1, 2):
         kval = _field_k_mod(field, 0, 1, moved, LineFn([1], [1], Fraction(1), 3), parse("y + z", TRI))
         assert copies(lambda: _probe(kval, field.tries())) == []
-    # a twisted gate reads N and D off the try and walks N_y and D_y, once
-    # each per try at its two points
+    # a twisted gate reads N and D off its two tries and walks N_y and D_y,
+    # once each per try at its two points
     twisted = _Fn(parse("(x + y^2)/(y^2 + z^3)", TRI))
     list(itertools.islice(twisted.tries(), 2))
     for i in (0, 2):
         logpartial = _twisted_logpartial_mod(twisted, i, [])
-        assert copies(lambda: _probe(logpartial, twisted.tries())) == [2] * 4
+        assert copies(lambda: _probe(logpartial, twisted.tries(), agree=2)) == [2] * 4
         assert [f for f, _ in walks] == list(twisted.partials(1)) * 2
 
 
@@ -1009,6 +1010,47 @@ def test_a_probe_whose_copies_all_equal_w_fails():
     P = parse("x + y^2*z + x*y", TRI)
     assert not _gate_ratio_separable(_Fn(P, p=2), 0, 1)
     assert not _gate_ratio_separable(_Fn(P), 0, 1)
+
+
+def test_one_try_settles_a_partial_ratio_gate():
+    # an unequal pair disproves at once and an agreeing one passes, so a
+    # partial-ratio gate draws one try either way
+    fn = _Fn(parse("x + y^2*z + x*y", TRI))
+    assert not _gate_ratio_separable(fn, 0, 1)
+    assert len(fn._tries) == 1
+    fn = _Fn(parse("(x + y^2 + z)^3 + 1", TRI))
+    assert _gate_ratio_separable(fn, 0, 1) and _gate_ratio_indep(fn, 0, 1, 2)
+    assert len(fn._tries) == 1
+
+
+@pytest.mark.parametrize("expr", [
+    "(x^3 - 5/6*y^3 - 10*x^2 + 40/9*y^2 + 3*x + 185/18*y + 451/9)/(x^3 - 10*x^2 + 1/3*z^2 + 3*x + 4/3*z + 55)",
+    "(-1/10*y^3 + x^2 + 11/15*y^2 - 2*x - 47/30*y - 31/15)/(x^2 - 2*x - 3/5*z - 21/5)",
+])
+def test_the_twisted_gates_read_two_tries_at_a_small_prime(expr):
+    # modulo 13 the first try of the twisted zero check reads 0 on both
+    # sides for these twisted inputs, so with one try their gates fail and
+    # they end unresolved; the second try passes them
+    rep = classify_trivariate(parse(expr, TRI), primes=(13, 11))
+    assert rep.verdict == "Twisted" and rep.certificate.verified
+
+
+@pytest.mark.parametrize("expr", ["x*y + z", "x + y*z + x*z"])
+@pytest.mark.parametrize("primes", [DEFAULT_PRIMES, (13, 11)])
+def test_a_planted_gate_fluke_certifies_nothing(monkeypatch, expr, primes):
+    # a partial-ratio gate passes on one try, so a fluke is likelier than
+    # with two; plant one in every such gate of an input of no group form:
+    # the exact recovery fails, and no positive verdict lacks a certificate
+    monkeypatch.setattr(classify, "_gate_ratio_separable", lambda *args: True)
+    monkeypatch.setattr(classify, "_gate_ratio_indep", lambda *args: True)
+    P = parse(expr, TRI)
+    diag = {}
+    assert fit_group(_Fn(P, p=primes[0]), diagnostics=diag) is None
+    assert diag and not any(diag.values())
+    rep = classify_trivariate(P, primes=primes)
+    if rep.verdict in {"GroupAdditive", "GroupMultiplicative", "Field", "Twisted"}:
+        assert rep.certificate is not None and rep.certificate.verified
+        assert verify_certificate(rep.certificate, P, rep.fitted["s"])
 
 
 def test_gates_give_one_answer_per_pair_identity(monkeypatch):
@@ -1067,10 +1109,11 @@ def test_classify_builds_one_fn_per_input(monkeypatch):
 
 
 def test_field_and_twisted_fits_read_the_tries_fit_group_drew(monkeypatch):
-    # x*(y+z)^3: fit_group reads two tries before its independence gate
+    # x*(y+z)^3: fit_group reads one try before its independence gate
     # fails; fit_field then reads every gate, the K probe included, off
-    # those two, and the twisted gates walk only N_y and D_y on them (they
-    # pass here, and the recovery, on exact lines, walks nothing)
+    # that one, and the twisted gates draw the second try of N and D and
+    # walk N_y and D_y on both (they pass here, and the recovery, on exact
+    # lines, walks nothing)
     walks = []
     walk = Poly.eval_grad_mod
 
@@ -1081,12 +1124,13 @@ def test_field_and_twisted_fits_read_the_tries_fit_group_drew(monkeypatch):
     monkeypatch.setattr(Poly, "eval_grad_mod", counted)
     fn = _Fn(parse("x*(y+z)^3", TRI))
     assert fit_group(fn) is None
-    assert walks == [fn.num, fn.den] * 2
+    assert walks == [fn.num, fn.den]
     walks.clear()
     assert fit_field(fn).verdict == "Field"
     assert walks == []
     assert fit_twisted(fn) is None
-    assert walks and all(f in fn.partials(1) for f in walks)
+    ny = list(fn.partials(1))
+    assert walks == ny + [fn.num, fn.den] + ny * 3
 
 
 @pytest.mark.parametrize("seed", [0, 5])
@@ -1094,12 +1138,12 @@ def test_fit_twisted_reads_the_tries_of_its_seed(monkeypatch, seed):
     read = []
     probe = classify._probe
 
-    def spy(sides, tries):
+    def spy(sides, tries, agree=1):
         def recorded():
             for t in tries:
                 read.append((t[0], t[1]))
                 yield t
-        return probe(sides, recorded())
+        return probe(sides, recorded(), agree)
 
     monkeypatch.setattr(classify, "_probe", spy)
     P = parse("(x^2+y)/(y+z^3)", TRI)
