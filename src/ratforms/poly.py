@@ -990,9 +990,6 @@ class Poly:
             return NotImplemented
         return self._add(other, 1)
 
-    def __radd__(self, other) -> "Poly":
-        return self.__add__(other)
-
     @classmethod
     def sum(cls, polys, arity: int) -> "Poly":
         """The sum of an iterable of polynomials of the given arity.
@@ -1011,9 +1008,6 @@ class Poly:
         if other is None:
             return NotImplemented
         return self._add(other, -1)
-
-    def __rsub__(self, other) -> "Poly":
-        return (-self).__add__(other)
 
     def __neg__(self) -> "Poly":
         return Poly._make({e: -c for e, c in self.ints.items()}, self.content, self.arity)
@@ -1037,9 +1031,6 @@ class Poly:
                 b = {e: -c for e, c in b.items()}
             return Poly._make(b, content, self.arity)
         return Poly._make(_imul(a, b), content, self.arity)
-
-    def __rmul__(self, other) -> "Poly":
-        return self.__mul__(other)
 
     def scale(self, c) -> "Poly":
         _check_coeff(c)

@@ -166,9 +166,6 @@ class RatFun:
             self.num * other.den + other.num * self.den, self.den * other.den
         )
 
-    def __radd__(self, other) -> "RatFun":
-        return self.__add__(other)
-
     def __sub__(self, other) -> "RatFun":
         other = self._coerce(other)
         if other is None:
@@ -176,9 +173,6 @@ class RatFun:
         return RatFun(
             self.num * other.den - other.num * self.den, self.den * other.den
         )
-
-    def __rsub__(self, other) -> "RatFun":
-        return (-self).__add__(other)
 
     def __neg__(self) -> "RatFun":
         out = RatFun(-self.num, self.den, reduce=False)
@@ -192,9 +186,6 @@ class RatFun:
             return NotImplemented
         return RatFun(self.num * other.num, self.den * other.den)
 
-    def __rmul__(self, other) -> "RatFun":
-        return self.__mul__(other)
-
     def __truediv__(self, other) -> "RatFun":
         other = self._coerce(other)
         if other is None:
@@ -202,12 +193,6 @@ class RatFun:
         if other.is_zero:
             raise ZeroDivisionError("division by the zero function")
         return RatFun(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other) -> "RatFun":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other.__truediv__(self)
 
     def __pow__(self, n: int) -> "RatFun":
         if n == 0:

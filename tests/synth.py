@@ -249,8 +249,9 @@ def twisted_parts(fn, rng):
             r2cy, r2cy1 = (r2.eval_q((cx, c, cz)) for c in (cy, cy + 1))
             W, W1 = (ratio((cx, c, cz), 0, 2) for c in (cy, cy + 1))
             V, V1 = (ratio((cx, c, cz), 2, 0) for c in (cy, cy + 1))
-            r1 = W * ((r2cy1 - r2cy) / (W1 - W)) - r2cy
-            r3 = V * ((r2cy1 - r2cy) / (V1 - V)) - r2cy
+            step = RatFun.const(r2cy1 - r2cy, W.arity)
+            r1 = W * (step / (W1 - W)) - r2cy
+            r3 = V * (step / (V1 - V)) - r2cy
         except (DegenerateSpecializationError, PoleError, ZeroDivisionError, ValueError):
             continue
         yield r1, r2, r3

@@ -827,6 +827,22 @@ def test_dense_gcd_falls_back_past_the_size_guard(monkeypatch):
     assert _mul(got, qf) == f and _mul(got, qg) == g
 
 
+def test_a_parse_past_the_heuristic_points_cancels_through_subresultants(monkeypatch):
+    """Roots of about 13 960 bits leave _xi_schedule no point for a gcd of
+    degree up to 301, so the parse cancels x^300 + 1 through the dense
+    gcd's subresultant fallback; the planted input of tests/test_reach.py
+    and of CI's certificate tail."""
+    from ratforms.ratfun import parse
+
+    prs = []
+    fallback = poly_module._prs_gcd
+    monkeypatch.setattr(poly_module, "_prs_gcd", lambda *a: prs.append(a) or fallback(*a))
+    a, b = 10**4201 + 7, 3 * 10**4201 + 1
+    f = parse(f"((x^300+1)*(x+{a}))/((x^300+1)*(x+{b}))*y", ("x", "y"))
+    assert prs
+    assert f == parse(f"(x+{a})*y/(x+{b})", ("x", "y"))
+
+
 def test_gcd_of_univariate_inputs_keeps_content_sign_and_monomials(monkeypatch):
     """gcd_int on two inputs in one shared variable runs the dense gcd, and
     takes the monomial content out first and the sign and integer content

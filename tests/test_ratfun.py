@@ -90,7 +90,7 @@ def _tri_vars():
 # and quotients unreduced, and reduces once at the end: the result must be
 # the same reduced num/den.
 PER_NODE_REDUCED = (
-    ("1/(x+1) - 1/(x+1)", lambda x, y, z: 1 / (x + 1) - 1 / (x + 1)),
+    ("1/(x+1) - 1/(x+1)", lambda x, y, z: RatFun.const(1, 3) / (x + 1) - RatFun.const(1, 3) / (x + 1)),
     ("(x^2-1)/(x-1)", lambda x, y, z: (x**2 - 1) / (x - 1)),
     (
         "((x+y)/(y+z))^3/((x+y)/(y+z))",
@@ -101,7 +101,7 @@ PER_NODE_REDUCED = (
     ("-(-x)", lambda x, y, z: -(-x)),
     ("2^0", lambda x, y, z: RatFun.const(2, 3) ** 0),
     ("x/(2/3) - 3/2*x", lambda x, y, z: x / (RatFun.const(2, 3) / 3) - RatFun.const(3, 3) / 2 * x),
-    ("(1/x + 1/y)^2*x^2*y", lambda x, y, z: (1 / x + 1 / y) ** 2 * x**2 * y),
+    ("(1/x + 1/y)^2*x^2*y", lambda x, y, z: (RatFun.const(1, 3) / x + RatFun.const(1, 3) / y) ** 2 * x**2 * y),
     ("(x-y)/(y-x) + z/(y*z)", lambda x, y, z: (x - y) / (y - x) + z / (y * z)),
 )
 
@@ -263,7 +263,7 @@ def test_parse_long_sum_matches_term_by_term_arithmetic():
     assert f.num == want and f.den == Poly.const(1, 3)
     # a quotient among the terms keeps the same function
     g = parse(text + " + 1/(x + y)", TRI)
-    assert g == RatFun.from_poly(want) + 1 / (RatFun.variable(0, 3) + RatFun.variable(1, 3))
+    assert g == RatFun.from_poly(want) + RatFun.const(1, 3) / (RatFun.variable(0, 3) + RatFun.variable(1, 3))
 
 
 @pytest.mark.parametrize(
