@@ -4,8 +4,8 @@ A certificate for (P, s) is a nonzero bivariate polynomial A(p, q) with
 A(P, s) = 0 as an exact identity of rational functions.  A certificate is
 proven when it is found, by the proportionality of its homogenized parts
 to the denominator and numerator of P; verify_certificate re-checks one
-from scratch, rejecting corrupted coefficients in microseconds via
-modular spot tests before the exact expansion, which is the final word.
+from scratch by the exact expansion of A(P, s), which reads nothing
+modulo a prime.
 """
 
 from fractions import Fraction

@@ -54,8 +54,8 @@ from operator import mul as _times, sub as _minus
 
 from .calculus import LineFn, _deriv, _mul, _scale, _sub, hermite_antiderivative, logderiv_integrate
 from .dimension import image_dimension, is_nondegenerate
-from .modular import DEFAULT_PRIMES, RETRIES, _eval, rng_for
-from .oracle import composition_relation, prime_pool
+from .modular import DEFAULT_PRIMES, RETRIES, rng_for
+from .oracle import composition_relation
 from .poly import Poly, _dense_gcd, grlex_key
 from .ratfun import (
     DegenerateSpecializationError,
@@ -64,7 +64,6 @@ from .ratfun import (
     _product,
     _raw_sum,
     compose_numerator,
-    pole_free_values,
 )
 
 _VN = ("x", "y", "z")
@@ -253,24 +252,15 @@ def verify_certificate(cert: DependenceCertificate, P: RatFun, s: RatFun) -> boo
     """Re-check a certificate from scratch: is annihilator(P, s) = 0 exactly?
 
     This is the independent check: it shares nothing with the proportionality
-    test that accepted the certificate.  Modular spot evaluations run first
-    so that a corrupted certificate fails in microseconds; agreement at every
-    sample falls through to the full exact expansion (compose_numerator),
-    which is the final word, so the answer is the expansion's.  The spot
-    checks sample modulo DEFAULT_PRIMES, skipping a prime that divides a
-    coefficient denominator of P or s (see prime_pool), and read the
-    annihilator's primitive integer part, which vanishes where it does.
+    test that accepted the certificate, and reads nothing modulo a prime.  A
+    certificate with the wrong arity or a zero annihilator is refused; any
+    other is decided by one full exact expansion (compose_numerator).
     """
     if P.arity != s.arity:
         raise ValueError("P and s must share one ambient variable list")
     ann = cert.annihilator
     if ann.arity != 2 or ann.is_zero:
         return False
-    primitive = Poly.from_ints(ann.ints, 2)
-    for p in prime_pool(DEFAULT_PRIMES, [P, s], len(DEFAULT_PRIMES)):
-        pts = pole_free_values([P, s], 4, p, rng_for(0, f"certcheck:p{p}"))
-        if pts is not None and any(primitive.eval_mod(pt, p) for pt in pts):
-            return False
     return compose_numerator(ann, [P, s]).is_zero
 
 
@@ -583,29 +573,6 @@ def _pivot_lines(fn: _Fn, i: int, j: int, uj: LineFn, rj: RatFun, rl: RatFun, rn
     return beta, None
 
 
-def _field_k_mod(fn: _Fn, i: int, j: int, v: int, uj: LineFn, Bc: RatFun):
-    """Sides (see _probe) of K = P_i * r_j' / (P_j * B) mod fn.p at mixtures
-    0 and 1 << v of a try, for the field pivot x_i with inner sum B = Bc and
-    uj = r_j' up to scale; free of x_j and x_l for a field form.  P_i/P_j
-    comes off the try's walks, so the probe walks nothing.  K does not see a
-    constant scale of uj or Bc, so it reads uj's integer lists and Bc's
-    primitive integer parts, which have an image modulo every prime.
-    """
-    p = fn.p
-    bn, bd = (Poly.from_ints(f.ints, 3) for f in (Bc.num, Bc.den))
-
-    def sides(w, w2, walks):
-        out = []
-        for r, pt in zip(_ratios(walks, i, j, p, (0, 1 << v)), (w, _moved(w, w2, v))):
-            nu, du, nb, db = _eval(uj.num, pt[j]), _eval(uj.den, pt[j]), bn.eval_mod(pt, p), bd.eval_mod(pt, p)
-            if du * nb * db % p == 0:
-                raise PoleError("pole or vanishing inner sum at sample point")
-            out.append(r * nu * db * pow(du * nb, -1, p) % p)
-        return out
-
-    return sides
-
-
 def fit_field(
     fn: _Fn,
     dmax: int | None = None,
@@ -620,7 +587,9 @@ def fit_field(
     the x_i-line through the same point gives K (see _pivot_lines).  K is
     integrated as a log-derivative, g'/g = c*K (see logderiv_integrate):
     the exponent n is the numerator of c, the lcm of the residue denominators
-    of K, and r_i = g^(denominator of c).
+    of K, and r_i = g^(denominator of c).  No sample tests K off those two
+    lines: _pivot_lines tests it exactly on the x_j-line, and a K that varies
+    elsewhere leaves a fit that no certificate backs.
     """
     diag = diagnostics if diagnostics is not None else {}
     deg_cap = 2 * max(1, fn.f.total_degree())
@@ -649,10 +618,6 @@ def fit_field(
             diag[f"{tag}_shift"] = False
             continue
         rj = _coprime_fold(_raw_sum, (rj, RatFun.const(beta, 3)))
-        Bc = _coprime_fold(_raw_sum, (rj, rl))
-        if not all(_probe(_field_k_mod(fn, i, j, v, uj, Bc), fn.tries()) for v in (j, l)):
-            diag[f"{tag}_pivot_ratio_independent"] = False
-            continue
         if khat is None:
             diag[f"{tag}_pivot_ratio"] = False
             continue

@@ -13,13 +13,10 @@ degenerate), 2 when any function is unresolved or the rank sampling is
 inconclusive, 1 on usage or parse errors.  An input with a coefficient
 whose denominator a sampling prime divides has no image modulo that prime,
 so that prime is replaced by the next lower prime that divides no
-coefficient denominator; the report lists the primes used.  The gates
-read a fitted function modulo their prime only up to scale, off integer
-parts; a step that still meets a prime with no image of a coefficient
-reports the input unresolved with a ``bad_prime`` diagnostic naming it.
-An input whose analysis raises is reported unresolved with an ``error``
-diagnostic naming the exception and the primes it sampled modulo, and the
-other inputs are still analyzed.
+coefficient denominator; the report lists the primes used.  An input
+whose analysis raises is reported unresolved with an ``error`` diagnostic
+naming the exception and the primes it sampled modulo, and the other
+inputs are still analyzed.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from .classify import classify_trivariate, fit_bivariate
 from .dimension import AllPolesError, InconclusiveRankError
 from .modular import primes_below
 from .oracle import prime_pool
-from .poly import BadPrimeError, Poly
+from .poly import Poly
 from .ratfun import ParseError, RatFun, check_names, parse
 
 _VERDICT = {
@@ -174,12 +171,11 @@ def _analyze(
     classify = fit_bivariate if n == 2 else classify_trivariate
     try:
         fr = classify(f, dmax=dmax, primes=primes, samples=samples, seed=seed)
-    except (InconclusiveRankError, AllPolesError, BadPrimeError) as exc:
+    except (InconclusiveRankError, AllPolesError):
         # raised only once the input has passed the nondegeneracy check
-        bad = isinstance(exc, BadPrimeError)
         report["nondegenerate"] = True
         report["verdict"] = "unresolved"
-        report["diagnostics"] = {"bad_prime": exc.prime} if bad else {"rank_inconclusive": True}
+        report["diagnostics"] = {"rank_inconclusive": True}
         return report, 2
     report["nondegenerate"] = fr.verdict != "Degenerate"
     report["verdict"] = _VERDICT[fr.verdict]

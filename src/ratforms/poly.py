@@ -44,6 +44,8 @@ Term = tuple[int, ...]
 # so this never affects output determinism.
 _GCD_RNG = random.Random(0x5EED)
 _LINE_P = 2147483647
+#: The most quotient terms a trial division of _heu_gcd takes before it gives
+#: up on its candidate (the subresultant fallback then decides).
 DIV_STEP_CAP = 200000
 
 _ZERO = Fraction(0)
@@ -180,9 +182,10 @@ def _codes(a: dict, base: int) -> dict:
     return {sum(map(mul, e, weights)): c for e, c in a.items()}
 
 
-def _idivexact(f: dict, h: dict) -> dict | None:
+def _idivexact(f: dict, h: dict, cap: int | None = None) -> dict | None:
     """Exact division of integer term dicts; None when h does not divide f,
-    or when the quotient needs more than DIV_STEP_CAP leading terms.
+    or, with a cap, when the quotient needs more than cap leading terms.
+    Only a trial division that may give up soundly (_heu_gcd's) passes one.
 
     Exponent vectors are coded (_codes) in a base above the total degree of
     f.  No remainder term has a higher degree, so a heap of the remainder's
@@ -214,7 +217,7 @@ def _idivexact(f: dict, h: dict) -> dict | None:
         if cr is None:
             continue
         steps += 1
-        if steps > DIV_STEP_CAP:
+        if cap is not None and steps > cap:
             return None
         # k - kh codes lead(rem) - lead(h) entrywise; its digits add up to
         # its top digit exactly when no entry is negative (a borrow breaks it)
@@ -386,25 +389,6 @@ def _tables(degs: list[int], points, p: int) -> list[list[tuple[list[int], list[
             copies.append((pw, dpw))
         tables.append(copies)
     return tables
-
-
-def _value(node: list, level: int, powers) -> int:
-    """Value of a compiled polynomial (see _nest) at the point of powers
-    (see _powers), unreduced."""
-    acc = 0
-    if level < len(powers) - 2:
-        row = powers[level]
-        for e, child in node:
-            acc += row[e] * _value(child, level + 1, powers)
-    elif level == len(powers) - 1:  # one variable
-        row = powers[level]
-        for e, c in node:
-            acc += c * row[e]
-    else:
-        r1, r2 = powers[level], powers[level + 1]
-        for a, b, c in node:
-            acc += c * r1[a] * r2[b]
-    return acc
 
 
 def _value_and_gradient(node: list, level: int, tables, n: int) -> list[list[int]]:
@@ -590,7 +574,8 @@ def _heu_gcd(f: dict, g: dict, arity: int, depth: int = 0) -> dict | None:
                         cc = _int_content(cand)
                         cand = {k: v // cc for k, v in cand.items()}
                     if cand:
-                        if _idivexact(f, cand) is not None and _idivexact(g, cand) is not None:
+                        if (_idivexact(f, cand, DIV_STEP_CAP) is not None
+                                and _idivexact(g, cand, DIV_STEP_CAP) is not None):
                             return cand
     return None
 
@@ -642,7 +627,8 @@ def _divide_coeffwise(f: dict, d: dict, var: int, arity: int) -> dict:
     out: dict = {}
     for k, cf in _coeffs_in(f, var).items():
         q = _idivexact(cf, d)
-        assert q is not None, "inexact content division"
+        if q is None:
+            raise ArithmeticError("inexact content division")
         _iadd_into(out, _ishift(q, var, k))
     return out
 
@@ -666,7 +652,8 @@ def _prs_gcd(f: dict, g: dict, var: int, arity: int) -> dict:
         for _ in range(delta):
             denom = _imul(denom, h)
         a, b = b, _idivexact(r, denom)
-        assert b is not None, "subresultant division failed"
+        if b is None:
+            raise ArithmeticError("subresultant division failed")
         gcoef = _coeffs_in(a, var)[_deg_in(a, var)]
         if delta == 0:
             pass
@@ -680,7 +667,8 @@ def _prs_gcd(f: dict, g: dict, var: int, arity: int) -> dict:
             for _ in range(delta - 2):
                 hden = _imul(hden, h)
             h = _idivexact(num, hden)
-            assert h is not None
+            if h is None:
+                raise ArithmeticError("subresultant division failed")
     return _unit_normal(_divide_coeffwise(b, _content_wrt(b, var, arity), var, arity))
 
 
@@ -1147,14 +1135,11 @@ class Poly:
         return degs
 
     def eval_mod(self, point, p: int) -> int:
-        """Value mod p at an integer point: the value entry of eval_grad_mod,
-        by a walk of its own that sums no partial, for the readers of values
-        alone (pole_free_values and the field K probe).
+        """Value mod p at an integer point: the value entry of eval_grad_mod.
 
         Raises BadPrimeError when p divides the content's denominator.
         """
-        form, degs = self._compiled(p)
-        return _value(form, 0, _powers(degs, point, p)) % p
+        return self.eval_grad_mod((point,), p)[0][0]
 
     def eval_grad_mod(self, points, p: int) -> list[list[int]]:
         """[value, d/dx_0, ..., d/dx_(n-1)] mod p at each mixture of one or two points.

@@ -335,9 +335,8 @@ def pole_free(read, arity: int, count: int, p: int, rng):
 
 def pole_free_values(fs: list[RatFun], count: int, p: int, rng) -> list[list[int]] | None:
     """Values mod p of the functions fs at `count` points drawn by
-    pole_free, or None when a point runs out of draws: the spot checks of
-    verify_certificate and the dense relation search (annihilating_poly
-    and its spot values).
+    pole_free, or None when a point runs out of draws.  Only the dense
+    relation search reads them (annihilating_poly and its spot values).
     """
     out = []
     for vals in pole_free(lambda w: [f.eval_mod(w, p) for f in fs], fs[0].arity, count, p, rng):

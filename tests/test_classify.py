@@ -33,7 +33,6 @@ from ratforms.classify import (
     _coprime_fold,
     _decomposed_detail,
     _Fn,
-    _field_k_mod,
     _gate_ratio_indep,
     _gate_ratio_separable,
     _probe,
@@ -43,11 +42,10 @@ from ratforms.classify import (
     _twisted_parts,
     _twisted_recover,
 )
-from ratforms.calculus import LineFn
 from ratforms.oracle import symbolic_rank
 from ratforms.dimension import doubling_map, image_dimension, is_nondegenerate
-from ratforms.modular import DEFAULT_PRIMES, rng_for
-from ratforms.poly import Poly
+from ratforms.modular import DEFAULT_PRIMES, primes_below, rng_for
+from ratforms.poly import Poly, grlex_key
 from ratforms.ratfun import (
     DegenerateSpecializationError,
     PoleError,
@@ -217,8 +215,8 @@ def test_verify_certificate_accepts_true_and_rejects_corrupted():
 
 
 def test_verify_certificate_is_blind_to_the_annihilator_content():
-    # a content with the spot-check prime in its denominator, or in its
-    # numerator, changes nothing: the spot checks read the primitive part
+    # a content with a sampling prime in its denominator, or in its
+    # numerator, changes nothing: the check expands over the rationals
     P = parse("x*y + 1", BI)
     s = parse("x*y", BI)
     ann = dependence_certificate(P, s).annihilator
@@ -236,16 +234,14 @@ def test_verify_certificate_rejects_wrong_pair():
     assert not verify_certificate(cert, P, parse("x*y", BI))
 
 
-def test_certificate_samples_modulo_primes_coprime_to_the_denominators_of_s(monkeypatch):
-    # s has no image modulo 11, which divides its coefficient denominator 44,
-    # so with the spot checks' primes set to 13 and 11 they sample modulo
-    # another prime; the search itself reads s exactly
+def test_certificate_of_an_s_with_no_image_modulo_a_prime():
+    # s has no image modulo 11, which divides its coefficient denominator 44;
+    # the search and the check read s exactly, so they need no prime
     P = parse("x^2 + y^2", BI)
     s = parse("1/44*x^2 + 1/44*y^2", BI)
     cert = dependence_certificate(P, s)
     assert cert is not None and cert.verified
     assert cert.annihilator.terms == {(1, 0): Fraction(1), (0, 1): Fraction(-44)}
-    monkeypatch.setattr(classify, "DEFAULT_PRIMES", (13, 11))
     assert verify_certificate(cert, P, s)
     bad = DependenceCertificate(cert.annihilator + Poly.const(1, 2), 1, True)
     assert not verify_certificate(bad, P, s)
@@ -260,6 +256,57 @@ def test_verify_certificate_rejects_mismatched_arity():
             dependence_certificate(P, s, dmax=2)
         with pytest.raises(ValueError):
             verify_certificate(cert, P, s)
+
+
+def _perturbed(ann: Poly) -> Poly:
+    """ann with 1 added to its coefficient of least grlex order."""
+    terms = dict(ann.terms)
+    key = min(terms, key=grlex_key)
+    terms[key] += 1
+    return Poly({k: v for k, v in terms.items() if v}, 2)
+
+
+def test_the_certificate_check_reads_no_prime(monkeypatch):
+    # certificates read back from their printed strings, as bench/run.py
+    # reads them: every golden one, and the seed-3 ones of the benchmark's
+    # three workloads; with every mod-p reading of a polynomial disabled the
+    # check still accepts each one and rejects it with a perturbed coefficient
+    corpus = synth.bench_corpus(monkeypatch)
+
+    def read(text, names):
+        num, den = corpus.read_ratfun(text, names)
+        return RatFun.raw(Poly(num, len(names)), Poly(den, len(names)))
+
+    def case(expr, names, rep):
+        ann = read(rep["certificate"]["annihilator"], ("p", "q")).num
+        return parse(expr, names), read(rep["fitted"]["s"], names), ann
+
+    golden = [
+        case(r["function"], tuple(r["vars"]), r)
+        for run in json.loads(GOLDEN.read_text(encoding="utf-8"))
+        for r in run["reports"] if r["certificate"]
+    ]
+    primes = primes_below(1 << 31, 2)
+    workloads = []
+    for workload in ("tri-corpus", "bi-corpus", "cert-ladder"):
+        for item in corpus.build(workload, 3):
+            rep, _ = cli.analyze_function(item.expr, item.names, primes, 16, 0, None, False)
+            if rep["certificate"] is not None:
+                workloads.append(case(item.expr, item.names, rep))
+    assert len(golden) == 57 and len(workloads) > 400
+
+    def disabled(*args, **kwargs):
+        raise AssertionError("a polynomial was read modulo a prime")
+
+    monkeypatch.setattr(Poly, "_compiled", disabled)
+    for P, s, ann in golden:
+        assert verify_certificate(DependenceCertificate(ann, ann.total_degree(), True), P, s)
+        bad = _perturbed(ann)
+        assert not verify_certificate(DependenceCertificate(bad, bad.total_degree(), True), P, s)
+    for P, s, ann in workloads:
+        for a in (ann, _perturbed(ann)):
+            got = verify_certificate(DependenceCertificate(a, a.total_degree(), True), P, s)
+            assert got == compose_numerator(a, [P, s]).is_zero == (a is ann)
 
 
 # -- bivariate dichotomy ---------------------------------------------------------
@@ -685,6 +732,16 @@ def test_field_pivot_without_a_constant_shift_is_rejected():
     assert rep.diagnostics["field_pivot_x_shift"] is False
 
 
+@pytest.mark.parametrize("p", [DEFAULT_PRIMES[0], 13])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_a_field_pivot_whose_k_varies_stops_at_the_exact_shift_test(p, seed):
+    # x^2*(y+z)^3 + x passes the pivot x's gates; its K is not constant on
+    # the exact y-line, so the shift step rejects the pivot at any gate prime
+    diag = {}
+    assert fit_field(_Fn(parse("x^2*(y+z)^3 + x", TRI), seed=seed, p=p), None, diag) is None
+    assert diag["field_pivot_x_shift"] is False
+
+
 @pytest.mark.parametrize(
     "a, b, vals",
     [
@@ -972,13 +1029,6 @@ def test_probes_walk_each_polynomial_once(monkeypatch):
     walks.clear()
     assert fit_group(_Fn(P)).verdict == "GroupAdditive"
     assert [n for _, n in walks] == [2] * 2
-    # the field pivot x with r_y' = 1 and inner sum y + z: K = P_x/(P_y (y + z))
-    # reads P_x/P_y off the tries, so once they are drawn its probes walk nothing
-    field = _Fn(parse("x*(y + z)^3", TRI))
-    list(itertools.islice(field.tries(), 2))
-    for moved in (1, 2):
-        kval = _field_k_mod(field, 0, 1, moved, LineFn([1], [1], Fraction(1), 3), parse("y + z", TRI))
-        assert copies(lambda: _probe(kval, field.tries())) == []
     # a twisted gate reads N and D off its two tries and walks N_y and D_y,
     # once each per try at its two points
     twisted = _Fn(parse("(x + y^2)/(y^2 + z^3)", TRI))
@@ -987,20 +1037,6 @@ def test_probes_walk_each_polynomial_once(monkeypatch):
         logpartial = _twisted_logpartial_mod(twisted, i, [])
         assert copies(lambda: _probe(logpartial, twisted.tries(), agree=2)) == [2] * 4
         assert [f for f, _ in walks] == list(twisted.partials(1)) * 2
-
-
-def test_the_field_k_probe_reads_parts_whose_denominator_the_prime_divides():
-    # K does not see a constant scale of r_j' or of the inner sum, so 13 in
-    # their coefficient denominators neither raises BadPrimeError modulo 13
-    # nor changes the answer: the pivot x passes, the pivot y does not
-    field = _Fn(parse("x*(y + z)^3", TRI), p=13)
-    inner = parse("y + z", TRI)
-    for scale in (1, Fraction(1, 13), Fraction(26, 7)):
-        uj, Bc = LineFn([1], [1], Fraction(scale), 3), inner.scale(Fraction(scale) / 13)
-        assert all(_probe(_field_k_mod(field, 0, 1, v, uj, Bc), field.tries()) for v in (1, 2))
-        # pivot y, with r_x' = 1 and x + z in place of the inner sum
-        Bc = parse("x + z", TRI).scale(scale)
-        assert not all(_probe(_field_k_mod(field, 1, 0, v, uj, Bc), field.tries()) for v in (0, 2))
 
 
 def test_a_probe_whose_copies_all_equal_w_fails():

@@ -11,7 +11,6 @@ from ratforms import classify, cli, dimension
 from ratforms.cli import main
 from ratforms.modular import primes_below
 from ratforms.oracle import prime_pool
-from ratforms.poly import BadPrimeError
 from ratforms.ratfun import RatFun, parse
 
 SCHEMA_KEYS = [
@@ -514,12 +513,11 @@ def test_every_golden_positive_report_is_the_same_at_every_seed(capsys):
     assert positive == 57
 
 
-def test_a_prime_dividing_a_fitted_denominator_is_skipped_by_the_check_pool(capsys, monkeypatch):
+def test_a_fitted_s_with_no_image_modulo_a_sampling_prime_certifies(capsys):
     # the input has integer coefficients, but s = (x + 1)*y/(11*y + 1) is
     # stored with a monic denominator, y + 1/11, so it has no image modulo
-    # the sampling prime 11; the certificate search reads s exactly, and
-    # with the spot checks of verify_certificate set to the 4-bit primes
-    # their pool is 13, 7, 5, 3, 2, 17, without 11
+    # the sampling prime 11; the certificate search and its check read s
+    # exactly
     code, (rep,) = _run_json(
         capsys, ["--vars", "x,y", "--function", "(11*y + 1)/(x*y + y)", "--prime-bits", "4"]
     )
@@ -529,10 +527,25 @@ def test_a_prime_dividing_a_fitted_denominator_is_skipped_by_the_check_pool(caps
     assert rep["fitted"]["s"] == "(1/11*x*y + 1/11*y)/(y + 1/11)"
     assert rep["certificate"]["annihilator"] == "p*q - 1"
     fs = [parse(text, ("x", "y")) for text in (rep["function"], rep["fitted"]["s"])]
+    # a pool of primes for both would skip 11; the check takes none
     assert list(prime_pool((13, 11), fs, 6)) == [13, 7, 5, 3, 2, 17]
-    monkeypatch.setattr(classify, "DEFAULT_PRIMES", (13, 11))
     ann = parse(rep["certificate"]["annihilator"], ("p", "q")).num
     assert classify.verify_certificate(classify.DependenceCertificate(ann, 2, True), *fs)
+
+
+@pytest.mark.parametrize("bits", [[], ["--prime-bits", "4"]])
+@pytest.mark.parametrize(
+    "expr", ["x^2*(y+z)^3 + x", "x*(y+z)^3 + x*y*z", "x*(y+z)^3*(1 + x*y)", "x*(y+z)^3 + y"]
+)
+def test_a_perturbed_field_form_gets_no_positive_verdict(capsys, expr, bits):
+    # no sampled identity follows the field gates: the exact shift test, the
+    # exact recovery and the certificate turn these near misses of
+    # x*(y+z)^3 away
+    code, (rep,) = _run_json(capsys, ["--vars", "x,y,z", "--function", expr, *bits])
+    assert rep["verdict"] in ("unresolved", "no-constraint") and rep["certificate"] is None
+    assert code == (2 if rep["verdict"] == "unresolved" else 0)
+    if expr == "x^2*(y+z)^3 + x" and not bits:
+        assert rep["diagnostics"]["field_pivot_x_shift"] is False
 
 
 @pytest.mark.parametrize("bits", [[], ["--prime-bits", "4"]])
@@ -563,21 +576,6 @@ def test_high_powers_certify_at_4_bit_primes(capsys, names, expr, verdict):
     f, s = (parse(text, tuple(names.split(","))) for text in (rep["function"], rep["fitted"]["s"]))
     ann = parse(rep["certificate"]["annihilator"], ("p", "q")).num
     assert classify.verify_certificate(classify.DependenceCertificate(ann, ann.total_degree(), True), f, s)
-
-
-def test_bad_prime_in_a_fitted_function_is_unresolved(monkeypatch, capsys):
-    def bad_prime(f, **kwargs):
-        raise BadPrimeError(5)
-
-    monkeypatch.setattr(cli, "fit_bivariate", bad_prime)
-    code, (rep,) = _run_json(
-        capsys, ["--vars", "x,y", "--function", "x^2 + y^2", "--prime-bits", "4"]
-    )
-    assert code == 2
-    assert rep["primes"] == [13, 11]
-    assert rep["verdict"] == "unresolved"
-    assert rep["diagnostics"] == {"bad_prime": 5}
-    assert list(rep.keys()) == SCHEMA_KEYS
 
 
 def test_error_report_lists_the_primes_used(monkeypatch, capsys):

@@ -399,6 +399,22 @@ def test_exact_division_matches_the_scan_division():
     assert checked > 60
 
 
+def test_exact_divisions_ignore_the_heuristic_step_cap(monkeypatch):
+    # past DIV_STEP_CAP quotient terms only _heu_gcd's trial division gives
+    # up, which leaves its candidate to subresultants; an exact division
+    # still returns its quotient, however many terms it has
+    from ratforms.ratfun import parse
+
+    monkeypatch.setattr(poly_module, "DIV_STEP_CAP", 5)
+    names = ("x", "y")
+    big, lin = _p("(x+y+1)^4*(x-y)", names), _p("x+y+1", names)
+    want = _p("(x+y+1)^3*(x-y)", names)
+    assert len(want.ints) > 5 and _idivexact(big.ints, lin.ints, 5) is None
+    assert divexact(big, lin) == want
+    f = parse("((x+y+1)^4*(x-y))/((x+y+1)*(x+y))", names)
+    assert (f.num, f.den) == (want, _p("x + y", names))
+
+
 def test_equal_values_have_one_representation():
     x = Poly.variable(0, 1)
     half = Poly({(1,): Fraction(1, 2), (0,): Fraction(1, 2)}, 1)

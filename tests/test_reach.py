@@ -79,6 +79,9 @@ ALLOWLIST: dict[str, str] = {
     "oracle._vanishes": _DENSE,
     "modular.nullspace_vector_mod": _DENSE,
     "modular.crt_pair": _DENSE,
+    "poly.Poly.eval_mod": _DENSE,
+    "ratfun.RatFun.eval_mod": _DENSE,
+    "ratfun.pole_free_values": _DENSE,
     "classify.verify_twisted_identities": (
         "no caller since the twisted fitter stopped checking value cubes; bench/spans.py "
         "looks it up by name, so it goes in the benchmark-only change of ROADMAP items "
@@ -109,10 +112,10 @@ ALLOWLIST: dict[str, str] = {
         "full-rank minor from it, so that checker reaches it"
     ),
     "poly.BadPrimeError.__init__": (
-        "prime_pool drops every prime that divides a coefficient denominator, so no "
-        "analyze run raises it, and only tests/test_cli.py's monkeypatch reaches "
-        "cli._analyze's bad_prime branch; it goes with that branch once the eval_mod "
-        "paths that raise it are shown to be guarded"
+        "the guard of Poly._content_mod for library callers that pass their own "
+        "primes; an analysis reads only its input's N, D and partials modulo a prime, "
+        "and prime_pool drops every prime that divides their coefficient denominators, "
+        "so no analyze run raises it"
     ),
     "poly.Poly.__repr__": _GUARD,
     "poly.Poly.__setattr__": _GUARD,
