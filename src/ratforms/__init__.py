@@ -12,9 +12,7 @@ from .classify import (
     verify_twisted_identities,
 )
 from .dimension import (
-    AllPolesError,
     DoublingMap,
-    InconclusiveRankError,
     doubling_map,
     image_dimension,
     is_nondegenerate,
@@ -49,8 +47,6 @@ __all__ = [
     "doubling_map",
     "image_dimension",
     "is_nondegenerate",
-    "InconclusiveRankError",
-    "AllPolesError",
     "annihilating_poly",
     "symbolic_rank",
     "separability_identity",

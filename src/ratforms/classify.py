@@ -104,7 +104,8 @@ class FormReport:
     the certificate relates to the input.  diagnostics maps named probe
     steps to booleans; for Field, pivot is the 1-based index of the variable
     outside the inner sum and exponent is the outer power n.
-    image_dimension is set for every nondegenerate input once classified.
+    image_dimension is set for every nondegenerate input once classified,
+    unless its rank samples prove nothing (rank_inconclusive).
     """
 
     verdict: str
@@ -910,8 +911,10 @@ def _classify(
     the sampled dimension separates NoConstraint (2n, proven by a full-rank
     sample) from Unresolved, a constraint no form explains (for n = 3 a
     partial one at 5 or a full one at 4 or less), which rests on as many
-    rank samples as a Schwartz-Zippel bound of 2^-64 per prime needs, or
-    on their unanimity past `samples` (see the dimension module).
+    rank samples as a Schwartz-Zippel bound of 2^-64 per prime needs (see
+    the dimension module).  Where that bound needs more than `samples`
+    points per prime, or none would do, and no sample reaches 2n, the
+    report is Unresolved with no dimension and rank_inconclusive set.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -927,6 +930,9 @@ def _classify(
             report.image_dimension = n + 1
             return report
     d = image_dimension(P, primes=primes, samples=samples, seed=seed)
+    if d is None:
+        diag["rank_inconclusive"] = True
+        return FormReport("Unresolved", None, None, diag)
     diag["constraint"] = d < 2 * n
     if n == 3 and d == 5:
         diag["partial_constraint_dim5"] = True

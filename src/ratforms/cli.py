@@ -26,7 +26,6 @@ import json
 import sys
 
 from .classify import classify_trivariate, fit_bivariate
-from .dimension import AllPolesError, InconclusiveRankError
 from .modular import primes_below
 from .oracle import prime_pool
 from .poly import Poly
@@ -169,21 +168,15 @@ def _analyze(
     n = len(names)
     report = _empty_report(expr, names, seed, primes)
     classify = fit_bivariate if n == 2 else classify_trivariate
-    try:
-        fr = classify(f, dmax=dmax, primes=primes, samples=samples, seed=seed)
-    except (InconclusiveRankError, AllPolesError):
-        # raised only once the input has passed the nondegeneracy check
-        report["nondegenerate"] = True
-        report["verdict"] = "unresolved"
-        report["diagnostics"] = {"rank_inconclusive": True}
-        return report, 2
+    fr = classify(f, dmax=dmax, primes=primes, samples=samples, seed=seed)
     report["nondegenerate"] = fr.verdict != "Degenerate"
     report["verdict"] = _VERDICT[fr.verdict]
     if not report["nondegenerate"]:
         report["diagnostics"] = dict(fr.diagnostics)
         return report, 0
-    report["image_dimension"] = fr.image_dimension
-    report["has_constraint"] = fr.image_dimension < 2 * n
+    if fr.image_dimension is not None:
+        report["image_dimension"] = fr.image_dimension
+        report["has_constraint"] = fr.image_dimension < 2 * n
     diagnostics = dict(fr.diagnostics)
     if fr.fitted is not None:
         fitted = {

@@ -199,14 +199,16 @@ def annihilating_poly(
 
 
 def prime_pool(primes: tuple[int, ...], fs: list[RatFun], count: int) -> Iterator[int]:
-    """Up to `count` primes modulo which every function of fs has an image,
-    lazily: the given primes that divide no coefficient denominator of fs,
-    then the largest such primes below them, then the smallest above them
-    (see coprime_primes)."""
-    den = 1
+    """Up to `count` primes modulo which every function of fs has an image
+    with its numerator and denominator nonzero, lazily: the given primes
+    that divide no content numerator or denominator of fs, then the largest
+    such primes below them, then the smallest above them (see
+    coprime_primes)."""
+    bad = 1
     for f in fs:
-        den *= f.num.content.denominator * f.den.content.denominator
-    return coprime_primes(primes, den, count)
+        for c in (f.num.content, f.den.content):
+            bad *= c.numerator * c.denominator
+    return coprime_primes(primes, bad, count)
 
 
 def _lift_and_verify(fs, monos, pool, solve, seed):

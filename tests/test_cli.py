@@ -167,20 +167,20 @@ def test_a_certified_verdict_takes_no_rank_sample(monkeypatch, expr, names, verd
 
 
 @pytest.mark.parametrize(
-    "expr, names, bits, samples, calls",
+    "expr, names, bits, samples, calls, want",
     [
         # dimension 5, e = 1: k = ceil(64 / log2((p-1)/6)) = 3 per prime
-        ("x*y + z", ("x", "y", "z"), 31, 16, 2 * 3),
-        # k = 3 > 2 samples, and k = 87 > 16 at 4 bits, keep the unanimity
-        # schedule: the samples and 4 confirmations per prime
-        ("x*y + z", ("x", "y", "z"), 31, 2, 2 * (2 + 4)),
-        ("x*y + z", ("x", "y", "z"), 4, 16, 2 * (16 + 4)),
-        ("x + y + z + x^2*y^2*z^2", ("x", "y", "z"), 31, 16, None),
-        ("x + y + x^2*y^3", ("x", "y"), 31, 16, None),
+        ("x*y + z", ("x", "y", "z"), 31, 16, 2 * 3, 5),
+        # k = 3 > 2 samples, and k = 87 > 16 at 4 bits: the samples per
+        # prime, then no dimension, since none is bounded
+        ("x*y + z", ("x", "y", "z"), 31, 2, 2 * 2, None),
+        ("x*y + z", ("x", "y", "z"), 4, 16, 2 * 16, None),
+        ("x + y + z + x^2*y^2*z^2", ("x", "y", "z"), 31, 16, None, 6),
+        ("x + y + x^2*y^3", ("x", "y"), 31, 16, None, 4),
     ],
 )
 def test_an_uncertified_verdict_takes_the_schwartz_zippel_budget(
-    monkeypatch, expr, names, bits, samples, calls
+    monkeypatch, expr, names, bits, samples, calls, want
 ):
     ranks = _rank_samples(monkeypatch)
     rep = _default_report(expr, names, bits, samples)
@@ -188,7 +188,8 @@ def test_an_uncertified_verdict_takes_the_schwartz_zippel_budget(
     used = list(ranks)
     ranks.clear()
     dim = dimension.image_dimension(parse(expr, names), tuple(rep["primes"]), samples, 0)
-    assert rep["image_dimension"] == dim
+    assert rep["image_dimension"] == dim == want
+    assert rep["diagnostics"].get("rank_inconclusive", False) is (want is None)
     assert used == ranks
     if calls is not None:
         assert len(used) == calls
@@ -445,6 +446,22 @@ def test_a_prime_dividing_a_coefficient_denominator_is_replaced(
     assert captured.err == ""
 
 
+@pytest.mark.parametrize(
+    "expr, extra, primes, verdict",
+    [
+        ("2147483647*x*y", [], [2147483629, 2147483587], "group-multiplicative"),
+        ("x*y/2147483647", [], [2147483629, 2147483587], "group-multiplicative"),
+        ("13*x*y", ["--prime-bits", "4"], [11, 7], "group-multiplicative"),
+        ("26*(x+y)^3 + 13", ["--prime-bits", "4"], [11, 7], "group-additive"),
+    ],
+)
+def test_a_prime_dividing_a_content_numerator_is_replaced(capsys, expr, extra, primes, verdict):
+    # modulo a prime that divides the content of N, N is 0 and every gate
+    # reads a pole, so that prime is replaced as a denominator's is
+    code, (rep,) = _run_json(capsys, ["--vars", "x,y", "--function", expr] + extra)
+    assert (code, rep["primes"], rep["verdict"]) == (0, primes, verdict)
+
+
 def test_gates_sample_modulo_the_first_sampling_prime(capsys):
     # 2147483647 divides a coefficient denominator but is no 30-bit prime,
     # so no gate may sample modulo it
@@ -544,8 +561,10 @@ def test_a_perturbed_field_form_gets_no_positive_verdict(capsys, expr, bits):
     code, (rep,) = _run_json(capsys, ["--vars", "x,y,z", "--function", expr, *bits])
     assert rep["verdict"] in ("unresolved", "no-constraint") and rep["certificate"] is None
     assert code == (2 if rep["verdict"] == "unresolved" else 0)
-    if expr == "x^2*(y+z)^3 + x" and not bits:
+    if expr == "x^2*(y+z)^3 + x":
+        # the fitters' keys stay when the rank sample proves nothing (4 bits)
         assert rep["diagnostics"]["field_pivot_x_shift"] is False
+        assert rep["diagnostics"].get("rank_inconclusive", False) is bool(bits)
 
 
 @pytest.mark.parametrize("bits", [[], ["--prime-bits", "4"]])

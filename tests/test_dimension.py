@@ -9,7 +9,6 @@ import pytest
 
 from ratforms.classify import classify_trivariate
 from ratforms.dimension import (
-    AllPolesError,
     _budget,
     _jacobian_rows,
     doubling_map,
@@ -67,13 +66,11 @@ def test_generic_rank_unconstrained_bivariate():
     assert image_dimension(parse("x + y + x^2*y^3", BI)) == 4
 
 
-def test_generic_rank_all_poles_is_surfaced():
+def test_generic_rank_all_poles_is_no_dimension():
     # mod 5 every value of x^5 - x is 0 and mod 11 every value of x^11 - x
-    # is 0, so each prime sees only poles: the error must surface rather
-    # than silently producing a rank.
+    # is 0, so each prime sees only poles: no rank, rather than one made up
     f = parse("y + 1/((x^5 - x)*(x^11 - x))", BI)
-    with pytest.raises(AllPolesError):
-        image_dimension(f, primes=(5, 11), samples=4)
+    assert image_dimension(f, primes=(5, 11), samples=4) is None
     # the sampler the rank draws through gives None for such a point
     assert pole_free_values([f], 1, 5, random.Random(0)) is None
     # an empty sample budget is a usage error, not a function of poles,
@@ -142,7 +139,7 @@ def test_compiled_jacobian_matches_exact_partials(expr, names, p):
         # e = 1 and 2n*e = 6, so k = ceil(64 / log2((p-1)/6)) at the worse prime
         ("x*y + z", TRI, DEFAULT_PRIMES, 3),
         ("x*y + z", TRI, (251, 241), 13),
-        ("x*y + z", TRI, (13, 11), 87),  # past any default budget: unanimity
+        ("x*y + z", TRI, (13, 11), 87),  # past the default budget of 16
         # deg D = 3, e = 2 and 2n*e = 12; the poles take 2^3*3 = 24 of p - 1,
         # so k = ceil(64 / log2(216/12)) = 16, not ceil(64 / log2(240/12)) = 15
         ("1/(x*y*z + 1)", TRI, (251, 241), 16),
@@ -156,13 +153,37 @@ def test_rank_budget_meets_the_schwartz_zippel_bound(expr, names, primes, want):
     assert _budget(parse(expr, names), primes) == want
 
 
-def test_a_constant_jacobian_takes_one_sample_per_prime(monkeypatch):
+def _counted_primes(monkeypatch) -> list[int]:
+    """The prime of every rank the sampler computes from now on, in order."""
     import ratforms.dimension as dimension
 
     primes, real = [], dimension.rank_mod
     monkeypatch.setattr(dimension, "rank_mod", lambda rows, p: primes.append(p) or real(rows, p))
+    return primes
+
+
+def test_a_constant_jacobian_takes_one_sample_per_prime(monkeypatch):
+    primes = _counted_primes(monkeypatch)
     assert image_dimension(parse("x + y + z", TRI), primes=(13, 11)) == 4
     assert primes == [13, 11]
+
+
+@pytest.mark.parametrize("samples, want", ((16, None), (87, 5)))
+def test_a_dimension_below_full_needs_the_whole_budget(monkeypatch, samples, want):
+    # at (13, 11) x*y + z needs k = 87 points per prime: 16 leave no bound,
+    # so no dimension, and 87 give its dimension 5
+    primes = _counted_primes(monkeypatch)
+    assert image_dimension(parse("x*y + z", TRI), primes=(13, 11), samples=samples) == want
+    assert primes == [13] * samples + [11] * samples
+
+
+@pytest.mark.parametrize("expr,names", (("x + y + x^2*y^3", BI), ("x + y + z + x^2*y^2*z^2", TRI)))
+def test_a_full_rank_sample_decides_under_a_vacuous_budget(monkeypatch, expr, names):
+    f = parse(expr, names)
+    assert _budget(f, (13, 11)) == inf
+    primes = _counted_primes(monkeypatch)
+    assert image_dimension(f, primes=(13, 11)) == 2 * f.arity
+    assert primes == [13]
 
 
 @pytest.mark.parametrize(
