@@ -9,14 +9,15 @@ its FormReport to the report.  Reports are deterministic: the same seed,
 flags, and input produce byte-identical output.
 
 Exit status: 0 when every verdict is decisive (including no-constraint and
-degenerate), 2 when any function is unresolved or the rank sampling is
-inconclusive, 1 on usage or parse errors.  An input with a coefficient
-whose denominator a sampling prime divides has no image modulo that prime,
-so that prime is replaced by the next lower prime that divides no
-coefficient denominator; the report lists the primes used.  An input
-whose analysis raises is reported unresolved with an ``error`` diagnostic
-naming the exception and the primes it sampled modulo, and the other
-inputs are still analyzed.
+degenerate), 2 when any function is unresolved (rank_inconclusive among
+them), 1 on usage or parse errors.  An input with a coefficient whose
+denominator a sampling prime divides has no image modulo that prime, and
+one whose numerator or denominator has a content the prime divides is 0
+there, so that prime is replaced by the next lower prime that divides no
+content numerator or denominator; the report lists the primes used.  An
+input whose analysis raises is reported unresolved with an ``error``
+diagnostic naming the exception and the primes it sampled modulo, and the
+other inputs are still analyzed.
 """
 
 from __future__ import annotations
@@ -95,7 +96,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=16,
         help="most rank samples per prime (default 16), taken only when no "
         "form certifies; fewer when the Schwartz-Zippel bound needs fewer, "
-        "and a sample of full rank ends them early",
+        "and a sample of full rank ends them early.  A dimension below 2n "
+        "is reported only when the bound needs at most this many; otherwise "
+        "the report is rank_inconclusive",
     )
     ap.add_argument(
         "--max-degree",
