@@ -66,7 +66,7 @@ def test_generic_rank_unconstrained_bivariate():
     assert image_dimension(parse("x + y + x^2*y^3", BI)) == 4
 
 
-def test_generic_rank_all_poles_is_no_dimension():
+def test_generic_rank_all_poles_is_surfaced():
     # mod 5 every value of x^5 - x is 0 and mod 11 every value of x^11 - x
     # is 0, so each prime sees only poles: no rank, rather than one made up
     f = parse("y + 1/((x^5 - x)*(x^11 - x))", BI)
