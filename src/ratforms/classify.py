@@ -49,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import takewhile
 from math import gcd
 from operator import mul as _times, sub as _minus
 
@@ -518,11 +519,12 @@ def fit_group(
         diag["group_split"] = False
         return None
 
+    # the additive fit needs every part's antiderivative: stop at the first None
     try:
-        rs = [hermite_antiderivative(parts[k], k) for k in range(n)]
+        rs = list(takewhile(lambda r: r is not None, (hermite_antiderivative(parts[k], k) for k in range(n))))
     except (ValueError, ZeroDivisionError):
-        rs = [None]
-    if all(r is not None for r in rs):
+        rs = []
+    if len(rs) == n:
         report = _certified("GroupAdditive", rs, "group_additive", fn, dmax, diag)
         if report is not None:
             return report

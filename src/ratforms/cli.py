@@ -2,19 +2,20 @@
 
 Each input function gets one report carrying the degeneracy check, the
 image dimension of its doubling map (proven for every decisive verdict,
-see dimension), the fitted canonical form (when one certifies), the
-dependence certificate, and the probe diagnostics.  All of these come from
-one call of fit_bivariate or classify_trivariate; this module only maps
-its FormReport to the report.  Reports are deterministic: the same seed,
-flags, and input produce byte-identical output.
+see dimension), the fitted canonical form (when one certifies) with its
+outer map q, so that the input is q(s), the dependence certificate
+a(q)*p - b(q) that q is read off, and the fitters' diagnostics.  All of
+these come from one call of fit_bivariate or classify_trivariate; this
+module only maps its FormReport to the report.  Reports are deterministic:
+the same seed, flags, and input produce byte-identical output.
 
 Exit status: 0 when every verdict is decisive (including no-constraint and
 degenerate), 2 when any function is unresolved (rank_inconclusive among
-them), 1 on usage or parse errors.  An input with a coefficient whose
-denominator a sampling prime divides has no image modulo that prime, and
-one whose numerator or denominator has a content the prime divides is 0
-there, so that prime is replaced by the next lower prime that divides no
-content numerator or denominator; the report lists the primes used.  An
+them), 1 on usage or parse errors.  A sampling prime that divides a
+coefficient denominator of the input, a content numerator, or every
+coefficient of N_v and of D_v for a variable v it involves (13 for
+(x+y+z)^13) leaves every gate a pole or 0/0, so it is replaced by the next
+lower prime that does none of these; the report lists the primes used.  An
 input whose analysis raises is reported unresolved with an ``error``
 diagnostic naming the exception and the primes it sampled modulo, and the
 other inputs are still analyzed.
@@ -109,16 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "no cap); the certificate of f = q(s) has degree deg f / deg s in q, "
         "so a cap only turns certificates away",
     )
-    ap.add_argument(
-        "--probe-conjecture",
-        action="store_true",
-        dest="probe_conjecture",
-        help=(
-            "experimental: when a form s is fitted to a polynomial input, "
-            "probe whether the input is u(s) for a univariate polynomial u "
-            "and report fit/no-fit (no correctness claim either way)"
-        ),
-    )
     return ap
 
 
@@ -150,11 +141,15 @@ def analyze_function(
 ) -> tuple[dict, int]:
     """One report dict (schema order) and its exit status for a single input.
 
-    May raise ParseError; every other outcome is encoded in the report.
+    probe must be False: the flag it stood for is retired, and the
+    parameter stays only for callers that pass all seven arguments.  May
+    raise ParseError; every other outcome is encoded in the report.
     """
+    if probe:
+        raise ValueError("probe is retired; every positive report states its q")
     f = parse(expr, names)
     used = tuple(prime_pool(primes, [f], len(primes)))
-    return _analyze(expr, f, names, used, samples, seed, dmax, probe)
+    return _analyze(expr, f, names, used, samples, seed, dmax)
 
 
 def _analyze(
@@ -165,7 +160,6 @@ def _analyze(
     samples: int,
     seed: int,
     dmax: int | None,
-    probe: bool,
 ) -> tuple[dict, int]:
     """analyze_function on the parsed input f, sampling modulo primes."""
     n = len(names)
@@ -174,18 +168,15 @@ def _analyze(
     fr = classify(f, dmax=dmax, primes=primes, samples=samples, seed=seed)
     report["nondegenerate"] = fr.verdict != "Degenerate"
     report["verdict"] = _VERDICT[fr.verdict]
-    if not report["nondegenerate"]:
-        report["diagnostics"] = dict(fr.diagnostics)
-        return report, 0
     if fr.image_dimension is not None:
         report["image_dimension"] = fr.image_dimension
         report["has_constraint"] = fr.image_dimension < 2 * n
-    diagnostics = dict(fr.diagnostics)
     if fr.fitted is not None:
         fitted = {
             key: fr.fitted[key].to_str(names) if key in fr.fitted else None
             for key in ("r1", "r2", "r3", "s")
         }
+        fitted["q"] = _outer_map(fr.certificate.annihilator)
         fitted["pivot"] = fr.pivot
         fitted["n"] = fr.exponent
         report["fitted"] = fitted
@@ -194,22 +185,18 @@ def _analyze(
             "annihilator": fr.certificate.annihilator.to_str(("p", "q")),
             "degree_bound": fr.certificate.degree_bound,
         }
-    if probe:
-        if fr.certificate is not None and f.is_polynomial:
-            # a(q)*p - b(q) is unique up to scale, so f = u(s) for a
-            # polynomial u exactly when a is a constant a0, and u = -b/a0
-            ann = fr.certificate.annihilator.terms
-            composed = all(e[1] == 0 for e in ann if e[0] == 1)
-            diagnostics["conjecture_composition"] = composed
-            if composed:
-                a0 = ann[(1, 0)]
-                u = Poly({(e[1],): -c / a0 for e, c in ann.items() if e[0] == 0}, 1)
-                diagnostics["conjecture_u"] = u.to_str(("t",))
-        else:
-            diagnostics["conjecture_applicable"] = False
-    report["diagnostics"] = diagnostics
+    report["diagnostics"] = dict(fr.diagnostics)
     status = 0 if report["verdict"] in _DECISIVE else 2
     return report, status
+
+
+def _outer_map(ann: Poly) -> str:
+    """q = b/a of a certificate a(q)*p - b(q), in t and printed as s is; the
+    relation of least degree has coprime a and b, so q takes no gcd."""
+    terms = ann.ints.items()
+    b = Poly.from_ints({(k,): -c for (i, k), c in terms if not i}, 1)
+    a = Poly.from_ints({(k,): c for (i, k), c in terms if i}, 1)
+    return RatFun.coprime(b, a).to_str(("t",))
 
 
 def _disp(value) -> str:
@@ -229,7 +216,7 @@ def _format_text(report: dict) -> str:
     ]
     fitted = report["fitted"]
     if fitted is not None:
-        for key in ("r1", "r2", "r3", "s", "pivot", "n"):
+        for key in ("r1", "r2", "r3", "s", "q", "pivot", "n"):
             if fitted[key] is not None:
                 lines.append(f"fitted {key}:{' ' * (9 - len(key))}{fitted[key]}")
     cert = report["certificate"]
@@ -308,7 +295,6 @@ def main(argv: list[str] | None = None) -> int:
                 samples=args.samples,
                 seed=args.seed,
                 dmax=args.max_degree,
-                probe=args.probe_conjecture,
             )
         except ParseError as exc:
             print(f"{ap.prog}: error: cannot parse {expr!r}: {exc}", file=sys.stderr)

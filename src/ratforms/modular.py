@@ -74,10 +74,10 @@ def primes_below(bound: int, count: int = 2) -> tuple[int, ...]:
     return tuple(found)
 
 
-def coprime_primes(primes: tuple[int, ...], den: int, count: int) -> Iterator[int]:
-    """Up to `count` primes that do not divide den, lazily: those of
-    `primes`, then the largest primes below all of them, then, once those
-    run out, the smallest primes above all of them.
+def coprime_primes(primes: tuple[int, ...], den: int, count: int | None) -> Iterator[int]:
+    """Up to `count` primes (None: no limit) that do not divide den, lazily:
+    those of `primes`, then the largest primes below all of them, then,
+    once those run out, the smallest primes above all of them.
 
     Repeated walks test the same integers, so after the first walk their
     primality comes from is_probable_prime's cache.

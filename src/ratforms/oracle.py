@@ -200,15 +200,28 @@ def annihilating_poly(
 
 def prime_pool(primes: tuple[int, ...], fs: list[RatFun], count: int) -> Iterator[int]:
     """Up to `count` primes modulo which every function of fs has an image
-    with its numerator and denominator nonzero, lazily: the given primes
-    that divide no content numerator or denominator of fs, then the largest
-    such primes below them, then the smallest above them (see
-    coprime_primes)."""
-    bad = 1
+    with its numerator, its denominator and its partials in the variables
+    it involves nonzero, lazily: the given primes, then the largest primes
+    below them, then the smallest above them (see coprime_primes), less
+    those that divide a content numerator or denominator of fs, or every
+    coefficient of N_v and of D_v for such a variable v (13 for
+    (x+y+z)^13).  That test stops at the first coefficient a prime leaves."""
+    bad, moved = 1, []
     for f in fs:
         for c in (f.num.content, f.den.content):
             bad *= c.numerator * c.denominator
-    return coprime_primes(primes, bad, count)
+        ints = (f.num.ints, f.den.ints)
+        for v in range(f.arity):
+            # the first coefficient of N_v or D_v, 0 when f does not involve v
+            first = next((c * e[v] for t in ints for e, c in t.items() if e[v]), 0)
+            if first:
+                moved.append((first, ints, v))
+
+    def sighted(p: int) -> bool:
+        return all(first % p or any(c * e[v] % p for t in ints for e, c in t.items())
+                   for first, ints, v in moved)
+
+    return itertools.islice(filter(sighted, coprime_primes(primes, bad, None)), count)
 
 
 def _lift_and_verify(fs, monos, pool, solve, seed):

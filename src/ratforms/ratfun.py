@@ -123,11 +123,6 @@ class RatFun:
         f = self.reduce()
         return f.num.constant_value() / f.den.constant_value()
 
-    @property
-    def is_polynomial(self) -> bool:
-        f = self.reduce()
-        return f.den.is_constant
-
     def total_degree(self) -> int:
         return max(self.num.total_degree(), self.den.total_degree())
 

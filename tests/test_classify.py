@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -266,34 +267,47 @@ def _perturbed(ann: Poly) -> Poly:
     return Poly({k: v for k, v in terms.items() if v}, 2)
 
 
-def test_the_certificate_check_reads_no_prime(monkeypatch):
-    # certificates read back from their printed strings, as bench/run.py
-    # reads them: every golden one, and the seed-3 ones of the benchmark's
-    # three workloads; with every mod-p reading of a polynomial disabled the
-    # check still accepts each one and rejects it with a perturbed coefficient
-    corpus = synth.bench_corpus(monkeypatch)
-
-    def read(text, names):
-        num, den = corpus.read_ratfun(text, names)
-        return RatFun.raw(Poly(num, len(names)), Poly(den, len(names)))
-
-    def case(expr, names, rep):
-        ann = read(rep["certificate"]["annihilator"], ("p", "q")).num
-        return parse(expr, names), read(rep["fitted"]["s"], names), ann
-
-    golden = [
-        case(r["function"], tuple(r["vars"]), r)
-        for run in json.loads(GOLDEN.read_text(encoding="utf-8"))
-        for r in run["reports"] if r["certificate"]
-    ]
+@functools.cache
+def _positive_reports() -> tuple[object, list[dict], list[dict]]:
+    """(bench/corpus.py, the positive golden reports, the positive reports of
+    the seed-3 inputs of the benchmark's three workloads)."""
+    with pytest.MonkeyPatch.context() as mp:
+        corpus = synth.bench_corpus(mp)
+    golden = [r for run in json.loads(GOLDEN.read_text(encoding="utf-8"))
+              for r in run["reports"] if r["certificate"]]
     primes = primes_below(1 << 31, 2)
     workloads = []
     for workload in ("tri-corpus", "bi-corpus", "cert-ladder"):
         for item in corpus.build(workload, 3):
             rep, _ = cli.analyze_function(item.expr, item.names, primes, 16, 0, None, False)
             if rep["certificate"] is not None:
-                workloads.append(case(item.expr, item.names, rep))
-    assert len(golden) == 57 and len(workloads) > 400
+                workloads.append(rep)
+    assert len(golden) == 40 and len(workloads) > 400
+    return corpus, golden, workloads
+
+
+def _reader(corpus):
+    """A reader of printed functions, as bench/run.py reads them."""
+    def read(text, names):
+        num, den = corpus.read_ratfun(text, names)
+        return RatFun.raw(Poly(num, len(names)), Poly(den, len(names)))
+    return read
+
+
+def test_the_certificate_check_reads_no_prime(monkeypatch):
+    # certificates read back from their printed strings: every golden one,
+    # and the seed-3 ones of the benchmark's three workloads; with every
+    # mod-p reading of a polynomial disabled the check still accepts each
+    # one and rejects it with a perturbed coefficient
+    corpus, golden, workloads = _positive_reports()
+    read = _reader(corpus)
+
+    def case(rep):
+        names = tuple(rep["vars"])
+        ann = read(rep["certificate"]["annihilator"], ("p", "q")).num
+        return parse(rep["function"], names), read(rep["fitted"]["s"], names), ann
+
+    golden, workloads = [case(rep) for rep in golden], [case(rep) for rep in workloads]
 
     def disabled(*args, **kwargs):
         raise AssertionError("a polynomial was read modulo a prime")
@@ -307,6 +321,21 @@ def test_the_certificate_check_reads_no_prime(monkeypatch):
         for a in (ann, _perturbed(ann)):
             got = verify_certificate(DependenceCertificate(a, a.total_degree(), True), P, s)
             assert got == compose_numerator(a, [P, s]).is_zero == (a is ann)
+
+
+def test_every_positive_report_states_its_input_as_q_of_s():
+    # P = q(s), rebuilt exactly from the printed function, s and q of every
+    # positive golden report and every positive seed-3 workload report:
+    # with q = b/a of degree m, D_s^m b(s) / (D_s^m a(s)) is P
+    corpus, golden, workloads = _positive_reports()
+    read = _reader(corpus)
+    for rep in golden + workloads:
+        names = tuple(rep["vars"])
+        P, s = parse(rep["function"], names), read(rep["fitted"]["s"], names)
+        q = read(rep["fitted"]["q"], ("t",))
+        m = max(q.num.total_degree(), q.den.total_degree())
+        b, a = (compose_numerator(h, [s]) * s.den ** (m - h.total_degree()) for h in (q.num, q.den))
+        assert RatFun.raw(b, a) == P, rep["function"]
 
 
 # -- bivariate dichotomy ---------------------------------------------------------

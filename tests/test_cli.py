@@ -81,7 +81,7 @@ def test_degenerate_example(capsys):
 def test_report_schema_key_order(capsys):
     _, reports = _run_json(capsys, ["--vars", "x,y", "--function", "x*y"])
     assert list(reports[0].keys()) == SCHEMA_KEYS
-    assert list(reports[0]["fitted"].keys()) == ["r1", "r2", "r3", "s", "pivot", "n"]
+    assert list(reports[0]["fitted"].keys()) == ["r1", "r2", "r3", "s", "q", "pivot", "n"]
     assert list(reports[0]["certificate"].keys()) == ["annihilator", "degree_bound"]
 
 
@@ -328,19 +328,16 @@ def test_smallest_prime_bits_certify(capsys):
         assert "error" not in rep["diagnostics"]
 
 
-def test_probe_conjecture_flag(capsys):
+def test_a_polynomial_input_reports_a_polynomial_q(capsys):
+    # the certificate a(q)*p - b(q) is unique up to scale, so q = b/a is a
+    # polynomial exactly when a is constant
     code, reports = _run_json(
-        capsys,
-        [
-            "--vars", "x,y,z",
-            "--function", "(x+y+z)^3 - 2*(x+y+z) + 5",
-            "--probe-conjecture",
-        ],
+        capsys, ["--vars", "x,y,z", "--function", "(x+y+z)^3 - 2*(x+y+z) + 5"]
     )
     assert code == 0
-    diag = reports[0]["diagnostics"]
-    assert diag["conjecture_composition"] is True
-    assert diag["conjecture_u"] == "t^3 - 2*t + 5"
+    assert reports[0]["fitted"]["s"] == "x + y + z"
+    assert reports[0]["fitted"]["q"] == "t^3 - 2*t + 5"
+    assert reports[0]["certificate"]["annihilator"] == "-q^3 + p + 2*q - 5"
 
 
 @pytest.mark.parametrize(
@@ -349,30 +346,55 @@ def test_probe_conjecture_flag(capsys):
         ("x,y,z", "(x+y+z)^3 - 2*(x+y+z) + 5"),
         ("x,y,z", "(x*y*z)^2 + 1"),
         ("x,y", "(x+y)^4"),
+        ("x,y,z", "(x+y)/(y+z)"),
+        ("x,y", "1/((x+y)^2+1)"),
     ],
 )
-def test_probe_conjecture_u_of_s_is_the_input(capsys, names, expr):
-    code, reports = _run_json(
-        capsys, ["--vars", names, "--function", expr, "--probe-conjecture"]
-    )
+def test_q_of_s_is_the_input(capsys, names, expr):
+    code, reports = _run_json(capsys, ["--vars", names, "--function", expr])
     assert code == 0
     rep = reports[0]
-    assert rep["diagnostics"]["conjecture_composition"] is True
     vs = tuple(names.split(","))
     s = parse(rep["fitted"]["s"], vs)
-    u = parse(rep["diagnostics"]["conjecture_u"], ("t",))
-    assert u.is_polynomial
-    u_of_s = sum((s ** e * c for (e,), c in u.num.terms.items()), RatFun.const(0, len(vs)))
-    assert u_of_s == parse(expr, vs)
+    q = parse(rep["fitted"]["q"], ("t",))
+
+    def at_s(h):
+        return sum((s ** e * c for (e,), c in h.terms.items()), RatFun.const(0, len(vs)))
+
+    assert at_s(q.num) / at_s(q.den) == parse(expr, vs)
 
 
-def test_probe_conjecture_not_applicable_for_rational_input(capsys):
-    code, reports = _run_json(
-        capsys,
-        ["--vars", "x,y,z", "--function", "(x+y)/(y+z)", "--probe-conjecture"],
-    )
+@pytest.mark.parametrize(
+    "expr, s, q",
+    [
+        ("1/((x+y)^2+1)", "x + y", "1/(t^2 + 1)"),
+        ("(x^3*y^3+2)/(x^3*y^3-1)", "x*y", "(t^3 + 2)/(t^3 - 1)"),
+        # a multiplicative fit takes a common power out of s
+        ("x^2*y^4", "x*y^2", "t^2"),
+        ("x^2*y^2 + 1", "x*y", "t^2 + 1"),
+    ],
+)
+def test_a_positive_report_states_its_outer_map(capsys, expr, s, q):
+    code, (rep,) = _run_json(capsys, ["--vars", "x,y", "--function", expr])
+    assert (code, rep["fitted"]["s"], rep["fitted"]["q"]) == (0, s, q)
+
+
+def test_text_mode_prints_q_after_s(capsys):
+    code = main(["--vars", "x,y", "--function", "1/((x+y)^2+1)", "--format", "text"])
+    out = capsys.readouterr().out
     assert code == 0
-    assert reports[0]["diagnostics"]["conjecture_applicable"] is False
+    assert "fitted s:        x + y\nfitted q:        1/(t^2 + 1)\n" in out
+
+
+def test_the_retired_probe_is_refused(capsys):
+    names, primes = ("x", "y"), primes_below(1 << 31, 2)
+    with pytest.raises(ValueError):
+        cli.analyze_function("x*y", names, primes, 16, 0, None, True)
+    assert cli.analyze_function("x*y", names, primes, 16, 0, None, False)[1] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["--vars", "x,y", "--function", "x*y", "--probe-conjecture"])
+    assert exc.value.code == 1
+    assert "--probe-conjecture" in capsys.readouterr().err
 
 
 def test_text_mode_contains_decision_fields(capsys):
@@ -527,7 +549,7 @@ def test_every_golden_positive_report_is_the_same_at_every_seed(capsys):
                 positive += 1
                 keys = ("verdict", "fitted", "certificate")
                 assert all([rep[k] for k in keys] == [reports[0][k] for k in keys] for rep in reports)
-    assert positive == 57
+    assert positive == 40
 
 
 def test_a_fitted_s_with_no_image_modulo_a_sampling_prime_certifies(capsys):
@@ -579,22 +601,53 @@ def test_a_constant_above_the_primes_certifies_at_any_prime_size(capsys, bits):
 
 
 @pytest.mark.parametrize(
-    "names, expr, verdict",
+    "names, expr, verdict, primes",
     [
-        ("x,y,z", "(x*y*z+1)^16", "group-multiplicative"),
-        ("x,y,z", "(x+y+z)^16", "group-additive"),
-        ("x,y,z", "(x*y*z-1)^14", "group-multiplicative"),
-        ("x,y,z", "1/((x+y+z)^11+1)", "group-additive"),
+        ("x,y,z", "(x*y*z+1)^16", "group-multiplicative", [13, 11]),
+        ("x,y,z", "(x+y+z)^16", "group-additive", [13, 11]),
+        ("x,y,z", "(x*y*z-1)^14", "group-multiplicative", [13, 11]),
+        # 11 divides every coefficient of the partials of (x+y+z)^11 + 1
+        ("x,y,z", "1/((x+y+z)^11+1)", "group-additive", [13, 7]),
+        # and 13 every coefficient of the partials of a 13th power
+        ("x,y,z", "(x+y+z)^13", "group-additive", [11, 7]),
+        ("x,y,z", "(x*y*z+1)^13", "group-multiplicative", [11, 7]),
+        ("x,y,z", "1/((x+y+z)^13+1)", "group-additive", [11, 7]),
     ],
 )
-def test_high_powers_certify_at_4_bit_primes(capsys, names, expr, verdict):
+def test_high_powers_certify_at_4_bit_primes(capsys, names, expr, verdict, primes):
     # modulo 4-bit primes too few values of s are distinct to fit degree 11
     # or more; the exact search reads its nodes over the integers
     code, (rep,) = _run_json(capsys, ["--vars", names, "--function", expr, "--prime-bits", "4"])
-    assert (code, rep["verdict"], rep["primes"]) == (0, verdict, [13, 11])
+    assert (code, rep["verdict"], rep["primes"]) == (0, verdict, primes)
     f, s = (parse(text, tuple(names.split(","))) for text in (rep["function"], rep["fitted"]["s"]))
     ann = parse(rep["certificate"]["annihilator"], ("p", "q")).num
     assert classify.verify_certificate(classify.DependenceCertificate(ann, ann.total_degree(), True), f, s)
+
+
+def test_a_prime_that_zeroes_every_partial_in_a_variable_is_replaced(capsys):
+    # modulo 2147483647 the partials of 2147483647*x^2*y + z in x and in y
+    # are 0, so the gates read 0/0 there; the pool replaces that prime, and
+    # the report is that of x^2*y + z at the replacement primes
+    code, reports = _run_json(
+        capsys, ["--vars", "x,y,z", "--function", "2147483647*x^2*y + z", "--function", "x^2*y + z"]
+    )
+    scaled, plain = reports
+    assert scaled["primes"] == [2147483629, 2147483587]
+    assert scaled["diagnostics"] == plain["diagnostics"]
+    assert "field_pivot_x_certificate" not in scaled["diagnostics"]
+    assert (code, scaled["verdict"]) == (2, plain["verdict"])
+
+
+def test_the_pool_skips_only_a_prime_blind_in_a_variable_the_input_moves():
+    # z is not involved, so its partials (0) blind no prime; 13 divides
+    # every coefficient of the partials in y of (x+y)^13 and of (x+y)^13 + x,
+    # but not those of (x+y)^13 + x + y
+    names = ("x", "y", "z")
+    assert list(prime_pool((13, 11), [parse("x*y", names)], 2)) == [13, 11]
+    assert list(prime_pool((13, 11), [parse("(x+y)^13", names)], 2)) == [11, 7]
+    assert list(prime_pool((13, 11), [parse("(x+y)^13 + x", names)], 2)) == [11, 7]
+    assert list(prime_pool((13, 11), [parse("(x+y)^13 + x + y", names)], 2)) == [13, 11]
+    assert list(prime_pool((13, 11), [parse("7", names)], 2)) == [13, 11]
 
 
 def test_error_report_lists_the_primes_used(monkeypatch, capsys):
